@@ -2,207 +2,12 @@
 //! `BENCH_*.json` snapshot and diff a fresh run against it, flagging
 //! wall-clock regressions beyond a tolerance.
 //!
-//! The parser is a deliberately small hand-rolled JSON reader — the repo
-//! takes no serde dependency, and the only documents it ever sees are the
-//! ones `wallclock` itself writes (flat objects, arrays, numbers,
-//! strings, `null` for missing RSS). It still parses general JSON so a
-//! hand-edited baseline cannot silently half-parse.
+//! Documents are read with the workspace's strict JSON reader
+//! (`sp_trace::json::Value`), so a hand-edited baseline cannot silently
+//! half-parse.
 
+use sp_machine::trace::json::Value;
 use std::collections::BTreeMap;
-
-/// A parsed JSON value. Numbers are kept as `f64` — bench documents only
-/// carry measurements and small integers, both exact in a double.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(BTreeMap<String, Json>),
-}
-
-impl Json {
-    pub fn parse(text: &str) -> Result<Json, String> {
-        let b = text.as_bytes();
-        let mut pos = 0usize;
-        let v = parse_value(b, &mut pos)?;
-        skip_ws(b, &mut pos);
-        if pos != b.len() {
-            return Err(format!("trailing data at byte {pos}"));
-        }
-        Ok(v)
-    }
-
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(m) => m.get(key),
-            _ => None,
-        }
-    }
-
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(x) => Some(*x),
-            _ => None,
-        }
-    }
-
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(a) => Some(a),
-            _ => None,
-        }
-    }
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
-    if *pos < b.len() && b[*pos] == c {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!("expected {:?} at byte {}", c as char, *pos))
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        None => Err("unexpected end of input".into()),
-        Some(b'{') => parse_obj(b, pos),
-        Some(b'[') => parse_arr(b, pos),
-        Some(b'"') => Ok(Json::Str(parse_str(b, pos)?)),
-        Some(b't') => parse_lit(b, pos, "true", Json::Bool(true)),
-        Some(b'f') => parse_lit(b, pos, "false", Json::Bool(false)),
-        Some(b'n') => parse_lit(b, pos, "null", Json::Null),
-        Some(_) => parse_num(b, pos),
-    }
-}
-
-fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, v: Json) -> Result<Json, String> {
-    if b[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(v)
-    } else {
-        Err(format!("bad literal at byte {}", *pos))
-    }
-}
-
-fn parse_num(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    let start = *pos;
-    while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') {
-        *pos += 1;
-    }
-    std::str::from_utf8(&b[start..*pos])
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .map(Json::Num)
-        .ok_or_else(|| format!("bad number at byte {start}"))
-}
-
-fn parse_str(b: &[u8], pos: &mut usize) -> Result<String, String> {
-    expect(b, pos, b'"')?;
-    let mut out = String::new();
-    loop {
-        match b.get(*pos) {
-            None => return Err("unterminated string".into()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                let esc = b.get(*pos).ok_or("unterminated escape")?;
-                out.push(match esc {
-                    b'"' => '"',
-                    b'\\' => '\\',
-                    b'/' => '/',
-                    b'n' => '\n',
-                    b't' => '\t',
-                    b'r' => '\r',
-                    b'u' => {
-                        // \uXXXX — bench docs never emit these, but accept
-                        // the BMP subset rather than corrupting input.
-                        let hex = b
-                            .get(*pos + 1..*pos + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .ok_or("bad \\u escape")?;
-                        let cp = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
-                        *pos += 4;
-                        char::from_u32(cp).ok_or("surrogate \\u escape")?
-                    }
-                    other => return Err(format!("bad escape \\{}", *other as char)),
-                });
-                *pos += 1;
-            }
-            Some(&c) => {
-                out.push(c as char);
-                *pos += 1;
-            }
-        }
-    }
-}
-
-fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    expect(b, pos, b'[')?;
-    let mut items = Vec::new();
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Json::Arr(items));
-    }
-    loop {
-        items.push(parse_value(b, pos)?);
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            _ => return Err(format!("expected ',' or ']' at byte {}", *pos)),
-        }
-    }
-}
-
-fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    expect(b, pos, b'{')?;
-    let mut map = BTreeMap::new();
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Json::Obj(map));
-    }
-    loop {
-        skip_ws(b, pos);
-        let key = parse_str(b, pos)?;
-        skip_ws(b, pos);
-        expect(b, pos, b':')?;
-        map.insert(key, parse_value(b, pos)?);
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Json::Obj(map));
-            }
-            _ => return Err(format!("expected ',' or '}}' at byte {}", *pos)),
-        }
-    }
-}
 
 /// One `embed_fastpath` row of a bench document.
 #[derive(Clone, Debug)]
@@ -232,14 +37,14 @@ pub struct BenchDoc {
 
 impl BenchDoc {
     pub fn parse(text: &str) -> Result<BenchDoc, String> {
-        let v = Json::parse(text)?;
+        let v = Value::parse(text)?;
         let mut doc = BenchDoc::default();
         for row in v
             .get("embed_fastpath")
-            .and_then(Json::as_arr)
+            .and_then(Value::as_arr)
             .unwrap_or(&[])
         {
-            let f = |k: &str| row.get(k).and_then(Json::as_f64);
+            let f = |k: &str| row.get(k).and_then(Value::as_f64);
             doc.fastpath.push(FastRow {
                 rows: f("rows").ok_or("fastpath row missing 'rows'")? as u64,
                 cols: f("cols").ok_or("fastpath row missing 'cols'")? as u64,
@@ -248,18 +53,18 @@ impl BenchDoc {
                 wall_ms_optimized: f("wall_ms_optimized").ok_or("missing wall_ms_optimized")?,
             });
         }
-        for row in v.get("pipeline").and_then(Json::as_arr).unwrap_or(&[]) {
+        for row in v.get("pipeline").and_then(Value::as_arr).unwrap_or(&[]) {
             let graph = row
                 .get("graph")
-                .and_then(Json::as_str)
+                .and_then(Value::as_str)
                 .ok_or("pipeline row missing 'graph'")?
                 .to_string();
             let p = row
                 .get("p")
-                .and_then(Json::as_f64)
+                .and_then(Value::as_f64)
                 .ok_or("pipeline row missing 'p'")? as u64;
             let mut wall_ms = BTreeMap::new();
-            if let Some(Json::Obj(m)) = row.get("wall_ms") {
+            if let Some(Value::Obj(m)) = row.get("wall_ms") {
                 for (phase, val) in m {
                     if let Some(x) = val.as_f64() {
                         wall_ms.insert(phase.clone(), x);
@@ -382,20 +187,23 @@ mod tests {
         assert_eq!(doc.fastpath[0].wall_ms_optimized, 23.3);
         assert_eq!(doc.pipeline.len(), 1);
         assert_eq!(doc.pipeline[0].wall_ms["embed"], 40.0);
+        // Graph names are UTF-8, not Latin-1 bytes pushed as chars.
+        let named = BenchDoc::parse(&DOC.replace("grid96x96", "gitter-ö96×96")).unwrap();
+        assert_eq!(named.pipeline[0].graph, "gitter-ö96×96");
     }
 
     #[test]
     fn json_corner_cases() {
-        assert_eq!(Json::parse("[]").unwrap(), Json::Arr(vec![]));
-        assert_eq!(Json::parse(" null ").unwrap(), Json::Null);
+        assert_eq!(Value::parse("[]").unwrap(), Value::Arr(vec![]));
+        assert_eq!(Value::parse(" null ").unwrap(), Value::Null);
         assert_eq!(
-            Json::parse(r#""a\"b\n""#).unwrap(),
-            Json::Str("a\"b\n".into())
+            Value::parse(r#""a\"b\n""#).unwrap(),
+            Value::Str("a\"b\n".into())
         );
-        assert_eq!(Json::parse("-1.5e2").unwrap(), Json::Num(-150.0));
-        assert!(Json::parse("{\"a\": 1,}").is_err());
-        assert!(Json::parse("[1 2]").is_err());
-        assert!(Json::parse("{} garbage").is_err());
+        assert_eq!(Value::parse("-1.5e2").unwrap(), Value::Num(-150.0));
+        assert!(Value::parse("{\"a\": 1,}").is_err());
+        assert!(Value::parse("[1 2]").is_err());
+        assert!(Value::parse("{} garbage").is_err());
     }
 
     #[test]

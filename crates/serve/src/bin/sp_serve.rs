@@ -10,15 +10,14 @@
 //! sp-serve stats   --addr 127.0.0.1:7070 [--prom]
 //! sp-serve shutdown --addr 127.0.0.1:7070
 //! sp-serve route   --addr 127.0.0.1:7071 --shard a=127.0.0.1:7070
-//!                  [--shard b=HOST:PORT ...] [--vnodes N] [--health-ms N]
-//!                  [--warm N] [--forward-timeout-ms N]
+//!                  [--shard b=HOST:PORT ...] [--health-ms N]
+//!                  [--forward-timeout-ms N]
 //! ```
 
-use sp_serve::net::{Client, Server};
+use sp_serve::net::{resolve, Client, Server};
 use sp_serve::router::{Router, RouterConfig, RouterServer};
 use sp_serve::service::ServeConfig;
 use sp_trace::json::escape;
-use std::net::{SocketAddr, ToSocketAddrs};
 use std::process::ExitCode;
 
 const USAGE_HINT: &str =
@@ -62,10 +61,7 @@ stats options:
 route options:
   --addr HOST:PORT     router listen address (default 127.0.0.1:7071)
   --shard NAME=ADDR    a backend shard (repeat per shard; at least one)
-  --vnodes N           virtual nodes per shard on the hash ring (default 128)
   --health-ms N        health-probe period, 0 disables (default 500)
-  --warm N             cache entries streamed per survivor on shard join
-                       (default 32)
   --forward-timeout-ms N
                        per-attempt shard socket timeout (default 30000)
 
@@ -118,13 +114,6 @@ impl Args {
                 .map_err(|_| format!("bad value for {flag}: {v:?}")),
         }
     }
-}
-
-fn resolve(addr: &str) -> Result<SocketAddr, String> {
-    addr.to_socket_addrs()
-        .map_err(|e| format!("bad address {addr:?}: {e}"))?
-        .next()
-        .ok_or_else(|| format!("address {addr:?} resolved to nothing"))
 }
 
 fn main() -> ExitCode {
@@ -210,14 +199,8 @@ fn cmd_route(args: &mut Args) -> Result<ExitCode, String> {
         return Err("route needs at least one --shard NAME=ADDR".into());
     }
     let mut cfg = RouterConfig::default();
-    if let Some(v) = args.take_parsed("--vnodes")? {
-        cfg.vnodes = v;
-    }
     if let Some(v) = args.take_parsed("--health-ms")? {
         cfg.health_interval_ms = v;
-    }
-    if let Some(v) = args.take_parsed("--warm")? {
-        cfg.warm_limit = v;
     }
     if let Some(v) = args.take_parsed("--forward-timeout-ms")? {
         cfg.forward_timeout_ms = v;
@@ -302,7 +285,7 @@ fn cmd_roundtrip(args: &mut Args, req: &str) -> Result<ExitCode, String> {
 }
 
 fn roundtrip(addr: &str, req: &str) -> Result<String, String> {
-    let addr = resolve(addr)?;
+    let addr = resolve(addr).map_err(|e| format!("bad address {addr:?}: {e}"))?;
     let mut client = Client::connect(&addr).map_err(|e| format!("cannot connect: {e}"))?;
     client
         .request(req)

@@ -1,6 +1,7 @@
-//! LRU result cache.
+//! The LRU behind both result caches: partition results under
+//! [`CacheKey`], session repartition steps under `(base_fp, chain_fp)`.
 //!
-//! Keyed by `(input fingerprint, method, parts, ranks, seed)` — everything
+//! A [`CacheKey`] is `(input fingerprint, method, parts, ranks, seed)` — everything
 //! that determines the partitioner's output bit-for-bit (the simulated
 //! rank count participates because recursive bisection splits rank groups,
 //! which changes sub-bisection seeds' machines and hence results). A hit
@@ -15,6 +16,7 @@
 
 use scalapart::Method;
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::Arc;
 
 /// Everything that determines a job's output bit-for-bit.
@@ -29,13 +31,13 @@ pub struct CacheKey {
     pub seed: u64,
 }
 
-pub struct LruCache<V> {
+pub struct LruCache<K, V> {
     capacity: usize,
     stamp: u64,
-    map: HashMap<CacheKey, (u64, Arc<V>)>,
+    map: HashMap<K, (u64, Arc<V>)>,
 }
 
-impl<V> LruCache<V> {
+impl<K: Copy + Eq + Hash, V> LruCache<K, V> {
     pub fn new(capacity: usize) -> Self {
         LruCache {
             capacity,
@@ -45,7 +47,7 @@ impl<V> LruCache<V> {
     }
 
     /// Look up and refresh recency.
-    pub fn get(&mut self, key: &CacheKey) -> Option<Arc<V>> {
+    pub fn get(&mut self, key: &K) -> Option<Arc<V>> {
         self.stamp += 1;
         let stamp = self.stamp;
         self.map.get_mut(key).map(|(s, v)| {
@@ -58,7 +60,7 @@ impl<V> LruCache<V> {
     /// entry if the cache is full. Returns the evicted key, if any, so
     /// the caller can count evictions. A zero-capacity cache stores
     /// nothing (and evicts nothing).
-    pub fn insert(&mut self, key: CacheKey, value: Arc<V>) -> Option<CacheKey> {
+    pub fn insert(&mut self, key: K, value: Arc<V>) -> Option<K> {
         if self.capacity == 0 {
             return None;
         }
@@ -82,8 +84,8 @@ impl<V> LruCache<V> {
     /// Up to `limit` entries, hottest (most recently used) first — the
     /// donor side of cache warming streams these to a joining shard.
     /// Does not touch recency stamps.
-    pub fn dump(&self, limit: usize) -> Vec<(CacheKey, Arc<V>)> {
-        let mut entries: Vec<(u64, CacheKey, Arc<V>)> = self
+    pub fn dump(&self, limit: usize) -> Vec<(K, Arc<V>)> {
+        let mut entries: Vec<(u64, K, Arc<V>)> = self
             .map
             .iter()
             .map(|(k, (s, v))| (*s, *k, v.clone()))
@@ -122,7 +124,7 @@ mod tests {
 
     #[test]
     fn hit_returns_the_stored_arc() {
-        let mut c: LruCache<Vec<u32>> = LruCache::new(4);
+        let mut c: LruCache<CacheKey, Vec<u32>> = LruCache::new(4);
         let v = Arc::new(vec![1, 2, 3]);
         c.insert(key(1, 0), v.clone());
         let got = c.get(&key(1, 0)).unwrap();
@@ -136,7 +138,7 @@ mod tests {
 
     #[test]
     fn evicts_least_recently_used() {
-        let mut c: LruCache<u32> = LruCache::new(2);
+        let mut c: LruCache<CacheKey, u32> = LruCache::new(2);
         assert_eq!(c.insert(key(1, 0), Arc::new(10)), None);
         assert_eq!(c.insert(key(2, 0), Arc::new(20)), None);
         c.get(&key(1, 0)); // refresh 1 → 2 is now oldest
@@ -150,12 +152,12 @@ mod tests {
 
     #[test]
     fn reinsert_refreshes_without_growth() {
-        let mut c: LruCache<u32> = LruCache::new(2);
+        let mut c: LruCache<CacheKey, u32> = LruCache::new(2);
         c.insert(key(1, 0), Arc::new(10));
         c.insert(key(1, 0), Arc::new(11));
         assert_eq!(c.len(), 1);
         assert_eq!(*c.get(&key(1, 0)).unwrap(), 11);
-        let z: LruCache<u32> = {
+        let z: LruCache<CacheKey, u32> = {
             let mut z = LruCache::new(0);
             z.insert(key(1, 0), Arc::new(1));
             z
@@ -165,7 +167,7 @@ mod tests {
 
     #[test]
     fn dump_returns_hottest_first_without_touching_recency() {
-        let mut c: LruCache<u32> = LruCache::new(8);
+        let mut c: LruCache<CacheKey, u32> = LruCache::new(8);
         c.insert(key(1, 0), Arc::new(1));
         c.insert(key(2, 0), Arc::new(2));
         c.insert(key(3, 0), Arc::new(3));
@@ -183,7 +185,7 @@ mod tests {
 
     #[test]
     fn distinct_methods_and_parts_are_distinct_entries() {
-        let mut c: LruCache<u32> = LruCache::new(8);
+        let mut c: LruCache<CacheKey, u32> = LruCache::new(8);
         let base = key(7, 3);
         c.insert(base, Arc::new(1));
         c.insert(

@@ -4,7 +4,7 @@
 //! The paper's partitioner is a batch algorithm; this crate wraps it in a
 //! daemon so repeated partitioning requests — the "partition the same
 //! mesh at many seeds / part counts" workload of a simulation campaign —
-//! amortise process startup and share a result cache. Two layers:
+//! amortise process startup and share a result cache. Three layers:
 //!
 //! - [`service::Service`] — the in-process core: bounded job queue,
 //!   worker pool, LRU result cache keyed by input fingerprint, per-job
@@ -12,16 +12,18 @@
 //!   graceful drain. Usable directly as a library (the loopback tests and
 //!   any embedding binary drive this API).
 //! - [`net::Server`]/[`net::Client`] — a TCP front end speaking
-//!   length-prefixed JSON frames ([`proto`]), built purely on `std::net`.
+//!   length-prefixed JSON frames ([`proto`]), built purely on `std::net`:
+//!   one listener (accept loop, per-connection frame loop, connection
+//!   registry) and one round-trip client, shared with the router.
 //! - [`router::Router`]/[`router::RouterServer`] — distributed serving: a
 //!   coordinator that consistent-hashes jobs ([`ring`]) across backend
 //!   shards, with health checks, mid-stream failover replay, and cache
 //!   warming on shard join (`sp-serve route`).
 //!
 //! Everything is dependency-free by design, like the rest of the
-//! workspace: the wire format is parsed by the hand-rolled strict
-//! [`json`] parser and emitted through sp-trace's JSON helpers, and cache
-//! fingerprints reuse sp-trace's platform-stable FNV-1a.
+//! workspace: the wire format is read and written through sp-trace's JSON
+//! module (re-exported here as [`json`]), and cache fingerprints reuse
+//! sp-trace's platform-stable FNV-1a.
 //!
 //! Determinism contract: a job's result depends only on
 //! `(input fingerprint, method, parts, simulated ranks, seed)` — the
@@ -30,7 +32,6 @@
 
 pub mod cache;
 pub mod fingerprint;
-pub mod json;
 pub mod metrics;
 pub mod net;
 pub mod proto;
@@ -49,3 +50,4 @@ pub use service::{
     JobOutcome, JobSpec, PartitionOutput, ServeConfig, Service, ServiceStats, SubmitError, Ticket,
 };
 pub use session::{SessionConfig, SessionManager};
+pub use sp_trace::json;

@@ -8,8 +8,8 @@
 //!
 //! Frames larger than [`MAX_FRAME`] are rejected before reading the
 //! payload, so a hostile length prefix cannot make the server allocate
-//! gigabytes. Requests are parsed with the strict parser in
-//! [`crate::json`]; any malformed frame produces an `error` response and
+//! gigabytes. Requests are parsed with the workspace's strict reader
+//! ([`sp_trace::json`]); any malformed frame produces an `error` response and
 //! the connection stays usable.
 //!
 //! Requests (`type` field selects):
@@ -568,60 +568,62 @@ pub fn encode_pong() -> String {
 /// The raw byte span of a top-level field's value inside an encoded
 /// response — no re-serialization, so two responses can be compared for
 /// *byte* identity field by field (the determinism contract is stated in
-/// bytes, not parsed values). Handles object, string, and scalar values.
+/// bytes, not parsed values), and the router can nest a shard's `stats`
+/// object verbatim. Only keys of the outermost object match: the router's
+/// merged stats frame has a `"shards"` count nested in `"router"` ahead of
+/// the top-level `"shards"` array. Handles object, array, string and
+/// scalar values.
 pub fn extract_raw_field<'a>(resp: &'a str, field: &str) -> Option<&'a str> {
     let needle = format!("\"{field}\": ");
-    let start = resp.find(&needle)? + needle.len();
     let bytes = resp.as_bytes();
-    match *bytes.get(start)? {
-        b'{' | b'[' => {
-            let (open, close) = if bytes[start] == b'{' {
-                (b'{', b'}')
-            } else {
-                (b'[', b']')
-            };
-            let mut depth = 0i32;
-            let mut in_str = false;
-            let mut esc = false;
-            for (i, &b) in bytes.iter().enumerate().skip(start) {
-                if esc {
-                    esc = false;
-                    continue;
-                }
-                match b {
-                    b'\\' if in_str => esc = true,
-                    b'"' => in_str = !in_str,
-                    _ if in_str => {}
-                    b if b == open => depth += 1,
-                    b if b == close => {
-                        depth -= 1;
-                        if depth == 0 {
-                            return Some(&resp[start..=i]);
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            None
+    let mut at = Nesting::default();
+    // A `"` outside any string at depth 1 opens a key or a string value;
+    // only a key is followed by `": `, so the needle cannot match a value.
+    let key = (0..bytes.len()).find(|&i| {
+        let opens = at.depth == 1 && !at.in_str && bytes[i..].starts_with(needle.as_bytes());
+        at.step(bytes[i]);
+        opens
+    })?;
+    let start = key + needle.len();
+    let mut at = Nesting::default();
+    for (i, &b) in bytes.iter().enumerate().skip(start) {
+        if at.depth == 0 && !at.in_str && matches!(b, b',' | b'}' | b']') {
+            return Some(resp[start..i].trim_end()); // a scalar ends at its delimiter
         }
-        b'"' => {
-            let mut esc = false;
-            for (i, &b) in bytes.iter().enumerate().skip(start + 1) {
-                if esc {
-                    esc = false;
-                } else if b == b'\\' {
-                    esc = true;
-                } else if b == b'"' {
-                    return Some(&resp[start..=i]);
-                }
-            }
-            None
+        at.step(b);
+        if at.depth == 0 && !at.in_str && matches!(b, b'"' | b'}' | b']') {
+            return Some(&resp[start..=i]); // a string or container just closed
         }
-        _ => {
-            let end = bytes[start..]
-                .iter()
-                .position(|&b| b == b',' || b == b'}' || b == b']')?;
-            Some(resp[start..start + end].trim_end())
+    }
+    None
+}
+
+/// Where a byte-wise scan of encoded JSON stands: container depth, and
+/// whether it is inside a string (where brackets and quotes-after-escape
+/// do not count).
+#[derive(Default)]
+struct Nesting {
+    depth: i32,
+    in_str: bool,
+    esc: bool,
+}
+
+impl Nesting {
+    fn step(&mut self, b: u8) {
+        if self.in_str {
+            match b {
+                _ if self.esc => self.esc = false,
+                b'\\' => self.esc = true,
+                b'"' => self.in_str = false,
+                _ => {}
+            }
+        } else {
+            match b {
+                b'"' => self.in_str = true,
+                b'{' | b'[' => self.depth += 1,
+                b'}' | b']' => self.depth -= 1,
+                _ => {}
+            }
         }
     }
 }
@@ -824,6 +826,22 @@ mod tests {
             Some(r#"{"part": [0,1], "s": "br}ace"}"#)
         );
         assert_eq!(extract_raw_field(resp, "missing"), None);
+
+        // Only top-level keys match. The router's own merged stats frame
+        // nests a "shards" count ahead of the top-level "shards" array.
+        let merged = r#"{"type": "stats", "router": {"schema": "sp-router-stats-v1", "shards": 2, "shards_up": 1}, "shards": [{"name": "a", "up": true, "stats": {"completed": 3}}, {"name": "b", "up": false, "stats": null}]}"#;
+        assert_eq!(
+            extract_raw_field(merged, "shards"),
+            Some(
+                r#"[{"name": "a", "up": true, "stats": {"completed": 3}}, {"name": "b", "up": false, "stats": null}]"#
+            )
+        );
+        assert_eq!(extract_raw_field(merged, "shards_up"), None);
+        assert_eq!(extract_raw_field(merged, "type"), Some("\"stats\""));
+        // A decoy inside a string, and one nested deeper, ahead of the key.
+        let decoy = r#"{"note": "\"cut\": 1, ", "inner": [{"cut": 2}], "cut": 3, "last": true}"#;
+        assert_eq!(extract_raw_field(decoy, "cut"), Some("3"));
+        assert_eq!(extract_raw_field(decoy, "last"), Some("true"));
     }
 
     #[test]

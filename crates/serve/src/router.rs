@@ -27,15 +27,15 @@
 //! recovered shard is warmed before taking traffic again.
 
 use crate::json::Value;
+use crate::net::{resolve, Client, ForwardFail, Handled, Listener};
 use crate::proto::{
-    append_field, encode_cache_entries, encode_metrics, encode_pong, encode_typed_error,
-    read_frame, write_frame, Request, WireCacheEntry, MAX_FRAME,
+    append_field, encode_cache_entries, encode_error, encode_metrics, encode_pong,
+    encode_typed_error, extract_raw_field, Request, WireCacheEntry, MAX_FRAME,
 };
 use crate::ring::{Ring, DEFAULT_VNODES};
 use scalapart::obs::{Counter, Gauge, Registry};
 use std::collections::HashMap;
-use std::io::Write as _;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -44,25 +44,22 @@ use std::time::{Duration, Instant};
 /// Router tuning knobs.
 #[derive(Clone, Debug)]
 pub struct RouterConfig {
-    /// Virtual nodes per shard on the hash ring.
-    pub vnodes: usize,
     /// Background health-probe period. `0` disables the probe thread
     /// (tests drive failure detection through the forward path instead).
     pub health_interval_ms: u64,
     /// Per-attempt socket timeout for forwarded requests. Generous: a
     /// shard legitimately computes for seconds on large jobs.
     pub forward_timeout_ms: u64,
-    /// Cache entries streamed per survivor when warming a joining shard.
-    pub warm_limit: usize,
 }
+
+/// Cache entries streamed per survivor when warming a joining shard.
+const WARM_LIMIT: usize = 32;
 
 impl Default for RouterConfig {
     fn default() -> Self {
         RouterConfig {
-            vnodes: DEFAULT_VNODES,
             health_interval_ms: 500,
             forward_timeout_ms: 30_000,
-            warm_limit: 32,
         }
     }
 }
@@ -73,6 +70,29 @@ struct ShardState {
     up: bool,
     up_gauge: Arc<Gauge>,
     forwards: Arc<Counter>,
+}
+
+impl ShardState {
+    /// A shard registered as alive, with its per-shard series.
+    fn new(registry: &Registry, name: &str, addr: SocketAddr) -> ShardState {
+        let up_gauge = registry.gauge_with(
+            "sp_shard_up",
+            "1 while the shard answers, 0 after a failure",
+            &[("shard", name)],
+        );
+        up_gauge.set(1);
+        ShardState {
+            up_gauge,
+            forwards: registry.counter_with(
+                "sp_route_forwards_total",
+                "Requests forwarded per shard (including replays)",
+                &[("shard", name)],
+            ),
+            name: name.to_string(),
+            addr,
+            up: true,
+        }
+    }
 }
 
 /// The shard list plus the consistent-hash ring over its *alive* members.
@@ -86,16 +106,28 @@ struct ShardTable {
 }
 
 impl ShardTable {
-    fn rebuild_ring(&mut self, vnodes: usize) {
+    /// Recompute what follows from membership: the ring and `shards_up`.
+    fn membership_changed(&mut self, shards_up: &Gauge) {
         let alive: Vec<&str> = self
             .shards
             .iter()
             .filter(|s| s.up)
             .map(|s| s.name.as_str())
             .collect();
-        self.ring = Ring::new(&alive, vnodes);
+        shards_up.set(alive.len() as i64);
+        self.ring = Ring::new(&alive, DEFAULT_VNODES);
     }
 }
+
+/// Every `code` the router itself puts in a typed error, registered at
+/// start so each series is scraped from zero.
+const ERROR_CODES: [&str; 5] = [
+    "no_shards",
+    "route_mismatch",
+    "shard_protocol",
+    "forward_timeout",
+    "frame_too_large",
+];
 
 struct RouterMetrics {
     registry: Arc<Registry>,
@@ -105,17 +137,12 @@ struct RouterMetrics {
     joins: Arc<Counter>,
     replays: Arc<Counter>,
     warm_entries: Arc<Counter>,
-    errors_no_shards: Arc<Counter>,
-    errors_route_mismatch: Arc<Counter>,
-    errors_shard_protocol: Arc<Counter>,
-    errors_forward_timeout: Arc<Counter>,
-    errors_frame_too_large: Arc<Counter>,
 }
 
 impl RouterMetrics {
     fn new() -> RouterMetrics {
         let r = Arc::new(Registry::new());
-        RouterMetrics {
+        let metrics = RouterMetrics {
             shards: r.gauge("sp_shards", "Shards registered with the router"),
             shards_up: r.gauge("sp_shards_up", "Shards currently believed alive"),
             failovers: r.counter(
@@ -134,65 +161,22 @@ impl RouterMetrics {
                 "sp_warm_entries_total",
                 "Cache entries streamed to joining shards",
             ),
-            errors_no_shards: r.counter_with(
-                "sp_route_errors_total",
-                "Typed errors returned to clients",
-                &[("code", "no_shards")],
-            ),
-            errors_route_mismatch: r.counter_with(
-                "sp_route_errors_total",
-                "Typed errors returned to clients",
-                &[("code", "route_mismatch")],
-            ),
-            errors_shard_protocol: r.counter_with(
-                "sp_route_errors_total",
-                "Typed errors returned to clients",
-                &[("code", "shard_protocol")],
-            ),
-            errors_forward_timeout: r.counter_with(
-                "sp_route_errors_total",
-                "Typed errors returned to clients",
-                &[("code", "forward_timeout")],
-            ),
-            errors_frame_too_large: r.counter_with(
-                "sp_route_errors_total",
-                "Typed errors returned to clients",
-                &[("code", "frame_too_large")],
-            ),
             registry: r,
+        };
+        for code in ERROR_CODES {
+            metrics.error(code);
         }
+        metrics
     }
-}
 
-/// How a forward attempt failed — the distinction failover hinges on.
-///
-/// Only [`ForwardFail::Dead`] may demote a shard and trigger replay. A
-/// timeout is *not* death: the shard accepted the connection and may
-/// legitimately still be computing (jobs run for seconds), so replaying
-/// elsewhere could double-run the job, and demoting on every slow reply
-/// would cascade a healthy fleet into `no_shards` — permanently so when
-/// `health_interval_ms: 0` disables the probe that could re-admit them.
-enum ForwardFail {
-    /// Connection-level failure: refused, reset, mid-frame EOF, garbage
-    /// framing. The shard is gone or unintelligible — demote and replay.
-    Dead(std::io::Error),
-    /// The shard took the request but no reply arrived within the forward
-    /// budget. Report to the client; leave liveness to the health probe.
-    Timeout,
-}
-
-fn is_timeout(e: &std::io::Error) -> bool {
-    matches!(
-        e.kind(),
-        std::io::ErrorKind::TimedOut | std::io::ErrorKind::WouldBlock
-    )
-}
-
-/// What the connection loop should do after sending a reply.
-pub enum Handled {
-    Reply(String),
-    /// Reply, then stop the router (shutdown was requested and forwarded).
-    ReplyThenStop(String),
+    /// The `sp_route_errors_total{code=…}` series (registered on first use).
+    fn error(&self, code: &str) -> Arc<Counter> {
+        self.registry.counter_with(
+            "sp_route_errors_total",
+            "Typed errors returned to clients",
+            &[("code", code)],
+        )
+    }
 }
 
 /// A streaming session's frame journal: every state-changing frame the
@@ -226,33 +210,17 @@ impl Router {
     /// the first failed forward or health probe demotes them.
     pub fn new(cfg: RouterConfig, shards: &[(String, String)]) -> std::io::Result<Arc<Router>> {
         let metrics = RouterMetrics::new();
-        let mut states = Vec::with_capacity(shards.len());
-        for (name, addr) in shards {
-            let addr = resolve(addr)?;
-            states.push(ShardState {
-                up_gauge: metrics.registry.gauge_with(
-                    "sp_shard_up",
-                    "1 while the shard answers, 0 after a failure",
-                    &[("shard", name)],
-                ),
-                forwards: metrics.registry.counter_with(
-                    "sp_route_forwards_total",
-                    "Requests forwarded per shard (including replays)",
-                    &[("shard", name)],
-                ),
-                name: name.clone(),
-                addr,
-                up: true,
-            });
-            states.last().unwrap().up_gauge.set(1);
-        }
-        metrics.shards.set(states.len() as i64);
-        metrics.shards_up.set(states.len() as i64);
         let mut table = ShardTable {
-            shards: states,
-            ring: Ring::new::<&str>(&[], cfg.vnodes),
+            shards: Vec::with_capacity(shards.len()),
+            ring: Ring::new::<&str>(&[], DEFAULT_VNODES),
         };
-        table.rebuild_ring(cfg.vnodes);
+        for (name, addr) in shards {
+            table
+                .shards
+                .push(ShardState::new(&metrics.registry, name, resolve(addr)?));
+        }
+        metrics.shards.set(table.shards.len() as i64);
+        table.membership_changed(&metrics.shards_up);
         let router = Arc::new(Router {
             cfg: cfg.clone(),
             shards: Mutex::new(table),
@@ -279,10 +247,6 @@ impl Router {
         }
     }
 
-    pub fn is_stopped(&self) -> bool {
-        self.stop.load(Ordering::SeqCst)
-    }
-
     /// Prometheus exposition of the router's own registry.
     pub fn prometheus(&self) -> String {
         scalapart::obs::prom::render(&self.metrics.registry)
@@ -293,54 +257,42 @@ impl Router {
         self.metrics.failovers.get()
     }
 
+    /// `(name, addr, up)` of every registered shard, in registration order.
+    fn snapshot(&self) -> Vec<(String, SocketAddr, bool)> {
+        let table = self.shards.lock().unwrap();
+        table
+            .shards
+            .iter()
+            .map(|s| (s.name.clone(), s.addr, s.up))
+            .collect()
+    }
+
     /// Re-register a shard (same or new address) and warm its cache from
     /// the survivors before it takes traffic. Returns the number of cache
     /// entries streamed.
     pub fn rejoin(&self, name: &str, addr: &str) -> std::io::Result<usize> {
         let addr = resolve(addr)?;
-        let donors: Vec<SocketAddr> = {
-            let table = self.shards.lock().unwrap();
-            table
-                .shards
-                .iter()
-                .filter(|s| s.up && s.name != name)
-                .map(|s| s.addr)
-                .collect()
-        };
+        let donors: Vec<SocketAddr> = self
+            .snapshot()
+            .into_iter()
+            .filter(|(donor, _, up)| *up && donor != name)
+            .map(|(_, addr, _)| addr)
+            .collect();
         let warmed = self.warm(addr, &donors);
         let mut table = self.shards.lock().unwrap();
         match table.shards.iter_mut().find(|s| s.name == name) {
             Some(s) => {
                 s.addr = addr;
-                if !s.up {
-                    s.up = true;
-                    s.up_gauge.set(1);
-                }
+                s.up = true;
+                s.up_gauge.set(1);
             }
             None => {
-                table.shards.push(ShardState {
-                    up_gauge: self.metrics.registry.gauge_with(
-                        "sp_shard_up",
-                        "1 while the shard answers, 0 after a failure",
-                        &[("shard", name)],
-                    ),
-                    forwards: self.metrics.registry.counter_with(
-                        "sp_route_forwards_total",
-                        "Requests forwarded per shard (including replays)",
-                        &[("shard", name)],
-                    ),
-                    name: name.to_string(),
-                    addr,
-                    up: true,
-                });
-                table.shards.last().unwrap().up_gauge.set(1);
+                let joiner = ShardState::new(&self.metrics.registry, name, addr);
+                table.shards.push(joiner);
                 self.metrics.shards.set(table.shards.len() as i64);
             }
         }
-        table.rebuild_ring(self.cfg.vnodes);
-        self.metrics
-            .shards_up
-            .set(table.shards.iter().filter(|s| s.up).count() as i64);
+        table.membership_changed(&self.metrics.shards_up);
         drop(table);
         self.metrics.joins.inc();
         Ok(warmed)
@@ -351,12 +303,9 @@ impl Router {
     /// are non-fatal — a cold joiner is merely slower, never wrong.
     fn warm(&self, addr: SocketAddr, donors: &[SocketAddr]) -> usize {
         let mut entries: Vec<WireCacheEntry> = Vec::new();
+        let dump = format!("{{\"type\": \"cache_dump\", \"limit\": {WARM_LIMIT}}}");
         for donor in donors {
-            let dump = format!(
-                "{{\"type\": \"cache_dump\", \"limit\": {}}}",
-                self.cfg.warm_limit
-            );
-            let Ok(resp) = self.forward_once(*donor, &dump) else {
+            let Ok(resp) = self.forward(*donor, &dump) else {
                 continue;
             };
             let Ok(v) = Value::parse(&resp) else { continue };
@@ -369,24 +318,25 @@ impl Router {
             return 0;
         }
         let load = encode_cache_entries("cache_load", &entries);
-        match self.forward_once(addr, &load) {
-            Ok(resp) => {
-                let loaded = Value::parse(&resp)
-                    .ok()
-                    .and_then(|v| v.get("loaded").and_then(Value::as_usize))
-                    .unwrap_or(0);
-                self.metrics.warm_entries.add(loaded as u64);
-                loaded
-            }
-            Err(_) => 0,
-        }
+        let loaded = self
+            .forward(addr, &load)
+            .ok()
+            .and_then(|resp| Value::parse(&resp).ok())
+            .and_then(|v| v.get("loaded").and_then(Value::as_usize))
+            .unwrap_or(0);
+        self.metrics.warm_entries.add(loaded as u64);
+        loaded
     }
 
     /// Handle one client frame: route, forward, relay.
     pub fn handle(&self, payload: &[u8]) -> Handled {
+        // Forwarding relays the frame text, so it must be text.
+        let Ok(frame) = std::str::from_utf8(payload) else {
+            return Handled::Reply(encode_error("frame is not UTF-8"));
+        };
         let req = match Request::decode(payload) {
             Ok(r) => r,
-            Err(msg) => return Handled::Reply(crate::proto::encode_error(&msg)),
+            Err(msg) => return Handled::Reply(encode_error(&msg)),
         };
         match req {
             Request::Ping => Handled::Reply(encode_pong()),
@@ -394,34 +344,23 @@ impl Router {
             Request::Stats => Handled::Reply(self.merged_stats()),
             Request::Shutdown => {
                 // Forward the drain to every live shard, then stop.
-                let targets: Vec<SocketAddr> = {
-                    let table = self.shards.lock().unwrap();
-                    table
-                        .shards
-                        .iter()
-                        .filter(|s| s.up)
-                        .map(|s| s.addr)
-                        .collect()
-                };
-                for addr in targets {
-                    let _ = self.forward_once(addr, "{\"type\": \"shutdown\"}");
+                for (_, addr, up) in self.snapshot() {
+                    if up {
+                        let _ = self.forward(addr, "{\"type\": \"shutdown\"}");
+                    }
                 }
                 self.stop.store(true, Ordering::SeqCst);
                 Handled::ReplyThenStop("{\"type\": \"ok\", \"draining\": true}".to_string())
             }
-            Request::CacheDump { .. } | Request::CacheLoad { .. } => Handled::Reply(
-                crate::proto::encode_error("cache requests go to shards, not the router"),
-            ),
+            Request::CacheDump { .. } | Request::CacheLoad { .. } => {
+                Handled::Reply(encode_error("cache requests go to shards, not the router"))
+            }
             Request::SessionOpen { ref session, .. }
             | Request::SessionDelta { ref session, .. }
             | Request::SessionRepartition { ref session }
             | Request::SessionClose { ref session } => {
                 let is_close = matches!(req, Request::SessionClose { .. });
-                let text = match std::str::from_utf8(payload) {
-                    Ok(t) => t,
-                    Err(_) => return Handled::Reply(crate::proto::encode_error("not UTF-8")),
-                };
-                Handled::Reply(self.route_session(session, text, is_close))
+                Handled::Reply(self.route_session(session, frame, is_close))
             }
             Request::Submit {
                 ref graph,
@@ -450,21 +389,109 @@ impl Router {
                 fp.bytes(method.proto_name().as_bytes());
                 fp.u64(parts as u64);
                 fp.u64(seed);
-                let key = fp.finish();
-                let text = match std::str::from_utf8(payload) {
-                    Ok(t) => t,
-                    Err(_) => return Handled::Reply(crate::proto::encode_error("not UTF-8")),
-                };
-                Handled::Reply(self.route_submit(text, key))
+                Handled::Reply(self.route_submit(frame, fp.finish()))
             }
         }
     }
 
-    /// Forward a submit to the ring owner of `key`, failing over along the
-    /// survivor ring until a shard answers or none are left. Only
-    /// *connection-level* failures demote a shard; a slow reply or a local
-    /// framing problem must not cascade the fleet down (see
-    /// [`ForwardFail`]).
+    /// A typed error reply, counted under its `code`.
+    fn typed_error(&self, code: &str, message: &str) -> String {
+        self.metrics.error(code).inc();
+        encode_typed_error(code, message)
+    }
+
+    /// The one failover loop: deliver `frame` to the live ring owner of
+    /// `key`, replaying it along the survivor ring until a shard answers
+    /// or none are left. Returns the answering shard's name and its raw
+    /// reply, or the typed error reply to send instead. Only
+    /// *connection-level* failures demote a shard; a slow reply must not
+    /// cascade the fleet down (see [`ForwardFail`]).
+    ///
+    /// With `session` set, the key is a session's and each candidate owner
+    /// is first brought up to date from the session's journal.
+    fn deliver(
+        &self,
+        key: u64,
+        session: Option<&str>,
+        frame: &str,
+    ) -> Result<(String, String), String> {
+        let what = if session.is_some() {
+            "session"
+        } else {
+            "keyspace"
+        };
+        let mut attempts = 0usize;
+        loop {
+            let Some((name, addr)) = self.owner_of(key) else {
+                return Err(self.typed_error(
+                    "no_shards",
+                    &format!("no live shard owns this {what}; all replicas are down"),
+                ));
+            };
+            attempts += 1;
+            if attempts > 1 {
+                self.metrics.replays.inc();
+            }
+            let rebuilt = session.map_or(Ok(()), |s| self.rebuild_session(s, &name, addr));
+            let (sent, during) = match rebuilt {
+                Ok(()) => (self.forward(addr, frame), ""),
+                Err(fail) => (Err(fail), " while rebuilding the session"),
+            };
+            match sent {
+                Ok(resp) => return Ok((name, resp)),
+                // No reply inside the forward budget. The shard may
+                // legitimately still be computing (the config comment
+                // admits seconds-long jobs), so this is a client budget
+                // exceeded, not a death certificate: replaying elsewhere
+                // could double-run the job, and demoting would let one
+                // slow job mark the whole fleet down. Liveness stays the
+                // health probe's call.
+                Err(ForwardFail::Timeout) => {
+                    return Err(self.typed_error(
+                        "forward_timeout",
+                        &format!("shard {name} did not reply within the forward timeout{during}"),
+                    ));
+                }
+                // Connection-level failure (refused, reset, mid-frame EOF,
+                // garbage framing): mark the shard dead (once) and replay
+                // on the next owner. Replay is safe because responses are
+                // bit-identical wherever the job runs.
+                Err(ForwardFail::Dead) => self.mark_down(&name),
+            }
+        }
+    }
+
+    /// If `session`'s journal was last delivered to a shard other than
+    /// `name` (a failover, or a rejoin that re-hashed the keyspace),
+    /// rebuild the session on `name` from the journal.
+    fn rebuild_session(
+        &self,
+        session: &str,
+        name: &str,
+        addr: SocketAddr,
+    ) -> Result<(), ForwardFail> {
+        let replay: Option<Vec<String>> = {
+            let journals = self.session_journals.lock().unwrap();
+            journals
+                .get(session)
+                .filter(|j| j.owner != name)
+                .map(|j| j.frames.clone())
+        };
+        let Some(frames) = replay else { return Ok(()) };
+        for f in &frames {
+            // Replayed responses were already delivered from the original
+            // owner; determinism makes them byte-identical, so they are
+            // simply dropped.
+            self.forward(addr, f)?;
+        }
+        if let Some(j) = self.session_journals.lock().unwrap().get_mut(session) {
+            j.owner = name.to_string();
+        }
+        Ok(())
+    }
+
+    /// Route a submit by `key`, tagging the frame so the reply can be
+    /// pinned to this job, and relay the shard's bytes minus the tag.
     fn route_submit(&self, frame: &str, key: u64) -> String {
         let tag = self.next_tag.fetch_add(1, Ordering::Relaxed);
         let tagged = append_field(frame, "route_tag", &tag.to_string());
@@ -474,210 +501,92 @@ impl Router {
             // in our own write_frame, and treating it as shard death
             // would mark every owner down in turn until the whole fleet
             // reads as dead.
-            self.metrics.errors_frame_too_large.inc();
-            return encode_typed_error(
+            return self.typed_error(
                 "frame_too_large",
                 "submit frame leaves no room for routing metadata; shrink the payload",
             );
         }
-        let echo_suffix = format!(", \"route_tag\": {tag}}}");
-        let mut attempts = 0usize;
-        loop {
-            let Some((name, addr)) = self.owner_of(key) else {
-                self.metrics.errors_no_shards.inc();
-                return encode_typed_error(
-                    "no_shards",
-                    "no live shard owns this keyspace; all replicas are down",
-                );
-            };
-            attempts += 1;
-            if attempts > 1 {
-                self.metrics.replays.inc();
+        let (name, resp) = match self.deliver(key, None, &tagged) {
+            Ok(answered) => answered,
+            Err(reply) => return reply,
+        };
+        // The happy path: the shard echoed our tag as the final field.
+        // Strip it and relay the exact bytes.
+        if let Some(body) = resp.strip_suffix(&format!(", \"route_tag\": {tag}}}")) {
+            self.count_forward(&name);
+            return format!("{body}}}");
+        }
+        // No trailing echo. Classify by what the shard sent.
+        let unintelligible = || {
+            self.typed_error(
+                "shard_protocol",
+                &format!("shard {name} sent an unintelligible reply"),
+            )
+        };
+        let Ok(v) = Value::parse(&resp) else {
+            return unintelligible();
+        };
+        let is_error = v.get("type").and_then(Value::as_str) == Some("error");
+        match v.get("route_tag").and_then(Value::as_u64) {
+            // The shard's frame-decode error path replies without echoing
+            // the tag — deterministic (every shard would say the same);
+            // relay it.
+            None if is_error => {
+                self.count_forward(&name);
+                resp
             }
-            match self.forward_classified(addr, &tagged) {
-                Ok(resp) => {
-                    // The happy path: the shard echoed our tag as the
-                    // final field. Strip it and relay the exact bytes.
-                    if let Some(body) = resp.strip_suffix(echo_suffix.as_str()) {
-                        self.count_forward(&name);
-                        return format!("{body}}}");
-                    }
-                    // No trailing echo. Classify by what the shard sent.
-                    let Ok(v) = Value::parse(&resp) else {
-                        self.metrics.errors_shard_protocol.inc();
-                        return encode_typed_error(
-                            "shard_protocol",
-                            &format!("shard {name} sent an unintelligible reply"),
-                        );
-                    };
-                    let echoed = v.get("route_tag").and_then(Value::as_u64);
-                    let is_error = v.get("type").and_then(Value::as_str) == Some("error");
-                    return match echoed {
-                        // The shard's frame-decode error path replies
-                        // without echoing the tag — deterministic (every
-                        // shard would say the same); relay it.
-                        None if is_error => {
-                            self.count_forward(&name);
-                            resp
-                        }
-                        // A present-but-different tag is a shard
-                        // answering the wrong job — protocol violation,
-                        // never retried (retrying could double-run a job
-                        // elsewhere while the confused shard still
-                        // works).
-                        Some(t) if t != tag => {
-                            self.metrics.errors_route_mismatch.inc();
-                            encode_typed_error(
-                                "route_mismatch",
-                                &format!("shard {name} answered with a mismatched route tag"),
-                            )
-                        }
-                        // Right tag but not in the trailing position we
-                        // appended, or no tag on a non-error reply: the
-                        // frame was reshaped in flight.
-                        _ => {
-                            self.metrics.errors_shard_protocol.inc();
-                            encode_typed_error(
-                                "shard_protocol",
-                                &format!("shard {name} sent an unintelligible reply"),
-                            )
-                        }
-                    };
-                }
-                Err(ForwardFail::Timeout) => {
-                    // No reply inside the forward budget. The shard may
-                    // legitimately still be computing (the config comment
-                    // admits seconds-long jobs), so this is a client
-                    // budget exceeded, not a death certificate: replaying
-                    // elsewhere could double-run the job, and demoting
-                    // would let one slow job mark the whole fleet down.
-                    // Liveness stays the health probe's call.
-                    self.metrics.errors_forward_timeout.inc();
-                    return encode_typed_error(
-                        "forward_timeout",
-                        &format!("shard {name} did not reply within the forward timeout"),
-                    );
-                }
-                Err(ForwardFail::Dead(_)) => {
-                    // Connection-level failure (refused, reset, mid-frame
-                    // EOF, garbage framing): mark the shard dead (once)
-                    // and replay on the next owner. Replay is safe
-                    // because responses are bit-identical wherever the
-                    // job runs.
-                    self.mark_down(&name);
-                }
-            }
+            // A present-but-different tag is a shard answering the wrong
+            // job — protocol violation, never retried (retrying could
+            // double-run a job elsewhere while the confused shard still
+            // works).
+            Some(t) if t != tag => self.typed_error(
+                "route_mismatch",
+                &format!("shard {name} answered with a mismatched route tag"),
+            ),
+            // Right tag but not in the trailing position we appended, or
+            // no tag on a non-error reply: the frame was reshaped in
+            // flight.
+            _ => unintelligible(),
         }
     }
 
-    /// Forward a session frame to the ring owner of the *session name* —
-    /// every frame of a session hashes to the same shard, which is what
-    /// keeps the session's overlay state in one place. On shard death the
-    /// journal is replayed to the survivor owner before the current frame
-    /// (see [`SessionJournal`]); the client sees bit-identical responses
-    /// either way. Session frames are forwarded verbatim (no route tag):
-    /// session responses deliberately carry no name, so they must not be
-    /// reshaped in flight either.
+    /// Route a session frame by the *session name* — every frame of a
+    /// session hashes to the same shard, which is what keeps the session's
+    /// overlay state in one place. On shard death the journal is replayed
+    /// to the survivor owner before the current frame (see
+    /// [`SessionJournal`]); the client sees bit-identical responses either
+    /// way. Session frames are forwarded verbatim (no route tag): session
+    /// responses deliberately carry no name, so they must not be reshaped
+    /// in flight either.
     fn route_session(&self, session: &str, frame: &str, is_close: bool) -> String {
         let mut fp = sp_trace::fnv::Fingerprint::new();
         fp.bytes(session.as_bytes());
-        let key = fp.finish();
-        let mut attempts = 0usize;
-        loop {
-            let Some((name, addr)) = self.owner_of(key) else {
-                self.metrics.errors_no_shards.inc();
-                return encode_typed_error(
-                    "no_shards",
-                    "no live shard owns this session; all replicas are down",
-                );
-            };
-            attempts += 1;
-            if attempts > 1 {
-                self.metrics.replays.inc();
-            }
-            // The owner changed since the journal was last delivered (a
-            // failover, or a rejoin that re-hashed the keyspace): rebuild
-            // the session on the new owner from the journal first.
-            let replay: Option<Vec<String>> = {
-                let journals = self.session_journals.lock().unwrap();
-                journals
-                    .get(session)
-                    .filter(|j| j.owner != name)
-                    .map(|j| j.frames.clone())
-            };
-            if let Some(frames) = replay {
-                let mut owner_died = false;
-                for f in &frames {
-                    match self.forward_classified(addr, f) {
-                        // Replayed responses were already delivered from
-                        // the original owner; determinism makes them
-                        // byte-identical, so they are simply dropped.
-                        Ok(_) => {}
-                        Err(ForwardFail::Timeout) => {
-                            self.metrics.errors_forward_timeout.inc();
-                            return encode_typed_error(
-                                "forward_timeout",
-                                &format!(
-                                    "shard {name} did not reply within the forward timeout \
-                                     while rebuilding the session"
-                                ),
-                            );
-                        }
-                        Err(ForwardFail::Dead(_)) => {
-                            self.mark_down(&name);
-                            owner_died = true;
-                            break;
-                        }
-                    }
-                }
-                if owner_died {
-                    continue;
-                }
-                let mut journals = self.session_journals.lock().unwrap();
-                if let Some(j) = journals.get_mut(session) {
-                    j.owner = name.clone();
-                }
-            }
-            match self.forward_classified(addr, frame) {
-                Ok(resp) => {
-                    self.count_forward(&name);
-                    // Journal only frames the shard accepted (`type`
-                    // "session"): rejected frames changed no state, so
-                    // replaying them would be wasted work at best and a
-                    // different-error divergence at worst.
-                    let accepted = Value::parse(&resp)
-                        .ok()
-                        .map(|v| v.get("type").and_then(Value::as_str) == Some("session"))
-                        .unwrap_or(false);
-                    if accepted {
-                        let mut journals = self.session_journals.lock().unwrap();
-                        if is_close {
-                            journals.remove(session);
-                        } else {
-                            let j = journals.entry(session.to_string()).or_insert_with(|| {
-                                SessionJournal {
-                                    owner: name.clone(),
-                                    frames: Vec::new(),
-                                }
-                            });
-                            j.owner = name.clone();
-                            j.frames.push(frame.to_string());
-                        }
-                    }
-                    return resp;
-                }
-                Err(ForwardFail::Timeout) => {
-                    self.metrics.errors_forward_timeout.inc();
-                    return encode_typed_error(
-                        "forward_timeout",
-                        &format!("shard {name} did not reply within the forward timeout"),
-                    );
-                }
-                Err(ForwardFail::Dead(_)) => {
-                    self.mark_down(&name);
-                }
+        let (name, resp) = match self.deliver(fp.finish(), Some(session), frame) {
+            Ok(answered) => answered,
+            Err(reply) => return reply,
+        };
+        self.count_forward(&name);
+        // Journal only frames the shard accepted (`type` "session"):
+        // rejected frames changed no state, so replaying them would be
+        // wasted work at best and a different-error divergence at worst.
+        let accepted = Value::parse(&resp)
+            .is_ok_and(|v| v.get("type").and_then(Value::as_str) == Some("session"));
+        if accepted {
+            let mut journals = self.session_journals.lock().unwrap();
+            if is_close {
+                journals.remove(session);
+            } else {
+                let j = journals
+                    .entry(session.to_string())
+                    .or_insert_with(|| SessionJournal {
+                        owner: String::new(),
+                        frames: Vec::new(),
+                    });
+                j.owner = name;
+                j.frames.push(frame.to_string());
             }
         }
+        resp
     }
 
     fn count_forward(&self, name: &str) {
@@ -709,74 +618,20 @@ impl Router {
             s.up = false;
             s.up_gauge.set(0);
             self.metrics.failovers.inc();
-            table.rebuild_ring(self.cfg.vnodes);
-            self.metrics
-                .shards_up
-                .set(table.shards.iter().filter(|s| s.up).count() as i64);
+            table.membership_changed(&self.metrics.shards_up);
         }
     }
 
-    /// One round-trip to a shard: connect, send, read one frame.
-    /// Convenience wrapper over [`Router::forward_classified`] for call
-    /// sites (warming, stats, shutdown, probes) that don't need the
-    /// death-vs-slow distinction.
-    fn forward_once(&self, addr: SocketAddr, frame: &str) -> std::io::Result<String> {
-        self.forward_classified(addr, frame).map_err(|f| match f {
-            ForwardFail::Dead(e) => e,
-            ForwardFail::Timeout => std::io::Error::new(
-                std::io::ErrorKind::TimedOut,
-                "shard did not reply within the forward timeout",
-            ),
-        })
-    }
-
-    /// One round-trip to a shard, with failures split into the two cases
-    /// failover must treat differently (see [`ForwardFail`]).
-    fn forward_classified(&self, addr: SocketAddr, frame: &str) -> Result<String, ForwardFail> {
-        let timeout = Duration::from_millis(self.cfg.forward_timeout_ms.max(1));
-        // An unreachable address is death even when the forward budget is
-        // generous: connect has its own short ceiling.
-        let mut stream = TcpStream::connect_timeout(&addr, timeout.min(Duration::from_secs(2)))
-            .map_err(ForwardFail::Dead)?;
-        stream.set_nodelay(true).ok();
-        stream
-            .set_read_timeout(Some(timeout))
-            .map_err(ForwardFail::Dead)?;
-        stream
-            .set_write_timeout(Some(timeout))
-            .map_err(ForwardFail::Dead)?;
-        match write_frame(&mut stream, frame.as_bytes()).and_then(|()| stream.flush()) {
-            Ok(()) => {}
-            Err(e) if is_timeout(&e) => return Err(ForwardFail::Timeout),
-            Err(e) => return Err(ForwardFail::Dead(e)),
-        }
-        match read_frame(&mut stream) {
-            Ok(Some(payload)) => String::from_utf8(payload).map_err(|_| {
-                ForwardFail::Dead(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    "reply is not UTF-8",
-                ))
-            }),
-            Ok(None) => Err(ForwardFail::Dead(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "shard closed before replying",
-            ))),
-            Err(e) if is_timeout(&e) => Err(ForwardFail::Timeout),
-            Err(e) => Err(ForwardFail::Dead(e)),
-        }
+    /// One round trip to a shard within the forward budget.
+    fn forward(&self, addr: SocketAddr, frame: &str) -> Result<String, ForwardFail> {
+        let budget = Duration::from_millis(self.cfg.forward_timeout_ms.max(1));
+        Client::round_trip(addr, frame, budget.min(Duration::from_secs(2)), budget)
     }
 
     /// `{"type": "stats"}` merged across the fleet: the router's own view
     /// plus each shard's stats object (fetched live; `null` when down).
     fn merged_stats(&self) -> String {
-        let snapshot: Vec<(String, SocketAddr, bool)> = {
-            let table = self.shards.lock().unwrap();
-            table
-                .shards
-                .iter()
-                .map(|s| (s.name.clone(), s.addr, s.up))
-                .collect()
-        };
+        let snapshot = self.snapshot();
         let alive = snapshot.iter().filter(|(_, _, up)| *up).count();
         let mut out = format!(
             "{{\"type\": \"stats\", \"router\": {{\"schema\": \"sp-router-stats-v1\", \"shards\": {}, \"shards_up\": {}, \"failovers\": {}, \"joins\": {}, \"replays\": {}, \"uptime_s\": {}}}, \"shards\": [",
@@ -791,10 +646,8 @@ impl Router {
             if i > 0 {
                 out.push_str(", ");
             }
-            let stats = if *up {
-                self.forward_once(*addr, "{\"type\": \"stats\"}")
-                    .ok()
-                    .and_then(|resp| extract_stats_object(&resp))
+            let resp = if *up {
+                self.forward(*addr, "{\"type\": \"stats\"}").ok()
             } else {
                 None
             };
@@ -802,7 +655,7 @@ impl Router {
                 "{{\"name\": \"{}\", \"up\": {}, \"stats\": {}}}",
                 sp_trace::json::escape(name),
                 up,
-                stats.as_deref().unwrap_or("null")
+                resp.as_deref().and_then(shard_stats).unwrap_or("null")
             ));
         }
         out.push_str("]}");
@@ -810,60 +663,20 @@ impl Router {
     }
 }
 
-/// Pull the raw `stats` object out of a shard's stats response without
-/// re-serializing (there is no Value serializer, and byte-preservation is
-/// the house style anyway).
-fn extract_stats_object(resp: &str) -> Option<String> {
-    let v = Value::parse(resp).ok()?;
-    v.get("stats")?;
-    let start = resp.find("\"stats\": ")? + "\"stats\": ".len();
-    let bytes = resp.as_bytes();
-    let mut depth = 0i32;
-    let mut in_str = false;
-    let mut esc = false;
-    for (i, &b) in bytes.iter().enumerate().skip(start) {
-        if esc {
-            esc = false;
-            continue;
-        }
-        match b {
-            b'\\' if in_str => esc = true,
-            b'"' => in_str = !in_str,
-            b'{' if !in_str => depth += 1,
-            b'}' if !in_str => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(resp[start..=i].to_string());
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
-fn resolve(addr: &str) -> std::io::Result<SocketAddr> {
-    addr.to_socket_addrs()?.next().ok_or_else(|| {
-        std::io::Error::new(
-            std::io::ErrorKind::InvalidInput,
-            format!("cannot resolve {addr}"),
-        )
-    })
+/// The raw `stats` object of a shard's stats response, nested verbatim
+/// (there is no Value serializer, and byte-preservation is the house style
+/// anyway) — but only out of a reply that is well-formed JSON, so a
+/// confused shard cannot corrupt the merged frame.
+fn shard_stats(resp: &str) -> Option<&str> {
+    Value::parse(resp).ok()?;
+    extract_raw_field(resp, "stats")
 }
 
 fn health_loop(router: Arc<Router>) {
     let period = Duration::from_millis(router.cfg.health_interval_ms.max(10));
     while !router.stop.load(Ordering::SeqCst) {
         std::thread::sleep(period);
-        let snapshot: Vec<(String, SocketAddr, bool)> = {
-            let table = router.shards.lock().unwrap();
-            table
-                .shards
-                .iter()
-                .map(|s| (s.name.clone(), s.addr, s.up))
-                .collect()
-        };
-        for (name, addr, was_up) in snapshot {
+        for (name, addr, was_up) in router.snapshot() {
             if router.stop.load(Ordering::SeqCst) {
                 return;
             }
@@ -881,122 +694,49 @@ fn health_loop(router: Arc<Router>) {
 /// A short-deadline ping, independent of the forward timeout: health
 /// probes must detect death fast even while forwards allow long compute.
 fn probe(addr: SocketAddr) -> bool {
-    let timeout = Duration::from_millis(250);
-    let Ok(mut stream) = TcpStream::connect_timeout(&addr, timeout) else {
-        return false;
-    };
-    stream.set_read_timeout(Some(timeout)).ok();
-    stream.set_write_timeout(Some(timeout)).ok();
-    if write_frame(&mut stream, b"{\"type\": \"ping\"}").is_err() {
-        return false;
-    }
-    matches!(read_frame(&mut stream), Ok(Some(p)) if p == b"{\"type\": \"pong\"}")
+    let budget = Duration::from_millis(250);
+    matches!(
+        Client::round_trip(addr, "{\"type\": \"ping\"}", budget, budget),
+        Ok(reply) if reply == encode_pong()
+    )
 }
 
-/// TCP front end for the router: same accept-loop shape as
-/// [`net::Server`](crate::net::Server), but handlers delegate to
+/// TCP front end for the router: a `Listener` whose frames go to
 /// [`Router::handle`].
 pub struct RouterServer {
     router: Arc<Router>,
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept_thread: Mutex<Option<JoinHandle<()>>>,
+    listener: Arc<Listener>,
 }
 
 impl RouterServer {
     pub fn bind(addr: &str, router: Arc<Router>) -> std::io::Result<Arc<RouterServer>> {
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
-        let server = Arc::new(RouterServer {
-            router,
-            addr,
-            stop: Arc::new(AtomicBool::new(false)),
-            accept_thread: Mutex::new(None),
-        });
-        let accept = {
-            let server = server.clone();
-            std::thread::spawn(move || accept_loop(server, listener))
+        let listener = {
+            let router = router.clone();
+            Listener::bind(addr, move |payload| router.handle(payload))?
         };
-        *server.accept_thread.lock().unwrap() = Some(accept);
-        Ok(server)
+        Ok(Arc::new(RouterServer { router, listener }))
     }
 
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.listener.local_addr()
     }
 
     pub fn router(&self) -> &Arc<Router> {
         &self.router
     }
 
+    /// Client connections with a live handler (a leak here is an fd leak).
+    pub fn open_connections(&self) -> usize {
+        self.listener.open_connections()
+    }
+
     pub fn shutdown(&self) {
-        self.stop.store(true, Ordering::SeqCst);
+        self.listener.stop();
         self.router.shutdown();
     }
 
     pub fn wait(&self) {
-        let handle = self.accept_thread.lock().unwrap().take();
-        if let Some(h) = handle {
-            let _ = h.join();
-        }
-    }
-}
-
-fn accept_loop(server: Arc<RouterServer>, listener: TcpListener) {
-    let mut handlers: Vec<JoinHandle<()>> = Vec::new();
-    while !server.stop.load(Ordering::SeqCst) && !server.router.is_stopped() {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let server = server.clone();
-                handlers.push(std::thread::spawn(move || {
-                    let _ = handle_connection(server, stream);
-                }));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => {
-                // Transient accept failures (EMFILE/ENFILE, ECONNABORTED)
-                // must not kill the router's accept loop; only the stop
-                // flag ends it.
-                std::thread::sleep(Duration::from_millis(20));
-            }
-        }
-        handlers.retain(|h| !h.is_finished());
-    }
-    for h in handlers {
-        let _ = h.join();
-    }
-}
-
-fn handle_connection(server: Arc<RouterServer>, mut stream: TcpStream) -> std::io::Result<()> {
-    stream.set_nodelay(true).ok();
-    stream
-        .set_read_timeout(Some(Duration::from_millis(50)))
-        .ok();
-    loop {
-        let payload = match crate::net::read_frame_stoppable(&mut stream, &server.stop) {
-            Ok(Some(p)) => p,
-            Ok(None) => return Ok(()),
-            Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
-                let _ = write_frame(
-                    &mut stream,
-                    crate::proto::encode_error(&e.to_string()).as_bytes(),
-                );
-                return Ok(());
-            }
-            Err(e) => return Err(e),
-        };
-        match server.router.handle(&payload) {
-            Handled::Reply(resp) => write_frame(&mut stream, resp.as_bytes())?,
-            Handled::ReplyThenStop(resp) => {
-                write_frame(&mut stream, resp.as_bytes())?;
-                stream.flush()?;
-                server.stop.store(true, Ordering::SeqCst);
-                return Ok(());
-            }
-        }
+        self.listener.wait();
     }
 }
 
@@ -1008,9 +748,82 @@ mod tests {
     fn stats_object_extraction_is_balanced_and_string_safe() {
         let resp =
             r#"{"type": "stats", "stats": {"a": {"b": "has } brace and \" quote"}, "c": 1}}"#;
-        let got = extract_stats_object(resp).unwrap();
+        let got = shard_stats(resp).unwrap();
         assert_eq!(got, r#"{"a": {"b": "has } brace and \" quote"}, "c": 1}"#);
-        assert!(extract_stats_object("{\"type\": \"stats\"}").is_none());
+        assert!(shard_stats("{\"type\": \"stats\"}").is_none());
+        assert!(shard_stats("{\"stats\": {}} trailing").is_none());
+    }
+
+    #[test]
+    fn failover_demotes_a_dead_owner_once_and_never_a_slow_one() {
+        use std::sync::atomic::AtomicUsize;
+        let frames_seen = Arc::new(AtomicUsize::new(0));
+        let live = {
+            let seen = frames_seen.clone();
+            Listener::bind("127.0.0.1:0", move |_| {
+                seen.fetch_add(1, Ordering::SeqCst);
+                Handled::Reply("{\"type\": \"session\"}".to_string())
+            })
+            .unwrap()
+        };
+        // Dead: a port nothing listens on any more (refused). Slow: the
+        // kernel completes the connect, nobody ever reads or replies.
+        let dead = std::net::TcpListener::bind("127.0.0.1:0")
+            .and_then(|l| l.local_addr())
+            .unwrap();
+        let slow = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let cases = [("dead", dead), ("slow", slow.local_addr().unwrap())];
+        for (bad, bad_addr) in cases {
+            for session in [None, Some("s")] {
+                let r = Router::new(
+                    RouterConfig {
+                        health_interval_ms: 0,
+                        forward_timeout_ms: 150,
+                    },
+                    &[
+                        (bad.to_string(), bad_addr.to_string()),
+                        ("live".to_string(), live.local_addr().to_string()),
+                    ],
+                )
+                .unwrap();
+                let key = (0u64..).find(|k| r.owner_of(*k).unwrap().0 == bad).unwrap();
+                // The session was last delivered elsewhere, so whoever
+                // owns it now is first rebuilt from the journal.
+                r.session_journals.lock().unwrap().insert(
+                    "s".to_string(),
+                    SessionJournal {
+                        owner: "elsewhere".to_string(),
+                        frames: vec!["{\"type\": \"journaled\"}".to_string()],
+                    },
+                );
+                let before = frames_seen.load(Ordering::SeqCst);
+                let got = r.deliver(key, session, "{\"type\": \"current\"}");
+                let replays = || r.metrics.replays.get();
+                if bad == "dead" {
+                    let answered = ("live".to_string(), "{\"type\": \"session\"}".to_string());
+                    assert_eq!(got, Ok(answered.clone()));
+                    assert_eq!((r.failovers(), replays()), (1, 1), "demote once, replay");
+                    let sent = frames_seen.load(Ordering::SeqCst) - before;
+                    assert_eq!(sent, 1 + session.is_some() as usize, "journal, then frame");
+                    // The survivor owns the key now: nothing left to demote.
+                    assert_eq!(r.deliver(key, session, "{}"), Ok(answered));
+                    assert_eq!((r.failovers(), replays()), (1, 1));
+                } else {
+                    let reply = got.unwrap_err();
+                    assert!(reply.contains("\"code\": \"forward_timeout\""), "{reply}");
+                    assert_eq!(
+                        reply.contains("while rebuilding the session"),
+                        session.is_some()
+                    );
+                    assert_eq!((r.failovers(), replays()), (0, 0), "slow is not dead");
+                    assert_eq!(r.owner_of(key).unwrap().0, "slow");
+                    assert_eq!(r.metrics.error("forward_timeout").get(), 1);
+                }
+                r.shutdown();
+            }
+        }
+        live.stop();
+        live.wait();
     }
 
     #[test]

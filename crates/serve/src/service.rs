@@ -216,7 +216,7 @@ struct State {
     queue: VecDeque<Arc<Job>>,
     active: usize,
     closed: bool,
-    cache: LruCache<PartitionOutput>,
+    cache: LruCache<CacheKey, PartitionOutput>,
     counters: Counters,
     /// Completed-request latencies (ms), newest last, capped.
     latencies: VecDeque<f64>,
@@ -494,14 +494,18 @@ impl Service {
             .render(self.inner.started.elapsed().as_secs_f64())
     }
 
+    /// Refuse new jobs from now on (`shutting_down`); queued ones still
+    /// run. The first half of [`shutdown`](Self::shutdown), for a caller
+    /// that must not block on the drain.
+    pub(crate) fn close(&self) {
+        self.inner.state.lock().unwrap().closed = true;
+        self.inner.job_ready.notify_all();
+    }
+
     /// Graceful drain: stop accepting, let queued jobs finish, join the
     /// workers. Idempotent; concurrent callers all return after the drain.
     pub fn shutdown(&self) {
-        {
-            let mut st = self.inner.state.lock().unwrap();
-            st.closed = true;
-        }
-        self.inner.job_ready.notify_all();
+        self.close();
         let handles: Vec<JoinHandle<()>> = std::mem::take(&mut *self.workers.lock().unwrap());
         for h in handles {
             let _ = h.join();

@@ -27,6 +27,7 @@
 //! sessions, a per-session lifetime delta budget, and an idle TTL
 //! enforced lazily at every session operation (no sweeper thread).
 
+use crate::cache::LruCache;
 use crate::metrics::ServiceMetrics;
 use crate::proto::encode_typed_error;
 use crate::service::ServeConfig;
@@ -69,35 +70,6 @@ struct CachedStep {
     sides: Vec<u8>,
 }
 
-/// A tiny LRU over `(base_fp, chain_fp) → CachedStep`. Linear scan —
-/// capacities are tens of entries, and the arm is only taken on
-/// repartition requests, which cost orders of magnitude more than the
-/// scan.
-struct StepCache {
-    capacity: usize,
-    /// Most recently used first.
-    entries: Vec<((u64, u64), Arc<CachedStep>)>,
-}
-
-impl StepCache {
-    fn get(&mut self, key: (u64, u64)) -> Option<Arc<CachedStep>> {
-        let i = self.entries.iter().position(|(k, _)| *k == key)?;
-        let hit = self.entries.remove(i);
-        let v = hit.1.clone();
-        self.entries.insert(0, hit);
-        Some(v)
-    }
-
-    fn put(&mut self, key: (u64, u64), step: CachedStep) {
-        if self.capacity == 0 {
-            return;
-        }
-        self.entries.retain(|(k, _)| *k != key);
-        self.entries.insert(0, (key, Arc::new(step)));
-        self.entries.truncate(self.capacity);
-    }
-}
-
 struct Session {
     rp: IncrementalRepartitioner,
     base_fp: u64,
@@ -109,7 +81,8 @@ struct Session {
 
 struct SessState {
     sessions: HashMap<String, Session>,
-    cache: StepCache,
+    /// Repartition steps keyed by `(base_fp, chain_fp)`.
+    cache: LruCache<(u64, u64), CachedStep>,
 }
 
 /// Owns every open session of a server plus the shared step cache.
@@ -125,10 +98,7 @@ impl SessionManager {
         SessionManager {
             state: Mutex::new(SessState {
                 sessions: HashMap::new(),
-                cache: StepCache {
-                    capacity: cfg.cache_capacity,
-                    entries: Vec::new(),
-                },
+                cache: LruCache::new(cfg.cache_capacity),
             }),
             cfg,
             metrics,
@@ -282,7 +252,7 @@ impl SessionManager {
         let next_chain = chain_mark(s.chain_fp, 1);
         let key = (s.base_fp, next_chain);
 
-        if let Some(hit) = st.cache.get(key) {
+        if let Some(hit) = st.cache.get(&key) {
             // Reborrow: `get` needed the cache half of the state.
             let s = st.sessions.get_mut(name).expect("session still present");
             if s.rp.adopt(hit.sides.clone()).is_ok() {
@@ -305,12 +275,12 @@ impl SessionManager {
         s.repartitions += 1;
         let body = encode_step(&report, next_chain);
         let sides = s.rp.partition().sides().to_vec();
-        st.cache.put(
+        st.cache.insert(
             key,
-            CachedStep {
+            Arc::new(CachedStep {
                 response: body.clone(),
                 sides,
-            },
+            }),
         );
         self.metrics
             .session_repartition_ms

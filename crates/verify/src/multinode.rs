@@ -39,8 +39,6 @@ pub struct MultinodeFuzzConfig {
     /// Simulated ranks per job — identical on every shard and the oracle
     /// (it participates in the cache key).
     pub ranks: usize,
-    /// Cache entries streamed per survivor when the replacement joins.
-    pub warm_limit: usize,
 }
 
 impl Default for MultinodeFuzzConfig {
@@ -50,7 +48,6 @@ impl Default for MultinodeFuzzConfig {
             requests: 24,
             master_seed: 0xD157_2188,
             ranks: 4,
-            warm_limit: 32,
         }
     }
 }
@@ -205,8 +202,6 @@ pub fn run_multinode_campaign(cfg: &MultinodeFuzzConfig) -> MultinodeReport {
         RouterConfig {
             health_interval_ms: 200,
             forward_timeout_ms: 60_000,
-            warm_limit: cfg.warm_limit,
-            ..Default::default()
         },
         &spec,
     )
@@ -311,7 +306,6 @@ mod tests {
             requests: 9,
             master_seed: 0xBEEF,
             ranks: 4,
-            warm_limit: 8,
         });
         assert!(
             report.passed(),
