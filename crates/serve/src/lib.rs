@@ -14,7 +14,8 @@
 //! - [`net::Server`]/[`net::Client`] — a TCP front end speaking
 //!   length-prefixed JSON frames ([`proto`]), built purely on `std::net`:
 //!   one listener (accept loop, per-connection frame loop, connection
-//!   registry) and one round-trip client, shared with the router.
+//!   registry) and one client, shared with the router, which keeps its
+//!   connections to the shards open between forwards.
 //! - [`router::Router`]/[`router::RouterServer`] — distributed serving: a
 //!   coordinator that consistent-hashes jobs ([`ring`]) across backend
 //!   shards, with health checks, mid-stream failover replay, and cache

@@ -29,6 +29,10 @@ pub struct ServiceMetrics {
     pub cache_misses: Arc<Counter>,
     pub cache_evictions: Arc<Counter>,
     pub cache_entries: Arc<Gauge>,
+    /// Submits the shard's source memo answered with no graph built, and
+    /// those for which a graph was built and fingerprinted.
+    pub source_memo_hits: Arc<Counter>,
+    pub source_memo_misses: Arc<Counter>,
 
     pub queue_depth: Arc<Gauge>,
     pub queue_depth_highwater: Arc<Gauge>,
@@ -88,6 +92,8 @@ impl ServiceMetrics {
             cache_misses: r.counter("sp_cache_misses_total", "Result-cache misses (jobs enqueued)"),
             cache_evictions: r.counter("sp_cache_evictions_total", "LRU evictions from the result cache"),
             cache_entries: r.gauge("sp_cache_entries", "Entries currently in the result cache"),
+            source_memo_hits: r.counter("sp_source_memo_hits_total", "Submits answered from a remembered graph source and a cached result (no graph built)"),
+            source_memo_misses: r.counter("sp_source_memo_misses_total", "Submits for which the graph was built and fingerprinted"),
             queue_depth: r.gauge("sp_queue_depth", "Jobs waiting in the queue right now"),
             queue_depth_highwater: r.gauge("sp_queue_depth_highwater", "Deepest the queue has been since start"),
             queue_capacity: r.gauge("sp_queue_capacity", "Bounded queue capacity"),

@@ -3,32 +3,41 @@
 //!
 //! Zero new dependencies: `std::net` sockets carrying the
 //! [`proto`](crate::proto) frame format. `Listener` owns the accept loop
-//! (its own thread, non-blocking listener), a handler thread per
-//! connection that reads frames, hands each payload to a closure and
-//! writes the one response frame it returns, and the registry of open
-//! connections. [`Server`] (a shard) and
+//! (its own thread, blocked in `accept` until a connection or a stop
+//! arrives), a handler thread per connection that reads frames, hands each
+//! payload to a closure and writes the one response frame it returns, and
+//! the registry of open connections. [`Server`] (a shard) and
 //! [`RouterServer`](crate::router::RouterServer) are thin owners of one:
 //! they differ only in the closure. Malformed frames get an `error`
 //! response and the connection keeps going — a confused client can't wedge
 //! the server. [`Client`] is the only code that connects out: CLI
-//! round-trips, router forwards, cache warming and health probes all go
-//! through it.
+//! round-trips go through it directly, router forwards and cache warming
+//! through a `Pool` of kept-open `Client`s, and health probes through the
+//! `Pool` on a connection of their own.
 //!
 //! Shutdown ordering matters: a `shutdown` request first closes the
-//! service to new jobs and stops the accept loop, and [`Server::wait`]
-//! returns only once the queue has drained. In-flight connections finish
-//! their current request; submits racing the drain get a `shutting_down`
-//! rejection rather than a dropped socket.
+//! service to new jobs and stops the listener, and [`Server::wait`]
+//! returns only once the queue has drained. A stopped listener refuses new
+//! connections at once and closes each open one after the reply to the
+//! request it is on — however busy the connection, so a router's kept-open
+//! socket breaks before its next reply and the router fails over as it
+//! would on a refused connect. A submit already being handled when the
+//! service closes gets a `shutting_down` rejection, not a dropped socket.
 
+use crate::fingerprint::{SourceKey, SourceMemo};
 use crate::metrics::ServiceMetrics;
 use crate::proto::{
     append_field, encode_cache_entries, encode_error, encode_metrics, encode_outcome, encode_pong,
-    encode_rejection, read_frame, write_frame, Request, WireCacheEntry,
+    encode_rejection, read_frame, write_frame, Parsed, SubmitFrame, WireCacheEntry,
 };
 use crate::service::{JobSpec, ServeConfig, Service};
 use crate::session::{SessionConfig, SessionManager};
+use scalapart::obs::Counter;
+use std::collections::HashMap;
 use std::io::Read;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{
+    IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs,
+};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -49,6 +58,8 @@ type Handler = dyn Fn(&[u8]) -> Handled + Send + Sync;
 pub(crate) struct Listener {
     addr: SocketAddr,
     stop: AtomicBool,
+    /// Set until the accept thread has seen `stop` and closed the socket.
+    accepting: AtomicBool,
     /// Clones of accepted connection streams keyed by connection id, so
     /// [`Listener::kill`] can sever them abruptly (crash injection for the
     /// failover tests). Each handler removes its own entry on exit —
@@ -66,10 +77,10 @@ impl Listener {
         handle: impl Fn(&[u8]) -> Handled + Send + Sync + 'static,
     ) -> std::io::Result<Arc<Listener>> {
         let socket = TcpListener::bind(addr)?;
-        socket.set_nonblocking(true)?;
         let listener = Arc::new(Listener {
             addr: socket.local_addr()?,
             stop: AtomicBool::new(false),
+            accepting: AtomicBool::new(true),
             conns: Mutex::new(Vec::new()),
             accept_thread: Mutex::new(None),
         });
@@ -87,7 +98,26 @@ impl Listener {
 
     /// Stop accepting; handlers exit at their next frame boundary.
     pub(crate) fn stop(&self) {
-        self.stop.store(true, Ordering::SeqCst);
+        if self.stop.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        // The accept thread is blocked in `accept`: a throwaway connection
+        // to ourselves makes it look at the flag. A wildcard bind address
+        // is not everywhere one that can be connected to; its loopback is.
+        let mut wake = self.addr;
+        match wake.ip() {
+            IpAddr::V4(ip) if ip.is_unspecified() => wake.set_ip(Ipv4Addr::LOCALHOST.into()),
+            IpAddr::V6(ip) if ip.is_unspecified() => wake.set_ip(Ipv6Addr::LOCALHOST.into()),
+            _ => {}
+        }
+        // The connect can fail (no fd to spare, a full backlog): keep at it
+        // until one gets through or something else has woken the thread.
+        while self.accepting.load(Ordering::SeqCst) {
+            if Client::open(&wake, Some(Duration::from_millis(250))).is_ok() {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
     }
 
     /// [`stop`](Self::stop), and sever every open connection now.
@@ -114,8 +144,12 @@ impl Listener {
     fn accept_loop(self: Arc<Self>, socket: TcpListener, handle: Arc<Handler>) {
         let mut handlers: Vec<JoinHandle<()>> = Vec::new();
         let mut next_conn_id: u64 = 0;
-        while !self.stop.load(Ordering::SeqCst) {
-            match socket.accept() {
+        loop {
+            let accepted = socket.accept();
+            if self.stop.load(Ordering::SeqCst) {
+                break; // woken by `stop`, or a client that raced it
+            }
+            match accepted {
                 Ok((stream, _)) => {
                     let conn_id = next_conn_id;
                     next_conn_id += 1;
@@ -124,7 +158,7 @@ impl Listener {
                     }
                     let (listener, handle) = (self.clone(), handle.clone());
                     handlers.push(std::thread::spawn(move || {
-                        let _ = serve_connection(stream, &listener.stop, &*handle);
+                        let _ = serve_connection(stream, &listener, &*handle);
                         // Drop the registry clone with the handler: keeping
                         // it would hold the socket open (CLOSE_WAIT) and
                         // leak one fd per connection ever accepted.
@@ -132,20 +166,23 @@ impl Listener {
                         conns.retain(|(id, _)| *id != conn_id);
                     }));
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
                 Err(_) => {
                     // Transient accept failures (EMFILE/ENFILE under fd
                     // pressure, ECONNABORTED) must not kill the accept
                     // loop — a shard that silently stops serving is worse
                     // than one that briefly backs off. Only the stop flag
-                    // ends accept.
+                    // ends accept. The back-off is on this failure path
+                    // alone: a connection that arrives is accepted at once.
                     std::thread::sleep(Duration::from_millis(20));
                 }
             }
             handlers.retain(|h| !h.is_finished());
         }
+        // Closed before the handlers are waited for: from here on a
+        // connect is refused, not left in the backlog of a socket nobody
+        // accepts from, where a router would take the shard for slow.
+        drop(socket);
+        self.accepting.store(false, Ordering::SeqCst);
         for h in handlers {
             let _ = h.join();
         }
@@ -153,20 +190,21 @@ impl Listener {
 }
 
 /// The per-connection frame loop: one response frame per request frame
-/// until the peer closes or the stop flag is seen between frames.
+/// until the peer closes or the stop flag is seen between frames — after
+/// each reply, and while waiting for the next frame.
 fn serve_connection(
     mut stream: TcpStream,
-    stop: &AtomicBool,
+    listener: &Listener,
     handle: &Handler,
 ) -> std::io::Result<()> {
     stream.set_nodelay(true).ok();
     stream
         .set_read_timeout(Some(Duration::from_millis(50)))
         .ok();
-    loop {
+    while !listener.stop.load(Ordering::SeqCst) {
         let mut reader = StopRead {
             stream: &stream,
-            stop,
+            stop: &listener.stop,
             mid_frame: false,
             stopped_polls: 0,
         };
@@ -185,11 +223,12 @@ fn serve_connection(
             Handled::Reply(resp) => write_frame(&mut stream, resp.as_bytes())?,
             Handled::ReplyThenStop(resp) => {
                 let sent = write_frame(&mut stream, resp.as_bytes());
-                stop.store(true, Ordering::SeqCst);
+                listener.stop();
                 return sent;
             }
         }
     }
+    Ok(())
 }
 
 /// Makes [`read_frame`] interruptible: the stream has a short read
@@ -269,11 +308,15 @@ impl Server {
             SessionConfig::from_serve(&cfg),
             metrics.clone(),
         ));
+        let sources = SourceMemo::new(
+            metrics.source_memo_hits.clone(),
+            metrics.source_memo_misses.clone(),
+        );
         let service = Service::start_with_metrics(cfg, metrics);
         let bound = {
             let (service, sessions) = (service.clone(), sessions.clone());
             Listener::bind(addr, move |payload| {
-                serve_frame(&service, &sessions, payload)
+                serve_frame(&service, &sessions, &sources, payload)
             })
         };
         match bound {
@@ -340,24 +383,35 @@ impl Server {
 }
 
 /// Answer one shard request frame.
-fn serve_frame(service: &Service, sessions: &SessionManager, payload: &[u8]) -> Handled {
-    Handled::Reply(match Request::decode(payload) {
-        Err(msg) => encode_error(&msg),
-        Ok(Request::Stats) => {
+fn serve_frame(
+    service: &Service,
+    sessions: &SessionManager,
+    sources: &SourceMemo,
+    payload: &[u8],
+) -> Handled {
+    let req = match Parsed::from_frame(payload) {
+        Ok(req) => req,
+        Err(msg) => return Handled::Reply(encode_error(&msg)),
+    };
+    Handled::Reply(match req {
+        Parsed::Submit(f) => {
+            serve_submit(service, sources, &f).unwrap_or_else(|msg| encode_error(&msg))
+        }
+        Parsed::Stats => {
             format!(
                 "{{\"type\": \"stats\", \"stats\": {}}}",
                 service.stats().to_json()
             )
         }
-        Ok(Request::Metrics) => encode_metrics(&service.prometheus()),
-        Ok(Request::Shutdown) => {
+        Parsed::Metrics => encode_metrics(&service.prometheus()),
+        Parsed::Shutdown => {
             // Closed before the ack, so a submit racing the drain is
             // rejected; the drain itself runs in [`Server::wait`].
             service.close();
             return Handled::ReplyThenStop("{\"type\": \"ok\", \"draining\": true}".to_string());
         }
-        Ok(Request::Ping) => encode_pong(),
-        Ok(Request::CacheDump { limit }) => {
+        Parsed::Ping => encode_pong(),
+        Parsed::CacheDump { limit } => {
             let entries: Vec<WireCacheEntry> = service
                 .cache_dump(limit)
                 .into_iter()
@@ -369,53 +423,81 @@ fn serve_frame(service: &Service, sessions: &SessionManager, payload: &[u8]) -> 
                 .collect();
             encode_cache_entries("cache", &entries)
         }
-        Ok(Request::CacheLoad { entries }) => {
+        Parsed::CacheLoad { entries } => {
             let loaded = entries
                 .into_iter()
                 .filter(|e| service.cache_load(e.key, e.sim_time, &e.result_json))
                 .count();
             format!("{{\"type\": \"ok\", \"loaded\": {loaded}}}")
         }
-        Ok(Request::Submit {
-            graph,
-            coords,
-            method,
-            parts,
-            seed,
-            deadline_ms,
-            route_tag,
-        }) => {
-            let spec = JobSpec {
-                graph,
-                coords,
-                method,
-                parts,
-                seed,
-                deadline_ms,
-            };
-            let body = match service.submit_wait(spec) {
-                Ok(outcome) => encode_outcome(&outcome),
-                Err(reject) => encode_rejection(&reject),
-            };
-            // Echo the router's correlation tag so it can pin this
-            // response to the job it forwarded — appended after the
-            // payload so the payload bytes stay identical to a
-            // directly-served response.
-            match route_tag {
-                Some(tag) => append_field(&body, "route_tag", &tag.to_string()),
-                None => body,
-            }
-        }
-        Ok(Request::SessionOpen {
+        Parsed::SessionOpen {
             session,
             graph,
             coords,
             seed,
-        }) => sessions.open(&session, graph, coords, seed),
-        Ok(Request::SessionDelta { session, deltas }) => sessions.delta(&session, &deltas),
-        Ok(Request::SessionRepartition { session }) => sessions.repartition(&session),
-        Ok(Request::SessionClose { session }) => sessions.close(&session),
+        } => sessions.open(&session, graph, coords, seed),
+        Parsed::SessionDelta { session, deltas } => sessions.delta(&session, &deltas),
+        Parsed::SessionRepartition { session } => sessions.repartition(&session),
+        Parsed::SessionClose { session } => sessions.close(&session),
     })
+}
+
+/// Answer a submit; `Err` is the message of an `error` reply. A source the
+/// memo knows yields the cache key without a graph, and a cached result is
+/// then served from the key alone: parse → memo → key → LRU → bytes. Only
+/// a result miss (or a source never seen) builds the graph, fingerprints
+/// it and queues the job — what every submit used to cost.
+fn serve_submit(
+    service: &Service,
+    sources: &SourceMemo,
+    f: &SubmitFrame,
+) -> Result<String, String> {
+    // Echo the router's correlation tag so it can pin this response to
+    // the job it forwarded — appended after the payload so the payload
+    // bytes stay identical to a directly-served response.
+    let echo = |body: String, route_tag: Option<u64>| match route_tag {
+        Some(tag) => append_field(&body, "route_tag", &tag.to_string()),
+        None => body,
+    };
+    let source = f.source()?;
+    let source_key = SourceKey::of(&source);
+    let mut job = None;
+    if let Some(known) = sources.get(&source_key) {
+        let known_job = f.job(known.n)?;
+        let key = service.cache_key(
+            known.input_fp,
+            known_job.method,
+            known_job.parts,
+            known_job.seed,
+        );
+        if let Some(hit) = service.lookup(&key, known.n) {
+            sources.spared();
+            return Ok(echo(encode_outcome(&hit), known_job.route_tag));
+        }
+        job = Some(known_job);
+    }
+    let (graph, coords) = source.materialise()?;
+    // `learn` holds the memo to the fresh fingerprint, so a job checked
+    // against the remembered `n` above stands.
+    let fresh = sources.learn(source_key, &graph, coords.as_ref().map(|c| c.as_slice()));
+    let job = match job {
+        Some(job) => job,
+        None => f.job(fresh.n)?,
+    };
+    let key = service.cache_key(fresh.input_fp, job.method, job.parts, job.seed);
+    let spec = JobSpec {
+        graph,
+        coords,
+        method: job.method,
+        parts: job.parts,
+        seed: job.seed,
+        deadline_ms: job.deadline_ms,
+    };
+    let body = match service.submit_keyed(spec, key) {
+        Ok(ticket) => encode_outcome(&service.wait(ticket)),
+        Err(reject) => encode_rejection(&reject),
+    };
+    Ok(echo(body, job.route_tag))
 }
 
 /// The first socket address `addr` (`HOST:PORT`) resolves to.
@@ -453,52 +535,195 @@ pub struct Client {
 
 impl Client {
     pub fn connect(addr: &SocketAddr) -> std::io::Result<Client> {
-        Ok(Client::over(TcpStream::connect(addr)?))
+        Client::open(addr, None)
     }
 
-    fn over(stream: TcpStream) -> Client {
+    /// The one place a connection is opened. An unreachable address is
+    /// death however generous the caller's io budget, hence the separate
+    /// `ceiling` on the connect.
+    fn open(addr: &SocketAddr, ceiling: Option<Duration>) -> std::io::Result<Client> {
+        let stream = match ceiling {
+            Some(within) => TcpStream::connect_timeout(addr, within)?,
+            None => TcpStream::connect(addr)?,
+        };
         stream.set_nodelay(true).ok();
-        Client { stream }
+        Ok(Client { stream })
     }
 
     /// Send one raw JSON request and return the raw JSON response.
     pub fn request(&mut self, json: &str) -> std::io::Result<String> {
-        write_frame(&mut self.stream, json.as_bytes())?;
-        match read_frame(&mut self.stream)? {
-            Some(payload) => String::from_utf8(payload).map_err(|_| {
+        self.exchange(json).map_err(|(e, _)| e)
+    }
+
+    /// [`exchange`](Self::exchange) with each read and write within `io`.
+    fn exchange_within(
+        &mut self,
+        json: &str,
+        io: Duration,
+    ) -> Result<String, (std::io::Error, bool)> {
+        let budgeted = self.stream.set_read_timeout(Some(io));
+        let budgeted = budgeted.and_then(|()| self.stream.set_write_timeout(Some(io)));
+        budgeted.map_err(|e| (e, false))?;
+        self.exchange(json)
+    }
+
+    /// [`request`](Self::request); a failure also says whether any byte of
+    /// a reply had arrived by then.
+    fn exchange(&mut self, json: &str) -> Result<String, (std::io::Error, bool)> {
+        write_frame(&mut self.stream, json.as_bytes()).map_err(|e| (e, false))?;
+        let mut reply = ReplyRead {
+            stream: &self.stream,
+            started: false,
+        };
+        let read = read_frame(&mut reply).and_then(|payload| {
+            let payload = payload.ok_or_else(|| {
+                std::io::Error::new(
+                    std::io::ErrorKind::UnexpectedEof,
+                    "server closed the connection",
+                )
+            })?;
+            String::from_utf8(payload).map_err(|_| {
                 std::io::Error::new(std::io::ErrorKind::InvalidData, "response is not UTF-8")
-            }),
-            None => Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "server closed the connection",
-            )),
+            })
+        });
+        read.map_err(|e| (e, reply.started))
+    }
+}
+
+/// Reads a reply, noting whether any of it came.
+struct ReplyRead<'a> {
+    stream: &'a TcpStream,
+    started: bool,
+}
+
+impl Read for ReplyRead<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = self.stream.read(buf)?;
+        self.started |= n > 0;
+        Ok(n)
+    }
+}
+
+/// Idle connections kept per shard address; one more is closed instead.
+const MAX_IDLE_PER_SHARD: usize = 8;
+
+/// Kept-open connections to shards, so that a forward costs a round trip
+/// and not a connect, an accept and a handler thread as well.
+///
+/// A connection is in the idle list only between two complete exchanges:
+/// it is taken out for a round trip and put back when the whole reply has
+/// arrived. One that timed out or failed is dropped — session frames carry
+/// no tag, so a late reply left on the wire would be read as the answer to
+/// the next request.
+pub(crate) struct Pool {
+    /// `None` once [`close`](Self::close)d: nothing is kept any more.
+    idle: Mutex<Option<HashMap<SocketAddr, Vec<Client>>>>,
+    connects: Arc<Counter>,
+    reuses: Arc<Counter>,
+}
+
+impl Pool {
+    /// A pool counting into `sp_route_connects_total` and
+    /// `sp_route_conn_reuses_total`.
+    pub(crate) fn new(connects: Arc<Counter>, reuses: Arc<Counter>) -> Pool {
+        Pool {
+            idle: Mutex::new(Some(HashMap::new())),
+            connects,
+            reuses,
         }
     }
 
-    /// One budgeted round trip on a fresh connection — connect within
-    /// `connect`, send, read one frame, each read and write within `io` —
-    /// with failures split into the two cases failover must treat
-    /// differently (see [`ForwardFail`]). An unreachable address is death
-    /// however generous `io` is, hence the separate connect ceiling.
+    fn idle(&self) -> std::sync::MutexGuard<'_, Option<HashMap<SocketAddr, Vec<Client>>>> {
+        self.idle
+            .lock()
+            .expect("no pool operation panics under the lock")
+    }
+
+    /// Close the idle connections to `addr`: its shard went down or was
+    /// replaced, so they lead nowhere or to the wrong process.
+    pub(crate) fn purge(&self, addr: &SocketAddr) {
+        if let Some(idle) = self.idle().as_mut() {
+            idle.remove(addr);
+        }
+    }
+
+    /// Close every idle connection and keep none from now on.
+    pub(crate) fn close(&self) {
+        *self.idle() = None;
+    }
+
+    fn keep(&self, addr: SocketAddr, client: Client) {
+        if let Some(idle) = self.idle().as_mut() {
+            let kept = idle.entry(addr).or_default();
+            if kept.len() < MAX_IDLE_PER_SHARD {
+                kept.push(client);
+            }
+        }
+    }
+
+    /// One budgeted round trip — connect within `connect` if no idle
+    /// connection serves, send, read one frame, each read and write within
+    /// `io` — with failures split into the two cases failover must treat
+    /// differently (see [`ForwardFail`]).
+    ///
+    /// A kept connection that breaks before any reply byte says nothing
+    /// about the shard: it may have restarted, or closed an idle socket.
+    /// The frame is then sent once more on a fresh connection, and only
+    /// that attempt can find the shard dead. Past the first reply byte the
+    /// shard has acted on the frame (a session delta is not idempotent),
+    /// so there is no second send.
     pub(crate) fn round_trip(
+        &self,
         addr: SocketAddr,
         frame: &str,
         connect: Duration,
         io: Duration,
     ) -> Result<String, ForwardFail> {
-        let open = || {
-            let stream = TcpStream::connect_timeout(&addr, connect)?;
-            stream.set_read_timeout(Some(io))?;
-            stream.set_write_timeout(Some(io))?;
-            Ok(Client::over(stream))
-        };
-        let mut client = open().map_err(|_: std::io::Error| ForwardFail::Dead)?;
-        client.request(frame).map_err(|e| {
-            if is_timeout(&e) {
-                ForwardFail::Timeout
-            } else {
-                ForwardFail::Dead
+        let kept = self
+            .idle()
+            .as_mut()
+            .and_then(|idle| idle.get_mut(&addr)?.pop());
+        if let Some(mut kept) = kept {
+            self.reuses.inc();
+            match kept.exchange_within(frame, io) {
+                Ok(resp) => {
+                    self.keep(addr, kept);
+                    return Ok(resp);
+                }
+                Err((e, started)) if started || is_timeout(&e) => return Err(classify(e)),
+                // Its siblings are as old; start over.
+                Err(_) => self.purge(&addr),
             }
-        })
+        }
+        let (fresh, resp) = self.fresh_trip(addr, frame, connect, io)?;
+        self.keep(addr, fresh);
+        Ok(resp)
+    }
+
+    /// [`round_trip`](Self::round_trip) on a connection of its own, handed
+    /// back with the reply. A health probe goes this way and drops it: what
+    /// it asks is whether the shard still accepts, and a kept connection
+    /// answers only whether one handler still runs.
+    pub(crate) fn fresh_trip(
+        &self,
+        addr: SocketAddr,
+        frame: &str,
+        connect: Duration,
+        io: Duration,
+    ) -> Result<(Client, String), ForwardFail> {
+        self.connects.inc();
+        let mut fresh = Client::open(&addr, Some(connect)).map_err(|_| ForwardFail::Dead)?;
+        let resp = fresh
+            .exchange_within(frame, io)
+            .map_err(|(e, _)| classify(e))?;
+        Ok((fresh, resp))
+    }
+}
+
+fn classify(e: std::io::Error) -> ForwardFail {
+    if is_timeout(&e) {
+        ForwardFail::Timeout
+    } else {
+        ForwardFail::Dead
     }
 }

@@ -62,7 +62,7 @@ use sp_graph::gen::{grid_2d, grid_2d_coords};
 use sp_graph::suite::{SuiteGraph, TestScale};
 use sp_graph::{io::read_chaco, Graph};
 use sp_trace::json::{escape, num};
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 use std::sync::Arc;
 
 /// Largest accepted frame payload (16 MiB) — enough for a multi-million
@@ -100,8 +100,19 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> std::io::Result<()> {
             "frame exceeds MAX_FRAME",
         ));
     }
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(payload)?;
+    // Header and payload leave in one write: on a `TCP_NODELAY` socket two
+    // writes are two segments and two wake-ups of the reader.
+    let header = len.to_be_bytes();
+    let mut bufs = [IoSlice::new(&header), IoSlice::new(payload)];
+    let mut bufs = &mut bufs[..];
+    while !bufs.is_empty() {
+        match w.write_vectored(bufs) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut bufs, n),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     w.flush()
 }
 
@@ -150,53 +161,152 @@ impl Request {
     /// Decode a request frame. Errors are human-readable one-liners that
     /// go straight into an `error` response.
     pub fn decode(payload: &[u8]) -> Result<Request, String> {
+        Ok(match Parsed::from_frame(payload)? {
+            Parsed::Submit(f) => {
+                let (graph, coords) = f.source()?.materialise()?;
+                let job = f.job(graph.n())?;
+                Request::Submit {
+                    graph,
+                    coords,
+                    method: job.method,
+                    parts: job.parts,
+                    seed: job.seed,
+                    deadline_ms: job.deadline_ms,
+                    route_tag: job.route_tag,
+                }
+            }
+            Parsed::Stats => Request::Stats,
+            Parsed::Metrics => Request::Metrics,
+            Parsed::Shutdown => Request::Shutdown,
+            Parsed::Ping => Request::Ping,
+            Parsed::CacheDump { limit } => Request::CacheDump { limit },
+            Parsed::CacheLoad { entries } => Request::CacheLoad { entries },
+            Parsed::SessionOpen {
+                session,
+                graph,
+                coords,
+                seed,
+            } => Request::SessionOpen {
+                session,
+                graph,
+                coords,
+                seed,
+            },
+            Parsed::SessionDelta { session, deltas } => Request::SessionDelta { session, deltas },
+            Parsed::SessionRepartition { session } => Request::SessionRepartition { session },
+            Parsed::SessionClose { session } => Request::SessionClose { session },
+        })
+    }
+}
+
+/// A request frame as the shard and the router take it in: [`Request`],
+/// except that a submit's graph is still only named. Whoever holds the
+/// frame decides whether the graph is ever built — a repeat of a known
+/// source with a cached result never needs it (see
+/// [`SourceMemo`](crate::fingerprint::SourceMemo)).
+pub(crate) enum Parsed {
+    Submit(SubmitFrame),
+    Stats,
+    Metrics,
+    Shutdown,
+    Ping,
+    CacheDump {
+        limit: usize,
+    },
+    CacheLoad {
+        entries: Vec<WireCacheEntry>,
+    },
+    SessionOpen {
+        session: String,
+        graph: Arc<Graph>,
+        coords: Option<Arc<Vec<Point2>>>,
+        seed: u64,
+    },
+    SessionDelta {
+        session: String,
+        deltas: Vec<GraphDelta>,
+    },
+    SessionRepartition {
+        session: String,
+    },
+    SessionClose {
+        session: String,
+    },
+}
+
+impl Parsed {
+    /// Parse a request frame; errors as for [`Request::decode`].
+    pub(crate) fn from_frame(payload: &[u8]) -> Result<Parsed, String> {
         let text = std::str::from_utf8(payload).map_err(|_| "frame is not UTF-8".to_string())?;
         let v = Value::parse(text).map_err(|e| format!("bad JSON: {e}"))?;
         let ty = v
             .get("type")
             .and_then(Value::as_str)
             .ok_or("missing \"type\" field")?;
-        match ty {
-            "stats" => Ok(Request::Stats),
-            "metrics" => Ok(Request::Metrics),
-            "shutdown" => Ok(Request::Shutdown),
-            "ping" => Ok(Request::Ping),
-            "cache_dump" => {
-                let limit = v.get("limit").and_then(Value::as_usize).unwrap_or(32);
-                Ok(Request::CacheDump { limit })
-            }
-            "cache_load" => {
-                let entries = decode_cache_entries(&v)?;
-                Ok(Request::CacheLoad { entries })
-            }
-            "submit" => Self::decode_submit(&v),
+        Ok(match ty {
+            "stats" => Parsed::Stats,
+            "metrics" => Parsed::Metrics,
+            "shutdown" => Parsed::Shutdown,
+            "ping" => Parsed::Ping,
+            "cache_dump" => Parsed::CacheDump {
+                limit: v.get("limit").and_then(Value::as_usize).unwrap_or(32),
+            },
+            "cache_load" => Parsed::CacheLoad {
+                entries: decode_cache_entries(&v)?,
+            },
+            "submit" => Parsed::Submit(SubmitFrame { v }),
             "session_open" => {
                 let session = session_name(&v)?;
-                let (graph, coords) = decode_graph_source(&v, "session_open")?;
-                let seed = v.get("seed").and_then(Value::as_u64).unwrap_or(1);
-                Ok(Request::SessionOpen {
+                let (graph, coords) = GraphSource::of(&v, "session_open")?.materialise()?;
+                Parsed::SessionOpen {
                     session,
                     graph,
                     coords,
-                    seed,
-                })
+                    seed: v.get("seed").and_then(Value::as_u64).unwrap_or(1),
+                }
             }
-            "session_delta" => Ok(Request::SessionDelta {
+            "session_delta" => Parsed::SessionDelta {
                 session: session_name(&v)?,
                 deltas: decode_deltas(&v)?,
-            }),
-            "session_repartition" => Ok(Request::SessionRepartition {
+            },
+            "session_repartition" => Parsed::SessionRepartition {
                 session: session_name(&v)?,
-            }),
-            "session_close" => Ok(Request::SessionClose {
+            },
+            "session_close" => Parsed::SessionClose {
                 session: session_name(&v)?,
-            }),
-            other => Err(format!("unknown request type {other:?}")),
-        }
+            },
+            other => return Err(format!("unknown request type {other:?}")),
+        })
+    }
+}
+
+/// A submit frame whose graph has not been built. Its fields are checked
+/// in the order [`Request::decode`] always checked them — source, then
+/// method, parts against the vertex count, seed, deadline, tag — so a
+/// malformed frame draws the same error whichever way `n` was learnt.
+pub(crate) struct SubmitFrame {
+    v: Value,
+}
+
+/// The fields of a submit beside its graph.
+pub(crate) struct SubmitJob {
+    pub method: Method,
+    pub parts: usize,
+    pub seed: u64,
+    pub deadline_ms: Option<u64>,
+    /// Router-injected correlation tag, echoed in the response. `None`
+    /// for direct clients.
+    pub route_tag: Option<u64>,
+}
+
+impl SubmitFrame {
+    pub(crate) fn source(&self) -> Result<GraphSource<'_>, String> {
+        GraphSource::of(&self.v, "submit")
     }
 
-    fn decode_submit(v: &Value) -> Result<Request, String> {
-        let (graph, coords) = decode_graph_source(v, "submit")?;
+    /// The job fields, validated for a graph of `n` vertices.
+    pub(crate) fn job(&self, n: usize) -> Result<SubmitJob, String> {
+        let v = &self.v;
         let method_name = v
             .get("method")
             .and_then(Value::as_str)
@@ -207,10 +317,9 @@ impl Request {
             .get("parts")
             .and_then(Value::as_usize)
             .ok_or("missing or non-integer \"parts\"")?;
-        if parts < 2 || parts > graph.n() {
+        if parts < 2 || parts > n {
             return Err(format!(
-                "\"parts\" must be in 2..=n ({} vertices), got {parts}",
-                graph.n()
+                "\"parts\" must be in 2..=n ({n} vertices), got {parts}"
             ));
         }
         let seed = v.get("seed").and_then(Value::as_u64).unwrap_or(1);
@@ -225,9 +334,7 @@ impl Request {
             None | Some(Value::Null) => None,
             Some(t) => Some(t.as_u64().ok_or("\"route_tag\" must be a u64")?),
         };
-        Ok(Request::Submit {
-            graph,
-            coords,
+        Ok(SubmitJob {
             method,
             parts,
             seed,
@@ -239,21 +346,39 @@ impl Request {
 
 type GraphAndCoords = (Arc<Graph>, Option<Arc<Vec<Point2>>>);
 
-/// Resolve a request's graph source: a `"graph"` workload spec or an
-/// inline `"chaco"` text, exactly one of the two.
-fn decode_graph_source(v: &Value, verb: &str) -> Result<GraphAndCoords, String> {
-    match (v.get("graph"), v.get("chaco")) {
-        (Some(spec), None) => {
-            let spec = spec.as_str().ok_or("\"graph\" must be a string")?;
-            parse_graph_spec(spec)
+/// How a request names its graph: a `"graph"` workload spec or an inline
+/// `"chaco"` text, exactly one of the two. A handful of bytes (or the
+/// frame's own text) standing for a graph that may never need building.
+#[derive(Clone, Copy)]
+pub(crate) enum GraphSource<'a> {
+    Spec(&'a str),
+    Chaco(&'a str),
+}
+
+impl<'a> GraphSource<'a> {
+    fn of(v: &'a Value, verb: &str) -> Result<GraphSource<'a>, String> {
+        match (v.get("graph"), v.get("chaco")) {
+            (Some(spec), None) => Ok(GraphSource::Spec(
+                spec.as_str().ok_or("\"graph\" must be a string")?,
+            )),
+            (None, Some(text)) => Ok(GraphSource::Chaco(
+                text.as_str().ok_or("\"chaco\" must be a string")?,
+            )),
+            (Some(_), Some(_)) => Err("give either \"graph\" or \"chaco\", not both".into()),
+            (None, None) => Err(format!("{verb} needs a \"graph\" spec or inline \"chaco\"")),
         }
-        (None, Some(text)) => {
-            let text = text.as_str().ok_or("\"chaco\" must be a string")?;
-            let g = read_chaco(text.as_bytes()).map_err(|e| format!("bad chaco graph: {e}"))?;
-            Ok((Arc::new(g), None))
+    }
+
+    /// Generate or parse the graph (and its coordinates, where the
+    /// workload has them).
+    pub(crate) fn materialise(&self) -> Result<GraphAndCoords, String> {
+        match self {
+            GraphSource::Spec(spec) => parse_graph_spec(spec),
+            GraphSource::Chaco(text) => {
+                let g = read_chaco(text.as_bytes()).map_err(|e| format!("bad chaco graph: {e}"))?;
+                Ok((Arc::new(g), None))
+            }
         }
-        (Some(_), Some(_)) => Err("give either \"graph\" or \"chaco\", not both".into()),
-        (None, None) => Err(format!("{verb} needs a \"graph\" spec or inline \"chaco\"")),
     }
 }
 
@@ -345,6 +470,9 @@ fn parse_graph_spec(spec: &str) -> Result<GraphAndCoords, String> {
                     }
                 };
                 let (w, h) = (parse(w)?, parse(h)?);
+                if it.next().is_some() {
+                    return Err("gen:grid:WxH takes nothing after the dimensions".into());
+                }
                 Ok((
                     Arc::new(grid_2d(h, w)),
                     Some(Arc::new(grid_2d_coords(h, w))),
@@ -366,6 +494,9 @@ fn parse_graph_spec(spec: &str) -> Result<GraphAndCoords, String> {
                 Some("bench") => TestScale::Bench,
                 Some(other) => return Err(format!("unknown scale {other:?}; use tiny or bench")),
             };
+            if it.next().is_some() {
+                return Err("suite:name[:scale] takes nothing after the scale".into());
+            }
             let tg = which.instantiate(scale, 1);
             Ok((Arc::new(tg.graph), tg.coords.map(Arc::new)))
         }
@@ -741,6 +872,15 @@ mod tests {
             (
                 r#"{"type": "submit", "chaco": "2 5\n2\n1\n", "method": "sp", "parts": 2}"#,
                 "bad chaco graph",
+            ),
+            // A trailing segment would be one more name for the same graph.
+            (
+                r#"{"type": "submit", "graph": "gen:grid:8x8:junk", "method": "sp", "parts": 2}"#,
+                "nothing after the dimensions",
+            ),
+            (
+                r#"{"type": "submit", "graph": "suite:kkt_power:bench:x", "method": "sp", "parts": 2}"#,
+                "nothing after the scale",
             ),
         ] {
             let err = match decode(req) {

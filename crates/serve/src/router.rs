@@ -3,7 +3,8 @@
 //!
 //! The router owns no partitioning code. It decodes each submit just far
 //! enough to compute a **routing key** — a fingerprint of the job's cache
-//! key `(input fp, method, parts, seed)` — places the key on the
+//! key `(input fp, method, parts, seed)`, the input fingerprint coming from
+//! a `SourceMemo` for every graph source seen before — places the key on the
 //! consistent-hash [`Ring`](crate::ring::Ring) of *alive* shards, and
 //! forwards the client's original frame bytes with one injected field
 //! (`route_tag`, a correlation tag the shard echoes back). The response,
@@ -26,11 +27,12 @@
 //! re-hashes to survivors (only its keys move — the ring property), and a
 //! recovered shard is warmed before taking traffic again.
 
+use crate::fingerprint::SourceMemo;
 use crate::json::Value;
-use crate::net::{resolve, Client, ForwardFail, Handled, Listener};
+use crate::net::{resolve, ForwardFail, Handled, Listener, Pool};
 use crate::proto::{
     append_field, encode_cache_entries, encode_error, encode_metrics, encode_pong,
-    encode_typed_error, extract_raw_field, Request, WireCacheEntry, MAX_FRAME,
+    encode_typed_error, extract_raw_field, Parsed, SubmitFrame, WireCacheEntry, MAX_FRAME,
 };
 use crate::ring::{Ring, DEFAULT_VNODES};
 use scalapart::obs::{Counter, Gauge, Registry};
@@ -137,6 +139,10 @@ struct RouterMetrics {
     joins: Arc<Counter>,
     replays: Arc<Counter>,
     warm_entries: Arc<Counter>,
+    connects: Arc<Counter>,
+    conn_reuses: Arc<Counter>,
+    source_memo_hits: Arc<Counter>,
+    source_memo_misses: Arc<Counter>,
 }
 
 impl RouterMetrics {
@@ -160,6 +166,19 @@ impl RouterMetrics {
             warm_entries: r.counter(
                 "sp_warm_entries_total",
                 "Cache entries streamed to joining shards",
+            ),
+            connects: r.counter("sp_route_connects_total", "Connections opened to shards"),
+            conn_reuses: r.counter(
+                "sp_route_conn_reuses_total",
+                "Round trips sent on a kept-open shard connection",
+            ),
+            source_memo_hits: r.counter(
+                "sp_source_memo_hits_total",
+                "Submits routed from a remembered graph source (no graph built)",
+            ),
+            source_memo_misses: r.counter(
+                "sp_source_memo_misses_total",
+                "Submits whose graph source had to be materialised and fingerprinted",
             ),
             registry: r,
         };
@@ -196,6 +215,11 @@ pub struct Router {
     cfg: RouterConfig,
     shards: Mutex<ShardTable>,
     metrics: RouterMetrics,
+    /// Graph source → input fingerprint, for the routing key.
+    sources: SourceMemo,
+    /// Kept-open connections to the shards; every round trip the router
+    /// makes goes through it.
+    pool: Pool,
     next_tag: AtomicU64,
     stop: Arc<AtomicBool>,
     health_thread: Mutex<Option<JoinHandle<()>>>,
@@ -224,6 +248,11 @@ impl Router {
         let router = Arc::new(Router {
             cfg: cfg.clone(),
             shards: Mutex::new(table),
+            sources: SourceMemo::new(
+                metrics.source_memo_hits.clone(),
+                metrics.source_memo_misses.clone(),
+            ),
+            pool: Pool::new(metrics.connects.clone(), metrics.conn_reuses.clone()),
             metrics,
             next_tag: AtomicU64::new(1),
             stop: Arc::new(AtomicBool::new(false)),
@@ -239,9 +268,11 @@ impl Router {
         Ok(router)
     }
 
-    /// Stop the health thread. Does not contact shards.
+    /// Stop the health thread and close the idle shard connections. Does
+    /// not contact shards.
     pub fn shutdown(&self) {
         self.stop.store(true, Ordering::SeqCst);
+        self.pool.close();
         if let Some(h) = self.health_thread.lock().unwrap().take() {
             let _ = h.join();
         }
@@ -282,6 +313,9 @@ impl Router {
         let mut table = self.shards.lock().unwrap();
         match table.shards.iter_mut().find(|s| s.name == name) {
             Some(s) => {
+                // Connections kept to the address it leaves belong to the
+                // process it replaces.
+                self.pool.purge(&s.addr);
                 s.addr = addr;
                 s.up = true;
                 s.up_gauge.set(1);
@@ -334,15 +368,19 @@ impl Router {
         let Ok(frame) = std::str::from_utf8(payload) else {
             return Handled::Reply(encode_error("frame is not UTF-8"));
         };
-        let req = match Request::decode(payload) {
-            Ok(r) => r,
+        let req = match Parsed::from_frame(payload) {
+            Ok(req) => req,
             Err(msg) => return Handled::Reply(encode_error(&msg)),
         };
         match req {
-            Request::Ping => Handled::Reply(encode_pong()),
-            Request::Metrics => Handled::Reply(encode_metrics(&self.prometheus())),
-            Request::Stats => Handled::Reply(self.merged_stats()),
-            Request::Shutdown => {
+            Parsed::Submit(f) => Handled::Reply(match self.routing_key(&f) {
+                Ok(key) => self.route_submit(frame, key),
+                Err(reply) => reply,
+            }),
+            Parsed::Ping => Handled::Reply(encode_pong()),
+            Parsed::Metrics => Handled::Reply(encode_metrics(&self.prometheus())),
+            Parsed::Stats => Handled::Reply(self.merged_stats()),
+            Parsed::Shutdown => {
                 // Forward the drain to every live shard, then stop.
                 for (_, addr, up) in self.snapshot() {
                     if up {
@@ -350,48 +388,45 @@ impl Router {
                     }
                 }
                 self.stop.store(true, Ordering::SeqCst);
+                self.pool.close();
                 Handled::ReplyThenStop("{\"type\": \"ok\", \"draining\": true}".to_string())
             }
-            Request::CacheDump { .. } | Request::CacheLoad { .. } => {
+            Parsed::CacheDump { .. } | Parsed::CacheLoad { .. } => {
                 Handled::Reply(encode_error("cache requests go to shards, not the router"))
             }
-            Request::SessionOpen { ref session, .. }
-            | Request::SessionDelta { ref session, .. }
-            | Request::SessionRepartition { ref session }
-            | Request::SessionClose { ref session } => {
-                let is_close = matches!(req, Request::SessionClose { .. });
+            Parsed::SessionOpen { ref session, .. }
+            | Parsed::SessionDelta { ref session, .. }
+            | Parsed::SessionRepartition { ref session }
+            | Parsed::SessionClose { ref session } => {
+                let is_close = matches!(req, Parsed::SessionClose { .. });
                 Handled::Reply(self.route_session(session, frame, is_close))
             }
-            Request::Submit {
-                ref graph,
-                ref coords,
-                method,
-                parts,
-                seed,
-                route_tag,
-                ..
-            } => {
-                if route_tag.is_some() {
-                    // A client frame must not impersonate routed traffic.
-                    return Handled::Reply(encode_typed_error(
-                        "route_mismatch",
-                        "route_tag is router-internal; clients must not set it",
-                    ));
-                }
-                // Routing key = fingerprint of the job's cache key (sans
-                // ranks, which is shard config, identical across shards).
-                let input_fp = crate::fingerprint::fingerprint_input(
-                    graph,
-                    coords.as_ref().map(|c| c.as_slice()),
-                );
-                let mut fp = sp_trace::fnv::Fingerprint::new();
-                fp.u64(input_fp);
-                fp.bytes(method.proto_name().as_bytes());
-                fp.u64(parts as u64);
-                fp.u64(seed);
-                Handled::Reply(self.route_submit(frame, fp.finish()))
-            }
         }
+    }
+
+    /// The routing key of a submit — the fingerprint of its cache key
+    /// (sans ranks, which is shard config, identical across shards) — or
+    /// the error reply the frame draws instead. A source seen before costs
+    /// a memo lookup; only a new one is built and fingerprinted here.
+    fn routing_key(&self, f: &SubmitFrame) -> Result<u64, String> {
+        let decoded = f.source().and_then(|source| {
+            let info = self.sources.resolve(&source)?;
+            Ok((info, f.job(info.n)?))
+        });
+        let (info, job) = decoded.map_err(|msg| encode_error(&msg))?;
+        if job.route_tag.is_some() {
+            // A client frame must not impersonate routed traffic.
+            return Err(encode_typed_error(
+                "route_mismatch",
+                "route_tag is router-internal; clients must not set it",
+            ));
+        }
+        let mut fp = sp_trace::fnv::Fingerprint::new();
+        fp.u64(info.input_fp);
+        fp.bytes(job.method.proto_name().as_bytes());
+        fp.u64(job.parts as u64);
+        fp.u64(job.seed);
+        Ok(fp.finish())
     }
 
     /// A typed error reply, counted under its `code`.
@@ -617,6 +652,7 @@ impl Router {
         if let Some(s) = table.shards.iter_mut().find(|s| s.name == name && s.up) {
             s.up = false;
             s.up_gauge.set(0);
+            self.pool.purge(&s.addr);
             self.metrics.failovers.inc();
             table.membership_changed(&self.metrics.shards_up);
         }
@@ -625,7 +661,19 @@ impl Router {
     /// One round trip to a shard within the forward budget.
     fn forward(&self, addr: SocketAddr, frame: &str) -> Result<String, ForwardFail> {
         let budget = Duration::from_millis(self.cfg.forward_timeout_ms.max(1));
-        Client::round_trip(addr, frame, budget.min(Duration::from_secs(2)), budget)
+        self.pool
+            .round_trip(addr, frame, budget.min(Duration::from_secs(2)), budget)
+    }
+
+    /// A short-deadline ping, independent of the forward timeout: health
+    /// probes must detect death fast even while forwards allow long compute.
+    /// On a connection of its own, so that it tests the shard's accept path.
+    fn probe(&self, addr: SocketAddr) -> bool {
+        let budget = Duration::from_millis(250);
+        matches!(
+            self.pool.fresh_trip(addr, "{\"type\": \"ping\"}", budget, budget),
+            Ok((_, reply)) if reply == encode_pong()
+        )
     }
 
     /// `{"type": "stats"}` merged across the fleet: the router's own view
@@ -680,7 +728,7 @@ fn health_loop(router: Arc<Router>) {
             if router.stop.load(Ordering::SeqCst) {
                 return;
             }
-            let alive = probe(addr);
+            let alive = router.probe(addr);
             if was_up && !alive {
                 router.mark_down(&name);
             } else if !was_up && alive {
@@ -689,16 +737,6 @@ fn health_loop(router: Arc<Router>) {
             }
         }
     }
-}
-
-/// A short-deadline ping, independent of the forward timeout: health
-/// probes must detect death fast even while forwards allow long compute.
-fn probe(addr: SocketAddr) -> bool {
-    let budget = Duration::from_millis(250);
-    matches!(
-        Client::round_trip(addr, "{\"type\": \"ping\"}", budget, budget),
-        Ok(reply) if reply == encode_pong()
-    )
 }
 
 /// TCP front end for the router: a `Listener` whose frames go to
@@ -824,6 +862,161 @@ mod tests {
         }
         live.stop();
         live.wait();
+    }
+
+    /// A fake shard answering every frame with the frame itself.
+    fn echo_shard(addr: &str) -> Arc<Listener> {
+        Listener::bind(addr, |frame| {
+            Handled::Reply(String::from_utf8(frame.to_vec()).unwrap())
+        })
+        .unwrap()
+    }
+
+    fn router_over(shards: &[(&str, &Arc<Listener>)], forward_timeout_ms: u64) -> Arc<Router> {
+        let table: Vec<(String, String)> = shards
+            .iter()
+            .map(|(name, l)| (name.to_string(), l.local_addr().to_string()))
+            .collect();
+        let cfg = RouterConfig {
+            health_interval_ms: 0,
+            forward_timeout_ms,
+        };
+        Router::new(cfg, &table).unwrap()
+    }
+
+    #[test]
+    fn a_shard_restarted_on_its_address_is_not_failed_over() {
+        let first = echo_shard("127.0.0.1:0");
+        let addr = first.local_addr().to_string();
+        let r = router_over(&[("s", &first)], 2_000);
+        let answered = |frame: &str| Ok(("s".to_string(), frame.to_string()));
+        assert_eq!(r.deliver(0, None, "{\"n\": 1}"), answered("{\"n\": 1}"));
+        assert_eq!(r.deliver(0, None, "{\"n\": 2}"), answered("{\"n\": 2}"));
+        let conns = || (r.metrics.connects.get(), r.metrics.conn_reuses.get());
+        assert_eq!(conns(), (1, 1), "the second frame rode the first's socket");
+        first.stop();
+        first.wait();
+        // The kept connection now leads nowhere; the address answers again.
+        let second = echo_shard(&addr);
+        assert_eq!(r.deliver(0, None, "{\"n\": 3}"), answered("{\"n\": 3}"));
+        assert_eq!(conns(), (2, 2), "tried the kept socket, then a fresh one");
+        assert_eq!((r.failovers(), r.metrics.replays.get()), (0, 0));
+        r.shutdown();
+        second.stop();
+        second.wait();
+    }
+
+    #[test]
+    fn a_reply_later_than_the_budget_is_never_read_as_the_next_one() {
+        // The shard holds its reply to "late" until told, then answers
+        // everything at once.
+        let (release, held) = std::sync::mpsc::channel::<()>();
+        let held = Mutex::new(held);
+        let slow = Listener::bind("127.0.0.1:0", move |frame| {
+            if frame == b"{\"q\": \"late\"}" {
+                let _ = held.lock().unwrap().recv();
+            }
+            Handled::Reply(String::from_utf8(frame.to_vec()).unwrap())
+        })
+        .unwrap();
+        let r = router_over(&[("slow", &slow)], 150);
+        let reply = r.deliver(0, Some("s"), "{\"q\": \"late\"}").unwrap_err();
+        assert!(reply.contains("\"code\": \"forward_timeout\""), "{reply}");
+        release.send(()).unwrap();
+        // Session frames carry no tag: had the timed-out socket been kept,
+        // this request would be answered with the late reply to the last.
+        let next = "{\"q\": \"next\"}";
+        assert_eq!(
+            r.deliver(0, Some("s"), next),
+            Ok(("slow".to_string(), next.to_string()))
+        );
+        assert_eq!(r.metrics.connects.get(), 2, "a timed-out socket is dropped");
+        assert_eq!(r.metrics.conn_reuses.get(), 0);
+        assert_eq!(r.failovers(), 0, "slow is not dead");
+        r.shutdown();
+        slow.stop();
+        slow.wait();
+    }
+
+    #[test]
+    fn a_killed_shard_with_kept_connections_is_failed_over_once() {
+        let (victim, live) = (echo_shard("127.0.0.1:0"), echo_shard("127.0.0.1:0"));
+        let r = router_over(&[("victim", &victim), ("live", &live)], 2_000);
+        let key = (0u64..)
+            .find(|k| r.owner_of(*k).unwrap().0 == "victim")
+            .unwrap();
+        assert_eq!(r.deliver(key, None, "{}").unwrap().0, "victim");
+        victim.kill();
+        victim.wait();
+        // The kept socket is severed, the fresh connect refused: only the
+        // latter demotes, and the frame is replayed on the survivor.
+        assert_eq!(r.deliver(key, None, "{}").unwrap().0, "live");
+        assert_eq!((r.failovers(), r.metrics.replays.get()), (1, 1));
+        assert_eq!(r.deliver(key, None, "{}").unwrap().0, "live");
+        assert_eq!((r.failovers(), r.metrics.replays.get()), (1, 1));
+        r.shutdown();
+        live.stop();
+        live.wait();
+    }
+
+    #[test]
+    fn a_health_probe_connects_afresh_and_keeps_nothing() {
+        let shard = Listener::bind("127.0.0.1:0", |_| Handled::Reply(encode_pong())).unwrap();
+        let r = router_over(&[("s", &shard)], 2_000);
+        let conns = || (r.metrics.connects.get(), r.metrics.conn_reuses.get());
+        r.deliver(0, None, "{}").unwrap();
+        assert_eq!(conns(), (1, 0));
+        // A kept connection would say only that its handler still runs.
+        assert!(r.probe(shard.local_addr()));
+        assert_eq!(conns(), (2, 0), "a probe tests the accept path");
+        r.deliver(0, None, "{}").unwrap();
+        assert_eq!(
+            conns(),
+            (2, 1),
+            "the forward's socket is still the one kept"
+        );
+        shard.stop();
+        shard.wait();
+        assert!(!r.probe(shard.local_addr()));
+        r.shutdown();
+    }
+
+    #[test]
+    fn a_stopped_listener_refuses_connects_while_a_handler_is_still_busy() {
+        // Bound to the wildcard address, which `stop` must still wake.
+        let (release, held) = std::sync::mpsc::channel::<()>();
+        let (held, busy) = (Mutex::new(held), Arc::new(AtomicBool::new(false)));
+        let listener = {
+            let busy = busy.clone();
+            Listener::bind("0.0.0.0:0", move |_| {
+                busy.store(true, Ordering::SeqCst);
+                let _ = held.lock().unwrap().recv();
+                Handled::Reply("{}".to_string())
+            })
+            .unwrap()
+        };
+        let addr = SocketAddr::from(([127, 0, 0, 1], listener.local_addr().port()));
+        let client = std::thread::spawn(move || {
+            crate::net::Client::connect(&addr)
+                .and_then(|mut c| c.request("{}"))
+                .unwrap()
+        });
+        while !busy.load(Ordering::SeqCst) {
+            std::thread::yield_now();
+        }
+        listener.stop();
+        // Not left in a backlog nobody accepts from: a router would take
+        // that for a slow shard and never fail over.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while crate::net::Client::connect(&addr).is_ok() {
+            assert!(Instant::now() < deadline, "still accepting connections");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(listener.open_connections(), 1, "the busy one finishes");
+        release.send(()).unwrap();
+        assert_eq!(client.join().unwrap(), "{}");
+        listener.wait();
+        assert_eq!(listener.open_connections(), 0);
     }
 
     #[test]

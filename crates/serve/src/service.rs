@@ -35,7 +35,7 @@ use sp_geometry::Point2;
 use sp_graph::Graph;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -305,62 +305,111 @@ impl Service {
         }
     }
 
-    fn key_of(&self, spec: &JobSpec) -> CacheKey {
+    /// The cache key of a job on this service: the request's own fields
+    /// plus the configured rank count.
+    pub(crate) fn cache_key(
+        &self,
+        input: u64,
+        method: Method,
+        parts: usize,
+        seed: u64,
+    ) -> CacheKey {
         CacheKey {
-            input: fingerprint_input(&spec.graph, spec.coords.as_ref().map(|c| c.as_slice())),
-            method: spec.method,
-            parts: spec.parts,
+            input,
+            method,
+            parts,
             ranks: self.inner.cfg.ranks,
-            seed: spec.seed,
+            seed,
         }
+    }
+
+    /// Take a job id and record the submit.
+    fn announce(&self, key: &CacheKey, n: usize) -> u64 {
+        let job_id = self.inner.next_job_id.fetch_add(1, Ordering::Relaxed);
+        self.inner.metrics.jobs_submitted.inc();
+        if let Some(log) = &self.inner.obs_log {
+            log.emit(
+                Record::new("job_submitted")
+                    .u64("job", job_id)
+                    .str("method", key.method.name())
+                    .u64("parts", key.parts as u64)
+                    .u64("seed", key.seed)
+                    .u64("n", n as u64)
+                    .str("fp", &format!("{:016x}", key.input)),
+            );
+        }
+        job_id
+    }
+
+    /// Book a cache hit on `result` for an announced job whose submit
+    /// began at `since`.
+    fn hit(
+        &self,
+        mut st: MutexGuard<'_, State>,
+        job_id: u64,
+        result: Arc<PartitionOutput>,
+        since: Instant,
+    ) -> JobOutcome {
+        let m = &self.inner.metrics;
+        st.counters.submitted += 1;
+        st.counters.cache_hits += 1;
+        st.counters.completed += 1;
+        let latency_ms = since.elapsed().as_secs_f64() * 1e3;
+        push_latency(&mut st, latency_ms);
+        drop(st);
+        m.cache_hits.inc();
+        m.jobs_completed.inc();
+        m.job_latency_ms.observe(latency_ms);
+        if let Some(log) = &self.inner.obs_log {
+            log.emit(
+                Record::new("job_done")
+                    .u64("job", job_id)
+                    .str("status", "ok")
+                    .bool("cache_hit", true)
+                    .f64("latency_ms", latency_ms),
+            );
+        }
+        JobOutcome::Done {
+            job_id,
+            result,
+            cache_hit: true,
+            latency_ms,
+        }
+    }
+
+    /// The hit half of [`submit`](Self::submit), for a caller that knows a
+    /// job's key and vertex count `n` without holding its graph: a cached
+    /// result is served exactly as `submit` would serve it; `None` leaves
+    /// no trace (no job id taken, nothing counted), so the caller can
+    /// build the graph and submit as if it had never asked.
+    pub(crate) fn lookup(&self, key: &CacheKey, n: usize) -> Option<JobOutcome> {
+        let now = Instant::now();
+        let result = self.inner.state.lock().unwrap().cache.get(key)?;
+        // Announced outside the state lock, as `submit` does; the entry
+        // may be evicted meanwhile, the result in hand stays good.
+        let job_id = self.announce(key, n);
+        Some(self.hit(self.inner.state.lock().unwrap(), job_id, result, now))
     }
 
     /// Submit a job. Returns immediately: either a resolved cache hit, a
     /// pending ticket, or a backpressure rejection.
     pub fn submit(&self, spec: JobSpec) -> Result<Ticket, SubmitError> {
-        let key = self.key_of(&spec);
+        let input = fingerprint_input(&spec.graph, spec.coords.as_ref().map(|c| c.as_slice()));
+        let key = self.cache_key(input, spec.method, spec.parts, spec.seed);
+        self.submit_keyed(spec, key)
+    }
+
+    /// [`submit`](Self::submit) for a caller that already fingerprinted
+    /// the input; `key` must be the spec's own.
+    pub(crate) fn submit_keyed(&self, spec: JobSpec, key: CacheKey) -> Result<Ticket, SubmitError> {
         let now = Instant::now();
-        let job_id = self.inner.next_job_id.fetch_add(1, Ordering::Relaxed);
+        let job_id = self.announce(&key, spec.graph.n());
         let m = &self.inner.metrics;
-        m.jobs_submitted.inc();
-        if let Some(log) = &self.inner.obs_log {
-            log.emit(
-                Record::new("job_submitted")
-                    .u64("job", job_id)
-                    .str("method", spec.method.name())
-                    .u64("parts", spec.parts as u64)
-                    .u64("seed", spec.seed)
-                    .u64("n", spec.graph.n() as u64)
-                    .str("fp", &format!("{:016x}", key.input)),
-            );
-        }
         let mut st = self.inner.state.lock().unwrap();
-        st.counters.submitted += 1;
         if let Some(result) = st.cache.get(&key) {
-            st.counters.cache_hits += 1;
-            st.counters.completed += 1;
-            let latency_ms = now.elapsed().as_secs_f64() * 1e3;
-            push_latency(&mut st, latency_ms);
-            drop(st);
-            m.cache_hits.inc();
-            m.jobs_completed.inc();
-            m.job_latency_ms.observe(latency_ms);
-            if let Some(log) = &self.inner.obs_log {
-                log.emit(
-                    Record::new("job_done")
-                        .u64("job", job_id)
-                        .str("status", "ok")
-                        .bool("cache_hit", true)
-                        .f64("latency_ms", latency_ms),
-                );
-            }
-            return Ok(Ticket::Hit(JobOutcome::Done {
-                job_id,
-                result,
-                cache_hit: true,
-                latency_ms,
-            }));
+            return Ok(Ticket::Hit(self.hit(st, job_id, result, now)));
         }
+        st.counters.submitted += 1;
         if st.closed {
             st.counters.rejected += 1;
             drop(st);

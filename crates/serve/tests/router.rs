@@ -413,3 +413,305 @@ fn router_stats_merge_router_and_shard_views() {
     a.shutdown();
     b.shutdown();
 }
+
+// ---------------------------------------------------------------------
+// The source memo and the kept-open shard connections: both must change
+// what a request costs and nothing it says.
+
+/// The value of an unlabelled sample in a Prometheus exposition.
+fn sample(prom: &str, series: &str) -> u64 {
+    prom.lines()
+        .find_map(|l| l.strip_prefix(series)?.strip_prefix(' ')?.parse().ok())
+        .unwrap_or_else(|| panic!("no sample {series} in:\n{prom}"))
+}
+
+fn shard_prom(shard: &Server) -> String {
+    shard.service().prometheus()
+}
+
+/// One submit of each source form: a generated grid, a suite graph, an
+/// inline Chaco text.
+fn one_submit_per_source_form() -> Vec<String> {
+    let mut chaco = Vec::new();
+    sp_graph::io::write_chaco(&sp_graph::gen::grid_2d(6, 7), &mut chaco).unwrap();
+    let chaco = sp_serve::json::escape(std::str::from_utf8(&chaco).unwrap());
+    vec![
+        submit_req("gen:grid:12x12", "sp", 4, 3),
+        submit_req("suite:kkt_power:tiny", "parmetis", 2, 5),
+        format!(
+            "{{\"type\": \"submit\", \"chaco\": \"{chaco}\", \"method\": \"parmetis\", \"parts\": 2, \"seed\": 9}}"
+        ),
+    ]
+}
+
+/// More distinct sources than a memo holds (64): whatever it knew before
+/// these went through is forgotten.
+fn flush_memo(c: &mut Client) {
+    for w in 2..72 {
+        let resp = c
+            .request(&submit_req(&format!("gen:grid:{w}x2"), "rcb", 2, 1))
+            .unwrap();
+        assert!(resp.contains("\"status\": \"ok\""), "{resp}");
+    }
+}
+
+/// The routing key as `benchmark/src/serve.rs::decode_graph` recomputes
+/// it: from the materialised graph, never from a memo.
+fn routing_key_by_formula(req: &str) -> u64 {
+    match sp_serve::proto::Request::decode(req.as_bytes()) {
+        Ok(sp_serve::proto::Request::Submit {
+            graph,
+            coords,
+            method,
+            parts,
+            seed,
+            ..
+        }) => {
+            let input = sp_serve::fingerprint_input(&graph, coords.as_ref().map(|c| c.as_slice()));
+            let mut fp = sp_trace::fnv::Fingerprint::new();
+            fp.u64(input);
+            fp.bytes(method.proto_name().as_bytes());
+            fp.u64(parts as u64);
+            fp.u64(seed);
+            fp.finish()
+        }
+        _ => panic!("not a submit: {req}"),
+    }
+}
+
+#[test]
+fn source_memo_cold_warm_or_evicted_changes_no_byte_and_no_route() {
+    // Result caches large enough to keep the three results while seventy
+    // other jobs flush the memos.
+    let big_cache = || {
+        let cfg = ServeConfig {
+            cache_capacity: 256,
+            ..shard_cfg(2)
+        };
+        Server::bind("127.0.0.1:0", cfg).expect("bind shard")
+    };
+    let (alone, a, b) = (big_cache(), big_cache(), big_cache());
+    let rs = start_router(&[("a", &a), ("b", &b)]);
+    let ring = sp_serve::Ring::new(&["a", "b"], sp_serve::ring::DEFAULT_VNODES);
+    let mut direct = Client::connect(&alone.local_addr()).unwrap();
+    let mut routed = Client::connect(&rs.local_addr()).unwrap();
+
+    for req in one_submit_per_source_form() {
+        let owner = match ring.owner(routing_key_by_formula(&req)).unwrap() {
+            "a" => &a,
+            _ => &b,
+        };
+        let mut spans = Vec::new();
+        for (client, via_router) in [(&mut direct, false), (&mut routed, true)] {
+            let memo_misses = || {
+                if via_router {
+                    sample(&rs.router().prometheus(), "sp_source_memo_misses_total")
+                } else {
+                    sample(&shard_prom(&alone), "sp_source_memo_misses_total")
+                }
+            };
+            // Routed, each of the three goes where the graph-derived key
+            // says, whatever the router's memo knows at the time.
+            let ask = |client: &mut Client| {
+                let seen_before = owner.service().stats().submitted;
+                let resp = client.request(&req).unwrap();
+                let seen = owner.service().stats().submitted - seen_before;
+                assert_eq!(seen, via_router as u64, "not at the ring owner");
+                resp
+            };
+            let misses_before = memo_misses();
+            let cold = ask(client);
+            assert!(cold.contains("\"cache_hit\": false"), "{cold}");
+            let warm = ask(client);
+            assert!(warm.contains("\"cache_hit\": true"), "{warm}");
+            assert_eq!(memo_misses(), misses_before + 1, "the repeat was memoised");
+            flush_memo(client);
+            let evicted = ask(client);
+            assert!(evicted.contains("\"cache_hit\": true"), "{evicted}");
+            assert_eq!(
+                memo_misses(),
+                misses_before + 72,
+                "the memo had forgotten it"
+            );
+            spans.extend([cold, warm, evicted].map(|r| identity_spans(&r)));
+        }
+        assert!(spans.iter().all(|s| *s == spans[0]), "{req}: bytes differ");
+    }
+    rs.shutdown();
+    for s in [alone, a, b] {
+        s.shutdown();
+    }
+}
+
+#[test]
+fn a_memoised_source_rejects_bad_frames_in_the_same_words() {
+    let (warm, cold) = (start_shard(1), start_shard(1));
+    let rs = start_router(&[("s", &warm)]);
+    let good = submit_req("gen:grid:12x12", "rcb", 4, 1);
+    let bad = [
+        submit_req("gen:grid:12x12", "rcb", 9999, 1),
+        submit_req("gen:grid:12x12", "quantum", 4, 1),
+        good.replace("\"parts\": 4", "\"parts\": \"4\""),
+        good.replace("\"seed\": 1", "\"seed\": 1, \"deadline_ms\": -3"),
+        good.replace("\"seed\": 1", "\"seed\": 1, \"route_tag\": \"x\""),
+        "{\"type\": \"submit\", \"graph\": \"gen:grid:12x12\"".to_string(),
+    ];
+    let mut to_cold = Client::connect(&cold.local_addr()).unwrap();
+    let mut to_warm = Client::connect(&warm.local_addr()).unwrap();
+    let mut routed = Client::connect(&rs.local_addr()).unwrap();
+    // Router and shard have both seen the source before the bad frames.
+    assert!(routed
+        .request(&good)
+        .unwrap()
+        .contains("\"status\": \"ok\""));
+    let misses = |prom: String| sample(&prom, "sp_source_memo_misses_total");
+    let before = (misses(shard_prom(&warm)), misses(rs.router().prometheus()));
+    for frame in &bad {
+        let want = to_cold.request(frame).unwrap();
+        assert!(want.starts_with("{\"type\": \"error\""), "{want}");
+        assert_eq!(to_warm.request(frame).unwrap(), want, "{frame}");
+        assert_eq!(routed.request(frame).unwrap(), want, "{frame}");
+    }
+    let parts = to_warm.request(&bad[0]).unwrap();
+    assert!(
+        parts.contains("must be in 2..=n (144 vertices), got 9999"),
+        "{parts}"
+    );
+    // … and `n` came from the memo: no bad frame built the grid again.
+    let after = (misses(shard_prom(&warm)), misses(rs.router().prometheus()));
+    assert_eq!(after, before);
+    // The connection and the memo survive all of it.
+    assert!(to_warm
+        .request(&good)
+        .unwrap()
+        .contains("\"cache_hit\": true"));
+    rs.shutdown();
+    warm.shutdown();
+    cold.shutdown();
+}
+
+#[test]
+fn routed_hits_reuse_shard_connections_and_shutdown_closes_them() {
+    let shard = start_shard(1);
+    let rs = start_router(&[("s", &shard)]);
+    let req = submit_req("gen:grid:10x10", "rcb", 2, 8);
+    let fill = Client::connect(&rs.local_addr())
+        .unwrap()
+        .request(&req)
+        .unwrap();
+    assert!(fill.contains("\"cache_hit\": false"), "{fill}");
+    let prom = |series: &str| sample(&rs.router().prometheus(), series);
+    let (connects, memo_misses) = (
+        prom("sp_route_connects_total"),
+        prom("sp_source_memo_misses_total"),
+    );
+    let shard_memo_misses = sample(&shard_prom(&shard), "sp_source_memo_misses_total");
+    assert_eq!((connects, memo_misses, shard_memo_misses), (1, 1, 1));
+
+    const CLIENTS: usize = 2;
+    std::thread::scope(|scope| {
+        for _ in 0..CLIENTS {
+            scope.spawn(|| {
+                let mut c = Client::connect(&rs.local_addr()).unwrap();
+                for _ in 0..500 {
+                    let resp = c.request(&req).unwrap();
+                    assert!(resp.contains("\"cache_hit\": true"), "{resp}");
+                    // One shard socket per forward in flight, at most.
+                    assert!(shard.open_connections() <= CLIENTS);
+                }
+            });
+        }
+    });
+    // A thousand repeats moved the hit and reuse counters, not the others.
+    assert!(prom("sp_route_connects_total") <= CLIENTS as u64);
+    assert!(prom("sp_route_conn_reuses_total") >= 1000 - CLIENTS as u64);
+    assert_eq!(prom("sp_source_memo_misses_total"), 1);
+    assert_eq!(prom("sp_source_memo_hits_total"), 1000);
+    let at_shard = shard_prom(&shard);
+    assert_eq!(sample(&at_shard, "sp_source_memo_misses_total"), 1);
+    assert_eq!(sample(&at_shard, "sp_source_memo_hits_total"), 1000);
+    assert_eq!(sample(&at_shard, "sp_cache_hits_total"), 1000);
+    // A known source under a new seed has no cached result: the shard
+    // builds the graph after all, and counts the submit as one that did.
+    let reseeded = Client::connect(&shard.local_addr())
+        .unwrap()
+        .request(&submit_req("gen:grid:10x10", "rcb", 2, 9))
+        .unwrap();
+    assert!(reseeded.contains("\"cache_hit\": false"), "{reseeded}");
+    let at_shard = shard_prom(&shard);
+    assert_eq!(sample(&at_shard, "sp_source_memo_misses_total"), 2);
+    assert_eq!(sample(&at_shard, "sp_source_memo_hits_total"), 1000);
+
+    rs.shutdown();
+    rs.wait();
+    // The idle shard sockets went with the router (pooled-fd leak check).
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while shard.open_connections() > 0 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "{} shard connections outlive the router",
+            shard.open_connections()
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    shard.shutdown();
+}
+
+#[test]
+fn a_gracefully_stopped_owner_under_routed_load_is_failed_over_once() {
+    let (a, b) = (start_shard(1), start_shard(1));
+    let rs = start_router(&[("a", &a), ("b", &b)]);
+    let req = submit_req("gen:grid:10x10", "rcb", 2, 8);
+    let ring = sp_serve::Ring::new(&["a", "b"], sp_serve::ring::DEFAULT_VNODES);
+    let (owner, survivor) = match ring.owner(routing_key_by_formula(&req)).unwrap() {
+        "a" => (&a, &b),
+        _ => (&b, &a),
+    };
+    let mut client = Client::connect(&rs.local_addr()).unwrap();
+    let first = client.request(&req).unwrap();
+    assert!(first.contains("\"cache_hit\": false"), "{first}");
+
+    // Hits follow one another far faster than a handler's read timeout, so
+    // the router's kept socket to the owner is never idle when it stops.
+    let done = std::sync::atomic::AtomicBool::new(false);
+    let (drained, replies) = std::thread::scope(|scope| {
+        let traffic = scope.spawn(|| {
+            let mut replies = Vec::new();
+            while !done.load(std::sync::atomic::Ordering::SeqCst) {
+                replies.push(client.request(&req).unwrap());
+            }
+            replies
+        });
+        std::thread::sleep(Duration::from_millis(100));
+        owner.shutdown();
+        let (returned, wait) = std::sync::mpsc::channel();
+        let waiting = owner.clone();
+        std::thread::spawn(move || {
+            waiting.wait();
+            let _ = returned.send(());
+        });
+        let drained = wait.recv_timeout(Duration::from_secs(5)).is_ok();
+        std::thread::sleep(Duration::from_millis(100));
+        done.store(true, std::sync::atomic::Ordering::SeqCst);
+        (drained, traffic.join().unwrap())
+    });
+
+    // The stop was one failover to the router and nothing to the client.
+    assert!(
+        drained,
+        "a busy kept-open connection pins the stopped shard"
+    );
+    assert_eq!(owner.open_connections(), 0);
+    assert!(replies.len() > 10, "only {} replies", replies.len());
+    for reply in &replies {
+        assert!(reply.contains("\"status\": \"ok\""), "{reply}");
+        assert_eq!(identity_spans(reply), identity_spans(&first));
+    }
+    assert_eq!(rs.router().failovers(), 1);
+    let prom = rs.router().prometheus();
+    assert_eq!(sample(&prom, "sp_route_replays_total"), 1);
+    assert_eq!(sample(&prom, "sp_shards_up"), 1);
+    assert!(survivor.service().stats().submitted >= 1);
+    rs.shutdown();
+    survivor.shutdown();
+}
