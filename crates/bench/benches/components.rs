@@ -113,7 +113,13 @@ fn bench_quadtree(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("build", n), &pts, |b, pts| {
             b.iter(|| QuadTree::build(pts, None).node_count())
         });
-        let tree = QuadTree::build(&pts, None);
+        let mut tree = QuadTree::build(&pts, None);
+        group.bench_with_input(BenchmarkId::new("rebuild", n), &pts, |b, pts| {
+            b.iter(|| {
+                tree.rebuild(pts, None);
+                tree.node_count()
+            })
+        });
         group.bench_with_input(BenchmarkId::new("query_theta0.85", n), &tree, |b, t| {
             b.iter(|| {
                 let mut acc = 0.0;

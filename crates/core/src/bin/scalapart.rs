@@ -72,9 +72,10 @@ fn usage() -> ! {
            --obs-log FILE          append host-runtime JSONL records (run_start,\n\
                                    phase_profile with per-phase wall ms + RSS, run_done)\n\
            --seed N                RNG seed (default 42)\n\
-           --rank-batch N          simulated ranks per host task in parallel\n\
-                                   supersteps (default 0 = auto; results are\n\
-                                   bit-identical for every value)"
+           --rank-batch N          simulated ranks per unit that supersteps deal\n\
+                                   round-robin over the host threads (default\n\
+                                   0 = auto: one rank; results are bit-identical\n\
+                                   for every value)"
     );
     std::process::exit(0);
 }

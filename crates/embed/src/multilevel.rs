@@ -29,11 +29,12 @@ pub struct MultilevelEmbedConfig {
     pub theta: f64,
     /// RNG seed for initial placement and projection jitter.
     pub seed: u64,
-    /// Contiguous simulated ranks per host task in each superstep.
-    /// Non-zero values are forwarded to [`Machine::set_rank_batch`] at
-    /// embed entry; 0 (the default) leaves the machine's own setting —
-    /// normally auto: spread evenly over the rayon pool. Purely a host
-    /// performance knob — results are bit-identical for every value.
+    /// Contiguous simulated ranks per unit each superstep deals round-robin
+    /// over the host threads. Non-zero values are forwarded to
+    /// [`Machine::set_rank_batch`] at embed entry; 0 (the default) leaves
+    /// the machine's own setting — normally auto: units of one rank.
+    /// Purely a host performance knob — results are bit-identical for
+    /// every value.
     pub rank_batch: usize,
 }
 

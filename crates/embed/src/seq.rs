@@ -84,35 +84,37 @@ pub fn force_layout(
     let mut energy = f64::INFINITY;
     let mut progress = 0u32;
     let mut total_ops = 0.0;
+    // One tree and one results buffer for the whole layout: every iteration
+    // rebuilds the tree over the moved points in place.
+    let mut tree = QuadTree::default();
+    let mut results: Vec<(Point2, f64, f64)> = Vec::with_capacity(g.n());
     for _ in 0..max_iters {
-        let tree = QuadTree::build(coords, Some(g.vwgts()));
+        tree.rebuild(coords, Some(g.vwgts()));
         total_ops += g.n() as f64;
         let coords_ref = &*coords;
-        let results: Vec<(Point2, f64, f64)> = (0..g.n() as u32)
-            .into_par_iter()
-            .map(|v| {
-                let cv = coords_ref[v as usize];
-                let mv = g.vwgt(v);
-                let mut f = Point2::ZERO;
-                let mut ops = 0.0;
-                for (u, w) in g.neighbors_w(v) {
-                    f += params.attractive(cv, coords_ref[u as usize]) * w;
-                    ops += 1.0;
-                }
-                ops += tree.for_each_approx(cv, Some(v), theta, |p, m| {
-                    f += params.repulsive(cv, mv, p, m);
-                }) as f64;
-                let norm = f.norm();
-                let d = if norm > 1e-12 {
-                    f * (step / norm)
-                } else {
-                    Point2::ZERO
-                };
-                (d, norm * norm, ops + 2.0)
-            })
-            .collect();
+        results.clear();
+        results.par_extend((0..g.n() as u32).into_par_iter().map(|v| {
+            let cv = coords_ref[v as usize];
+            let mv = g.vwgt(v);
+            let mut f = Point2::ZERO;
+            let mut ops = 0.0;
+            for (u, w) in g.neighbors_w(v) {
+                f += params.attractive(cv, coords_ref[u as usize]) * w;
+                ops += 1.0;
+            }
+            ops += tree.for_each_approx(cv, Some(v), theta, |p, m| {
+                f += params.repulsive(cv, mv, p, m);
+            }) as f64;
+            let norm = f.norm();
+            let d = if norm > 1e-12 {
+                f * (step / norm)
+            } else {
+                Point2::ZERO
+            };
+            (d, norm * norm, ops + 2.0)
+        }));
         let mut new_energy = 0.0;
-        for (v, (d, e, ops)) in results.into_iter().enumerate() {
+        for (v, &(d, e, ops)) in results.iter().enumerate() {
             coords[v] += d;
             new_energy += e;
             total_ops += ops;
@@ -219,13 +221,11 @@ mod tests {
     use crate::metrics::{edge_length_stats, embedding_spread};
     use sp_graph::gen::{delaunay_graph, grid_2d};
 
-    #[test]
-    fn layout_reduces_edge_length_variance() {
-        // Rand-free deterministic init (splitmix64): the assertion margin
-        // must not depend on which rand version (or offline stub) provides
-        // StdRng's stream.
-        let g = grid_2d(12, 12);
-        let side = (g.n() as f64).sqrt();
+    /// Rand-free deterministic init (splitmix64) in the box `random_init`
+    /// uses: what the tests below assert must not depend on which rand
+    /// version (or offline stub) provides StdRng's stream.
+    fn splitmix_init(n: usize) -> Vec<Point2> {
+        let side = (n as f64).sqrt();
         let mut state = 1u64;
         let mut next_unit = move || {
             state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -234,9 +234,15 @@ mod tests {
             z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
             ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64
         };
-        let mut coords: Vec<Point2> = (0..g.n())
+        (0..n)
             .map(|_| Point2::new(next_unit() * side, next_unit() * side))
-            .collect();
+            .collect()
+    }
+
+    #[test]
+    fn layout_reduces_edge_length_variance() {
+        let g = grid_2d(12, 12);
+        let mut coords = splitmix_init(g.n());
         let before = edge_length_stats(&g, &coords);
         let params = ForceParams::for_domain(0.2, g.n() as f64, g.n());
         force_layout(&g, &mut coords, &params, 0.85, 150, 0.9, 0.96);
@@ -248,6 +254,33 @@ mod tests {
             before.cv(),
             after.cv()
         );
+    }
+
+    #[test]
+    fn layout_bits_match_the_arena_quadtree_golden() {
+        // Recorded at the last commit whose `force_layout` built a fresh
+        // arena quadtree every iteration (PR 14): FNV-1a over the
+        // coordinate bits, and the bits of the returned op count, first
+        // from the random start (θ 0.85, 40 iterations), then continuing
+        // from there with the pipeline's θ 1.1. The flat tree promises the
+        // same visit sequence, so neither may move.
+        let g = grid_2d(20, 20);
+        let params = ForceParams::for_domain(0.2, g.n() as f64, g.n());
+        let fnv = |coords: &[Point2]| {
+            coords
+                .iter()
+                .flat_map(|c| [c.x.to_bits(), c.y.to_bits()])
+                .fold(0xcbf2_9ce4_8422_2325u64, |h, bits| {
+                    (h ^ bits).wrapping_mul(0x0000_0100_0000_01B3)
+                })
+        };
+        let mut coords = splitmix_init(g.n());
+        let ops = force_layout(&g, &mut coords, &params, 0.85, 40, 0.9, 0.96);
+        assert_eq!(ops.to_bits(), 0x4139_71f9_0000_0000, "ops {ops}");
+        assert_eq!(fnv(&coords), 0xcf36_500a_092f_1e66);
+        let ops = force_layout(&g, &mut coords, &params, 1.1, 25, 0.3, 0.9);
+        assert_eq!(ops.to_bits(), 0x4125_bb04_0000_0000, "ops {ops}");
+        assert_eq!(fnv(&coords), 0xdc66_0275_65ee_766d);
     }
 
     #[test]

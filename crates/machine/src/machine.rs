@@ -34,13 +34,18 @@ pub struct SuperstepInfo {
     pub ranks: usize,
     /// Ranks that charged nonzero ops (the superstep's active set).
     pub active: usize,
-    /// Contiguous ranks per host task this superstep was packed into.
+    /// Contiguous ranks per unit this superstep dealt round-robin over its
+    /// host tasks (1 when the machine's rank batch is 0, the default).
     pub batch: usize,
     /// Host threads in the rayon pool the superstep ran on.
     pub threads: usize,
     /// Host wall-clock seconds spent in the rank closures.
     pub wall_seconds: f64,
 }
+
+/// What one host task runs of a superstep: per unit dealt to it, the first
+/// rank and the unit's slices of the rank states and of the ops buffer.
+type Hand<'a, S> = Vec<(usize, &'a mut [S], &'a mut [f64])>;
 
 /// Observer for superstep host execution (see [`SuperstepInfo`]).
 pub type SuperstepHook = Box<dyn FnMut(&SuperstepInfo) + Send>;
@@ -98,10 +103,10 @@ pub struct Machine {
     skew: Vec<f64>,
     /// Extra simulated seconds added to every collective's completion time.
     collective_delay: f64,
-    /// Contiguous ranks per host task in [`Machine::compute`]; 0 = auto
-    /// (spread the ranks evenly over the rayon pool). Purely a host
-    /// execution knob: results and clock charges are keyed by rank, never
-    /// by task or thread, so any batch size yields identical simulations.
+    /// Contiguous ranks per unit that [`Machine::compute`] deals to its
+    /// host tasks; 0 = auto (one rank). Purely a host execution knob:
+    /// results and clock charges are keyed by rank, never by task or
+    /// thread, so any unit size yields identical simulations.
     rank_batch: usize,
     /// Reusable per-rank ops buffer for `compute` (supersteps run every
     /// smoothing iteration; their bookkeeping must not allocate).
@@ -139,12 +144,13 @@ impl Machine {
         }
     }
 
-    /// Set how many contiguous ranks each host task runs in
-    /// [`Machine::compute`]: 0 (the default) spreads the ranks evenly over
-    /// the rayon pool; `p` or more runs the whole superstep inline on the
-    /// calling thread. A pure host-performance knob — simulated clocks and
-    /// delivered data are identical for every value (the sp-verify
-    /// `parallel` fuzz proves this bit-for-bit).
+    /// Set how many contiguous ranks make one unit in [`Machine::compute`],
+    /// which deals units round-robin over the rayon pool's threads: 0 (the
+    /// default) is auto, one rank a unit; `p` or more is a single unit, so
+    /// the whole superstep runs inline on the calling thread. A pure
+    /// host-performance knob — simulated clocks and delivered data are
+    /// identical for every value (the sp-verify `parallel` fuzz proves
+    /// this bit-for-bit).
     pub fn set_rank_batch(&mut self, batch: usize) {
         self.rank_batch = batch;
     }
@@ -315,27 +321,27 @@ impl Machine {
     /// rayon pool and returns the number of abstract ops the rank
     /// performed, which is charged to its clock.
     ///
-    /// Host execution packs contiguous ranks into batches of
-    /// [`Machine::set_rank_batch`] per rayon task (auto by default: the
-    /// ranks spread evenly over the pool). Each closure touches only its
-    /// own rank's state and writes its ops into its own rank's slot, and
-    /// the charging loop below always walks ranks in ascending order on
-    /// the simulated clock — so batch size, thread count, and host
+    /// Host execution cuts the ranks into units of
+    /// [`Machine::set_rank_batch`] contiguous ranks (one rank by default)
+    /// and deals the units round-robin over one task per pool thread, so
+    /// whichever ranks are busy this superstep — a prefix at the coarse
+    /// levels, all of them at the finest — every thread gets its share.
+    /// The calling thread runs the first task itself. Each closure touches
+    /// only its own rank's state and writes its ops into its own rank's
+    /// slot, and the charging loop below always walks ranks in ascending
+    /// order on the simulated clock — so unit size, thread count, and host
     /// completion order are all invisible to simulated time and data, the
     /// same argument that makes the `Schedule` fuzzer's permutations
-    /// legal. One batch (or one thread) degenerates to an inline serial
-    /// loop with no task dispatch at all.
+    /// legal. One task (a single unit, or a one-thread pool) is an inline
+    /// serial loop with no dispatch at all.
     pub fn compute<S: Send, F>(&mut self, states: &mut [S], f: F)
     where
         F: Fn(usize, &mut S) -> f64 + Sync,
     {
         assert_eq!(states.len(), self.p, "one state per rank");
         let threads = rayon::current_num_threads().max(1);
-        let batch = match self.rank_batch {
-            0 => self.p.div_ceil(threads),
-            b => b,
-        }
-        .clamp(1, self.p);
+        let unit = self.rank_batch.clamp(1, self.p);
+        let tasks = threads.min(self.p.div_ceil(unit));
         let host_t0 = std::time::Instant::now();
         self.ops_buf.clear();
         self.ops_buf.resize(self.p, 0.0);
@@ -352,31 +358,41 @@ impl Machine {
             for (r, o) in pairs {
                 self.ops_buf[r] = o;
             }
-        } else if batch >= self.p || threads == 1 {
-            // Whole superstep in one batch (or a one-thread pool): run
-            // inline on the calling thread, no dispatch at all.
+        } else if tasks == 1 {
+            // A single unit or a one-thread pool: inline, no dispatch.
             for (r, s) in states.iter_mut().enumerate() {
                 self.ops_buf[r] = f(r, s);
             }
         } else {
-            // Fork-join over contiguous rank batches: each task owns a
-            // disjoint slice of states and of the ops buffer, so there is
+            // Fork-join: unit `u` goes to task `u % tasks`. Each task owns
+            // disjoint slices of states and of the ops buffer, so there is
             // no sharing to synchronise and nothing host-order-dependent
             // to merge — slot `r` is rank `r`'s result wherever it ran.
+            let per_task = self.p.div_ceil(unit).div_ceil(tasks);
+            let mut dealt: Vec<Hand<S>> =
+                (0..tasks).map(|_| Vec::with_capacity(per_task)).collect();
+            for (u, (ss, os)) in states
+                .chunks_mut(unit)
+                .zip(self.ops_buf.chunks_mut(unit))
+                .enumerate()
+            {
+                dealt[u % tasks].push((u * unit, ss, os));
+            }
             let f = &f;
-            rayon::scope(|s| {
-                for (c, (ss, os)) in states
-                    .chunks_mut(batch)
-                    .zip(self.ops_buf.chunks_mut(batch))
-                    .enumerate()
-                {
-                    let base = c * batch;
-                    s.spawn(move |_| {
-                        for (i, (st, o)) in ss.iter_mut().zip(os.iter_mut()).enumerate() {
-                            *o = f(base + i, st);
-                        }
-                    });
+            let run = move |hand: Hand<S>| {
+                for (base, ss, os) in hand {
+                    for (i, (st, o)) in ss.iter_mut().zip(os).enumerate() {
+                        *o = f(base + i, st);
+                    }
                 }
+            };
+            let mut dealt = dealt.into_iter();
+            let own = dealt.next().expect("at least two tasks");
+            rayon::scope(|s| {
+                for hand in dealt {
+                    s.spawn(move |_| run(hand));
+                }
+                run(own);
             });
         }
         let wall_seconds = host_t0.elapsed().as_secs_f64();
@@ -401,7 +417,7 @@ impl Machine {
                 phase,
                 ranks: self.p,
                 active,
-                batch,
+                batch: unit,
                 threads,
                 wall_seconds,
             });
@@ -770,28 +786,88 @@ mod tests {
         assert_eq!(states, vec![0, 1, 2, 3]);
     }
 
-    /// Batch size is a pure host knob: every choice must leave states and
-    /// per-rank clock charges bit-identical.
+    fn pool(threads: usize) -> rayon::ThreadPool {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .expect("pool")
+    }
+
+    /// Unit size is a pure host knob: every choice, on every pool width,
+    /// must leave states and per-rank clock charges bit-identical — also
+    /// when the units do not divide `p` (a short last unit) or the tasks
+    /// do not divide the units (unequal hands).
     #[test]
     fn rank_batch_is_invisible_to_results_and_clocks() {
-        let run = |batch: usize| {
-            let mut m = Machine::new(7, CostModel::qdr_infiniband());
-            m.set_rank_batch(batch);
-            let mut states = vec![0.0f64; 7];
-            m.compute(&mut states, |r, s| {
-                *s = (r as f64 + 1.0).sqrt();
-                (r * r) as f64 + 0.25
-            });
-            (states, m.elapsed().to_bits())
+        let run = |threads: usize, batch: usize| {
+            pool(threads).install(|| {
+                let mut m = Machine::new(7, CostModel::qdr_infiniband());
+                m.set_rank_batch(batch);
+                let mut states = vec![0.0f64; 7];
+                m.compute(&mut states, |r, s| {
+                    *s = (r as f64 + 1.0).sqrt();
+                    (r * r) as f64 + 0.25
+                });
+                (states, m.elapsed().to_bits())
+            })
         };
-        let baseline = run(0);
-        for batch in [1, 2, 3, 7, 100] {
-            let got = run(batch);
-            assert_eq!(got.1, baseline.1, "clock drift at batch {batch}");
-            for (a, b) in got.0.iter().zip(&baseline.0) {
-                assert_eq!(a.to_bits(), b.to_bits(), "state drift at batch {batch}");
+        let baseline = run(1, 7);
+        for threads in [1, 2, 3, 8] {
+            for batch in [0, 1, 2, 3, 4, 5, 6, 7, 100] {
+                let got = run(threads, batch);
+                let at = format!("batch {batch} on {threads} threads");
+                assert_eq!(got.1, baseline.1, "clock drift at {at}");
+                for (a, b) in got.0.iter().zip(&baseline.0) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "state drift at {at}");
+                }
             }
         }
+    }
+
+    /// Dealing units round-robin gives every pool thread a share of any
+    /// active set. Contiguous halves of the ranks would run this one — only
+    /// ranks 0..8 of 64 have work, the shape of every coarse level — on one
+    /// thread.
+    #[test]
+    fn a_prefix_of_active_ranks_runs_on_both_threads_of_the_pool() {
+        use std::collections::HashSet;
+        use std::sync::{Condvar, Mutex};
+        use std::thread::{self, ThreadId};
+        use std::time::Duration;
+        // Ranks 0 and 1 wait for each other, so a work-stealing pool cannot
+        // finish one hand before its second thread has picked up the other;
+        // the timeout turns a one-thread dispatch into a failure, not a hang.
+        let met = (Mutex::new(0), Condvar::new());
+        pool(2).install(|| {
+            let mut m = Machine::new(64, free());
+            let mut ran_on: Vec<Option<ThreadId>> = vec![None; 64];
+            m.compute(&mut ran_on, |r, id| {
+                *id = Some(thread::current().id());
+                if r < 2 {
+                    let mut arrived = met.0.lock().unwrap();
+                    *arrived += 1;
+                    met.1.notify_all();
+                    let _ = met
+                        .1
+                        .wait_timeout_while(arrived, Duration::from_secs(10), |n| *n < 2)
+                        .unwrap();
+                }
+                if r < 8 {
+                    1.0
+                } else {
+                    0.0
+                }
+            });
+            let active: HashSet<ThreadId> = ran_on[..8].iter().map(|id| id.unwrap()).collect();
+            assert_eq!(active.len(), 2, "active ranks ran on {active:?}");
+            assert!(
+                active.contains(&thread::current().id()),
+                "the calling thread runs a task itself"
+            );
+            let all: HashSet<ThreadId> = ran_on.iter().map(|id| id.unwrap()).collect();
+            assert_eq!(all, active, "one spawned task, not one per unit");
+            assert_eq!(m.elapsed(), 1.0);
+        });
     }
 
     /// The superstep hook observes host facts (batching, active set) and

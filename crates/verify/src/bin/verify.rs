@@ -241,11 +241,7 @@ fn main() -> ExitCode {
     }
 
     if !cli.skip_parallel {
-        let pcfg = ParallelFuzzConfig {
-            ranks: cli.ranks,
-            batches: vec![1, 4, cli.ranks],
-            ..ParallelFuzzConfig::default()
-        };
+        let pcfg = ParallelFuzzConfig::with_ranks(cli.ranks);
         let report = run_parallel_campaign(&g, &pcfg);
         if report.ok() {
             println!(

@@ -1,8 +1,8 @@
-//! Parallel-vs-serial determinism fuzz: the simulated machine may pack
-//! rank closures into host-task batches of any size and run them on any
-//! number of host threads, and none of it may be observable in the
-//! simulation. This module runs the **full pipeline** (coarsen → embed →
-//! partition → refine) once serially — every superstep inline on the
+//! Parallel-vs-serial determinism fuzz: the simulated machine may cut its
+//! ranks into units of any size, deal them over any number of host
+//! threads, and none of it may be observable in the simulation. This
+//! module runs the **full pipeline** (coarsen → embed → partition →
+//! refine) once serially — every superstep inline on the
 //! calling thread — and then across a matrix of rank-batch sizes and
 //! pool widths, demanding the complete fingerprint (partition labels,
 //! coordinate bits, cut statistics, simulated-time bits) be identical on
@@ -19,6 +19,8 @@
 use scalapart::{scalapart_bisect, SpConfig};
 use sp_graph::Graph;
 use sp_machine::{CostModel, Machine};
+use std::collections::BTreeSet;
+use std::sync::{Arc, Mutex};
 
 use crate::fuzz::fingerprint_result;
 
@@ -29,23 +31,30 @@ pub struct ParallelFuzzConfig {
     pub ranks: usize,
     /// Pipeline configuration shared by every run.
     pub sp: SpConfig,
-    /// Rank-batch sizes to sweep (`ranks` itself degenerates to the
-    /// serial inline path; 1 is maximal fan-out).
+    /// Rank-batch sizes to sweep: 0 is auto (units of one rank), what
+    /// production runs; a size that does not divide `ranks` leaves a short
+    /// last unit; `ranks` itself is the serial inline path.
     pub batches: Vec<usize>,
     /// Host pool widths to sweep (installed per run, the in-process
     /// equivalent of `RAYON_NUM_THREADS`).
     pub threads: Vec<usize>,
 }
 
-impl Default for ParallelFuzzConfig {
-    fn default() -> Self {
-        let ranks = 16;
+impl ParallelFuzzConfig {
+    /// The default sweep on a machine of `ranks` ranks.
+    pub fn with_ranks(ranks: usize) -> Self {
         ParallelFuzzConfig {
             ranks,
             sp: SpConfig::default(),
-            batches: vec![1, 4, ranks],
+            batches: vec![0, 3, 4, ranks],
             threads: vec![1, 4, 8],
         }
+    }
+}
+
+impl Default for ParallelFuzzConfig {
+    fn default() -> Self {
+        Self::with_ranks(16)
     }
 }
 
@@ -76,6 +85,9 @@ pub struct ParallelReport {
     pub baseline_elapsed: f64,
     /// Total pipeline runs performed (baseline + matrix).
     pub runs: usize,
+    /// Every distinct `(ranks per unit, pool threads)` a superstep of the
+    /// matrix runs reported — what the machine did, not what was asked for.
+    pub shapes: BTreeSet<(usize, usize)>,
     pub failures: Vec<ParallelFailure>,
 }
 
@@ -85,13 +97,26 @@ impl ParallelReport {
     }
 }
 
+/// The distinct `(ranks per unit, pool threads)` the supersteps of a run
+/// reported.
+type Shapes = BTreeSet<(usize, usize)>;
+
 /// Run the pipeline once with the given rank batch, returning the full
-/// fingerprint and simulated elapsed time.
-fn run_pipeline(g: &Graph, cfg: &ParallelFuzzConfig, batch: usize) -> (u64, f64) {
+/// fingerprint, the simulated elapsed time and the host shapes its
+/// supersteps ran in.
+fn run_pipeline(g: &Graph, cfg: &ParallelFuzzConfig, batch: usize) -> (u64, f64, Shapes) {
     let mut machine = Machine::new(cfg.ranks, CostModel::qdr_infiniband());
     machine.set_rank_batch(batch);
+    let shapes = Arc::new(Mutex::new(Shapes::new()));
+    let seen = shapes.clone();
+    machine.set_superstep_hook(Box::new(move |info| {
+        seen.lock()
+            .expect("no holder of the shapes lock panics")
+            .insert((info.batch, info.threads));
+    }));
     let r = scalapart_bisect(g, &mut machine, &cfg.sp);
-    (fingerprint_result(g, &r, true), machine.elapsed())
+    let shapes = std::mem::take(&mut *shapes.lock().expect("the run is over"));
+    (fingerprint_result(g, &r, true), machine.elapsed(), shapes)
 }
 
 /// Serial baseline plus the full `batches × threads` matrix. Every run
@@ -103,8 +128,9 @@ pub fn run_parallel_campaign(g: &Graph, cfg: &ParallelFuzzConfig) -> ParallelRep
         .num_threads(1)
         .build()
         .expect("pool");
-    let (baseline_fp, baseline_elapsed) = pool.install(|| run_pipeline(g, cfg, cfg.ranks));
+    let (baseline_fp, baseline_elapsed, _) = pool.install(|| run_pipeline(g, cfg, cfg.ranks));
 
+    let mut shapes = Shapes::new();
     let mut runs = 1;
     let mut failures = Vec::new();
     for &threads in &cfg.threads {
@@ -113,7 +139,8 @@ pub fn run_parallel_campaign(g: &Graph, cfg: &ParallelFuzzConfig) -> ParallelRep
             .build()
             .expect("pool");
         for &batch in &cfg.batches {
-            let (fp, elapsed) = pool.install(|| run_pipeline(g, cfg, batch));
+            let (fp, elapsed, seen) = pool.install(|| run_pipeline(g, cfg, batch));
+            shapes.extend(seen);
             runs += 1;
             if fp != baseline_fp {
                 failures.push(ParallelFailure {
@@ -133,6 +160,7 @@ pub fn run_parallel_campaign(g: &Graph, cfg: &ParallelFuzzConfig) -> ParallelRep
         baseline_fingerprint: baseline_fp,
         baseline_elapsed,
         runs,
+        shapes,
         failures,
     }
 }
@@ -164,34 +192,46 @@ mod tests {
 
     #[test]
     fn campaign_actually_exercises_distinct_batch_shapes() {
-        // Guard against the sweep silently collapsing to one shape: with 8
-        // ranks, batch 1 fans out to 8 tasks, batch 4 to 2, batch 8 runs
-        // inline. All must agree with each other, not just exist.
+        // Guard against the sweep silently collapsing to one shape — a
+        // batch the pipeline never forwards, a pool that is never
+        // installed. With 8 ranks: auto on 2 threads deals 8 one-rank
+        // units 4 + 4; batch 1 on 8 threads is one rank a task; batch 3 on
+        // 2 threads deals units 0..3, 3..6, 6..8 as 2 + 1; batch 8 is one
+        // unit, run inline. The machine must report each shape as asked
+        // for, and all must agree with each other, not just exist.
         let g = grid_2d(16, 16);
-        let a = run_parallel_campaign(
-            &g,
-            &ParallelFuzzConfig {
-                ranks: 8,
-                batches: vec![1],
-                threads: vec![8],
-                ..ParallelFuzzConfig::default()
-            },
-        );
-        let b = run_parallel_campaign(
-            &g,
-            &ParallelFuzzConfig {
-                ranks: 8,
-                batches: vec![3],
-                threads: vec![2],
-                ..ParallelFuzzConfig::default()
-            },
-        );
-        assert!(a.ok() && b.ok());
-        assert_eq!(a.baseline_fingerprint, b.baseline_fingerprint);
-        assert_eq!(
-            a.baseline_elapsed.to_bits(),
-            b.baseline_elapsed.to_bits(),
-            "simulated time must not depend on host execution shape"
-        );
+        let campaign = |batch: usize, threads: usize| {
+            run_parallel_campaign(
+                &g,
+                &ParallelFuzzConfig {
+                    ranks: 8,
+                    batches: vec![batch],
+                    threads: vec![threads],
+                    ..ParallelFuzzConfig::default()
+                },
+            )
+        };
+        let auto = campaign(0, 2);
+        for (batch, threads, unit) in [(1, 8, 1), (3, 2, 3), (8, 2, 8)] {
+            let other = campaign(batch, threads);
+            assert!(auto.ok() && other.ok());
+            assert_eq!(other.shapes, BTreeSet::from([(unit, threads)]));
+            assert_eq!(auto.baseline_fingerprint, other.baseline_fingerprint);
+            assert_eq!(
+                auto.baseline_elapsed.to_bits(),
+                other.baseline_elapsed.to_bits(),
+                "simulated time must not depend on host execution shape"
+            );
+        }
+        assert_eq!(auto.shapes, BTreeSet::from([(1, 2)]));
+    }
+
+    #[test]
+    fn default_sweep_includes_the_auto_batch_production_runs() {
+        for ranks in [8, 16] {
+            let cfg = ParallelFuzzConfig::with_ranks(ranks);
+            assert!(cfg.batches.contains(&0) && cfg.batches.contains(&ranks));
+            assert!(cfg.batches.iter().any(|&b| b > 0 && ranks % b != 0));
+        }
     }
 }

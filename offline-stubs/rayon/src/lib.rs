@@ -82,6 +82,18 @@ pub mod iter {
         }
     }
 
+    /// `vec.par_extend(par_iter)`: appends in order, like the real
+    /// crate's `ParallelExtend for Vec` over an indexed iterator.
+    pub trait ParallelExtend<T> {
+        fn par_extend<I: IntoParallelIterator<Item = T>>(&mut self, par_iter: I);
+    }
+
+    impl<T> ParallelExtend<T> for Vec<T> {
+        fn par_extend<I: IntoParallelIterator<Item = T>>(&mut self, par_iter: I) {
+            self.extend(par_iter.into_par_iter());
+        }
+    }
+
     pub trait IntoParallelRefMutIterator<'a> {
         type Item: 'a;
         type Iter: Iterator<Item = Self::Item>;
@@ -129,7 +141,7 @@ pub mod iter {
 
 pub mod prelude {
     pub use crate::iter::{
-        IntoParallelIterator, IntoParallelRefIterator, IntoParallelRefMutIterator,
+        IntoParallelIterator, IntoParallelRefIterator, IntoParallelRefMutIterator, ParallelExtend,
     };
 }
 
