@@ -1,5 +1,6 @@
 //! Component wall-clock benches: coarsening, embedding, geometric
-//! partitioning, refinement, and the quadtree substrate.
+//! partitioning, subgraph extraction, refinement, and the quadtree
+//! substrate.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -7,7 +8,8 @@ use rand::SeedableRng;
 use sp_coarsen::{contract, heavy_edge_matching, CoarsenConfig, Hierarchy};
 use sp_embed::{force_layout, lattice_smooth, random_init, ForceParams, LatticeConfig};
 use sp_geometry::QuadTree;
-use sp_geopart::{geometric_partition, GeoConfig};
+use sp_geopart::{geometric_partition, parallel_geometric_partition, GeoConfig};
+use sp_graph::distr::Distribution;
 use sp_graph::gen::{delaunay_graph, grid_2d};
 use sp_graph::Bisection;
 use sp_machine::{CostModel, Machine};
@@ -84,6 +86,31 @@ fn bench_geopart(c: &mut Criterion) {
                 geometric_partition(g, &coords, &GeoConfig::g30(), &mut rng).cut
             })
         });
+        // What one bisection of the k-way recursion runs: 64 ranks at the
+        // root, the five tries of G7-NL.
+        let dist = Distribution::block(g.n(), 64);
+        group.bench_with_input(BenchmarkId::new("parallel_g7nl", n), &g, |b, g| {
+            b.iter(|| {
+                let mut m = Machine::new(64, CostModel::qdr_infiniband());
+                parallel_geometric_partition(g, &coords, &dist, &mut m, &GeoConfig::g7_nl(), 4).cut
+            })
+        });
+    }
+    group.finish();
+}
+
+fn bench_graph(c: &mut Criterion) {
+    let mut group = c.benchmark_group("graph");
+    for side in [128usize, 512] {
+        let g = grid_2d(side, side);
+        // The lower half of the rows: a child of the k-way recursion, its
+        // vertices listed in ascending order.
+        let half: Vec<u32> = (0..g.n() as u32 / 2).collect();
+        group.bench_with_input(
+            BenchmarkId::new("induced_subgraph_half", g.n()),
+            &g,
+            |b, g| b.iter(|| g.induced_subgraph(&half).0.m()),
+        );
     }
     group.finish();
 }
@@ -136,6 +163,7 @@ criterion_group!(
     bench_coarsen,
     bench_embed,
     bench_geopart,
+    bench_graph,
     bench_refine,
     bench_quadtree
 );

@@ -236,20 +236,80 @@ fn recursive_kway_impl(
     assert!(k >= 1);
     let mut part = vec![0u32; g.n()];
     if k > 1 && g.n() >= 2 {
-        let verts: Vec<u32> = (0..g.n() as u32).collect();
-        split(
-            method, g, coords, &verts, 0, k, p, seed, &mut part, machine, obs,
-        )?;
+        // The root is bisected where it lies: nothing to cut out of.
+        if obs.poll_cancel() {
+            return Err(Cancelled);
+        }
+        let root = Node {
+            g,
+            coords,
+            ids: None,
+        };
+        bisect(method, &root, 0, k, p, seed, &mut part, machine, obs)?;
     }
     Ok(KWayPartition { part, k })
 }
 
+/// One graph of the recursion: what a bisection runs on, and what its
+/// children are cut out of.
+struct Node<'a> {
+    g: &'a Graph,
+    coords: Option<&'a [Point2]>,
+    /// The input graph's id of every vertex of `g`; `None` at the root,
+    /// which is the input graph.
+    ids: Option<&'a [u32]>,
+}
+
+/// Cut the child on `verts` (ids in `parent.g`, ascending) out of its
+/// parent and partition it into parts `first_part .. first_part + k`.
+///
+/// The polls are a sequence callers count: one here, before the
+/// extraction, then the three of [`run_method_checked`].
 #[allow(clippy::too_many_arguments)]
 fn split(
     method: Method,
-    g: &Graph,
-    coords: Option<&[Point2]>,
-    verts: &[u32],
+    parent: &Node,
+    verts: Vec<u32>,
+    first_part: u32,
+    k: usize,
+    p: usize,
+    seed: u64,
+    out: &mut [u32],
+    obs: &mut dyn PipelineObserver,
+) -> Result<(), Cancelled> {
+    if k <= 1 || verts.len() < 2 {
+        for &v in &verts {
+            out[parent.ids.map_or(v, |ids| ids[v as usize]) as usize] = first_part;
+        }
+        return Ok(());
+    }
+    if obs.poll_cancel() {
+        return Err(Cancelled);
+    }
+    let (sub, mut ids) = parent.g.induced_subgraph(&verts);
+    let coords: Option<Vec<Point2>> = parent
+        .coords
+        .map(|c| verts.iter().map(|&v| c[v as usize]).collect());
+    drop(verts);
+    if let Some(parent_ids) = parent.ids {
+        for v in &mut ids {
+            *v = parent_ids[*v as usize];
+        }
+    }
+    let node = Node {
+        g: &sub,
+        coords: coords.as_deref(),
+        ids: Some(&ids),
+    };
+    bisect(method, &node, first_part, k, p, seed, out, None, obs)
+}
+
+/// Bisect `node.g` (`k ≥ 2` parts to make, at least two vertices) and
+/// [`split`] each side further.
+#[allow(clippy::too_many_arguments)]
+fn bisect(
+    method: Method,
+    node: &Node,
     first_part: u32,
     k: usize,
     p: usize,
@@ -258,71 +318,50 @@ fn split(
     machine: Option<&mut Machine>,
     obs: &mut dyn PipelineObserver,
 ) -> Result<(), Cancelled> {
-    if k <= 1 || verts.len() < 2 {
-        for &v in verts {
-            out[v as usize] = first_part;
-        }
-        return Ok(());
-    }
-    if obs.poll_cancel() {
-        return Err(Cancelled);
-    }
     // Split k into proportional halves (handles non-powers of two).
     let k0 = k / 2;
     let k1 = k - k0;
-    let (sub, map) = g.induced_subgraph(verts);
-    let sub_coords: Option<Vec<Point2>> =
-        coords.map(|c| map.iter().map(|&v| c[v as usize]).collect());
-    let r = match machine {
-        Some(m) => run_method_checked(
-            method,
-            &sub,
-            sub_coords.as_deref(),
-            m,
-            seed ^ first_part as u64,
-            obs,
-        )?,
-        None => {
-            let mut m = Machine::new(p.max(1), CostModel::qdr_infiniband());
-            run_method_checked(
-                method,
-                &sub,
-                sub_coords.as_deref(),
-                &mut m,
-                seed ^ first_part as u64,
-                obs,
-            )?
-        }
+    let bisection = {
+        let mut fresh;
+        let machine = match machine {
+            Some(m) => m,
+            None => {
+                fresh = Machine::new(p.max(1), CostModel::qdr_infiniband());
+                &mut fresh
+            }
+        };
+        let seed = seed ^ first_part as u64;
+        run_method_checked(method, node.g, node.coords, machine, seed, obs)?.bisection
     };
     // Assign the lighter side to the smaller k when k is odd so part
     // weights track k0 : k1.
-    let (w0, w1) = r.bisection.weights(&sub);
+    let (w0, w1) = bisection.weights(node.g);
     let zero_gets_k0 = (w0 <= w1) == (k0 <= k1);
-    let mut side0 = Vec::new();
-    let mut side1 = Vec::new();
-    for (i, &v) in map.iter().enumerate() {
-        if (r.bisection.side(i as u32) == 0) == zero_gets_k0 {
-            side0.push(v);
-        } else {
-            side1.push(v);
-        }
+    // Both side lists in one pass, at their final size. A vertex picks its
+    // list by index, not by branch: in id order the sides alternate at
+    // random, and the mispredictions cost twice what the pass does.
+    let (n0, n1) = bisection.counts();
+    let (len0, len1) = if zero_gets_k0 { (n0, n1) } else { (n1, n0) };
+    let mut sides = [Vec::with_capacity(len0), Vec::with_capacity(len1)];
+    for (v, &s) in bisection.sides().iter().enumerate() {
+        sides[usize::from((s == 0) != zero_gets_k0)].push(v as u32);
     }
+    let [side0, side1] = sides;
+    // The recursion below holds only what it still needs: this node and
+    // the side not yet cut out of it.
+    drop(bisection);
     let p0 = ((p * k0) / k).max(1);
     let p1 = (p - p0).max(1);
-    split(
-        method, g, coords, &side0, first_part, k0, p0, seed, out, None, obs,
-    )?;
+    split(method, node, side0, first_part, k0, p0, seed, out, obs)?;
     split(
         method,
-        g,
-        coords,
-        &side1,
+        node,
+        side1,
         first_part + k0 as u32,
         k1,
         p1,
         seed,
         out,
-        None,
         obs,
     )
 }
@@ -472,6 +511,172 @@ mod tests {
         .unwrap();
         let plain = recursive_kway(Method::ScalaPart, &g, Some(&coords), 4, 4, 1);
         assert_eq!(kp.part, plain.part);
+    }
+
+    /// The recursion this one replaced: every child, the root included, cut
+    /// out of the input graph by its input-graph ids.
+    #[allow(clippy::too_many_arguments)]
+    fn split_from_root(
+        method: Method,
+        g: &Graph,
+        coords: Option<&[Point2]>,
+        verts: &[u32],
+        first_part: u32,
+        k: usize,
+        p: usize,
+        seed: u64,
+        out: &mut [u32],
+    ) {
+        if k <= 1 || verts.len() < 2 {
+            for &v in verts {
+                out[v as usize] = first_part;
+            }
+            return;
+        }
+        let (k0, k1) = (k / 2, k - k / 2);
+        let (sub, map) = g.induced_subgraph(verts);
+        let sub_coords: Option<Vec<Point2>> =
+            coords.map(|c| map.iter().map(|&v| c[v as usize]).collect());
+        let mut m = Machine::new(p.max(1), CostModel::qdr_infiniband());
+        let r = crate::methods::run_method_on(
+            method,
+            &sub,
+            sub_coords.as_deref(),
+            &mut m,
+            seed ^ first_part as u64,
+        );
+        let (w0, w1) = r.bisection.weights(&sub);
+        let zero_gets_k0 = (w0 <= w1) == (k0 <= k1);
+        let mut side0 = Vec::new();
+        let mut side1 = Vec::new();
+        for (i, &v) in map.iter().enumerate() {
+            if (r.bisection.side(i as u32) == 0) == zero_gets_k0 {
+                side0.push(v);
+            } else {
+                side1.push(v);
+            }
+        }
+        let p0 = ((p * k0) / k).max(1);
+        let p1 = (p - p0).max(1);
+        split_from_root(method, g, coords, &side0, first_part, k0, p0, seed, out);
+        let first1 = first_part + k0 as u32;
+        split_from_root(method, g, coords, &side1, first1, k1, p1, seed, out);
+    }
+
+    fn kway_from_root(
+        method: Method,
+        g: &Graph,
+        coords: Option<&[Point2]>,
+        k: usize,
+        p: usize,
+        seed: u64,
+    ) -> Vec<u32> {
+        let mut part = vec![0u32; g.n()];
+        let verts: Vec<u32> = (0..g.n() as u32).collect();
+        split_from_root(method, g, coords, &verts, 0, k, p, seed, &mut part);
+        part
+    }
+
+    fn label_fingerprint(part: &[u32]) -> u64 {
+        let mut fp = sp_machine::trace::fnv::Fingerprint::new();
+        for &l in part {
+            fp.u64(l as u64);
+        }
+        fp.finish()
+    }
+
+    #[test]
+    fn children_cut_from_their_parent_get_the_labels_of_children_cut_from_the_root() {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let grid = (grid_2d(24, 20), grid_2d_coords(24, 20));
+        let mesh = sp_graph::gen::delaunay_graph(500, &mut StdRng::seed_from_u64(0xDE1));
+        for (g, coords) in [&grid, &mesh] {
+            for method in [Method::Rcb, Method::SpPg7Nl, Method::ParMetisLike] {
+                for k in [2usize, 3, 5, 8, 64] {
+                    let kp = recursive_kway(method, g, Some(coords), k, 16, 7);
+                    kp.validate(g).unwrap();
+                    assert_eq!(
+                        kp.part,
+                        kway_from_root(method, g, Some(coords), k, 16, 7),
+                        "{} k={k} n={}",
+                        method.name(),
+                        g.n()
+                    );
+                }
+            }
+        }
+        let kp = recursive_kway(Method::ScalaPart, &grid.0, None, 4, 16, 3);
+        assert_eq!(
+            kp.part,
+            kway_from_root(Method::ScalaPart, &grid.0, None, 4, 16, 3)
+        );
+    }
+
+    #[test]
+    fn labels_are_those_of_the_commit_that_cut_every_child_from_the_root() {
+        // FNV-1a over the labels, recorded at the last commit whose `split`
+        // extracted from the input graph (PR 16). RCB on grid coordinates
+        // draws no random number, so the values hold under any `rand`.
+        let g = grid_2d(24, 20);
+        let coords = grid_2d_coords(24, 20);
+        for (k, want) in [
+            (3usize, 0x62b6_0000_cab1_fea5u64),
+            (8, 0x3f97_66fe_19ad_9225),
+            (64, 0x5983_6aac_8abb_0525),
+        ] {
+            let kp = recursive_kway(Method::Rcb, &g, Some(&coords), k, 16, 7);
+            assert_eq!(label_fingerprint(&kp.part), want, "k={k}");
+        }
+    }
+
+    /// Counts the polls and cancels at the `cancel_at`th (0-based).
+    struct PollCounter {
+        polls: usize,
+        cancel_at: usize,
+    }
+    impl crate::observe::PipelineObserver for PollCounter {
+        fn poll_cancel(&mut self) -> bool {
+            self.polls += 1;
+            self.polls > self.cancel_at
+        }
+    }
+
+    #[test]
+    fn every_bisection_polls_four_times_and_its_first_poll_precedes_the_extraction() {
+        let g = grid_2d(24, 24);
+        let coords = grid_2d_coords(24, 24);
+        let k = 8;
+        let run = |cancel_at: usize| {
+            let mut m = Machine::new(8, CostModel::qdr_infiniband());
+            let mut obs = PollCounter {
+                polls: 0,
+                cancel_at,
+            };
+            let r = recursive_kway_checked_on(
+                Method::SpPg7Nl,
+                &g,
+                Some(&coords),
+                k,
+                1,
+                &mut m,
+                &mut obs,
+            );
+            (r.map(|kp| kp.part), obs.polls)
+        };
+        let (done, polls) = run(usize::MAX);
+        assert_eq!(polls, 4 * (k - 1));
+        assert_eq!(
+            done.unwrap(),
+            recursive_kway(Method::SpPg7Nl, &g, Some(&coords), k, 8, 1).part
+        );
+        // Cancelling at the first poll of bisection i stops the run there:
+        // no later poll is made.
+        for i in 0..k - 1 {
+            let (r, polls) = run(4 * i);
+            assert_eq!(r, Err(Cancelled), "bisection {i}");
+            assert_eq!(polls, 4 * i + 1, "bisection {i}");
+        }
     }
 
     #[test]

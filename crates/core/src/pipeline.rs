@@ -41,7 +41,8 @@ pub struct SpResult {
     pub total_time: f64,
     /// Per-phase breakdown.
     pub times: PhaseTimes,
-    /// The embedding that was partitioned (for plotting / reuse).
+    /// The embedding the run computed (for plotting / reuse); empty from
+    /// [`sp_pg7nl_bisect`], which computes none: its caller has it.
     pub coords: Vec<Point2>,
     /// Strip size used by the refinement (0 when disabled).
     pub strip_size: usize,
@@ -231,7 +232,7 @@ pub fn sp_pg7nl_bisect(
         imbalance,
         total_time: machine.elapsed(),
         times,
-        coords: coords.to_vec(),
+        coords: Vec::new(),
         strip_size,
     }
 }

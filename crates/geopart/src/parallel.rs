@@ -21,30 +21,88 @@ use sp_graph::distr::Distribution;
 use sp_graph::{Bisection, Graph};
 use sp_machine::Machine;
 
-/// Parallel geometric partition of an embedded graph.
-///
-/// `dist` assigns vertices to ranks (cut contributions are counted at the
-/// owner of the lower endpoint). Communication and per-rank computation are
-/// charged to `machine`; the result is identical for any rank count.
-pub fn parallel_geometric_partition(
-    g: &Graph,
+/// One shifted great circle of a centred sphere.
+struct Circle {
+    normal: Point3,
+    offset: f64,
+}
+
+impl Circle {
+    /// Signed distance of the mapped point `q`; positive is side 1.
+    #[inline]
+    fn signed(&self, q: Point3) -> f64 {
+        self.normal.dot(q) - self.offset
+    }
+}
+
+/// The separators every rank generates redundantly from the shared sample:
+/// per centerpoint, the conformal map that centres it and the circles cut
+/// through the mapped sphere. Tries are numbered in generation order.
+struct Tries {
+    center: Point2,
+    scale: f64,
+    centered: Vec<(ConformalMap, Vec<Circle>)>,
+}
+
+impl Tries {
+    fn len(&self) -> usize {
+        self.centered.iter().map(|(_, c)| c.len()).sum()
+    }
+
+    /// Every try in order, with the map of its centerpoint.
+    fn iter(&self) -> impl Iterator<Item = (&ConformalMap, &Circle)> {
+        self.centered
+            .iter()
+            .flat_map(|(map, circles)| circles.iter().map(move |c| (map, c)))
+    }
+
+    #[inline]
+    fn lift(&self, c: Point2) -> Point3 {
+        lift_normalized(c, self.center, self.scale)
+    }
+
+    /// Which side of each try every vertex is on: bit `ti % 8` of
+    /// `sides[ti / 8 * n + v]` is set when `v` is on side 1 of try `ti`.
+    /// One byte a vertex holds the five tries of G7-NL. A centerpoint's
+    /// circles share the mapped point.
+    fn sides(&self, coords: &[Point2]) -> Vec<u8> {
+        let n = coords.len();
+        let mut sides = vec![0u8; self.len().div_ceil(8) * n];
+        for (v, &c) in coords.iter().enumerate() {
+            let lifted = self.lift(c);
+            let mut ti = 0;
+            for (map, circles) in &self.centered {
+                let q = map.apply(lifted);
+                for circle in circles {
+                    if circle.signed(q) > 0.0 {
+                        sides[ti / 8 * n + v] |= 1 << (ti % 8);
+                    }
+                    ti += 1;
+                }
+            }
+        }
+        sides
+    }
+}
+
+/// Normalise, sample across ranks and generate the tries, charging
+/// `machine` for the moments, the gather and the redundant generation.
+fn generate_tries(
     coords: &[Point2],
     dist: &Distribution,
     machine: &mut Machine,
     cfg: &GeoConfig,
     seed: u64,
-) -> GeoPartResult {
-    assert_eq!(coords.len(), g.n());
-    assert_eq!(dist.p, machine.p());
+) -> Tries {
     let p = machine.p();
-    let n = g.n();
+    let n = coords.len();
     let mut rng = StdRng::seed_from_u64(seed);
 
     // --- Normalisation: local moments + allreduce of 4 words.
     let (center, scale) = normalize_for_lift(coords);
     {
         let rank_sizes = dist.rank_sizes();
-        let mut states: Vec<f64> = vec![0.0; p];
+        let mut states: Vec<()> = vec![(); p];
         machine.compute(&mut states, |r, _| rank_sizes[r] as f64);
         machine.allreduce_sum_costed(4);
     }
@@ -64,30 +122,26 @@ pub fn parallel_geometric_partition(
         .collect();
 
     // --- Redundant separator generation on every rank (identical stream).
-    struct Try {
-        map: ConformalMap,
-        normal: Point3,
-        offset: f64,
-    }
     let cp_cfg = CenterpointConfig {
         sample_size: cfg.sample_size,
         iterations: 400,
     };
-    let mut tries: Vec<Try> = Vec::with_capacity(cfg.total_tries());
+    let mut centered = Vec::with_capacity(cfg.n_centerpoints);
     for _ in 0..cfg.n_centerpoints {
         let cp = centerpoint(&lifted_sample, &cp_cfg, &mut rng);
         let map = ConformalMap::centering(cp);
         let mapped_sample: Vec<Point3> = lifted_sample.iter().map(|&s| map.apply(s)).collect();
-        for _ in 0..cfg.circles_per_centerpoint {
-            let normal = random_unit_vector(&mut rng);
-            let vals: Vec<f64> = mapped_sample.iter().map(|&s| normal.dot(s)).collect();
-            let offset = median(&vals);
-            tries.push(Try {
-                map: map.clone(),
-                normal,
-                offset,
-            });
-        }
+        let circles = (0..cfg.circles_per_centerpoint)
+            .map(|_| {
+                let normal = random_unit_vector(&mut rng);
+                let vals: Vec<f64> = mapped_sample.iter().map(|&s| normal.dot(s)).collect();
+                Circle {
+                    normal,
+                    offset: median(&vals),
+                }
+            })
+            .collect();
+        centered.push((map, circles));
     }
     // (No line separators in the parallel formulation — the paper's NL.)
     {
@@ -96,86 +150,130 @@ pub fn parallel_geometric_partition(
         let mut states: Vec<()> = vec![(); p];
         machine.compute(&mut states, |_, _| cost);
     }
+    Tries {
+        center,
+        scale,
+        centered,
+    }
+}
 
-    // --- Local cut and balance contributions per try, in parallel over
-    // ranks; each rank scans its owned vertices and their edges.
+/// Local cut and balance contributions per try, in parallel over ranks:
+/// each rank scans its owned vertices and their edges to higher ids (an
+/// edge is counted at the owner of its lower endpoint). `acc[2·ti]` is try
+/// `ti`'s cut, `acc[2·ti + 1]` its side-1 population.
+///
+/// A vertex's side of every try is worked out once, on the host, into a
+/// bit mask; a rank XORs the masks of an edge's ends and counts in
+/// integers. The counts, and the ops a rank reports — one per try per
+/// owned vertex and per scanned edge — are integers far below 2^53, so
+/// their `f64` bits are those of adding `1.0` that many times.
+fn local_contributions(
+    g: &Graph,
+    coords: &[Point2],
+    dist: &Distribution,
+    machine: &mut Machine,
+    tries: &Tries,
+) -> Vec<Vec<f64>> {
+    let n = g.n();
+    let t = tries.len();
+    let sides = tries.sides(coords);
     let rank_verts = dist.rank_vertices();
-    let t = tries.len().max(1);
-    let contribs: Vec<Vec<f64>> = {
-        let tries_ref = &tries;
-        let rank_verts_ref = &rank_verts;
-        let mut states: Vec<Vec<f64>> = vec![vec![0.0; 2 * t]; p];
-        machine.compute(&mut states, |r, acc| {
-            let mut ops = 0.0;
-            for &v in &rank_verts_ref[r] {
-                let pv = lift_normalized(coords[v as usize], center, scale);
-                for (ti, tr) in tries_ref.iter().enumerate() {
-                    let sv = tr.normal.dot(tr.map.apply(pv)) - tr.offset;
-                    if sv > 0.0 {
-                        acc[2 * ti + 1] += 1.0; // side-1 population
+    let mut states: Vec<Vec<f64>> = vec![vec![0.0; 2 * t.max(1)]; machine.p()];
+    machine.compute(&mut states, |r, acc| {
+        let verts = &rank_verts[r];
+        let mut ops = 0u64;
+        for (b, block) in sides.chunks(n.max(1)).enumerate() {
+            // How many owned vertices carry each mask of this block's eight
+            // tries, and how many scanned edges each XOR of two masks.
+            let mut ones = [0u64; 256];
+            let mut cuts = [0u64; 256];
+            for &v in verts {
+                let sv = block[v as usize];
+                ones[sv as usize] += 1;
+                for &u in g.neighbors(v) {
+                    if u < v {
+                        continue; // counted at the lower endpoint's owner
                     }
-                    for &u in g.neighbors(v) {
-                        if u < v {
-                            continue; // counted at the lower endpoint's owner
-                        }
-                        let pu = lift_normalized(coords[u as usize], center, scale);
-                        let su = tr.normal.dot(tr.map.apply(pu)) - tr.offset;
-                        if (sv > 0.0) != (su > 0.0) {
-                            acc[2 * ti] += 1.0;
-                        }
-                        ops += 1.0;
-                    }
-                    ops += 1.0;
+                    cuts[(sv ^ block[u as usize]) as usize] += 1;
                 }
             }
-            ops
-        });
-        states
-    };
-    // --- Three short reductions (cut totals, balance totals, winner).
-    let totals = machine.allreduce_sum(&contribs);
+            let in_block = (t - 8 * b).min(8) as u64;
+            ops += in_block * (verts.len() as u64 + cuts.iter().sum::<u64>());
+            for (i, pair) in acc[16 * b..].chunks_mut(2).take(8).enumerate() {
+                let with_bit = |count: &[u64; 256]| -> u64 {
+                    (0..256)
+                        .filter(|mask| mask >> i & 1 == 1)
+                        .map(|mask| count[mask])
+                        .sum()
+                };
+                pair[0] = with_bit(&cuts) as f64;
+                pair[1] = with_bit(&ones) as f64;
+            }
+        }
+        ops as f64
+    });
+    states
+}
+
+/// Parallel geometric partition of an embedded graph.
+///
+/// `dist` assigns vertices to ranks (cut contributions are counted at the
+/// owner of the lower endpoint). Communication and per-rank computation are
+/// charged to `machine`; the result is identical for any rank count.
+pub fn parallel_geometric_partition(
+    g: &Graph,
+    coords: &[Point2],
+    dist: &Distribution,
+    machine: &mut Machine,
+    cfg: &GeoConfig,
+    seed: u64,
+) -> GeoPartResult {
+    assert_eq!(coords.len(), g.n());
+    assert_eq!(dist.p, machine.p());
+    let tries = generate_tries(coords, dist, machine, cfg, seed);
+    let contribs = local_contributions(g, coords, dist, machine, &tries);
+    select_separator(g, coords, machine, cfg, &tries, &contribs)
+}
+
+/// Three short reductions (cut totals, balance totals, winner), then the
+/// winning separator materialised on every vertex — or a line median when
+/// no try was eligible.
+fn select_separator(
+    g: &Graph,
+    coords: &[Point2],
+    machine: &mut Machine,
+    cfg: &GeoConfig,
+    tries: &Tries,
+    contribs: &[Vec<f64>],
+) -> GeoPartResult {
+    let n = g.n();
+    let totals = machine.allreduce_sum(contribs);
     machine.allreduce_sum_costed(1);
-    let mut keys = vec![f64::INFINITY; p];
-    let mut best_try = usize::MAX;
+    let mut keys = vec![f64::INFINITY; machine.p()];
+    let mut best_try = None;
     let mut best_cut = usize::MAX;
-    for ti in 0..t {
+    for ti in 0..totals.len() / 2 {
         let cut = totals[2 * ti] as usize;
         let side1 = totals[2 * ti + 1];
         let imb = (side1.max(n as f64 - side1)) / (n as f64 / 2.0) - 1.0;
         if side1 > 0.0 && side1 < n as f64 && imb <= cfg.balance_tol && cut < best_cut {
             best_cut = cut;
-            best_try = ti;
+            best_try = Some(ti);
         }
     }
     keys[0] = best_cut as f64;
     let _ = machine.allreduce_min_index(&keys);
 
-    // --- Materialise the winning separator (or fall back to a line
-    // median when nothing was eligible).
-    if best_try != usize::MAX {
-        let tr = &tries[best_try];
-        let signed: Vec<f64> = coords
-            .iter()
-            .map(|&c| {
-                tr.normal
-                    .dot(tr.map.apply(lift_normalized(c, center, scale)))
-                    - tr.offset
-            })
-            .collect();
-        let sep = Separator {
+    let sep = if let Some((map, winner)) = best_try.and_then(|ti| tries.iter().nth(ti)) {
+        Separator {
             kind: SeparatorKind::Circle {
-                normal: tr.normal,
-                offset: tr.offset,
+                normal: winner.normal,
+                offset: winner.offset,
             },
-            signed,
-        };
-        let bisection = Bisection::new(sep.sides());
-        let cut = bisection.cut_edges(g);
-        GeoPartResult {
-            bisection,
-            cut,
-            separator: sep,
-            try_cuts: vec![cut],
+            signed: coords
+                .iter()
+                .map(|&c| winner.signed(map.apply(tries.lift(c))))
+                .collect(),
         }
     } else {
         let vals: Vec<f64> = coords.iter().map(|c| c.x).collect();
@@ -188,21 +286,21 @@ pub fn parallel_geometric_partition(
                 *s = if i >= n / 2 { 1.0 } else { -1.0 };
             }
         }
-        let sep = Separator {
+        Separator {
             kind: SeparatorKind::Line {
                 dir: Point2::new(1.0, 0.0),
                 threshold: th,
             },
             signed,
-        };
-        let bisection = Bisection::new(sep.sides());
-        let cut = bisection.cut_edges(g);
-        GeoPartResult {
-            bisection,
-            cut,
-            separator: sep,
-            try_cuts: vec![cut],
         }
+    };
+    let bisection = Bisection::new(sep.sides());
+    let cut = bisection.cut_edges(g);
+    GeoPartResult {
+        bisection,
+        cut,
+        separator: sep,
+        try_cuts: vec![cut],
     }
 }
 
@@ -211,6 +309,111 @@ mod tests {
     use super::*;
     use sp_graph::gen::{delaunay_graph, grid_2d, grid_2d_coords};
     use sp_machine::CostModel;
+
+    /// The counting superstep this one replaced: a rank lifts and maps the
+    /// far end of every edge it scans, once per try, and counts in `f64`.
+    fn local_contributions_per_edge(
+        g: &Graph,
+        coords: &[Point2],
+        dist: &Distribution,
+        machine: &mut Machine,
+        tries: &Tries,
+    ) -> Vec<Vec<f64>> {
+        let rank_verts = dist.rank_vertices();
+        let mut states: Vec<Vec<f64>> = vec![vec![0.0; 2 * tries.len().max(1)]; machine.p()];
+        machine.compute(&mut states, |r, acc| {
+            let mut ops = 0.0;
+            for &v in &rank_verts[r] {
+                let pv = tries.lift(coords[v as usize]);
+                for (ti, (map, circle)) in tries.iter().enumerate() {
+                    let sv = circle.signed(map.apply(pv));
+                    if sv > 0.0 {
+                        acc[2 * ti + 1] += 1.0;
+                    }
+                    for &u in g.neighbors(v) {
+                        if u < v {
+                            continue;
+                        }
+                        let su = circle.signed(map.apply(tries.lift(coords[u as usize])));
+                        if (sv > 0.0) != (su > 0.0) {
+                            acc[2 * ti] += 1.0;
+                        }
+                        ops += 1.0;
+                    }
+                    ops += 1.0;
+                }
+            }
+            ops
+        });
+        states
+    }
+
+    type Counting = fn(&Graph, &[Point2], &Distribution, &mut Machine, &Tries) -> Vec<Vec<f64>>;
+
+    /// Everything a caller or an observer can tell a run by.
+    #[derive(Debug, PartialEq)]
+    struct Observed {
+        contribs: Vec<Vec<u64>>,
+        events: Vec<sp_machine::trace::Event>,
+        elapsed: u64,
+        signed: Vec<u64>,
+        sides: Vec<u8>,
+        cut: usize,
+        circle: bool,
+    }
+
+    fn observe(
+        g: &Graph,
+        coords: &[Point2],
+        p: usize,
+        cfg: &GeoConfig,
+        count: Counting,
+    ) -> Observed {
+        use sp_machine::TraceRecorder;
+        let dist = Distribution::block(g.n(), p);
+        let mut m = Machine::new(p, CostModel::qdr_infiniband());
+        m.set_recorder(Box::new(TraceRecorder::new(p)));
+        let tries = generate_tries(coords, &dist, &mut m, cfg, 11);
+        let contribs = count(g, coords, &dist, &mut m, &tries);
+        let r = select_separator(g, coords, &mut m, cfg, &tries, &contribs);
+        r.validate(g).unwrap();
+        let rec = TraceRecorder::downcast(m.take_recorder().unwrap()).unwrap();
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
+        Observed {
+            contribs: contribs.iter().map(|c| bits(c)).collect(),
+            events: rec.events().to_vec(),
+            elapsed: m.elapsed().to_bits(),
+            signed: bits(&r.separator.signed),
+            sides: r.bisection.sides().to_vec(),
+            cut: r.cut,
+            circle: matches!(r.separator.kind, SeparatorKind::Circle { .. }),
+        }
+    }
+
+    #[test]
+    fn sides_computed_once_count_what_the_per_edge_loop_counted() {
+        let grid = (grid_2d(16, 14), grid_2d_coords(16, 14));
+        let mesh = delaunay_graph(700, &mut StdRng::seed_from_u64(4));
+        let collapsed = (grid_2d(8, 8), vec![Point2::ZERO; 64]);
+        // 70 tries over two centerpoints: nine blocks of masks, the last
+        // six tries wide.
+        let many = GeoConfig {
+            n_centerpoints: 2,
+            circles_per_centerpoint: 35,
+            ..GeoConfig::g7_nl()
+        };
+        for (g, coords) in [&grid, &mesh, &collapsed] {
+            for cfg in [GeoConfig::g7_nl(), many] {
+                for p in [1usize, 4, 64] {
+                    let got = observe(g, coords, p, &cfg, local_contributions);
+                    let want = observe(g, coords, p, &cfg, local_contributions_per_edge);
+                    assert_eq!(got, want, "n={} p={p} {cfg:?}", g.n());
+                    assert_eq!(got.contribs[0].len(), 2 * cfg.total_tries());
+                    assert_eq!(got.circle, coords[0] != coords[1], "fallback");
+                }
+            }
+        }
+    }
 
     #[test]
     fn parallel_result_is_rank_count_invariant() {

@@ -139,6 +139,12 @@ impl Graph {
             return Err("ewgt length mismatch".into());
         }
         let n = self.n() as u32;
+        // Where in `u`'s row the mirror of the next edge into `u` sits when
+        // rows ascend, as every assembler emits them: the edges into `u`
+        // arrive in ascending `v`, which is the order of `u`'s own row, so
+        // the cursor only moves forward. Any other row order misses at the
+        // cursor and scans the row instead.
+        let mut cursor: Vec<usize> = self.xadj[..self.n()].to_vec();
         for v in 0..n {
             for (u, w) in self.neighbors_w(v) {
                 if u >= n {
@@ -151,10 +157,11 @@ impl Graph {
                     return Err(format!("bad edge weight {w} on ({v},{u})"));
                 }
                 // Symmetric counterpart with equal weight.
-                let found = self
-                    .neighbors_w(u)
-                    .any(|(x, wx)| x == v && (wx - w).abs() <= 1e-9 * w.max(1.0));
-                if !found {
+                let mirrors = |x: u32, wx: f64| x == v && (wx - w).abs() <= 1e-9 * w.max(1.0);
+                let c = cursor[u as usize];
+                if c < self.xadj[u as usize + 1] && mirrors(self.adjncy[c], self.ewgt[c]) {
+                    cursor[u as usize] = c + 1;
+                } else if !self.neighbors_w(u).any(|(x, wx)| mirrors(x, wx)) {
                     return Err(format!("edge ({v},{u}) missing symmetric counterpart"));
                 }
             }
@@ -170,24 +177,55 @@ impl Graph {
     /// Extract the subgraph induced by `verts` (which must be duplicate-free).
     /// Returns the subgraph plus the map from sub-vertex index to original id.
     ///
-    /// Assembled via the builder-free two-pass path: per-row degree count,
-    /// prefix sum, direct fill — no transient edge-tuple buffer.
+    /// One sequential count pass, a prefix sum, and one fill pass straight
+    /// into the final arrays. Rows come out ascending in the new ids: a row
+    /// is sorted only where the relabelling was not monotone on it, which
+    /// never happens when `verts` ascends and the rows of `self` do.
     pub fn induced_subgraph(&self, verts: &[u32]) -> (Graph, Vec<u32>) {
         let mut inv = vec![u32::MAX; self.n()];
         for (i, &v) in verts.iter().enumerate() {
             debug_assert_eq!(inv[v as usize], u32::MAX, "duplicate vertex {v}");
             inv[v as usize] = i as u32;
         }
-        let vwgt: Vec<f64> = verts.iter().map(|&v| self.vwgt(v)).collect();
-        let g = crate::build::csr_from_rows(verts.len(), vwgt, |i, row| {
-            for (u, w) in self.neighbors_w(verts[i as usize]) {
+        let mut xadj = Vec::with_capacity(verts.len() + 1);
+        let mut total = 0usize;
+        xadj.push(0);
+        for &v in verts {
+            total += self
+                .neighbors(v)
+                .iter()
+                .filter(|&&u| inv[u as usize] != u32::MAX)
+                .count();
+            xadj.push(total);
+        }
+        let mut adjncy: Vec<u32> = Vec::with_capacity(total);
+        let mut ewgt: Vec<f64> = Vec::with_capacity(total);
+        for &v in verts {
+            let start = adjncy.len();
+            let mut ascending = true;
+            for (u, w) in self.neighbors_w(v) {
                 let j = inv[u as usize];
                 if j != u32::MAX {
-                    row.push((j, w));
+                    ascending &= adjncy.len() == start || adjncy[adjncy.len() - 1] < j;
+                    adjncy.push(j);
+                    ewgt.push(w);
                 }
             }
-        });
-        (g, verts.to_vec())
+            if !ascending {
+                let mut row: Vec<(u32, f64)> = adjncy[start..]
+                    .iter()
+                    .copied()
+                    .zip(ewgt[start..].iter().copied())
+                    .collect();
+                row.sort_unstable_by_key(|e| e.0);
+                for (k, (j, w)) in row.into_iter().enumerate() {
+                    adjncy[start + k] = j;
+                    ewgt[start + k] = w;
+                }
+            }
+        }
+        let vwgt = verts.iter().map(|&v| self.vwgt(v)).collect();
+        (Graph::from_csr(xadj, adjncy, ewgt, vwgt), verts.to_vec())
     }
 }
 
@@ -376,6 +414,108 @@ mod tests {
         assert_eq!(s.m(), 1); // only 0-1 survives
         assert_eq!(map, vec![0, 1, 3]);
         s.validate().unwrap();
+    }
+
+    /// The extraction this one replaced: every row through the closure of
+    /// `csr_from_rows`, which sorts each of them.
+    fn induced_subgraph_by_rows(g: &Graph, verts: &[u32]) -> (Graph, Vec<u32>) {
+        let mut inv = vec![u32::MAX; g.n()];
+        for (i, &v) in verts.iter().enumerate() {
+            inv[v as usize] = i as u32;
+        }
+        let vwgt: Vec<f64> = verts.iter().map(|&v| g.vwgt(v)).collect();
+        let sub = crate::build::csr_from_rows(verts.len(), vwgt, |i, row| {
+            for (u, w) in g.neighbors_w(verts[i as usize]) {
+                let j = inv[u as usize];
+                if j != u32::MAX {
+                    row.push((j, w));
+                }
+            }
+        });
+        (sub, verts.to_vec())
+    }
+
+    #[test]
+    fn induced_subgraph_matches_the_row_closure_path_byte_for_byte() {
+        use crate::compact::CompactGraph;
+        use rand::rngs::StdRng;
+        use rand::seq::SliceRandom;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x5B6);
+        for n in [1usize, 2, 40, 300] {
+            let mut b = GraphBuilder::new(n);
+            for _ in 0..4 * n {
+                let (u, v) = (rng.random_range(0..n), rng.random_range(0..n));
+                b.add_edge(u as u32, v as u32, rng.random_range(1..9) as f64 / 4.0);
+            }
+            for v in 0..n {
+                b.set_vwgt(v as u32, rng.random_range(1..5) as f64);
+            }
+            let g = b.build();
+            let compact = CompactGraph::from_graph(&g);
+            let all: Vec<u32> = (0..n as u32).collect();
+            let some: Vec<u32> = all
+                .iter()
+                .copied()
+                .filter(|_| rng.random_range(0..3) > 0)
+                .collect();
+            let mut lists = vec![Vec::new(), all.clone(), some.clone()];
+            lists.push(some.iter().rev().copied().collect());
+            for base in [&all, &some] {
+                let mut shuffled = base.clone();
+                shuffled.shuffle(&mut rng);
+                lists.push(shuffled);
+            }
+            for verts in &lists {
+                let (sub, map) = g.induced_subgraph(verts);
+                let (want, want_map) = induced_subgraph_by_rows(&g, verts);
+                assert_eq!(sub.xadj(), want.xadj());
+                assert_eq!(sub.adjncy(), want.adjncy());
+                assert_eq!(sub.ewgts(), want.ewgts());
+                assert_eq!(sub.vwgts(), want.vwgts());
+                assert_eq!(map, want_map);
+                sub.validate().unwrap();
+                let (csub, cmap) = compact.induced_subgraph(verts);
+                let csub = csub.to_graph();
+                assert_eq!(csub.xadj(), sub.xadj());
+                assert_eq!(csub.adjncy(), sub.adjncy());
+                assert_eq!(csub.ewgts(), sub.ewgts());
+                assert_eq!(csub.vwgts(), sub.vwgts());
+                assert_eq!(cmap, map);
+            }
+        }
+    }
+
+    #[test]
+    fn validate_takes_rows_in_any_order_and_still_checks_the_mirror() {
+        // Triangle 0-1-2 with descending rows: every mirror lookup misses
+        // at the cursor and falls back to the scan.
+        let xadj = vec![0, 2, 4, 6];
+        let adjncy = vec![2, 1, 2, 0, 1, 0];
+        let unsorted = Graph::from_csr(xadj.clone(), adjncy.clone(), vec![1.0; 6], vec![1.0; 3]);
+        unsorted.validate().unwrap();
+        // The weight of 0→2 differs from that of 2→0.
+        let mut ewgt = vec![1.0; 6];
+        ewgt[0] = 2.0;
+        let skewed = Graph::from_csr(xadj, adjncy, ewgt, vec![1.0; 3]);
+        assert!(skewed.validate().is_err());
+        // Ascending rows, one weight asymmetric: the cursor finds the
+        // neighbour and must still compare the weight.
+        let mut b = GraphBuilder::new(4);
+        for (u, v) in [(0, 1), (0, 2), (1, 2), (2, 3)] {
+            b.add_edge(u, v, 1.5);
+        }
+        let good = b.build();
+        good.validate().unwrap();
+        let mut ewgt = good.ewgts().to_vec();
+        *ewgt.last_mut().unwrap() = 2.5; // 3→2 against 2→3 at 1.5
+        let bad = Graph::from_csr(
+            good.xadj().to_vec(),
+            good.adjncy().to_vec(),
+            ewgt,
+            good.vwgts().to_vec(),
+        );
+        assert!(bad.validate().is_err());
     }
 
     #[test]

@@ -70,8 +70,9 @@ pub fn bubbles_mesh<R: Rng>(n: usize, n_bubbles: usize, rng: &mut R) -> (Graph, 
 ///
 /// The filter runs per row straight off the triangulation's CSR (each
 /// kept row is a subsequence of an already-sorted row), so no transient
-/// edge list is built; the component extraction then goes through the
-/// lean `induced_subgraph` path.
+/// edge list is built; the component extraction is one sequential
+/// count-and-fill (`Graph::induced_subgraph`) whose rows need no sort,
+/// the kept vertices being listed in ascending order.
 fn filtered_mesh(pts: Vec<Point2>, inside: impl Fn(Point2) -> bool + Sync) -> (Graph, Vec<Point2>) {
     let g = delaunay_of_points(&pts);
     let filtered = crate::build::csr_unit_from_rows(g.n(), |v, row| {

@@ -333,7 +333,8 @@ impl Machine {
     /// completion order are all invisible to simulated time and data, the
     /// same argument that makes the `Schedule` fuzzer's permutations
     /// legal. One task (a single unit, or a one-thread pool) is an inline
-    /// serial loop with no dispatch at all.
+    /// serial loop with no dispatch at all, and so is any superstep whose
+    /// rank state is zero-sized (a pure cost charge).
     pub fn compute<S: Send, F>(&mut self, states: &mut [S], f: F)
     where
         F: Fn(usize, &mut S) -> f64 + Sync,
@@ -358,8 +359,11 @@ impl Machine {
             for (r, o) in pairs {
                 self.ops_buf[r] = o;
             }
-        } else if tasks == 1 {
-            // A single unit or a one-thread pool: inline, no dispatch.
+        } else if tasks == 1 || std::mem::size_of::<S>() == 0 {
+            // A single unit or a one-thread pool: inline, no dispatch. So
+            // is a superstep over zero-sized rank state: its closures have
+            // nowhere to put work, all they do is name a cost to charge,
+            // and that is not worth a thread.
             for (r, s) in states.iter_mut().enumerate() {
                 self.ops_buf[r] = f(r, s);
             }
@@ -867,6 +871,59 @@ mod tests {
             let all: HashSet<ThreadId> = ran_on.iter().map(|id| id.unwrap()).collect();
             assert_eq!(all, active, "one spawned task, not one per unit");
             assert_eq!(m.elapsed(), 1.0);
+        });
+    }
+
+    /// A superstep over zero-sized rank state is a cost charge: it runs
+    /// inline on the calling thread whatever the pool, and is told apart
+    /// from a twin with real state by nothing the simulation, the recorder
+    /// or the hook can see.
+    #[test]
+    fn zero_sized_state_runs_inline_and_charges_like_a_sized_twin() {
+        use std::sync::{Arc, Mutex};
+        use std::thread::{self, ThreadId};
+        type Seen = (usize, usize, usize, usize);
+        fn run<S: Send + Clone>(state: S) -> (Vec<ThreadId>, Vec<Seen>, Vec<Event>, Vec<u64>) {
+            let ran_on = Mutex::new(Vec::new());
+            let hooked: Arc<Mutex<Vec<Seen>>> = Arc::default();
+            let mut m = Machine::new(16, CostModel::qdr_infiniband());
+            m.set_recorder(Box::new(TraceRecorder::new(16)));
+            let sink = hooked.clone();
+            m.set_superstep_hook(Box::new(move |i| {
+                sink.lock()
+                    .unwrap()
+                    .push((i.ranks, i.active, i.batch, i.threads));
+            }));
+            m.phase(Phase::Partition);
+            let mut states = vec![state; 16];
+            for step in 0..3usize {
+                m.compute(&mut states, |r, _| {
+                    ran_on.lock().unwrap().push(thread::current().id());
+                    ((r + step) % 5) as f64 * 1.5
+                });
+            }
+            let clocks = m.stats().rank_clock.iter().map(|c| c.to_bits()).collect();
+            let rec = TraceRecorder::downcast(m.take_recorder().unwrap()).unwrap();
+            let hooked = hooked.lock().unwrap().clone();
+            (
+                ran_on.into_inner().unwrap(),
+                hooked,
+                rec.events().to_vec(),
+                clocks,
+            )
+        }
+        pool(2).install(|| {
+            let (zst_threads, zst_hook, zst_events, zst_clocks) = run(());
+            let (sized_threads, sized_hook, sized_events, sized_clocks) = run(0u8);
+            assert_eq!(zst_threads, vec![thread::current().id(); 48]);
+            assert!(
+                sized_threads.iter().any(|&t| t != thread::current().id()),
+                "the twin is dealt over the pool"
+            );
+            assert_eq!(zst_hook, sized_hook);
+            assert_eq!(zst_hook, [(16, 12, 1, 2), (16, 13, 1, 2), (16, 13, 1, 2)]);
+            assert_eq!(zst_events, sized_events);
+            assert_eq!(zst_clocks, sized_clocks);
         });
     }
 

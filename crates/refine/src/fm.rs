@@ -94,6 +94,10 @@ pub fn fm_refine(
 /// in the store's neighbour-iteration order, two stores presenting the
 /// same logical graph in the same order (e.g. a delta overlay and its
 /// compacted CSR) refine bit-identically.
+///
+/// A call costs O(n + m) once (cut, weights, the scratch arrays); a pass
+/// costs what its movable vertices and their edges cost, so a strip of a
+/// few thousand vertices of a large graph is refined in strip-sized time.
 pub fn fm_refine_on<G: GraphAccess>(
     g: &G,
     bi: &mut Bisection,
@@ -112,25 +116,31 @@ pub fn fm_refine_on<G: GraphAccess>(
     }
     let total_w = g.total_vwgt();
     let half = total_w / 2.0;
-    let movable_count = movable.map_or(n, |m| m.iter().filter(|&&b| b).count());
-    let move_cap = ((movable_count as f64 * cfg.move_fraction) as usize).max(1);
     let is_movable = |v: u32| movable.is_none_or(|m| m[v as usize]);
+    // Ascending ids: the order gains are seeded and pushed in.
+    let movable_list: Vec<u32> = (0..n as u32).filter(|&v| is_movable(v)).collect();
+    let move_cap = ((movable_list.len() as f64 * cfg.move_fraction) as usize).max(1);
 
     let mut cur_cut = stats.cut_before;
     let (mut w0, mut w1) = access::weights_of(g, bi);
     let init_imb = w0.max(w1) / half - 1.0;
     let allowed_imb = cfg.balance_tol.max(init_imb);
 
+    // Scratch for every pass. Only movable vertices are ever given a gain,
+    // stamped or locked, so a pass resets those entries and no others.
+    let mut gain = vec![0.0f64; n];
+    let mut stamp = vec![0u32; n];
+    let mut locked = vec![false; n];
+    let mut heap = BinaryHeap::with_capacity(movable_list.len());
+    // Move log for rollback: (vertex, cut after the move, imbalance ok).
+    let mut log: Vec<(u32, f64, bool)> = Vec::new();
+
     for pass in 0..cfg.max_passes {
         stats.passes = pass + 1;
+        heap.clear();
+        log.clear();
         // Gains.
-        let mut gain = vec![0.0f64; n];
-        let mut stamp = vec![0u32; n];
-        let mut heap = BinaryHeap::with_capacity(movable_count);
-        for v in 0..n as u32 {
-            if !is_movable(v) {
-                continue;
-            }
+        for &v in &movable_list {
             let sv = bi.side(v);
             let mut gv = 0.0;
             for (u, w) in g.neighbors_w(v) {
@@ -142,15 +152,14 @@ pub fn fm_refine_on<G: GraphAccess>(
                 stats.ops += 1.0;
             }
             gain[v as usize] = gv;
+            stamp[v as usize] = 0;
+            locked[v as usize] = false;
             heap.push(HeapEntry {
                 gain: gv,
                 v,
                 stamp: 0,
             });
         }
-        let mut locked = vec![false; n];
-        // Move log for rollback: (vertex, cut after the move, imbalance ok).
-        let mut log: Vec<(u32, f64, bool)> = Vec::new();
         let mut best_prefix = 0usize;
         let mut best_cut = cur_cut;
         let mut trial_cut = cur_cut;
@@ -299,6 +308,213 @@ mod tests {
             })
             .collect();
         Bisection::new(sides)
+    }
+
+    /// [`fm_refine_on`] as it was: `gain`, `stamp`, `locked` and the heap
+    /// allocated afresh by every pass, which then scans all n vertices for
+    /// the movable ones.
+    fn fm_refine_allocating_per_pass<G: GraphAccess>(
+        g: &G,
+        bi: &mut Bisection,
+        movable: Option<&[bool]>,
+        cfg: &FmConfig,
+    ) -> FmStats {
+        let n = g.n();
+        let mut stats = FmStats {
+            cut_before: access::cut_of(g, bi),
+            cut_after: 0.0,
+            ..Default::default()
+        };
+        if n < 2 {
+            stats.cut_after = stats.cut_before;
+            return stats;
+        }
+        let total_w = g.total_vwgt();
+        let half = total_w / 2.0;
+        let movable_count = movable.map_or(n, |m| m.iter().filter(|&&b| b).count());
+        let move_cap = ((movable_count as f64 * cfg.move_fraction) as usize).max(1);
+        let is_movable = |v: u32| movable.is_none_or(|m| m[v as usize]);
+
+        let mut cur_cut = stats.cut_before;
+        let (mut w0, mut w1) = access::weights_of(g, bi);
+        let init_imb = w0.max(w1) / half - 1.0;
+        let allowed_imb = cfg.balance_tol.max(init_imb);
+
+        for pass in 0..cfg.max_passes {
+            stats.passes = pass + 1;
+            // Gains.
+            let mut gain = vec![0.0f64; n];
+            let mut stamp = vec![0u32; n];
+            let mut heap = BinaryHeap::with_capacity(movable_count);
+            for v in 0..n as u32 {
+                if !is_movable(v) {
+                    continue;
+                }
+                let sv = bi.side(v);
+                let mut gv = 0.0;
+                for (u, w) in g.neighbors_w(v) {
+                    if bi.side(u) == sv {
+                        gv -= w;
+                    } else {
+                        gv += w;
+                    }
+                    stats.ops += 1.0;
+                }
+                gain[v as usize] = gv;
+                heap.push(HeapEntry {
+                    gain: gv,
+                    v,
+                    stamp: 0,
+                });
+            }
+            let mut locked = vec![false; n];
+            // Move log for rollback: (vertex, cut after the move, imbalance ok).
+            let mut log: Vec<(u32, f64, bool)> = Vec::new();
+            let mut best_prefix = 0usize;
+            let mut best_cut = cur_cut;
+            let mut trial_cut = cur_cut;
+            let (mut tw0, mut tw1) = (w0, w1);
+
+            while log.len() < move_cap {
+                // Pop the best fresh, unlocked, balance-feasible vertex.
+                let Some(v) = pop_feasible(
+                    &mut heap,
+                    &stamp,
+                    &locked,
+                    bi,
+                    g,
+                    tw0,
+                    tw1,
+                    half,
+                    allowed_imb,
+                ) else {
+                    break;
+                };
+                let sv = bi.side(v);
+                let wv = g.vwgt(v);
+                trial_cut -= gain[v as usize];
+                if sv == 0 {
+                    tw0 -= wv;
+                    tw1 += wv;
+                } else {
+                    tw1 -= wv;
+                    tw0 += wv;
+                }
+                bi.flip(v);
+                locked[v as usize] = true;
+                let imb_ok = tw0.max(tw1) / half - 1.0 <= allowed_imb + 1e-12;
+                log.push((v, trial_cut, imb_ok));
+                if imb_ok && trial_cut < best_cut - 1e-12 {
+                    best_cut = trial_cut;
+                    best_prefix = log.len();
+                }
+                // Update neighbour gains.
+                let new_side = bi.side(v);
+                for (u, w) in g.neighbors_w(v) {
+                    stats.ops += 1.0;
+                    if locked[u as usize] || !is_movable(u) {
+                        continue;
+                    }
+                    // v changed sides: edges to u flip their contribution.
+                    let delta = if bi.side(u) == new_side {
+                        -2.0 * w
+                    } else {
+                        2.0 * w
+                    };
+                    gain[u as usize] += delta;
+                    stamp[u as usize] += 1;
+                    heap.push(HeapEntry {
+                        gain: gain[u as usize],
+                        v: u,
+                        stamp: stamp[u as usize],
+                    });
+                }
+            }
+            // Roll back to the best prefix.
+            for &(v, _, _) in log.iter().skip(best_prefix).rev() {
+                let wv = g.vwgt(v);
+                if bi.side(v) == 0 {
+                    tw0 -= wv;
+                    tw1 += wv;
+                } else {
+                    tw1 -= wv;
+                    tw0 += wv;
+                }
+                bi.flip(v);
+            }
+            stats.moved += best_prefix;
+            let improved = best_cut < cur_cut - 1e-12;
+            cur_cut = best_cut;
+            w0 = tw0;
+            w1 = tw1;
+            if !improved {
+                break;
+            }
+        }
+        stats.cut_after = cur_cut;
+        stats
+    }
+
+    /// Both versions on copies of one noisy split under one random mask:
+    /// same sides, same stats to the bit.
+    fn assert_same_refinement<G: GraphAccess>(g: &G, rng: &mut StdRng, at: &str) {
+        let n = g.n();
+        let start = Bisection::new((0..n).map(|_| rng.random_range(0..2)).collect());
+        let keep = rng.random_range(0.05..1.0);
+        let mask: Vec<bool> = (0..n).map(|_| rng.random_range(0.0..1.0) < keep).collect();
+        for movable in [None, Some(mask.as_slice())] {
+            let cfg = FmConfig {
+                max_passes: 6,
+                ..Default::default()
+            };
+            let (mut a, mut b) = (start.clone(), start.clone());
+            let sa = fm_refine_on(g, &mut a, movable, &cfg);
+            let sb = fm_refine_allocating_per_pass(g, &mut b, movable, &cfg);
+            assert_eq!(a, b, "sides, {at}");
+            assert_eq!((sa.moved, sa.passes), (sb.moved, sb.passes), "{at}");
+            assert_eq!(sa.ops.to_bits(), sb.ops.to_bits(), "ops, {at}");
+            assert_eq!(sa.cut_before.to_bits(), sb.cut_before.to_bits(), "{at}");
+            assert_eq!(sa.cut_after.to_bits(), sb.cut_after.to_bits(), "{at}");
+            assert!(sa.passes > 1 || movable.is_some(), "{at}: one pass only");
+        }
+    }
+
+    #[test]
+    fn scratch_kept_across_passes_refines_like_scratch_made_per_pass() {
+        use sp_stream::{DeltaOverlay, GraphDelta};
+        let mut rng = StdRng::seed_from_u64(0xF3);
+        for round in 0..6 {
+            // A grid with real-valued weights, so gain ties are rare and
+            // the accumulation order shows in the bits.
+            let base = grid_2d(12 + round, 17);
+            let n = base.n();
+            let ewgt: Vec<f64> = {
+                // Symmetric: the weight of an edge is a function of its ends.
+                let w = |u: u32, v: u32| 0.5 + ((u.min(v) * 31 + u.max(v) * 17) % 13) as f64 / 7.0;
+                (0..n as u32)
+                    .flat_map(|v| base.neighbors(v).iter().map(move |&u| w(u, v)))
+                    .collect()
+            };
+            let vwgt: Vec<f64> = (0..n).map(|_| rng.random_range(1..4) as f64).collect();
+            let g = Graph::from_csr(base.xadj().to_vec(), base.adjncy().to_vec(), ewgt, vwgt);
+            g.validate().unwrap();
+            assert_same_refinement(&g, &mut rng, &format!("graph, round {round}"));
+
+            let mut ov = DeltaOverlay::new(std::sync::Arc::new(g), None).unwrap();
+            for _ in 0..40 {
+                let (u, v) = (rng.random_range(0..n as u32), rng.random_range(0..n as u32));
+                let w = rng.random_range(0.25..3.0);
+                // Whatever the overlay refuses (a duplicate, a missing
+                // edge, a self loop) is simply not part of the stream.
+                let _ = ov.apply(&GraphDelta::AddEdge { u, v, w });
+                let _ = ov.apply(&GraphDelta::SetVwgt { v: u, w });
+                if let Some((x, _)) = ov.neighbors_w(v).next() {
+                    let _ = ov.apply(&GraphDelta::RemoveEdge { u: v, v: x });
+                }
+            }
+            assert!(ov.patched_vertices() > 0);
+            assert_same_refinement(&ov, &mut rng, &format!("overlay, round {round}"));
+        }
     }
 
     #[test]

@@ -246,8 +246,14 @@ fn main() -> ExitCode {
         if report.ok() {
             println!(
                 "parallel: {} run(s) (serial baseline + batches {:?} × threads {:?}) \
-                 bit-identical, fingerprint {:#018x}",
-                report.runs, pcfg.batches, pcfg.threads, report.baseline_fingerprint
+                 bit-identical, fingerprint {:#018x}; {} 8-way run(s) beside them \
+                 (SP-PG7-NL on a Delaunay mesh, ParMetis-like on this graph), labels \
+                 and root simulated time bit-identical",
+                report.runs,
+                pcfg.batches,
+                pcfg.threads,
+                report.baseline_fingerprint,
+                report.kway_runs
             );
         } else {
             failed = true;

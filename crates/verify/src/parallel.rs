@@ -6,7 +6,11 @@
 //! calling thread — and then across a matrix of rank-batch sizes and
 //! pool widths, demanding the complete fingerprint (partition labels,
 //! coordinate bits, cut statistics, simulated-time bits) be identical on
-//! every run.
+//! every run. Beside it runs the k-way recursion
+//! ([`recursive_kway_checked_on`], 8 parts): SP-PG7-NL on a Delaunay mesh
+//! that has coordinates and the ParMetis-like comparator on the campaign's
+//! graph, whose labels and root-machine simulated time must not move
+//! across the same matrix either.
 //!
 //! Why this must hold: each rank closure touches only its own rank's
 //! state and writes its op count into its own rank's slot; clock charges
@@ -16,13 +20,18 @@
 //! `Schedule` fuzzer's permutations invisible (see DESIGN.md, "Host
 //! performance round 2").
 
-use scalapart::{scalapart_bisect, SpConfig};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use scalapart::{recursive_kway_checked_on, scalapart_bisect, Method, NoopObserver, SpConfig};
+use sp_geometry::Point2;
+use sp_graph::gen::delaunay_graph;
 use sp_graph::Graph;
 use sp_machine::{CostModel, Machine};
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
 
 use crate::fuzz::fingerprint_result;
+use crate::rng::Fingerprint;
 
 /// Configuration of a parallel-execution fuzz campaign.
 #[derive(Clone, Debug)]
@@ -85,6 +94,8 @@ pub struct ParallelReport {
     pub baseline_elapsed: f64,
     /// Total pipeline runs performed (baseline + matrix).
     pub runs: usize,
+    /// Total 8-way k-way runs performed beside them (two per pipeline run).
+    pub kway_runs: usize,
     /// Every distinct `(ranks per unit, pool threads)` a superstep of the
     /// matrix runs reported — what the machine did, not what was asked for.
     pub shapes: BTreeSet<(usize, usize)>,
@@ -119,9 +130,56 @@ fn run_pipeline(g: &Graph, cfg: &ParallelFuzzConfig, batch: usize) -> (u64, f64,
     (fingerprint_result(g, &r, true), machine.elapsed(), shapes)
 }
 
+/// Parts of the k-way runs: three levels of recursion, so children are cut
+/// out of children.
+const KWAY_PARTS: usize = 8;
+
+/// One k-way case of the campaign.
+struct KwayCase<'a> {
+    method: Method,
+    g: &'a Graph,
+    coords: Option<&'a [Point2]>,
+}
+
+/// Run `case` with the given rank batch on its root machine (the
+/// sub-bisections run on fresh machines of their own), returning the label
+/// fingerprint and the bits of the root machine's simulated time.
+fn run_kway(case: &KwayCase, cfg: &ParallelFuzzConfig, batch: usize) -> (u64, u64) {
+    let mut machine = Machine::new(cfg.ranks, CostModel::qdr_infiniband());
+    machine.set_rank_batch(batch);
+    let kp = recursive_kway_checked_on(
+        case.method,
+        case.g,
+        case.coords,
+        KWAY_PARTS,
+        cfg.sp.seed,
+        &mut machine,
+        &mut NoopObserver,
+    )
+    .expect("NoopObserver never cancels");
+    let mut fp = Fingerprint::new();
+    for &label in &kp.part {
+        fp.u64(label as u64);
+    }
+    (fp.finish(), machine.elapsed().to_bits())
+}
+
 /// Serial baseline plus the full `batches × threads` matrix. Every run
 /// must reproduce the baseline fingerprint bit-for-bit.
 pub fn run_parallel_campaign(g: &Graph, cfg: &ParallelFuzzConfig) -> ParallelReport {
+    let (mesh, mesh_coords) = delaunay_graph(g.n().max(64), &mut StdRng::seed_from_u64(0xDE1A));
+    let kway_cases = [
+        KwayCase {
+            method: Method::SpPg7Nl,
+            g: &mesh,
+            coords: Some(&mesh_coords),
+        },
+        KwayCase {
+            method: Method::ParMetisLike,
+            g,
+            coords: None,
+        },
+    ];
     // Baseline: one batch covering all ranks on a one-thread pool — the
     // machine's inline serial path, no task dispatch anywhere.
     let pool = rayon::ThreadPoolBuilder::new()
@@ -129,9 +187,13 @@ pub fn run_parallel_campaign(g: &Graph, cfg: &ParallelFuzzConfig) -> ParallelRep
         .build()
         .expect("pool");
     let (baseline_fp, baseline_elapsed, _) = pool.install(|| run_pipeline(g, cfg, cfg.ranks));
+    let kway_baseline = kway_cases
+        .each_ref()
+        .map(|case| pool.install(|| run_kway(case, cfg, cfg.ranks)));
 
     let mut shapes = Shapes::new();
     let mut runs = 1;
+    let mut kway_runs = kway_cases.len();
     let mut failures = Vec::new();
     for &threads in &cfg.threads {
         let pool = rayon::ThreadPoolBuilder::new()
@@ -153,6 +215,21 @@ pub fn run_parallel_campaign(g: &Graph, cfg: &ParallelFuzzConfig) -> ParallelRep
                     ),
                 });
             }
+            for (case, &baseline) in kway_cases.iter().zip(&kway_baseline) {
+                let got = pool.install(|| run_kway(case, cfg, batch));
+                kway_runs += 1;
+                if got != baseline {
+                    failures.push(ParallelFailure {
+                        batch,
+                        threads,
+                        detail: format!(
+                            "{KWAY_PARTS}-way {}: (label fingerprint, root elapsed bits) \
+                             {got:#x?} != serial baseline {baseline:#x?}",
+                            case.method.name()
+                        ),
+                    });
+                }
+            }
         }
     }
 
@@ -160,6 +237,7 @@ pub fn run_parallel_campaign(g: &Graph, cfg: &ParallelFuzzConfig) -> ParallelRep
         baseline_fingerprint: baseline_fp,
         baseline_elapsed,
         runs,
+        kway_runs,
         shapes,
         failures,
     }
@@ -184,6 +262,7 @@ mod tests {
         let g = grid_2d(24, 24);
         let report = run_parallel_campaign(&g, &small_cfg());
         assert_eq!(report.runs, 10, "baseline + 3×3 matrix");
+        assert_eq!(report.kway_runs, 20, "two k-way cases beside each");
         for f in &report.failures {
             eprintln!("{f}");
         }
