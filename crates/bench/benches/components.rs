@@ -1,19 +1,21 @@
 //! Component wall-clock benches: coarsening, embedding, geometric
-//! partitioning, subgraph extraction, refinement, and the quadtree
-//! substrate.
+//! partitioning, subgraph extraction, refinement, the quadtree substrate,
+//! and a streaming step over a long delta chain.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use scalapart::stream::{DeltaOverlay, GraphDelta, IncrementalRepartitioner, StreamConfig};
 use sp_coarsen::{contract, heavy_edge_matching, CoarsenConfig, Hierarchy};
 use sp_embed::{force_layout, lattice_smooth, random_init, ForceParams, LatticeConfig};
 use sp_geometry::QuadTree;
 use sp_geopart::{geometric_partition, parallel_geometric_partition, GeoConfig};
 use sp_graph::distr::Distribution;
-use sp_graph::gen::{delaunay_graph, grid_2d};
+use sp_graph::gen::{delaunay_graph, grid_2d, grid_2d_coords};
 use sp_graph::Bisection;
 use sp_machine::{CostModel, Machine};
 use sp_refine::{fm_refine, FmConfig};
+use std::sync::Arc;
 
 fn bench_coarsen(c: &mut Criterion) {
     let mut group = c.benchmark_group("coarsen");
@@ -158,6 +160,82 @@ fn bench_quadtree(c: &mut Criterion) {
     group.finish();
 }
 
+/// What `session-stream` does between two full steps, in-process: a
+/// 192×192 grid whose overlay already carries a chain of 6 144 patched
+/// vertices (3 072 horizontal edges removed, none sharing a vertex), and
+/// two 256-delta batches of all four kinds that undo each other, so taking
+/// them in turn repeats the same work on the same chain for ever.
+fn bench_stream(c: &mut Criterion) {
+    const SIDE: u32 = 192;
+    let n = SIDE * SIDE;
+    let chain: Vec<GraphDelta> = (0..3072u32)
+        .map(|k| {
+            let v = (k * 37 % SIDE) * SIDE + (k * 53 % 95) * 2;
+            GraphDelta::RemoveEdge { u: v, v: v + 1 }
+        })
+        .collect();
+    let (mut there, mut back) = (Vec::new(), Vec::new());
+    for k in 0..64u32 {
+        let r = k * 29 % 190;
+        // A diagonal the grid lacks, a vertical edge the chain left alone.
+        let (u, v) = (
+            r * SIDE + k * 31 % 190,
+            (r + 7) % 190 * SIDE + (k * 31 + 100) % SIDE,
+        );
+        let (diagonal, w) = (u + SIDE + 1, 0.5);
+        there.push(GraphDelta::AddEdge { u, v: diagonal, w });
+        back.push(GraphDelta::RemoveEdge { u, v: diagonal });
+        there.push(GraphDelta::RemoveEdge { u: v, v: v + SIDE });
+        back.push(GraphDelta::AddEdge {
+            u: v,
+            v: v + SIDE,
+            w: 1.0,
+        });
+        let v = k * 577 % n;
+        there.push(GraphDelta::SetVwgt { v, w: 1.5 });
+        back.push(GraphDelta::SetVwgt { v, w: 1.0 });
+        let (dx, dy) = (0.01, -0.01);
+        there.push(GraphDelta::ShiftCoord { v, dx, dy });
+        back.push(GraphDelta::ShiftCoord {
+            v,
+            dx: -dx,
+            dy: -dy,
+        });
+    }
+    let batches = [there, back];
+    let overlay = || {
+        let side = SIDE as usize;
+        let (g, coords) = (grid_2d(side, side), grid_2d_coords(side, side));
+        DeltaOverlay::new(Arc::new(g), Some(coords)).expect("a grid and its coordinates")
+    };
+
+    // The chain goes in 256 vertices at a time, as a session's would: each
+    // step stays incremental, so nothing rebases it away.
+    let (mut rp, _) = IncrementalRepartitioner::new(overlay(), StreamConfig::default());
+    for chunk in chain.chunks(128) {
+        rp.step(chunk).expect("chain deltas are valid");
+    }
+    assert!(rp.overlay().patched_vertices() >= 5000);
+    let mut turns = batches.iter().cycle();
+    c.bench_function("stream/step_256", |b| {
+        b.iter(|| {
+            let batch = turns.next().expect("a cycle");
+            rp.step(batch).expect("valid").cut_after
+        })
+    });
+
+    let mut ov = overlay();
+    ov.apply_batch(&chain).expect("chain deltas are valid");
+    let mut turns = batches.iter().cycle();
+    c.bench_function("stream/apply_batch_256", |b| {
+        b.iter(|| {
+            ov.apply_batch(turns.next().expect("a cycle"))
+                .expect("valid");
+            ov.m()
+        })
+    });
+}
+
 criterion_group!(
     benches,
     bench_coarsen,
@@ -165,6 +243,7 @@ criterion_group!(
     bench_geopart,
     bench_graph,
     bench_refine,
-    bench_quadtree
+    bench_quadtree,
+    bench_stream
 );
 criterion_main!(benches);

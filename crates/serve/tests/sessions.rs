@@ -217,3 +217,54 @@ fn router_pins_sessions_and_replays_them_byte_identical_after_a_kill() {
     rs.shutdown();
     survivor.shutdown();
 }
+
+#[test]
+fn shift_past_the_largest_coordinate_is_refused_and_the_shard_lives_on() {
+    // Two finite offsets whose sum is not: before the result was checked the
+    // second frame stored `inf`, the next full step panicked on a NaN
+    // comparison while it held the session lock, and every later session
+    // call on the server failed on the poisoned mutex.
+    let server = start_shard();
+    let mut c = Client::connect(&server.local_addr()).unwrap();
+    let frame = |kind: &str, name: &str, rest: &str| {
+        format!(r#"{{"type": "session_{kind}", "session": "{name}"{rest}}}"#)
+    };
+    let shift = r#", "deltas": [{"op": "shift_coord", "v": 0, "dx": 1e308, "dy": 0}]"#;
+    // Enough weight changes to push the dirty region over the threshold.
+    let churn: Vec<String> = (0..256)
+        .step_by(4)
+        .map(|v| format!(r#"{{"op": "set_vwgt", "v": {v}, "w": 1.5}}"#))
+        .collect();
+    let churn = format!(r#", "deltas": [{}]"#, churn.join(", "));
+
+    // `refused` sends the shift twice, `oracle` once; nothing else differs.
+    let mut last = Vec::new();
+    for name in ["refused", "oracle"] {
+        let open = frame("open", name, r#", "graph": "gen:grid:16x16", "seed": 3"#);
+        assert!(c.request(&open).unwrap().contains("\"status\": \"open\""));
+        // 1e308 is a coordinate, and a full step over it answers.
+        let first = parsed(&c.request(&frame("delta", name, shift)).unwrap());
+        assert_eq!(first.get("status").and_then(Value::as_str), Some("delta"));
+        assert!(c
+            .request(&frame("delta", name, &churn))
+            .unwrap()
+            .contains("\"status\": \"delta\""));
+        let full = parsed(&c.request(&frame("repartition", name, "")).unwrap());
+        assert_eq!(full.get("mode").and_then(Value::as_str), Some("full"));
+
+        if name == "refused" {
+            let second = parsed(&c.request(&frame("delta", name, shift)).unwrap());
+            assert_eq!(
+                second.get("code").and_then(Value::as_str),
+                Some("bad_delta")
+            );
+        }
+        let next = c.request(&frame("repartition", name, "")).unwrap();
+        assert!(next.contains("\"status\": \"repartition\""), "{next}");
+        last.push(next);
+    }
+    // The responses name no session and carry the chain fingerprint: the
+    // refused frame left no trace in it.
+    assert_eq!(last[0], last[1]);
+    server.shutdown();
+}

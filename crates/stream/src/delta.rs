@@ -38,8 +38,9 @@ pub enum DeltaError {
     MissingEdge { u: u32, v: u32 },
     /// Non-finite or non-positive weight.
     BadWeight { w: f64 },
-    /// `ShiftCoord` on an overlay opened without coordinates, or with a
-    /// non-finite offset.
+    /// `ShiftCoord` on an overlay opened without coordinates, or whose
+    /// resulting coordinate is not finite: a non-finite offset, or a
+    /// finite one that carries the coordinate past the largest `f64`.
     BadCoord,
 }
 

@@ -18,10 +18,17 @@
 //! side labelling that minimises migration (cut is invariant under a
 //! global label flip, so this is free).
 //!
-//! Everything is deterministic: dirty-region BFS seeds iterate in sorted
-//! order, FM is serial, and the geometric fallback is the same
+//! Everything is deterministic: the dirty region reaches FM as a mask,
+//! which FM walks in ascending vertex order whatever order the BFS found
+//! it in; FM is serial, and the geometric fallback is the same
 //! rank-count-invariant routine the batch pipeline uses. The sp-verify
 //! `incremental` stage fuzzes this end to end across thread counts.
+//!
+//! A step costs what its dirty region costs, plus FM's one pass over the
+//! graph per call (cut, weights, its scratch): the overlay is read at
+//! array speed, a batch is made atomic by an undo log of its own length
+//! ([`DeltaOverlay::apply_batch`]), and the region's mask is kept between
+//! steps and cleared from the region's own list.
 
 use crate::delta::{DeltaError, GraphDelta};
 use crate::overlay::DeltaOverlay;
@@ -34,7 +41,7 @@ use sp_obs::Registry;
 use sp_refine::{fm_refine, fm_refine_on, strip_around_separator, FmConfig};
 use sp_trace::fnv::Fingerprint;
 use sp_trace::json::num;
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::BTreeSet;
 use std::time::Instant;
 
 /// Controls for the incremental repartitioner.
@@ -189,6 +196,11 @@ pub struct IncrementalRepartitioner {
     cfg: StreamConfig,
     /// Vertices touched by deltas since the last repartition (sorted).
     pending: BTreeSet<u32>,
+    /// The dirty region of the step under way, as a mask over the vertices
+    /// and as the list the mask is cleared from: all false and empty
+    /// between steps, so a step pays for its region and not for `n`.
+    mask: Vec<bool>,
+    dirty: Vec<u32>,
     steps: u64,
 }
 
@@ -202,6 +214,8 @@ impl IncrementalRepartitioner {
             side: Bisection::new(vec![0; n]),
             cfg,
             pending: BTreeSet::new(),
+            mask: vec![false; n],
+            dirty: Vec::new(),
             steps: 0,
         };
         let report = rp.run_full(0, 0, n, true);
@@ -275,11 +289,7 @@ impl IncrementalRepartitioner {
     /// order) or the overlay is left untouched and the first error is
     /// returned. Touched vertices accumulate until the next repartition.
     pub fn apply(&mut self, batch: &[GraphDelta]) -> Result<(), DeltaError> {
-        let mut trial = self.overlay.clone();
-        for d in batch {
-            trial.apply(d)?;
-        }
-        self.overlay = trial;
+        self.overlay.apply_batch(batch)?;
         for d in batch {
             let (a, b) = d.touches();
             self.pending.insert(a);
@@ -293,17 +303,23 @@ impl IncrementalRepartitioner {
     /// Repartition over everything applied since the last step.
     pub fn repartition(&mut self) -> StepReport {
         let n = self.overlay.n();
-        let touched: Vec<u32> = std::mem::take(&mut self.pending).into_iter().collect();
-        let (mask, dirty) = self.dirty_mask(&touched);
+        let touched = self.pending.len();
+        self.mark_dirty();
+        let dirty = self.dirty.len();
         let dirty_frac = if n == 0 { 0.0 } else { dirty as f64 / n as f64 };
         let step = self.steps;
         self.steps += 1;
 
-        if dirty_frac > self.cfg.full_threshold {
-            self.run_full(step, touched.len(), dirty, false)
+        let report = if dirty_frac > self.cfg.full_threshold {
+            self.run_full(step, touched, dirty, false)
         } else {
-            self.run_incremental(step, touched.len(), dirty, &mask)
+            self.run_incremental(step, touched, dirty)
+        };
+        for &v in &self.dirty {
+            self.mask[v as usize] = false;
         }
+        self.dirty.clear();
+        report
     }
 
     /// [`IncrementalRepartitioner::apply`] + [`IncrementalRepartitioner::
@@ -313,44 +329,36 @@ impl IncrementalRepartitioner {
         Ok(self.repartition())
     }
 
-    /// BFS closure of the touched set within `hop_radius` hops.
-    fn dirty_mask(&self, touched: &[u32]) -> (Vec<bool>, usize) {
-        let n = self.overlay.n();
-        let mut dist = vec![u32::MAX; n];
-        let mut q = VecDeque::new();
-        for &v in touched {
-            if dist[v as usize] == u32::MAX {
-                dist[v as usize] = 0;
-                q.push_back(v);
-            }
+    /// Move the pending set into `dirty` and grow it to its closure within
+    /// `hop_radius` hops, one BFS level per hop; the list is the queue.
+    fn mark_dirty(&mut self) {
+        self.dirty.extend(std::mem::take(&mut self.pending));
+        for &v in &self.dirty {
+            self.mask[v as usize] = true;
         }
-        let mut count = q.len();
-        while let Some(v) = q.pop_front() {
-            let d = dist[v as usize];
-            if d >= self.cfg.hop_radius {
-                continue;
-            }
-            for (u, _) in self.overlay.neighbors_w(v) {
-                if dist[u as usize] == u32::MAX {
-                    dist[u as usize] = d + 1;
-                    count += 1;
-                    q.push_back(u);
+        let mut level = 0..self.dirty.len();
+        for _ in 0..self.cfg.hop_radius {
+            for i in level.clone() {
+                for (u, _) in self.overlay.neighbors_w(self.dirty[i]) {
+                    if !self.mask[u as usize] {
+                        self.mask[u as usize] = true;
+                        self.dirty.push(u);
+                    }
                 }
             }
+            level = level.end..self.dirty.len();
         }
-        (dist.into_iter().map(|d| d != u32::MAX).collect(), count)
     }
 
-    fn run_incremental(
-        &mut self,
-        step: u64,
-        touched: usize,
-        dirty: usize,
-        mask: &[bool],
-    ) -> StepReport {
+    fn run_incremental(&mut self, step: u64, touched: usize, dirty: usize) -> StepReport {
         let t0 = Instant::now();
         let mut machine = Machine::new(self.cfg.ranks, CostModel::qdr_infiniband());
-        let st = fm_refine_on(&self.overlay, &mut self.side, Some(mask), &self.cfg.fm);
+        let st = fm_refine_on(
+            &self.overlay,
+            &mut self.side,
+            Some(&self.mask),
+            &self.cfg.fm,
+        );
         charge_fm(&mut machine, st.ops, st.passes);
         StepReport {
             step,
@@ -488,6 +496,7 @@ pub fn partition_fp(bi: &Bisection) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::overlay::reference::Image;
     use crate::overlay::DeltaOverlay;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -625,6 +634,119 @@ mod tests {
         assert!(rp.apply(&bad).is_err());
         assert_eq!(rp.overlay().graph_fingerprint(), fp, "batch rolled back");
         assert_eq!(rp.pending_touched(), 0);
+    }
+
+    #[test]
+    fn rejected_batch_rolls_back_exactly_whatever_the_error_and_wherever() {
+        use GraphDelta::{AddEdge, RemoveEdge, SetVwgt, ShiftCoord};
+        // Vertex 7 sits at x = 1e308 before every batch, so that shifting it
+        // as far again is the one `BadCoord` that passes the old check.
+        let far = ShiftCoord {
+            v: 7,
+            dx: 1e308,
+            dy: 0.0,
+        };
+        // What the chain holds before the batch: nothing (every touch of
+        // the batch is a first touch, weights still the base's), or lists,
+        // a weight and a coordinate the batch goes on to touch again.
+        let chains: [&[GraphDelta]; 2] = [
+            &[far],
+            &[
+                far,
+                RemoveEdge { u: 0, v: 1 },
+                AddEdge {
+                    u: 0,
+                    v: 9,
+                    w: 0.75,
+                },
+                SetVwgt { v: 20, w: 1.25 },
+                ShiftCoord {
+                    v: 3,
+                    dx: 0.125,
+                    dy: -0.375,
+                },
+            ],
+        ];
+        // Valid after either chain; the first four are one of each kind.
+        let good = [
+            AddEdge {
+                u: 0,
+                v: 10,
+                w: 0.5,
+            },
+            ShiftCoord {
+                v: 3,
+                dx: 0.25,
+                dy: 0.1,
+            },
+            SetVwgt { v: 20, w: 2.75 },
+            RemoveEdge { u: 9, v: 10 },
+            SetVwgt { v: 41, w: 0.5 },
+            ShiftCoord {
+                v: 50,
+                dx: -0.3,
+                dy: 0.7,
+            },
+            AddEdge {
+                u: 30,
+                v: 45,
+                w: 1.5,
+            },
+            RemoveEdge { u: 1, v: 2 },
+            RemoveEdge { u: 0, v: 10 },
+        ];
+        // Invalid in every state the good deltas pass through.
+        let bad = [
+            (
+                SetVwgt { v: 64, w: 1.0 },
+                DeltaError::VertexOutOfRange { v: 64, n: 64 },
+            ),
+            (
+                AddEdge { u: 5, v: 5, w: 1.0 },
+                DeltaError::SelfLoop { v: 5 },
+            ),
+            (
+                AddEdge {
+                    u: 62,
+                    v: 63,
+                    w: 1.0,
+                },
+                DeltaError::DuplicateEdge { u: 62, v: 63 },
+            ),
+            (
+                RemoveEdge { u: 62, v: 0 },
+                DeltaError::MissingEdge { u: 62, v: 0 },
+            ),
+            (SetVwgt { v: 2, w: -1.0 }, DeltaError::BadWeight { w: -1.0 }),
+            (far, DeltaError::BadCoord),
+        ];
+        for chain in chains {
+            for (bad, err) in &bad {
+                for k in [0, good.len() / 2, good.len()] {
+                    let case = format!("{err:?} at {k} after {} deltas", chain.len());
+                    let (mut rp, _) =
+                        IncrementalRepartitioner::new(grid_overlay(8, 8), small_cfg());
+                    rp.apply(chain).unwrap();
+                    let before = Image::of(rp.overlay());
+                    let pending = rp.pending_touched();
+                    let mut batch = good.to_vec();
+                    batch.insert(k, *bad);
+                    assert_eq!(rp.apply(&batch).as_ref(), Err(err), "{case}");
+                    assert_eq!(Image::of(rp.overlay()), before, "{case}");
+                    assert_eq!(rp.pending_touched(), pending, "{case}");
+
+                    // Nothing stale is left to trip the same deltas up.
+                    rp.apply(&good).unwrap();
+                    let mut fresh = grid_overlay(8, 8);
+                    for d in chain.iter().chain(&good) {
+                        fresh.apply(d).unwrap();
+                    }
+                    let ov = rp.overlay();
+                    assert_eq!(ov.graph_fingerprint(), fresh.graph_fingerprint(), "{case}");
+                    assert_eq!(ov.input_fingerprint(), fresh.input_fingerprint(), "{case}");
+                }
+            }
+        }
     }
 
     #[test]

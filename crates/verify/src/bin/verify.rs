@@ -294,14 +294,16 @@ fn main() -> ExitCode {
             println!(
                 "incremental: {} step(s) across {} stream(s) ({} incremental, {} full) \
                  bit-identical over threads {:?}, overlay == compacted CSR, \
-                 batch framing invisible, cut within {}x+{} of scratch",
+                 batch framing invisible, rejected batches invisible, cut within \
+                 {}x+{} of scratch, fingerprint {:#018x}",
                 report.steps_run,
                 icfg.streams,
                 report.incremental_steps,
                 report.full_steps,
                 icfg.threads,
                 icfg.cut_factor,
-                icfg.cut_slack
+                icfg.cut_slack,
+                report.fingerprint
             );
         } else {
             failed = true;

@@ -1,5 +1,5 @@
 //! Incremental-repartitioning fuzz: seeded delta streams driven through
-//! [`sp_stream`]'s warm-start repartitioner, with four properties
+//! [`sp_stream`]'s warm-start repartitioner, with five properties
 //! demanded at every step:
 //!
 //! 1. **Validity** — the partition stays a two-sided cover with both
@@ -15,6 +15,12 @@
 //!    a configured factor (plus absolute slack) of a from-scratch
 //!    partition of the same mutated graph. Warm-starting trades cut
 //!    quality for migration volume; this bounds how much.
+//! 5. **Rejected batches are invisible** — before every step the main
+//!    session alone is offered the step's batch with an invalid tail (a
+//!    duplicate add, a missing remove, an out-of-range vertex, a shift
+//!    past the largest coordinate, in turn) and must refuse it. The twin
+//!    and split sessions never see that batch, so whatever a rollback
+//!    left behind would surface as a failure of 2 or 3.
 //!
 //! The whole campaign then re-runs under a matrix of host pool widths
 //! (the in-process `RAYON_NUM_THREADS`), demanding every step fingerprint
@@ -23,8 +29,10 @@
 //!
 //! Every failure carries the stream seed that reproduces it.
 
-use crate::rng::{derive_seed, splitmix64};
-use scalapart::stream::{DeltaOverlay, GraphDelta, IncrementalRepartitioner, StreamConfig};
+use crate::rng::{derive_seed, splitmix64, Fingerprint};
+use scalapart::stream::{
+    DeltaOverlay, GraphDelta, IncrementalRepartitioner, StepReport, StreamConfig,
+};
 use sp_geometry::Point2;
 use sp_graph::Graph;
 use std::sync::Arc;
@@ -96,6 +104,10 @@ pub struct IncrementalReport {
     pub incremental_steps: usize,
     /// Steps that fell back to a full re-partition.
     pub full_steps: usize,
+    /// FNV over every step's partition fingerprint, cut bits and
+    /// simulated-time bits, in stream order: equal on two commits exactly
+    /// when the campaign's results are.
+    pub fingerprint: u64,
     pub failures: Vec<IncrementalFailure>,
 }
 
@@ -175,6 +187,46 @@ fn batch_for(
     batch
 }
 
+/// What step `s` appends to a copy of its batch to make it invalid: a
+/// duplicate add, a missing remove, an out-of-range vertex and an
+/// overflowing shift, in turn. The edge deltas stay clear of every vertex
+/// the batch touches, so the batch cannot have made them valid. The shift
+/// is a pair: the first moves the last vertex to the largest coordinate
+/// (or is itself refused, without coordinates), the second past it — after
+/// which the first has to be undone by value, since `x + MAX - MAX` is 0.
+/// Steps alternate between a single delta and a full batch, so the turn
+/// advances three kinds every two steps and each kind meets both sizes.
+fn invalid_tail(ov: &DeltaOverlay, batch: &[GraphDelta], s: usize) -> Vec<GraphDelta> {
+    let n = ov.n() as u32;
+    let clear = |v: u32| {
+        batch.iter().all(|d| {
+            let (a, b) = d.touches();
+            a != v && b != Some(v)
+        })
+    };
+    let adjacent = |v: u32, u: u32| ov.neighbors_w(v).any(|(x, _)| x == u);
+    let out_of_range = GraphDelta::SetVwgt { v: n, w: 1.0 };
+    let pair = |wanted: bool| {
+        (0..n).filter(|&v| clear(v)).find_map(|v| {
+            let u = (0..n).find(|&u| u != v && clear(u) && adjacent(v, u) == wanted)?;
+            Some((v, u))
+        })
+    };
+    match (s + s / 2) % 4 {
+        0 => vec![pair(true).map_or(out_of_range, |(u, v)| GraphDelta::AddEdge { u, v, w: 1.0 })],
+        1 => vec![pair(false).map_or(out_of_range, |(u, v)| GraphDelta::RemoveEdge { u, v })],
+        2 => vec![out_of_range],
+        _ => {
+            let far = GraphDelta::ShiftCoord {
+                v: n - 1,
+                dx: f64::MAX,
+                dy: 0.0,
+            };
+            vec![far, far]
+        }
+    }
+}
+
 /// Check one partition for validity; returns a failure detail if broken.
 fn validity_of(rp: &IncrementalRepartitioner) -> Option<String> {
     let bi = rp.partition();
@@ -193,15 +245,17 @@ fn validity_of(rp: &IncrementalRepartitioner) -> Option<String> {
     None
 }
 
-/// Run one seeded stream with all per-step properties checked. Returns
-/// the per-step partition fingerprints (bootstrap first) for cross-run
-/// comparison, plus the per-mode step counts.
+/// Run one seeded stream with all per-step properties checked, folding
+/// every step into `campaign`. Returns the per-step partition
+/// fingerprints (bootstrap first) for cross-run comparison, plus the
+/// per-mode step counts.
 fn run_stream(
     g: &Arc<Graph>,
     coords: Option<&[Point2]>,
     cfg: &IncrementalFuzzConfig,
     stream: usize,
     seed: u64,
+    campaign: &mut Fingerprint,
     failures: &mut Vec<IncrementalFailure>,
 ) -> (Vec<u64>, usize, usize) {
     let mut fail = |step: u64, detail: String| {
@@ -220,6 +274,12 @@ fn run_stream(
     let (mut twin, twin_boot) = IncrementalRepartitioner::new(overlay_of(g, coords), scfg);
     let (mut split, _) = IncrementalRepartitioner::new(overlay_of(g, coords), scfg);
     let mut fps = vec![boot.partition_fp];
+    let mut fold = |r: &StepReport| {
+        campaign.u64(r.partition_fp);
+        campaign.f64_bits(r.cut_after);
+        campaign.f64_bits(r.sim_time);
+    };
+    fold(&boot);
     let mut incremental = 0usize;
     let mut full = 1usize; // the bootstrap
     if boot.partition_fp != twin_boot.partition_fp {
@@ -228,6 +288,26 @@ fn run_stream(
     let mut rng = seed;
     for s in 0..cfg.steps {
         let batch = batch_for(main.overlay(), &mut rng, s, cfg);
+
+        // 5. Rejected batches are invisible: main refuses the batch with
+        // an invalid tail, then takes the batch itself like the others.
+        let mut invalid = batch.clone();
+        invalid.extend(invalid_tail(main.overlay(), &batch, s));
+        let before = (main.overlay().input_fingerprint(), main.pending_touched());
+        if main.apply(&invalid).is_ok() {
+            fail(
+                main.steps(),
+                "a batch with an invalid tail was accepted".to_string(),
+            );
+            break;
+        }
+        if before != (main.overlay().input_fingerprint(), main.pending_touched()) {
+            fail(
+                main.steps(),
+                "a refused batch changed the overlay".to_string(),
+            );
+        }
+
         let report = match main.step(&batch) {
             Ok(r) => r,
             Err(e) => {
@@ -236,6 +316,7 @@ fn run_stream(
             }
         };
         fps.push(report.partition_fp);
+        fold(&report);
         match report.mode {
             scalapart::stream::StepMode::Incremental => incremental += 1,
             scalapart::stream::StepMode::Full => full += 1,
@@ -329,6 +410,7 @@ pub fn run_incremental_campaign(
     let mut steps_run = 0usize;
     let mut incremental_steps = 0usize;
     let mut full_steps = 0usize;
+    let mut campaign = Fingerprint::new();
 
     let baseline: Vec<(u64, Vec<u64>)> = {
         let pool = rayon::ThreadPoolBuilder::new()
@@ -339,7 +421,8 @@ pub fn run_incremental_campaign(
             (0..cfg.streams)
                 .map(|i| {
                     let seed = derive_seed(cfg.seed, i as u64);
-                    let (fps, inc, full) = run_stream(&g, coords, cfg, i, seed, &mut failures);
+                    let (fps, inc, full) =
+                        run_stream(&g, coords, cfg, i, seed, &mut campaign, &mut failures);
                     steps_run += fps.len();
                     incremental_steps += inc;
                     full_steps += full;
@@ -397,6 +480,7 @@ pub fn run_incremental_campaign(
         steps_run,
         incremental_steps,
         full_steps,
+        fingerprint: campaign.finish(),
         failures,
     }
 }
@@ -442,6 +526,33 @@ mod tests {
             eprintln!("{f}");
         }
         assert!(report.ok());
+    }
+
+    #[test]
+    fn invalid_tails_are_refused_each_for_its_own_reason() {
+        use scalapart::stream::DeltaError;
+        let g = Arc::new(grid_2d(8, 8));
+        let mut ov = overlay_of(&g, Some(&grid_2d_coords(8, 8)));
+        let batch = [GraphDelta::RemoveEdge { u: 0, v: 1 }];
+        // Steps 0, 1, 4, 2 take the four turns in the order listed.
+        let errs = [0, 1, 4, 2].map(|s| {
+            let mut invalid = batch.to_vec();
+            invalid.extend(invalid_tail(&ov, &batch, s));
+            ov.apply_batch(&invalid).unwrap_err()
+        });
+        assert!(
+            matches!(
+                errs,
+                [
+                    DeltaError::DuplicateEdge { .. },
+                    DeltaError::MissingEdge { .. },
+                    DeltaError::VertexOutOfRange { v: 64, .. },
+                    DeltaError::BadCoord,
+                ]
+            ),
+            "{errs:?}"
+        );
+        assert_eq!(ov.patched_vertices(), 0);
     }
 
     #[test]
