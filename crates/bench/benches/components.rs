@@ -2,6 +2,9 @@
 //! partitioning, subgraph extraction, refinement, the quadtree substrate,
 //! and a streaming step over a long delta chain.
 
+#[path = "../tests/support/hub_graph.rs"]
+mod hub_graph;
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -67,6 +70,21 @@ fn bench_embed(c: &mut Criterion) {
             })
         });
     }
+    // The coarsest level of the KKT family in miniature: hubs, non-unit
+    // weights, large enough to be dealt over the host pool.
+    let hub = hub_graph::hub_graph();
+    let hub_start = hub_graph::start(hub.n());
+    let hub_params = ForceParams::for_domain(0.2, hub.n() as f64, hub.n());
+    group.bench_with_input(
+        BenchmarkId::new("force_layout_hub", hub.n()),
+        &hub,
+        |b, hub| {
+            b.iter(|| {
+                let mut coords = hub_start.clone();
+                force_layout(hub, &mut coords, &hub_params, 1.1, 10, 0.9, 0.96)
+            })
+        },
+    );
     group.finish();
 }
 
@@ -236,8 +254,39 @@ fn bench_stream(c: &mut Criterion) {
     });
 }
 
+/// What a superstep costs before its closures do anything: 64 ranks of
+/// 8-byte state, inline on one host thread and dealt over two.
+fn bench_machine(c: &mut Criterion) {
+    let mut group = c.benchmark_group("machine");
+    for threads in [1usize, 2] {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .expect("pool");
+        group.bench_with_input(
+            BenchmarkId::new("superstep_dispatch_64", threads),
+            &pool,
+            |b, pool| {
+                pool.install(|| {
+                    let mut m = Machine::new(64, CostModel::qdr_infiniband());
+                    let mut states = vec![0u64; 64];
+                    b.iter(|| {
+                        m.compute(&mut states, |_, s| {
+                            *s += 1;
+                            1.0
+                        });
+                        m.elapsed()
+                    })
+                })
+            },
+        );
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
+    bench_machine,
     bench_coarsen,
     bench_embed,
     bench_geopart,

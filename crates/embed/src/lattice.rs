@@ -246,24 +246,86 @@ fn quantile_cuts(vals: &mut [f64], count: usize, q: usize) -> Vec<f64> {
     cuts
 }
 
-/// Clamp a far ghost's (stale) position into the cell adjacent to `my_cell`
-/// in the direction of the ghost's cell — the paper's shortest-L1 rule.
+/// One target cell of the far-ghost clamp, ready to apply: the cell's box
+/// and the same box nudged inwards.
+#[derive(Clone, Copy)]
+struct FarBox {
+    min: Point2,
+    max: Point2,
+    lo: Point2,
+    hi: Point2,
+}
+
+impl FarBox {
+    fn of(cell: Aabb2) -> Self {
+        // Nudge strictly inside the target box so the clamped ghost still
+        // maps to that cell under the half-open cell assignment.
+        let ex = cell.width() * 1e-9;
+        let ey = cell.height() * 1e-9;
+        FarBox {
+            min: cell.min,
+            max: cell.max,
+            lo: Point2::new(cell.min.x + ex, cell.min.y + ey),
+            hi: Point2::new(
+                (cell.max.x - ex).max(cell.min.x),
+                (cell.max.y - ey).max(cell.min.y),
+            ),
+        }
+    }
+
+    #[inline]
+    fn clamp(&self, pos: Point2) -> Point2 {
+        Point2::new(
+            pos.x
+                .clamp(self.min.x, self.max.x)
+                .clamp(self.lo.x, self.hi.x),
+            pos.y
+                .clamp(self.min.y, self.max.y)
+                .clamp(self.lo.y, self.hi.y),
+        )
+    }
+}
+
+/// A cell's far-ghost clamps — the paper's shortest-L1 rule. A far ghost's
+/// (stale) position is pinned into the cell adjacent to the owner's in the
+/// direction of the ghost's cell, and that target depends only on the
+/// signs of the ghost's column and row offsets: nine boxes, built once per
+/// force closure instead of once per far edge.
+struct FarTable {
+    mi: u32,
+    mj: u32,
+    /// Indexed by `dir(column) + 3·dir(row)`, see [`FarTable::clamp`].
+    boxes: [FarBox; 9],
+}
+
+impl FarTable {
+    fn new(lattice: &QuantileLattice, mi: usize, mj: usize) -> Self {
+        let last = lattice.q() as i64 - 1;
+        let toward = |m: usize, dir: usize| (m as i64 + dir as i64 - 1).clamp(0, last) as usize;
+        FarTable {
+            mi: mi as u32,
+            mj: mj as u32,
+            boxes: std::array::from_fn(|k| {
+                FarBox::of(lattice.cell_box(toward(mi, k % 3), toward(mj, k / 3)))
+            }),
+        }
+    }
+
+    /// Clamp `pos`, the position of a ghost owned by cell `(gi, gj)`.
+    #[inline]
+    fn clamp(&self, (gi, gj): (u32, u32), pos: Point2) -> Point2 {
+        // 0, 1, 2 for a ghost below, level with, above the owner.
+        let dir = |g: u32, m: u32| 1 + usize::from(g > m) - usize::from(g < m);
+        self.boxes[dir(gi, self.mi) + 3 * dir(gj, self.mj)].clamp(pos)
+    }
+}
+
+/// Clamp a far ghost's position as cell `my_cell`'s force closure does.
+#[cfg(test)]
 fn clamp_far(lattice: &QuantileLattice, my_cell: usize, ghost_cell: usize, pos: Point2) -> Point2 {
     let q = lattice.q();
-    let (mi, mj) = (my_cell % q, my_cell / q);
-    let (gi, gj) = (ghost_cell % q, ghost_cell / q);
-    let ai = (mi as i64 + (gi as i64 - mi as i64).signum()).clamp(0, q as i64 - 1) as usize;
-    let aj = (mj as i64 + (gj as i64 - mj as i64).signum()).clamp(0, q as i64 - 1) as usize;
-    let cell = lattice.cell_box(ai, aj);
-    // Nudge strictly inside the target box so the clamped ghost still maps
-    // to that cell under the half-open cell assignment.
-    let p = cell.clamp(pos);
-    let ex = cell.width() * 1e-9;
-    let ey = cell.height() * 1e-9;
-    Point2::new(
-        p.x.clamp(cell.min.x + ex, (cell.max.x - ex).max(cell.min.x)),
-        p.y.clamp(cell.min.y + ey, (cell.max.y - ey).max(cell.min.y)),
-    )
+    let ghost = ((ghost_cell % q) as u32, (ghost_cell / q) as u32);
+    FarTable::new(lattice, my_cell % q, my_cell / q).clamp(ghost, pos)
 }
 
 /// Near field: the own cell's repulsion is resolved one lattice level
@@ -420,6 +482,9 @@ pub struct SmoothScratch {
     adj: Vec<bool>,
     /// Per-cell adjacent cells, ascending, with the live slot count.
     nbrs: Vec<([usize; 4], usize)>,
+    /// Per-cell `(column, row)`: what a far edge looks its ghost's
+    /// direction up with.
+    cell_ij: Vec<(u32, u32)>,
     /// ncells × ncells directed cross-count matrix (row-major):
     /// `cross[a·ncells + b]` is the number of directed edges `(v, u)` with
     /// `owner[v] == a` and `owner[u] == b` (the diagonal holds intra-cell
@@ -471,6 +536,9 @@ impl SmoothScratch {
         self.adj.resize(ncells * ncells, false);
         self.nbrs.clear();
         self.nbrs.resize(ncells, ([0; 4], 0));
+        self.cell_ij.clear();
+        self.cell_ij
+            .extend((0..ncells).map(|c| ((c % q) as u32, (c / q) as u32)));
         self.cross.clear();
         self.cross.resize(ncells * ncells, 0);
         for a in 0..ncells {
@@ -833,6 +901,7 @@ pub fn lattice_smooth_with(
             let coords_ref = &*coords;
             let owner_ref = &scratch.owner;
             let adj = &scratch.adj;
+            let cell_ij = &scratch.cell_ij;
             let snapshot_ref = &scratch.snapshot;
             let betas_ref = &scratch.betas;
             let beta_snap_ref = &scratch.beta_snapshot;
@@ -984,6 +1053,7 @@ pub fn lattice_smooth_with(
                 // `ops` once — the same exact sum as `+= 1.0` per edge,
                 // without threading a serial f64 dependency chain through
                 // the hot loop.
+                let far = FarTable::new(lattice_ref, my % q, my / q);
                 let mut nedges = 0usize;
                 for (vi, &v) in mine.iter().enumerate() {
                     let cv = Point2::new(cvx[vi], cvy[vi]);
@@ -993,7 +1063,7 @@ pub fn lattice_smooth_with(
                         let pu = if cu == my || adj[my * ncells + cu] {
                             coords_ref[u as usize]
                         } else {
-                            clamp_far(lattice_ref, my, cu, snapshot_ref[u as usize])
+                            far.clamp(cell_ij[cu], snapshot_ref[u as usize])
                         };
                         f += params.attractive(cv, pu) * w;
                         nedges += 1;
@@ -1391,6 +1461,89 @@ mod tests {
         let far = Point2::new(lat.bbox().max.x - 1e-6, lat.bbox().max.y - 1e-6);
         let p = clamp_far(&lat, 0, 15, far);
         assert_eq!(lat.cell_of(p), (1, 1));
+    }
+
+    /// `clamp_far` as it was written when every far edge computed its own
+    /// target box: the oracle for the nine boxes.
+    fn clamp_far_per_edge(
+        lattice: &QuantileLattice,
+        my_cell: usize,
+        ghost_cell: usize,
+        pos: Point2,
+    ) -> Point2 {
+        let q = lattice.q();
+        let (mi, mj) = (my_cell % q, my_cell / q);
+        let (gi, gj) = (ghost_cell % q, ghost_cell / q);
+        let ai = (mi as i64 + (gi as i64 - mi as i64).signum()).clamp(0, q as i64 - 1) as usize;
+        let aj = (mj as i64 + (gj as i64 - mj as i64).signum()).clamp(0, q as i64 - 1) as usize;
+        let cell = lattice.cell_box(ai, aj);
+        let p = cell.clamp(pos);
+        let ex = cell.width() * 1e-9;
+        let ey = cell.height() * 1e-9;
+        Point2::new(
+            p.x.clamp(cell.min.x + ex, (cell.max.x - ex).max(cell.min.x)),
+            p.y.clamp(cell.min.y + ey, (cell.max.y - ey).max(cell.min.y)),
+        )
+    }
+
+    #[test]
+    fn far_table_clamps_bit_for_bit_like_the_per_edge_clamp() {
+        let mut rng = StdRng::seed_from_u64(17);
+        for q in [2usize, 3, 4, 8] {
+            let pts = random_init(40 * q * q, &mut rng);
+            let lat = QuantileLattice::build(&pts, q);
+            let mut scratch = SmoothScratch::new();
+            scratch.reset(pts.len(), q, q * q);
+            let mut pairs = 0;
+            for my in 0..q * q {
+                let table = FarTable::new(&lat, my % q, my / q);
+                // Around each cell a clamp of this one can target: outside
+                // it, on its sides, one ulp off them, and inside.
+                let mut probes = Vec::new();
+                for dj in 0..3 {
+                    for di in 0..3 {
+                        let i = (my % q + di).saturating_sub(1).min(q - 1);
+                        let j = (my / q + dj).saturating_sub(1).min(q - 1);
+                        let b = lat.cell_box(i, j);
+                        let along = |lo: f64, hi: f64| {
+                            let mid = 0.5 * (lo + hi);
+                            [
+                                lo - 1.0,
+                                lo.next_down(),
+                                lo,
+                                mid,
+                                hi,
+                                hi.next_up(),
+                                hi + 1.0,
+                            ]
+                        };
+                        for x in along(b.min.x, b.max.x) {
+                            for y in along(b.min.y, b.max.y) {
+                                probes.push(Point2::new(x, y));
+                            }
+                        }
+                    }
+                }
+                for ghost in (0..q * q).filter(|&c| !cell_adjacent(q, my, c)) {
+                    pairs += 1;
+                    for &pos in &probes {
+                        let want = clamp_far_per_edge(&lat, my, ghost, pos);
+                        for got in [
+                            table.clamp(scratch.cell_ij[ghost], pos),
+                            clamp_far(&lat, my, ghost, pos),
+                        ] {
+                            assert_eq!(
+                                (got.x.to_bits(), got.y.to_bits()),
+                                (want.x.to_bits(), want.y.to_bits()),
+                                "q {q}, cell {my}, ghost in {ghost}, at {pos:?}"
+                            );
+                        }
+                    }
+                }
+            }
+            // Every pair but a cell with itself and its (≤ 4) neighbours.
+            assert_eq!(pairs, q * q * q * q - q * q - 4 * q * (q - 1), "q {q}");
+        }
     }
 
     #[test]

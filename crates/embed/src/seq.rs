@@ -11,6 +11,8 @@ use rand::{Rng, SeedableRng};
 use sp_coarsen::{CoarsenConfig, Hierarchy};
 use sp_geometry::{Point2, QuadTree};
 use sp_graph::Graph;
+use sp_machine::pool;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Controls for the sequential embedder.
 #[derive(Clone, Copy, Debug)]
@@ -57,6 +59,45 @@ pub fn random_init(n: usize, rng: &mut StdRng) -> Vec<Point2> {
         .collect()
 }
 
+/// One vertex's result of a force iteration — displacement, squared force
+/// norm, op count — as bit patterns in a slot any thread may fill: which
+/// thread computes a vertex is the pool's business, where its result goes
+/// is not. Relaxed is enough: the slots are only read after the join.
+#[derive(Default)]
+struct Slot([AtomicU64; 4]);
+
+impl Slot {
+    fn set(&self, d: Point2, energy: f64, ops: f64) {
+        for (cell, x) in self.0.iter().zip([d.x, d.y, energy, ops]) {
+            cell.store(x.to_bits(), Ordering::Relaxed);
+        }
+    }
+
+    fn get(&self) -> (Point2, f64, f64) {
+        let [x, y, energy, ops] = self
+            .0
+            .each_ref()
+            .map(|cell| f64::from_bits(cell.load(Ordering::Relaxed)));
+        (Point2::new(x, y), energy, ops)
+    }
+}
+
+/// Vertices a thread claims at a time in a dealt iteration (64 and 128
+/// time the same from 256 vertices to 4 000; a layout of one chunk has
+/// nothing to deal).
+const CHUNK: usize = 128;
+
+/// An iteration is dealt over the pool when it has at least this many
+/// force terms, counting [`BH_TERMS_PER_VERTEX`] tree interactions a
+/// vertex beside its edge terms: the 16×16 grid (17 344 terms) takes 79 µs
+/// an iteration on one thread and 55 µs on two with the worker spinning
+/// between dispatches, and a parked worker costs 20–40 µs to wake, so
+/// nothing smaller can pay. The 127-vertex coarsest layout of a 64×64
+/// grid — 600 iterations of 12 µs in every benchmark warm-up — is far
+/// below it.
+const MIN_DEALT_TERMS: usize = 16_000;
+const BH_TERMS_PER_VERTEX: usize = 64;
+
 /// Run up to `max_iters` force iterations on `coords` in place with Hu's
 /// adaptive step-length scheme: every vertex moves `step` in the direction
 /// of its net force; the step grows (÷`t`) after five consecutive energy
@@ -64,6 +105,11 @@ pub fn random_init(n: usize, rng: &mut StdRng) -> Vec<Point2> {
 /// when the step has cooled below 0.5% of `K`. Returns the number of
 /// abstract ops performed (edge scans + Barnes–Hut interactions), which the
 /// SPMD cost accounting uses.
+///
+/// The per-vertex forces of an iteration are computed on the host pool
+/// ([`sp_machine::pool`]) when the graph is large enough to pay for it;
+/// they are folded into coordinates, energy and op count in ascending
+/// vertex order either way, so no result bit depends on the pool's width.
 pub fn force_layout(
     g: &Graph,
     coords: &mut [Point2],
@@ -73,9 +119,9 @@ pub fn force_layout(
     step0: f64,
     t: f64,
 ) -> f64 {
-    use rayon::prelude::*;
     assert_eq!(coords.len(), g.n());
-    if g.n() == 0 {
+    let n = g.n();
+    if n == 0 {
         return 0.0;
     }
     let t = t.clamp(0.5, 0.99);
@@ -84,16 +130,21 @@ pub fn force_layout(
     let mut energy = f64::INFINITY;
     let mut progress = 0u32;
     let mut total_ops = 0.0;
+    let chunks = n.div_ceil(CHUNK);
+    let tasks = if 2 * g.m() + BH_TERMS_PER_VERTEX * n < MIN_DEALT_TERMS {
+        1
+    } else {
+        pool::width().min(chunks)
+    };
     // One tree and one results buffer for the whole layout: every iteration
     // rebuilds the tree over the moved points in place.
     let mut tree = QuadTree::default();
-    let mut results: Vec<(Point2, f64, f64)> = Vec::with_capacity(g.n());
+    let results: Vec<Slot> = (0..n).map(|_| Slot::default()).collect();
     for _ in 0..max_iters {
         tree.rebuild(coords, Some(g.vwgts()));
-        total_ops += g.n() as f64;
+        total_ops += n as f64;
         let coords_ref = &*coords;
-        results.clear();
-        results.par_extend((0..g.n() as u32).into_par_iter().map(|v| {
+        let vertex = |v: u32| {
             let cv = coords_ref[v as usize];
             let mv = g.vwgt(v);
             let mut f = Point2::ZERO;
@@ -111,11 +162,24 @@ pub fn force_layout(
             } else {
                 Point2::ZERO
             };
-            (d, norm * norm, ops + 2.0)
-        }));
+            results[v as usize].set(d, norm * norm, ops + 2.0);
+        };
+        // Chunks of the tree's walk order, claimed from a counter: vertices
+        // next to each other in the plane open the same nodes, and a hub's
+        // chunk does not hold up a thread's fixed share.
+        let next_chunk = AtomicUsize::new(0);
+        pool::run(tasks, |_| loop {
+            let chunk = next_chunk.fetch_add(1, Ordering::Relaxed);
+            if chunk >= chunks {
+                break;
+            }
+            tree.walk_order(chunk * CHUNK..n.min((chunk + 1) * CHUNK))
+                .for_each(&vertex);
+        });
         let mut new_energy = 0.0;
-        for (v, &(d, e, ops)) in results.iter().enumerate() {
-            coords[v] += d;
+        for (c, slot) in coords.iter_mut().zip(&results) {
+            let (d, e, ops) = slot.get();
+            *c += d;
             new_energy += e;
             total_ops += ops;
         }

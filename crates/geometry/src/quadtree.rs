@@ -292,6 +292,14 @@ impl QuadTree {
         count
     }
 
+    /// Indices of the bodies at positions `range` of the order a query
+    /// walks them in — every body once over `0..n`, neighbours in the
+    /// plane next to each other. Queries issued in this order open much
+    /// the same nodes one after the other.
+    pub fn walk_order(&self, range: std::ops::Range<usize>) -> impl Iterator<Item = u32> + '_ {
+        self.bodies[range].iter().map(|b| b.index)
+    }
+
     /// Number of stored nodes (diagnostics).
     pub fn node_count(&self) -> usize {
         self.nodes.len()

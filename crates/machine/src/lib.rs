@@ -3,10 +3,14 @@
 //! The paper evaluates on 1–1024 MPI ranks of a Nehalem/QDR-InfiniBand
 //! cluster. This crate substitutes that testbed: algorithms are written in
 //! SPMD style against [`Machine`], which executes per-rank compute closures
-//! in parallel on real threads (rayon) while *charging* a LogP-style cost
-//! model — latency `t_s`, per-word bandwidth `t_w`, per-operation compute
-//! `t_op` — to per-rank simulated clocks. Simulated elapsed time
-//! (`Machine::elapsed`) is what the scaling figures report.
+//! in parallel on real threads — this crate's own [`pool`] of parked
+//! workers, a static deal with no stealing — while *charging* a LogP-style
+//! cost model — latency `t_s`, per-word bandwidth `t_w`, per-operation
+//! compute `t_op` — to per-rank simulated clocks. Simulated elapsed time
+//! (`Machine::elapsed`) is what the scaling figures report. How many host
+//! threads a superstep is dealt over is `rayon::current_num_threads()`
+//! ([`pool::width`]): `ThreadPool::install` and `RAYON_NUM_THREADS` set
+//! it, and nothing else of rayon is used.
 //!
 //! Accounting matches the model the paper itself uses in §3.1:
 //! * point-to-point/neighbour exchange: local synchronisation only — a rank
@@ -27,6 +31,7 @@
 pub mod cost;
 pub mod fuzz;
 pub mod machine;
+pub mod pool;
 pub mod words;
 
 pub use cost::CostModel;

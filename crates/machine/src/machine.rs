@@ -3,10 +3,12 @@
 
 use crate::cost::CostModel;
 use crate::fuzz::{Perturbation, Schedule};
+use crate::pool;
 use crate::words::{CostOnly, Words};
 use rayon::prelude::*;
 use sp_trace::{CollectiveKind, MachineStats, Phase, Recorder};
 use std::collections::HashMap;
+use std::sync::Mutex;
 
 /// Per-phase time breakdown (simulated seconds, max over ranks).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -37,7 +39,7 @@ pub struct SuperstepInfo {
     /// Contiguous ranks per unit this superstep dealt round-robin over its
     /// host tasks (1 when the machine's rank batch is 0, the default).
     pub batch: usize,
-    /// Host threads in the rayon pool the superstep ran on.
+    /// Host threads the superstep could be dealt over ([`pool::width`]).
     pub threads: usize,
     /// Host wall-clock seconds spent in the rank closures.
     pub wall_seconds: f64,
@@ -145,7 +147,7 @@ impl Machine {
     }
 
     /// Set how many contiguous ranks make one unit in [`Machine::compute`],
-    /// which deals units round-robin over the rayon pool's threads: 0 (the
+    /// which deals units round-robin over the host pool's threads: 0 (the
     /// default) is auto, one rank a unit; `p` or more is a single unit, so
     /// the whole superstep runs inline on the calling thread. A pure
     /// host-performance knob — simulated clocks and delivered data are
@@ -318,15 +320,16 @@ impl Machine {
     }
 
     /// Run one superstep: `f(rank, state)` executes for every rank on the
-    /// rayon pool and returns the number of abstract ops the rank
-    /// performed, which is charged to its clock.
+    /// host pool ([`crate::pool`]) and returns the number of abstract ops
+    /// the rank performed, which is charged to its clock.
     ///
     /// Host execution cuts the ranks into units of
     /// [`Machine::set_rank_batch`] contiguous ranks (one rank by default)
     /// and deals the units round-robin over one task per pool thread, so
     /// whichever ranks are busy this superstep — a prefix at the coarse
     /// levels, all of them at the finest — every thread gets its share.
-    /// The calling thread runs the first task itself. Each closure touches
+    /// The calling thread runs the first task itself, parked workers the
+    /// others: no thread is started per superstep. Each closure touches
     /// only its own rank's state and writes its ops into its own rank's
     /// slot, and the charging loop below always walks ranks in ascending
     /// order on the simulated clock — so unit size, thread count, and host
@@ -335,12 +338,16 @@ impl Machine {
     /// legal. One task (a single unit, or a one-thread pool) is an inline
     /// serial loop with no dispatch at all, and so is any superstep whose
     /// rank state is zero-sized (a pure cost charge).
+    ///
+    /// A closure that panics fails the superstep as a whole: the other
+    /// tasks run to their end, no clock is charged, and the panic resumes
+    /// on the caller with the machine and the pool still usable.
     pub fn compute<S: Send, F>(&mut self, states: &mut [S], f: F)
     where
         F: Fn(usize, &mut S) -> f64 + Sync,
     {
         assert_eq!(states.len(), self.p, "one state per rank");
-        let threads = rayon::current_num_threads().max(1);
+        let threads = pool::width();
         let unit = self.rank_batch.clamp(1, self.p);
         let tasks = threads.min(self.p.div_ceil(unit));
         let host_t0 = std::time::Instant::now();
@@ -372,31 +379,29 @@ impl Machine {
             // disjoint slices of states and of the ops buffer, so there is
             // no sharing to synchronise and nothing host-order-dependent
             // to merge — slot `r` is rank `r`'s result wherever it ran.
+            // (The mutex is how a hand reaches its task through a shared
+            // closure; nobody else ever asks for it.)
             let per_task = self.p.div_ceil(unit).div_ceil(tasks);
-            let mut dealt: Vec<Hand<S>> =
-                (0..tasks).map(|_| Vec::with_capacity(per_task)).collect();
+            let mut dealt: Vec<Mutex<Hand<S>>> = (0..tasks)
+                .map(|_| Mutex::new(Vec::with_capacity(per_task)))
+                .collect();
             for (u, (ss, os)) in states
                 .chunks_mut(unit)
                 .zip(self.ops_buf.chunks_mut(unit))
                 .enumerate()
             {
-                dealt[u % tasks].push((u * unit, ss, os));
+                dealt[u % tasks]
+                    .get_mut()
+                    .expect("no task has run yet")
+                    .push((u * unit, ss, os));
             }
-            let f = &f;
-            let run = move |hand: Hand<S>| {
-                for (base, ss, os) in hand {
-                    for (i, (st, o)) in ss.iter_mut().zip(os).enumerate() {
-                        *o = f(base + i, st);
+            pool::run(tasks, |task| {
+                let mut hand = dealt[task].lock().expect("a hand has one taker");
+                for (base, ss, os) in hand.iter_mut() {
+                    for (i, (st, o)) in ss.iter_mut().zip(os.iter_mut()).enumerate() {
+                        *o = f(*base + i, st);
                     }
                 }
-            };
-            let mut dealt = dealt.into_iter();
-            let own = dealt.next().expect("at least two tasks");
-            rayon::scope(|s| {
-                for hand in dealt {
-                    s.spawn(move |_| run(hand));
-                }
-                run(own);
             });
         }
         let wall_seconds = host_t0.elapsed().as_secs_f64();
@@ -924,6 +929,39 @@ mod tests {
             assert_eq!(zst_hook, [(16, 12, 1, 2), (16, 13, 1, 2), (16, 13, 1, 2)]);
             assert_eq!(zst_events, sized_events);
             assert_eq!(zst_clocks, sized_clocks);
+        });
+    }
+
+    /// A rank closure that panics fails its superstep, not the machine: the
+    /// panic reaches the caller once the other task has finished, nothing
+    /// is charged, and the next superstep runs and charges as usual.
+    #[test]
+    fn a_panicking_rank_fails_the_superstep_and_the_machine_lives_on() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        pool(2).install(|| {
+            let mut m = Machine::new(8, free());
+            let mut states = vec![0u32; 8];
+            let failed = catch_unwind(AssertUnwindSafe(|| {
+                m.compute(&mut states, |r, s| {
+                    assert_ne!(r, 5, "rank 5 gives up");
+                    *s += 1;
+                    1.0
+                })
+            }));
+            let payload = failed.expect_err("the panic reaches the caller");
+            let text = payload.downcast_ref::<String>().expect("assert message");
+            assert!(text.contains("rank 5 gives up"), "{text}");
+            // Dealt 0, 2, 4, 6 and 1, 3, 5, 7: the first task ran to its
+            // end, the second as far as rank 5.
+            assert_eq!(states, [1, 1, 1, 1, 1, 0, 1, 0]);
+            assert_eq!(m.elapsed(), 0.0);
+            m.compute(&mut states, |r, s| {
+                *s += 1;
+                (r + 1) as f64
+            });
+            assert_eq!(states, [2, 2, 2, 2, 2, 1, 2, 1]);
+            assert_eq!(m.clock, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]);
+            assert_eq!(m.elapsed(), 8.0);
         });
     }
 

@@ -10,7 +10,11 @@
 //! ([`recursive_kway_checked_on`], 8 parts): SP-PG7-NL on a Delaunay mesh
 //! that has coordinates and the ParMetis-like comparator on the campaign's
 //! graph, whose labels and root-machine simulated time must not move
-//! across the same matrix either.
+//! across the same matrix either. Last, two pipelines run at the same
+//! time on two OS threads, each four host threads wide — two shards' jobs
+//! in one `sp-serve` process, and the path on which a dispatch of the host
+//! pool finds the idle workers taken and starts more — and both must
+//! return the serial fingerprint.
 //!
 //! Why this must hold: each rank closure touches only its own rank's
 //! state and writes its op count into its own rank's slot; clock charges
@@ -96,6 +100,9 @@ pub struct ParallelReport {
     pub runs: usize,
     /// Total 8-way k-way runs performed beside them (two per pipeline run).
     pub kway_runs: usize,
+    /// Pipeline runs performed at the same time as another, after the
+    /// matrix (not counted in `runs`).
+    pub contended_runs: usize,
     /// Every distinct `(ranks per unit, pool threads)` a superstep of the
     /// matrix runs reported — what the machine did, not what was asked for.
     pub shapes: BTreeSet<(usize, usize)>,
@@ -164,8 +171,13 @@ fn run_kway(case: &KwayCase, cfg: &ParallelFuzzConfig, batch: usize) -> (u64, u6
     (fp.finish(), machine.elapsed().to_bits())
 }
 
-/// Serial baseline plus the full `batches × threads` matrix. Every run
-/// must reproduce the baseline fingerprint bit-for-bit.
+/// Pipelines of the contention check, and the pool width of each.
+const CONTENDERS: usize = 2;
+const CONTENDED_THREADS: usize = 4;
+
+/// Serial baseline, the full `batches × threads` matrix, then the
+/// contention check. Every run must reproduce the baseline fingerprint
+/// bit-for-bit.
 pub fn run_parallel_campaign(g: &Graph, cfg: &ParallelFuzzConfig) -> ParallelReport {
     let (mesh, mesh_coords) = delaunay_graph(g.n().max(64), &mut StdRng::seed_from_u64(0xDE1A));
     let kway_cases = [
@@ -233,11 +245,43 @@ pub fn run_parallel_campaign(g: &Graph, cfg: &ParallelFuzzConfig) -> ParallelRep
         }
     }
 
+    // Contention: two pipelines at once, each on a pool of its own width.
+    let contended: Vec<(u64, f64)> = std::thread::scope(|s| {
+        let runs: Vec<_> = (0..CONTENDERS)
+            .map(|_| {
+                s.spawn(|| {
+                    let pool = rayon::ThreadPoolBuilder::new()
+                        .num_threads(CONTENDED_THREADS)
+                        .build()
+                        .expect("pool");
+                    let (fp, elapsed, _) = pool.install(|| run_pipeline(g, cfg, 0));
+                    (fp, elapsed)
+                })
+            })
+            .collect();
+        runs.into_iter()
+            .map(|run| run.join().expect("a contended pipeline panicked"))
+            .collect()
+    });
+    for (fp, elapsed) in &contended {
+        if *fp != baseline_fp {
+            failures.push(ParallelFailure {
+                batch: 0,
+                threads: CONTENDED_THREADS,
+                detail: format!(
+                    "beside another pipeline: fingerprint {fp:#018x} != serial baseline \
+                     {baseline_fp:#018x} (simulated {elapsed} vs {baseline_elapsed})"
+                ),
+            });
+        }
+    }
+
     ParallelReport {
         baseline_fingerprint: baseline_fp,
         baseline_elapsed,
         runs,
         kway_runs,
+        contended_runs: contended.len(),
         shapes,
         failures,
     }
@@ -263,6 +307,7 @@ mod tests {
         let report = run_parallel_campaign(&g, &small_cfg());
         assert_eq!(report.runs, 10, "baseline + 3×3 matrix");
         assert_eq!(report.kway_runs, 20, "two k-way cases beside each");
+        assert_eq!(report.contended_runs, 2, "two pipelines at once");
         for f in &report.failures {
             eprintln!("{f}");
         }
