@@ -16,7 +16,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sp_coarsen::{contract, parallel_hem};
+use sp_coarsen::{charge_contraction, contract_with, parallel_hem_in, CoarsenArena};
 use sp_graph::distr::Distribution;
 use sp_graph::{Bisection, Graph};
 use sp_machine::{CostOnly, Machine, Phase};
@@ -110,35 +110,29 @@ pub fn multilevel_bisect(
     machine.phase(Phase::Coarsen);
     let mut graphs: Vec<Graph> = vec![g.clone()];
     let mut maps: Vec<Vec<u32>> = Vec::new();
-    while graphs.last().unwrap().n() > cfg.coarsest && graphs.len() < 60 {
-        let cur = graphs.last().unwrap();
-        let dist = Distribution::block(cur.n(), p);
-        let matching = parallel_hem(
-            cur,
-            &dist,
-            machine,
-            cfg.matching_rounds,
-            rng.random::<u64>(),
-        );
-        let c = contract(cur, &matching);
-        if c.coarse.n() as f64 > 0.95 * cur.n() as f64 {
-            break;
+    {
+        // The matcher and the contraction ScalaPart coarsens with, on one
+        // arena that lives as long as the coarsening does.
+        let mut arena = CoarsenArena::new();
+        while graphs.last().unwrap().n() > cfg.coarsest && graphs.len() < 60 {
+            let cur = graphs.last().unwrap();
+            let dist = Distribution::block(cur.n(), p);
+            let matching = parallel_hem_in(
+                cur,
+                &dist,
+                machine,
+                cfg.matching_rounds,
+                rng.random::<u64>(),
+                &mut arena,
+            );
+            let c = contract_with(cur, &matching, &mut arena);
+            if c.coarse.n() as f64 > 0.95 * cur.n() as f64 {
+                break;
+            }
+            charge_contraction(cur, &dist, machine);
+            maps.push(c.map);
+            graphs.push(c.coarse);
         }
-        // Contraction: local build (ops ∝ local edges) plus a ghost-id
-        // exchange proportional to each rank's cross edges.
-        let cross = dist.cross_edges(cur);
-        let mut states: Vec<()> = vec![(); p];
-        let edges_per_rank = (cur.m() / p).max(1) as f64;
-        machine.compute(&mut states, |_, _| edges_per_rank);
-        let per_rank_words = (2 * cross / p.max(1)).max(1);
-        if p > 1 {
-            let outbox: Vec<Vec<(usize, CostOnly)>> = (0..p)
-                .map(|r| vec![((r + 1) % p, CostOnly::new(per_rank_words))])
-                .collect();
-            machine.exchange_costed(&outbox);
-        }
-        maps.push(c.map);
-        graphs.push(c.coarse);
     }
     stats.levels = graphs.len();
     stats.coarsest_n = graphs.last().unwrap().n();

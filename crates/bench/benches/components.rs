@@ -9,7 +9,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use scalapart::stream::{DeltaOverlay, GraphDelta, IncrementalRepartitioner, StreamConfig};
-use sp_coarsen::{contract, heavy_edge_matching, CoarsenConfig, Hierarchy};
+use sp_coarsen::{contract_with, heavy_edge_matching_in, CoarsenArena, CoarsenConfig, Hierarchy};
 use sp_embed::{force_layout, lattice_smooth, random_init, ForceParams, LatticeConfig};
 use sp_geometry::QuadTree;
 use sp_geopart::{geometric_partition, parallel_geometric_partition, GeoConfig};
@@ -27,8 +27,9 @@ fn bench_coarsen(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("hem+contract", g.n()), &g, |b, g| {
             b.iter(|| {
                 let mut rng = StdRng::seed_from_u64(1);
-                let m = heavy_edge_matching(g, &mut rng);
-                contract(g, &m).coarse.n()
+                let mut arena = CoarsenArena::new();
+                let m = heavy_edge_matching_in(g, &mut rng, &mut arena);
+                contract_with(g, &m, &mut arena).coarse.n()
             })
         });
         group.bench_with_input(BenchmarkId::new("hierarchy", g.n()), &g, |b, g| {

@@ -6,27 +6,17 @@
 //! reference representation and the coarsening arena's scratch
 //! high-water. Results land in `BENCH_4.json` at the repo root.
 //!
-//! A second section re-generates the largest grid through the legacy
-//! `GraphBuilder` tuple-buffer path (the seed commit's `grid_2d`,
-//! reproduced verbatim below) and compares generator peak RSS against
-//! the direct path — the committed run must show the direct path at
-//! least 1.5× leaner.
-//!
 //! Flags:
 //!
 //! * `--quick` — CI smoke sizes (seconds, not minutes). The committed
 //!   `BENCH_4.json` comes from a full run, which reaches the 2^22-vertex
 //!   grid and Delaunay instances.
-//! * `--assert-rss-mb MB` — exit non-zero if the process peak RSS ever
-//!   exceeds the budget (CI runs `--quick` with a budget so memory
-//!   regressions fail the build).
-//! * `--assert-gen-rss-factor X` — exit non-zero unless the builder
-//!   path's generator peak-RSS delta is at least `X` times the direct
-//!   path's.
+//! * `--assert-rss-mb MB` — exit non-zero if any row's generator adds
+//!   more than the budget to the process RSS (CI runs `--quick` with a
+//!   budget so memory regressions fail the build).
 //!
-//! Peak-RSS methodology matches `wallclock.rs`: each measurement resets
-//! the kernel's peak counter (`/proc/self/clear_refs`), records the
-//! *base* RSS at reset, and reports both the absolute peak and the
+//! Peak-RSS methodology: each measurement resets the kernel's peak
+//! counter (`/proc/self/clear_refs`), records the *base* RSS at reset, and reports both the absolute peak and the
 //! delta over base — the delta is what the phase itself added, robust
 //! against heap retained from earlier rows. Where the reset write is
 //! unavailable the row records `rss_reset: false` and the absolute peak
@@ -36,9 +26,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use scalapart::coarsen::{CoarsenArena, CoarsenConfig, Hierarchy};
 use scalapart::graph::gen::{delaunay_graph, grid_2d, kkt_graph, trace_mesh};
-use scalapart::graph::{CompactGraph, Graph, GraphBuilder};
+use scalapart::graph::{CompactGraph, Graph};
 use scalapart::obs::rss;
-use sp_bench::report::rss_mb_json;
 use std::time::Instant;
 
 /// One peak-RSS measurement window: reset, run, read.
@@ -67,25 +56,6 @@ impl RssWindow {
     }
 }
 
-/// The seed commit's builder-based grid generator, kept verbatim as the
-/// memory baseline the direct path is compared against.
-fn grid_2d_via_builder(rows: usize, cols: usize) -> Graph {
-    let n = rows * cols;
-    let idx = |r: usize, c: usize| (r * cols + c) as u32;
-    let mut b = GraphBuilder::with_edge_capacity(n, 2 * n);
-    for r in 0..rows {
-        for c in 0..cols {
-            if c + 1 < cols {
-                b.add_edge(idx(r, c), idx(r, c + 1), 1.0);
-            }
-            if r + 1 < rows {
-                b.add_edge(idx(r, c), idx(r + 1, c), 1.0);
-            }
-        }
-    }
-    b.build()
-}
-
 /// Approximate heap bytes of the reference representation (xadj + adjncy
 /// + ewgt + vwgt at their natural widths).
 fn reference_bytes(g: &Graph) -> usize {
@@ -96,6 +66,8 @@ struct SweepRow {
     json: String,
     n: usize,
     m: usize,
+    /// What generation added to the RSS at the window's reset, in MiB.
+    gen_delta: Option<f64>,
 }
 
 /// Generate one family instance and run it through compact conversion
@@ -125,23 +97,24 @@ fn sweep_row(family: &str, label: &str, generate: impl FnOnce() -> Graph) -> Swe
     drop(h);
 
     let (peak, _) = win.close();
+    // MiB with one decimal, or `null` where the platform has no `/proc`.
+    let fmt_opt = |v: Option<f64>| match v {
+        Some(x) => format!("{x:.1}"),
+        None => "null".to_string(),
+    };
     eprintln!(
         "{label}: n={} m={} | gen {wall_gen:.0} ms (peak {} MiB, +{} MiB) | \
          compact {wall_compact:.0} ms ({:.1} vs {:.1} MiB) | \
          coarsen {wall_coarsen:.0} ms ({levels} levels -> {coarsest_n}, arena {:.1} MiB)",
         g.n(),
         g.m(),
-        rss_mb_json(gen_peak.map(|p| (p * 1024.0 * 1024.0) as u64)),
-        rss_mb_json(gen_delta.map(|d| (d * 1024.0 * 1024.0) as u64)),
+        fmt_opt(gen_peak),
+        fmt_opt(gen_delta),
         compact_bytes as f64 / (1024.0 * 1024.0),
         ref_bytes as f64 / (1024.0 * 1024.0),
         arena_bytes as f64 / (1024.0 * 1024.0),
     );
 
-    let fmt_opt = |v: Option<f64>| match v {
-        Some(x) => format!("{x:.1}"),
-        None => "null".to_string(),
-    };
     SweepRow {
         json: format!(
             "    {{\"family\": \"{family}\", \"graph\": \"{label}\", \"n\": {}, \"m\": {}, \
@@ -161,25 +134,18 @@ fn sweep_row(family: &str, label: &str, generate: impl FnOnce() -> Graph) -> Swe
         ),
         n: g.n(),
         m: g.m(),
+        gen_delta,
     }
 }
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let mut assert_rss_mb = None;
-    let mut assert_factor = None;
     let mut argv = std::env::args();
     while let Some(a) = argv.next() {
-        match a.as_str() {
-            "--assert-rss-mb" => {
-                let v = argv.next().expect("--assert-rss-mb needs a value");
-                assert_rss_mb = Some(v.parse::<f64>().expect("bad --assert-rss-mb value"));
-            }
-            "--assert-gen-rss-factor" => {
-                let v = argv.next().expect("--assert-gen-rss-factor needs a value");
-                assert_factor = Some(v.parse::<f64>().expect("bad --assert-gen-rss-factor value"));
-            }
-            _ => {}
+        if a == "--assert-rss-mb" {
+            let v = argv.next().expect("--assert-rss-mb needs a value");
+            assert_rss_mb = Some(v.parse::<f64>().expect("bad --assert-rss-mb value"));
         }
     }
 
@@ -190,7 +156,6 @@ fn main() {
         rayon::current_num_threads()
     ));
 
-    // ---- Section 1: the scale sweep.
     // Full mode reaches the paper's 2^22-vertex instances for the grid
     // and Delaunay families (delaunay_n22 is the shape of delaunay_n24 at
     // quarter scale; the full n24 instance is a Paper-scale suite run).
@@ -214,6 +179,7 @@ fn main() {
     };
     json.push_str("  \"sweep\": [\n");
     let mut first = true;
+    let mut worst_gen_delta: Option<f64> = None;
     for (family, n) in sizes {
         let label = format!("{family}_2^{}", n.trailing_zeros());
         let row = match family {
@@ -235,6 +201,9 @@ fn main() {
         };
         assert!(row.n >= n / 2, "{label}: generated {} of {n}", row.n);
         assert!(row.m > row.n / 2, "{label}: suspicious m={}", row.m);
+        if let Some(d) = row.gen_delta {
+            worst_gen_delta = Some(worst_gen_delta.map_or(d, |w: f64| w.max(d)));
+        }
         if !first {
             json.push_str(",\n");
         }
@@ -243,90 +212,27 @@ fn main() {
     }
     json.push_str("\n  ],\n");
 
-    // ---- Section 2: direct vs builder generator memory, largest grid.
-    // Direct first (leaner), then builder on the freed heap: each leg
-    // measures its delta over the RSS base at its own reset.
-    let side = grid_side(if quick { 1 << 18 } else { 1 << 22 });
-    let win = RssWindow::open();
-    let t = Instant::now();
-    let g_direct = grid_2d(side, side);
-    let wall_direct = t.elapsed().as_secs_f64() * 1e3;
-    let (direct_peak, direct_delta) = win.close();
-    let (n_cmp, m_cmp) = (g_direct.n(), g_direct.m());
-    drop(g_direct);
-
-    let win = RssWindow::open();
-    let t = Instant::now();
-    let g_builder = grid_2d_via_builder(side, side);
-    let wall_builder = t.elapsed().as_secs_f64() * 1e3;
-    let (builder_peak, builder_delta) = win.close();
-    assert_eq!((g_builder.n(), g_builder.m()), (n_cmp, m_cmp));
-    drop(g_builder);
-
-    let factor = match (direct_delta, builder_delta) {
-        (Some(d), Some(b)) if d > 0.0 => Some(b / d),
-        _ => None,
-    };
-    let fmt_opt = |v: Option<f64>| match v {
-        Some(x) => format!("{x:.2}"),
-        None => "null".to_string(),
-    };
-    eprintln!(
-        "gen-rss grid {side}x{side}: direct {wall_direct:.0} ms +{} MiB vs \
-         builder {wall_builder:.0} ms +{} MiB -> factor {}",
-        fmt_opt(direct_delta),
-        fmt_opt(builder_delta),
-        fmt_opt(factor)
-    );
-    json.push_str(&format!(
-        "  \"gen_rss\": [\n    {{\"family\": \"grid\", \"n\": {n_cmp}, \"m\": {m_cmp}, \
-         \"direct_wall_ms\": {wall_direct:.3}, \"direct_peak_rss_mb\": {}, \
-         \"direct_rss_delta_mb\": {}, \"builder_wall_ms\": {wall_builder:.3}, \
-         \"builder_peak_rss_mb\": {}, \"builder_rss_delta_mb\": {}, \
-         \"rss_factor\": {}, \"rss_reset\": {}}}\n  ],\n",
-        fmt_opt(direct_peak),
-        fmt_opt(direct_delta),
-        fmt_opt(builder_peak),
-        fmt_opt(builder_delta),
-        fmt_opt(factor),
-        win.reset,
-    ));
-
-    // ---- Process-lifetime peak + budget/factor gates.
+    // ---- Process-lifetime peak + budget gate.
     let lifetime_peak = rss::peak_rss_bytes().map(mb);
     json.push_str(&format!(
         "  \"process_peak_rss_mb\": {}\n}}\n",
-        fmt_opt(lifetime_peak)
+        lifetime_peak.map_or("null".to_string(), |x| format!("{x:.2}"))
     ));
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_4.json");
     std::fs::write(out, &json).expect("write BENCH_4.json");
     eprintln!("wrote {out}");
 
-    let mut failed = false;
     if let Some(budget) = assert_rss_mb {
         // The budget gates the per-row generator deltas, not the process
         // lifetime peak (the heap retained between rows is allocator
         // behaviour, not a per-phase property).
-        match direct_delta {
+        match worst_gen_delta {
             Some(d) if d > budget => {
-                eprintln!("FAIL: direct generator RSS delta {d:.1} MiB over budget {budget} MiB");
-                failed = true;
+                eprintln!("FAIL: generator RSS delta {d:.1} MiB over budget {budget} MiB");
+                std::process::exit(1);
             }
-            Some(d) => eprintln!("rss budget OK: direct delta {d:.1} <= {budget} MiB"),
+            Some(d) => eprintln!("rss budget OK: largest generator delta {d:.1} <= {budget} MiB"),
             None => eprintln!("rss budget: no /proc, skipped"),
         }
-    }
-    if let Some(want) = assert_factor {
-        match factor {
-            Some(f) if f < want => {
-                eprintln!("FAIL: builder/direct RSS factor {f:.2} < required {want}");
-                failed = true;
-            }
-            Some(f) => eprintln!("rss factor OK: {f:.2} >= {want}"),
-            None => eprintln!("rss factor: no /proc, skipped"),
-        }
-    }
-    if failed {
-        std::process::exit(1);
     }
 }

@@ -2,11 +2,9 @@
 //! and figures (see DESIGN.md's experiment index). The `repro` binary
 //! drives these; the Criterion benches cover component wall-clock costs.
 
-pub mod baseline;
 pub mod harness;
 pub mod reference;
 pub mod report;
 
-pub use baseline::{compare, BenchDoc, Comparison};
 pub use harness::{sweep_p, Experiments, RunRecord};
 pub use report::{write_csv, Table};

@@ -7,14 +7,10 @@
 //! through `Machine::exchange` / the data-carrying collectives so every
 //! charged word is backed by an allocation, exactly like the old code.
 //!
-//! It exists for two reasons:
-//!
-//! 1. **Invariance oracle** — the optimized `sp_embed::lattice_smooth`
-//!    must produce *bit-identical* simulated time and coordinates. The
-//!    tests below and the `wallclock` benchmark assert exact `f64`
-//!    equality of `Machine::elapsed()` between the two.
-//! 2. **Wall-clock baseline** — the `wallclock` benchmark times both to
-//!    report the host-side speedup of the fast path.
+//! It exists as the **invariance oracle**: the optimized
+//! `sp_embed::lattice_smooth` must produce *bit-identical* simulated time
+//! and coordinates. The tests below and `tests/differential.rs` assert
+//! exact `f64` equality of `Machine::elapsed()` between the two.
 //!
 //! The only deliberate deviation from the historical code: the per-pair
 //! counters use `BTreeMap` instead of `HashMap`, so messages are emitted
@@ -158,46 +154,13 @@ fn clamp_far(lattice: &RefLattice, my_cell: usize, ghost_cell: usize, pos: Point
 /// The pre-optimization `lattice_smooth` with the *current* force formula
 /// (the sqrt-free `ForceParams::repulsive`): bit-identical to the
 /// optimized smoother in both simulated time and coordinates, so it is
-/// the invariance oracle of the tests and the `wallclock` benchmark.
+/// the invariance oracle of the tests here and in `tests/differential.rs`.
 pub fn reference_lattice_smooth(
     g: &Graph,
     coords: &mut [Point2],
     q: usize,
     machine: &mut Machine,
     cfg: &LatticeConfig,
-) -> LatticeStats {
-    reference_smooth_impl(g, coords, q, machine, cfg, |p, from, m1, to, m2| {
-        p.repulsive(from, m1, to, m2)
-    })
-}
-
-/// The `lattice_smooth` of the seed commit, fully faithful: the old
-/// sqrt-then-square repulsion formula on top of the same pre-optimization
-/// structure. This is the honest wall-clock baseline for the speedup
-/// number in `BENCH_2.json` — but NOT bit-comparable to the optimized
-/// path (`sqrt(x)²` re-rounds on non-Pythagorean inputs), which is why
-/// the invariance assertions use [`reference_lattice_smooth`] instead.
-pub fn seed_lattice_smooth(
-    g: &Graph,
-    coords: &mut [Point2],
-    q: usize,
-    machine: &mut Machine,
-    cfg: &LatticeConfig,
-) -> LatticeStats {
-    reference_smooth_impl(g, coords, q, machine, cfg, |p, from, m1, to, m2| {
-        let d = from - to;
-        let dist = d.norm().max(1e-9);
-        d * (p.c * p.k * p.k * m1 * m2 / (dist * dist))
-    })
-}
-
-fn reference_smooth_impl(
-    g: &Graph,
-    coords: &mut [Point2],
-    q: usize,
-    machine: &mut Machine,
-    cfg: &LatticeConfig,
-    repulsive: impl Fn(&ForceParams, Point2, f64, Point2, f64) -> Point2 + Sync,
 ) -> LatticeStats {
     assert_eq!(coords.len(), g.n());
     assert!(
@@ -363,7 +326,7 @@ fn reference_smooth_impl(
                             beta_snap_ref[s]
                         };
                         if b.mu > 0.0 {
-                            inherited += repulsive(&params, my_beta.phi, 1.0, b.phi, b.mu);
+                            inherited += params.repulsive(my_beta.phi, 1.0, b.phi, b.mu);
                         }
                         ops += 1.0;
                     }
@@ -397,7 +360,7 @@ fn reference_smooth_impl(
                         ops += 1.0;
                         let mass = if si == own_sub { b.mu - mv } else { b.mu };
                         if mass > 1e-12 {
-                            f += repulsive(&params, cv, mv, b.phi, mass);
+                            f += params.repulsive(cv, mv, b.phi, mass);
                         }
                     }
                     for (u, w) in g.neighbors_w(v) {

@@ -126,17 +126,6 @@ impl Table {
     }
 }
 
-/// Render an optional peak-RSS byte count as a JSON value: MiB with one
-/// decimal, or `null` where the platform has no `/proc` (peak RSS is a
-/// Linux VmHWM read). Shared by the wallclock harness's BENCH_2 rows so
-/// every row spells memory the same way.
-pub fn rss_mb_json(bytes: Option<u64>) -> String {
-    match bytes {
-        Some(b) => format!("{:.1}", b as f64 / (1024.0 * 1024.0)),
-        None => "null".to_string(),
-    }
-}
-
 /// Write a table's CSV under `dir/name.csv`.
 pub fn write_csv(table: &Table, dir: &Path, name: &str) -> std::io::Result<()> {
     std::fs::create_dir_all(dir)?;

@@ -1,7 +1,8 @@
-//! Graph contraction given a matching.
+//! What a contraction is and what makes one valid. The contraction
+//! itself is [`crate::contract_with`].
 
 use crate::matching::Matching;
-use sp_graph::{Graph, GraphBuilder};
+use sp_graph::Graph;
 
 /// The result of contracting a graph along a matching.
 pub struct Contraction {
@@ -11,10 +12,12 @@ pub struct Contraction {
     pub map: Vec<u32>,
 }
 
-/// Contract `g` along matching `m`: every matched pair becomes one coarse
-/// vertex (weights summed), unmatched vertices survive as singletons, and
-/// multi-edges merge with summed weights. Edges internal to a pair vanish.
-pub fn contract(g: &Graph, m: &Matching) -> Contraction {
+/// Reference contraction through a [`sp_graph::GraphBuilder`] tuple
+/// buffer: what [`crate::contract_with`]'s differential tests compare
+/// against, edge by edge and bit by bit.
+#[cfg(test)]
+pub(crate) fn contract(g: &Graph, m: &Matching) -> Contraction {
+    use sp_graph::GraphBuilder;
     let n = g.n();
     let mut map = vec![u32::MAX; n];
     let mut next = 0u32;
@@ -129,11 +132,19 @@ pub fn validate_contraction(g: &Graph, m: &Matching, c: &Contraction) -> Result<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matching::heavy_edge_matching;
+    use crate::arena::{contract_with, heavy_edge_matching_in, CoarsenArena};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use sp_graph::gen::grid_2d;
     use sp_graph::GraphBuilder;
+
+    /// Match `g` from `seed` and contract it, both through one arena.
+    fn hem_contract(g: &Graph, seed: u64) -> (Matching, Contraction) {
+        let mut arena = CoarsenArena::new();
+        let m = heavy_edge_matching_in(g, &mut StdRng::seed_from_u64(seed), &mut arena);
+        let c = contract_with(g, &m, &mut arena);
+        (m, c)
+    }
 
     #[test]
     fn contract_halves_a_path() {
@@ -146,7 +157,7 @@ mod tests {
         let m = Matching {
             mate: vec![1, 0, 3, 2],
         };
-        let c = contract(&g, &m);
+        let c = contract_with(&g, &m, &mut CoarsenArena::new());
         assert_eq!(c.coarse.n(), 2);
         assert_eq!(c.coarse.m(), 1);
         assert_eq!(c.coarse.vwgt(0), 2.0);
@@ -157,9 +168,7 @@ mod tests {
     #[test]
     fn vertex_weight_is_conserved() {
         let g = grid_2d(15, 15);
-        let mut rng = StdRng::seed_from_u64(4);
-        let m = heavy_edge_matching(&g, &mut rng);
-        let c = contract(&g, &m);
+        let (_, c) = hem_contract(&g, 4);
         assert!((c.coarse.total_vwgt() - g.total_vwgt()).abs() < 1e-9);
         c.coarse.validate().unwrap();
     }
@@ -177,7 +186,7 @@ mod tests {
         let m = Matching {
             mate: vec![1, 0, 3, 2],
         };
-        let c = contract(&g, &m);
+        let c = contract_with(&g, &m, &mut CoarsenArena::new());
         assert_eq!(c.coarse.n(), 2);
         assert_eq!(c.coarse.m(), 1);
         let w = c.coarse.neighbors_w(0).next().unwrap().1;
@@ -187,9 +196,7 @@ mod tests {
     #[test]
     fn map_is_consistent_with_matching() {
         let g = grid_2d(12, 12);
-        let mut rng = StdRng::seed_from_u64(5);
-        let m = heavy_edge_matching(&g, &mut rng);
-        let c = contract(&g, &m);
+        let (m, c) = hem_contract(&g, 5);
         for v in 0..g.n() as u32 {
             assert_eq!(c.map[v as usize], c.map[m.mate[v as usize] as usize]);
         }
@@ -201,18 +208,14 @@ mod tests {
     #[test]
     fn validate_contraction_accepts_hem_output() {
         let g = grid_2d(20, 20);
-        let mut rng = StdRng::seed_from_u64(8);
-        let m = heavy_edge_matching(&g, &mut rng);
-        let c = contract(&g, &m);
+        let (m, c) = hem_contract(&g, 8);
         validate_contraction(&g, &m, &c).unwrap();
     }
 
     #[test]
     fn validate_contraction_rejects_broken_map() {
         let g = grid_2d(10, 10);
-        let mut rng = StdRng::seed_from_u64(8);
-        let m = heavy_edge_matching(&g, &mut rng);
-        let mut c = contract(&g, &m);
+        let (m, mut c) = hem_contract(&g, 8);
         // Point a matched vertex somewhere else: pair consistency breaks.
         let v = (0..g.n()).find(|&v| m.mate[v] != v as u32).unwrap();
         c.map[v] = (c.map[v] + 1) % c.coarse.n() as u32;
@@ -223,9 +226,7 @@ mod tests {
     #[test]
     fn contraction_shrinks_towards_half() {
         let g = grid_2d(30, 30);
-        let mut rng = StdRng::seed_from_u64(6);
-        let m = heavy_edge_matching(&g, &mut rng);
-        let c = contract(&g, &m);
+        let (_, c) = hem_contract(&g, 6);
         let ratio = c.coarse.n() as f64 / g.n() as f64;
         assert!((0.5..0.62).contains(&ratio), "shrink ratio {ratio}");
     }

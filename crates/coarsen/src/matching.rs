@@ -1,7 +1,7 @@
-//! Sequential heavy-edge matching.
+//! What a matching is and what makes one valid. The matchers are
+//! [`crate::heavy_edge_matching_in`] (sequential) and
+//! [`crate::parallel_hem_in`] (SPMD, charged to a machine).
 
-use rand::seq::SliceRandom;
-use rand::Rng;
 use sp_graph::Graph;
 
 /// A matching: `mate[v] = u` if `v` is matched with `u`, `mate[v] = v` if
@@ -25,39 +25,6 @@ impl Matching {
     pub fn coarse_n(&self) -> usize {
         self.mate.len() - self.pairs()
     }
-}
-
-/// Heavy-edge matching: visit vertices in random order; match each
-/// unmatched vertex to its heaviest-edge unmatched neighbour (ties broken
-/// toward lower vertex id for determinism given the visit order).
-pub fn heavy_edge_matching<R: Rng>(g: &Graph, rng: &mut R) -> Matching {
-    let n = g.n();
-    let mut mate: Vec<u32> = (0..n as u32).collect();
-    let mut matched = vec![false; n];
-    let mut order: Vec<u32> = (0..n as u32).collect();
-    order.shuffle(rng);
-    for &v in &order {
-        if matched[v as usize] {
-            continue;
-        }
-        let mut best: Option<(f64, u32)> = None;
-        for (u, w) in g.neighbors_w(v) {
-            if matched[u as usize] {
-                continue;
-            }
-            match best {
-                Some((bw, bu)) if w < bw || (w == bw && u >= bu) => {}
-                _ => best = Some((w, u)),
-            }
-        }
-        if let Some((_, u)) = best {
-            mate[v as usize] = u;
-            mate[u as usize] = v;
-            matched[v as usize] = true;
-            matched[u as usize] = true;
-        }
-    }
-    Matching { mate }
 }
 
 /// Check the matching invariants: involution (`mate[mate[v]] == v`) and
@@ -84,6 +51,7 @@ pub fn validate_matching(g: &Graph, m: &Matching) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arena::{heavy_edge_matching_in, CoarsenArena};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use sp_graph::gen::grid_2d;
@@ -93,7 +61,7 @@ mod tests {
     fn matching_on_grid_is_valid_and_large() {
         let g = grid_2d(20, 20);
         let mut rng = StdRng::seed_from_u64(1);
-        let m = heavy_edge_matching(&g, &mut rng);
+        let m = heavy_edge_matching_in(&g, &mut rng, &mut CoarsenArena::new());
         validate_matching(&g, &m).unwrap();
         // A maximal matching on a grid matches nearly everything.
         assert!(m.pairs() * 2 > g.n() * 8 / 10, "pairs = {}", m.pairs());
@@ -114,7 +82,7 @@ mod tests {
         let mut heavy_chosen = 0;
         for seed in 0..20 {
             let mut rng = StdRng::seed_from_u64(seed);
-            let m = heavy_edge_matching(&g, &mut rng);
+            let m = heavy_edge_matching_in(&g, &mut rng, &mut CoarsenArena::new());
             validate_matching(&g, &m).unwrap();
             if m.mate[0] == 2 {
                 heavy_chosen += 1;
@@ -134,7 +102,7 @@ mod tests {
     fn matching_is_maximal() {
         let g = grid_2d(10, 10);
         let mut rng = StdRng::seed_from_u64(2);
-        let m = heavy_edge_matching(&g, &mut rng);
+        let m = heavy_edge_matching_in(&g, &mut rng, &mut CoarsenArena::new());
         // No edge may connect two unmatched vertices.
         for v in 0..g.n() as u32 {
             if m.mate[v as usize] != v {
@@ -150,7 +118,7 @@ mod tests {
     fn empty_and_single_vertex() {
         let g = GraphBuilder::new(1).build();
         let mut rng = StdRng::seed_from_u64(3);
-        let m = heavy_edge_matching(&g, &mut rng);
+        let m = heavy_edge_matching_in(&g, &mut rng, &mut CoarsenArena::new());
         validate_matching(&g, &m).unwrap();
         assert_eq!(m.coarse_n(), 1);
     }

@@ -13,7 +13,7 @@ use crate::arena::CoarsenArena;
 use crate::matching::Matching;
 use sp_graph::distr::Distribution;
 use sp_graph::Graph;
-use sp_machine::Machine;
+use sp_machine::{CostOnly, Machine};
 
 /// Per-rank outboxes of `(dest, edge-pair payload)` messages.
 type PairOutbox = Vec<Vec<(usize, Vec<(u32, u32)>)>>;
@@ -34,21 +34,10 @@ fn coin(v: u32, round: u32, seed: u64) -> bool {
 
 /// Run up to `rounds` rounds of SPMD heavy-edge matching over the block
 /// distribution `dist`, charging computation and communication to
-/// `machine`. Stops early once 85% of vertices are matched (ParMetis-class
-/// behaviour: contractions then halve the graph as intended).
-pub fn parallel_hem(
-    g: &Graph,
-    dist: &Distribution,
-    machine: &mut Machine,
-    rounds: u32,
-    seed: u64,
-) -> Matching {
-    parallel_hem_in(g, dist, machine, rounds, seed, &mut CoarsenArena::new())
-}
-
-/// [`parallel_hem`] with arena-owned matched flags — identical results,
-/// but the per-level `n`-sized scratch comes from (and stays in) `arena`
-/// so repeated levels of a hierarchy reuse one allocation.
+/// `machine`. Stops early once 92% of vertices are matched (ParMetis-class
+/// behaviour: contractions then halve the graph as intended). The
+/// `n`-sized matched flags come from (and stay in) `arena`, so the levels
+/// of a hierarchy reuse one allocation.
 pub fn parallel_hem_in(
     g: &Graph,
     dist: &Distribution,
@@ -244,6 +233,23 @@ pub fn parallel_hem_in(
     Matching { mate }
 }
 
+/// Charge one contraction of `g` to `machine`: every rank builds its share
+/// of the coarse rows (ops ∝ its local edges) and sends the ghost ids of
+/// its cross edges one hop round the ring.
+pub fn charge_contraction(g: &Graph, dist: &Distribution, machine: &mut Machine) {
+    let p = machine.p();
+    let mut states: Vec<()> = vec![(); p];
+    let edges_per_rank = (g.m() / p).max(1) as f64;
+    machine.compute(&mut states, |_, _| edges_per_rank);
+    if p > 1 {
+        let words = (2 * dist.cross_edges(g) / p).max(1);
+        let outbox: Vec<Vec<(usize, CostOnly)>> = (0..p)
+            .map(|r| vec![((r + 1) % p, CostOnly::new(words))])
+            .collect();
+        machine.exchange_costed(&outbox);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -256,7 +262,7 @@ mod tests {
         let g = grid_2d(24, 24);
         let dist = Distribution::block(g.n(), 4);
         let mut m = Machine::new(4, CostModel::qdr_infiniband());
-        let matching = parallel_hem(&g, &dist, &mut m, 4, 7);
+        let matching = parallel_hem_in(&g, &dist, &mut m, 4, 7, &mut CoarsenArena::new());
         validate_matching(&g, &matching).unwrap();
         assert!(m.elapsed() > 0.0);
     }
@@ -266,7 +272,7 @@ mod tests {
         let g = grid_2d(32, 32);
         let dist = Distribution::block(g.n(), 8);
         let mut m = Machine::new(8, CostModel::qdr_infiniband());
-        let matching = parallel_hem(&g, &dist, &mut m, 6, 3);
+        let matching = parallel_hem_in(&g, &dist, &mut m, 6, 3, &mut CoarsenArena::new());
         let frac = 2.0 * matching.pairs() as f64 / g.n() as f64;
         assert!(frac > 0.7, "matched fraction {frac}");
     }
@@ -277,8 +283,8 @@ mod tests {
         let dist = Distribution::block(g.n(), 4);
         let mut m1 = Machine::new(4, CostModel::qdr_infiniband());
         let mut m2 = Machine::new(4, CostModel::qdr_infiniband());
-        let a = parallel_hem(&g, &dist, &mut m1, 4, 9);
-        let b = parallel_hem(&g, &dist, &mut m2, 4, 9);
+        let a = parallel_hem_in(&g, &dist, &mut m1, 4, 9, &mut CoarsenArena::new());
+        let b = parallel_hem_in(&g, &dist, &mut m2, 4, 9, &mut CoarsenArena::new());
         assert_eq!(a.mate, b.mate);
         assert_eq!(m1.elapsed(), m2.elapsed());
     }
@@ -288,7 +294,7 @@ mod tests {
         let g = grid_2d(10, 10);
         let dist = Distribution::block(g.n(), 1);
         let mut m = Machine::new(1, CostModel::qdr_infiniband());
-        let matching = parallel_hem(&g, &dist, &mut m, 4, 1);
+        let matching = parallel_hem_in(&g, &dist, &mut m, 4, 1, &mut CoarsenArena::new());
         validate_matching(&g, &matching).unwrap();
         assert!(matching.pairs() > 0);
     }
@@ -300,7 +306,7 @@ mod tests {
         for p in [2usize, 16] {
             let dist = Distribution::block(g.n(), p);
             let mut m = Machine::new(p, CostModel::qdr_infiniband());
-            let _ = parallel_hem(&g, &dist, &mut m, 4, 5);
+            let _ = parallel_hem_in(&g, &dist, &mut m, 4, 5, &mut CoarsenArena::new());
             comm.push(m.comm_time());
         }
         assert!(comm[1] > 0.0);

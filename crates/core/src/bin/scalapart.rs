@@ -39,7 +39,6 @@ struct Args {
     metrics: Option<PathBuf>,
     obs_log: Option<PathBuf>,
     seed: u64,
-    rank_batch: usize,
 }
 
 const USAGE_HINT: &str =
@@ -71,11 +70,7 @@ fn usage() -> ! {
            --metrics FILE          write per-phase / per-rank metrics JSON\n\
            --obs-log FILE          append host-runtime JSONL records (run_start,\n\
                                    phase_profile with per-phase wall ms + RSS, run_done)\n\
-           --seed N                RNG seed (default 42)\n\
-           --rank-batch N          simulated ranks per unit that supersteps deal\n\
-                                   round-robin over the host threads (default\n\
-                                   0 = auto: one rank; results are bit-identical\n\
-                                   for every value)"
+           --seed N                RNG seed (default 42)"
     );
     std::process::exit(0);
 }
@@ -94,7 +89,6 @@ fn parse_args() -> Args {
         metrics: None,
         obs_log: None,
         seed: 42,
-        rank_batch: 0,
     };
     let mut it = std::env::args().skip(1);
     let mut have_input = false;
@@ -133,12 +127,6 @@ fn parse_args() -> Args {
                 args.seed = v
                     .parse()
                     .unwrap_or_else(|_| fail(&format!("bad value for --seed: '{v}'")));
-            }
-            "--rank-batch" => {
-                let v = value(&mut it, "--rank-batch");
-                args.rank_batch = v
-                    .parse()
-                    .unwrap_or_else(|_| fail(&format!("bad value for --rank-batch: '{v}'")));
             }
             "--help" | "-h" => usage(),
             other if other.starts_with('-') => fail(&format!("unknown flag '{other}'")),
@@ -229,7 +217,6 @@ fn main() {
     );
 
     let mut machine = Machine::new(args.ranks.max(1), CostModel::qdr_infiniband());
-    machine.set_rank_batch(args.rank_batch);
     let observing = args.trace.is_some() || args.metrics.is_some();
     if observing {
         machine.set_recorder(Box::new(TraceRecorder::new(machine.p())));

@@ -4,14 +4,16 @@ use crate::config::SpConfig;
 use crate::observe::{Cancelled, LevelStats, NoopObserver, PipelineObserver};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sp_coarsen::{contract_with, parallel_hem_in, CoarsenArena, Hierarchy, Level};
+use sp_coarsen::{
+    charge_contraction, contract_with, parallel_hem_in, CoarsenArena, Hierarchy, Level,
+};
 use sp_embed::{lattice_smooth_with, multilevel_lattice_embed_with, Smoother};
 use sp_geometry::Point2;
 use sp_geopart::parallel_geometric_partition;
 use sp_graph::distr::Distribution;
 use sp_graph::{Bisection, Graph};
-use sp_machine::{CostOnly, Machine, Phase, PhaseBreakdown};
-use sp_refine::{fm_refine, strip_around_separator};
+use sp_machine::{Machine, Phase, PhaseBreakdown};
+use sp_refine::strip_refine;
 
 /// Per-phase simulated time (computation/communication split), the data
 /// behind the paper's Figures 7 and 8.
@@ -132,23 +134,19 @@ pub fn scalapart_bisect_checked(
     }
     let mut bisection = geo.bisection;
     let cut_before_refine = geo.cut;
-    let mut strip_size = 0;
-    if cfg.strip_factor > 0.0 && geo.cut > 0 {
-        let target = ((geo.cut as f64 * cfg.strip_factor) as usize).clamp(4, g.n());
-        let movable = strip_around_separator(&geo.separator.signed, target);
-        strip_size = movable.iter().filter(|&&b| b).count();
-        let st = fm_refine(g, &mut bisection, Some(&movable), &cfg.fm);
-        obs.on_refined(g, &bisection, &st);
-        // Strip FM cost: the strip is distributed over ranks; charge its
-        // ops split across P plus one consensus collective per pass —
-        // "negligible" per the paper, and it is.
-        let mut states: Vec<()> = vec![(); p];
-        let ops = st.ops / p as f64;
-        machine.compute(&mut states, |_, _| ops);
-        for _ in 0..st.passes {
-            machine.allreduce_sum_costed(2);
-        }
+    let refined = strip_refine(
+        g,
+        &mut bisection,
+        &geo.separator.signed,
+        geo.cut,
+        cfg.strip_factor,
+        &cfg.fm,
+        machine,
+    );
+    if let Some(r) = &refined {
+        obs.on_refined(g, &bisection, &r.stats);
     }
+    let strip_size = refined.map_or(0, |r| r.strip_size);
     let t3 = machine.elapsed();
     machine.phase(Phase::Done);
 
@@ -204,19 +202,16 @@ pub fn sp_pg7nl_bisect(
     let geo = parallel_geometric_partition(g, coords, &dist, machine, &cfg.geo, cfg.seed ^ 0x9E0);
     let mut bisection = geo.bisection;
     let cut_before_refine = geo.cut;
-    let mut strip_size = 0;
-    if cfg.strip_factor > 0.0 && geo.cut > 0 {
-        let target = ((geo.cut as f64 * cfg.strip_factor) as usize).clamp(4, g.n());
-        let movable = strip_around_separator(&geo.separator.signed, target);
-        strip_size = movable.iter().filter(|&&b| b).count();
-        let st = fm_refine(g, &mut bisection, Some(&movable), &cfg.fm);
-        let mut states: Vec<()> = vec![(); p];
-        let ops = st.ops / p as f64;
-        machine.compute(&mut states, |_, _| ops);
-        for _ in 0..st.passes {
-            machine.allreduce_sum_costed(2);
-        }
-    }
+    let strip_size = strip_refine(
+        g,
+        &mut bisection,
+        &geo.separator.signed,
+        geo.cut,
+        cfg.strip_factor,
+        &cfg.fm,
+        machine,
+    )
+    .map_or(0, |r| r.strip_size);
     machine.phase(Phase::Done);
     let mut breakdown = machine.phase_breakdown();
     let times = PhaseTimes {
@@ -283,18 +278,7 @@ fn coarsen_parallel(
             if obs.poll_cancel() {
                 return Err(Cancelled);
             }
-            // Contraction cost: local edges plus ghost-id exchange.
-            let mut states: Vec<()> = vec![(); p];
-            let edges_per_rank = (graph.m() / p).max(1) as f64;
-            machine.compute(&mut states, |_, _| edges_per_rank);
-            if p > 1 {
-                let cross = dist.cross_edges(graph);
-                let words = (2 * cross / p).max(1);
-                let outbox: Vec<Vec<(usize, CostOnly)>> = (0..p)
-                    .map(|r| vec![((r + 1) % p, CostOnly::new(words))])
-                    .collect();
-                machine.exchange_costed(&outbox);
-            }
+            charge_contraction(graph, &dist, machine);
             Ok(c)
         };
         let (fine_n, fine_m) = (cur.n(), cur.m());

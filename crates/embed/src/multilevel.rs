@@ -29,13 +29,6 @@ pub struct MultilevelEmbedConfig {
     pub theta: f64,
     /// RNG seed for initial placement and projection jitter.
     pub seed: u64,
-    /// Contiguous simulated ranks per unit each superstep deals round-robin
-    /// over the host threads. Non-zero values are forwarded to
-    /// [`Machine::set_rank_batch`] at embed entry; 0 (the default) leaves
-    /// the machine's own setting — normally auto: units of one rank.
-    /// Purely a host performance knob — results are bit-identical for
-    /// every value.
-    pub rank_batch: usize,
 }
 
 impl Default for MultilevelEmbedConfig {
@@ -46,7 +39,6 @@ impl Default for MultilevelEmbedConfig {
             iters_smooth: 20,
             theta: 1.1,
             seed: 0x1A771CE,
-            rank_batch: 0,
         }
     }
 }
@@ -136,9 +128,6 @@ pub fn multilevel_lattice_embed_with(
 ) -> Vec<Point2> {
     let p = machine.p();
     let k = h.depth() - 1;
-    if cfg.rank_batch != 0 {
-        machine.set_rank_batch(cfg.rank_batch);
-    }
     let mut rng = StdRng::seed_from_u64(cfg.seed);
 
     // --- Coarsest level: random init + force embedding on the P^k active

@@ -149,17 +149,13 @@ impl Machine {
     /// Set how many contiguous ranks make one unit in [`Machine::compute`],
     /// which deals units round-robin over the host pool's threads: 0 (the
     /// default) is auto, one rank a unit; `p` or more is a single unit, so
-    /// the whole superstep runs inline on the calling thread. A pure
-    /// host-performance knob — simulated clocks and delivered data are
-    /// identical for every value (the sp-verify `parallel` fuzz proves
-    /// this bit-for-bit).
+    /// the whole superstep runs inline on the calling thread. Simulated
+    /// clocks and delivered data are identical for every value, and no
+    /// production caller passes one: this is sp-verify's lever for forcing
+    /// the inline path and odd unit shapes, which its `parallel` stage
+    /// sweeps to prove that identity bit for bit.
     pub fn set_rank_batch(&mut self, batch: usize) {
         self.rank_batch = batch;
-    }
-
-    /// The configured rank batch size (0 = auto).
-    pub fn rank_batch(&self) -> usize {
-        self.rank_batch
     }
 
     /// Install a host-execution observer called once per superstep with

@@ -4,7 +4,7 @@
 //! mark") since process start — or since the last peak reset. Linux lets
 //! a process reset its own VmHWM by writing `5` to
 //! `/proc/self/clear_refs`, which is what makes *per-run* peak RSS
-//! possible in `sp-bench wallclock`: reset, run, sample.
+//! possible in `sp-bench scale`: reset, run, sample.
 //!
 //! On non-Linux hosts (or a hardened /proc) every call degrades to
 //! `None`/no-op; callers must treat absence as "unknown", not zero.

@@ -14,6 +14,7 @@
 
 use sp_graph::access::{self, GraphAccess};
 use sp_graph::{Bisection, Graph};
+use sp_machine::Machine;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -52,6 +53,21 @@ pub struct FmStats {
     pub passes: usize,
     /// Abstract ops (edge scans) performed, for machine cost charging.
     pub ops: f64,
+}
+
+impl FmStats {
+    /// Charge the run to `machine`: the movable set is distributed, so the
+    /// edge scans split evenly over the ranks, plus one 2-word consensus
+    /// allreduce a pass — "negligible" per the paper, and it is.
+    pub fn charge(&self, machine: &mut Machine) {
+        let p = machine.p();
+        let mut states: Vec<()> = vec![(); p];
+        let ops = self.ops / p as f64;
+        machine.compute(&mut states, |_, _| ops);
+        for _ in 0..self.passes {
+            machine.allreduce_sum_costed(2);
+        }
+    }
 }
 
 #[derive(PartialEq)]

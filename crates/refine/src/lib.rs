@@ -14,4 +14,4 @@ pub use band::band_by_hops;
 pub use fm::{fm_refine, fm_refine_on, FmConfig, FmStats};
 pub use kl::kl_refine;
 pub use naive::naive_fm_refine;
-pub use strip::strip_around_separator;
+pub use strip::{strip_around_separator, strip_refine, StripRefinement};

@@ -5,6 +5,48 @@
 //! has: the strip is the set of vertices whose signed distance from the
 //! separating circle is smallest in magnitude. The paper sizes the strip at
 //! a small multiple of the separator size (Fig 2 shows 5.6×).
+//!
+//! [`strip_refine`] is the whole of that stage — size the strip, mask it,
+//! run FM on it, charge the machine — and the only spelling of it: the
+//! ScalaPart pipeline, SP-PG7-NL and `sp-stream`'s full step all call it.
+
+use crate::fm::{fm_refine, FmConfig, FmStats};
+use sp_graph::{Bisection, Graph};
+use sp_machine::Machine;
+
+/// What [`strip_refine`] did.
+#[derive(Clone, Copy, Debug)]
+pub struct StripRefinement {
+    /// Vertices in the strip (ties included, so ≥ the target).
+    pub strip_size: usize,
+    pub stats: FmStats,
+}
+
+/// Strip refinement of a geometric bisection: FM restricted to the
+/// `cut · strip_factor` vertices nearest the separator (at least 4, at
+/// most all), by the `signed` distances the separator left behind, with
+/// the run charged to `machine` ([`FmStats::charge`]). `None`, and nothing
+/// charged, when the stage is off (`strip_factor` ≤ 0) or there is no
+/// separator to refine (`cut` = 0).
+pub fn strip_refine(
+    g: &Graph,
+    bi: &mut Bisection,
+    signed: &[f64],
+    cut: usize,
+    strip_factor: f64,
+    fm: &FmConfig,
+    machine: &mut Machine,
+) -> Option<StripRefinement> {
+    if strip_factor <= 0.0 || cut == 0 {
+        return None;
+    }
+    let target = ((cut as f64 * strip_factor) as usize).clamp(4, g.n());
+    let movable = strip_around_separator(signed, target);
+    let strip_size = movable.iter().filter(|&&b| b).count();
+    let stats = fm_refine(g, bi, Some(&movable), fm);
+    stats.charge(machine);
+    Some(StripRefinement { strip_size, stats })
+}
 
 /// Movable mask containing the `target` vertices closest to the separator
 /// (by |signed distance|). Always includes every vertex with signed

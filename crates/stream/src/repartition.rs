@@ -38,7 +38,7 @@ use sp_graph::distr::Distribution;
 use sp_graph::Bisection;
 use sp_machine::{CostModel, Machine};
 use sp_obs::Registry;
-use sp_refine::{fm_refine, fm_refine_on, strip_around_separator, FmConfig};
+use sp_refine::{fm_refine, fm_refine_on, strip_refine, FmConfig};
 use sp_trace::fnv::Fingerprint;
 use sp_trace::json::num;
 use std::collections::BTreeSet;
@@ -359,7 +359,7 @@ impl IncrementalRepartitioner {
             Some(&self.mask),
             &self.cfg.fm,
         );
-        charge_fm(&mut machine, st.ops, st.passes);
+        st.charge(&mut machine);
         StepReport {
             step,
             mode: StepMode::Incremental,
@@ -387,7 +387,7 @@ impl IncrementalRepartitioner {
         let g = self.overlay.base().clone();
         let cut_before = access::cut_of(&self.overlay, &self.side);
         let mut machine = Machine::new(self.cfg.ranks, CostModel::qdr_infiniband());
-        let mut passes = 0;
+        let passes;
         let mut new_side = match self.overlay.coords() {
             Some(coords) => {
                 let dist = Distribution::block(g.n(), self.cfg.ranks);
@@ -400,14 +400,16 @@ impl IncrementalRepartitioner {
                     self.cfg.seed ^ 0x9E0,
                 );
                 let mut bi = geo.bisection;
-                if self.cfg.strip_factor > 0.0 && geo.cut > 0 {
-                    let target =
-                        ((geo.cut as f64 * self.cfg.strip_factor) as usize).clamp(4, g.n());
-                    let movable = strip_around_separator(&geo.separator.signed, target);
-                    let st = fm_refine(&g, &mut bi, Some(&movable), &self.cfg.fm);
-                    charge_fm(&mut machine, st.ops, st.passes);
-                    passes = st.passes;
-                }
+                passes = strip_refine(
+                    &g,
+                    &mut bi,
+                    &geo.separator.signed,
+                    geo.cut,
+                    self.cfg.strip_factor,
+                    &self.cfg.fm,
+                    &mut machine,
+                )
+                .map_or(0, |r| r.stats.passes);
                 bi
             }
             None => {
@@ -428,7 +430,7 @@ impl IncrementalRepartitioner {
                     }
                 }
                 let st = fm_refine(&g, &mut bi, None, &self.cfg.fm);
-                charge_fm(&mut machine, st.ops, st.passes);
+                st.charge(&mut machine);
                 passes = st.passes;
                 bi
             }
@@ -463,18 +465,6 @@ impl IncrementalRepartitioner {
             wall_ms: t0.elapsed().as_secs_f64() * 1e3,
             partition_fp: partition_fp(&self.side),
         }
-    }
-}
-
-/// Charge an FM run to the machine the way the batch pipeline does: the
-/// edge scans spread evenly over ranks plus one 2-word allreduce per pass.
-fn charge_fm(machine: &mut Machine, ops: f64, passes: usize) {
-    let p = machine.p();
-    let mut states: Vec<()> = vec![(); p];
-    let per_rank = ops / p as f64;
-    machine.compute(&mut states, |_, _| per_rank);
-    for _ in 0..passes {
-        machine.allreduce_sum_costed(2);
     }
 }
 

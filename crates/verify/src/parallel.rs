@@ -22,7 +22,7 @@
 //! Host scheduling decides only *when* a closure runs, never what it
 //! computes or where its result lands — the same argument that makes the
 //! `Schedule` fuzzer's permutations invisible (see DESIGN.md, "Host
-//! performance round 2").
+//! performance", round 2).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;

@@ -91,12 +91,15 @@ proptest! {
 
     #[test]
     fn matching_and_contraction_preserve_weight(seed in 0u64..5000) {
-        use scalapart::coarsen::{contract, heavy_edge_matching, validate_matching};
+        use scalapart::coarsen::{
+            contract_with, heavy_edge_matching_in, validate_matching, CoarsenArena,
+        };
         let mut rng = StdRng::seed_from_u64(seed);
         let (g, _) = random_geometric_graph(150, 0.12, &mut rng);
-        let m = heavy_edge_matching(&g, &mut rng);
+        let mut arena = CoarsenArena::new();
+        let m = heavy_edge_matching_in(&g, &mut rng, &mut arena);
         prop_assert!(validate_matching(&g, &m).is_ok());
-        let c = contract(&g, &m);
+        let c = contract_with(&g, &m, &mut arena);
         prop_assert!(c.coarse.validate().is_ok());
         prop_assert!((c.coarse.total_vwgt() - g.total_vwgt()).abs() < 1e-6);
         prop_assert!(c.coarse.n() >= g.n() / 2);
