@@ -150,6 +150,22 @@ fn bench_refine(c: &mut Criterion) {
             })
         });
     }
+    // The shape of a `session-stream` step: a 192×192 grid, a noisy split,
+    // and the 23 columns around it (12 %) movable.
+    let side = 192usize;
+    let g = grid_2d(side, side);
+    let noisy: Vec<u8> = (0..g.n())
+        .map(|v| u8::from((v % side >= side / 2) != (v % 17 == 0)))
+        .collect();
+    let strip: Vec<bool> = (0..g.n())
+        .map(|v| (v % side).abs_diff(side / 2) < 12)
+        .collect();
+    group.bench_with_input(BenchmarkId::new("fm_strip", g.n()), &g, |b, g| {
+        b.iter(|| {
+            let mut bi = Bisection::new(noisy.clone());
+            fm_refine(g, &mut bi, Some(&strip), &FmConfig::default()).cut_after
+        })
+    });
     group.finish();
 }
 

@@ -8,15 +8,37 @@
 //! cost "negligible" (a small multiple of the separator size).
 //!
 //! Gains are floating point (coarse graphs have real-valued edge weights),
-//! so the bucket list of the original FM is replaced by a lazy max-heap:
-//! entries carry a version stamp and stale ones are skipped on pop. Same
-//! asymptotics up to a log factor, no integer-weight restriction.
+//! so the bucket list of the original FM is replaced by an addressable
+//! max-heap, `GainQueue`: one entry per queued vertex, its position kept
+//! per vertex, a gain change sifted in place. Same asymptotics up to a log
+//! factor, no integer-weight restriction.
+//!
+//! # Why the moves are those of the stamped lazy heap it replaced
+//!
+//! Until the addressable queue, every gain change pushed a new
+//! `(gain, v, stamp)` entry onto a `BinaryHeap` and a pop skipped entries
+//! whose stamp was old or whose vertex was locked. That heap is kept as
+//! the oracle of the tests below, and the queue pops what it popped:
+//!
+//! * **Its fresh entries are the queue.** At every pop, the lazy heap held
+//!   exactly one fresh entry per unlocked movable vertex, carrying that
+//!   vertex's current gain: it was cleared and its stamps reset each pass,
+//!   every gain change bumped the stamp, and a deferred entry went back
+//!   unchanged. Stale and locked pops changed nothing, and the streak of
+//!   more than 64 infeasible pops counted fresh entries only. The queue
+//!   holds exactly those vertices with exactly those gains.
+//! * **The key set fixes the pop sequence.** The key is the lazy heap's
+//!   order: gain by `partial_cmp` (`Equal` when incomparable), then the
+//!   smaller id first. Ids are distinct, so for gains that are not NaN the
+//!   key is a strict total order, and any max-heap holding a set of keys
+//!   pops them in one sequence, however it was built.
+//! * **`ops` counts edges scanned, not heap work,** so `FmStats`,
+//!   [`FmStats::charge`] and the simulated time it charges are unchanged.
 
 use sp_graph::access::{self, GraphAccess};
 use sp_graph::{Bisection, Graph};
 use sp_machine::Machine;
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 /// Controls for FM refinement.
 #[derive(Clone, Copy, Debug)]
@@ -70,27 +92,156 @@ impl FmStats {
     }
 }
 
-#[derive(PartialEq)]
-struct HeapEntry {
-    gain: f64,
-    v: u32,
-    stamp: u32,
+/// `pos` of a vertex that is not queued.
+const NONE: u32 = u32::MAX;
+
+/// The movable vertices of a pass in an addressable binary max-heap,
+/// highest gain first, the smaller id first among equal gains. Per vertex
+/// it holds a gain and a heap position; a vertex's gain stops changing
+/// when it leaves the queue.
+struct GainQueue {
+    gain: Vec<f64>,
+    /// `pos[v]` = index of `v` in `heap`, [`NONE`] if `v` is not queued: a
+    /// vertex moved this pass has left, an immovable one never entered.
+    pos: Vec<u32>,
+    heap: Vec<u32>,
+    /// Infeasible vertices held out of the heap during one pop.
+    deferred: Vec<u32>,
 }
 
-impl Eq for HeapEntry {}
-
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.gain
-            .partial_cmp(&other.gain)
-            .unwrap_or(Ordering::Equal)
-            .then_with(|| other.v.cmp(&self.v))
+impl GainQueue {
+    fn new(n: usize, capacity: usize) -> Self {
+        GainQueue {
+            gain: vec![0.0; n],
+            pos: vec![NONE; n],
+            heap: Vec::with_capacity(capacity),
+            deferred: Vec::with_capacity(65),
+        }
     }
-}
 
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
+    /// Empty the queue, then queue `verts` with the gains `gain_of` gives,
+    /// taken in the order of `verts`; the heap is built bottom-up.
+    fn seed(&mut self, verts: &[u32], mut gain_of: impl FnMut(u32) -> f64) {
+        for &v in &self.heap {
+            self.pos[v as usize] = NONE;
+        }
+        self.heap.clear();
+        for &v in verts {
+            self.gain[v as usize] = gain_of(v);
+            self.pos[v as usize] = self.heap.len() as u32;
+            self.heap.push(v);
+        }
+        for i in (0..self.heap.len() / 2).rev() {
+            self.sift_down(i);
+        }
+    }
+
+    fn gain(&self, v: u32) -> f64 {
+        self.gain[v as usize]
+    }
+
+    /// Add `delta` to the gain of `v` if it is queued, and restore the
+    /// heap: a gain that rose can only climb, one that fell only sink.
+    fn add(&mut self, v: u32, delta: f64) {
+        let i = self.pos[v as usize];
+        if i == NONE {
+            return;
+        }
+        self.gain[v as usize] += delta;
+        if delta > 0.0 {
+            self.sift_up(i as usize);
+        } else {
+            self.sift_down(i as usize);
+        }
+    }
+
+    /// Pop the best vertex `feasible` accepts. The infeasible vertices
+    /// popped on the way are put back; after more than 64 of them the pop
+    /// gives up and returns `None`, as it does on an empty queue.
+    fn pop_feasible(&mut self, feasible: impl Fn(u32) -> bool) -> Option<u32> {
+        let mut found = None;
+        while let Some(v) = self.pop() {
+            if feasible(v) {
+                found = Some(v);
+                break;
+            }
+            self.deferred.push(v);
+            if self.deferred.len() > 64 {
+                break; // deep infeasible streak: give up this pop
+            }
+        }
+        while let Some(v) = self.deferred.pop() {
+            self.push(v);
+        }
+        found
+    }
+
+    /// Whether `a` pops before `b`: the lazy heap's entry order.
+    fn above(&self, a: u32, b: u32) -> bool {
+        match self.gain[a as usize].partial_cmp(&self.gain[b as usize]) {
+            Some(Ordering::Greater) => true,
+            Some(Ordering::Less) => false,
+            _ => a < b,
+        }
+    }
+
+    fn place(&mut self, i: usize, v: u32) {
+        self.heap[i] = v;
+        self.pos[v as usize] = i as u32;
+    }
+
+    fn push(&mut self, v: u32) {
+        self.heap.push(v);
+        self.sift_up(self.heap.len() - 1);
+    }
+
+    fn pop(&mut self) -> Option<u32> {
+        let top = *self.heap.first()?;
+        let last = self.heap.pop()?;
+        self.pos[top as usize] = NONE;
+        if !self.heap.is_empty() {
+            self.place(0, last);
+            self.sift_down(0);
+        }
+        Some(top)
+    }
+
+    fn sift_up(&mut self, mut i: usize) {
+        let v = self.heap[i];
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            let p = self.heap[parent];
+            if !self.above(v, p) {
+                break;
+            }
+            self.place(i, p);
+            i = parent;
+        }
+        self.place(i, v);
+    }
+
+    fn sift_down(&mut self, mut i: usize) {
+        let v = self.heap[i];
+        let len = self.heap.len();
+        loop {
+            let left = 2 * i + 1;
+            if left >= len {
+                break;
+            }
+            let right = left + 1;
+            let child = if right < len && self.above(self.heap[right], self.heap[left]) {
+                right
+            } else {
+                left
+            };
+            let c = self.heap[child];
+            if !self.above(c, v) {
+                break;
+            }
+            self.place(i, c);
+            i = child;
+        }
+        self.place(i, v);
     }
 }
 
@@ -133,7 +284,7 @@ pub fn fm_refine_on<G: GraphAccess>(
     let total_w = g.total_vwgt();
     let half = total_w / 2.0;
     let is_movable = |v: u32| movable.is_none_or(|m| m[v as usize]);
-    // Ascending ids: the order gains are seeded and pushed in.
+    // Ascending ids: the order gains are seeded in.
     let movable_list: Vec<u32> = (0..n as u32).filter(|&v| is_movable(v)).collect();
     let move_cap = ((movable_list.len() as f64 * cfg.move_fraction) as usize).max(1);
 
@@ -142,21 +293,17 @@ pub fn fm_refine_on<G: GraphAccess>(
     let init_imb = w0.max(w1) / half - 1.0;
     let allowed_imb = cfg.balance_tol.max(init_imb);
 
-    // Scratch for every pass. Only movable vertices are ever given a gain,
-    // stamped or locked, so a pass resets those entries and no others.
-    let mut gain = vec![0.0f64; n];
-    let mut stamp = vec![0u32; n];
-    let mut locked = vec![false; n];
-    let mut heap = BinaryHeap::with_capacity(movable_list.len());
+    // Scratch for every pass, sized once. Only movable vertices are ever
+    // given a gain or a heap position.
+    let mut queue = GainQueue::new(n, movable_list.len());
     // Move log for rollback: (vertex, cut after the move, imbalance ok).
     let mut log: Vec<(u32, f64, bool)> = Vec::new();
 
     for pass in 0..cfg.max_passes {
         stats.passes = pass + 1;
-        heap.clear();
         log.clear();
         // Gains.
-        for &v in &movable_list {
+        queue.seed(&movable_list, |v| {
             let sv = bi.side(v);
             let mut gv = 0.0;
             for (u, w) in g.neighbors_w(v) {
@@ -167,38 +314,34 @@ pub fn fm_refine_on<G: GraphAccess>(
                 }
                 stats.ops += 1.0;
             }
-            gain[v as usize] = gv;
-            stamp[v as usize] = 0;
-            locked[v as usize] = false;
-            heap.push(HeapEntry {
-                gain: gv,
-                v,
-                stamp: 0,
-            });
-        }
+            gv
+        });
         let mut best_prefix = 0usize;
         let mut best_cut = cur_cut;
         let mut trial_cut = cur_cut;
         let (mut tw0, mut tw1) = (w0, w1);
 
         while log.len() < move_cap {
-            // Pop the best fresh, unlocked, balance-feasible vertex.
-            let Some(v) = pop_feasible(
-                &mut heap,
-                &stamp,
-                &locked,
-                bi,
-                g,
-                tw0,
-                tw1,
-                half,
-                allowed_imb,
-            ) else {
+            // Pop the best unmoved, balance-feasible vertex.
+            let cur_imb = tw0.max(tw1) / half - 1.0;
+            let Some(v) = queue.pop_feasible(|v| {
+                // Balance feasibility of moving v off its side.
+                let wv = g.vwgt(v);
+                let (nw0, nw1) = if bi.side(v) == 0 {
+                    (tw0 - wv, tw1 + wv)
+                } else {
+                    (tw0 + wv, tw1 - wv)
+                };
+                let imb = nw0.max(nw1) / half - 1.0;
+                // Always allow moves that reduce imbalance; otherwise
+                // require the tolerance to hold after the move.
+                imb <= allowed_imb + 1e-12 || imb < cur_imb - 1e-12
+            }) else {
                 break;
             };
             let sv = bi.side(v);
             let wv = g.vwgt(v);
-            trial_cut -= gain[v as usize];
+            trial_cut -= queue.gain(v);
             if sv == 0 {
                 tw0 -= wv;
                 tw1 += wv;
@@ -207,7 +350,6 @@ pub fn fm_refine_on<G: GraphAccess>(
                 tw0 += wv;
             }
             bi.flip(v);
-            locked[v as usize] = true;
             let imb_ok = tw0.max(tw1) / half - 1.0 <= allowed_imb + 1e-12;
             log.push((v, trial_cut, imb_ok));
             if imb_ok && trial_cut < best_cut - 1e-12 {
@@ -218,22 +360,13 @@ pub fn fm_refine_on<G: GraphAccess>(
             let new_side = bi.side(v);
             for (u, w) in g.neighbors_w(v) {
                 stats.ops += 1.0;
-                if locked[u as usize] || !is_movable(u) {
-                    continue;
-                }
                 // v changed sides: edges to u flip their contribution.
                 let delta = if bi.side(u) == new_side {
                     -2.0 * w
                 } else {
                     2.0 * w
                 };
-                gain[u as usize] += delta;
-                stamp[u as usize] += 1;
-                heap.push(HeapEntry {
-                    gain: gain[u as usize],
-                    v: u,
-                    stamp: stamp[u as usize],
-                });
+                queue.add(u, delta);
             }
         }
         // Roll back to the best prefix.
@@ -261,56 +394,13 @@ pub fn fm_refine_on<G: GraphAccess>(
     stats
 }
 
-#[allow(clippy::too_many_arguments)]
-fn pop_feasible<G: GraphAccess>(
-    heap: &mut BinaryHeap<HeapEntry>,
-    stamp: &[u32],
-    locked: &[bool],
-    bi: &Bisection,
-    g: &G,
-    w0: f64,
-    w1: f64,
-    half: f64,
-    allowed_imb: f64,
-) -> Option<u32> {
-    let mut deferred: Vec<HeapEntry> = Vec::new();
-    let mut found = None;
-    while let Some(e) = heap.pop() {
-        if e.stamp != stamp[e.v as usize] || locked[e.v as usize] {
-            continue; // stale or locked
-        }
-        // Balance feasibility of moving v off its side.
-        let wv = g.vwgt(e.v);
-        let (nw0, nw1) = if bi.side(e.v) == 0 {
-            (w0 - wv, w1 + wv)
-        } else {
-            (w0 + wv, w1 - wv)
-        };
-        let imb = nw0.max(nw1) / half - 1.0;
-        // Always allow moves that reduce imbalance; otherwise require the
-        // tolerance to hold after the move.
-        let cur_imb = w0.max(w1) / half - 1.0;
-        if imb <= allowed_imb + 1e-12 || imb < cur_imb - 1e-12 {
-            found = Some(e.v);
-            break;
-        }
-        deferred.push(e);
-        if deferred.len() > 64 {
-            break; // deep infeasible streak: give up this pop
-        }
-    }
-    for e in deferred {
-        heap.push(e);
-    }
-    found
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use sp_graph::gen::grid_2d;
+    use std::collections::BinaryHeap;
 
     fn noisy_split(g: &Graph, flip_prob: f64, seed: u64) -> Bisection {
         // A vertical split with random noise.
@@ -326,14 +416,102 @@ mod tests {
         Bisection::new(sides)
     }
 
-    /// [`fm_refine_on`] as it was: `gain`, `stamp`, `locked` and the heap
-    /// allocated afresh by every pass, which then scans all n vertices for
-    /// the movable ones.
+    /// An entry of the stamped lazy heap [`GainQueue`] replaced: every gain
+    /// change pushed a new entry, and a pop skipped entries whose stamp was
+    /// old or whose vertex was locked.
+    #[derive(PartialEq)]
+    struct HeapEntry {
+        gain: f64,
+        v: u32,
+        stamp: u32,
+    }
+
+    impl Eq for HeapEntry {}
+
+    impl Ord for HeapEntry {
+        fn cmp(&self, other: &Self) -> Ordering {
+            self.gain
+                .partial_cmp(&other.gain)
+                .unwrap_or(Ordering::Equal)
+                .then_with(|| other.v.cmp(&self.v))
+        }
+    }
+
+    impl PartialOrd for HeapEntry {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    /// What oracle runs went through, so that a regime can show it was
+    /// reached.
+    #[derive(Default)]
+    struct Exercised {
+        /// Pops that gave up after more than 64 infeasible entries in a row.
+        cutoffs: usize,
+        /// Passes that stopped at the move cap.
+        capped: usize,
+        /// Moves whose gain another queued vertex shared: the id decided.
+        ties: usize,
+        /// Runs without a mask that stopped after one pass.
+        one_pass_unmasked: usize,
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn pop_feasible<G: GraphAccess>(
+        heap: &mut BinaryHeap<HeapEntry>,
+        stamp: &[u32],
+        locked: &[bool],
+        bi: &Bisection,
+        g: &G,
+        w0: f64,
+        w1: f64,
+        half: f64,
+        allowed_imb: f64,
+        ex: &mut Exercised,
+    ) -> Option<u32> {
+        let mut deferred: Vec<HeapEntry> = Vec::new();
+        let mut found = None;
+        while let Some(e) = heap.pop() {
+            if e.stamp != stamp[e.v as usize] || locked[e.v as usize] {
+                continue; // stale or locked
+            }
+            // Balance feasibility of moving v off its side.
+            let wv = g.vwgt(e.v);
+            let (nw0, nw1) = if bi.side(e.v) == 0 {
+                (w0 - wv, w1 + wv)
+            } else {
+                (w0 + wv, w1 - wv)
+            };
+            let imb = nw0.max(nw1) / half - 1.0;
+            // Always allow moves that reduce imbalance; otherwise require
+            // the tolerance to hold after the move.
+            let cur_imb = w0.max(w1) / half - 1.0;
+            if imb <= allowed_imb + 1e-12 || imb < cur_imb - 1e-12 {
+                found = Some(e.v);
+                break;
+            }
+            deferred.push(e);
+            if deferred.len() > 64 {
+                ex.cutoffs += 1;
+                break; // deep infeasible streak: give up this pop
+            }
+        }
+        for e in deferred {
+            heap.push(e);
+        }
+        found
+    }
+
+    /// [`fm_refine_on`] on the stamped lazy heap, with `gain`, `stamp`,
+    /// `locked` and the heap allocated afresh by every pass, which then
+    /// scans all n vertices for the movable ones.
     fn fm_refine_allocating_per_pass<G: GraphAccess>(
         g: &G,
         bi: &mut Bisection,
         movable: Option<&[bool]>,
         cfg: &FmConfig,
+        ex: &mut Exercised,
     ) -> FmStats {
         let n = g.n();
         let mut stats = FmStats {
@@ -403,12 +581,22 @@ mod tests {
                     tw1,
                     half,
                     allowed_imb,
+                    ex,
                 ) else {
                     break;
                 };
+                let gv = gain[v as usize];
+                if heap.iter().any(|e| {
+                    e.v != v
+                        && e.stamp == stamp[e.v as usize]
+                        && !locked[e.v as usize]
+                        && e.gain == gv
+                }) {
+                    ex.ties += 1;
+                }
                 let sv = bi.side(v);
                 let wv = g.vwgt(v);
-                trial_cut -= gain[v as usize];
+                trial_cut -= gv;
                 if sv == 0 {
                     tw0 -= wv;
                     tw1 += wv;
@@ -446,6 +634,9 @@ mod tests {
                     });
                 }
             }
+            if log.len() == move_cap {
+                ex.capped += 1;
+            }
             // Roll back to the best prefix.
             for &(v, _, _) in log.iter().skip(best_prefix).rev() {
                 let wv = g.vwgt(v);
@@ -471,27 +662,79 @@ mod tests {
         stats
     }
 
-    /// Both versions on copies of one noisy split under one random mask:
-    /// same sides, same stats to the bit.
-    fn assert_same_refinement<G: GraphAccess>(g: &G, rng: &mut StdRng, at: &str) {
+    /// Both versions on copies of `start` under `cfg`, without a mask and
+    /// under one random mask: same sides, same stats to the bit. What the
+    /// oracle went through is added to `ex`.
+    fn assert_same_refinement<G: GraphAccess>(
+        g: &G,
+        start: &Bisection,
+        rng: &mut StdRng,
+        cfg: &FmConfig,
+        at: &str,
+        ex: &mut Exercised,
+    ) {
         let n = g.n();
-        let start = Bisection::new((0..n).map(|_| rng.random_range(0..2)).collect());
         let keep = rng.random_range(0.05..1.0);
         let mask: Vec<bool> = (0..n).map(|_| rng.random_range(0.0..1.0) < keep).collect();
         for movable in [None, Some(mask.as_slice())] {
-            let cfg = FmConfig {
-                max_passes: 6,
-                ..Default::default()
-            };
             let (mut a, mut b) = (start.clone(), start.clone());
-            let sa = fm_refine_on(g, &mut a, movable, &cfg);
-            let sb = fm_refine_allocating_per_pass(g, &mut b, movable, &cfg);
+            let sa = fm_refine_on(g, &mut a, movable, cfg);
+            let sb = fm_refine_allocating_per_pass(g, &mut b, movable, cfg, ex);
             assert_eq!(a, b, "sides, {at}");
             assert_eq!((sa.moved, sa.passes), (sb.moved, sb.passes), "{at}");
             assert_eq!(sa.ops.to_bits(), sb.ops.to_bits(), "ops, {at}");
             assert_eq!(sa.cut_before.to_bits(), sb.cut_before.to_bits(), "{at}");
             assert_eq!(sa.cut_after.to_bits(), sb.cut_after.to_bits(), "{at}");
-            assert!(sa.passes > 1 || movable.is_some(), "{at}: one pass only");
+            if movable.is_none() && sa.passes == 1 {
+                ex.one_pass_unmasked += 1;
+            }
+        }
+    }
+
+    fn random_split(n: usize, rng: &mut StdRng) -> Bisection {
+        Bisection::new((0..n).map(|_| rng.random_range(0..2)).collect())
+    }
+
+    /// Vertices in random order, each to the side that weighs less so far:
+    /// the sides end at most one vertex weight apart.
+    fn balanced_split(g: &Graph, rng: &mut StdRng) -> Bisection {
+        let mut order: Vec<u32> = (0..g.n() as u32).collect();
+        for i in (1..order.len()).rev() {
+            order.swap(i, rng.random_range(0..=i));
+        }
+        let mut side = vec![0u8; g.n()];
+        let mut w = [0.0f64; 2];
+        for v in order {
+            let s = usize::from(w[1] < w[0]);
+            side[v as usize] = s as u8;
+            w[s] += g.vwgt(v);
+        }
+        Bisection::new(side)
+    }
+
+    /// A `rows`×`cols` grid with real-valued edge weights, so gain ties are
+    /// rare and the accumulation order shows in the bits, and integer
+    /// vertex weights drawn from `1..vwgt_end`.
+    fn weighted_grid(rows: usize, cols: usize, vwgt_end: i32, rng: &mut StdRng) -> Graph {
+        let base = grid_2d(rows, cols);
+        let n = base.n();
+        // Symmetric: the weight of an edge is a function of its ends.
+        let w = |u: u32, v: u32| 0.5 + ((u.min(v) * 31 + u.max(v) * 17) % 13) as f64 / 7.0;
+        let ewgt: Vec<f64> = (0..n as u32)
+            .flat_map(|v| base.neighbors(v).iter().map(move |&u| w(u, v)))
+            .collect();
+        let vwgt: Vec<f64> = (0..n)
+            .map(|_| rng.random_range(1..vwgt_end) as f64)
+            .collect();
+        let g = Graph::from_csr(base.xadj().to_vec(), base.adjncy().to_vec(), ewgt, vwgt);
+        g.validate().unwrap();
+        g
+    }
+
+    fn six_passes() -> FmConfig {
+        FmConfig {
+            max_passes: 6,
+            ..Default::default()
         }
     }
 
@@ -500,21 +743,12 @@ mod tests {
         use sp_stream::{DeltaOverlay, GraphDelta};
         let mut rng = StdRng::seed_from_u64(0xF3);
         for round in 0..6 {
-            // A grid with real-valued weights, so gain ties are rare and
-            // the accumulation order shows in the bits.
-            let base = grid_2d(12 + round, 17);
-            let n = base.n();
-            let ewgt: Vec<f64> = {
-                // Symmetric: the weight of an edge is a function of its ends.
-                let w = |u: u32, v: u32| 0.5 + ((u.min(v) * 31 + u.max(v) * 17) % 13) as f64 / 7.0;
-                (0..n as u32)
-                    .flat_map(|v| base.neighbors(v).iter().map(move |&u| w(u, v)))
-                    .collect()
-            };
-            let vwgt: Vec<f64> = (0..n).map(|_| rng.random_range(1..4) as f64).collect();
-            let g = Graph::from_csr(base.xadj().to_vec(), base.adjncy().to_vec(), ewgt, vwgt);
-            g.validate().unwrap();
-            assert_same_refinement(&g, &mut rng, &format!("graph, round {round}"));
+            let g = weighted_grid(12 + round, 17, 4, &mut rng);
+            let n = g.n();
+            let mut ex = Exercised::default();
+            let at = format!("graph, round {round}");
+            let start = random_split(g.n(), &mut rng);
+            assert_same_refinement(&g, &start, &mut rng, &six_passes(), &at, &mut ex);
 
             let mut ov = DeltaOverlay::new(std::sync::Arc::new(g), None).unwrap();
             for _ in 0..40 {
@@ -529,8 +763,92 @@ mod tests {
                 }
             }
             assert!(ov.patched_vertices() > 0);
-            assert_same_refinement(&ov, &mut rng, &format!("overlay, round {round}"));
+            let at = format!("overlay, round {round}");
+            let start = random_split(ov.n(), &mut rng);
+            assert_same_refinement(&ov, &start, &mut rng, &six_passes(), &at, &mut ex);
+            assert_eq!(ex.one_pass_unmasked, 0, "round {round}: one pass only");
         }
+    }
+
+    #[test]
+    fn the_queue_pops_like_the_lazy_heap_where_every_gain_ties() {
+        let mut rng = StdRng::seed_from_u64(0x71E5);
+        let mut ex = Exercised::default();
+        for round in 0..4 {
+            let g = grid_2d(12 + round, 17);
+            let at = format!("unit grid, round {round}");
+            let start = random_split(g.n(), &mut rng);
+            assert_same_refinement(&g, &start, &mut rng, &six_passes(), &at, &mut ex);
+        }
+        assert!(ex.ties > 100, "{} moves decided by id", ex.ties);
+    }
+
+    #[test]
+    fn the_queue_pops_like_the_lazy_heap_when_the_infeasible_streak_gives_up() {
+        let mut rng = StdRng::seed_from_u64(0xBA1);
+        let mut ex = Exercised::default();
+        let cfg = FmConfig {
+            balance_tol: 0.0,
+            ..six_passes()
+        };
+        for round in 0..4 {
+            let g = weighted_grid(12 + round, 17, 41, &mut rng);
+            let at = format!("zero slack, round {round}");
+            // From near balance, zero slack leaves only the lightest
+            // vertices movable: most pops run into long infeasible streaks.
+            let start = balanced_split(&g, &mut rng);
+            assert_same_refinement(&g, &start, &mut rng, &cfg, &at, &mut ex);
+        }
+        assert!(ex.cutoffs > 0, "the streak of 64 never ran out");
+    }
+
+    #[test]
+    fn the_queue_pops_like_the_lazy_heap_on_passes_capped_at_a_quarter() {
+        let mut rng = StdRng::seed_from_u64(0xC4);
+        let mut ex = Exercised::default();
+        let cfg = FmConfig {
+            move_fraction: 0.25,
+            ..six_passes()
+        };
+        for round in 0..4 {
+            let g = weighted_grid(12 + round, 17, 4, &mut rng);
+            let at = format!("quarter cap, round {round}");
+            let start = random_split(g.n(), &mut rng);
+            assert_same_refinement(&g, &start, &mut rng, &cfg, &at, &mut ex);
+        }
+        assert!(ex.capped > 0, "no pass reached its cap");
+    }
+
+    #[test]
+    fn a_pop_gives_up_after_65_infeasible_vertices_and_puts_them_back() {
+        for (queued, found) in [(65u32, Some(64)), (66, None)] {
+            let mut q = GainQueue::new(70, 70);
+            let verts: Vec<u32> = (0..queued).collect();
+            // Equal gains: the smaller id pops first.
+            q.seed(&verts, |_| 0.0);
+            // Only the last vertex in pop order is feasible.
+            assert_eq!(q.pop_feasible(|v| v == queued - 1), found);
+            let rest: Vec<u32> = std::iter::from_fn(|| q.pop()).collect();
+            let expected: Vec<u32> = (0..queued).filter(|&v| Some(v) != found).collect();
+            assert_eq!(rest, expected, "{queued} queued");
+        }
+    }
+
+    #[test]
+    fn fm_leaves_an_interleaved_split_it_may_not_unbalance() {
+        // Columns alternate sides: every horizontal edge is cut (56). With
+        // 64 unit vertices a tolerance of 0.01 admits no single move from
+        // a balanced start, so FM must hand the split back as it was.
+        let g = grid_2d(8, 8);
+        let mut bi = Bisection::from_fn(g.n(), |v| v % 2 == 0);
+        let cfg = FmConfig {
+            max_passes: 8,
+            balance_tol: 0.01,
+            ..Default::default()
+        };
+        let s = fm_refine(&g, &mut bi, None, &cfg);
+        assert!(s.cut_after <= 56.0, "FM cut {s:?}");
+        assert_eq!((s.moved, bi.counts()), (0, (32, 32)));
     }
 
     #[test]

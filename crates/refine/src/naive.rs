@@ -6,9 +6,9 @@
 //! rule, same infeasible-streak cutoff, same best-prefix rollback — but
 //! with none of its machinery: every move recomputes every candidate's
 //! gain from scratch by scanning all of its edges, and candidates are
-//! sorted instead of kept in a stamped lazy heap. O(moves · n · degree)
-//! per pass, which is the point: there is almost nothing here to get
-//! wrong, so a disagreement with `fm_refine` indicts the heap/stamp/
+//! sorted instead of kept in an addressable gain queue. O(moves · n ·
+//! degree) per pass, which is the point: there is almost nothing here to
+//! get wrong, so a disagreement with `fm_refine` indicts the queue or the
 //! incremental-gain machinery.
 //!
 //! On graphs whose weights (and hence gains) are exactly representable —
@@ -74,7 +74,7 @@ pub fn naive_fm_refine(
         while log.len() < move_cap {
             // Recompute every unlocked candidate's gain from scratch and
             // sort: gain descending, vertex id ascending on ties — the
-            // order the optimized heap yields fresh entries in.
+            // order the optimized queue pops in.
             let mut cands: Vec<(f64, u32)> = (0..n as u32)
                 .filter(|&v| is_movable(v) && !locked[v as usize])
                 .map(|v| {
