@@ -21,6 +21,7 @@ use sp_graph::distr::Distribution;
 use sp_graph::{Bisection, Graph};
 use sp_machine::{CostOnly, Machine, Phase};
 use sp_refine::{band_by_hops, fm_refine, FmConfig};
+use std::borrow::Cow;
 
 /// Configuration for a multilevel run.
 #[derive(Clone, Copy, Debug)]
@@ -92,7 +93,10 @@ pub struct MlStats {
     pub levels: usize,
     pub coarsest_n: usize,
     pub initial_cut: f64,
+    /// Weighted cut of the result.
     pub final_cut: f64,
+    /// Unweighted cut of the result (cut edges).
+    pub final_cut_edges: usize,
 }
 
 /// Run the multilevel bisection on `machine`. Deterministic for a given
@@ -108,8 +112,12 @@ pub fn multilevel_bisect(
 
     // --- Coarsening: every level with all P ranks active.
     machine.phase(Phase::Coarsen);
-    let mut graphs: Vec<Graph> = vec![g.clone()];
+    // Level 0 is the input graph, borrowed; the coarser levels are owned.
+    let mut graphs: Vec<Cow<Graph>> = vec![Cow::Borrowed(g)];
     let mut maps: Vec<Vec<u32>> = Vec::new();
+    // Per contracted level, its edges that cross ranks under the block
+    // distribution: uncoarsening's halo exchange is sized by the count.
+    let mut cross: Vec<usize> = Vec::new();
     {
         // The matcher and the contraction ScalaPart coarsens with, on one
         // arena that lives as long as the coarsening does.
@@ -129,9 +137,9 @@ pub fn multilevel_bisect(
             if c.coarse.n() as f64 > 0.95 * cur.n() as f64 {
                 break;
             }
-            charge_contraction(cur, &dist, machine);
+            cross.push(charge_contraction(cur, &dist, machine));
             maps.push(c.map);
-            graphs.push(c.coarse);
+            graphs.push(Cow::Owned(c.coarse));
         }
     }
     stats.levels = graphs.len();
@@ -190,11 +198,9 @@ pub fn multilevel_bisect(
             let ops = (st.ops + band_size as f64) / p as f64;
             machine.compute(&mut states, |_, _| ops);
         }
-        let dist = Distribution::block(fine.n(), p);
-        let cross = dist.cross_edges(fine);
         for _pass in 0..st.passes {
             if p > 1 {
-                let words = (2 * cross / p.max(1)).max(1);
+                let words = (2 * cross[lvl] / p.max(1)).max(1);
                 let outbox: Vec<Vec<(usize, CostOnly)>> = (0..p)
                     .map(|r| vec![((r + 1) % p, CostOnly::new(words))])
                     .collect();
@@ -206,9 +212,25 @@ pub fn multilevel_bisect(
         }
         bi = fbi;
     }
-    stats.final_cut = bi.cut(g);
+    (stats.final_cut, stats.final_cut_edges) = cuts(g, &bi);
     machine.phase(Phase::Done);
     (bi, stats)
+}
+
+/// The weighted and the unweighted cut in one pass; the weights add up in
+/// [`Bisection::cut`]'s order, so the sum has its bits.
+fn cuts(g: &Graph, bi: &Bisection) -> (f64, usize) {
+    let (mut cut, mut edges) = (0.0, 0);
+    for v in 0..g.n() as u32 {
+        let sv = bi.side(v);
+        for (u, w) in g.neighbors_w(v) {
+            if u > v && bi.side(u) != sv {
+                cut += w;
+                edges += 1;
+            }
+        }
+    }
+    (cut, edges)
 }
 
 /// Greedy graph growing: BFS from a random seed until half the vertex

@@ -5,6 +5,7 @@ use crate::arena::{contract_with, heavy_edge_matching_in, CoarsenArena};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sp_graph::Graph;
+use std::borrow::Cow;
 
 /// Controls for hierarchy construction.
 #[derive(Clone, Copy, Debug)]
@@ -34,22 +35,23 @@ impl Default for CoarsenConfig {
 }
 
 /// One retained level of the hierarchy.
-pub struct Level {
-    /// The graph at this level (`levels[0]` is the input graph).
-    pub graph: Graph,
+pub struct Level<'g> {
+    /// The graph at this level: `levels[0]` borrows the input graph, every
+    /// coarser level owns the graph its contraction built.
+    pub graph: Cow<'g, Graph>,
     /// For non-coarsest levels: `map[v]` = vertex of the next retained
     /// (coarser) level containing `v`.
     pub map_to_coarser: Option<Vec<u32>>,
 }
 
 /// A coarsening hierarchy `G⁰ ⊃ G¹ ⊃ … ⊃ Gᵏ`.
-pub struct Hierarchy {
-    pub levels: Vec<Level>,
+pub struct Hierarchy<'g> {
+    pub levels: Vec<Level<'g>>,
 }
 
-impl Hierarchy {
+impl<'g> Hierarchy<'g> {
     /// Build the hierarchy for `g`.
-    pub fn build(g: &Graph, cfg: &CoarsenConfig) -> Hierarchy {
+    pub fn build(g: &'g Graph, cfg: &CoarsenConfig) -> Hierarchy<'g> {
         // One arena serves the whole descent: scratch sized at level 0 is
         // reused by every coarser level (no per-level scratch allocation).
         Self::build_with_arena(g, cfg, &mut CoarsenArena::new())
@@ -58,10 +60,14 @@ impl Hierarchy {
     /// [`Hierarchy::build`] with a caller-owned arena, so the caller can
     /// inspect scratch usage afterwards (or share the arena across
     /// several hierarchies).
-    pub fn build_with_arena(g: &Graph, cfg: &CoarsenConfig, arena: &mut CoarsenArena) -> Hierarchy {
+    pub fn build_with_arena(
+        g: &'g Graph,
+        cfg: &CoarsenConfig,
+        arena: &mut CoarsenArena,
+    ) -> Hierarchy<'g> {
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let mut levels = vec![Level {
-            graph: g.clone(),
+            graph: Cow::Borrowed(g),
             map_to_coarser: None,
         }];
         loop {
@@ -87,7 +93,7 @@ impl Hierarchy {
             }
             levels.last_mut().unwrap().map_to_coarser = Some(map);
             levels.push(Level {
-                graph: coarse,
+                graph: Cow::Owned(coarse),
                 map_to_coarser: None,
             });
         }

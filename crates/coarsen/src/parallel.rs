@@ -235,19 +235,23 @@ pub fn parallel_hem_in(
 
 /// Charge one contraction of `g` to `machine`: every rank builds its share
 /// of the coarse rows (ops ∝ its local edges) and sends the ghost ids of
-/// its cross edges one hop round the ring.
-pub fn charge_contraction(g: &Graph, dist: &Distribution, machine: &mut Machine) {
+/// its cross edges one hop round the ring. Returns how many edges cross
+/// ranks under `dist`.
+pub fn charge_contraction(g: &Graph, dist: &Distribution, machine: &mut Machine) -> usize {
     let p = machine.p();
     let mut states: Vec<()> = vec![(); p];
     let edges_per_rank = (g.m() / p).max(1) as f64;
     machine.compute(&mut states, |_, _| edges_per_rank);
-    if p > 1 {
-        let words = (2 * dist.cross_edges(g) / p).max(1);
-        let outbox: Vec<Vec<(usize, CostOnly)>> = (0..p)
-            .map(|r| vec![((r + 1) % p, CostOnly::new(words))])
-            .collect();
-        machine.exchange_costed(&outbox);
+    if p == 1 {
+        return 0; // one rank: no edge crosses
     }
+    let cross = dist.cross_edges(g);
+    let words = (2 * cross / p).max(1);
+    let outbox: Vec<Vec<(usize, CostOnly)>> = (0..p)
+        .map(|r| vec![((r + 1) % p, CostOnly::new(words))])
+        .collect();
+    machine.exchange_costed(&outbox);
+    cross
 }
 
 #[cfg(test)]

@@ -430,6 +430,21 @@ mod tests {
     }
 
     #[test]
+    fn the_geometric_pipelines_bisect_graphs_of_two_to_four_vertices() {
+        // The strip is at least 4 vertices and at most all of them: on a
+        // graph of 2 or 3 that was an empty range, and a panic.
+        for (rows, cols) in [(1usize, 2usize), (1, 3), (2, 2)] {
+            let g = grid_2d(rows, cols);
+            let coords = grid_2d_coords(rows, cols);
+            for method in [Method::SpPg7Nl, Method::ScalaPart] {
+                let kp = recursive_kway(method, &g, Some(&coords), 2, 4, 1);
+                kp.validate(&g)
+                    .unwrap_or_else(|e| panic!("{} {rows}x{cols}: {e}", method.name()));
+            }
+        }
+    }
+
+    #[test]
     fn k_equals_one_is_trivial() {
         let g = grid_2d(5, 5);
         let kp = recursive_kway(Method::Rcb, &g, None, 1, 1, 4);

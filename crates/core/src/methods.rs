@@ -205,10 +205,10 @@ pub fn run_method_checked(
             } else {
                 MultilevelConfig::ptscotch_like(seed)
             };
-            let (bi, _st) = multilevel_bisect(g, machine, &cfg);
+            let (bi, st) = multilevel_bisect(g, machine, &cfg);
             MethodResult {
                 method,
-                cut: bi.cut_edges(g),
+                cut: st.final_cut_edges,
                 time: machine.elapsed(),
                 imbalance: bi.imbalance(g),
                 phases: None,

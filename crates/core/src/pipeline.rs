@@ -14,6 +14,7 @@ use sp_graph::distr::Distribution;
 use sp_graph::{Bisection, Graph};
 use sp_machine::{Machine, Phase, PhaseBreakdown};
 use sp_refine::strip_refine;
+use std::borrow::Cow;
 
 /// Per-phase simulated time (computation/communication split), the data
 /// behind the paper's Figures 7 and 8.
@@ -146,7 +147,7 @@ pub fn scalapart_bisect_checked(
     if let Some(r) = &refined {
         obs.on_refined(g, &bisection, &r.stats);
     }
-    let strip_size = refined.map_or(0, |r| r.strip_size);
+    let (cut, strip_size) = refined.map_or((cut_before_refine, 0), |r| (r.cut, r.strip_size));
     let t3 = machine.elapsed();
     machine.phase(Phase::Done);
 
@@ -173,7 +174,6 @@ pub fn scalapart_bisect_checked(
         embed: mk(1),
         partition: mk(2),
     };
-    let cut = bisection.cut_edges(g);
     let imbalance = bisection.imbalance(g);
     Ok(SpResult {
         bisection,
@@ -202,7 +202,7 @@ pub fn sp_pg7nl_bisect(
     let geo = parallel_geometric_partition(g, coords, &dist, machine, &cfg.geo, cfg.seed ^ 0x9E0);
     let mut bisection = geo.bisection;
     let cut_before_refine = geo.cut;
-    let strip_size = strip_refine(
+    let (cut, strip_size) = strip_refine(
         g,
         &mut bisection,
         &geo.separator.signed,
@@ -211,14 +211,13 @@ pub fn sp_pg7nl_bisect(
         &cfg.fm,
         machine,
     )
-    .map_or(0, |r| r.strip_size);
+    .map_or((cut_before_refine, 0), |r| (r.cut, r.strip_size));
     machine.phase(Phase::Done);
     let mut breakdown = machine.phase_breakdown();
     let times = PhaseTimes {
         partition: breakdown.remove(&Phase::Partition).unwrap_or_default(),
         ..Default::default()
     };
-    let cut = bisection.cut_edges(g);
     let imbalance = bisection.imbalance(g);
     SpResult {
         bisection,
@@ -235,19 +234,19 @@ pub fn sp_pg7nl_bisect(
 /// Parallel coarsening retaining every other contraction, charged to the
 /// machine (the paper: "the graph is coarsened using the heavy-edge
 /// matching as in ParMetis … we only retain every other graph").
-fn coarsen_parallel(
-    g: &Graph,
+fn coarsen_parallel<'g>(
+    g: &'g Graph,
     machine: &mut Machine,
     cfg: &SpConfig,
     rng: &mut StdRng,
     obs: &mut dyn PipelineObserver,
-) -> Result<Hierarchy, Cancelled> {
+) -> Result<Hierarchy<'g>, Cancelled> {
     let p = machine.p();
     // One arena per coarsening run: matching flags and contraction
     // scratch are sized by level 0 and reused down the hierarchy.
     let mut arena = CoarsenArena::new();
     let mut levels = vec![Level {
-        graph: g.clone(),
+        graph: Cow::Borrowed(g),
         map_to_coarser: None,
     }];
     loop {
@@ -306,7 +305,7 @@ fn coarsen_parallel(
         });
         levels.last_mut().unwrap().map_to_coarser = Some(map);
         levels.push(Level {
-            graph: coarse,
+            graph: Cow::Owned(coarse),
             map_to_coarser: None,
         });
     }

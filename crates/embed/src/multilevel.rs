@@ -269,16 +269,14 @@ mod tests {
     use sp_graph::Bisection;
     use sp_machine::CostModel;
 
-    fn hierarchy(side: usize) -> (sp_graph::Graph, Hierarchy) {
-        let g = grid_2d(side, side);
-        let h = Hierarchy::build(
-            &g,
+    fn hierarchy(g: &sp_graph::Graph) -> Hierarchy<'_> {
+        Hierarchy::build(
+            g,
             &CoarsenConfig {
                 target_coarsest: 120,
                 ..Default::default()
             },
-        );
-        (g, h)
+        )
     }
 
     #[test]
@@ -303,7 +301,8 @@ mod tests {
 
     #[test]
     fn multilevel_embedding_supports_good_bisections() {
-        let (g, h) = hierarchy(24);
+        let g = grid_2d(24, 24);
+        let h = hierarchy(&g);
         let mut m = Machine::new(16, CostModel::qdr_infiniband());
         let coords = multilevel_lattice_embed(&h, &mut m, &MultilevelEmbedConfig::default());
         assert_eq!(coords.len(), g.n());
@@ -319,7 +318,8 @@ mod tests {
 
     #[test]
     fn embedding_time_decreases_with_ranks() {
-        let (_, h) = hierarchy(32);
+        let g = grid_2d(32, 32);
+        let h = hierarchy(&g);
         let mut times = Vec::new();
         for p in [1usize, 16] {
             let mut m = Machine::new(p, CostModel::qdr_infiniband());
@@ -336,7 +336,8 @@ mod tests {
 
     #[test]
     fn deterministic_across_runs() {
-        let (_, h) = hierarchy(20);
+        let g = grid_2d(20, 20);
+        let h = hierarchy(&g);
         let mut m1 = Machine::new(4, CostModel::qdr_infiniband());
         let mut m2 = Machine::new(4, CostModel::qdr_infiniband());
         let a = multilevel_lattice_embed(&h, &mut m1, &MultilevelEmbedConfig::default());

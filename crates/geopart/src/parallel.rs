@@ -238,6 +238,19 @@ pub fn parallel_geometric_partition(
 /// Three short reductions (cut totals, balance totals, winner), then the
 /// winning separator materialised on every vertex — or a line median when
 /// no try was eligible.
+///
+/// *The winner's cut is its histogram count*, not a recount of its sides;
+/// only the line-median fallback scans the edges. The two are equal:
+/// * A vertex's bit in [`Tries::sides`] and its side in
+///   [`Separator::sides`] are the same test,
+///   `winner.signed(map.apply(tries.lift(c))) > 0.0`, on the same inputs.
+///   Rust neither contracts nor reassociates floating point, and a NaN
+///   distance is side 0 in both.
+/// * The histogram counts each edge once, at its lower endpoint, which is
+///   what [`Bisection::cut_edges`] does; a self-loop XORs to 0 and is
+///   never counted.
+/// * Per-rank counts are integers below 2^53, so their `allreduce_sum` is
+///   exact in any order.
 fn select_separator(
     g: &Graph,
     coords: &[Point2],
@@ -295,7 +308,12 @@ fn select_separator(
         }
     };
     let bisection = Bisection::new(sep.sides());
-    let cut = bisection.cut_edges(g);
+    let cut = if best_try.is_some() {
+        best_cut
+    } else {
+        bisection.cut_edges(g)
+    };
+    debug_assert_eq!(cut, bisection.cut_edges(g));
     GeoPartResult {
         bisection,
         cut,
@@ -307,7 +325,7 @@ fn select_separator(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sp_graph::gen::{delaunay_graph, grid_2d, grid_2d_coords};
+    use sp_graph::gen::{delaunay_graph, grid_2d, grid_2d_coords, trace_mesh};
     use sp_machine::CostModel;
 
     /// The counting superstep this one replaced: a rank lifts and maps the
@@ -377,6 +395,8 @@ mod tests {
         let contribs = count(g, coords, &dist, &mut m, &tries);
         let r = select_separator(g, coords, &mut m, cfg, &tries, &contribs);
         r.validate(g).unwrap();
+        // A winner's cut is its histogram count, the fallback's a scan.
+        assert_eq!(r.cut, r.bisection.cut_edges(g));
         let rec = TraceRecorder::downcast(m.take_recorder().unwrap()).unwrap();
         let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
         Observed {
@@ -394,6 +414,7 @@ mod tests {
     fn sides_computed_once_count_what_the_per_edge_loop_counted() {
         let grid = (grid_2d(16, 14), grid_2d_coords(16, 14));
         let mesh = delaunay_graph(700, &mut StdRng::seed_from_u64(4));
+        let trace = trace_mesh(900, &mut StdRng::seed_from_u64(6));
         let collapsed = (grid_2d(8, 8), vec![Point2::ZERO; 64]);
         // 70 tries over two centerpoints: nine blocks of masks, the last
         // six tries wide.
@@ -402,7 +423,7 @@ mod tests {
             circles_per_centerpoint: 35,
             ..GeoConfig::g7_nl()
         };
-        for (g, coords) in [&grid, &mesh, &collapsed] {
+        for (g, coords) in [&grid, &mesh, &trace, &collapsed] {
             for cfg in [GeoConfig::g7_nl(), many] {
                 for p in [1usize, 4, 64] {
                     let got = observe(g, coords, p, &cfg, local_contributions);

@@ -19,6 +19,8 @@ use sp_machine::Machine;
 pub struct StripRefinement {
     /// Vertices in the strip (ties included, so ≥ the target).
     pub strip_size: usize,
+    /// Unweighted cut of the refined bisection.
+    pub cut: usize,
     pub stats: FmStats,
 }
 
@@ -28,6 +30,11 @@ pub struct StripRefinement {
 /// the run charged to `machine` ([`FmStats::charge`]). `None`, and nothing
 /// charged, when the stage is off (`strip_factor` ≤ 0) or there is no
 /// separator to refine (`cut` = 0).
+///
+/// `cut` must be the unweighted cut of `bi` on entry, exactly — every
+/// caller passes the geometric partitioner's, which is. The refined cut
+/// is then worked out from the strip vertices FM left on the other side
+/// (`moved_cut`), not by a scan of the graph.
 pub fn strip_refine(
     g: &Graph,
     bi: &mut Bisection,
@@ -40,12 +47,60 @@ pub fn strip_refine(
     if strip_factor <= 0.0 || cut == 0 {
         return None;
     }
-    let target = ((cut as f64 * strip_factor) as usize).clamp(4, g.n());
-    let movable = strip_around_separator(signed, target);
-    let strip_size = movable.iter().filter(|&&b| b).count();
+    let target = ((cut as f64 * strip_factor) as usize).max(4).min(g.n());
+    let mut movable = strip_around_separator(signed, target);
+    // The strip in ascending id, and its sides before FM.
+    let strip: Vec<u32> = (0..g.n() as u32).filter(|&v| movable[v as usize]).collect();
+    let before: Vec<u8> = strip.iter().map(|&v| bi.side(v)).collect();
     let stats = fm_refine(g, bi, Some(&movable), fm);
     stats.charge(machine);
-    Some(StripRefinement { strip_size, stats })
+    let cut = moved_cut(g, bi, &strip, &before, &mut movable, cut);
+    debug_assert_eq!(cut, bi.cut_edges(g));
+    Some(StripRefinement {
+        strip_size: strip.len(),
+        cut,
+        stats,
+    })
+}
+
+/// The unweighted cut of `bi`, given that it was `cut` when the `strip`
+/// vertices were on the sides `before` and no other vertex has moved
+/// since. `mask` is the strip's movable mask on entry and marks the
+/// vertices that changed side on return.
+///
+/// Only an edge with an end that changed side can have changed whether it
+/// crosses, and if exactly one end changed, it crosses now exactly when it
+/// did not before. So each such edge, met once from the end that moved,
+/// adds one if it crosses now and takes one away if it does not. An edge
+/// whose ends both moved crosses as it did (as does a self-loop, which
+/// never crosses), so it is skipped. The cost is the degree of the
+/// vertices that moved.
+fn moved_cut(
+    g: &Graph,
+    bi: &Bisection,
+    strip: &[u32],
+    before: &[u8],
+    mask: &mut [bool],
+    cut: usize,
+) -> usize {
+    for (&v, &was) in strip.iter().zip(before) {
+        mask[v as usize] = bi.side(v) != was;
+    }
+    let (mut gained, mut lost) = (0, 0);
+    for &v in strip.iter().filter(|&&v| mask[v as usize]) {
+        let sv = bi.side(v);
+        for &u in g.neighbors(v) {
+            if mask[u as usize] {
+                continue;
+            }
+            if bi.side(u) != sv {
+                gained += 1;
+            } else {
+                lost += 1;
+            }
+        }
+    }
+    cut + gained - lost
 }
 
 /// Movable mask containing the `target` vertices closest to the separator
@@ -77,6 +132,69 @@ pub fn strip_around_separator(signed: &[f64], target: usize) -> Vec<bool> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use sp_graph::gen::{delaunay_graph, grid_2d, grid_2d_coords};
+    use sp_machine::CostModel;
+
+    #[test]
+    fn the_refined_cut_is_the_count_of_the_refined_sides() {
+        let mut rng = StdRng::seed_from_u64(0x5719);
+        let plain = FmConfig {
+            max_passes: 6,
+            ..FmConfig::default()
+        };
+        let configs = [
+            plain,
+            FmConfig {
+                balance_tol: 0.0,
+                ..plain
+            },
+            FmConfig {
+                move_fraction: 0.25,
+                ..plain
+            },
+        ];
+        let mut inputs = vec![
+            (grid_2d(20, 20), grid_2d_coords(20, 20)),
+            (grid_2d(33, 31), grid_2d_coords(33, 31)),
+        ];
+        inputs.push(delaunay_graph(600, &mut rng));
+        inputs.push(delaunay_graph(1500, &mut rng));
+        // Edges whose two ends both changed side: the case the count skips.
+        let mut both_moved = 0;
+        for (g, coords) in &inputs {
+            for fm in &configs {
+                for _ in 0..3 {
+                    // A wobbly separator with ragged sides near it, so that
+                    // FM moves whole clumps.
+                    let signed: Vec<f64> = coords
+                        .iter()
+                        .map(|c| {
+                            c.x - 0.5 - 0.08 * (9.0 * c.y).sin() + rng.random_range(-0.05..0.05)
+                        })
+                        .collect();
+                    let start = Bisection::new(signed.iter().map(|&s| u8::from(s > 0.0)).collect());
+                    let mut bi = start.clone();
+                    let cut = bi.cut_edges(g);
+                    let mut m = Machine::new(4, CostModel::qdr_infiniband());
+                    let r = strip_refine(g, &mut bi, &signed, cut, 6.0, fm, &mut m).unwrap();
+                    assert_eq!(r.cut, bi.cut_edges(g), "n={} {fm:?}", g.n());
+                    let moved = |v: u32| start.side(v) != bi.side(v);
+                    both_moved += (0..g.n() as u32)
+                        .filter(|&v| moved(v))
+                        .map(|v| {
+                            g.neighbors(v)
+                                .iter()
+                                .filter(|&&u| u > v && moved(u))
+                                .count()
+                        })
+                        .sum::<usize>();
+                }
+            }
+        }
+        assert!(both_moved > 0, "no edge had both ends moved");
+    }
 
     #[test]
     fn strip_selects_nearest_vertices() {
