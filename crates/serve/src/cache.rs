@@ -81,20 +81,6 @@ impl<K: Copy + Eq + Hash, V> LruCache<K, V> {
         evicted
     }
 
-    /// Up to `limit` entries, hottest (most recently used) first — the
-    /// donor side of cache warming streams these to a joining shard.
-    /// Does not touch recency stamps.
-    pub fn dump(&self, limit: usize) -> Vec<(K, Arc<V>)> {
-        let mut entries: Vec<(u64, K, Arc<V>)> = self
-            .map
-            .iter()
-            .map(|(k, (s, v))| (*s, *k, v.clone()))
-            .collect();
-        entries.sort_by_key(|e| std::cmp::Reverse(e.0));
-        entries.truncate(limit);
-        entries.into_iter().map(|(_, k, v)| (k, v)).collect()
-    }
-
     pub fn len(&self) -> usize {
         self.map.len()
     }
@@ -163,24 +149,6 @@ mod tests {
             z
         };
         assert!(z.is_empty());
-    }
-
-    #[test]
-    fn dump_returns_hottest_first_without_touching_recency() {
-        let mut c: LruCache<CacheKey, u32> = LruCache::new(8);
-        c.insert(key(1, 0), Arc::new(1));
-        c.insert(key(2, 0), Arc::new(2));
-        c.insert(key(3, 0), Arc::new(3));
-        c.get(&key(1, 0)); // 1 is now hottest
-        let d = c.dump(2);
-        assert_eq!(d.len(), 2);
-        assert_eq!((d[0].0, *d[0].1), (key(1, 0), 1));
-        assert_eq!((d[1].0, *d[1].1), (key(3, 0), 3));
-        assert_eq!(c.dump(100).len(), 3, "limit caps, never pads");
-        // dump() is read-only: 2 is still the LRU entry.
-        c.insert(key(4, 0), Arc::new(4));
-        c.insert(key(5, 0), Arc::new(5));
-        assert!(c.get(&key(2, 0)).is_some(), "capacity 8: nothing evicted");
     }
 
     #[test]

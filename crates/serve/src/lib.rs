@@ -18,8 +18,8 @@
 //!   connections to the shards open between forwards.
 //! - [`router::Router`]/[`router::RouterServer`] — distributed serving: a
 //!   coordinator that consistent-hashes jobs ([`ring`]) across backend
-//!   shards, with health checks, mid-stream failover replay, and cache
-//!   warming on shard join (`sp-serve route`).
+//!   shards, with health checks, mid-stream failover replay, and cold
+//!   re-admission of a recovered shard (`sp-serve route`).
 //!
 //! Everything is dependency-free by design, like the rest of the
 //! workspace: the wire format is read and written through sp-trace's JSON
@@ -50,5 +50,5 @@ pub use router::{Router, RouterConfig, RouterServer};
 pub use service::{
     JobOutcome, JobSpec, PartitionOutput, ServeConfig, Service, ServiceStats, SubmitError, Ticket,
 };
-pub use session::{SessionConfig, SessionManager};
+pub use session::SessionManager;
 pub use sp_trace::json;

@@ -11,7 +11,7 @@
 //! they differ only in the closure. Malformed frames get an `error`
 //! response and the connection keeps going — a confused client can't wedge
 //! the server. [`Client`] is the only code that connects out: CLI
-//! round-trips go through it directly, router forwards and cache warming
+//! round-trips go through it directly, router forwards and stats fetches
 //! through a `Pool` of kept-open `Client`s, and health probes through the
 //! `Pool` on a connection of their own.
 //!
@@ -26,11 +26,11 @@
 
 use crate::fingerprint::{SourceKey, SourceMemo};
 use crate::proto::{
-    encode_cache_entries, encode_error, encode_metrics, encode_outcome, encode_pong,
-    encode_rejection, read_frame, write_frame, Parsed, Request, SubmitFrame, WireCacheEntry,
+    encode_error, encode_metrics, encode_outcome, encode_pong, encode_rejection, read_frame,
+    write_frame, Parsed, Request, SubmitFrame,
 };
 use crate::service::{JobSpec, ServeConfig, Service};
-use crate::session::{SessionConfig, SessionManager};
+use crate::session::SessionManager;
 use scalapart::obs::Counter;
 use std::collections::HashMap;
 use std::io::Read;
@@ -292,10 +292,9 @@ impl Server {
     /// Bind `addr` (e.g. `"127.0.0.1:0"` for an ephemeral test port) and
     /// start accepting.
     pub fn bind(addr: &str, cfg: ServeConfig) -> std::io::Result<Arc<Server>> {
-        let session_cfg = SessionConfig::from_serve(&cfg);
         let service = Service::start(cfg);
         let metrics = service.metrics();
-        let sessions = Arc::new(SessionManager::new(session_cfg, metrics.clone()));
+        let sessions = Arc::new(SessionManager::new(service.config(), metrics.clone()));
         let sources = SourceMemo::new(
             metrics.source_memo_hits.clone(),
             metrics.source_memo_misses.clone(),
@@ -400,25 +399,6 @@ fn serve_frame(
             return Handled::ReplyThenStop("{\"type\": \"ok\", \"draining\": true}".to_string());
         }
         Request::Ping => encode_pong(),
-        Request::CacheDump { limit } => {
-            let entries: Vec<WireCacheEntry> = service
-                .cache_dump(limit)
-                .into_iter()
-                .map(|(key, out)| WireCacheEntry {
-                    key,
-                    sim_time: out.sim_time,
-                    result_json: out.result_json.clone(),
-                })
-                .collect();
-            encode_cache_entries("cache", &entries)
-        }
-        Request::CacheLoad { entries } => {
-            let loaded = entries
-                .into_iter()
-                .filter(|e| service.cache_load(e.key, e.sim_time, &e.result_json))
-                .count();
-            format!("{{\"type\": \"ok\", \"loaded\": {loaded}}}")
-        }
         Request::SessionOpen {
             session,
             graph,

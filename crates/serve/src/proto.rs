@@ -31,13 +31,6 @@
 //! because it is the next frame on that connection (`net::Pool`).
 //!
 //! - `{"type": "ping"}` — health probe; answered with `{"type": "pong"}`.
-//! - `{"type": "cache_dump", "limit": N}` — the shard's hottest cache
-//!   entries as `{"type": "cache", "entries": [...]}`. Each entry carries
-//!   its `result` body as an *escaped JSON string*, not an embedded
-//!   object: the escape/unescape pair round-trips byte-exactly, so a
-//!   warmed cache replays bit-identical response bytes.
-//! - `{"type": "cache_load", "entries": [...]}` — install dumped entries
-//!   (cache warming on shard join); answered `{"type": "ok", "loaded": N}`.
 //!
 //! Streaming-session verbs (see DESIGN.md "Dynamic graphs"):
 //!
@@ -52,7 +45,6 @@
 //!   the dirty region (or re-partition fully past the threshold).
 //! - `{"type": "session_close", "session": "fleet"}` — drop the session.
 
-use crate::cache::CacheKey;
 use crate::json::Value;
 use crate::service::{JobOutcome, SubmitError};
 use scalapart::stream::GraphDelta;
@@ -130,12 +122,6 @@ pub enum Request {
     Metrics,
     Shutdown,
     Ping,
-    CacheDump {
-        limit: usize,
-    },
-    CacheLoad {
-        entries: Vec<WireCacheEntry>,
-    },
     SessionOpen {
         session: String,
         graph: Arc<Graph>,
@@ -202,12 +188,6 @@ impl Parsed {
             "metrics" => Request::Metrics,
             "shutdown" => Request::Shutdown,
             "ping" => Request::Ping,
-            "cache_dump" => Request::CacheDump {
-                limit: v.get("limit").and_then(Value::as_usize).unwrap_or(32),
-            },
-            "cache_load" => Request::CacheLoad {
-                entries: decode_cache_entries(&v)?,
-            },
             "session_open" => {
                 let session = session_name(&v)?;
                 let (graph, coords) = GraphSource::of(&v, "session_open")?.materialise()?;
@@ -451,97 +431,6 @@ fn parse_graph_spec(spec: &str) -> Result<GraphAndCoords, String> {
     }
 }
 
-/// One result-cache entry on the wire (cache warming). The `result` body
-/// travels as an escaped JSON *string*: `escape`/parse round-trips bytes
-/// exactly, so installing the entry on another shard reproduces responses
-/// byte-for-byte, and `sim_time` is emitted by `num` (shortest round-trip
-/// form), which std float parsing recovers bit-exactly.
-#[derive(Clone, Debug, PartialEq)]
-pub struct WireCacheEntry {
-    pub key: CacheKey,
-    pub sim_time: f64,
-    pub result_json: String,
-}
-
-/// Encode cache entries as a `{"type": "cache", "entries": [...]}` frame
-/// (also the body of a `cache_load` request, with the type re-labelled).
-pub fn encode_cache_entries(ty: &str, entries: &[WireCacheEntry]) -> String {
-    let mut out = format!("{{\"type\": \"{ty}\", \"entries\": [");
-    for (i, e) in entries.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&format!(
-            "{{\"input\": \"{:016x}\", \"method\": \"{}\", \"parts\": {}, \"ranks\": {}, \"seed\": {}, \"sim_time\": {}, \"result\": \"{}\"}}",
-            e.key.input,
-            e.key.method.proto_name(),
-            e.key.parts,
-            e.key.ranks,
-            e.key.seed,
-            num(e.sim_time),
-            escape(&e.result_json)
-        ));
-    }
-    out.push_str("]}");
-    out
-}
-
-/// Decode the `entries` array of a `cache` / `cache_load` frame.
-pub fn decode_cache_entries(v: &Value) -> Result<Vec<WireCacheEntry>, String> {
-    let arr = v
-        .get("entries")
-        .and_then(Value::as_arr)
-        .ok_or("missing \"entries\" array")?;
-    let mut out = Vec::with_capacity(arr.len());
-    for e in arr {
-        let input_hex = e
-            .get("input")
-            .and_then(Value::as_str)
-            .ok_or("cache entry missing \"input\"")?;
-        let input = u64::from_str_radix(input_hex, 16)
-            .map_err(|_| format!("bad fingerprint {input_hex:?}"))?;
-        let method_name = e
-            .get("method")
-            .and_then(Value::as_str)
-            .ok_or("cache entry missing \"method\"")?;
-        let method =
-            Method::parse(method_name).ok_or_else(|| format!("unknown method {method_name:?}"))?;
-        let parts = e
-            .get("parts")
-            .and_then(Value::as_usize)
-            .ok_or("cache entry missing \"parts\"")?;
-        let ranks = e
-            .get("ranks")
-            .and_then(Value::as_usize)
-            .ok_or("cache entry missing \"ranks\"")?;
-        let seed = e
-            .get("seed")
-            .and_then(Value::as_u64)
-            .ok_or("cache entry missing \"seed\"")?;
-        let sim_time = e
-            .get("sim_time")
-            .and_then(Value::as_f64)
-            .ok_or("cache entry missing \"sim_time\"")?;
-        let result_json = e
-            .get("result")
-            .and_then(Value::as_str)
-            .ok_or("cache entry missing \"result\"")?
-            .to_string();
-        out.push(WireCacheEntry {
-            key: CacheKey {
-                input,
-                method,
-                parts,
-                ranks,
-                seed,
-            },
-            sim_time,
-            result_json,
-        });
-    }
-    Ok(out)
-}
-
 /// Encode a finished job as a response frame payload. `result_json` from
 /// the cache is embedded verbatim, so a cache hit's response body is
 /// byte-identical to the original's `result` object.
@@ -775,6 +664,7 @@ mod tests {
     fn malformed_submits_are_rejected_with_reasons() {
         for (req, want) in [
             ("{\"type\": \"nope\"}", "unknown request type"),
+            ("{\"type\": \"cache_dump\"}", "unknown request type"),
             ("{\"no_type\": 1}", "missing \"type\""),
             ("not json at all", "bad JSON"),
             (
@@ -830,42 +720,6 @@ mod tests {
         let t = encode_typed_error("no_shards", "all 3 shards down");
         let v = Value::parse(&t).unwrap();
         assert_eq!(v.get("code").unwrap().as_str().unwrap(), "no_shards");
-    }
-
-    #[test]
-    fn cache_entries_round_trip_byte_exactly() {
-        let entries = vec![
-            WireCacheEntry {
-                key: CacheKey {
-                    input: 0xDEAD_BEEF_0123_4567,
-                    method: Method::ScalaPart,
-                    parts: 4,
-                    ranks: 8,
-                    seed: 7,
-                },
-                sim_time: 0.1 + 0.2, // a value whose shortest form exercises round-trip
-                result_json: "{\"schema\": \"sp-partition-v1\", \"part\": [0,1]}".to_string(),
-            },
-            WireCacheEntry {
-                key: CacheKey {
-                    input: 1,
-                    method: Method::Rcb,
-                    parts: 2,
-                    ranks: 4,
-                    seed: 0,
-                },
-                sim_time: 3.0,
-                result_json: "{\"x\": \"with \\\"quotes\\\" and\\ttabs\"}".to_string(),
-            },
-        ];
-        let encoded = encode_cache_entries("cache", &entries);
-        let v = Value::parse(&encoded).unwrap();
-        let back = decode_cache_entries(&v).unwrap();
-        assert_eq!(back, entries, "wire round-trip must preserve every byte");
-        match Request::decode(encode_cache_entries("cache_load", &entries).as_bytes()).unwrap() {
-            Request::CacheLoad { entries: got } => assert_eq!(got, entries),
-            _ => panic!("expected CacheLoad"),
-        }
     }
 
     #[test]
@@ -992,18 +846,10 @@ mod tests {
     }
 
     #[test]
-    fn ping_and_cache_dump_decode() {
+    fn ping_decodes() {
         assert!(matches!(
             decode(r#"{"type": "ping"}"#).unwrap(),
             Request::Ping
         ));
-        match decode(r#"{"type": "cache_dump", "limit": 5}"#).unwrap() {
-            Request::CacheDump { limit } => assert_eq!(limit, 5),
-            _ => panic!("expected CacheDump"),
-        }
-        match decode(r#"{"type": "cache_dump"}"#).unwrap() {
-            Request::CacheDump { limit } => assert_eq!(limit, 32),
-            _ => panic!("expected CacheDump"),
-        }
     }
 }

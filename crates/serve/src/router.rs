@@ -21,20 +21,19 @@
 //!   marked dead and the *same* frame is replayed to the next owner on the
 //!   survivor ring. The client cannot distinguish the replayed response
 //!   from the original — they are bit-identical by construction.
-//! - **Cache warming**: on shard join, hot cache entries stream from
-//!   survivors to the joiner byte-exactly, so a post-join cache hit
-//!   replays the same bytes the donor would have served.
+//! - **Cold rejoin**: a recovered or replaced shard is re-admitted with
+//!   an empty cache; its first requests recompute the same bytes.
 //!
 //! Health checks ping shards in the background; a dead shard's keyspace
 //! re-hashes to survivors (only its keys move — the ring property), and a
-//! recovered shard is warmed before taking traffic again.
+//! recovered shard takes its keys back.
 
 use crate::fingerprint::SourceMemo;
 use crate::json::Value;
 use crate::net::{resolve, ForwardFail, Handled, Listener, Pool};
 use crate::proto::{
-    encode_cache_entries, encode_error, encode_metrics, encode_pong, encode_typed_error,
-    extract_raw_field, Parsed, Request, SubmitFrame, WireCacheEntry,
+    encode_error, encode_metrics, encode_pong, encode_typed_error, extract_raw_field, Parsed,
+    Request, SubmitFrame,
 };
 use crate::ring::{Ring, DEFAULT_VNODES};
 use scalapart::obs::{Counter, Gauge, Registry};
@@ -55,9 +54,6 @@ pub struct RouterConfig {
     /// shard legitimately computes for seconds on large jobs.
     pub forward_timeout_ms: u64,
 }
-
-/// Cache entries streamed per survivor when warming a joining shard.
-const WARM_LIMIT: usize = 32;
 
 impl Default for RouterConfig {
     fn default() -> Self {
@@ -134,7 +130,6 @@ struct RouterMetrics {
     failovers: Arc<Counter>,
     joins: Arc<Counter>,
     replays: Arc<Counter>,
-    warm_entries: Arc<Counter>,
     connects: Arc<Counter>,
     conn_reuses: Arc<Counter>,
     source_memo_hits: Arc<Counter>,
@@ -153,15 +148,11 @@ impl RouterMetrics {
             ),
             joins: r.counter(
                 "sp_shard_joins_total",
-                "Shard joins and rejoins (cache warmed before traffic)",
+                "Shard rejoins (re-admitted with a cold cache)",
             ),
             replays: r.counter(
                 "sp_route_replays_total",
                 "Forwards replayed to a different shard after a failure",
-            ),
-            warm_entries: r.counter(
-                "sp_warm_entries_total",
-                "Cache entries streamed to joining shards",
             ),
             connects: r.counter("sp_route_connects_total", "Connections opened to shards"),
             conn_reuses: r.counter(
@@ -294,68 +285,29 @@ impl Router {
             .collect()
     }
 
-    /// Re-register a shard (same or new address) and warm its cache from
-    /// the survivors before it takes traffic. Returns the number of cache
-    /// entries streamed.
-    pub fn rejoin(&self, name: &str, addr: &str) -> std::io::Result<usize> {
+    /// Re-admit a registered shard, at the same or a new address, with
+    /// whatever cache it has — a fresh process starts cold, and its first
+    /// requests recompute the same bytes. An unknown name is
+    /// `InvalidInput`: the shard set is the one the router started with.
+    pub fn rejoin(&self, name: &str, addr: &str) -> std::io::Result<()> {
         let addr = resolve(addr)?;
-        let donors: Vec<SocketAddr> = self
-            .snapshot()
-            .into_iter()
-            .filter(|(donor, _, up)| *up && donor != name)
-            .map(|(_, addr, _)| addr)
-            .collect();
-        let warmed = self.warm(addr, &donors);
         let mut table = self.shards.lock().unwrap();
-        match table.shards.iter_mut().find(|s| s.name == name) {
-            Some(s) => {
-                // Connections kept to the address it leaves belong to the
-                // process it replaces.
-                self.pool.purge(&s.addr);
-                s.addr = addr;
-                s.up = true;
-                s.up_gauge.set(1);
-            }
-            None => {
-                let joiner = ShardState::new(&self.metrics.registry, name, addr);
-                table.shards.push(joiner);
-                self.metrics.shards.set(table.shards.len() as i64);
-            }
-        }
+        let Some(s) = table.shards.iter_mut().find(|s| s.name == name) else {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!("no shard named {name:?} is registered"),
+            ));
+        };
+        // Connections kept to the address it leaves belong to the process
+        // it replaces.
+        self.pool.purge(&s.addr);
+        s.addr = addr;
+        s.up = true;
+        s.up_gauge.set(1);
         table.membership_changed(&self.metrics.shards_up);
         drop(table);
         self.metrics.joins.inc();
-        Ok(warmed)
-    }
-
-    /// Stream hot cache entries from `donors` to the shard at `addr`.
-    /// Byte-exact by construction (see `proto::WireCacheEntry`); failures
-    /// are non-fatal — a cold joiner is merely slower, never wrong.
-    fn warm(&self, addr: SocketAddr, donors: &[SocketAddr]) -> usize {
-        let mut entries: Vec<WireCacheEntry> = Vec::new();
-        let dump = format!("{{\"type\": \"cache_dump\", \"limit\": {WARM_LIMIT}}}");
-        for donor in donors {
-            let Ok(resp) = self.forward(*donor, &dump) else {
-                continue;
-            };
-            let Ok(v) = Value::parse(&resp) else { continue };
-            if let Ok(mut got) = crate::proto::decode_cache_entries(&v) {
-                got.retain(|e| !entries.iter().any(|have| have.key == e.key));
-                entries.append(&mut got);
-            }
-        }
-        if entries.is_empty() {
-            return 0;
-        }
-        let load = encode_cache_entries("cache_load", &entries);
-        let loaded = self
-            .forward(addr, &load)
-            .ok()
-            .and_then(|resp| Value::parse(&resp).ok())
-            .and_then(|v| v.get("loaded").and_then(Value::as_usize))
-            .unwrap_or(0);
-        self.metrics.warm_entries.add(loaded as u64);
-        loaded
+        Ok(())
     }
 
     /// Handle one client frame: route, forward, relay.
@@ -389,9 +341,6 @@ impl Router {
                 self.stop.store(true, Ordering::SeqCst);
                 self.pool.close();
                 Handled::ReplyThenStop("{\"type\": \"ok\", \"draining\": true}".to_string())
-            }
-            Request::CacheDump { .. } | Request::CacheLoad { .. } => {
-                Handled::Reply(encode_error("cache requests go to shards, not the router"))
             }
             Request::SessionOpen { session, .. }
             | Request::SessionDelta { session, .. }
@@ -685,7 +634,7 @@ fn health_loop(router: Arc<Router>) {
             if was_up && !alive {
                 router.mark_down(&name);
             } else if !was_up && alive {
-                // Recovered at its old address: warm before re-admitting.
+                // Recovered at its old address: re-admitted cold.
                 let _ = router.rejoin(&name, &addr.to_string());
             }
         }
@@ -1040,6 +989,20 @@ mod tests {
         assert_eq!(r.failovers(), 1);
         r.mark_down("solo"); // idempotent: no double count
         assert_eq!(r.failovers(), 1);
+        r.shutdown();
+    }
+
+    #[test]
+    fn rejoin_admits_only_a_registered_shard() {
+        let shards = vec![("solo".to_string(), "127.0.0.1:1".to_string())];
+        let cfg = RouterConfig {
+            health_interval_ms: 0,
+            ..Default::default()
+        };
+        let r = Router::new(cfg, &shards).unwrap();
+        let err = r.rejoin("stranger", "127.0.0.1:2").unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        assert_eq!((r.metrics.shards.get(), r.metrics.joins.get()), (1, 0));
         r.shutdown();
     }
 }

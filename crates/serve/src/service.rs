@@ -31,7 +31,6 @@
 
 use crate::cache::{CacheKey, LruCache};
 use crate::fingerprint::fingerprint_input;
-use crate::json::Value;
 use crate::metrics::ServiceMetrics;
 use scalapart::machine::{CostModel, Machine};
 use scalapart::obs::{JsonlLog, PhaseProfiler, Record};
@@ -222,6 +221,8 @@ impl Service {
             workers: cfg.workers.max(1),
             queue_capacity: cfg.queue_capacity.max(1),
             ranks: cfg.ranks.max(1),
+            max_sessions: cfg.max_sessions.max(1),
+            session_idle_ms: cfg.session_idle_ms.max(1),
             ..cfg
         };
         let metrics = ServiceMetrics::new();
@@ -528,68 +529,9 @@ impl Service {
         &self.inner.metrics
     }
 
-    /// The hottest `limit` cache entries, most recently used first —
-    /// the donor side of cache warming. Reading does not disturb
-    /// recency.
-    pub fn cache_dump(&self, limit: usize) -> Vec<(CacheKey, Arc<PartitionOutput>)> {
-        let st = self.inner.state.lock().unwrap();
-        st.cache.dump(limit)
-    }
-
-    /// Install a warmed entry (the recipient side of cache warming).
-    /// Returns `false` without installing when the entry cannot be valid
-    /// here: a different simulated-rank count (this shard would compute a
-    /// different result for the same key), an unparseable result body, or
-    /// labels inconsistent with the advertised `k`. Determinism is
-    /// preserved because the stored body is the donor's exact bytes — a
-    /// later hit replays them verbatim.
-    pub fn cache_load(&self, key: CacheKey, sim_time: f64, result_json: &str) -> bool {
-        if key.ranks != self.inner.cfg.ranks {
-            return false;
-        }
-        let Ok(v) = Value::parse(result_json) else {
-            return false;
-        };
-        let (Some(n), Some(k), Some(arr)) = (
-            v.get("n").and_then(Value::as_usize),
-            v.get("k").and_then(Value::as_usize),
-            v.get("part").and_then(Value::as_arr),
-        ) else {
-            return false;
-        };
-        if arr.len() != n || k == 0 {
-            return false;
-        }
-        let mut part = Vec::with_capacity(arr.len());
-        for p in arr {
-            let Some(p) = p.as_u64() else { return false };
-            if p >= k as u64 {
-                return false;
-            }
-            part.push(p as u32);
-        }
-        let summary = PartitionSummary {
-            n,
-            k,
-            edge_cut: v.get("edge_cut").and_then(Value::as_f64).unwrap_or(0.0),
-            cut_edges: v.get("cut_edges").and_then(Value::as_usize).unwrap_or(0),
-            imbalance: v.get("imbalance").and_then(Value::as_f64).unwrap_or(0.0),
-            comm_volume: v.get("comm_volume").and_then(Value::as_usize).unwrap_or(0),
-        };
-        let output = Arc::new(PartitionOutput {
-            part,
-            k,
-            summary,
-            sim_time,
-            input_fp: key.input,
-            result_json: result_json.to_string(),
-        });
-        let mut st = self.inner.state.lock().unwrap();
-        if st.cache.insert(key, output).is_some() {
-            self.inner.metrics.cache_evictions.inc();
-        }
-        self.inner.metrics.cache_entries.set(st.cache.len() as i64);
-        true
+    /// The configuration as normalised at start.
+    pub(crate) fn config(&self) -> &ServeConfig {
+        &self.inner.cfg
     }
 }
 
@@ -893,6 +835,7 @@ impl ServiceStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Value;
     use sp_graph::gen::{grid_2d, grid_2d_coords};
 
     fn spec(side: usize, method: Method, seed: u64) -> JobSpec {

@@ -43,26 +43,6 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// Session-subsystem knobs, split out of [`ServeConfig`].
-#[derive(Clone, Debug)]
-pub struct SessionConfig {
-    pub max_sessions: usize,
-    pub max_deltas: u64,
-    pub idle_ms: u64,
-    pub cache_capacity: usize,
-}
-
-impl SessionConfig {
-    pub fn from_serve(cfg: &ServeConfig) -> SessionConfig {
-        SessionConfig {
-            max_sessions: cfg.max_sessions.max(1),
-            max_deltas: cfg.session_max_deltas,
-            idle_ms: cfg.session_idle_ms.max(1),
-            cache_capacity: cfg.session_cache_capacity,
-        }
-    }
-}
-
 /// One cached repartition step: the response bytes served and the side
 /// assignment needed to fast-forward a session past the step on a hit.
 struct CachedStep {
@@ -88,19 +68,21 @@ struct SessState {
 /// Owns every open session of a server plus the shared step cache.
 /// Shared by all connection handlers; every public method takes `&self`.
 pub struct SessionManager {
-    cfg: SessionConfig,
+    /// The server's normalised configuration; the manager reads its
+    /// `max_sessions` and `session_*` fields.
+    cfg: ServeConfig,
     state: Mutex<SessState>,
     metrics: ServiceMetrics,
 }
 
 impl SessionManager {
-    pub fn new(cfg: SessionConfig, metrics: ServiceMetrics) -> SessionManager {
+    pub fn new(cfg: &ServeConfig, metrics: ServiceMetrics) -> SessionManager {
         SessionManager {
             state: Mutex::new(SessState {
                 sessions: HashMap::new(),
-                cache: LruCache::new(cfg.cache_capacity),
+                cache: LruCache::new(cfg.session_cache_capacity),
             }),
-            cfg,
+            cfg: cfg.clone(),
             metrics,
         }
     }
@@ -114,7 +96,7 @@ impl SessionManager {
     /// session operation — lazy eviction needs no sweeper thread, and a
     /// server with no session traffic holds no session state anyway.
     fn evict_idle(&self, st: &mut SessState) {
-        let ttl = std::time::Duration::from_millis(self.cfg.idle_ms);
+        let ttl = std::time::Duration::from_millis(self.cfg.session_idle_ms);
         let before = st.sessions.len();
         st.sessions.retain(|_, s| s.last_used.elapsed() <= ttl);
         let evicted = before - st.sessions.len();
@@ -207,14 +189,14 @@ impl SessionManager {
             return no_session(name);
         };
         s.last_used = Instant::now();
-        if s.deltas_total + batch.len() as u64 > self.cfg.max_deltas {
+        if s.deltas_total + batch.len() as u64 > self.cfg.session_max_deltas {
             return encode_typed_error(
                 "delta_quota",
                 &format!(
                     "session delta budget exceeded ({} applied + {} submitted > {})",
                     s.deltas_total,
                     batch.len(),
-                    self.cfg.max_deltas
+                    self.cfg.session_max_deltas
                 ),
             );
         }
@@ -348,16 +330,17 @@ mod tests {
     use super::*;
     use crate::json::Value;
 
-    fn mgr(cfg: SessionConfig) -> SessionManager {
-        SessionManager::new(cfg, ServiceMetrics::new())
+    fn mgr(cfg: ServeConfig) -> SessionManager {
+        SessionManager::new(&cfg, ServiceMetrics::new())
     }
 
-    fn small_cfg() -> SessionConfig {
-        SessionConfig {
+    fn small_cfg() -> ServeConfig {
+        ServeConfig {
             max_sessions: 2,
-            max_deltas: 16,
-            idle_ms: 60_000,
-            cache_capacity: 8,
+            session_max_deltas: 16,
+            session_idle_ms: 60_000,
+            session_cache_capacity: 8,
+            ..ServeConfig::default()
         }
     }
 
@@ -430,9 +413,9 @@ mod tests {
 
     #[test]
     fn quotas_and_unknown_sessions_are_typed_errors() {
-        let m = mgr(SessionConfig {
+        let m = mgr(ServeConfig {
             max_sessions: 1,
-            max_deltas: 2,
+            session_max_deltas: 2,
             ..small_cfg()
         });
         let (g, c) = grid(6);
@@ -474,8 +457,8 @@ mod tests {
 
     #[test]
     fn idle_sessions_are_evicted_lazily() {
-        let m = mgr(SessionConfig {
-            idle_ms: 1,
+        let m = mgr(ServeConfig {
+            session_idle_ms: 1,
             ..small_cfg()
         });
         let (g, c) = grid(6);

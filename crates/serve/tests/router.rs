@@ -1,5 +1,5 @@
 //! Distributed-serving tests over real loopback sockets: failover under
-//! concurrent load, adversarial shard behaviour, cache warming, and the
+//! concurrent load, adversarial shard behaviour, cold rejoin, and the
 //! determinism contract — a response's result bytes must not depend on
 //! which shard served it, whether it was a cache hit, or whether the job
 //! was replayed after a mid-stream shard kill.
@@ -11,7 +11,7 @@ use sp_serve::router::{Router, RouterConfig, RouterServer};
 use sp_serve::service::ServeConfig;
 use std::net::TcpListener;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn shard_cfg(workers: usize) -> ServeConfig {
     ServeConfig {
@@ -83,6 +83,13 @@ fn failover_midstream_is_invisible_to_all_eight_clients() {
             )
         })
         .collect();
+    // With one worker, a shard holding two jobs queues one behind the other.
+    let ring = sp_serve::Ring::new(&["a", "b"], sp_serve::ring::DEFAULT_VNODES);
+    let owned_by_a = jobs
+        .iter()
+        .filter(|req| ring.owner(routing_key_by_formula(req)) == Some("a"))
+        .count();
+    assert!(owned_by_a >= 2, "only {owned_by_a} of 8 jobs land on a");
     let expected: Vec<(String, String, String)> = jobs
         .iter()
         .map(|req| {
@@ -104,8 +111,25 @@ fn failover_midstream_is_invisible_to_all_eight_clients() {
             })
         })
         .collect();
-    // …and a SIGKILL-equivalent on shard a while the queue is busy.
-    std::thread::sleep(Duration::from_millis(150));
+    // …and a SIGKILL-equivalent on shard a once it runs one job and holds
+    // another in its queue, so the kill interrupts work whatever the
+    // machine's speed.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let st = a.service().stats();
+        if st.active == 1 && st.queue_depth >= 1 {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "shard a never held a job queued behind a running one \
+             (active {}, queued {}, completed {})",
+            st.active,
+            st.queue_depth,
+            st.completed
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
     a.kill();
 
     for (i, h) in clients.into_iter().enumerate() {
@@ -323,44 +347,107 @@ fn a_max_frame_submit_reaches_the_shard_byte_for_byte() {
 }
 
 #[test]
-fn joining_shard_is_warmed_and_replays_identical_bytes() {
+fn a_rejoining_shard_starts_cold_and_answers_the_same_bytes() {
     let a = start_shard(2);
     let rs = start_router(&[("a", &a)]);
     let raddr = rs.local_addr();
-
-    // Populate shard a's cache through the router.
     let req = submit_req("gen:grid:16x16", "sp", 4, 11);
-    let original = {
-        let mut c = Client::connect(&raddr).unwrap();
-        let resp = c.request(&req).unwrap();
-        assert!(resp.contains("\"status\": \"ok\""), "{resp}");
-        identity_spans(&resp)
-    };
+    let ask = || Client::connect(&raddr).unwrap().request(&req).unwrap();
+    let original = ask();
+    assert!(original.contains("\"status\": \"ok\""), "{original}");
 
-    // A fresh shard joins; the router streams hot entries from survivors.
-    let b = start_shard(2);
-    let warmed = rs
-        .router()
-        .rejoin("b", &b.local_addr().to_string())
+    // A fresh process takes a's place, empty-handed.
+    let replacement = start_shard(2);
+    rs.router()
+        .rejoin("a", &replacement.local_addr().to_string())
         .expect("rejoin");
-    assert!(warmed >= 1, "no cache entries streamed to the joiner");
-
-    // The joiner now answers the same job from its warmed cache with the
-    // donor's exact bytes.
-    let mut direct = Client::connect(&b.local_addr()).unwrap();
-    let resp = direct.request(&req).unwrap();
+    let resp = ask();
     let v = Value::parse(&resp).unwrap();
     assert_eq!(
         v.get("cache_hit").and_then(Value::as_bool),
-        Some(true),
-        "warmed entry must hit: {resp}"
+        Some(false),
+        "a rejoined shard starts cold: {resp}"
     );
-    assert_eq!(identity_spans(&resp), original);
+    assert_eq!(identity_spans(&resp), identity_spans(&original));
+    assert_eq!(replacement.service().stats().submitted, 1);
     let prom = rs.router().prometheus();
     assert!(prom.contains("sp_shard_joins_total 1"), "{prom}");
 
     rs.shutdown();
     a.shutdown();
+    replacement.shutdown();
+}
+
+#[test]
+fn a_shard_back_on_its_address_is_readmitted_by_the_health_probe() {
+    let (a, b) = (start_shard(1), start_shard(1));
+    let a_addr = a.local_addr();
+    let router = Router::new(
+        RouterConfig {
+            health_interval_ms: 20,
+            forward_timeout_ms: 60_000,
+        },
+        &[
+            ("a".to_string(), a_addr.to_string()),
+            ("b".to_string(), b.local_addr().to_string()),
+        ],
+    )
+    .expect("router");
+    let rs = RouterServer::bind("127.0.0.1:0", router).expect("bind router");
+    let ring = sp_serve::Ring::new(&["a", "b"], sp_serve::ring::DEFAULT_VNODES);
+    let req = (0..)
+        .map(|seed| submit_req("gen:grid:8x8", "rcb", 2, seed))
+        .find(|req| ring.owner(routing_key_by_formula(req)) == Some("a"))
+        .unwrap();
+    let ask = || {
+        let resp = Client::connect(&rs.local_addr())
+            .unwrap()
+            .request(&req)
+            .unwrap();
+        assert!(resp.contains("\"status\": \"ok\""), "{resp}");
+        resp
+    };
+    let original = ask();
+
+    // a dies; the next forward (or a probe) demotes it and b answers.
+    a.kill();
+    a.wait();
+    assert_eq!(identity_spans(&ask()), identity_spans(&original));
+    assert_eq!(rs.router().failovers(), 1);
+
+    // A new process on a's address: the probe finds it and re-admits it.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let back = loop {
+        match Server::bind(&a_addr.to_string(), shard_cfg(1)) {
+            Ok(s) => break s,
+            Err(e) => assert!(Instant::now() < deadline, "rebind {a_addr}: {e}"),
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    while !rs
+        .router()
+        .prometheus()
+        .contains("sp_shard_up{shard=\"a\"} 1")
+    {
+        assert!(
+            Instant::now() < deadline,
+            "a was not re-admitted within 5 s"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let resp = ask();
+    assert_eq!(identity_spans(&resp), identity_spans(&original));
+    assert!(resp.contains("\"cache_hit\": false"), "{resp}");
+    assert_eq!(
+        back.service().stats().submitted,
+        1,
+        "a's keys went back to a"
+    );
+    let prom = rs.router().prometheus();
+    assert!(prom.contains("sp_shard_joins_total 1"), "{prom}");
+
+    rs.shutdown();
+    back.shutdown();
     b.shutdown();
 }
 

@@ -17,8 +17,8 @@
 //! that severs the listener and every open connection with no drain. The
 //! router must re-hash the dead shard's keyspace to survivors (only its
 //! keys move — the ring property) and replay without the client noticing.
-//! The rejoin warms the newcomer's cache from survivors, and warmed
-//! entries must replay the donor's exact bytes.
+//! The replacement rejoins cold, so the requests it owns afterwards are
+//! recomputed, and must come out as the oracle's exact bytes.
 
 use crate::rng::{derive_seed, splitmix64, Fingerprint};
 use sp_serve::net::{Client, Server};
@@ -80,8 +80,6 @@ pub struct MultinodeReport {
     pub killed_after: usize,
     /// Request index after which the replacement joined.
     pub rejoined_after: usize,
-    /// Cache entries streamed to the replacement at join.
-    pub warmed: usize,
     /// Fingerprint over every routed response's identity spans, in stream
     /// order.
     pub routed_fingerprint: u64,
@@ -100,12 +98,11 @@ impl std::fmt::Display for MultinodeReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{} requests over {} shards (kill after {}, rejoin after {}, {} warmed): fp {:016x} vs oracle {:016x}, {} divergence(s)",
+            "{} requests over {} shards (kill after {}, rejoin after {}): fp {:016x} vs oracle {:016x}, {} divergence(s)",
             self.requests,
             self.shards,
             self.killed_after,
             self.rejoined_after,
-            self.warmed,
             self.routed_fingerprint,
             self.oracle_fingerprint,
             self.failures.len()
@@ -124,8 +121,7 @@ fn shard_cfg(ranks: usize) -> ServeConfig {
 }
 
 /// The seeded request stream. Every 5th request repeats an earlier one so
-/// the stream exercises cache hits (including post-warming hits on the
-/// rejoined shard).
+/// the stream exercises cache hits.
 fn gen_requests(cfg: &MultinodeFuzzConfig) -> Vec<String> {
     const METHODS: [&str; 4] = ["sp", "rcb", "parmetis", "ptscotch"];
     let mut reqs: Vec<String> = Vec::with_capacity(cfg.requests);
@@ -210,7 +206,6 @@ pub fn run_multinode_campaign(cfg: &MultinodeFuzzConfig) -> MultinodeReport {
 
     let mut failures: Vec<MultinodeFailure> = Vec::new();
     let mut routed_fp = Fingerprint::new();
-    let mut warmed = 0usize;
     let mut killed: Option<Arc<Server>> = None;
     for (i, req) in requests.iter().enumerate() {
         // A fresh connection per request: mid-stream shard death must not
@@ -250,10 +245,9 @@ pub fn run_multinode_campaign(cfg: &MultinodeFuzzConfig) -> MultinodeReport {
         if i + 1 == rejoined_after {
             let replacement =
                 Server::bind("127.0.0.1:0", shard_cfg(cfg.ranks)).expect("bind replacement");
-            warmed = rs
-                .router()
+            rs.router()
                 .rejoin("shard-0", &replacement.local_addr().to_string())
-                .unwrap_or(0);
+                .expect("rejoin a registered shard");
             shards[0] = replacement;
         }
     }
@@ -277,7 +271,6 @@ pub fn run_multinode_campaign(cfg: &MultinodeFuzzConfig) -> MultinodeReport {
         requests: cfg.requests,
         killed_after,
         rejoined_after,
-        warmed,
         routed_fingerprint: routed_fp.finish(),
         oracle_fingerprint: oracle_fp.finish(),
         failures,
