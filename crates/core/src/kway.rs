@@ -2,9 +2,41 @@
 //!
 //! The paper evaluates single edge separators; a deployable partitioner
 //! also needs k parts. This module applies any of the bisection methods
-//! recursively, with rank groups split proportionally at each level — the
-//! standard recursive-bisection construction used by Chaco and the
-//! geometric partitioners the paper builds on.
+//! recursively — the standard recursive-bisection construction used by
+//! Chaco and the geometric partitioners the paper builds on. A bisection
+//! of `k` parts on `p` ranks gives `k0 = k/2` parts and `p·k0/k` ranks to
+//! its first side and the rest to the second; each side is then cut out of
+//! its parent (ids ascending) and bisected on a fresh machine of its own
+//! rank group with seed `seed ^ first_part`, down to sides of one part or
+//! one vertex, which are labelled.
+//!
+//! **Both sides at once.** In the paper the two sides run at the same time
+//! on their disjoint rank groups. Here they run on the host pool
+//! ([`sp_machine::pool`]) side by side when all of these hold, and one
+//! after the other otherwise:
+//!
+//! * the recursion's thread share is at least 2. It starts at
+//!   [`pool::width`], read once on the caller, and each fork halves it
+//!   (`t/2` to the first side, `t − t/2` to the second);
+//! * both sides bisect again (at least 2 parts and 2 vertices each), so
+//!   `k = 2` never forks;
+//! * the method does not coarsen ([`Method::coarsens`]): two multilevel
+//!   hierarchies alive at once cost more memory than the fork saves time;
+//! * the observer forks ([`PipelineObserver::fork`]). One that does not
+//!   keeps the serial schedule, whatever the width.
+//!
+//! Both children are cut out on the caller, each after its own observer's
+//! poll, and the fork runs one bisection per side.
+//!
+//! **Why the schedule cannot show.** A side's inputs — its subgraph, its
+//! coordinates, its rank count, its seed, its fresh machine — are fixed
+//! before the fork and shared with nobody, and its labels go to its own
+//! vertices, which no other side writes; the join publishes them. The
+//! caller's machine runs only the root bisection, so the simulated time a
+//! caller reads cannot move either. So every label and every clock is that
+//! of the serial schedule, at every width. `Err(Cancelled)` from either side
+//! fails the whole run; a panic on either side resumes on the caller after
+//! the join.
 //!
 //! Limitation: every bisection here splits at the weight median (50/50),
 //! so for k that is not a power of two the deeper side of the recursion
@@ -15,7 +47,9 @@ use crate::methods::{run_method_checked, Method};
 use crate::observe::{Cancelled, NoopObserver, PipelineObserver};
 use sp_geometry::Point2;
 use sp_graph::Graph;
-use sp_machine::{CostModel, Machine};
+use sp_machine::{pool, CostModel, Machine};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::Mutex;
 
 /// A k-way partition: `part[v] ∈ 0..k`.
 #[derive(Clone, Debug)]
@@ -207,7 +241,9 @@ pub fn recursive_kway_on(
 /// [`poll_cancel`](PipelineObserver::poll_cancel) is checked before every
 /// recursive split and, for the ScalaPart method, at every pipeline
 /// checkpoint inside each bisection. On `Err(Cancelled)` the partial
-/// labelling is discarded. This is sp-serve's per-job entry point: each
+/// labelling is discarded. Where the recursion forks (module doc), the
+/// two sides' checkpoints go to the children [`PipelineObserver::fork`]
+/// returned, not to `obs`. This is sp-serve's per-job entry point: each
 /// job runs on a fresh machine with a deadline-polling observer.
 pub fn recursive_kway_checked_on(
     method: Method,
@@ -234,7 +270,9 @@ fn recursive_kway_impl(
     obs: &mut dyn PipelineObserver,
 ) -> Result<KWayPartition, Cancelled> {
     assert!(k >= 1);
-    let mut part = vec![0u32; g.n()];
+    let part: Vec<AtomicU32> = std::iter::repeat_with(AtomicU32::default)
+        .take(g.n())
+        .collect();
     if k > 1 && g.n() >= 2 {
         // The root is bisected where it lies: nothing to cut out of.
         if obs.poll_cancel() {
@@ -245,9 +283,39 @@ fn recursive_kway_impl(
             coords,
             ids: None,
         };
-        bisect(method, &root, 0, k, p, seed, &mut part, machine, obs)?;
+        let rec = Recursion {
+            method,
+            seed,
+            out: &part,
+        };
+        bisect(&rec, &root, 0, k, p, pool::width(), machine, obs)?;
     }
+    // Every fork has joined: each label is in place, and published.
+    let part = part.into_iter().map(AtomicU32::into_inner).collect();
     Ok(KWayPartition { part, k })
+}
+
+/// What every bisection of one recursion shares: the method, the seed each
+/// derives its own from, and the labels of the input graph's vertices.
+struct Recursion<'a> {
+    method: Method,
+    seed: u64,
+    /// `out[v]` is vertex `v`'s part. Each vertex is written once, by the
+    /// one bisection that names its part, so relaxed stores suffice: a
+    /// fork's join (the worker's Release decrement of the dispatch's
+    /// pending count, the caller's Acquire load of zero) orders them before
+    /// anything after the fork, the final read included.
+    out: &'a [AtomicU32],
+}
+
+impl Recursion<'_> {
+    /// Put `verts` (ids in `node.g`) into part `part`.
+    fn label(&self, node: &Node, verts: &[u32], part: u32) {
+        for &v in verts {
+            let v = node.ids.map_or(v, |ids| ids[v as usize]);
+            self.out[v as usize].store(part, Ordering::Relaxed);
+        }
+    }
 }
 
 /// One graph of the recursion: what a bisection runs on, and what its
@@ -260,34 +328,36 @@ struct Node<'a> {
     ids: Option<&'a [u32]>,
 }
 
-/// Cut the child on `verts` (ids in `parent.g`, ascending) out of its
-/// parent and partition it into parts `first_part .. first_part + k`.
-///
-/// The polls are a sequence callers count: one here, before the
-/// extraction, then the three of [`run_method_checked`].
-#[allow(clippy::too_many_arguments)]
-fn split(
-    method: Method,
-    parent: &Node,
-    verts: Vec<u32>,
-    first_part: u32,
-    k: usize,
-    p: usize,
-    seed: u64,
-    out: &mut [u32],
-    obs: &mut dyn PipelineObserver,
-) -> Result<(), Cancelled> {
-    if k <= 1 || verts.len() < 2 {
-        for &v in &verts {
-            out[parent.ids.map_or(v, |ids| ids[v as usize]) as usize] = first_part;
+/// A graph cut out of its parent, owning what its [`Node`] borrows.
+struct Child {
+    g: Graph,
+    coords: Option<Vec<Point2>>,
+    ids: Vec<u32>,
+}
+
+impl Child {
+    fn node(&self) -> Node<'_> {
+        Node {
+            g: &self.g,
+            coords: self.coords.as_deref(),
+            ids: Some(&self.ids),
         }
-        return Ok(());
     }
+}
+
+/// Do `k` parts of `verts` need a bisection, or are they one part?
+fn recurses(k: usize, verts: &[u32]) -> bool {
+    k >= 2 && verts.len() >= 2
+}
+
+/// Cut the child on `verts` (ids in `parent.g`, ascending) out of its
+/// parent, after the poll that precedes every extraction.
+fn cut(parent: &Node, verts: Vec<u32>, obs: &mut dyn PipelineObserver) -> Result<Child, Cancelled> {
     if obs.poll_cancel() {
         return Err(Cancelled);
     }
-    let (sub, mut ids) = parent.g.induced_subgraph(&verts);
-    let coords: Option<Vec<Point2>> = parent
+    let (g, mut ids) = parent.g.induced_subgraph(&verts);
+    let coords = parent
         .coords
         .map(|c| verts.iter().map(|&v| c[v as usize]).collect());
     drop(verts);
@@ -296,25 +366,45 @@ fn split(
             *v = parent_ids[*v as usize];
         }
     }
-    let node = Node {
-        g: &sub,
-        coords: coords.as_deref(),
-        ids: Some(&ids),
-    };
-    bisect(method, &node, first_part, k, p, seed, out, None, obs)
+    Ok(Child { g, coords, ids })
+}
+
+/// Partition the vertices `verts` of `parent.g` into parts
+/// `first_part .. first_part + k`: one part is a labelling, more are a
+/// child cut out and bisected.
+///
+/// The polls are a sequence callers count: one before the extraction
+/// ([`cut`]), then the three of [`run_method_checked`].
+#[allow(clippy::too_many_arguments)]
+fn split(
+    rec: &Recursion,
+    parent: &Node,
+    verts: Vec<u32>,
+    first_part: u32,
+    k: usize,
+    p: usize,
+    threads: usize,
+    obs: &mut dyn PipelineObserver,
+) -> Result<(), Cancelled> {
+    if !recurses(k, &verts) {
+        rec.label(parent, &verts, first_part);
+        return Ok(());
+    }
+    let child = cut(parent, verts, obs)?;
+    bisect(rec, &child.node(), first_part, k, p, threads, None, obs)
 }
 
 /// Bisect `node.g` (`k ≥ 2` parts to make, at least two vertices) and
-/// [`split`] each side further.
+/// [`split`] each side further: one after the other, or both at once over
+/// `threads` host threads (see the module doc for when).
 #[allow(clippy::too_many_arguments)]
 fn bisect(
-    method: Method,
+    rec: &Recursion,
     node: &Node,
     first_part: u32,
     k: usize,
     p: usize,
-    seed: u64,
-    out: &mut [u32],
+    threads: usize,
     machine: Option<&mut Machine>,
     obs: &mut dyn PipelineObserver,
 ) -> Result<(), Cancelled> {
@@ -330,8 +420,8 @@ fn bisect(
                 &mut fresh
             }
         };
-        let seed = seed ^ first_part as u64;
-        run_method_checked(method, node.g, node.coords, machine, seed, obs)?.bisection
+        let seed = rec.seed ^ first_part as u64;
+        run_method_checked(rec.method, node.g, node.coords, machine, seed, obs)?.bisection
     };
     // Assign the lighter side to the smaller k when k is odd so part
     // weights track k0 : k1.
@@ -348,28 +438,51 @@ fn bisect(
     }
     let [side0, side1] = sides;
     // The recursion below holds only what it still needs: this node and
-    // the side not yet cut out of it.
+    // the sides not yet cut out of it.
     drop(bisection);
     let p0 = ((p * k0) / k).max(1);
     let p1 = (p - p0).max(1);
-    split(method, node, side0, first_part, k0, p0, seed, out, obs)?;
-    split(
-        method,
-        node,
-        side1,
-        first_part + k0 as u32,
-        k1,
-        p1,
-        seed,
-        out,
-        obs,
-    )
+    let first1 = first_part + k0 as u32;
+    let fork =
+        threads >= 2 && !rec.method.coarsens() && recurses(k0, &side0) && recurses(k1, &side1);
+    let Some([mut obs0, mut obs1]) = fork.then(|| obs.fork()).flatten() else {
+        split(rec, node, side0, first_part, k0, p0, threads, obs)?;
+        return split(rec, node, side1, first1, k1, p1, threads, obs);
+    };
+    // Both children are cut out here, before the fork: cut on the workers,
+    // they raised the benchmark's `geo-mesh` peak RSS by 12–14 %. Each side
+    // then keeps its child, fresh machine, seed, labels and observer to
+    // itself, and half the threads.
+    let child0 = cut(node, side0, &mut *obs0)?;
+    let child1 = cut(node, side1, &mut *obs1)?;
+    let t0 = threads / 2;
+    let halves = [
+        (child0, obs0, first_part, k0, p0, t0),
+        (child1, obs1, first1, k1, p1, threads - t0),
+    ]
+    .map(Mutex::new);
+    // Read after the join, which orders the store before it.
+    let cancelled = AtomicBool::new(false);
+    pool::run(2, |i| {
+        let mut half = halves[i].lock().expect("a half has one taker");
+        let (child, obs, first, k, p, t) = &mut *half;
+        if bisect(rec, &child.node(), *first, *k, *p, *t, None, &mut **obs).is_err() {
+            cancelled.store(true, Ordering::Relaxed);
+        }
+    });
+    if cancelled.into_inner() {
+        Err(Cancelled)
+    } else {
+        Ok(())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use sp_graph::gen::{grid_2d, grid_2d_coords};
+    use std::sync::atomic::AtomicUsize;
+    use std::sync::Arc;
 
     #[test]
     fn four_way_grid_partition_is_balanced() {
@@ -609,23 +722,30 @@ mod tests {
         for (g, coords) in [&grid, &mesh] {
             for method in [Method::Rcb, Method::SpPg7Nl, Method::ParMetisLike] {
                 for k in [2usize, 3, 5, 8, 64] {
-                    let kp = recursive_kway(method, g, Some(coords), k, 16, 7);
-                    kp.validate(g).unwrap();
-                    assert_eq!(
-                        kp.part,
-                        kway_from_root(method, g, Some(coords), k, 16, 7),
-                        "{} k={k} n={}",
-                        method.name(),
-                        g.n()
-                    );
+                    let want = kway_from_root(method, g, Some(coords), k, 16, 7);
+                    for threads in WIDTHS {
+                        let kp = install(threads, || {
+                            recursive_kway(method, g, Some(coords), k, 16, 7)
+                        });
+                        kp.validate(g).unwrap();
+                        assert_eq!(
+                            kp.part,
+                            want,
+                            "{} k={k} n={} threads={threads}",
+                            method.name(),
+                            g.n()
+                        );
+                    }
                 }
             }
         }
-        let kp = recursive_kway(Method::ScalaPart, &grid.0, None, 4, 16, 3);
-        assert_eq!(
-            kp.part,
-            kway_from_root(Method::ScalaPart, &grid.0, None, 4, 16, 3)
-        );
+        let want = kway_from_root(Method::ScalaPart, &grid.0, None, 4, 16, 3);
+        for threads in WIDTHS {
+            let kp = install(threads, || {
+                recursive_kway(Method::ScalaPart, &grid.0, None, 4, 16, 3)
+            });
+            assert_eq!(kp.part, want, "threads={threads}");
+        }
     }
 
     #[test]
@@ -640,9 +760,120 @@ mod tests {
             (8, 0x3f97_66fe_19ad_9225),
             (64, 0x5983_6aac_8abb_0525),
         ] {
-            let kp = recursive_kway(Method::Rcb, &g, Some(&coords), k, 16, 7);
-            assert_eq!(label_fingerprint(&kp.part), want, "k={k}");
+            for threads in WIDTHS {
+                let kp = install(threads, || {
+                    recursive_kway(Method::Rcb, &g, Some(&coords), k, 16, 7)
+                });
+                assert_eq!(label_fingerprint(&kp.part), want, "k={k} threads={threads}");
+            }
         }
+    }
+
+    /// Host pool widths of the fork tests: one thread never forks, two fork
+    /// the root's halves, four the halves of those too.
+    const WIDTHS: [usize; 3] = [1, 2, 4];
+
+    fn install<R>(threads: usize, op: impl FnOnce() -> R) -> R {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .expect("pool")
+            .install(op)
+    }
+
+    /// A forkable observer: it and every child it forks spend one shared
+    /// budget of polls and cancel once it is spent. A child on the second
+    /// side of a fork (or below one) panics at its own `panic_at`th poll.
+    #[derive(Clone)]
+    struct SharedBudget {
+        left: Arc<AtomicUsize>,
+        panic_at: Option<usize>,
+        second_side: bool,
+        polls: usize,
+    }
+
+    impl SharedBudget {
+        fn new(budget: usize, panic_at: Option<usize>) -> Self {
+            SharedBudget {
+                left: Arc::new(AtomicUsize::new(budget)),
+                panic_at,
+                second_side: false,
+                polls: 0,
+            }
+        }
+
+        fn child(&self, second_side: bool) -> Box<dyn PipelineObserver + Send> {
+            Box::new(SharedBudget {
+                second_side: self.second_side || second_side,
+                polls: 0,
+                ..self.clone()
+            })
+        }
+    }
+
+    impl PipelineObserver for SharedBudget {
+        fn poll_cancel(&mut self) -> bool {
+            self.polls += 1;
+            if self.second_side && Some(self.polls) == self.panic_at {
+                std::panic::panic_any("the second side gives up");
+            }
+            let spend = |left: usize| left.checked_sub(1);
+            self.left
+                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, spend)
+                .is_err()
+        }
+
+        fn fork(&mut self) -> Option<[Box<dyn PipelineObserver + Send>; 2]> {
+            Some([self.child(false), self.child(true)])
+        }
+    }
+
+    fn sp_pg7nl_8way(obs: &mut dyn PipelineObserver) -> Result<Vec<u32>, Cancelled> {
+        let g = grid_2d(24, 24);
+        let coords = grid_2d_coords(24, 24);
+        let mut m = Machine::new(8, CostModel::qdr_infiniband());
+        recursive_kway_checked_on(Method::SpPg7Nl, &g, Some(&coords), 8, 1, &mut m, obs)
+            .map(|kp| kp.part)
+    }
+
+    #[test]
+    fn a_forked_recursion_is_cancelled_whichever_side_trips_first() {
+        let want = install(1, || sp_pg7nl_8way(&mut NoopObserver)).unwrap();
+        // Seven bisections of four polls each, forked or not.
+        let polls = 4 * 7;
+        for threads in WIDTHS {
+            let run = |budget| {
+                install(threads, || {
+                    sp_pg7nl_8way(&mut SharedBudget::new(budget, None))
+                })
+            };
+            assert_eq!(run(polls).as_ref(), Ok(&want), "threads={threads}");
+            for budget in 0..polls {
+                assert_eq!(
+                    run(budget),
+                    Err(Cancelled),
+                    "threads={threads} budget={budget}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_panic_on_a_forked_side_reaches_the_caller_and_the_next_run_is_whole() {
+        let want = install(1, || sp_pg7nl_8way(&mut NoopObserver)).unwrap();
+        install(2, || {
+            // The root's second child polls once before the fork, when it
+            // is cut out, and the second time inside the forked task.
+            let mut obs = SharedBudget::new(usize::MAX, Some(2));
+            let caught =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sp_pg7nl_8way(&mut obs)));
+            let payload = caught.expect_err("the panic reaches the caller");
+            assert_eq!(
+                payload.downcast_ref::<&str>(),
+                Some(&"the second side gives up")
+            );
+            assert_eq!(sp_pg7nl_8way(&mut NoopObserver), Ok(want));
+        });
     }
 
     /// Counts the polls and cancels at the `cancel_at`th (0-based).

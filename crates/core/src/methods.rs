@@ -89,6 +89,16 @@ impl Method {
             Method::SpPg7Nl | Method::Rcb | Method::G30 | Method::G7 | Method::G7Nl
         )
     }
+
+    /// Does the method build a multilevel hierarchy of the graph it
+    /// bisects? The k-way recursion never runs two of these bisections at
+    /// once: both halves' hierarchies would be live together.
+    pub fn coarsens(self) -> bool {
+        matches!(
+            self,
+            Method::ScalaPart | Method::ParMetisLike | Method::PtScotchLike
+        )
+    }
 }
 
 /// Outcome of one method run.
@@ -312,6 +322,10 @@ mod tests {
         assert!(Method::G30.needs_coords());
         assert!(!Method::ScalaPart.needs_coords());
         assert!(!Method::PtScotchLike.needs_coords());
+        assert!(Method::ScalaPart.coarsens());
+        assert!(Method::ParMetisLike.coarsens());
+        assert!(!Method::SpPg7Nl.coarsens());
+        assert!(!Method::Rcb.coarsens());
     }
 
     #[test]

@@ -92,13 +92,28 @@ pub trait PipelineObserver {
     fn poll_cancel(&mut self) -> bool {
         false
     }
+
+    /// Children for the two halves of a forked k-way bisection, or `None`
+    /// to keep the recursion serial. The k-way recursion asks only where it
+    /// could run both halves at once (see [`kway`](crate::kway)); child 0
+    /// then sees every checkpoint of the first half, child 1 of the second,
+    /// each in that half's serial order, and the two run at the same time.
+    /// An observer that counts or orders its calls across the whole run
+    /// keeps the default, and with it the serial schedule.
+    fn fork(&mut self) -> Option<[Box<dyn PipelineObserver + Send>; 2]> {
+        None
+    }
 }
 
 /// The explicit do-nothing observer.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct NoopObserver;
 
-impl PipelineObserver for NoopObserver {}
+impl PipelineObserver for NoopObserver {
+    fn fork(&mut self) -> Option<[Box<dyn PipelineObserver + Send>; 2]> {
+        Some([Box::new(NoopObserver), Box::new(NoopObserver)])
+    }
+}
 
 /// The phases [`ProfilingObserver`] attributes time to, in checkpoint
 /// order: the names of its profiler samples.

@@ -33,10 +33,16 @@
 //! 4. **Width is asked per dispatch,** from [`width`], which is
 //!    `rayon::current_num_threads()`: `ThreadPool::install` and
 //!    `RAYON_NUM_THREADS` are how the benchmark, CI's thread matrix and
-//!    sp-verify's `parallel` stage set it, and they keep working. A width
-//!    above the core count oversubscribes; that is slower, never wrong.
+//!    sp-verify's `parallel` stage set it, and they keep working. A task
+//!    sees the width of the thread that dispatched it, not that of the
+//!    worker it runs on: `install` only sets the width of the thread it is
+//!    called on, and a dispatch made from inside a task (a forked k-way
+//!    recursion's supersteps) must be as wide as the caller was told. A
+//!    width above the core count oversubscribes; that is slower, never
+//!    wrong.
 
 use std::any::Any;
+use std::cell::Cell;
 use std::io;
 use std::panic::{self, AssertUnwindSafe};
 use std::ptr;
@@ -59,10 +65,20 @@ static IDLE: Mutex<Vec<&'static Worker>> = Mutex::new(Vec::new());
 /// Worker threads started since the process began.
 static STARTED: AtomicUsize = AtomicUsize::new(0);
 
-/// Host threads a dispatch may use: the installed rayon pool's width, else
+thread_local! {
+    /// Width of the dispatch whose task this thread is running; 0 when it
+    /// runs none (a caller's own task 0 runs at the caller's width anyway).
+    static TASK_WIDTH: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Host threads a dispatch may use: inside a pool task, the width its
+/// dispatcher saw; else the installed rayon pool's width, else
 /// `RAYON_NUM_THREADS`, else the host's parallelism; at least 1.
 pub fn width() -> usize {
-    rayon::current_num_threads().max(1)
+    match TASK_WIDTH.with(Cell::get) {
+        0 => rayon::current_num_threads().max(1),
+        w => w,
+    }
 }
 
 /// Worker threads this process has started so far. Steady state adds
@@ -85,6 +101,8 @@ struct Dispatch<'a> {
     /// Payload of the first task that panicked.
     panic: Mutex<Option<Box<dyn Any + Send>>>,
     caller: Thread,
+    /// The caller's [`width`], which every task sees as its own.
+    width: usize,
 }
 
 /// A task of a dispatch: which one, and of which.
@@ -134,7 +152,10 @@ impl Worker {
         // unwinding), and this task's share of `pending` is only given up
         // by the `fetch_sub` below, after which `d` is not touched again.
         let d = unsafe { &*job.dispatch };
-        if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(|| (d.f)(job.index))) {
+        TASK_WIDTH.with(|w| w.set(d.width));
+        let ran = panic::catch_unwind(AssertUnwindSafe(|| (d.f)(job.index)));
+        TASK_WIDTH.with(|w| w.set(0));
+        if let Err(payload) = ran {
             d.panic
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner)
@@ -214,6 +235,7 @@ pub fn run<F: Fn(usize) + Sync>(tasks: usize, f: F) {
         pending: AtomicUsize::new(0),
         panic: Mutex::new(None),
         caller: thread::current(),
+        width: width(),
     };
     {
         let _join = Join(&dispatch.pending);

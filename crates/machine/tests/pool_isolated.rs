@@ -111,4 +111,33 @@ fn the_pool_starts_threads_for_peak_demand_only_and_outlives_panics() {
         assert!(used.len() == 2 && used.is_subset(&gang));
     });
     assert_eq!(pool::threads_started(), 2);
+
+    // A task runs at its dispatcher's width, not its worker's: `install`
+    // sets the width of the thread it is called on, and task 1 runs on a
+    // worker. So does a task of a dispatch nested in it.
+    let widths: [AtomicUsize; 3] = Default::default();
+    install(3, || {
+        pool::run(2, |i| {
+            widths[i].store(pool::width(), Ordering::Relaxed);
+            if i == 1 {
+                pool::run(2, |j| {
+                    if j == 1 {
+                        widths[2].store(pool::width(), Ordering::Relaxed);
+                    }
+                });
+            }
+        })
+    });
+    assert_eq!(widths.map(AtomicUsize::into_inner), [3, 3, 3]);
+    // Back on the idle list, the worker runs the next task at its own
+    // dispatcher's width again.
+    let host = pool::width();
+    let seen = AtomicUsize::new(0);
+    pool::run(2, |i| {
+        if i == 1 {
+            seen.store(pool::width(), Ordering::Relaxed);
+        }
+    });
+    assert_eq!(seen.into_inner(), host);
+    assert_eq!(pool::threads_started(), 2);
 }

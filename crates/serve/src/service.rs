@@ -542,7 +542,9 @@ fn push_latency(st: &mut State, ms: f64) {
     st.latencies.push_back(ms);
 }
 
-/// Deadline polling threaded through the pipeline checkpoints.
+/// Deadline polling threaded through the pipeline checkpoints. Both halves
+/// of a forked k-way bisection poll a copy of it: the same deadline.
+#[derive(Clone, Copy)]
 struct DeadlineObserver {
     deadline: Instant,
 }
@@ -550,6 +552,10 @@ struct DeadlineObserver {
 impl PipelineObserver for DeadlineObserver {
     fn poll_cancel(&mut self) -> bool {
         Instant::now() >= self.deadline
+    }
+
+    fn fork(&mut self) -> Option<[Box<dyn PipelineObserver + Send>; 2]> {
+        Some([Box::new(*self), Box::new(*self)])
     }
 }
 

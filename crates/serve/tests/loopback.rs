@@ -184,29 +184,48 @@ fn overload_yields_explicit_backpressure_not_hangs() {
 
 #[test]
 fn deadline_expiry_reports_timeout_and_worker_stays_usable() {
+    // Profiling off: the profiler does not fork, so with it on every k-way
+    // recursion runs serially, and this test is the forked path's.
     let server = start(ServeConfig {
         workers: 1,
         ranks: 4,
+        profile: false,
         ..Default::default()
     });
     let addr = server.local_addr();
     let mut c = Client::connect(&addr).unwrap();
 
-    let doomed = "{\"type\": \"submit\", \"graph\": \"gen:grid:48x48\", \"method\": \"sp\", \"parts\": 4, \"seed\": 7, \"deadline_ms\": 0}";
-    let v = parse(&c.request(doomed).unwrap());
-    assert_eq!(status(&v), "timeout", "reply: {v:?}");
+    for (round, doomed) in [
+        // Expired before it is taken off the queue.
+        "{\"type\": \"submit\", \"graph\": \"gen:grid:48x48\", \"method\": \"sp\", \"parts\": 4, \"seed\": 7, \"deadline_ms\": 0}",
+        // Expires while it runs. SP-PG7-NL to 16 parts forks its recursion
+        // over the host pool, and both sides poll the same deadline. On a
+        // 2-core host the root bisection and the two cuts before the fork
+        // take 50–100 ms of the ≈ 200 ms the job needs, so the deadline
+        // mostly passes inside the forked sides; it times out wherever.
+        "{\"type\": \"submit\", \"graph\": \"gen:grid:512x512\", \"method\": \"sp-pg7nl\", \"parts\": 16, \"seed\": 7, \"deadline_ms\": 100}",
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let v = parse(&c.request(doomed).unwrap());
+        assert_eq!(status(&v), "timeout", "{doomed}: {v:?}");
 
-    // The worker was not killed: the very next job on the same connection
-    // must succeed.
-    let v = parse(
-        &c.request(&submit_req("gen:grid:12x12", "rcb", 2, 1))
-            .unwrap(),
-    );
-    assert_eq!(status(&v), "ok", "worker must survive a timeout: {v:?}");
+        // The worker was not killed: the very next job on the same
+        // connection must succeed, forked recursion included.
+        for (method, parts) in [("rcb", 2), ("sp-pg7nl", 16)] {
+            let v = parse(
+                &c.request(&submit_req("gen:grid:32x32", method, parts, round as u64))
+                    .unwrap(),
+            );
+            assert_eq!(status(&v), "ok", "worker must survive a timeout: {v:?}");
+        }
+    }
 
     let stats = server.service().stats();
-    assert_eq!(stats.timeouts, 1);
-    assert_eq!(stats.completed, 1);
+    assert_eq!(stats.timeouts, 2);
+    assert_eq!(stats.completed, 4);
+    assert_eq!(stats.cache_hits, 0);
     server.shutdown();
     server.wait();
 }
