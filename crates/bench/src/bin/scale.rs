@@ -151,10 +151,7 @@ fn main() {
 
     let mut json = String::from("{\n  \"bench\": \"scale\",\n");
     json.push_str(&format!("  \"quick\": {quick},\n"));
-    json.push_str(&format!(
-        "  \"threads\": {},\n",
-        rayon::current_num_threads()
-    ));
+    json.push_str(&format!("  \"threads\": {},\n", sp_machine::pool::width()));
 
     // Full mode reaches the paper's 2^22-vertex instances for the grid
     // and Delaunay families (delaunay_n22 is the shape of delaunay_n24 at

@@ -49,7 +49,6 @@ use sp_geometry::Point2;
 use sp_graph::Graph;
 use sp_machine::{pool, CostModel, Machine};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::Mutex;
 
 /// A k-way partition: `part[v] ∈ 0..k`.
 #[derive(Clone, Debug)]
@@ -459,14 +458,12 @@ fn bisect(
     let halves = [
         (child0, obs0, first_part, k0, p0, t0),
         (child1, obs1, first1, k1, p1, threads - t0),
-    ]
-    .map(Mutex::new);
-    // Read after the join, which orders the store before it.
+    ];
+    // Read after the join, which orders the store before it. The thread
+    // share is at most the width, so the two halves get a task each.
     let cancelled = AtomicBool::new(false);
-    pool::run(2, |i| {
-        let mut half = halves[i].lock().expect("a half has one taker");
-        let (child, obs, first, k, p, t) = &mut *half;
-        if bisect(rec, &child.node(), *first, *k, *p, *t, None, &mut **obs).is_err() {
+    pool::each(halves, |_, (child, mut obs, first, k, p, t)| {
+        if bisect(rec, &child.node(), first, k, p, t, None, &mut *obs).is_err() {
             cancelled.store(true, Ordering::Relaxed);
         }
     });

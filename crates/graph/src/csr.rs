@@ -277,58 +277,11 @@ impl GraphBuilder {
         self.edges.len()
     }
 
-    /// Finish: sort, merge duplicates, emit symmetric CSR.
-    ///
-    /// Sorting and duplicate merging happen **in place** on the tuple
-    /// buffer (a write cursor compacts the sorted run), so the transient
-    /// peak is one tuple buffer plus the final CSR — not two tuple
-    /// buffers, which is what the previous clone-into-`merged` cost.
-    pub fn build(mut self) -> Graph {
-        self.edges.sort_unstable_by_key(|e| (e.0, e.1));
-        // Merge duplicates in place: `w` is the write cursor over the
-        // sorted run; equal (u, v) keys fold their weights into the last
-        // written entry.
-        let mut w = 0usize;
-        for r in 0..self.edges.len() {
-            let e = self.edges[r];
-            if w > 0 && self.edges[w - 1].0 == e.0 && self.edges[w - 1].1 == e.1 {
-                self.edges[w - 1].2 += e.2;
-            } else {
-                self.edges[w] = e;
-                w += 1;
-            }
-        }
-        self.edges.truncate(w);
-        // Counting pass.
-        let mut deg = vec![0usize; self.n];
-        for &(u, v, _) in &self.edges {
-            deg[u as usize] += 1;
-            deg[v as usize] += 1;
-        }
-        let mut xadj = Vec::with_capacity(self.n + 1);
-        xadj.push(0usize);
-        for d in &deg {
-            xadj.push(xadj.last().unwrap() + d);
-        }
-        let total = *xadj.last().unwrap();
-        let mut adjncy = vec![0u32; total];
-        let mut ewgt = vec![0f64; total];
-        let mut cursor = std::mem::take(&mut deg);
-        cursor.copy_from_slice(&xadj[..self.n]);
-        for &(u, v, w) in &self.edges {
-            adjncy[cursor[u as usize]] = v;
-            ewgt[cursor[u as usize]] = w;
-            cursor[u as usize] += 1;
-            adjncy[cursor[v as usize]] = u;
-            ewgt[cursor[v as usize]] = w;
-            cursor[v as usize] += 1;
-        }
-        Graph {
-            xadj,
-            adjncy,
-            ewgt,
-            vwgt: self.vwgt,
-        }
+    /// Finish: sort, merge duplicates by summing their weights, emit
+    /// symmetric CSR ([`crate::build::csr_from_edges`]). The transient
+    /// peak is the tuple buffer plus the final CSR.
+    pub fn build(self) -> Graph {
+        crate::build::csr_from_edges(self.n, self.edges, self.vwgt, |e| e)
     }
 }
 

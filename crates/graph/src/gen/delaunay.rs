@@ -10,6 +10,7 @@
 use crate::csr::Graph;
 use rand::Rng;
 use sp_geometry::{hilbert_key_unit, Aabb2, Point2};
+use sp_machine::pool;
 use std::sync::atomic::{AtomicU32, Ordering};
 
 const NONE: u32 = u32::MAX;
@@ -223,6 +224,18 @@ impl Triangulator {
     }
 }
 
+/// The directed edges `v[i] → v[i+1]` of the alive triangles in `tris`
+/// whose ends are both input points, as input ids (`orig` maps the three
+/// super-triangle vertices to `NONE`).
+fn mentions<'a>(tris: &'a [Tri], orig: &'a [u32]) -> impl Iterator<Item = (u32, u32)> + 'a {
+    tris.iter().filter(|tr| tr.alive).flat_map(move |tr| {
+        (0..3).filter_map(move |i| {
+            let (oa, oc) = (orig[tr.v[i] as usize], orig[tr.v[(i + 1) % 3] as usize]);
+            (oa != NONE && oc != NONE).then_some((oa, oc))
+        })
+    })
+}
+
 /// Delaunay-triangulate an explicit point set; returns the edge graph.
 /// Points are inserted in Hilbert order internally but vertex ids in the
 /// output match the input order.
@@ -263,81 +276,32 @@ pub fn delaunay_of_points(points: &[Point2]) -> Graph {
     // passes parallel over triangle chunks (atomic counters commute, and
     // the per-row sort afterwards makes the bytes schedule-independent).
     let tris = &t.tris;
-    let chunk = tris
-        .len()
-        .div_ceil(4 * rayon::current_num_threads().max(1))
-        .max(4096);
-    let mention = |tr: &Tri, i: usize| -> Option<(u32, u32)> {
-        let a = tr.v[i] as usize;
-        let c = tr.v[(i + 1) % 3] as usize;
-        if a < 3 || c < 3 {
-            return None; // super-triangle vertex
-        }
-        let (oa, oc) = (orig[a], orig[c]);
-        if oa != NONE && oc != NONE {
-            Some((oa, oc))
-        } else {
-            None
-        }
-    };
+    let chunk = tris.len().div_ceil(4 * pool::width()).max(4096);
     let cursor: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
-    rayon::scope(|s| {
-        for tchunk in tris.chunks(chunk) {
-            let cursor = &cursor;
-            let mention = &mention;
-            s.spawn(move |_| {
-                for tr in tchunk.iter().filter(|tr| tr.alive) {
-                    for i in 0..3 {
-                        if let Some((oa, _)) = mention(tr, i) {
-                            cursor[oa as usize].fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                }
-            });
+    pool::each(tris.chunks(chunk), |_, tchunk| {
+        for (oa, _) in mentions(tchunk, &orig) {
+            cursor[oa as usize].fetch_add(1, Ordering::Relaxed);
         }
     });
-    let mut xadj = Vec::with_capacity(n + 1);
-    let mut acc = 0usize;
-    xadj.push(0);
-    for c in &cursor {
-        acc += c.load(Ordering::Relaxed) as usize;
-        xadj.push(acc);
+    let mut xadj = vec![0usize; n + 1];
+    for v in 0..n {
+        xadj[v + 1] = xadj[v] + cursor[v].load(Ordering::Relaxed) as usize;
     }
+    let acc = xadj[n];
     assert!(acc <= u32::MAX as usize, "directed edge count exceeds u32");
     // Reuse the degree counters as scatter cursors, reset to row starts.
     for (v, c) in cursor.iter().enumerate() {
         c.store(xadj[v] as u32, Ordering::Relaxed);
     }
     let slots: Vec<AtomicU32> = (0..acc).map(|_| AtomicU32::new(0)).collect();
-    rayon::scope(|s| {
-        for tchunk in tris.chunks(chunk) {
-            let cursor = &cursor;
-            let slots = &slots;
-            let mention = &mention;
-            s.spawn(move |_| {
-                for tr in tchunk.iter().filter(|tr| tr.alive) {
-                    for i in 0..3 {
-                        if let Some((oa, oc)) = mention(tr, i) {
-                            let at = cursor[oa as usize].fetch_add(1, Ordering::Relaxed);
-                            slots[at as usize].store(oc, Ordering::Relaxed);
-                        }
-                    }
-                }
-            });
+    pool::each(tris.chunks(chunk), |_, tchunk| {
+        for (oa, oc) in mentions(tchunk, &orig) {
+            let at = cursor[oa as usize].fetch_add(1, Ordering::Relaxed);
+            slots[at as usize].store(oc, Ordering::Relaxed);
         }
     });
-    let mut adjncy = {
-        let mut slots = std::mem::ManuallyDrop::new(slots);
-        // SAFETY: AtomicU32 is guaranteed to have the same size, alignment,
-        // and bit validity as u32, and `slots` is never touched again.
-        unsafe {
-            Vec::from_raw_parts(
-                slots.as_mut_ptr() as *mut u32,
-                slots.len(),
-                slots.capacity(),
-            )
-        }
-    };
+    // Collected in place: `AtomicU32` and `u32` share their layout.
+    let mut adjncy: Vec<u32> = slots.into_iter().map(AtomicU32::into_inner).collect();
     // Within-row order depends on the host schedule; sort rows ascending
     // (the canonical CSR convention) to make the output deterministic.
     crate::build::sort_rows(&xadj, &mut adjncy);

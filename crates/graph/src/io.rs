@@ -5,7 +5,8 @@
 //! first line `N M [fmt]`, then one line per vertex listing its 1-based
 //! neighbours (optionally with weights, which we support for fmt=1/11).
 
-use crate::csr::{Graph, GraphBuilder};
+use crate::build::csr_from_edges;
+use crate::csr::Graph;
 use sp_geometry::Point2;
 use std::io::{BufRead, BufWriter, Write};
 
@@ -13,8 +14,9 @@ use std::io::{BufRead, BufWriter, Write};
 ///
 /// Hardened against adversarial input — every malformed file yields an
 /// `Err`, never a panic or an unbounded allocation:
-/// - header `N` is capped at `u32::MAX` (vertex ids are `u32`; a huge `N`
-///   would otherwise attempt a multi-terabyte allocation);
+/// - header `N` is capped at `u32::MAX` (vertex ids are `u32`), and
+///   neither `N` nor `M` sizes an allocation: the arrays grow with the
+///   lines actually read;
 /// - neighbour indices must be in `1..=N` (the format is 1-based; `0` is
 ///   always corrupt);
 /// - self-loops and duplicate neighbours within a vertex line are
@@ -64,17 +66,13 @@ pub fn read_chaco<R: BufRead>(r: R) -> Result<Graph, String> {
     // line's worth of scratch. Rows are canonicalized ascending and the
     // symmetric pass below both verifies every edge is mentioned by both
     // endpoints and copies the lower endpoint's listed weight onto the
-    // upper direction (the builder path's exact semantics).
-    let mut xadj: Vec<usize> = Vec::with_capacity(n + 1);
-    xadj.push(0);
-    // Adversarial headers can declare absurd M; only pre-reserve when the
-    // claim is plausibly materializable, otherwise let the vecs grow.
-    let (mut adjncy, mut ewgt): (Vec<u32>, Vec<f64>) = if m <= 1 << 28 {
-        (Vec::with_capacity(2 * m), Vec::with_capacity(2 * m))
-    } else {
-        (Vec::new(), Vec::new())
-    };
-    let mut vwgt = vec![1.0f64; n];
+    // upper direction (the builder path's exact semantics). The arrays
+    // grow as lines arrive and nothing is reserved from the header, so
+    // what is allocated is bounded by the input's bytes, whatever N and M
+    // it declares.
+    let mut xadj: Vec<usize> = vec![0];
+    let (mut adjncy, mut ewgt): (Vec<u32>, Vec<f64>) = (Vec::new(), Vec::new());
+    let mut vwgt: Vec<f64> = Vec::new();
     let mut v = 0u32;
     // Directed mentions: a well-formed file lists every undirected edge
     // once from each endpoint, so the total must be exactly 2M.
@@ -102,7 +100,9 @@ pub fn read_chaco<R: BufRead>(r: R) -> Result<Graph, String> {
             if !w.is_finite() || w < 0.0 {
                 return Err(format!("line {}: vertex weight {w} invalid", lineno + 1));
             }
-            vwgt[v as usize] = w;
+            vwgt.push(w);
+        } else {
+            vwgt.push(1.0);
         }
         row.clear();
         while let Some(tok) = it.next() {
@@ -233,6 +233,8 @@ fn write_chaco_fmt<W: Write>(g: &Graph, w: W, vwgt: bool, ewgt: bool) -> std::io
 /// (if present) become edge weights by absolute value; `pattern` files get
 /// unit weights. Both `symmetric` and `general` symmetry are accepted
 /// (for `general`, each direction contributes and duplicates merge).
+/// `N` is capped at `u32::MAX`, `nnz` sizes no allocation, and values must
+/// be finite.
 pub fn read_matrix_market<R: BufRead>(r: R) -> Result<Graph, String> {
     let mut lines = r.lines();
     let header = lines
@@ -279,9 +281,15 @@ pub fn read_matrix_market<R: BufRead>(r: R) -> Result<Graph, String> {
         if rows != cols {
             return Err(format!("matrix must be square, got {rows}×{cols}"));
         }
+        if rows > u32::MAX as usize {
+            return Err(format!("N = {rows} exceeds the u32 vertex-id limit"));
+        }
         break (rows, nnz);
     };
-    let mut b = GraphBuilder::with_edge_capacity(n, nnz);
+    // Nothing is sized from the header until every entry has been read:
+    // the edge buffer grows with the entries, and the graph's
+    // N-sized arrays come after the count checks out.
+    let mut edges: Vec<(u32, u32, f64)> = Vec::new();
     let mut seen = 0usize;
     for line in lines {
         let line = line.map_err(|e| e.to_string())?;
@@ -306,22 +314,26 @@ pub fn read_matrix_market<R: BufRead>(r: R) -> Result<Graph, String> {
         let w = if pattern {
             1.0
         } else {
-            it.next()
+            let x: f64 = it
+                .next()
                 .ok_or("missing value")?
-                .parse::<f64>()
-                .map_err(|_| "bad value")?
-                .abs()
-                .max(1e-12)
+                .parse()
+                .map_err(|_| "bad value")?;
+            if !x.is_finite() {
+                return Err(format!("entry ({i},{j}): value {x} invalid"));
+            }
+            x.abs().max(1e-12)
         };
         if i != j {
-            b.add_edge((i - 1) as u32, (j - 1) as u32, w);
+            let (u, v) = ((i.min(j) - 1) as u32, (i.max(j) - 1) as u32);
+            edges.push((u, v, w));
         }
         seen += 1;
     }
     if seen != nnz {
         return Err(format!("expected {nnz} entries, found {seen}"));
     }
-    Ok(b.build())
+    Ok(csr_from_edges(n, edges, vec![1.0; n], |e| e))
 }
 
 /// Read whitespace-separated `x y` coordinate lines.
@@ -361,6 +373,7 @@ pub fn write_coords<W: Write>(pts: &[Point2], w: W) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::csr::GraphBuilder;
     use crate::gen::grid::grid_2d;
 
     #[test]
@@ -437,6 +450,14 @@ mod tests {
         assert!(read_chaco("5000000000 1\n".as_bytes())
             .unwrap_err()
             .contains("u32"));
+        // A legal but huge N or M with no lines behind it: Err, having
+        // allocated nothing from the header.
+        assert!(read_chaco(format!("{} 0\n", u32::MAX).as_bytes())
+            .unwrap_err()
+            .contains("vertex lines"));
+        assert!(read_chaco(format!("30000 {}\n", 1u64 << 28).as_bytes())
+            .unwrap_err()
+            .contains("vertex lines"));
         // M impossible for N.
         assert!(read_chaco("3 99\n2\n1\n\n".as_bytes()).is_err());
         // Asymmetric adjacency: edge mentioned from one side only.
@@ -523,6 +544,38 @@ mod tests {
             "%%MatrixMarket matrix coordinate pattern general\n2 2 1\n3 1\n".as_bytes()
         )
         .is_err()); // out of range
+    }
+
+    /// The error `read_matrix_market` gives a `general` file of `field`s.
+    fn mm_err(field: &str, body: &str) -> String {
+        let text = format!("%%MatrixMarket matrix coordinate {field} general\n{body}");
+        read_matrix_market(text.as_bytes()).unwrap_err()
+    }
+
+    #[test]
+    fn matrix_market_caps_n_at_the_u32_limit() {
+        let n = (1u64 << 32) + 1;
+        assert!(mm_err("pattern", &format!("{n} {n} 0\n")).contains("u32"));
+    }
+
+    #[test]
+    fn matrix_market_reserves_nothing_from_nnz() {
+        let err = mm_err("pattern", "2 2 9000000000000\n1 2\n");
+        assert!(err.contains("expected 9000000000000 entries"), "{err}");
+    }
+
+    /// An infinite weight would poison every cut sum.
+    #[test]
+    fn matrix_market_rejects_infinite_values() {
+        for value in ["inf", "-inf"] {
+            assert!(mm_err("real", &format!("2 2 1\n1 2 {value}\n")).contains("invalid"));
+        }
+    }
+
+    /// NaN must not pass as the 1e-12 floor `max` would turn it into.
+    #[test]
+    fn matrix_market_rejects_nan_values() {
+        assert!(mm_err("real", "2 2 1\n1 2 NaN\n").contains("invalid"));
     }
 
     #[test]

@@ -7,10 +7,12 @@
 //! workers, a static deal with no stealing — while *charging* a LogP-style
 //! cost model — latency `t_s`, per-word bandwidth `t_w`, per-operation
 //! compute `t_op` — to per-rank simulated clocks. Simulated elapsed time
-//! (`Machine::elapsed`) is what the scaling figures report. How many host
-//! threads a superstep is dealt over is `rayon::current_num_threads()`
-//! ([`pool::width`]): `ThreadPool::install` and `RAYON_NUM_THREADS` set
-//! it, and nothing else of rayon is used.
+//! (`Machine::elapsed`) is what the scaling figures report. The same pool
+//! runs a forked k-way recursion and `sp-graph`'s set-up passes, all
+//! through one deal ([`pool::each`]). How many host threads it deals over
+//! is [`pool::width`], the installed rayon pool's width:
+//! `ThreadPool::install` and `RAYON_NUM_THREADS` set it, and nothing else
+//! of rayon is used.
 //!
 //! Accounting matches the model the paper itself uses in §3.1:
 //! * point-to-point/neighbour exchange: local synchronisation only — a rank

@@ -7,7 +7,6 @@ use crate::pool;
 use crate::words::{CostOnly, Words};
 use sp_trace::{CollectiveKind, MachineStats, Phase, Recorder};
 use std::collections::HashMap;
-use std::sync::Mutex;
 
 /// Per-phase time breakdown (simulated seconds, max over ranks).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -43,10 +42,6 @@ pub struct SuperstepInfo {
     /// Host wall-clock seconds spent in the rank closures.
     pub wall_seconds: f64,
 }
-
-/// What one host task runs of a superstep: per unit dealt to it, the first
-/// rank and the unit's slices of the rank states and of the ops buffer.
-type Hand<'a, S> = Vec<(usize, &'a mut [S], &'a mut [f64])>;
 
 /// Observer for superstep host execution (see [`SuperstepInfo`]).
 pub type SuperstepHook = Box<dyn FnMut(&SuperstepInfo) + Send>;
@@ -320,9 +315,10 @@ impl Machine {
     ///
     /// Host execution cuts the ranks into units of
     /// [`Machine::set_rank_batch`] contiguous ranks (one rank by default)
-    /// and deals the units round-robin over one task per pool thread, so
-    /// whichever ranks are busy this superstep — a prefix at the coarse
-    /// levels, all of them at the finest — every thread gets its share.
+    /// and deals the units round-robin over one task per pool thread
+    /// ([`pool::each`]), so whichever ranks are busy this superstep — a
+    /// prefix at the coarse levels, all of them at the finest — every
+    /// thread gets its share.
     /// The calling thread runs the first task itself, parked workers the
     /// others: no thread is started per superstep. Each closure touches
     /// only its own rank's state and writes its ops into its own rank's
@@ -344,7 +340,6 @@ impl Machine {
         assert_eq!(states.len(), self.p, "one state per rank");
         let threads = pool::width();
         let unit = self.rank_batch.clamp(1, self.p);
-        let tasks = threads.min(self.p.div_ceil(unit));
         let host_t0 = std::time::Instant::now();
         self.ops_buf.clear();
         self.ops_buf.resize(self.p, 0.0);
@@ -359,41 +354,23 @@ impl Machine {
             for (r, s) in slots {
                 self.ops_buf[r] = f(r, s);
             }
-        } else if tasks == 1 || std::mem::size_of::<S>() == 0 {
-            // A single unit or a one-thread pool: inline, no dispatch. So
-            // is a superstep over zero-sized rank state: its closures have
-            // nowhere to put work, all they do is name a cost to charge,
-            // and that is not worth a thread.
+        } else if std::mem::size_of::<S>() == 0 {
+            // Zero-sized rank state: the closures have nowhere to put work,
+            // all they do is name a cost to charge, and that is not worth a
+            // thread.
             for (r, s) in states.iter_mut().enumerate() {
                 self.ops_buf[r] = f(r, s);
             }
         } else {
-            // Fork-join: unit `u` goes to task `u % tasks`. Each task owns
-            // disjoint slices of states and of the ops buffer, so there is
-            // no sharing to synchronise and nothing host-order-dependent
-            // to merge — slot `r` is rank `r`'s result wherever it ran.
-            // (The mutex is how a hand reaches its task through a shared
-            // closure; nobody else ever asks for it.)
-            let per_task = self.p.div_ceil(unit).div_ceil(tasks);
-            let mut dealt: Vec<Mutex<Hand<S>>> = (0..tasks)
-                .map(|_| Mutex::new(Vec::with_capacity(per_task)))
-                .collect();
-            for (u, (ss, os)) in states
-                .chunks_mut(unit)
-                .zip(self.ops_buf.chunks_mut(unit))
-                .enumerate()
-            {
-                dealt[u % tasks]
-                    .get_mut()
-                    .expect("no task has run yet")
-                    .push((u * unit, ss, os));
-            }
-            pool::run(tasks, |task| {
-                let mut hand = dealt[task].lock().expect("a hand has one taker");
-                for (base, ss, os) in hand.iter_mut() {
-                    for (i, (st, o)) in ss.iter_mut().zip(os.iter_mut()).enumerate() {
-                        *o = f(*base + i, st);
-                    }
+            // Unit `u` goes to task `u % tasks` (inline when there is one).
+            // Each unit is a disjoint slice of states and of the ops buffer,
+            // so there is no sharing to synchronise and nothing
+            // host-order-dependent to merge — slot `r` is rank `r`'s result
+            // wherever it ran.
+            let units = states.chunks_mut(unit).zip(self.ops_buf.chunks_mut(unit));
+            pool::each(units, |u, (ss, os)| {
+                for (i, (st, o)) in ss.iter_mut().zip(os).enumerate() {
+                    *o = f(u * unit + i, st);
                 }
             });
         }

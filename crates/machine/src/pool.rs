@@ -1,6 +1,6 @@
-//! The host threads under every superstep and under `force_layout`: one
-//! process-wide set of workers, started on first use and parked between
-//! dispatches.
+//! The host threads under every superstep, `force_layout`, a forked k-way
+//! recursion and `sp-graph`'s set-up passes: one process-wide set of
+//! workers, started on first use and parked between dispatches.
 //!
 //! [`run`]`(tasks, f)` is a fork-join over a fixed deal: `f(0)` runs on
 //! the caller, every other `f(i)` is handed to a worker that is idle at
@@ -8,6 +8,11 @@
 //! finished. There is no queue and no stealing — what task `i` works on
 //! (which ranks, which chunks) is the caller's static assignment, the one
 //! the determinism argument of DESIGN.md rests on.
+//! [`each`] is that deal for callers holding disjoint pieces of their
+//! data (a superstep's rank batches, a k-way fork's two halves, a CSR
+//! pass's row chunks): piece `i` goes to task `i % tasks`. Only
+//! `force_layout` calls [`run`] itself, because its tasks claim chunks
+//! from a shared counter on purpose.
 //! A worker between dispatches spins for [`SPIN`] and then parks, so
 //! back-to-back supersteps are handed over in a few microseconds and an
 //! idle process burns nothing.
@@ -30,8 +35,8 @@
 //!    first payload resumes on the caller after the join — `sp-serve`'s
 //!    `catch_unwind` then fails the job, and the worker, back on the idle
 //!    list, serves the next one.
-//! 4. **Width is asked per dispatch,** from [`width`], which is
-//!    `rayon::current_num_threads()`: `ThreadPool::install` and
+//! 4. **Width is asked per dispatch,** from [`width`], the one thing this
+//!    workspace takes from rayon: `ThreadPool::install` and
 //!    `RAYON_NUM_THREADS` are how the benchmark, CI's thread matrix and
 //!    sp-verify's `parallel` stage set it, and they keep working. A task
 //!    sees the width of the thread that dispatched it, not that of the
@@ -264,6 +269,42 @@ pub fn run<F: Fn(usize) + Sync>(tasks: usize, f: F) {
     if let Some(payload) = payload {
         panic::resume_unwind(payload);
     }
+}
+
+/// Run `f(i, piece)` for every piece, dealt round-robin over
+/// `min(width(), pieces)` tasks of one [`run`]: piece `i` goes to task
+/// `i % tasks`, and each task runs its pieces in ascending order. A piece
+/// moves into the task that runs it, so disjoint `&mut` pieces need no
+/// sharing. One task is a plain loop on the caller, with no dispatch.
+pub fn each<I, F>(pieces: I, f: F)
+where
+    I: IntoIterator,
+    I::IntoIter: ExactSizeIterator,
+    I::Item: Send,
+    F: Fn(usize, I::Item) + Sync,
+{
+    let pieces = pieces.into_iter();
+    let tasks = width().min(pieces.len());
+    if tasks <= 1 {
+        pieces.enumerate().for_each(|(i, piece)| f(i, piece));
+        return;
+    }
+    let per_task = pieces.len().div_ceil(tasks);
+    let mut hands: Vec<Mutex<Vec<_>>> = (0..tasks)
+        .map(|_| Mutex::new(Vec::with_capacity(per_task)))
+        .collect();
+    for (i, piece) in pieces.enumerate() {
+        hands[i % tasks]
+            .get_mut()
+            .expect("no task has run yet")
+            .push((i, piece));
+    }
+    // The mutex is how a hand reaches its task through a shared closure;
+    // nobody else ever asks for it, and nothing panics while it is held.
+    run(tasks, |task| {
+        let hand = std::mem::take(&mut *hands[task].lock().expect("a hand has one taker"));
+        hand.into_iter().for_each(|(i, piece)| f(i, piece));
+    });
 }
 
 /// Give `job` to an idle worker, or to a new one if none is idle.

@@ -691,6 +691,11 @@ mod tests {
                 r#"{"type": "submit", "chaco": "2 5\n2\n1\n", "method": "sp", "parts": 2}"#,
                 "bad chaco graph",
             ),
+            // A header alone may not size an allocation.
+            (
+                r#"{"type": "submit", "chaco": "4000000000 0\n", "method": "rcb", "parts": 2}"#,
+                "bad chaco graph",
+            ),
             // A trailing segment would be one more name for the same graph.
             (
                 r#"{"type": "submit", "graph": "gen:grid:8x8:junk", "method": "sp", "parts": 2}"#,

@@ -1,11 +1,9 @@
 //! Offline stand-in for `rayon`, implementing the subset this workspace
-//! uses. The parallel-iterator entry points return plain std iterators,
-//! so `.enumerate().map().collect()` chains compile unchanged and run
-//! sequentially; [`scope`]/[`Scope::spawn`] are *real* fork-join
-//! parallelism on scoped OS threads (`std::thread::scope`), which is what
-//! the simulated machine's batched supersteps run on. Code written
-//! against this crate is API-compatible with real rayon — swapping the
-//! dependency changes host scheduling only, never results.
+//! uses: a width. [`current_num_threads`] is what `sp_machine::pool`
+//! deals its tasks over, and [`ThreadPool::install`] sets it; the threads
+//! themselves are the pool's own. Code written against this crate is
+//! API-compatible with real rayon, and swapping the dependency changes
+//! nothing the workspace computes.
 
 use std::cell::Cell;
 use std::sync::OnceLock;
@@ -37,112 +35,6 @@ pub fn current_num_threads() -> usize {
                     .unwrap_or(1)
             })
     })
-}
-
-/// Fork-join scope handle (see [`scope`]).
-pub struct Scope<'scope, 'env: 'scope>(&'scope std::thread::Scope<'scope, 'env>);
-
-impl<'scope, 'env> Scope<'scope, 'env> {
-    /// Spawn `body` onto the scope. Unlike real rayon there is no
-    /// work-stealing pool — each spawn is a scoped OS thread — so spawns
-    /// should be coarse (the machine batches ranks per spawn for exactly
-    /// this reason).
-    pub fn spawn<F>(&self, body: F)
-    where
-        F: FnOnce(&Scope<'scope, 'env>) + Send + 'scope,
-    {
-        let inner = self.0;
-        inner.spawn(move || body(&Scope(inner)));
-    }
-}
-
-/// Structured fork-join: `f` may spawn tasks on the scope; all of them
-/// complete before `scope` returns (`std::thread::scope` semantics, which
-/// are also real rayon's).
-pub fn scope<'env, F, R>(f: F) -> R
-where
-    F: for<'scope> FnOnce(&Scope<'scope, 'env>) -> R + Send,
-    R: Send,
-{
-    std::thread::scope(|s| f(&Scope(s)))
-}
-
-pub mod iter {
-    pub trait IntoParallelIterator {
-        type Item;
-        type Iter: Iterator<Item = Self::Item>;
-        fn into_par_iter(self) -> Self::Iter;
-    }
-
-    impl<I: IntoIterator> IntoParallelIterator for I {
-        type Item = I::Item;
-        type Iter = I::IntoIter;
-        fn into_par_iter(self) -> Self::Iter {
-            self.into_iter()
-        }
-    }
-
-    /// `vec.par_extend(par_iter)`: appends in order, like the real
-    /// crate's `ParallelExtend for Vec` over an indexed iterator.
-    pub trait ParallelExtend<T> {
-        fn par_extend<I: IntoParallelIterator<Item = T>>(&mut self, par_iter: I);
-    }
-
-    impl<T> ParallelExtend<T> for Vec<T> {
-        fn par_extend<I: IntoParallelIterator<Item = T>>(&mut self, par_iter: I) {
-            self.extend(par_iter.into_par_iter());
-        }
-    }
-
-    pub trait IntoParallelRefMutIterator<'a> {
-        type Item: 'a;
-        type Iter: Iterator<Item = Self::Item>;
-        fn par_iter_mut(&'a mut self) -> Self::Iter;
-    }
-
-    impl<'a, T: 'a> IntoParallelRefMutIterator<'a> for [T] {
-        type Item = &'a mut T;
-        type Iter = std::slice::IterMut<'a, T>;
-        fn par_iter_mut(&'a mut self) -> Self::Iter {
-            self.iter_mut()
-        }
-    }
-
-    impl<'a, T: 'a> IntoParallelRefMutIterator<'a> for Vec<T> {
-        type Item = &'a mut T;
-        type Iter = std::slice::IterMut<'a, T>;
-        fn par_iter_mut(&'a mut self) -> Self::Iter {
-            self.iter_mut()
-        }
-    }
-
-    pub trait IntoParallelRefIterator<'a> {
-        type Item: 'a;
-        type Iter: Iterator<Item = Self::Item>;
-        fn par_iter(&'a self) -> Self::Iter;
-    }
-
-    impl<'a, T: 'a> IntoParallelRefIterator<'a> for [T] {
-        type Item = &'a T;
-        type Iter = std::slice::Iter<'a, T>;
-        fn par_iter(&'a self) -> Self::Iter {
-            self.iter()
-        }
-    }
-
-    impl<'a, T: 'a> IntoParallelRefIterator<'a> for Vec<T> {
-        type Item = &'a T;
-        type Iter = std::slice::Iter<'a, T>;
-        fn par_iter(&'a self) -> Self::Iter {
-            self.iter()
-        }
-    }
-}
-
-pub mod prelude {
-    pub use crate::iter::{
-        IntoParallelIterator, IntoParallelRefIterator, IntoParallelRefMutIterator, ParallelExtend,
-    };
 }
 
 /// Stand-in for `rayon::ThreadPoolBuilder`: `build()` always succeeds;
