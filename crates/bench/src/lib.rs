@@ -1,6 +1,7 @@
-//! Benchmark harness: everything needed to regenerate the paper's tables
-//! and figures (see DESIGN.md's experiment index). The `repro` binary
-//! drives these; the Criterion benches cover component wall-clock costs.
+//! Benchmark harness: everything needed to regenerate the paper's tables,
+//! figures and ablations (see DESIGN.md's experiment index). The `repro`
+//! binary drives these; host wall time per layer is measured by the
+//! system benchmark in `benchmark/`.
 
 pub mod harness;
 pub mod reference;

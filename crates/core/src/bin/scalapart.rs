@@ -7,8 +7,9 @@
 //! The simulated machine is observable: `--trace` dumps a Chrome
 //! trace-event JSON (one lane per simulated rank; open it at
 //! <https://ui.perfetto.dev>) and `--metrics` dumps per-phase and per-rank
-//! counters as JSON. Instead of a file, `gen:grid:WxH` generates a W×H
-//! grid mesh (with coordinates) in-process.
+//! counters as JSON. Instead of a file, a graph spec builds the graph
+//! in-process: `gen:grid:WxH` a grid W vertices wide and H high (with
+//! coordinates), `suite:name[:scale]` a graph of the evaluation suite.
 //!
 //! Examples:
 //!   scalapart mesh.graph --parts 8 --ranks 64 --out mesh.part
@@ -20,9 +21,8 @@ use scalapart::machine::{CostModel, Machine, Metrics, TraceRecorder};
 use scalapart::obs::{JsonlLog, Record};
 use scalapart::{recursive_kway_checked_on, recursive_kway_on, Method, ProfilingObserver};
 use sp_geometry::Point2;
-use sp_graph::gen::{grid_2d, grid_2d_coords};
 use sp_graph::io::{read_chaco, read_coords, read_matrix_market};
-use sp_graph::Graph;
+use sp_graph::{parse_graph_spec, Graph};
 use std::io::BufReader;
 use std::path::PathBuf;
 
@@ -42,7 +42,7 @@ struct Args {
 }
 
 const USAGE_HINT: &str =
-    "usage: scalapart <graph-file | gen:grid:WxH> [--method M] [--parts K] [options]; try --help";
+    "usage: scalapart <graph-file | gen:grid:WxH | suite:name[:scale]> [--method M] [--parts K] [options]; try --help";
 
 /// Usage/input errors: one line of diagnosis, one line of hint, exit 2 —
 /// never a panic or a wall of text.
@@ -54,7 +54,7 @@ fn fail(msg: &str) -> ! {
 
 fn usage() -> ! {
     println!(
-        "usage: scalapart <graph-file | gen:grid:WxH> [options]\n\
+        "usage: scalapart <graph-file | gen:grid:WxH | suite:name[:scale]> [options]\n\
          \n\
          options:\n\
            --format chaco|mm       input format (default: by extension, .mtx = mm)\n\
@@ -150,27 +150,10 @@ fn parse_args() -> Args {
     args
 }
 
-/// `gen:grid:WxH` → a W×H grid mesh with its natural coordinates.
-fn parse_generated(input: &str) -> Option<(Graph, Vec<Point2>)> {
-    let spec = input.strip_prefix("gen:grid:")?;
-    let (w, h) = spec.split_once('x')?;
-    let w: usize = w.parse().ok()?;
-    let h: usize = h.parse().ok()?;
-    if w == 0 || h == 0 {
-        fail("grid dimensions must be positive");
-    }
-    Some((grid_2d(w, h), grid_2d_coords(w, h)))
-}
-
 fn load_graph(args: &Args) -> (Graph, Option<Vec<Point2>>) {
-    if args.input.starts_with("gen:") {
-        match parse_generated(&args.input) {
-            Some((g, c)) => return (g, Some(c)),
-            None => fail(&format!(
-                "bad generator spec '{}' (expected gen:grid:WxH)",
-                args.input
-            )),
-        }
+    if args.input.starts_with("gen:") || args.input.starts_with("suite:") {
+        return parse_graph_spec(&args.input)
+            .unwrap_or_else(|e| fail(&format!("bad graph spec '{}': {e}", args.input)));
     }
     let file = std::fs::File::open(&args.input)
         .unwrap_or_else(|e| fail(&format!("cannot open {}: {e}", args.input)));

@@ -14,6 +14,7 @@ pub mod distr;
 pub mod gen;
 pub mod io;
 pub mod partition;
+pub mod spec;
 pub mod suite;
 pub mod traversal;
 
@@ -22,4 +23,5 @@ pub use build::{csr_from_pairs, csr_from_rows, csr_unit_from_rows};
 pub use compact::CompactGraph;
 pub use csr::{Graph, GraphBuilder};
 pub use partition::{Bisection, PartitionQuality};
+pub use spec::parse_graph_spec;
 pub use suite::{SuiteGraph, TestGraph, TestScale};

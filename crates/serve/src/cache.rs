@@ -1,5 +1,5 @@
-//! The LRU behind both result caches: partition results under
-//! [`CacheKey`], session repartition steps under `(base_fp, chain_fp)`.
+//! The LRU behind the result cache (partition results under
+//! [`CacheKey`]) and the shard's source memo.
 //!
 //! A [`CacheKey`] is `(input fingerprint, method, parts, ranks, seed)` — everything
 //! that determines the partitioner's output bit-for-bit (the simulated

@@ -66,8 +66,6 @@ pub struct ServiceMetrics {
     pub session_repartition_ms: Arc<Histogram>,
     /// Sessions evicted for exceeding the idle TTL.
     pub session_evictions: Arc<Counter>,
-    /// Streaming result-cache hits (key: base + delta-chain fingerprint).
-    pub session_cache_hits: Arc<Counter>,
 
     pub uptime_seconds: Arc<Gauge>,
     pub resident_memory_bytes: Arc<Gauge>,
@@ -125,7 +123,6 @@ impl ServiceMetrics {
                 &lat,
             ),
             session_evictions: r.counter("sp_session_evictions_total", "Sessions evicted after exceeding the idle TTL"),
-            session_cache_hits: r.counter("sp_session_cache_hits_total", "Streaming result-cache hits (base + delta-chain fingerprint)"),
             uptime_seconds: r.gauge("sp_uptime_seconds", "Seconds since the service started (sampled at scrape)"),
             resident_memory_bytes: r.gauge("sp_process_resident_memory_bytes", "VmRSS at scrape time (0 where /proc is unavailable)"),
             peak_resident_memory_bytes: r.gauge("sp_process_peak_resident_memory_bytes", "VmHWM at scrape time (0 where /proc is unavailable)"),

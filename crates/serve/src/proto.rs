@@ -50,9 +50,7 @@ use crate::service::{JobOutcome, SubmitError};
 use scalapart::stream::GraphDelta;
 use scalapart::Method;
 use sp_geometry::Point2;
-use sp_graph::gen::{grid_2d, grid_2d_coords};
-use sp_graph::suite::{SuiteGraph, TestScale};
-use sp_graph::{io::read_chaco, Graph};
+use sp_graph::{io::read_chaco, parse_graph_spec, Graph};
 use sp_trace::json::{escape, num};
 use std::io::{IoSlice, Read, Write};
 use std::sync::Arc;
@@ -298,7 +296,10 @@ impl<'a> GraphSource<'a> {
     /// workload has them).
     pub(crate) fn materialise(&self) -> Result<GraphAndCoords, String> {
         match self {
-            GraphSource::Spec(spec) => parse_graph_spec(spec),
+            GraphSource::Spec(spec) => {
+                let (g, coords) = parse_graph_spec(spec)?;
+                Ok((Arc::new(g), coords.map(Arc::new)))
+            }
             GraphSource::Chaco(text) => {
                 let g = read_chaco(text.as_bytes()).map_err(|e| format!("bad chaco graph: {e}"))?;
                 Ok((Arc::new(g), None))
@@ -372,63 +373,6 @@ pub fn decode_deltas(v: &Value) -> Result<Vec<GraphDelta>, String> {
         });
     }
     Ok(out)
-}
-
-/// Resolve a `gen:grid:WxH` or `suite:name[:scale]` workload name.
-fn parse_graph_spec(spec: &str) -> Result<GraphAndCoords, String> {
-    let mut it = spec.split(':');
-    match it.next() {
-        Some("gen") => match it.next() {
-            Some("grid") => {
-                let dims = it
-                    .next()
-                    .ok_or("gen:grid needs dimensions, e.g. gen:grid:32x32")?;
-                let (w, h) = dims
-                    .split_once('x')
-                    .ok_or("grid dimensions must look like 32x32")?;
-                let parse = |s: &str| -> Result<usize, String> {
-                    let v: usize = s.parse().map_err(|_| format!("bad grid dimension {s:?}"))?;
-                    if (2..=4096).contains(&v) {
-                        Ok(v)
-                    } else {
-                        Err(format!("grid dimension {v} outside 2..=4096"))
-                    }
-                };
-                let (w, h) = (parse(w)?, parse(h)?);
-                if it.next().is_some() {
-                    return Err("gen:grid:WxH takes nothing after the dimensions".into());
-                }
-                Ok((
-                    Arc::new(grid_2d(h, w)),
-                    Some(Arc::new(grid_2d_coords(h, w))),
-                ))
-            }
-            other => Err(format!("unknown generator {other:?}; try gen:grid:WxH")),
-        },
-        Some("suite") => {
-            let name = it.next().ok_or("suite: needs a graph name")?;
-            let which = SuiteGraph::all()
-                .into_iter()
-                .find(|s| s.name() == name)
-                .ok_or_else(|| {
-                    let names: Vec<&str> = SuiteGraph::all().iter().map(|s| s.name()).collect();
-                    format!("unknown suite graph {name:?}; known: {}", names.join(", "))
-                })?;
-            let scale = match it.next() {
-                None | Some("tiny") => TestScale::Tiny,
-                Some("bench") => TestScale::Bench,
-                Some(other) => return Err(format!("unknown scale {other:?}; use tiny or bench")),
-            };
-            if it.next().is_some() {
-                return Err("suite:name[:scale] takes nothing after the scale".into());
-            }
-            let tg = which.instantiate(scale, 1);
-            Ok((Arc::new(tg.graph), tg.coords.map(Arc::new)))
-        }
-        _ => Err(format!(
-            "unknown graph spec {spec:?}; use gen:grid:WxH or suite:name[:scale]"
-        )),
-    }
 }
 
 /// Encode a finished job as a response frame payload. `result_json` from

@@ -76,9 +76,6 @@ pub struct ServeConfig {
     /// Idle TTL: a session untouched this long is evicted at the next
     /// session operation (no background sweeper thread).
     pub session_idle_ms: u64,
-    /// Entries in the streaming result cache, keyed by
-    /// `(base fingerprint, delta-chain fingerprint)`.
-    pub session_cache_capacity: usize,
 }
 
 impl Default for ServeConfig {
@@ -95,7 +92,6 @@ impl Default for ServeConfig {
             max_sessions: 8,
             session_max_deltas: 100_000,
             session_idle_ms: 120_000,
-            session_cache_capacity: 64,
         }
     }
 }

@@ -13,21 +13,18 @@
 //!
 //! > A session response's bytes are a pure function of
 //! > `(base fingerprint, chain fingerprint)` — never of the shard that
-//! > served it, the wall clock, or cache state.
+//! > served it or the wall clock.
 //!
 //! Consequently `session_delta` / `session_repartition` responses carry
-//! no session name, no host times, and no cache-hit flag; replaying a
-//! session's frames on a different shard reproduces every response
-//! byte-for-byte. The **result cache** is keyed by that same pair: a hit
-//! serves the cached bytes *and* adopts the cached partition into the
-//! session (repartitioning is deterministic, so the adopted labels are
-//! bit-identical to what a fresh computation would produce).
+//! no session name and no host times; replaying a session's frames on a
+//! different shard reproduces every response byte-for-byte. Every step
+//! is computed where it is asked for: repartitioning is deterministic,
+//! so the contract needs no cache of past steps.
 //!
 //! Quotas bound a hostile or runaway client: a maximum number of open
 //! sessions, a per-session lifetime delta budget, and an idle TTL
 //! enforced lazily at every session operation (no sweeper thread).
 
-use crate::cache::LruCache;
 use crate::metrics::ServiceMetrics;
 use crate::proto::encode_typed_error;
 use crate::service::ServeConfig;
@@ -43,45 +40,28 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// One cached repartition step: the response bytes served and the side
-/// assignment needed to fast-forward a session past the step on a hit.
-struct CachedStep {
-    response: String,
-    sides: Vec<u8>,
-}
-
 struct Session {
     rp: IncrementalRepartitioner,
-    base_fp: u64,
     chain_fp: u64,
     deltas_total: u64,
     repartitions: u64,
     last_used: Instant,
 }
 
-struct SessState {
-    sessions: HashMap<String, Session>,
-    /// Repartition steps keyed by `(base_fp, chain_fp)`.
-    cache: LruCache<(u64, u64), CachedStep>,
-}
-
-/// Owns every open session of a server plus the shared step cache.
+/// Owns every open session of a server.
 /// Shared by all connection handlers; every public method takes `&self`.
 pub struct SessionManager {
     /// The server's normalised configuration; the manager reads its
     /// `max_sessions` and `session_*` fields.
     cfg: ServeConfig,
-    state: Mutex<SessState>,
+    sessions: Mutex<HashMap<String, Session>>,
     metrics: ServiceMetrics,
 }
 
 impl SessionManager {
     pub fn new(cfg: &ServeConfig, metrics: ServiceMetrics) -> SessionManager {
         SessionManager {
-            state: Mutex::new(SessState {
-                sessions: HashMap::new(),
-                cache: LruCache::new(cfg.session_cache_capacity),
-            }),
+            sessions: Mutex::new(HashMap::new()),
             cfg: cfg.clone(),
             metrics,
         }
@@ -89,20 +69,20 @@ impl SessionManager {
 
     /// Sessions currently open (tests and stats).
     pub fn active(&self) -> usize {
-        self.state.lock().unwrap().sessions.len()
+        self.sessions.lock().unwrap().len()
     }
 
     /// Drop sessions idle past the TTL. Called at the top of every
     /// session operation — lazy eviction needs no sweeper thread, and a
     /// server with no session traffic holds no session state anyway.
-    fn evict_idle(&self, st: &mut SessState) {
+    fn evict_idle(&self, sessions: &mut HashMap<String, Session>) {
         let ttl = std::time::Duration::from_millis(self.cfg.session_idle_ms);
-        let before = st.sessions.len();
-        st.sessions.retain(|_, s| s.last_used.elapsed() <= ttl);
-        let evicted = before - st.sessions.len();
+        let before = sessions.len();
+        sessions.retain(|_, s| s.last_used.elapsed() <= ttl);
+        let evicted = before - sessions.len();
         if evicted > 0 {
             self.metrics.session_evictions.add(evicted as u64);
-            self.metrics.sessions_active.set(st.sessions.len() as i64);
+            self.metrics.sessions_active.set(sessions.len() as i64);
         }
     }
 
@@ -115,20 +95,20 @@ impl SessionManager {
         coords: Option<Arc<Vec<Point2>>>,
         seed: u64,
     ) -> String {
-        let mut st = self.state.lock().unwrap();
-        self.evict_idle(&mut st);
-        if st.sessions.contains_key(name) {
+        let mut sessions = self.sessions.lock().unwrap();
+        self.evict_idle(&mut sessions);
+        if sessions.contains_key(name) {
             return encode_typed_error(
                 "session_exists",
                 &format!("session {name:?} is already open"),
             );
         }
-        if st.sessions.len() >= self.cfg.max_sessions {
+        if sessions.len() >= self.cfg.max_sessions {
             return encode_typed_error(
                 "session_quota",
                 &format!(
                     "session limit reached ({} open); close one first",
-                    st.sessions.len()
+                    sessions.len()
                 ),
             );
         }
@@ -164,18 +144,17 @@ impl SessionManager {
             num(boot.imbalance),
             boot.partition_fp,
         );
-        st.sessions.insert(
+        sessions.insert(
             name.to_string(),
             Session {
                 rp,
-                base_fp,
                 chain_fp,
                 deltas_total: 0,
                 repartitions: 0,
                 last_used: Instant::now(),
             },
         );
-        self.metrics.sessions_active.set(st.sessions.len() as i64);
+        self.metrics.sessions_active.set(sessions.len() as i64);
         body
     }
 
@@ -183,9 +162,9 @@ impl SessionManager {
     /// fingerprint. A rejected batch (validity or quota) leaves both the
     /// overlay and the chain untouched.
     pub fn delta(&self, name: &str, batch: &[GraphDelta]) -> String {
-        let mut st = self.state.lock().unwrap();
-        self.evict_idle(&mut st);
-        let Some(s) = st.sessions.get_mut(name) else {
+        let mut sessions = self.sessions.lock().unwrap();
+        self.evict_idle(&mut sessions);
+        let Some(s) = sessions.get_mut(name) else {
             return no_session(name);
         };
         s.last_used = Instant::now();
@@ -220,50 +199,20 @@ impl SessionManager {
         )
     }
 
-    /// `session_repartition`: advance the chain past a repartition marker
-    /// and either serve the step from the result cache (adopting its
-    /// partition) or compute it and cache the outcome.
+    /// `session_repartition`: compute the step and advance the chain past
+    /// a repartition marker.
     pub fn repartition(&self, name: &str) -> String {
         let t0 = Instant::now();
-        let mut st = self.state.lock().unwrap();
-        self.evict_idle(&mut st);
-        let Some(s) = st.sessions.get_mut(name) else {
+        let mut sessions = self.sessions.lock().unwrap();
+        self.evict_idle(&mut sessions);
+        let Some(s) = sessions.get_mut(name) else {
             return no_session(name);
         };
         s.last_used = Instant::now();
-        let next_chain = chain_mark(s.chain_fp, 1);
-        let key = (s.base_fp, next_chain);
-
-        if let Some(hit) = st.cache.get(&key) {
-            // Reborrow: `get` needed the cache half of the state.
-            let s = st.sessions.get_mut(name).expect("session still present");
-            if s.rp.adopt(hit.sides.clone()).is_ok() {
-                s.chain_fp = next_chain;
-                s.repartitions += 1;
-                self.metrics.session_cache_hits.inc();
-                self.metrics
-                    .session_repartition_ms
-                    .observe(t0.elapsed().as_secs_f64() * 1e3);
-                return hit.response.clone();
-            }
-            // An adopt mismatch means the cached entry cannot belong to
-            // this state after all (fingerprint collision); fall through
-            // and compute.
-        }
-
-        let s = st.sessions.get_mut(name).expect("session still present");
         let report = s.rp.repartition();
-        s.chain_fp = next_chain;
+        s.chain_fp = chain_mark(s.chain_fp, 1);
         s.repartitions += 1;
-        let body = encode_step(&report, next_chain);
-        let sides = s.rp.partition().sides().to_vec();
-        st.cache.insert(
-            key,
-            Arc::new(CachedStep {
-                response: body.clone(),
-                sides,
-            }),
-        );
+        let body = encode_step(&report, s.chain_fp);
         self.metrics
             .session_repartition_ms
             .observe(t0.elapsed().as_secs_f64() * 1e3);
@@ -272,12 +221,12 @@ impl SessionManager {
 
     /// `session_close`: drop the session and report its lifetime totals.
     pub fn close(&self, name: &str) -> String {
-        let mut st = self.state.lock().unwrap();
-        self.evict_idle(&mut st);
-        let Some(s) = st.sessions.remove(name) else {
+        let mut sessions = self.sessions.lock().unwrap();
+        self.evict_idle(&mut sessions);
+        let Some(s) = sessions.remove(name) else {
             return no_session(name);
         };
-        self.metrics.sessions_active.set(st.sessions.len() as i64);
+        self.metrics.sessions_active.set(sessions.len() as i64);
         format!(
             concat!(
                 "{{\"type\": \"session\", \"status\": \"closed\", \"session\": \"{}\", ",
@@ -297,10 +246,10 @@ fn no_session(name: &str) -> String {
 
 /// Encode a repartition step. **Deterministic fields only**: the step
 /// index, mode, dirty-region accounting, cut/balance/migration outcome,
-/// simulated time, and fingerprints — never host wall time, cache-hit
-/// flags, or the session name. These bytes are cached and replayed
-/// across shards, so anything nondeterministic here breaks the failover
-/// byte-identity contract.
+/// simulated time, and fingerprints — never host wall time or the
+/// session name. A replay on another shard must reproduce these bytes,
+/// so anything nondeterministic here breaks the failover byte-identity
+/// contract.
 fn encode_step(r: &StepReport, chain_fp: u64) -> String {
     format!(
         concat!(
@@ -339,7 +288,6 @@ mod tests {
             max_sessions: 2,
             session_max_deltas: 16,
             session_idle_ms: 60_000,
-            session_cache_capacity: 8,
             ..ServeConfig::default()
         }
     }
@@ -389,8 +337,7 @@ mod tests {
     fn responses_are_pure_functions_of_base_and_chain() {
         // Two sessions with different names but identical base + deltas:
         // every delta/repartition response must be byte-identical (the
-        // name never appears), and the second repartition must be served
-        // from the step cache with the same bytes.
+        // name never appears), each computed on its own.
         let m = mgr(small_cfg());
         let (g, c) = grid(8);
         m.open("first", g.clone(), c.clone(), 7);
@@ -398,12 +345,9 @@ mod tests {
         let batch = [GraphDelta::SetVwgt { v: 11, w: 2.5 }];
         assert_eq!(m.delta("first", &batch), m.delta("second", &batch));
         let r1 = m.repartition("first");
-        let hits_before = m.metrics.session_cache_hits.get();
         let r2 = m.repartition("second");
-        assert_eq!(r1, r2, "cache replay must be byte-identical");
-        assert_eq!(m.metrics.session_cache_hits.get(), hits_before + 1);
-        // And the adopted partition leaves both sessions in lockstep:
-        // further steps agree too.
+        assert_eq!(r1, r2, "twin computations must be byte-identical");
+        // Both sessions stay in lockstep: further steps agree too.
         assert_eq!(
             m.delta("first", &batch[..0]),
             m.delta("second", &batch[..0])

@@ -17,8 +17,9 @@
 //!   reports the migration-volume-vs-cut objective per step.
 //!
 //! sp-serve builds streaming sessions on top (`session_open` /
-//! `session_delta` / `session_repartition` / `session_close`), caching
-//! results by `(base fingerprint, delta-chain fingerprint)`.
+//! `session_delta` / `session_repartition` / `session_close`); every step
+//! is deterministic, so a session's responses are a pure function of
+//! `(base fingerprint, delta-chain fingerprint)`.
 
 pub mod delta;
 pub mod overlay;

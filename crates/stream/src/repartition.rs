@@ -37,10 +37,8 @@ use sp_graph::access;
 use sp_graph::distr::Distribution;
 use sp_graph::Bisection;
 use sp_machine::{CostModel, Machine};
-use sp_obs::Registry;
 use sp_refine::{fm_refine, fm_refine_on, strip_refine, FmConfig};
 use sp_trace::fnv::Fingerprint;
-use sp_trace::json::num;
 use std::collections::BTreeSet;
 use std::time::Instant;
 
@@ -132,63 +130,6 @@ pub struct StepReport {
     pub partition_fp: u64,
 }
 
-impl StepReport {
-    /// One-line JSON record (`sp-stream-step-v1`), for obs logs and bench.
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"schema\": \"sp-stream-step-v1\", \"step\": {}, \"mode\": \"{}\", ",
-                "\"touched\": {}, \"dirty\": {}, \"dirty_frac\": {}, ",
-                "\"cut_before\": {}, \"cut_after\": {}, \"migration_volume\": {}, ",
-                "\"imbalance\": {}, \"fm_passes\": {}, \"sim_time\": {}, ",
-                "\"wall_ms\": {}, \"partition_fp\": \"{:016x}\"}}"
-            ),
-            self.step,
-            self.mode.as_str(),
-            self.touched,
-            self.dirty,
-            num(self.dirty_frac),
-            num(self.cut_before),
-            num(self.cut_after),
-            self.migration_volume,
-            num(self.imbalance),
-            self.fm_passes,
-            num(self.sim_time),
-            num(self.wall_ms),
-            self.partition_fp,
-        )
-    }
-
-    /// Record the migration-vs-cut objective into an sp-obs registry.
-    pub fn record(&self, reg: &Registry) {
-        reg.counter(
-            "sp_stream_repartitions_total",
-            "Incremental repartition steps executed",
-        )
-        .inc();
-        if self.mode == StepMode::Full {
-            reg.counter(
-                "sp_stream_full_repartitions_total",
-                "Steps that fell back to a full re-partition",
-            )
-            .inc();
-        }
-        reg.counter(
-            "sp_stream_migrated_vertices_total",
-            "Vertices that changed side across all steps (migration volume)",
-        )
-        .add(self.migration_volume as u64);
-        let improved = (self.cut_before - self.cut_after).max(0.0);
-        reg.counter(
-            "sp_stream_cut_improvement_total",
-            "Cumulative weighted cut improvement bought by repartition steps",
-        )
-        .add(improved.round() as u64);
-        reg.gauge("sp_stream_cut", "Weighted cut after the latest step")
-            .set(self.cut_after.round() as i64);
-    }
-}
-
 /// Keeps a partition warm across a stream of graph deltas.
 pub struct IncrementalRepartitioner {
     overlay: DeltaOverlay,
@@ -262,27 +203,6 @@ impl IncrementalRepartitioner {
     /// change; exposed so tests can interleave compaction arbitrarily).
     pub fn force_rebase(&mut self) {
         self.overlay.rebase();
-    }
-
-    /// Adopt a previously computed side assignment for the *current*
-    /// overlay state, in place of running [`IncrementalRepartitioner::
-    /// repartition`]: pending touches clear and the step counter
-    /// advances, exactly as if the step had been computed here. This is
-    /// the cache-hit path of sp-serve's streaming sessions — because
-    /// repartitioning is deterministic, a partition computed elsewhere
-    /// for the same `(base fingerprint, delta chain)` is bit-identical
-    /// to what this instance would have produced.
-    pub fn adopt(&mut self, sides: Vec<u8>) -> Result<(), &'static str> {
-        if sides.len() != self.overlay.n() {
-            return Err("adopted partition has the wrong length");
-        }
-        if sides.iter().any(|&s| s > 1) {
-            return Err("adopted partition has a side other than 0/1");
-        }
-        self.side = Bisection::new(sides);
-        self.pending.clear();
-        self.steps += 1;
-        Ok(())
     }
 
     /// Apply a batch of deltas atomically: either every delta applies (in
@@ -737,55 +657,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn adopt_replays_a_computed_step_exactly() {
-        // Two identical sessions; one computes a step, the other adopts
-        // the first's resulting partition instead. Their states must be
-        // indistinguishable afterwards — the serve cache-hit path.
-        let mk = || IncrementalRepartitioner::new(grid_overlay(10, 10), small_cfg()).0;
-        let mut computed = mk();
-        let mut adopted = mk();
-        let batch = [GraphDelta::ShiftCoord {
-            v: 33,
-            dx: 0.2,
-            dy: 0.1,
-        }];
-        let r = computed.step(&batch).unwrap();
-        adopted.apply(&batch).unwrap();
-        adopted
-            .adopt(computed.partition().sides().to_vec())
-            .unwrap();
-        assert_eq!(adopted.partition_fingerprint(), r.partition_fp);
-        assert_eq!(adopted.steps(), computed.steps());
-        assert_eq!(adopted.pending_touched(), 0);
-        assert_eq!(adopted.cut().to_bits(), computed.cut().to_bits());
-        assert!(adopted.adopt(vec![0; 3]).is_err(), "length checked");
-        assert!(adopted.adopt(vec![2; 100]).is_err(), "sides checked");
-    }
-
-    #[test]
-    fn report_json_and_obs_record() {
-        let (mut rp, boot) = IncrementalRepartitioner::new(grid_overlay(8, 8), small_cfg());
-        let j = boot.to_json();
-        assert!(j.contains("\"sp-stream-step-v1\""), "{j}");
-        assert!(j.contains("\"mode\": \"full\""), "{j}");
-        let r = rp
-            .step(&[GraphDelta::ShiftCoord {
-                v: 1,
-                dx: 0.1,
-                dy: 0.0,
-            }])
-            .unwrap();
-        let reg = Registry::new();
-        boot.record(&reg);
-        r.record(&reg);
-        let text = sp_obs::prom::render(&reg);
-        assert!(text.contains("sp_stream_repartitions_total 2"), "{text}");
-        assert!(
-            text.contains("sp_stream_full_repartitions_total 1"),
-            "{text}"
-        );
     }
 }

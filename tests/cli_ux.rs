@@ -3,6 +3,9 @@
 //! panic/backtrace), `--json` emits the shared sp-partition-v1 schema,
 //! and a good run exits 0.
 
+use scalapart::machine::{CostModel, Machine};
+use scalapart::{recursive_kway_on, Method};
+use sp_graph::gen::{grid_2d, grid_2d_coords};
 use std::process::{Command, Output};
 
 fn scalapart(args: &[&str]) -> Output {
@@ -14,6 +17,17 @@ fn scalapart(args: &[&str]) -> Output {
 
 fn stderr(out: &Output) -> String {
     String::from_utf8_lossy(&out.stderr).into_owned()
+}
+
+/// The `part` array of an sp-partition-v1 body.
+fn labels_of(body: &str) -> Vec<u32> {
+    body.split("\"part\": [")
+        .nth(1)
+        .unwrap()
+        .trim_end_matches(&[']', '}'][..])
+        .split(',')
+        .map(|t| t.trim().parse().unwrap())
+        .collect()
 }
 
 #[test]
@@ -102,16 +116,33 @@ fn good_run_exits_0_and_json_matches_the_shared_schema() {
         assert!(body.contains(field), "missing {field} in {body}");
     }
     // 144 labels, all < 4.
-    let labels: Vec<u32> = body
-        .split("\"part\": [")
-        .nth(1)
-        .unwrap()
-        .trim_end_matches(&[']', '}'][..])
-        .split(',')
-        .map(|t| t.trim().parse().unwrap())
-        .collect();
+    let labels = labels_of(&body);
     assert_eq!(labels.len(), 144);
     assert!(labels.iter().all(|&p| p < 4));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn grid_spec_is_width_by_height_as_in_a_served_request() {
+    // gen:grid:5x2 is 2 rows of 5, the graph an sp-serve submit of the
+    // same spec builds; the CLI's defaults are 64 ranks and seed 42.
+    let dir = std::env::temp_dir().join(format!("sp-cli-grid-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let json_path = dir.join("part.json");
+    let out = scalapart(&[
+        "gen:grid:5x2",
+        "--method",
+        "rcb",
+        "--json",
+        json_path.to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+    let body = std::fs::read_to_string(&json_path).unwrap();
+    let g = grid_2d(2, 5);
+    let coords = grid_2d_coords(2, 5);
+    let mut machine = Machine::new(64, CostModel::qdr_infiniband());
+    let kp = recursive_kway_on(Method::Rcb, &g, Some(&coords), 2, 42, &mut machine);
+    assert_eq!(labels_of(&body), kp.part);
     std::fs::remove_dir_all(&dir).ok();
 }
 
