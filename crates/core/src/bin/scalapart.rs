@@ -115,6 +115,9 @@ fn parse_args() -> Args {
                 args.ranks = v
                     .parse()
                     .unwrap_or_else(|_| fail(&format!("bad value for --ranks: '{v}'")));
+                if args.ranks == 0 {
+                    fail("--ranks must be at least 1");
+                }
             }
             "--coords" => args.coords = Some(PathBuf::from(value(&mut it, "--coords"))),
             "--out" => args.out = Some(PathBuf::from(value(&mut it, "--out"))),
@@ -192,6 +195,13 @@ fn write_file(path: &PathBuf, body: &str, what: &str) {
 fn main() {
     let args = parse_args();
     let (graph, coords) = load_graph(&args);
+    if args.parts == 0 || args.parts > graph.n() {
+        fail(&format!(
+            "--parts must be in 1..={} (the vertex count), got {}",
+            graph.n(),
+            args.parts
+        ));
+    }
     eprintln!(
         "loaded {}: N = {}, M = {}",
         args.input,
@@ -199,7 +209,7 @@ fn main() {
         graph.m()
     );
 
-    let mut machine = Machine::new(args.ranks.max(1), CostModel::qdr_infiniband());
+    let mut machine = Machine::new(args.ranks, CostModel::qdr_infiniband());
     let observing = args.trace.is_some() || args.metrics.is_some();
     if observing {
         machine.set_recorder(Box::new(TraceRecorder::new(machine.p())));

@@ -50,9 +50,9 @@ impl Method {
     }
 
     /// The canonical protocol token: `Method::parse(m.proto_name())`
-    /// always round-trips. This is the name that goes on the wire (cache
-    /// warming entries, routed requests), unlike [`Method::name`], whose
-    /// display forms (`"SP-PG7-NL"`) are not parseable.
+    /// always round-trips. This is the name that goes on the wire (submit
+    /// frames, and the router's routing key), unlike [`Method::name`],
+    /// whose display forms (`"SP-PG7-NL"`) are not parseable.
     pub fn proto_name(self) -> &'static str {
         match self {
             Method::ScalaPart => "sp",

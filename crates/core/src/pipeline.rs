@@ -68,7 +68,8 @@ pub fn scalapart_bisect_observed(
 }
 
 /// [`scalapart_bisect`] with a checkpoint observer *and* a pluggable
-/// lattice smoother. The differential tests pass the pre-optimization
+/// lattice smoother. sp-bench's differential tests
+/// (`crates/bench/tests/differential.rs`) pass the pre-optimization
 /// reference smoother here: every other stage is the same code, so any
 /// output divergence indicts the optimized smoothing kernel alone.
 ///

@@ -7,7 +7,7 @@
 //! sp-serve submit  --addr 127.0.0.1:7070 --graph gen:grid:32x32
 //!                  --method sp --parts 4 [--seed N] [--deadline-ms N]
 //!                  [--chaco FILE]
-//! sp-serve stats   --addr 127.0.0.1:7070 [--prom]
+//! sp-serve metrics --addr 127.0.0.1:7070
 //! sp-serve shutdown --addr 127.0.0.1:7070
 //! sp-serve route   --addr 127.0.0.1:7071 --shard a=127.0.0.1:7070
 //!                  [--shard b=HOST:PORT ...] [--health-ms N]
@@ -21,7 +21,7 @@ use sp_trace::json::escape;
 use std::process::ExitCode;
 
 const USAGE_HINT: &str =
-    "usage: sp-serve <serve|submit|stats|shutdown|route> --addr HOST:PORT [options]; see --help";
+    "usage: sp-serve <serve|submit|metrics|shutdown|route> --addr HOST:PORT [options]; see --help";
 
 const HELP: &str = "\
 sp-serve: long-running partitioning service
@@ -29,7 +29,7 @@ sp-serve: long-running partitioning service
 subcommands:
   serve      run the daemon (one shard)
   submit     submit one partitioning job and print the response
-  stats      print service counters and latency percentiles
+  metrics    print the Prometheus text exposition of the counters
   shutdown   drain the queue and stop the daemon
   route      run the distributed-serving router over backend shards
 
@@ -40,7 +40,7 @@ serve options:
   --cache N            LRU result-cache entries (default 64)
   --ranks N            simulated ranks per job (default 8)
   --deadline-ms N      default per-job deadline (default 30000)
-  --metrics FILE       write a final stats JSON snapshot on exit
+  --metrics FILE       write the final Prometheus exposition once drained
   --obs-log FILE       append structured JSONL job records (job_submitted,
                        job_start, phase_profile, job_done, cache_evict)
   --no-profile         disable per-phase wall/RSS profiling of jobs
@@ -54,10 +54,6 @@ submit options:
   --seed N             RNG seed (default 1)
   --deadline-ms N      per-job deadline
 
-stats options:
-  --prom               print Prometheus text exposition instead of the
-                       JSON stats snapshot (scrape-friendly)
-
 route options:
   --addr HOST:PORT     router listen address (default 127.0.0.1:7071)
   --shard NAME=ADDR    a backend shard (repeat per shard; at least one)
@@ -66,8 +62,9 @@ route options:
                        per-attempt shard socket timeout (default 30000)
 
 The router consistent-hashes each submit's cache key across live shards
-and relays responses byte-identically; submit/stats/shutdown work against
-the router address exactly as against a single shard.";
+and relays responses byte-identically; submit/shutdown work against the
+router address exactly as against a single shard. metrics against a router
+prints the router's own routing counters; scrape each shard for its own.";
 
 fn fail(msg: &str) -> ExitCode {
     eprintln!("sp-serve: {msg}");
@@ -130,7 +127,7 @@ fn main() -> ExitCode {
     let run = match sub.as_str() {
         "serve" => cmd_serve(&mut args),
         "submit" => cmd_submit(&mut args),
-        "stats" => cmd_stats(&mut args),
+        "metrics" => cmd_metrics(&mut args),
         "shutdown" => cmd_roundtrip(&mut args, "{\"type\": \"shutdown\"}"),
         "route" => cmd_route(&mut args),
         other => return fail(&format!("unknown subcommand {other:?}")),
@@ -174,7 +171,7 @@ fn cmd_serve(args: &mut Args) -> Result<ExitCode, String> {
         stats.completed, stats.cache_hits, stats.rejected, stats.timeouts
     );
     if let Some(path) = metrics_path {
-        std::fs::write(&path, stats.to_json())
+        std::fs::write(&path, server.service().prometheus())
             .map_err(|e| format!("cannot write metrics to {path:?}: {e}"))?;
         eprintln!("sp-serve: metrics written to {path}");
     }
@@ -259,10 +256,7 @@ fn cmd_submit(args: &mut Args) -> Result<ExitCode, String> {
     }
 }
 
-fn cmd_stats(args: &mut Args) -> Result<ExitCode, String> {
-    if !args.take_flag("--prom") {
-        return cmd_roundtrip(args, "{\"type\": \"stats\"}");
-    }
+fn cmd_metrics(args: &mut Args) -> Result<ExitCode, String> {
     let addr = args.take("--addr")?.ok_or("need --addr")?;
     args_done(args)?;
     let reply = roundtrip(&addr, "{\"type\": \"metrics\"}")?;

@@ -11,9 +11,9 @@
 //! they differ only in the closure. Malformed frames get an `error`
 //! response and the connection keeps going — a confused client can't wedge
 //! the server. [`Client`] is the only code that connects out: CLI
-//! round-trips go through it directly, router forwards and stats fetches
-//! through a `Pool` of kept-open `Client`s, and health probes through the
-//! `Pool` on a connection of their own.
+//! round-trips go through it directly, router forwards through a `Pool` of
+//! kept-open `Client`s, and health probes through the `Pool` on a
+//! connection of their own.
 //!
 //! Shutdown ordering matters: a `shutdown` request first closes the
 //! service to new jobs and stops the listener, and [`Server::wait`]
@@ -328,7 +328,7 @@ impl Server {
         &self.service
     }
 
-    /// The streaming-session manager (tests and stats).
+    /// The streaming-session manager.
     pub fn sessions(&self) -> &SessionManager {
         &self.sessions
     }
@@ -385,12 +385,6 @@ fn serve_frame(
     };
     Handled::Reply(match req {
         Request::Submit { .. } => unreachable!("a parsed submit is never built"),
-        Request::Stats => {
-            format!(
-                "{{\"type\": \"stats\", \"stats\": {}}}",
-                service.stats().to_json()
-            )
-        }
         Request::Metrics => encode_metrics(&service.prometheus()),
         Request::Shutdown => {
             // Closed before the ack, so a submit racing the drain is

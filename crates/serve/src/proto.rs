@@ -19,10 +19,12 @@
 //!   names a generated workload (`gen:grid:WxH` or `suite:name[:scale]`
 //!   with scale `tiny`|`bench`); alternatively `"chaco": "<file text>"`
 //!   submits an inline Chaco graph.
-//! - `{"type": "stats"}` — service counters and latency percentiles.
 //! - `{"type": "metrics"}` — Prometheus text exposition (format 0.0.4)
-//!   of the service's runtime metric registry, carried in the `body`
-//!   field of the response frame (`sp-serve stats --prom` unwraps it).
+//!   of the answering process's metric registry (a shard's service
+//!   counters, or a router's own routing counters), carried in the `body`
+//!   field of the response frame (`sp-serve metrics` unwraps it). This is
+//!   the only exposition of the counters; a fleet is scraped shard by
+//!   shard.
 //! - `{"type": "shutdown"}` — graceful drain, then the server exits.
 //!
 //! Distributed-serving extensions (see DESIGN.md "Distributed serving").
@@ -116,7 +118,6 @@ pub enum Request {
         seed: u64,
         deadline_ms: Option<u64>,
     },
-    Stats,
     Metrics,
     Shutdown,
     Ping,
@@ -182,7 +183,6 @@ impl Parsed {
             .ok_or("missing \"type\" field")?;
         Ok(Parsed::Ready(match ty {
             "submit" => return Ok(Parsed::Submit(SubmitFrame { v })),
-            "stats" => Request::Stats,
             "metrics" => Request::Metrics,
             "shutdown" => Request::Shutdown,
             "ping" => Request::Ping,
@@ -411,7 +411,7 @@ pub fn encode_outcome(outcome: &JobOutcome) -> String {
 
 /// Encode a Prometheus exposition as a response frame: the text rides in
 /// the `body` field of a JSON frame (the framed protocol has no raw-text
-/// mode; `sp-serve stats --prom` unescapes it back to plain text).
+/// mode; `sp-serve metrics` unescapes it back to plain text).
 pub fn encode_metrics(exposition: &str) -> String {
     format!(
         "{{\"type\": \"metrics\", \"content_type\": \"text/plain; version=0.0.4\", \"body\": \"{}\"}}",
@@ -462,11 +462,9 @@ pub fn encode_pong() -> String {
 /// The raw byte span of a top-level field's value inside an encoded
 /// response — no re-serialization, so two responses can be compared for
 /// *byte* identity field by field (the determinism contract is stated in
-/// bytes, not parsed values), and the router can nest a shard's `stats`
-/// object verbatim. Only keys of the outermost object match: the router's
-/// merged stats frame has a `"shards"` count nested in `"router"` ahead of
-/// the top-level `"shards"` array. Handles object, array, string and
-/// scalar values.
+/// bytes, not parsed values). Only keys of the outermost object match, so
+/// a nested key of the same name ahead of the top-level one is skipped.
+/// Handles object, array, string and scalar values.
 pub fn extract_raw_field<'a>(resp: &'a str, field: &str) -> Option<&'a str> {
     let needle = format!("\"{field}\": ");
     let bytes = resp.as_bytes();
@@ -533,12 +531,12 @@ mod tests {
     #[test]
     fn frames_roundtrip() {
         let mut buf = Vec::new();
-        write_frame(&mut buf, b"{\"type\": \"stats\"}").unwrap();
+        write_frame(&mut buf, b"{\"type\": \"metrics\"}").unwrap();
         write_frame(&mut buf, b"").unwrap();
         let mut r = &buf[..];
         assert_eq!(
             read_frame(&mut r).unwrap().unwrap(),
-            b"{\"type\": \"stats\"}"
+            b"{\"type\": \"metrics\"}"
         );
         assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"");
         assert!(read_frame(&mut r).unwrap().is_none(), "clean EOF");
@@ -609,6 +607,7 @@ mod tests {
         for (req, want) in [
             ("{\"type\": \"nope\"}", "unknown request type"),
             ("{\"type\": \"cache_dump\"}", "unknown request type"),
+            ("{\"type\": \"stats\"}", "unknown request type"),
             ("{\"no_type\": 1}", "missing \"type\""),
             ("not json at all", "bad JSON"),
             (
@@ -685,17 +684,17 @@ mod tests {
         );
         assert_eq!(extract_raw_field(resp, "missing"), None);
 
-        // Only top-level keys match. The router's own merged stats frame
-        // nests a "shards" count ahead of the top-level "shards" array.
-        let merged = r#"{"type": "stats", "router": {"schema": "sp-router-stats-v1", "shards": 2, "shards_up": 1}, "shards": [{"name": "a", "up": true, "stats": {"completed": 3}}, {"name": "b", "up": false, "stats": null}]}"#;
+        // Only top-level keys match: a "shards" count nested ahead of the
+        // top-level "shards" array is skipped.
+        let nested = r#"{"type": "fleet", "router": {"shards": 2, "shards_up": 1}, "shards": [{"name": "a", "up": true, "counts": {"completed": 3}}, {"name": "b", "up": false, "counts": null}]}"#;
         assert_eq!(
-            extract_raw_field(merged, "shards"),
+            extract_raw_field(nested, "shards"),
             Some(
-                r#"[{"name": "a", "up": true, "stats": {"completed": 3}}, {"name": "b", "up": false, "stats": null}]"#
+                r#"[{"name": "a", "up": true, "counts": {"completed": 3}}, {"name": "b", "up": false, "counts": null}]"#
             )
         );
-        assert_eq!(extract_raw_field(merged, "shards_up"), None);
-        assert_eq!(extract_raw_field(merged, "type"), Some("\"stats\""));
+        assert_eq!(extract_raw_field(nested, "shards_up"), None);
+        assert_eq!(extract_raw_field(nested, "type"), Some("\"fleet\""));
         // A decoy inside a string, and one nested deeper, ahead of the key.
         let decoy = r#"{"note": "\"cut\": 1, ", "inner": [{"cut": 2}], "cut": 3, "last": true}"#;
         assert_eq!(extract_raw_field(decoy, "cut"), Some("3"));

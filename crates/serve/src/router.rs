@@ -32,8 +32,7 @@ use crate::fingerprint::SourceMemo;
 use crate::json::Value;
 use crate::net::{resolve, ForwardFail, Handled, Listener, Pool};
 use crate::proto::{
-    encode_error, encode_metrics, encode_pong, encode_typed_error, extract_raw_field, Parsed,
-    Request, SubmitFrame,
+    encode_error, encode_metrics, encode_pong, encode_typed_error, Parsed, Request, SubmitFrame,
 };
 use crate::ring::{Ring, DEFAULT_VNODES};
 use scalapart::obs::{Counter, Gauge, Registry};
@@ -42,7 +41,7 @@ use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Router tuning knobs.
 #[derive(Clone, Debug)]
@@ -210,7 +209,6 @@ pub struct Router {
     pool: Pool,
     stop: Arc<AtomicBool>,
     health_thread: Mutex<Option<JoinHandle<()>>>,
-    started: Instant,
     /// Per-session frame journals for failover replay, keyed by session
     /// name. Entries are dropped when the owner closes the session or
     /// answers that it has none.
@@ -244,7 +242,6 @@ impl Router {
             metrics,
             stop: Arc::new(AtomicBool::new(false)),
             health_thread: Mutex::new(None),
-            started: Instant::now(),
             session_journals: Mutex::new(HashMap::new()),
         });
         if cfg.health_interval_ms > 0 {
@@ -330,7 +327,6 @@ impl Router {
             Request::Submit { .. } => unreachable!("a parsed submit is never built"),
             Request::Ping => Handled::Reply(encode_pong()),
             Request::Metrics => Handled::Reply(encode_metrics(&self.prometheus())),
-            Request::Stats => Handled::Reply(self.merged_stats()),
             Request::Shutdown => {
                 // Forward the drain to every live shard, then stop.
                 for (_, addr, up) in self.snapshot() {
@@ -577,49 +573,6 @@ impl Router {
             Ok((_, reply)) if reply == encode_pong()
         )
     }
-
-    /// `{"type": "stats"}` merged across the fleet: the router's own view
-    /// plus each shard's stats object (fetched live; `null` when down).
-    fn merged_stats(&self) -> String {
-        let snapshot = self.snapshot();
-        let alive = snapshot.iter().filter(|(_, _, up)| *up).count();
-        let mut out = format!(
-            "{{\"type\": \"stats\", \"router\": {{\"schema\": \"sp-router-stats-v1\", \"shards\": {}, \"shards_up\": {}, \"failovers\": {}, \"joins\": {}, \"replays\": {}, \"uptime_s\": {}}}, \"shards\": [",
-            snapshot.len(),
-            alive,
-            self.metrics.failovers.get(),
-            self.metrics.joins.get(),
-            self.metrics.replays.get(),
-            self.started.elapsed().as_secs()
-        );
-        for (i, (name, addr, up)) in snapshot.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let resp = if *up {
-                self.forward(*addr, "{\"type\": \"stats\"}").ok()
-            } else {
-                None
-            };
-            out.push_str(&format!(
-                "{{\"name\": \"{}\", \"up\": {}, \"stats\": {}}}",
-                sp_trace::json::escape(name),
-                up,
-                resp.as_deref().and_then(shard_stats).unwrap_or("null")
-            ));
-        }
-        out.push_str("]}");
-        out
-    }
-}
-
-/// The raw `stats` object of a shard's stats response, nested verbatim
-/// (there is no Value serializer, and byte-preservation is the house style
-/// anyway) — but only out of a reply that is well-formed JSON, so a
-/// confused shard cannot corrupt the merged frame.
-fn shard_stats(resp: &str) -> Option<&str> {
-    Value::parse(resp).ok()?;
-    extract_raw_field(resp, "stats")
 }
 
 fn health_loop(router: Arc<Router>) {
@@ -683,16 +636,7 @@ impl RouterServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn stats_object_extraction_is_balanced_and_string_safe() {
-        let resp =
-            r#"{"type": "stats", "stats": {"a": {"b": "has } brace and \" quote"}, "c": 1}}"#;
-        let got = shard_stats(resp).unwrap();
-        assert_eq!(got, r#"{"a": {"b": "has } brace and \" quote"}, "c": 1}"#);
-        assert!(shard_stats("{\"type\": \"stats\"}").is_none());
-        assert!(shard_stats("{\"stats\": {}} trailing").is_none());
-    }
+    use std::time::Instant;
 
     #[test]
     fn failover_demotes_a_dead_owner_once_and_never_a_slow_one() {

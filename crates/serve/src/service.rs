@@ -41,7 +41,7 @@ use sp_geometry::Point2;
 use sp_graph::Graph;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -58,8 +58,6 @@ pub struct ServeConfig {
     pub ranks: usize,
     /// Deadline applied to jobs that don't carry their own.
     pub default_deadline_ms: u64,
-    /// Retry hint returned with queue-full rejections.
-    pub retry_after_ms: u64,
     /// Append structured JSONL job records here (`--obs-log`). `None`
     /// disables the log; metrics are always collected (they are passive
     /// atomics) and exported only when scraped.
@@ -86,7 +84,6 @@ impl Default for ServeConfig {
             cache_capacity: 64,
             ranks: 8,
             default_deadline_ms: 30_000,
-            retry_after_ms: 50,
             obs_log: None,
             profile: true,
             max_sessions: 8,
@@ -95,6 +92,9 @@ impl Default for ServeConfig {
         }
     }
 }
+
+/// Retry hint returned with queue-full rejections.
+const RETRY_AFTER_MS: u64 = 50;
 
 /// One partitioning request.
 #[derive(Clone)]
@@ -185,11 +185,7 @@ struct State {
     active: usize,
     closed: bool,
     cache: LruCache<CacheKey, PartitionOutput>,
-    /// Completed-request latencies (ms), newest last, capped.
-    latencies: VecDeque<f64>,
 }
-
-const LATENCY_WINDOW: usize = 4096;
 
 struct Inner {
     cfg: ServeConfig,
@@ -239,7 +235,6 @@ impl Service {
                 active: 0,
                 closed: false,
                 cache: LruCache::new(cfg.cache_capacity),
-                latencies: VecDeque::new(),
             }),
             job_ready: Condvar::new(),
             idle: Condvar::new(),
@@ -299,17 +294,9 @@ impl Service {
 
     /// Book a cache hit on `result` for an announced job whose submit
     /// began at `since`.
-    fn hit(
-        &self,
-        mut st: MutexGuard<'_, State>,
-        job_id: u64,
-        result: Arc<PartitionOutput>,
-        since: Instant,
-    ) -> JobOutcome {
+    fn hit(&self, job_id: u64, result: Arc<PartitionOutput>, since: Instant) -> JobOutcome {
         let m = &self.inner.metrics;
         let latency_ms = since.elapsed().as_secs_f64() * 1e3;
-        push_latency(&mut st, latency_ms);
-        drop(st);
         m.cache_hits.inc();
         m.jobs_completed.inc();
         m.job_latency_ms.observe(latency_ms);
@@ -341,7 +328,7 @@ impl Service {
         // Announced outside the state lock, as `submit` does; the entry
         // may be evicted meanwhile, the result in hand stays good.
         let job_id = self.announce(key, n);
-        Some(self.hit(self.inner.state.lock().unwrap(), job_id, result, now))
+        Some(self.hit(job_id, result, now))
     }
 
     /// Submit a job. Returns immediately: either a resolved cache hit, a
@@ -360,7 +347,8 @@ impl Service {
         let m = &self.inner.metrics;
         let mut st = self.inner.state.lock().unwrap();
         if let Some(result) = st.cache.get(&key) {
-            return Ok(Ticket::Hit(self.hit(st, job_id, result, now)));
+            drop(st);
+            return Ok(Ticket::Hit(self.hit(job_id, result, now)));
         }
         if st.closed {
             drop(st);
@@ -385,7 +373,7 @@ impl Service {
                 );
             }
             return Err(SubmitError::QueueFull {
-                retry_after_ms: self.inner.cfg.retry_after_ms,
+                retry_after_ms: RETRY_AFTER_MS,
             });
         }
         let deadline_ms = spec
@@ -444,23 +432,10 @@ impl Service {
     pub fn stats(&self) -> ServiceStats {
         let m = &self.inner.metrics;
         let st = self.inner.state.lock().unwrap();
-        let mut lat: Vec<f64> = st.latencies.iter().copied().collect();
-        lat.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let q = |p: f64| -> f64 {
-            if lat.is_empty() {
-                0.0
-            } else {
-                let idx = ((lat.len() as f64 * p).ceil() as usize).clamp(1, lat.len()) - 1;
-                lat[idx]
-            }
-        };
         ServiceStats {
-            workers: self.inner.cfg.workers,
-            queue_capacity: self.inner.cfg.queue_capacity,
             queue_depth: st.queue.len(),
             queue_depth_hwm: m.queue_depth_highwater.get().max(0) as usize,
             active: st.active,
-            draining: st.closed,
             submitted: m.jobs_submitted.get(),
             completed: m.jobs_completed.get(),
             cache_hits: m.cache_hits.get(),
@@ -470,12 +445,6 @@ impl Service {
             timeouts: m.jobs_timeout.get(),
             failed: m.jobs_failed.get(),
             cache_entries: st.cache.len(),
-            cache_capacity: st.cache.capacity(),
-            latency_count: lat.len(),
-            latency_p50_ms: q(0.50),
-            latency_p90_ms: q(0.90),
-            latency_p99_ms: q(0.99),
-            latency_max_ms: lat.last().copied().unwrap_or(0.0),
         }
     }
 
@@ -529,13 +498,6 @@ impl Service {
     pub(crate) fn config(&self) -> &ServeConfig {
         &self.inner.cfg
     }
-}
-
-fn push_latency(st: &mut State, ms: f64) {
-    if st.latencies.len() >= LATENCY_WINDOW {
-        st.latencies.pop_front();
-    }
-    st.latencies.push_back(ms);
 }
 
 /// Deadline polling threaded through the pipeline checkpoints. Both halves
@@ -617,7 +579,6 @@ fn worker_loop(inner: Arc<Inner>) {
                 JobOutcome::Timeout { .. } => m.jobs_timeout.inc(),
                 JobOutcome::Failed { .. } => m.jobs_failed.inc(),
             }
-            push_latency(&mut st, latency_ms);
             if st.queue.is_empty() && st.active == 0 {
                 inner.idle.notify_all();
             }
@@ -759,16 +720,14 @@ fn run_job(
     }
 }
 
-/// Counter snapshot exposed through `stats` requests and `--metrics`.
+/// In-process counter snapshot: the registry's counters plus the queue
+/// and cache state they do not cover.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ServiceStats {
-    pub workers: usize,
-    pub queue_capacity: usize,
     pub queue_depth: usize,
     /// Deepest the queue has been since the service started.
     pub queue_depth_hwm: usize,
     pub active: usize,
-    pub draining: bool,
     pub submitted: u64,
     pub completed: u64,
     pub cache_hits: u64,
@@ -779,65 +738,11 @@ pub struct ServiceStats {
     pub timeouts: u64,
     pub failed: u64,
     pub cache_entries: usize,
-    pub cache_capacity: usize,
-    pub latency_count: usize,
-    pub latency_p50_ms: f64,
-    pub latency_p90_ms: f64,
-    pub latency_p99_ms: f64,
-    pub latency_max_ms: f64,
-}
-
-impl ServiceStats {
-    /// Hit rate over resolved lookups (0 when none yet).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / total as f64
-        }
-    }
-
-    /// JSON snapshot, same emission conventions as sp-trace's metrics
-    /// (shortest round-trip floats via [`sp_trace::json::num`]).
-    pub fn to_json(&self) -> String {
-        use sp_trace::json::num;
-        let mut s = String::with_capacity(512);
-        s.push_str("{\"schema\": \"sp-serve-stats-v1\"");
-        s.push_str(&format!(", \"workers\": {}", self.workers));
-        s.push_str(&format!(", \"queue_capacity\": {}", self.queue_capacity));
-        s.push_str(&format!(", \"queue_depth\": {}", self.queue_depth));
-        s.push_str(&format!(", \"queue_depth_hwm\": {}", self.queue_depth_hwm));
-        s.push_str(&format!(", \"active\": {}", self.active));
-        s.push_str(&format!(", \"draining\": {}", self.draining));
-        s.push_str(&format!(", \"submitted\": {}", self.submitted));
-        s.push_str(&format!(", \"completed\": {}", self.completed));
-        s.push_str(&format!(", \"cache_hits\": {}", self.cache_hits));
-        s.push_str(&format!(", \"cache_misses\": {}", self.cache_misses));
-        s.push_str(&format!(", \"cache_evictions\": {}", self.cache_evictions));
-        s.push_str(&format!(", \"hit_rate\": {}", num(self.hit_rate())));
-        s.push_str(&format!(", \"rejected\": {}", self.rejected));
-        s.push_str(&format!(", \"timeouts\": {}", self.timeouts));
-        s.push_str(&format!(", \"failed\": {}", self.failed));
-        s.push_str(&format!(", \"cache_entries\": {}", self.cache_entries));
-        s.push_str(&format!(", \"cache_capacity\": {}", self.cache_capacity));
-        s.push_str(&format!(
-            ", \"latency_ms\": {{\"count\": {}, \"p50\": {}, \"p90\": {}, \"p99\": {}, \"max\": {}}}",
-            self.latency_count,
-            num(self.latency_p50_ms),
-            num(self.latency_p90_ms),
-            num(self.latency_p99_ms),
-            num(self.latency_max_ms)
-        ));
-        s.push('}');
-        s
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::Value;
     use sp_graph::gen::{grid_2d, grid_2d_coords};
 
     fn spec(side: usize, method: Method, seed: u64) -> JobSpec {
@@ -890,7 +795,6 @@ mod tests {
         assert_eq!(st.cache_hits, 1);
         assert_eq!(st.cache_misses, 1);
         assert_eq!(st.completed, 2);
-        assert!(st.hit_rate() > 0.49 && st.hit_rate() < 0.51);
         svc.shutdown();
     }
 
@@ -1074,19 +978,5 @@ mod tests {
                 m.jobs_failed.get()
             )
         );
-    }
-
-    #[test]
-    fn stats_json_is_well_formed() {
-        let svc = Service::start(small_cfg());
-        svc.submit_wait(spec(12, Method::Rcb, 5)).unwrap();
-        let j = svc.stats().to_json();
-        assert!(j.contains("\"schema\": \"sp-serve-stats-v1\""), "{j}");
-        assert!(j.contains("\"queue_depth\": 0"));
-        assert!(j.contains("\"p99\""));
-        let parsed = Value::parse(&j).unwrap();
-        assert_eq!(parsed.get("completed").unwrap().as_u64(), Some(1));
-        assert!(parsed.get("latency_ms").unwrap().get("max").is_some());
-        svc.shutdown();
     }
 }

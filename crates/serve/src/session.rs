@@ -67,7 +67,7 @@ impl SessionManager {
         }
     }
 
-    /// Sessions currently open (tests and stats).
+    /// Sessions currently open.
     pub fn active(&self) -> usize {
         self.sessions.lock().unwrap().len()
     }

@@ -244,6 +244,7 @@ fn malformed_frames_get_error_replies_and_the_connection_survives() {
         "{\"type\": \"submit\"}",
         "{\"type\": \"submit\", \"graph\": \"gen:grid:4x4\", \"method\": \"sp\", \"parts\": 99}",
         "[1, 2, 3]",
+        "{\"type\": \"stats\"}",
     ] {
         let v = parse(&c.request(bad).unwrap());
         assert_eq!(
@@ -253,7 +254,7 @@ fn malformed_frames_get_error_replies_and_the_connection_survives() {
         );
         assert!(v.get("message").and_then(Value::as_str).is_some());
     }
-    // After five garbage frames, the same connection still serves work.
+    // After six garbage frames, the same connection still serves work.
     let v = parse(
         &c.request(&submit_req("gen:grid:10x10", "rcb", 2, 3))
             .unwrap(),
@@ -275,15 +276,18 @@ fn stats_request_reflects_service_state() {
         .unwrap();
     c.request(&submit_req("gen:grid:16x16", "rcb", 4, 1))
         .unwrap();
-    let v = parse(&c.request("{\"type\": \"stats\"}").unwrap());
-    assert_eq!(v.get("type").and_then(Value::as_str), Some("stats"));
-    let s = v.get("stats").expect("stats object");
-    assert_eq!(s.get("completed").and_then(Value::as_u64), Some(2));
-    assert_eq!(s.get("cache_hits").and_then(Value::as_u64), Some(1));
-    assert_eq!(s.get("queue_depth").and_then(Value::as_u64), Some(0));
-    let lat = s.get("latency_ms").expect("latency percentiles");
-    assert!(lat.get("p50").unwrap().as_f64().unwrap() >= 0.0);
-    assert!(lat.get("p99").unwrap().as_f64().unwrap() >= lat.get("p50").unwrap().as_f64().unwrap());
+    let v = parse(&c.request("{\"type\": \"metrics\"}").unwrap());
+    assert_eq!(v.get("type").and_then(Value::as_str), Some("metrics"));
+    let body = v.get("body").and_then(Value::as_str).expect("exposition");
+    let problems = scalapart::obs::prom::lint(body);
+    assert!(problems.is_empty(), "{problems:?}\n{body}");
+    for line in [
+        "sp_jobs_completed_total 2",
+        "sp_cache_hits_total 1",
+        "sp_queue_depth 0",
+    ] {
+        assert!(body.lines().any(|l| l == line), "no {line:?} in:\n{body}");
+    }
     server.shutdown();
     server.wait();
 }
@@ -328,7 +332,7 @@ fn shutdown_frame_drains_and_stops_the_server() {
             // The OS may still accept into the backlog briefly; a request on
             // such a socket must then fail.
             let mut c = Client::connect(&addr).unwrap();
-            c.request("{\"type\": \"stats\"}").is_err()
+            c.request("{\"type\": \"ping\"}").is_err()
         }
     );
 }

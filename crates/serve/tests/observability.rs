@@ -235,7 +235,7 @@ fn metrics_stay_consistent_under_eight_concurrent_clients() {
         "occupancy {occ} out of range\n{prom}"
     );
 
-    // The JSON stats snapshot and Prometheus view must agree.
+    // The in-process stats snapshot and the Prometheus view must agree.
     let stats = server.service().stats();
     assert_eq!(stats.completed as f64, completed);
     assert_eq!(stats.cache_hits as f64, hits);

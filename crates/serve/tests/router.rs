@@ -461,21 +461,20 @@ fn router_stats_merge_router_and_shard_views() {
         .request(&submit_req("gen:grid:10x10", "rcb", 2, 5))
         .unwrap();
     assert!(ok.contains("\"status\": \"ok\""), "{ok}");
+    // There is no merged fleet view: `stats` is an unknown request, and
+    // the connection goes on serving.
     let resp = c.request("{\"type\": \"stats\"}").unwrap();
-    let v = Value::parse(&resp).unwrap_or_else(|e| panic!("bad stats {resp:?}: {e}"));
-    let router = v.get("router").expect("router section");
-    assert_eq!(router.get("shards").and_then(Value::as_u64), Some(2));
-    assert_eq!(router.get("shards_up").and_then(Value::as_u64), Some(2));
-    let shards = v.get("shards").and_then(Value::as_arr).expect("shard list");
-    assert_eq!(shards.len(), 2);
-    let submitted: u64 = shards
+    assert!(resp.contains("unknown request type"), "{resp}");
+    // The router's metrics frame carries its own registry ...
+    let router = scrape(&mut c);
+    assert_eq!(sample(&router, "sp_shards"), 2);
+    assert_eq!(sample(&router, "sp_shards_up"), 2);
+    // ... and the fleet view is one scrape per shard.
+    let submitted: u64 = [&a, &b]
         .iter()
         .map(|s| {
-            assert_eq!(s.get("up").and_then(Value::as_bool), Some(true));
-            s.get("stats")
-                .and_then(|st| st.get("submitted"))
-                .and_then(Value::as_u64)
-                .expect("per-shard stats")
+            let mut shard = Client::connect(&s.local_addr()).unwrap();
+            sample(&scrape(&mut shard), "sp_jobs_submitted_total")
         })
         .sum();
     assert_eq!(submitted, 1, "exactly one shard saw the job");
@@ -493,6 +492,16 @@ fn sample(prom: &str, series: &str) -> u64 {
     prom.lines()
         .find_map(|l| l.strip_prefix(series)?.strip_prefix(' ')?.parse().ok())
         .unwrap_or_else(|| panic!("no sample {series} in:\n{prom}"))
+}
+
+/// The exposition a `metrics` frame returns over `c`, checked by promlint.
+fn scrape(c: &mut Client) -> String {
+    let resp = c.request("{\"type\": \"metrics\"}").unwrap();
+    let v = Value::parse(&resp).unwrap_or_else(|e| panic!("bad metrics {resp:?}: {e}"));
+    let body = v.get("body").and_then(Value::as_str).expect("exposition");
+    let problems = scalapart::obs::prom::lint(body);
+    assert!(problems.is_empty(), "{problems:?}\n{body}");
+    body.to_string()
 }
 
 fn shard_prom(shard: &Server) -> String {

@@ -37,6 +37,9 @@ fn usage_errors_exit_2_with_a_one_line_hint() {
         vec!["gen:grid:8x8", "--parts", "many"],
         vec!["gen:grid:8x8", "--method", "quantum"],
         vec!["gen:grid:8x8", "--parts"],
+        vec!["gen:grid:8x8", "--parts", "0"],
+        vec!["gen:grid:8x8", "--parts", "100"],
+        vec!["gen:grid:8x8", "--ranks", "0"],
         vec!["gen:grid:8x8", "extra-positional"],
         vec!["gen:gridWxH"],
         vec![],
