@@ -26,10 +26,6 @@ use std::borrow::Cow;
 /// Configuration for a multilevel run.
 #[derive(Clone, Copy, Debug)]
 pub struct MultilevelConfig {
-    /// Stop coarsening at this size.
-    pub coarsest: usize,
-    /// SPMD matching rounds per level.
-    pub matching_rounds: u32,
     /// Band width (hops) for uncoarsening refinement.
     pub band_hops: u32,
     /// FM passes per level during uncoarsening.
@@ -57,8 +53,6 @@ impl MultilevelConfig {
     /// ParMetis-class settings: fast coarsening and refinement.
     pub fn parmetis_like(seed: u64) -> Self {
         MultilevelConfig {
-            coarsest: 200,
-            matching_rounds: 4,
             band_hops: 1,
             fm_passes: 1,
             balance_tol: 0.08,
@@ -73,8 +67,6 @@ impl MultilevelConfig {
     /// Pt-Scotch-class settings: band graphs, more refinement.
     pub fn ptscotch_like(seed: u64) -> Self {
         MultilevelConfig {
-            coarsest: 200,
-            matching_rounds: 4,
             band_hops: 3,
             fm_passes: 6,
             balance_tol: 0.05,
@@ -86,6 +78,12 @@ impl MultilevelConfig {
         }
     }
 }
+
+/// Coarsening stops at this many vertices.
+pub const COARSEST: usize = 200;
+
+/// SPMD matching rounds per level.
+const MATCHING_ROUNDS: u32 = 4;
 
 /// Statistics from a multilevel run.
 #[derive(Clone, Copy, Debug, Default)]
@@ -122,14 +120,14 @@ pub fn multilevel_bisect(
         // The matcher and the contraction ScalaPart coarsens with, on one
         // arena that lives as long as the coarsening does.
         let mut arena = CoarsenArena::new();
-        while graphs.last().unwrap().n() > cfg.coarsest && graphs.len() < 60 {
+        while graphs.last().unwrap().n() > COARSEST && graphs.len() < 60 {
             let cur = graphs.last().unwrap();
             let dist = Distribution::block(cur.n(), p);
             let matching = parallel_hem_in(
                 cur,
                 &dist,
                 machine,
-                cfg.matching_rounds,
+                MATCHING_ROUNDS,
                 rng.random::<u64>(),
                 &mut arena,
             );

@@ -3,7 +3,7 @@
 //! matcher onto the arena entry points ScalaPart coarsens with. Label
 //! fingerprint, cut, level count, coarsest size and the bits of the
 //! simulated time for both presets on a hub graph (whose coarsening ends
-//! on the 0.95 stall break, above `coarsest`) and on a grid (which
+//! on the 0.95 stall break, above `COARSEST`) and on a grid (which
 //! coarsens to the target), on 1, 9 and 64 ranks.
 //!
 //! `multilevel_bisect` and `kkt_graph` draw from `rand`'s `StdRng`, so the
@@ -13,6 +13,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use sp_baselines::multilevel::COARSEST;
 use sp_baselines::{multilevel_bisect, MultilevelConfig};
 use sp_graph::gen::{grid_2d, kkt_graph};
 use sp_graph::Graph;
@@ -57,9 +58,9 @@ fn both_presets_match_the_goldens_on_1_9_and_64_ranks() {
             for p in [1usize, 9, 64] {
                 let got = run(g, p, &cfg);
                 if name == "kkt" {
-                    assert!(got.3 > cfg.coarsest, "{name} p={p}: no stall break");
+                    assert!(got.3 > COARSEST, "{name} p={p}: no stall break");
                 } else {
-                    assert!(got.3 <= cfg.coarsest, "{name} p={p}: stalled");
+                    assert!(got.3 <= COARSEST, "{name} p={p}: stalled");
                 }
                 let want = golden.next().expect("a golden row per case");
                 if recorded {

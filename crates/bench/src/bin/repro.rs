@@ -556,8 +556,10 @@ fn ablation_block(ex: &mut Experiments) -> Table {
         &["block", "cut", "embed comm (ms)", "embed total (ms)"],
     );
     for block in [1usize, 2, 4, 8] {
-        let mut cfg = SpConfig::default();
-        cfg.embed.lattice.block = block;
+        let cfg = SpConfig {
+            block,
+            ..Default::default()
+        };
         let mut m = Machine::new(64, CostModel::qdr_infiniband());
         let r = scalapart_bisect(g, &mut m, &cfg);
         t.row(vec![
@@ -637,8 +639,10 @@ fn ablation_levels(ex: &mut Experiments) -> Table {
         ],
     );
     for every_other in [true, false] {
-        let mut cfg = SpConfig::default();
-        cfg.coarsen.keep_every_other = every_other;
+        let cfg = SpConfig {
+            keep_every_other: every_other,
+            ..Default::default()
+        };
         let mut m = Machine::new(64, CostModel::qdr_infiniband());
         let r = scalapart_bisect(g, &mut m, &cfg);
         t.row(vec![
@@ -655,8 +659,8 @@ fn ablation_levels(ex: &mut Experiments) -> Table {
 /// resulting cut at P=1, where both are available).
 fn ablation_lattice(ex: &mut Experiments) -> Table {
     use scalapart::{scalapart_bisect, SpConfig};
+    use sp_embed::embed_multilevel_seq;
     use sp_embed::metrics::edge_length_stats;
-    use sp_embed::{embed_multilevel_seq, SeqEmbedConfig};
     use sp_machine::{CostModel, Machine};
     let t_g = ex.graph(SuiteGraph::DelaunayN20);
     let g = t_g.graph.clone();
@@ -674,7 +678,7 @@ fn ablation_lattice(ex: &mut Experiments) -> Table {
         r.cut.to_string(),
     ]);
     // Exact BH: sequential embedding, then the same geometric partitioner.
-    let coords = embed_multilevel_seq(&g, &SeqEmbedConfig::default());
+    let coords = embed_multilevel_seq(&g, 0xE3BED);
     let cv_bh = edge_length_stats(&g, &coords).cv();
     let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(1);
     let geo =

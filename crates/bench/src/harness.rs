@@ -5,7 +5,7 @@
 
 use scalapart::pipeline::PhaseTimes;
 use scalapart::{run_method, Method};
-use sp_embed::{embed_multilevel_seq, SeqEmbedConfig};
+use sp_embed::embed_multilevel_seq;
 use sp_geometry::Point2;
 use sp_graph::{SuiteGraph, TestGraph, TestScale};
 use std::collections::HashMap;
@@ -82,13 +82,7 @@ impl Experiments {
                 if verbose {
                     eprintln!("[embed] {} (coordinate-free, Hu-style) ...", sg.name());
                 }
-                embed_multilevel_seq(
-                    &t.graph,
-                    &SeqEmbedConfig {
-                        seed,
-                        ..Default::default()
-                    },
-                )
+                embed_multilevel_seq(&t.graph, seed)
             }
         };
         self.coords.insert(sg, c.clone());

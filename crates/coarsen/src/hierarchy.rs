@@ -17,8 +17,6 @@ pub struct CoarsenConfig {
     /// (the paper's adaptation). `false` retains every level (≈ 2×),
     /// which the ablation benches compare against.
     pub keep_every_other: bool,
-    /// Safety cap on retained levels.
-    pub max_levels: usize,
     /// RNG seed for the matchings.
     pub seed: u64,
 }
@@ -28,11 +26,14 @@ impl Default for CoarsenConfig {
         CoarsenConfig {
             target_coarsest: 1000,
             keep_every_other: true,
-            max_levels: 40,
             seed: 0x5CA1AB1E,
         }
     }
 }
+
+/// Safety cap on retained levels: coarsening stops once a hierarchy holds
+/// more than this many.
+pub const MAX_LEVELS: usize = 40;
 
 /// One retained level of the hierarchy.
 pub struct Level<'g> {
@@ -72,7 +73,7 @@ impl<'g> Hierarchy<'g> {
         }];
         loop {
             let cur = &levels.last().unwrap().graph;
-            if cur.n() <= cfg.target_coarsest || levels.len() > cfg.max_levels {
+            if cur.n() <= cfg.target_coarsest || levels.len() > MAX_LEVELS {
                 break;
             }
             // One or two contractions, composed into one retained step.
@@ -108,17 +109,6 @@ impl<'g> Hierarchy<'g> {
     /// The coarsest graph.
     pub fn coarsest(&self) -> &Graph {
         &self.levels.last().unwrap().graph
-    }
-
-    /// Project per-vertex data at level `i+1` down to level `i` (each fine
-    /// vertex inherits its coarse vertex's value).
-    pub fn project_down<T: Copy>(&self, level: usize, coarse_vals: &[T]) -> Vec<T> {
-        let map = self.levels[level]
-            .map_to_coarser
-            .as_ref()
-            .expect("level has no coarser neighbour");
-        assert_eq!(coarse_vals.len(), self.levels[level + 1].graph.n());
-        map.iter().map(|&c| coarse_vals[c as usize]).collect()
     }
 }
 
@@ -204,25 +194,6 @@ mod tests {
                 seen[c as usize] = true;
             }
             assert!(seen.iter().all(|&b| b), "level {i} map not surjective");
-        }
-    }
-
-    #[test]
-    fn project_down_inherits_values() {
-        let g = grid_2d(20, 20);
-        let h = Hierarchy::build(
-            &g,
-            &CoarsenConfig {
-                target_coarsest: 50,
-                ..Default::default()
-            },
-        );
-        let k = h.depth() - 1;
-        let coarse_vals: Vec<f64> = (0..h.levels[k].graph.n()).map(|i| i as f64).collect();
-        let fine = h.project_down(k - 1, &coarse_vals);
-        let map = h.levels[k - 1].map_to_coarser.as_ref().unwrap();
-        for (v, &val) in fine.iter().enumerate() {
-            assert_eq!(val, coarse_vals[map[v] as usize]);
         }
     }
 

@@ -23,6 +23,6 @@ pub mod parallel;
 
 pub use arena::{contract_with, heavy_edge_matching_in, CoarsenArena};
 pub use contract::{validate_contraction, Contraction};
-pub use hierarchy::{CoarsenConfig, Hierarchy, Level};
+pub use hierarchy::{CoarsenConfig, Hierarchy, Level, MAX_LEVELS};
 pub use matching::{validate_matching, Matching};
 pub use parallel::{charge_contraction, parallel_hem_in};

@@ -6,7 +6,7 @@ use crate::pipeline::{scalapart_bisect_checked, sp_pg7nl_bisect, PhaseTimes};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sp_baselines::{multilevel_bisect, rcb_bisect, MultilevelConfig};
-use sp_embed::{embed_multilevel_seq, SeqEmbedConfig};
+use sp_embed::embed_multilevel_seq;
 use sp_geometry::Point2;
 use sp_geopart::{geometric_partition, GeoConfig};
 use sp_graph::distr::Distribution;
@@ -165,13 +165,7 @@ pub fn run_method_checked(
     }
     let p = machine.p();
     let owned_coords: Option<Vec<Point2>> = if method.needs_coords() && coords.is_none() {
-        Some(embed_multilevel_seq(
-            g,
-            &SeqEmbedConfig {
-                seed,
-                ..Default::default()
-            },
-        ))
+        Some(embed_multilevel_seq(g, seed))
     } else {
         None
     };

@@ -5,16 +5,22 @@ use crate::observe::{Cancelled, LevelStats, NoopObserver, PipelineObserver};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sp_coarsen::{
-    charge_contraction, contract_with, parallel_hem_in, CoarsenArena, Hierarchy, Level,
+    charge_contraction, contract_with, parallel_hem_in, CoarsenArena, Hierarchy, Level, MAX_LEVELS,
 };
 use sp_embed::{lattice_smooth_with, multilevel_lattice_embed_with, Smoother};
 use sp_geometry::Point2;
-use sp_geopart::parallel_geometric_partition;
+use sp_geopart::{parallel_geometric_partition, GeoConfig};
 use sp_graph::distr::Distribution;
 use sp_graph::{Bisection, Graph};
 use sp_machine::{Machine, Phase, PhaseBreakdown};
-use sp_refine::strip_refine;
+use sp_refine::{strip_refine, STRIP_FM};
 use std::borrow::Cow;
+
+/// Coarsening stops once a retained level has at most this many vertices.
+const TARGET_COARSEST: usize = 160;
+
+/// Parallel matching rounds per contraction during coarsening.
+const MATCHING_ROUNDS: u32 = 12;
 
 /// Per-phase simulated time (computation/communication split), the data
 /// behind the paper's Figures 7 and 8.
@@ -116,9 +122,13 @@ pub fn scalapart_bisect_checked(
 
     // ---- Phase 2: multilevel fixed-lattice embedding.
     machine.phase(Phase::Embed);
-    let mut embed_cfg = cfg.embed;
-    embed_cfg.seed = cfg.embed.seed ^ cfg.seed;
-    let coords = multilevel_lattice_embed_with(&hierarchy, machine, &embed_cfg, smoother);
+    let coords = multilevel_lattice_embed_with(
+        &hierarchy,
+        machine,
+        cfg.block,
+        cfg.embed_seed ^ cfg.seed,
+        smoother,
+    );
     obs.on_embedding(g, &coords);
     if obs.poll_cancel() {
         return Err(Cancelled);
@@ -129,7 +139,14 @@ pub fn scalapart_bisect_checked(
     // ---- Phase 3: parallel geometric partitioning + strip refinement.
     machine.phase(Phase::Partition);
     let dist = Distribution::block(g.n(), p);
-    let geo = parallel_geometric_partition(g, &coords, &dist, machine, &cfg.geo, cfg.seed ^ 0x9E0);
+    let geo = parallel_geometric_partition(
+        g,
+        &coords,
+        &dist,
+        machine,
+        &GeoConfig::g7_nl(),
+        cfg.seed ^ 0x9E0,
+    );
     obs.on_geo_partition(g, &geo);
     if obs.poll_cancel() {
         return Err(Cancelled);
@@ -142,7 +159,7 @@ pub fn scalapart_bisect_checked(
         &geo.separator.signed,
         geo.cut,
         cfg.strip_factor,
-        &cfg.fm,
+        &STRIP_FM,
         machine,
     );
     if let Some(r) = &refined {
@@ -200,7 +217,14 @@ pub fn sp_pg7nl_bisect(
     let p = machine.p();
     machine.phase(Phase::Partition);
     let dist = Distribution::block(g.n(), p);
-    let geo = parallel_geometric_partition(g, coords, &dist, machine, &cfg.geo, cfg.seed ^ 0x9E0);
+    let geo = parallel_geometric_partition(
+        g,
+        coords,
+        &dist,
+        machine,
+        &GeoConfig::g7_nl(),
+        cfg.seed ^ 0x9E0,
+    );
     let mut bisection = geo.bisection;
     let cut_before_refine = geo.cut;
     let (cut, strip_size) = strip_refine(
@@ -209,7 +233,7 @@ pub fn sp_pg7nl_bisect(
         &geo.separator.signed,
         geo.cut,
         cfg.strip_factor,
-        &cfg.fm,
+        &STRIP_FM,
         machine,
     )
     .map_or((cut_before_refine, 0), |r| (r.cut, r.strip_size));
@@ -252,7 +276,7 @@ fn coarsen_parallel<'g>(
     }];
     loop {
         let cur = &levels.last().unwrap().graph;
-        if cur.n() <= cfg.coarsen.target_coarsest || levels.len() > cfg.coarsen.max_levels {
+        if cur.n() <= TARGET_COARSEST || levels.len() > MAX_LEVELS {
             break;
         }
         let step = |graph: &Graph,
@@ -265,7 +289,7 @@ fn coarsen_parallel<'g>(
                 graph,
                 &dist,
                 machine,
-                cfg.matching_rounds,
+                MATCHING_ROUNDS,
                 rng.random::<u64>(),
                 arena,
             );
@@ -283,14 +307,13 @@ fn coarsen_parallel<'g>(
         };
         let (fine_n, fine_m) = (cur.n(), cur.m());
         let c1 = step(cur, machine, rng, obs, &mut arena)?;
-        let (coarse, map) =
-            if cfg.coarsen.keep_every_other && c1.coarse.n() > cfg.coarsen.target_coarsest {
-                let c2 = step(&c1.coarse, machine, rng, obs, &mut arena)?;
-                let composed: Vec<u32> = c1.map.iter().map(|&mid| c2.map[mid as usize]).collect();
-                (c2.coarse, composed)
-            } else {
-                (c1.coarse, c1.map)
-            };
+        let (coarse, map) = if cfg.keep_every_other && c1.coarse.n() > TARGET_COARSEST {
+            let c2 = step(&c1.coarse, machine, rng, obs, &mut arena)?;
+            let composed: Vec<u32> = c1.map.iter().map(|&mid| c2.map[mid as usize]).collect();
+            (c2.coarse, composed)
+        } else {
+            (c1.coarse, c1.map)
+        };
         // Stop when matching stalls: grinding out barely-shrinking levels
         // costs smoothing iterations without improving the coarsest embed.
         if coarse.n() as f64 > 0.7 * levels.last().unwrap().graph.n() as f64 {

@@ -9,7 +9,10 @@
 //! the bits of the imbalance and of the simulated time, for
 //! `sp_pg7nl_bisect` and `scalapart_bisect` on a trace mesh and a grid on
 //! 1 and 64 ranks; the same figures of `run_method` for both multilevel
-//! presets; and the labels and cut of an 8-way SP-PG7-NL recursion.
+//! presets; the labels and cut of an 8-way SP-PG7-NL recursion; and the
+//! same figures of `run_method` for G30, G7-NL and RCB on a
+//! coordinate-free KKT graph, which the sequential Hu-style embedder lays
+//! out first.
 //!
 //! The trace mesh, the great circles and the matchings draw from `rand`'s
 //! `StdRng`, so the rows hold for one `rand` stream: that of
@@ -22,7 +25,7 @@ use scalapart::{
     recursive_kway, run_method, scalapart_bisect, sp_pg7nl_bisect, Method, SpConfig, SpResult,
 };
 use sp_geometry::Point2;
-use sp_graph::gen::{grid_2d, grid_2d_coords, trace_mesh};
+use sp_graph::gen::{grid_2d, grid_2d_coords, kkt_graph, trace_mesh};
 use sp_graph::Graph;
 use sp_machine::{CostModel, Machine};
 
@@ -128,6 +131,35 @@ fn sp_pg7nl_eight_way_labels_match_the_goldens() {
     }
 }
 
+#[test]
+fn hu_embedded_methods_match_the_goldens() {
+    let recorded = recorded();
+    let g = kkt_graph(900, 300, 5, &mut StdRng::seed_from_u64(13));
+    let run = || -> Vec<Row> {
+        [Method::G30, Method::G7Nl, Method::Rcb]
+            .into_iter()
+            .map(|method| {
+                let r = run_method(method, &g, None, 16, 11);
+                r.bisection.validate(&g).unwrap();
+                assert_eq!(r.cut, r.bisection.cut_edges(&g));
+                (
+                    fnv(r.bisection.sides().iter().map(|&s| s as u64)),
+                    r.cut,
+                    r.cut,
+                    r.imbalance.to_bits(),
+                    r.time.to_bits(),
+                )
+            })
+            .collect()
+    };
+    let got = run();
+    if recorded {
+        assert_eq!(got, HU_EMBEDDED, "got {got:#x?}");
+    } else {
+        assert_eq!(got, run(), "repeats");
+    }
+}
+
 /// Per input: SP-PG7-NL and ScalaPart on 1 rank, both on 64, then the
 /// ParMetis-like and Pt-Scotch-like presets on 9.
 #[rustfmt::skip]
@@ -150,4 +182,13 @@ const BISECTIONS: [Row; 12] = [
 const KWAY: [(u64, usize); 2] = [
     (0x6e6a44bb48182cc9, 403), // trace
     (0x0443869bfed3de9b, 216), // grid
+];
+
+/// G30, G7-NL and RCB on 16 ranks, each on the coordinates the Hu-style
+/// embedder gives the KKT graph; like a comparator, none refines.
+#[rustfmt::skip]
+const HU_EMBEDDED: [Row; 3] = [
+    (0x0409de5e1807b9c4, 340, 340, 0x3f5b4e81b4e81c00, 0x3f404257e94b07bb), // kkt g30 p=16
+    (0xda9426e31e6e4530, 383, 383, 0x3f5b4e81b4e81c00, 0x3f166d29cf0662f1), // kkt g7-nl p=16
+    (0xe5448f4f9d6e256f, 420, 420, 0x0000000000000000, 0x3f2e0477dedec826), // kkt rcb p=16
 ];

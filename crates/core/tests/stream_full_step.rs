@@ -2,8 +2,9 @@
 //! routine the batch pipeline uses". Hold it to that: the bootstrap of an
 //! [`IncrementalRepartitioner`] on a mesh with coordinates and
 //! [`sp_pg7nl_bisect`] on a machine of `StreamConfig::ranks` ranks, with
-//! the same geometric, strip, FM and seed settings, return the same sides,
-//! cut and simulated time, bit for bit.
+//! the same seed, return the same sides, cut and simulated time, bit for
+//! bit. Both read the same try policy, strip factor and FM settings, which
+//! neither config carries.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -27,9 +28,6 @@ fn bootstrap_is_sp_pg7nl_on_the_same_machine() {
         assert!(report.fm_passes > 0, "the strip was not refined");
 
         let batch_cfg = SpConfig {
-            geo: stream_cfg.geo,
-            strip_factor: stream_cfg.strip_factor,
-            fm: stream_cfg.fm,
             seed: stream_cfg.seed,
             ..SpConfig::default()
         };

@@ -15,33 +15,16 @@ use sp_coarsen::Hierarchy;
 use sp_geometry::Point2;
 use sp_machine::{Machine, Phase};
 
-/// Configuration for the multilevel lattice embedding.
-#[derive(Clone, Copy, Debug)]
-pub struct MultilevelEmbedConfig {
-    /// Lattice smoothing knobs (C, block size, step, cooling).
-    pub lattice: LatticeConfig,
-    /// Iterations at the coarsest level.
-    pub iters_coarsest: usize,
-    /// Smoothing iterations per finer level.
-    pub iters_smooth: usize,
-    /// Barnes–Hut theta for levels that fall back to exact repulsion
-    /// (active rank count 1, where the lattice approximation degenerates).
-    pub theta: f64,
-    /// RNG seed for initial placement and projection jitter.
-    pub seed: u64,
-}
+/// Force iterations at the coarsest level.
+const ITERS_COARSEST: usize = 600;
 
-impl Default for MultilevelEmbedConfig {
-    fn default() -> Self {
-        MultilevelEmbedConfig {
-            lattice: LatticeConfig::default(),
-            iters_coarsest: 600,
-            iters_smooth: 20,
-            theta: 1.1,
-            seed: 0x1A771CE,
-        }
-    }
-}
+/// Smoothing iterations per finer level (doubled on replicated levels,
+/// halved on the two finest).
+const ITERS_SMOOTH: usize = 20;
+
+/// Barnes–Hut theta for the replicated levels, which use exact
+/// (tree-approximated) repulsion instead of the lattice.
+const THETA: f64 = 1.1;
 
 /// Levels at or below this many vertices smooth with replicated
 /// coordinates instead of the distributed lattice (a few thousand vertices
@@ -67,21 +50,20 @@ pub fn lattice_dim(p: usize) -> usize {
 /// replica. For levels of a few thousand vertices this costs one small
 /// collective per iteration instead of halo + migration traffic, which is
 /// what any implementation does below the distribution-pays-off threshold.
-#[allow(clippy::too_many_arguments)]
+/// `cfg` supplies `C`, the iteration cap, the step and the cooling; its
+/// block is not used.
 fn replicated_smooth(
     g: &sp_graph::Graph,
     coords: &mut [Point2],
     active: usize,
-    max_iters: usize,
-    step0: f64,
-    theta: f64,
-    cooling: f64,
-    c: f64,
+    cfg: &LatticeConfig,
     machine: &mut Machine,
 ) {
-    let params = ForceParams::for_domain(c, g.n() as f64, g.n());
-    let ops = force_layout(g, coords, &params, theta, max_iters, step0, cooling);
-    let iters_est = max_iters.min((ops / (g.n().max(1) as f64 * 20.0)).ceil() as usize + 1);
+    let params = ForceParams::for_domain(cfg.c, g.n() as f64, g.n());
+    let ops = force_layout(g, coords, &params, THETA, cfg.iters, cfg.step0, cfg.cooling);
+    let iters_est = cfg
+        .iters
+        .min((ops / (g.n().max(1) as f64 * 20.0)).ceil() as usize + 1);
     let share = ops / active.max(1) as f64;
     let mut states: Vec<()> = vec![(); machine.p()];
     machine.compute(&mut states, |r, _| if r < active { share } else { 0.0 });
@@ -108,14 +90,17 @@ pub type Smoother<'a> = &'a mut dyn FnMut(
 ) -> LatticeStats;
 
 /// Embed the hierarchy's finest graph by multilevel lattice embedding on
-/// `machine`, charging all computation and communication. Returns finest
-/// coordinates.
+/// `machine`, charging all computation and communication. `block` is the
+/// lattice's iterations per global refresh and `seed` drives the initial
+/// placement and the projection jitter; every other setting is the
+/// lattice's [`LatticeConfig::default`]. Returns finest coordinates.
 pub fn multilevel_lattice_embed(
     h: &Hierarchy,
     machine: &mut Machine,
-    cfg: &MultilevelEmbedConfig,
+    block: usize,
+    seed: u64,
 ) -> Vec<Point2> {
-    multilevel_lattice_embed_with(h, machine, cfg, &mut lattice_smooth_with)
+    multilevel_lattice_embed_with(h, machine, block, seed, &mut lattice_smooth_with)
 }
 
 /// [`multilevel_lattice_embed`] with a caller-supplied lattice smoother
@@ -123,48 +108,36 @@ pub fn multilevel_lattice_embed(
 pub fn multilevel_lattice_embed_with(
     h: &Hierarchy,
     machine: &mut Machine,
-    cfg: &MultilevelEmbedConfig,
+    block: usize,
+    seed: u64,
     smoother: Smoother<'_>,
 ) -> Vec<Point2> {
     let p = machine.p();
     let k = h.depth() - 1;
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let lattice = LatticeConfig {
+        block,
+        ..LatticeConfig::default()
+    };
 
     // --- Coarsest level: random init + force embedding on the P^k active
     // ranks. The coarsest graph is tiny ("hundreds or few thousands"), so
-    // its coordinates are replicated: every active rank computes forces for
-    // its share of vertices against the full (Barnes–Hut-approximated)
-    // point set and an allgather refreshes the replica each iteration.
-    // The numerical layout is computed once here; the machine is charged
-    // work/P^k per rank plus the per-iteration allgather.
+    // its coordinates are replicated, as on every level below the
+    // replication threshold.
     let coarsest = h.coarsest();
     let mut coords = random_init(coarsest.n(), &mut rng);
-    let pk = ranks_at_level(p, k);
     machine.phase_labeled(Phase::Embed, "coarsest");
-    {
-        let params = ForceParams::for_domain(cfg.lattice.c, coarsest.n() as f64, coarsest.n());
-        let ops = force_layout(
-            coarsest,
-            &mut coords,
-            &params,
-            cfg.theta,
-            cfg.iters_coarsest,
-            cfg.lattice.step0.max(0.8),
-            cfg.lattice.cooling,
-        );
-        let iters_est = cfg
-            .iters_coarsest
-            .min((ops / (coarsest.n().max(1) as f64 * 20.0)).ceil() as usize + 1);
-        let share = ops / pk as f64;
-        let mut states: Vec<()> = vec![(); machine.p()];
-        machine.compute(&mut states, |r, _| if r < pk { share } else { 0.0 });
-        if pk > 1 {
-            let words = 2 * coarsest.n() / pk.max(1);
-            for _ in 0..iters_est {
-                machine.group_allgather_costed(pk, pk * words);
-            }
-        }
-    }
+    replicated_smooth(
+        coarsest,
+        &mut coords,
+        ranks_at_level(p, k),
+        &LatticeConfig {
+            iters: ITERS_COARSEST,
+            step0: lattice.step0.max(0.8),
+            ..lattice
+        },
+        machine,
+    );
     let mut scratch = SmoothScratch::new();
 
     // --- Project and smooth, coarse → fine. Coarse levels get more
@@ -176,11 +149,11 @@ pub fn multilevel_lattice_embed_with(
         machine.phase_labeled(Phase::Embed, &format!("smooth-{lvl}"));
         let n_level = h.levels[lvl].graph.n();
         let level_iters = if n_level <= REPLICATION_THRESHOLD {
-            cfg.iters_smooth * 2 // tiny replicated levels: thorough is free
+            ITERS_SMOOTH * 2 // tiny replicated levels: thorough is free
         } else if lvl <= 1 {
-            (cfg.iters_smooth / 2).max(6) // finest: local touch-up only
+            (ITERS_SMOOTH / 2).max(6) // finest: local touch-up only
         } else {
-            cfg.iters_smooth
+            ITERS_SMOOTH
         };
         let fine = &h.levels[lvl].graph;
         let map = h.levels[lvl].map_to_coarser.as_ref().unwrap();
@@ -189,7 +162,7 @@ pub fn multilevel_lattice_embed_with(
 
         // Projection: scale by 2 per dimension, jitter children around the
         // coarse position (a fraction of the new natural spacing).
-        let params = ForceParams::for_domain(cfg.lattice.c, fine.n() as f64, fine.n());
+        let params = ForceParams::for_domain(lattice.c, fine.n() as f64, fine.n());
         let jitter = params.k * 0.3;
         let mut fc: Vec<Point2> = map
             .iter()
@@ -230,31 +203,15 @@ pub fn multilevel_lattice_embed_with(
 
         // Smooth: distributed fixed-lattice scheme for big levels,
         // replicated force layout below the pays-off threshold.
+        let level_cfg = LatticeConfig {
+            iters: level_iters,
+            step0: lattice.step0 * 0.3,
+            ..lattice
+        };
         if q_lvl >= 2 && fine.n() > REPLICATION_THRESHOLD {
-            smoother(
-                fine,
-                &mut fc,
-                q_lvl,
-                machine,
-                &LatticeConfig {
-                    iters: level_iters,
-                    step0: cfg.lattice.step0 * 0.3,
-                    ..cfg.lattice
-                },
-                &mut scratch,
-            );
+            smoother(fine, &mut fc, q_lvl, machine, &level_cfg, &mut scratch);
         } else {
-            replicated_smooth(
-                fine,
-                &mut fc,
-                p_lvl.min(machine.p()),
-                level_iters,
-                cfg.lattice.step0 * 0.3,
-                cfg.theta,
-                cfg.lattice.cooling,
-                cfg.lattice.c,
-                machine,
-            );
+            replicated_smooth(fine, &mut fc, p_lvl.min(machine.p()), &level_cfg, machine);
         }
         coords = fc;
     }
@@ -304,7 +261,7 @@ mod tests {
         let g = grid_2d(24, 24);
         let h = hierarchy(&g);
         let mut m = Machine::new(16, CostModel::qdr_infiniband());
-        let coords = multilevel_lattice_embed(&h, &mut m, &MultilevelEmbedConfig::default());
+        let coords = multilevel_lattice_embed(&h, &mut m, 4, 0x1A771CE);
         assert_eq!(coords.len(), g.n());
         assert!(coords.iter().all(|c| c.is_finite()));
         // A median x-cut on the embedding should beat a random cut by a lot.
@@ -323,7 +280,7 @@ mod tests {
         let mut times = Vec::new();
         for p in [1usize, 16] {
             let mut m = Machine::new(p, CostModel::qdr_infiniband());
-            let _ = multilevel_lattice_embed(&h, &mut m, &MultilevelEmbedConfig::default());
+            let _ = multilevel_lattice_embed(&h, &mut m, 4, 0x1A771CE);
             times.push(m.elapsed());
         }
         assert!(
@@ -340,8 +297,8 @@ mod tests {
         let h = hierarchy(&g);
         let mut m1 = Machine::new(4, CostModel::qdr_infiniband());
         let mut m2 = Machine::new(4, CostModel::qdr_infiniband());
-        let a = multilevel_lattice_embed(&h, &mut m1, &MultilevelEmbedConfig::default());
-        let b = multilevel_lattice_embed(&h, &mut m2, &MultilevelEmbedConfig::default());
+        let a = multilevel_lattice_embed(&h, &mut m1, 4, 0x1A771CE);
+        let b = multilevel_lattice_embed(&h, &mut m2, 4, 0x1A771CE);
         assert_eq!(a, b);
     }
 }

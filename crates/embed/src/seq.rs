@@ -14,42 +14,27 @@ use sp_graph::Graph;
 use sp_machine::pool;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-/// Controls for the sequential embedder.
-#[derive(Clone, Copy, Debug)]
-pub struct SeqEmbedConfig {
-    /// Repulsion constant `C` (the paper's twiddle factor; Hu's 0.2).
-    pub c: f64,
-    /// Barnes–Hut opening threshold.
-    pub theta: f64,
-    /// Iterations at the coarsest level.
-    pub iters_coarsest: usize,
-    /// Smoothing iterations per finer level.
-    pub iters_smooth: usize,
-    /// Initial step as a fraction of `K`.
-    pub step0: f64,
-    /// Hu's adaptive step ratio `t` (step ×t on energy increase, ÷t after
-    /// five consecutive decreases).
-    pub cooling: f64,
-    /// RNG seed.
-    pub seed: u64,
-    /// Coarsening target for the internal hierarchy.
-    pub coarsest_size: usize,
-}
+/// Repulsion constant `C` (the paper's twiddle factor; Hu's 0.2).
+const C: f64 = 0.2;
 
-impl Default for SeqEmbedConfig {
-    fn default() -> Self {
-        SeqEmbedConfig {
-            c: 0.2,
-            theta: 0.85,
-            iters_coarsest: 300,
-            iters_smooth: 100,
-            step0: 0.9,
-            cooling: 0.9,
-            seed: 0xE3BED,
-            coarsest_size: 600,
-        }
-    }
-}
+/// Barnes–Hut opening threshold.
+const THETA: f64 = 0.85;
+
+/// Force iterations at the coarsest level.
+const ITERS_COARSEST: usize = 300;
+
+/// Smoothing iterations per finer level.
+const ITERS_SMOOTH: usize = 100;
+
+/// Initial step as a fraction of `K` (finer levels start at 0.4 of it).
+const STEP0: f64 = 0.9;
+
+/// Hu's adaptive step ratio `t` (step ×t on energy increase, ÷t after five
+/// consecutive decreases).
+const COOLING: f64 = 0.9;
+
+/// Coarsening target for the internal hierarchy.
+const COARSEST_SIZE: usize = 600;
 
 /// Uniform random coordinates in a box sized so natural spacing ≈ `K = 1`.
 pub fn random_init(n: usize, rng: &mut StdRng) -> Vec<Point2> {
@@ -204,57 +189,44 @@ pub fn force_layout(
 
 /// Full multilevel embedding of `g`: coarsen, random-init and embed the
 /// coarsest graph, then repeatedly project down (with small jitter) and
-/// smooth. Returns final coordinates.
-pub fn embed_multilevel_seq(g: &Graph, cfg: &SeqEmbedConfig) -> Vec<Point2> {
+/// smooth. `seed` drives the coarsening, the initial placement and the
+/// jitter. Returns final coordinates.
+pub fn embed_multilevel_seq(g: &Graph, seed: u64) -> Vec<Point2> {
     let h = Hierarchy::build(
         g,
         &CoarsenConfig {
-            target_coarsest: cfg.coarsest_size,
-            seed: cfg.seed,
+            target_coarsest: COARSEST_SIZE,
+            seed,
             ..Default::default()
         },
     );
-    embed_hierarchy_seq(&h, cfg)
-        .into_iter()
-        .next()
-        .expect("hierarchy has at least one level")
-}
-
-/// As [`embed_multilevel_seq`] but over a pre-built hierarchy; returns the
-/// coordinates of every level, indexed like the hierarchy (finest first).
-pub fn embed_hierarchy_seq(h: &Hierarchy, cfg: &SeqEmbedConfig) -> Vec<Vec<Point2>> {
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let k = h.depth() - 1;
+    let mut rng = StdRng::seed_from_u64(seed);
     let coarsest = h.coarsest();
     let mut coords = random_init(coarsest.n(), &mut rng);
-    let params = ForceParams::for_domain(cfg.c, area_for(coarsest.n()), coarsest.n());
+    let params = ForceParams::for_domain(C, area_for(coarsest.n()), coarsest.n());
     force_layout(
         coarsest,
         &mut coords,
         &params,
-        cfg.theta,
-        cfg.iters_coarsest,
-        cfg.step0,
-        cfg.cooling,
+        THETA,
+        ITERS_COARSEST,
+        STEP0,
+        COOLING,
     );
-    let mut per_level = vec![Vec::new(); h.depth()];
-    per_level[k] = coords;
-    for lvl in (0..k).rev() {
+    for lvl in (0..h.depth() - 1).rev() {
         let fine = &h.levels[lvl].graph;
         // Project: scale the coarse embedding by 2 per the paper, then
         // place fine vertices with small random translations about their
         // coarse vertex.
         // After the ×2 scaling a coarse box of side √n_c becomes ≈ √(4n_c)
         // ≈ √n_f, so the natural spacing K stays 1 at every level.
-        let coarse_coords = &per_level[lvl + 1];
-        let scaled: Vec<Point2> = coarse_coords.iter().map(|&p| p * 2.0).collect();
-        let fine_params = ForceParams::for_domain(cfg.c, area_for(fine.n()), fine.n());
+        let fine_params = ForceParams::for_domain(C, area_for(fine.n()), fine.n());
         let jitter = fine_params.k * 0.25;
         let map = h.levels[lvl].map_to_coarser.as_ref().unwrap();
         let mut fc: Vec<Point2> = map
             .iter()
             .map(|&cv| {
-                scaled[cv as usize]
+                coords[cv as usize] * 2.0
                     + Point2::new(
                         rng.random_range(-jitter..jitter),
                         rng.random_range(-jitter..jitter),
@@ -265,14 +237,14 @@ pub fn embed_hierarchy_seq(h: &Hierarchy, cfg: &SeqEmbedConfig) -> Vec<Vec<Point
             fine,
             &mut fc,
             &fine_params,
-            cfg.theta,
-            cfg.iters_smooth,
-            cfg.step0 * 0.4,
-            cfg.cooling,
+            THETA,
+            ITERS_SMOOTH,
+            STEP0 * 0.4,
+            COOLING,
         );
-        per_level[lvl] = fc;
+        coords = fc;
     }
-    per_level
+    coords
 }
 
 fn area_for(n: usize) -> f64 {
@@ -284,6 +256,8 @@ mod tests {
     use super::*;
     use crate::metrics::{edge_length_stats, embedding_spread};
     use sp_graph::gen::{delaunay_graph, grid_2d};
+
+    const SEED: u64 = 0xE3BED;
 
     /// Rand-free deterministic init (splitmix64) in the box `random_init`
     /// uses: what the tests below assert must not depend on which rand
@@ -363,14 +337,7 @@ mod tests {
         // The functional requirement: a coordinate bisection of the embedded
         // grid should cut far fewer edges than a random bisection.
         let g = grid_2d(20, 20);
-        let coords = embed_multilevel_seq(
-            &g,
-            &SeqEmbedConfig {
-                iters_coarsest: 100,
-                iters_smooth: 25,
-                ..Default::default()
-            },
-        );
+        let coords = embed_multilevel_seq(&g, SEED);
         assert_eq!(coords.len(), g.n());
         let mut xs: Vec<f64> = coords.iter().map(|p| p.x).collect();
         xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
@@ -386,7 +353,7 @@ mod tests {
     fn embedding_spreads_the_graph() {
         let mut rng = StdRng::seed_from_u64(5);
         let (g, _) = delaunay_graph(400, &mut rng);
-        let coords = embed_multilevel_seq(&g, &SeqEmbedConfig::default());
+        let coords = embed_multilevel_seq(&g, SEED);
         // The spread metric compares the bbox diagonal to the distance of
         // index-consecutive samples (an over-estimate of the local scale),
         // so well-spread embeddings land around 3–10 and collapsed ones ≈ 1.
@@ -397,8 +364,8 @@ mod tests {
     #[test]
     fn deterministic_under_seed() {
         let g = grid_2d(10, 10);
-        let a = embed_multilevel_seq(&g, &SeqEmbedConfig::default());
-        let b = embed_multilevel_seq(&g, &SeqEmbedConfig::default());
+        let a = embed_multilevel_seq(&g, SEED);
+        let b = embed_multilevel_seq(&g, SEED);
         assert_eq!(a, b);
     }
 
@@ -406,12 +373,8 @@ mod tests {
     fn multilevel_returns_finest_level_coordinates() {
         // Regression: with a deep hierarchy the returned coordinates must
         // cover the *input* graph, not the coarsest level.
-        let g = grid_2d(50, 50); // 2500 > default coarsest_size, so depth ≥ 2
-        let cfg = SeqEmbedConfig {
-            coarsest_size: 300,
-            ..Default::default()
-        };
-        let coords = embed_multilevel_seq(&g, &cfg);
+        let g = grid_2d(50, 50); // 2500 > COARSEST_SIZE, so depth ≥ 2
+        let coords = embed_multilevel_seq(&g, SEED);
         assert_eq!(coords.len(), g.n());
     }
 }

@@ -22,13 +22,6 @@ impl GreatCircle {
         }
     }
 
-    pub fn with_offset(normal: Point3, offset: f64) -> Self {
-        GreatCircle {
-            normal: normal.normalized(),
-            offset,
-        }
-    }
-
     /// Signed distance of a sphere point from the cutting plane.
     #[inline]
     pub fn signed(&self, p: Point3) -> f64 {
@@ -82,13 +75,6 @@ mod tests {
         assert!(gc.side(Point3::new(0.0, 0.0, 1.0)));
         assert!(!gc.side(Point3::new(0.0, 0.0, -1.0)));
         assert_eq!(gc.signed(Point3::new(1.0, 0.0, 0.0)), 0.0);
-    }
-
-    #[test]
-    fn offset_shifts_the_split() {
-        let gc = GreatCircle::with_offset(Point3::new(0.0, 0.0, 1.0), 0.5);
-        assert!(!gc.side(Point3::new(1.0, 0.0, 0.0)));
-        assert!(gc.side(Point3::new(0.0, 0.0, 1.0)));
     }
 
     #[test]

@@ -48,13 +48,6 @@ impl Point2 {
         (self - o).norm()
     }
 
-    /// L1 (Manhattan) distance; the lattice ghost-clamping rule in the paper
-    /// places ghosts at shortest L1 distance.
-    #[inline]
-    pub fn dist_l1(self, o: Point2) -> f64 {
-        (self.x - o.x).abs() + (self.y - o.y).abs()
-    }
-
     /// Unit vector in the direction of `self`, or zero if degenerate.
     #[inline]
     pub fn normalized(self) -> Point2 {
@@ -127,14 +120,6 @@ impl Point3 {
     pub fn is_finite(self) -> bool {
         self.x.is_finite() && self.y.is_finite() && self.z.is_finite()
     }
-
-    pub fn as_array(self) -> [f64; 3] {
-        [self.x, self.y, self.z]
-    }
-
-    pub fn from_array(a: [f64; 3]) -> Self {
-        Point3::new(a[0], a[1], a[2])
-    }
 }
 
 macro_rules! impl_ops2 {
@@ -198,7 +183,6 @@ mod tests {
         let a = Point2::new(0.0, 0.0);
         let b = Point2::new(3.0, 4.0);
         assert_eq!(a.dist(b), 5.0);
-        assert_eq!(a.dist_l1(b), 7.0);
         assert_eq!(b.norm_sq(), 25.0);
         let u = b.normalized();
         assert!((u.norm() - 1.0).abs() < 1e-12);

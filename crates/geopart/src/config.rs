@@ -9,12 +9,14 @@ pub struct GeoConfig {
     pub circles_per_centerpoint: usize,
     /// Line (hyperplane) separators tried.
     pub n_lines: usize,
-    /// Sample size for the centerpoint approximation.
-    pub sample_size: usize,
-    /// Allowed imbalance for a try to be eligible (median splits are
-    /// exactly balanced; parallel sampled medians are nearly so).
-    pub balance_tol: f64,
 }
+
+/// Sample size for the centerpoint approximation.
+pub(crate) const SAMPLE_SIZE: usize = 1000;
+
+/// Allowed imbalance for a try to be eligible (median splits are exactly
+/// balanced; parallel sampled medians are nearly so).
+pub(crate) const BALANCE_TOL: f64 = 0.10;
 
 impl GeoConfig {
     /// The paper's G30: best of 30 tries — 22 great circles over 2
@@ -24,8 +26,6 @@ impl GeoConfig {
             n_centerpoints: 2,
             circles_per_centerpoint: 11,
             n_lines: 7,
-            sample_size: 1000,
-            balance_tol: 0.10,
         }
     }
 
@@ -35,8 +35,6 @@ impl GeoConfig {
             n_centerpoints: 1,
             circles_per_centerpoint: 5,
             n_lines: 2,
-            sample_size: 1000,
-            balance_tol: 0.10,
         }
     }
 

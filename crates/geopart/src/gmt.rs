@@ -1,6 +1,6 @@
 //! Sequential Gilbert–Miller–Teng geometric mesh partitioning.
 
-use crate::config::GeoConfig;
+use crate::config::{GeoConfig, BALANCE_TOL, SAMPLE_SIZE};
 use crate::separator::{median, Separator, SeparatorKind};
 use rand::Rng;
 use sp_geometry::{
@@ -82,7 +82,7 @@ pub fn geometric_partition<R: Rng>(
     let mut best: Option<(usize, Separator, Bisection)> = None;
     let mut try_cuts = Vec::with_capacity(cfg.total_tries());
     let cp_cfg = CenterpointConfig {
-        sample_size: cfg.sample_size,
+        sample_size: SAMPLE_SIZE,
         iterations: 400,
     };
 
@@ -101,7 +101,7 @@ pub fn geometric_partition<R: Rng>(
                     kind: SeparatorKind::Circle { normal, offset },
                     signed,
                 },
-                cfg.balance_tol,
+                BALANCE_TOL,
                 &mut best,
                 &mut try_cuts,
             );
@@ -126,7 +126,7 @@ pub fn geometric_partition<R: Rng>(
                 kind: SeparatorKind::Line { dir, threshold },
                 signed,
             },
-            cfg.balance_tol,
+            BALANCE_TOL,
             &mut best,
             &mut try_cuts,
         );

@@ -8,7 +8,7 @@
 //! Circle offsets come from the gathered sample's median, so the split is
 //! near-balanced without a distributed median search.
 
-use crate::config::GeoConfig;
+use crate::config::{GeoConfig, BALANCE_TOL, SAMPLE_SIZE};
 use crate::gmt::GeoPartResult;
 use crate::separator::{median, Separator, SeparatorKind};
 use rand::rngs::StdRng;
@@ -108,7 +108,7 @@ fn generate_tries(
     }
 
     // --- Sampling across ranks + allgather.
-    let total_sample = cfg.sample_size.min(n);
+    let total_sample = SAMPLE_SIZE.min(n);
     let stride = (n / total_sample.max(1)).max(1);
     let sample: Vec<Point2> = (0..n)
         .step_by(stride)
@@ -123,7 +123,7 @@ fn generate_tries(
 
     // --- Redundant separator generation on every rank (identical stream).
     let cp_cfg = CenterpointConfig {
-        sample_size: cfg.sample_size,
+        sample_size: SAMPLE_SIZE,
         iterations: 400,
     };
     let mut centered = Vec::with_capacity(cfg.n_centerpoints);
@@ -146,7 +146,7 @@ fn generate_tries(
     // (No line separators in the parallel formulation — the paper's NL.)
     {
         // Charge the redundant centerpoint + circle generation per rank.
-        let cost = (cfg.sample_size * (cfg.n_centerpoints * 3 + cfg.total_tries())) as f64;
+        let cost = (SAMPLE_SIZE * (cfg.n_centerpoints * 3 + cfg.total_tries())) as f64;
         let mut states: Vec<()> = vec![(); p];
         machine.compute(&mut states, |_, _| cost);
     }
@@ -232,7 +232,7 @@ pub fn parallel_geometric_partition(
     assert_eq!(dist.p, machine.p());
     let tries = generate_tries(coords, dist, machine, cfg, seed);
     let contribs = local_contributions(g, coords, dist, machine, &tries);
-    select_separator(g, coords, machine, cfg, &tries, &contribs)
+    select_separator(g, coords, machine, &tries, &contribs)
 }
 
 /// Three short reductions (cut totals, balance totals, winner), then the
@@ -255,7 +255,6 @@ fn select_separator(
     g: &Graph,
     coords: &[Point2],
     machine: &mut Machine,
-    cfg: &GeoConfig,
     tries: &Tries,
     contribs: &[Vec<f64>],
 ) -> GeoPartResult {
@@ -269,7 +268,7 @@ fn select_separator(
         let cut = totals[2 * ti] as usize;
         let side1 = totals[2 * ti + 1];
         let imb = (side1.max(n as f64 - side1)) / (n as f64 / 2.0) - 1.0;
-        if side1 > 0.0 && side1 < n as f64 && imb <= cfg.balance_tol && cut < best_cut {
+        if side1 > 0.0 && side1 < n as f64 && imb <= BALANCE_TOL && cut < best_cut {
             best_cut = cut;
             best_try = Some(ti);
         }
@@ -393,7 +392,7 @@ mod tests {
         m.set_recorder(Box::new(TraceRecorder::new(p)));
         let tries = generate_tries(coords, &dist, &mut m, cfg, 11);
         let contribs = count(g, coords, &dist, &mut m, &tries);
-        let r = select_separator(g, coords, &mut m, cfg, &tries, &contribs);
+        let r = select_separator(g, coords, &mut m, &tries, &contribs);
         r.validate(g).unwrap();
         // A winner's cut is its histogram count, the fallback's a scan.
         assert_eq!(r.cut, r.bisection.cut_edges(g));

@@ -101,20 +101,6 @@ pub fn cut_of<G: GraphAccess>(g: &G, bi: &Bisection) -> f64 {
     c
 }
 
-/// Unweighted cut-edge count over any graph store.
-pub fn cut_edges_of<G: GraphAccess>(g: &G, bi: &Bisection) -> usize {
-    let mut c = 0;
-    for v in 0..g.n() as u32 {
-        let sv = bi.side(v);
-        for (u, _) in g.neighbors_w(v) {
-            if u > v && bi.side(u) != sv {
-                c += 1;
-            }
-        }
-    }
-    c
-}
-
 /// Per-side vertex weights, accumulated in ascending vertex order
 /// (bit-identical to [`Bisection::weights`] on CSR).
 pub fn weights_of<G: GraphAccess>(g: &G, bi: &Bisection) -> (f64, f64) {
@@ -155,7 +141,6 @@ mod tests {
         let g = diamond();
         let bi = Bisection::new(vec![0, 0, 1, 1]);
         assert_eq!(cut_of(&g, &bi), bi.cut(&g));
-        assert_eq!(cut_edges_of(&g, &bi), bi.cut_edges(&g));
         assert_eq!(weights_of(&g, &bi), bi.weights(&g));
         assert_eq!(imbalance_of(&g, &bi), bi.imbalance(&g));
         assert_eq!(GraphAccess::total_vwgt(&g), g.total_vwgt());

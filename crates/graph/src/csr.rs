@@ -81,11 +81,6 @@ impl Graph {
         self.vwgt.iter().sum()
     }
 
-    /// Sum of undirected edge weights.
-    pub fn total_ewgt(&self) -> f64 {
-        self.ewgt.iter().sum::<f64>() / 2.0
-    }
-
     /// Raw CSR offsets (for algorithms that stream the structure).
     #[inline]
     pub fn xadj(&self) -> &[usize] {
@@ -272,11 +267,6 @@ impl GraphBuilder {
         self.vwgt[v as usize] = w;
     }
 
-    /// Number of (possibly duplicate) edges added so far.
-    pub fn edge_count(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Finish: sort, merge duplicates by summing their weights, emit
     /// symmetric CSR ([`crate::build::csr_from_edges`]). The transient
     /// peak is the tuple buffer plus the final CSR.
@@ -340,7 +330,6 @@ mod tests {
         b.add_edge(1, 2, 6.0);
         let g = b.build();
         assert_eq!(g.total_vwgt(), 6.0);
-        assert_eq!(g.total_ewgt(), 10.0);
         assert_eq!(g.vwgt(0), 2.0);
         assert_eq!(g.avg_degree(), 4.0 / 3.0);
         assert_eq!(g.max_degree(), 2);

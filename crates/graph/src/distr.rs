@@ -69,43 +69,6 @@ impl Distribution {
         max / (self.owner.len() as f64 / self.p as f64)
     }
 
-    /// Boundary vertices of `rank`: owned vertices with a neighbour owned
-    /// elsewhere (the paper's `Ṽ_{i,j}`).
-    pub fn boundary_of(&self, g: &Graph, rank: u32) -> Vec<u32> {
-        let mut out = Vec::new();
-        for v in 0..g.n() as u32 {
-            if self.owner[v as usize] != rank {
-                continue;
-            }
-            if g.neighbors(v)
-                .iter()
-                .any(|&u| self.owner[u as usize] != rank)
-            {
-                out.push(v);
-            }
-        }
-        out
-    }
-
-    /// Ghost vertices of `rank`: non-owned vertices adjacent to an owned
-    /// vertex (the paper's `V̂_{i,j}`), deduplicated and sorted.
-    pub fn ghosts_of(&self, g: &Graph, rank: u32) -> Vec<u32> {
-        let mut out = Vec::new();
-        for v in 0..g.n() as u32 {
-            if self.owner[v as usize] != rank {
-                continue;
-            }
-            for &u in g.neighbors(v) {
-                if self.owner[u as usize] != rank {
-                    out.push(u);
-                }
-            }
-        }
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
     /// Total number of edges crossing rank boundaries (each counted once).
     pub fn cross_edges(&self, g: &Graph) -> usize {
         let mut c = 0;
@@ -157,14 +120,10 @@ mod tests {
     }
 
     #[test]
-    fn boundary_and_ghosts_are_consistent() {
+    fn cross_edges_count_the_seam() {
         let g = grid_2d(4, 4);
-        let d = Distribution::block(16, 2); // rows 0-1 vs 2-3
-        let b0 = d.boundary_of(&g, 0);
-        let g0 = d.ghosts_of(&g, 0);
-        // Rank 0 owns vertices 0..8; boundary is the second row (4..8).
-        assert_eq!(b0, vec![4, 5, 6, 7]);
-        assert_eq!(g0, vec![8, 9, 10, 11]);
+        // Rows 0-1 vs 2-3: the seam is the four edges between rows 1 and 2.
+        let d = Distribution::block(16, 2);
         assert_eq!(d.cross_edges(&g), 4);
     }
 
@@ -172,8 +131,6 @@ mod tests {
     fn single_rank_has_no_boundary() {
         let g = grid_2d(3, 3);
         let d = Distribution::block(9, 1);
-        assert!(d.boundary_of(&g, 0).is_empty());
-        assert!(d.ghosts_of(&g, 0).is_empty());
         assert_eq!(d.cross_edges(&g), 0);
     }
 }

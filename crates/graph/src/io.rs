@@ -361,15 +361,6 @@ pub fn read_coords<R: BufRead>(r: R) -> Result<Vec<Point2>, String> {
     Ok(pts)
 }
 
-/// Write coordinates, one `x y` pair per line.
-pub fn write_coords<W: Write>(pts: &[Point2], w: W) -> std::io::Result<()> {
-    let mut out = BufWriter::new(w);
-    for p in pts {
-        writeln!(out, "{} {}", p.x, p.y)?;
-    }
-    out.flush()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -581,9 +572,8 @@ mod tests {
     #[test]
     fn coords_roundtrip() {
         let pts = vec![Point2::new(0.5, -1.25), Point2::new(3.0, 4.0)];
-        let mut buf = Vec::new();
-        write_coords(&pts, &mut buf).unwrap();
-        let back = read_coords(buf.as_slice()).unwrap();
+        let text: String = pts.iter().map(|p| format!("{} {}\n", p.x, p.y)).collect();
+        let back = read_coords(text.as_bytes()).unwrap();
         assert_eq!(back, pts);
     }
 

@@ -26,25 +26,6 @@ impl CostModel {
         }
     }
 
-    /// A latency-heavy interconnect (commodity Ethernet-class); useful in
-    /// ablations to show how the crossover points move.
-    pub fn ethernet() -> Self {
-        CostModel {
-            t_s: 3.0e-5,
-            t_w: 1.0e-8,
-            t_op: 5.0e-9,
-        }
-    }
-
-    /// Zero-cost communication; isolates pure compute scaling in tests.
-    pub fn free_comm() -> Self {
-        CostModel {
-            t_s: 0.0,
-            t_w: 0.0,
-            t_op: 5.0e-9,
-        }
-    }
-
     /// Time to send one message of `words` 8-byte words.
     #[inline]
     pub fn msg(&self, words: usize) -> f64 {
@@ -92,14 +73,5 @@ mod tests {
         assert_eq!(c.collective(2, 0), 1.0);
         assert_eq!(c.collective(1024, 0), 10.0);
         assert_eq!(c.collective(1000, 0), 10.0); // ceil(log2 1000) = 10
-    }
-
-    #[test]
-    fn presets_are_ordered_sensibly() {
-        let ib = CostModel::qdr_infiniband();
-        let eth = CostModel::ethernet();
-        assert!(ib.t_s < eth.t_s);
-        assert!(ib.t_w < eth.t_w);
-        assert_eq!(CostModel::free_comm().msg(100), 0.0);
     }
 }

@@ -167,11 +167,6 @@ impl Machine {
         self.schedule = Some(sched);
     }
 
-    /// The installed schedule's seed, if any (for failure reports).
-    pub fn schedule_seed(&self) -> Option<u64> {
-        self.schedule.as_ref().map(|s| s.seed)
-    }
-
     /// Install a timing perturbation (compute skew, collective delay).
     /// Perturbations change simulated time but must never change data.
     pub fn set_perturbation(&mut self, pert: &Perturbation) {

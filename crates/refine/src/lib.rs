@@ -11,4 +11,4 @@ pub mod strip;
 pub use band::band_by_hops;
 pub use fm::{fm_refine, fm_refine_on, FmConfig, FmStats};
 pub use naive::naive_fm_refine;
-pub use strip::{strip_around_separator, strip_refine, StripRefinement};
+pub use strip::{strip_around_separator, strip_refine, StripRefinement, STRIP_FACTOR, STRIP_FM};

@@ -14,6 +14,18 @@ use crate::fm::{fm_refine, FmConfig, FmStats};
 use sp_graph::{Bisection, Graph};
 use sp_machine::Machine;
 
+/// The strip's size as a multiple of the separator's: ScalaPart's default
+/// and the one `sp-stream`'s full step uses (Fig 2 shows 5.6×).
+pub const STRIP_FACTOR: f64 = 6.0;
+
+/// The FM settings of ScalaPart's strip refinement, which `sp-stream`'s
+/// localized and full steps share.
+pub const STRIP_FM: FmConfig = FmConfig {
+    max_passes: 4,
+    balance_tol: 0.08,
+    move_fraction: 1.0,
+};
+
 /// What [`strip_refine`] did.
 #[derive(Clone, Copy, Debug)]
 pub struct StripRefinement {

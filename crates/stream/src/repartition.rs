@@ -3,7 +3,7 @@
 //! ROADMAP item 3, and the workload the paper's conclusion motivates: a
 //! deforming mesh streams updates; instead of re-partitioning from
 //! scratch each step, the [`IncrementalRepartitioner`] keeps the previous
-//! bisection, computes the *dirty region* (vertices within a configurable
+//! bisection, computes the *dirty region* (vertices within a fixed
 //! hop radius of any touched vertex), and re-refines only that region
 //! with the existing FM machinery — running directly on the
 //! [`DeltaOverlay`], no CSR rebuild. When the dirty region exceeds a
@@ -37,25 +37,16 @@ use sp_graph::access;
 use sp_graph::distr::Distribution;
 use sp_graph::Bisection;
 use sp_machine::{CostModel, Machine};
-use sp_refine::{fm_refine, fm_refine_on, strip_refine, FmConfig};
+use sp_refine::{fm_refine, fm_refine_on, strip_refine, STRIP_FACTOR, STRIP_FM};
 use sp_trace::fnv::Fingerprint;
 use std::collections::BTreeSet;
 use std::time::Instant;
 
-/// Controls for the incremental repartitioner.
+/// Controls for the incremental repartitioner. The refinement and try
+/// policy are ScalaPart's own: [`STRIP_FM`] for every FM run, G7-NL and
+/// [`STRIP_FACTOR`] for the geometric full step.
 #[derive(Clone, Copy, Debug)]
 pub struct StreamConfig {
-    /// Dirty region = vertices within this many hops of a touched vertex.
-    pub hop_radius: u32,
-    /// Fall back to a full re-partition when the dirty fraction of the
-    /// vertex set exceeds this.
-    pub full_threshold: f64,
-    /// FM settings for both the localized and the full-path refinement.
-    pub fm: FmConfig,
-    /// Geometric try policy for the full fallback (needs coordinates).
-    pub geo: GeoConfig,
-    /// Strip size multiple for the full fallback's refinement.
-    pub strip_factor: f64,
     /// Simulated ranks charged for repartition work.
     pub ranks: usize,
     /// Master seed for the geometric fallback.
@@ -65,20 +56,18 @@ pub struct StreamConfig {
 impl Default for StreamConfig {
     fn default() -> Self {
         StreamConfig {
-            hop_radius: 2,
-            full_threshold: 0.25,
-            fm: FmConfig {
-                max_passes: 4,
-                balance_tol: 0.08,
-                move_fraction: 1.0,
-            },
-            geo: GeoConfig::g7_nl(),
-            strip_factor: 6.0,
             ranks: 64,
             seed: 0x5CA_1A9_A87,
         }
     }
 }
+
+/// Dirty region = vertices within this many hops of a touched vertex.
+const HOP_RADIUS: u32 = 2;
+
+/// A step falls back to a full re-partition when the dirty fraction of the
+/// vertex set exceeds this.
+const FULL_THRESHOLD: f64 = 0.25;
 
 /// How a step was executed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -194,11 +183,6 @@ impl IncrementalRepartitioner {
         self.steps
     }
 
-    /// FNV fingerprint of the current side assignment.
-    pub fn partition_fingerprint(&self) -> u64 {
-        partition_fp(&self.side)
-    }
-
     /// Fold the overlay's chain into its base now (pure representation
     /// change; exposed so tests can interleave compaction arbitrarily).
     pub fn force_rebase(&mut self) {
@@ -230,7 +214,7 @@ impl IncrementalRepartitioner {
         let step = self.steps;
         self.steps += 1;
 
-        let report = if dirty_frac > self.cfg.full_threshold {
+        let report = if dirty_frac > FULL_THRESHOLD {
             self.run_full(step, touched, dirty, false)
         } else {
             self.run_incremental(step, touched, dirty)
@@ -250,14 +234,14 @@ impl IncrementalRepartitioner {
     }
 
     /// Move the pending set into `dirty` and grow it to its closure within
-    /// `hop_radius` hops, one BFS level per hop; the list is the queue.
+    /// [`HOP_RADIUS`] hops, one BFS level per hop; the list is the queue.
     fn mark_dirty(&mut self) {
         self.dirty.extend(std::mem::take(&mut self.pending));
         for &v in &self.dirty {
             self.mask[v as usize] = true;
         }
         let mut level = 0..self.dirty.len();
-        for _ in 0..self.cfg.hop_radius {
+        for _ in 0..HOP_RADIUS {
             for i in level.clone() {
                 for (u, _) in self.overlay.neighbors_w(self.dirty[i]) {
                     if !self.mask[u as usize] {
@@ -273,12 +257,7 @@ impl IncrementalRepartitioner {
     fn run_incremental(&mut self, step: u64, touched: usize, dirty: usize) -> StepReport {
         let t0 = Instant::now();
         let mut machine = Machine::new(self.cfg.ranks, CostModel::qdr_infiniband());
-        let st = fm_refine_on(
-            &self.overlay,
-            &mut self.side,
-            Some(&self.mask),
-            &self.cfg.fm,
-        );
+        let st = fm_refine_on(&self.overlay, &mut self.side, Some(&self.mask), &STRIP_FM);
         st.charge(&mut machine);
         StepReport {
             step,
@@ -316,7 +295,7 @@ impl IncrementalRepartitioner {
                     coords,
                     &dist,
                     &mut machine,
-                    &self.cfg.geo,
+                    &GeoConfig::g7_nl(),
                     self.cfg.seed ^ 0x9E0,
                 );
                 let mut bi = geo.bisection;
@@ -325,8 +304,8 @@ impl IncrementalRepartitioner {
                     &mut bi,
                     &geo.separator.signed,
                     geo.cut,
-                    self.cfg.strip_factor,
-                    &self.cfg.fm,
+                    STRIP_FACTOR,
+                    &STRIP_FM,
                     &mut machine,
                 )
                 .map_or(0, |r| r.stats.passes);
@@ -349,7 +328,7 @@ impl IncrementalRepartitioner {
                         bi.set(v, u8::from(acc > total / 2.0));
                     }
                 }
-                let st = fm_refine(&g, &mut bi, None, &self.cfg.fm);
+                let st = fm_refine(&g, &mut bi, None, &STRIP_FM);
                 st.charge(&mut machine);
                 passes = st.passes;
                 bi
@@ -447,7 +426,7 @@ mod tests {
         let (c0, c1) = rp.partition().counts();
         assert!(c0 > 0 && c1 > 0, "both sides populated ({c0}/{c1})");
         assert!(report.cut_after > 0.0);
-        assert!(rp.imbalance() <= rp.cfg.fm.balance_tol + 1e-9);
+        assert!(rp.imbalance() <= STRIP_FM.balance_tol + 1e-9);
         rp.partition().validate(rp.overlay().base()).unwrap();
     }
 

@@ -159,7 +159,7 @@ pub fn run_perturbations(g: &Graph, cfg: &FuzzConfig) -> PerturbReport {
     // *tolerated*: outputs may differ, but every invariant must hold.
     for block in [1usize, 8] {
         let mut stale_cfg = cfg.clone();
-        stale_cfg.sp.embed.lattice.block = block;
+        stale_cfg.sp.block = block;
         let run = run_perturbed(g, &stale_cfg, None);
         let name: &'static str = if block == 1 {
             "staleness-block-1"
