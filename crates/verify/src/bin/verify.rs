@@ -1,16 +1,16 @@
 //! `verify` — run the deterministic-simulation verification suite from the
-//! command line. Exit code 0 means every fuzzed schedule produced
-//! bit-identical output with zero invariant violations; exit code 1 prints
-//! each violation with the seed that replays it.
+//! command line. Exit code 0 means every selected stage held; exit code 1
+//! prints each failure with the seed that replays it; exit code 2 is a
+//! usage error.
 //!
 //! ```text
 //! verify [--ranks N] [--schedules N] [--seed HEX] [--graph grid:RxC|delaunay:N]
-//!        [--replay HEX] [--skip-perturb] [--skip-passivity] [--skip-parallel]
-//!        [--skip-multinode] [--multinode-requests N] [--multinode-shards N]
-//!        [--skip-incremental] [--incremental-streams N] [--incremental-steps N]
-//!        [--skip-repr] [--self-test]
+//!        [--replay HEX] [--stages fuzz,passivity,...] [--self-test]
+//!        [--multinode-requests N] [--multinode-shards N]
+//!        [--incremental-streams N] [--incremental-steps N]
 //! ```
 
+use std::cell::OnceCell;
 use std::process::ExitCode;
 
 use rand::rngs::StdRng;
@@ -18,40 +18,79 @@ use rand::SeedableRng;
 use sp_geometry::Point2;
 use sp_graph::gen::{delaunay_graph, grid_2d, grid_2d_coords};
 use sp_graph::Graph;
+use sp_verify::multinode::{MIN_REQUESTS, SHARDS};
 use sp_verify::{
     run_campaign, run_incremental_campaign, run_multinode_campaign, run_once,
-    run_parallel_campaign, run_passivity, run_perturbations, run_repr_campaign, FuzzConfig,
-    IncrementalFuzzConfig, MultinodeFuzzConfig, ParallelFuzzConfig, ReprFuzzConfig,
+    run_parallel_campaign, run_passivity, run_perturbations, run_repr_campaign, Baseline,
+    FuzzConfig, IncrementalFuzzConfig, MultinodeFuzzConfig, Report, Run,
 };
 
+/// What every stage reads: the graph, the campaign settings, and the
+/// baseline, computed the first time a stage asks for it.
+struct Inputs {
+    g: Graph,
+    coords: Vec<Point2>,
+    fuzz: FuzzConfig,
+    multinode: MultinodeFuzzConfig,
+    incremental: IncrementalFuzzConfig,
+    baseline: OnceCell<Baseline>,
+}
+
+impl Inputs {
+    fn baseline(&self) -> &Baseline {
+        self.baseline.get_or_init(|| {
+            let b = Baseline::compute(&self.g, self.fuzz.ranks);
+            println!(
+                "baseline: fingerprint {:#018x}, simulated {:.6}s (serial, no observer)",
+                b.fingerprint, b.elapsed
+            );
+            b
+        })
+    }
+}
+
+type Stage = (&'static str, fn(&Inputs) -> Report);
+
+/// Every stage, in the order they run.
+const STAGES: [Stage; 7] = [
+    ("fuzz", |i| run_campaign(&i.g, &i.fuzz, i.baseline())),
+    ("passivity", |i| run_passivity(&i.g, &i.fuzz, i.baseline())),
+    ("parallel", |i| {
+        run_parallel_campaign(&i.g, i.fuzz.ranks, i.baseline())
+    }),
+    ("multinode", |i| run_multinode_campaign(&i.multinode)),
+    ("incremental", |i| {
+        run_incremental_campaign(&i.g, Some(&i.coords), &i.incremental)
+    }),
+    ("repr", |i| run_repr_campaign(&i.g)),
+    ("perturb", |i| {
+        run_perturbations(&i.g, &i.fuzz, i.baseline())
+    }),
+];
+
 struct Cli {
-    ranks: usize,
-    schedules: usize,
-    seed: u64,
     graph: String,
     replay: Option<u64>,
-    skip_perturb: bool,
-    skip_passivity: bool,
-    skip_parallel: bool,
-    skip_multinode: bool,
-    skip_incremental: bool,
-    skip_repr: bool,
-    multinode_requests: usize,
-    multinode_shards: usize,
-    incremental_streams: usize,
-    incremental_steps: usize,
+    stages: Vec<String>,
     self_test: bool,
+    fuzz: FuzzConfig,
+    multinode: MultinodeFuzzConfig,
+    incremental: IncrementalFuzzConfig,
 }
 
 fn usage() -> ! {
     eprintln!(
         "usage: verify [--ranks N] [--schedules N] [--seed HEX] \
-         [--graph grid:RxC|delaunay:N] [--replay HEX] [--skip-perturb] \
-         [--skip-passivity] [--skip-parallel] [--skip-multinode] \
-         [--multinode-requests N] [--multinode-shards N] \
-         [--skip-incremental] [--incremental-streams N] \
-         [--incremental-steps N] [--skip-repr] [--self-test]"
+         [--graph grid:RxC|delaunay:N] [--replay HEX] [--stages fuzz,passivity,...] \
+         [--self-test] [--multinode-requests N] [--multinode-shards N] \
+         [--incremental-streams N] [--incremental-steps N]"
     );
+    std::process::exit(2)
+}
+
+/// A usage error: one line naming it, then exit 2.
+fn reject(msg: String) -> ! {
+    eprintln!("verify: {msg}");
     std::process::exit(2)
 }
 
@@ -61,30 +100,25 @@ fn parse_u64(s: &str) -> u64 {
     } else {
         s.parse()
     };
-    r.unwrap_or_else(|_| {
-        eprintln!("verify: bad number {s:?}");
-        usage()
-    })
+    r.unwrap_or_else(|_| reject(format!("bad number {s:?}")))
 }
 
 fn parse_cli() -> Cli {
+    let fuzz = FuzzConfig::default();
     let mut cli = Cli {
-        ranks: 16,
-        schedules: 8,
-        seed: 0x5CA1_AB1E,
         graph: "grid:48x48".to_string(),
         replay: None,
-        skip_perturb: false,
-        skip_passivity: false,
-        skip_parallel: false,
-        skip_multinode: false,
-        skip_incremental: false,
-        skip_repr: false,
-        multinode_requests: MultinodeFuzzConfig::default().requests,
-        multinode_shards: MultinodeFuzzConfig::default().shards,
-        incremental_streams: IncrementalFuzzConfig::default().streams,
-        incremental_steps: IncrementalFuzzConfig::default().steps,
+        stages: STAGES.iter().map(|(name, _)| name.to_string()).collect(),
         self_test: false,
+        multinode: MultinodeFuzzConfig {
+            master_seed: fuzz.master_seed,
+            ..MultinodeFuzzConfig::default()
+        },
+        incremental: IncrementalFuzzConfig {
+            seed: fuzz.master_seed,
+            ..IncrementalFuzzConfig::default()
+        },
+        fuzz,
     };
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -95,28 +129,56 @@ fn parse_cli() -> Cli {
             })
         };
         match a.as_str() {
-            "--ranks" => cli.ranks = parse_u64(&val()) as usize,
-            "--schedules" => cli.schedules = parse_u64(&val()) as usize,
-            "--seed" => cli.seed = parse_u64(&val()),
+            "--ranks" => cli.fuzz.ranks = parse_u64(&val()) as usize,
+            "--schedules" => cli.fuzz.schedules = parse_u64(&val()) as usize,
+            "--seed" => {
+                let seed = parse_u64(&val());
+                cli.fuzz.master_seed = seed;
+                cli.multinode.master_seed = seed;
+                cli.incremental.seed = seed;
+            }
             "--graph" => cli.graph = val(),
             "--replay" => cli.replay = Some(parse_u64(&val())),
-            "--skip-perturb" => cli.skip_perturb = true,
-            "--skip-passivity" => cli.skip_passivity = true,
-            "--skip-parallel" => cli.skip_parallel = true,
-            "--skip-multinode" => cli.skip_multinode = true,
-            "--skip-incremental" => cli.skip_incremental = true,
-            "--skip-repr" => cli.skip_repr = true,
-            "--multinode-requests" => cli.multinode_requests = parse_u64(&val()) as usize,
-            "--multinode-shards" => cli.multinode_shards = parse_u64(&val()) as usize,
-            "--incremental-streams" => cli.incremental_streams = parse_u64(&val()) as usize,
-            "--incremental-steps" => cli.incremental_steps = parse_u64(&val()) as usize,
+            "--stages" => cli.stages = val().split(',').map(str::to_string).collect(),
             "--self-test" => cli.self_test = true,
+            "--multinode-requests" => cli.multinode.requests = parse_u64(&val()) as usize,
+            "--multinode-shards" => cli.multinode.shards = parse_u64(&val()) as usize,
+            "--incremental-streams" => cli.incremental.streams = parse_u64(&val()) as usize,
+            "--incremental-steps" => cli.incremental.steps = parse_u64(&val()) as usize,
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("verify: unknown flag {other:?}");
                 usage()
             }
         }
+    }
+    if cli.fuzz.ranks == 0 {
+        reject("--ranks must be at least 1".to_string());
+    }
+    if !SHARDS.contains(&cli.multinode.shards) {
+        reject(format!(
+            "--multinode-shards must be in {}..={}, not {}",
+            SHARDS.start(),
+            SHARDS.end(),
+            cli.multinode.shards
+        ));
+    }
+    if cli.multinode.requests < MIN_REQUESTS {
+        reject(format!(
+            "--multinode-requests must be at least {MIN_REQUESTS}, not {}",
+            cli.multinode.requests
+        ));
+    }
+    if let Some(bad) = cli
+        .stages
+        .iter()
+        .find(|s| !STAGES.iter().any(|(n, _)| n == s))
+    {
+        let names: Vec<&str> = STAGES.iter().map(|(name, _)| *name).collect();
+        reject(format!(
+            "unknown stage {bad:?} (stages: {})",
+            names.join(",")
+        ));
     }
     cli
 }
@@ -131,36 +193,28 @@ fn build_graph(spec: &str) -> (Graph, Vec<Point2>) {
         let mut rng = StdRng::seed_from_u64(0xDE1A);
         return delaunay_graph(parse_u64(n) as usize, &mut rng);
     }
-    eprintln!("verify: unknown graph spec {spec:?}");
-    usage()
+    reject(format!("unknown graph spec {spec:?}"))
 }
 
 fn main() -> ExitCode {
     let cli = parse_cli();
     let (g, coords) = build_graph(&cli.graph);
-    let cfg = FuzzConfig {
-        ranks: cli.ranks,
-        schedules: cli.schedules,
-        master_seed: cli.seed,
-        corrupt_vertex: None,
-        ..FuzzConfig::default()
-    };
     println!(
         "verify: graph {} (n={} m={}), {} ranks",
         cli.graph,
         g.n(),
         g.m(),
-        cfg.ranks
+        cli.fuzz.ranks
     );
 
     if let Some(seed) = cli.replay {
         // Replay a single failing schedule seed from a previous report.
-        let run = run_once(&g, &cfg, Some(seed));
+        let run = run_once(&g, &cli.fuzz, Run::Schedule(seed));
         println!(
             "replay seed {seed:#018x}: fingerprint {:#018x}, elapsed {:.6}, {} checkpoint(s)",
             run.fingerprint, run.elapsed, run.checkpoints
         );
-        if run.ok() {
+        if run.violations.is_empty() {
             println!("replay: no violations");
             return ExitCode::SUCCESS;
         }
@@ -170,183 +224,51 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
+    let inputs = Inputs {
+        g,
+        coords,
+        fuzz: cli.fuzz,
+        multinode: cli.multinode,
+        incremental: cli.incremental,
+        baseline: OnceCell::new(),
+    };
     let mut failed = false;
 
     if cli.self_test {
-        // Inject a deliberate fault and demand the checker catches it.
-        let mut bad = cfg.clone();
-        bad.corrupt_vertex = Some(11);
-        let report = run_campaign(&g, &bad);
+        // Inject a deliberate fault and demand the checker catches it,
+        // with a replay seed.
+        let bad = FuzzConfig {
+            corrupt_vertex: Some(11),
+            ..inputs.fuzz.clone()
+        };
+        let report = run_campaign(&inputs.g, &bad, inputs.baseline());
         let caught = report
             .failures
             .iter()
-            .any(|f| f.violations.iter().any(|v| v.invariant == "cut-accounting"));
-        let with_seed = report.failures.iter().any(|f| f.seed.is_some());
-        if caught && with_seed {
-            let f = report.failures.iter().find(|f| f.seed.is_some()).unwrap();
-            println!(
-                "self-test: OK — corrupted label caught ({} failure(s), replay seed {:#018x})",
-                report.failures.len(),
-                f.seed.unwrap()
-            );
-        } else {
-            println!("self-test: FAILED — injected corruption was NOT detected");
-            failed = true;
-        }
-    }
-
-    let report = run_campaign(&g, &cfg);
-    println!(
-        "fuzz: {} run(s) (baseline + {} schedule(s)), {} checkpoint(s)/run, fingerprint {:#018x}",
-        report.runs, cfg.schedules, report.checkpoints, report.baseline_fingerprint
-    );
-    if report.ok() {
-        println!("fuzz: all schedules bit-identical, zero violations");
-    } else {
-        failed = true;
-        for f in &report.failures {
-            match f.seed {
-                Some(s) => println!(
-                    "fuzz: FAILED under schedule seed {s:#018x} (replay with --replay {s:#x}):"
-                ),
-                None => println!("fuzz: FAILED on the baseline schedule:"),
-            }
-            for v in &f.violations {
-                println!("  {v}");
-            }
-        }
-    }
-
-    if !cli.skip_passivity {
-        let report = run_passivity(&g, &cfg);
-        if report.ok() {
-            println!(
-                "passivity: {} run pair(s) bit-identical with observability off/on",
-                report.runs.len()
-            );
-        } else {
-            failed = true;
-            for r in report.failures() {
-                let which = match r.seed {
-                    Some(s) => format!("schedule seed {s:#018x}"),
-                    None => "the baseline schedule".to_string(),
-                };
-                println!(
-                    "passivity: FAILED on {which}: fingerprint off {:#018x} vs on {:#018x}, \
-                     elapsed bits {:#x} vs {:#x}",
-                    r.fp_off, r.fp_on, r.elapsed_bits_off, r.elapsed_bits_on
-                );
-            }
-        }
-    }
-
-    if !cli.skip_parallel {
-        let pcfg = ParallelFuzzConfig::with_ranks(cli.ranks);
-        let report = run_parallel_campaign(&g, &pcfg);
-        if report.ok() {
-            println!(
-                "parallel: {} run(s) (serial baseline + batches {:?} × threads {:?}) \
-                 bit-identical, fingerprint {:#018x}; {} 8-way run(s) beside them \
-                 (SP-PG7-NL on a Delaunay mesh, ParMetis-like on this graph), labels \
-                 and root simulated time bit-identical",
-                report.runs,
-                pcfg.batches,
-                pcfg.threads,
-                report.baseline_fingerprint,
-                report.kway_runs
-            );
-        } else {
-            failed = true;
-            for f in &report.failures {
-                println!("parallel: FAILED at {f}");
-            }
-        }
-    }
-
-    if !cli.skip_multinode {
-        let mcfg = MultinodeFuzzConfig {
-            shards: cli.multinode_shards,
-            requests: cli.multinode_requests,
-            master_seed: cli.seed,
-            ..MultinodeFuzzConfig::default()
-        };
-        let report = run_multinode_campaign(&mcfg);
-        if report.passed() {
-            println!("multinode: OK — {report}");
-        } else {
-            failed = true;
-            println!("multinode: FAILED — {report}");
-            for f in &report.failures {
-                println!("multinode:   {f}");
-            }
-        }
-    }
-
-    if !cli.skip_incremental {
-        let icfg = IncrementalFuzzConfig {
-            streams: cli.incremental_streams,
-            steps: cli.incremental_steps,
-            seed: cli.seed,
-            ..IncrementalFuzzConfig::default()
-        };
-        let report = run_incremental_campaign(&g, Some(&coords), &icfg);
-        if report.ok() {
-            println!(
-                "incremental: {} step(s) across {} stream(s) ({} incremental, {} full) \
-                 bit-identical over threads {:?}, overlay == compacted CSR, \
-                 batch framing invisible, rejected batches invisible, cut within \
-                 {}x+{} of scratch, fingerprint {:#018x}",
-                report.steps_run,
-                icfg.streams,
-                report.incremental_steps,
-                report.full_steps,
-                icfg.threads,
-                icfg.cut_factor,
-                icfg.cut_slack,
-                report.fingerprint
-            );
-        } else {
-            failed = true;
-            for f in &report.failures {
-                println!("incremental: FAILED at {f}");
-            }
-        }
-    }
-
-    if !cli.skip_repr {
-        let rcfg = ReprFuzzConfig {
-            ranks: cli.ranks,
-            ..ReprFuzzConfig::default()
-        };
-        let report = run_repr_campaign(&g, &rcfg);
-        if report.ok() {
-            println!(
-                "repr: {} pipeline run(s) (reference + compact × threads {:?}) \
-                 bit-identical, graph fp {:#018x}, compact {} KiB vs reference {} KiB",
-                report.runs,
-                rcfg.threads,
-                report.graph_fingerprint,
-                report.compact_bytes / 1024,
-                report.reference_bytes / 1024
-            );
-        } else {
-            failed = true;
-            for f in &report.failures {
-                println!("repr: FAILED: {f}");
-            }
-        }
-    }
-
-    if !cli.skip_perturb {
-        let report = run_perturbations(&g, &cfg);
-        for s in &report.scenarios {
-            if s.ok() {
-                println!("perturb: {} OK", s.name);
-            } else {
+            .find(|f| f.invariant == "cut-accounting" && f.seed.is_some());
+        match caught.and_then(|f| f.seed) {
+            Some(seed) => println!(
+                "self-test: OK — corrupted label caught ({} failure(s), replay seed {seed:#018x})",
+                report.failures.len()
+            ),
+            None => {
+                println!("self-test: FAILED — injected corruption was NOT detected");
                 failed = true;
-                for v in &s.violations {
-                    println!("perturb: {} FAILED: {v}", s.name);
-                }
+            }
+        }
+    }
+
+    for (name, run) in STAGES {
+        if !cli.stages.iter().any(|s| s == name) {
+            continue;
+        }
+        let report = run(&inputs);
+        if report.ok() {
+            println!("{name}: {}", report.summary);
+        } else {
+            failed = true;
+            for f in &report.failures {
+                println!("{f}");
             }
         }
     }

@@ -1,30 +1,33 @@
-//! The schedule-fuzzing campaign: run the full pipeline once on the
-//! canonical schedule, then repeatedly under fuzzed host-execution and
-//! message-delivery orders, checking every invariant and demanding
-//! bit-exact output equality. Every failure carries the derived schedule
-//! seed, so `--replay <seed>` (or `Schedule::seeded(seed)`) reproduces it.
+//! The shared baseline and the schedule-fuzzing campaign. The baseline is
+//! the plain serial run every pipeline stage compares against; the
+//! campaign runs the canonical schedule and fuzzed host-execution and
+//! message-delivery orders with the trace recorder and the invariant
+//! checker installed, demanding each reproduce the baseline bit for bit.
+//! Every failure carries the derived schedule seed, so `--replay <seed>`
+//! (or `Schedule::seeded(seed)`) reproduces it.
 
 use scalapart::{scalapart_bisect_observed, SpConfig, SpResult};
 use sp_graph::Graph;
-use sp_machine::{CostModel, Machine, Schedule};
+use sp_machine::{CostModel, Machine, Perturbation, Schedule};
 use sp_trace::TraceRecorder;
 
 use crate::invariants::{InvariantChecker, Violation};
+use crate::parallel::{host_pool, run_pipeline};
 use crate::rng::{derive_seed, Fingerprint};
+use crate::{Failure, Report};
+
+/// Allowed final imbalance, passed to the invariant checker.
+const BALANCE_BOUND: f64 = 0.15;
 
 /// Configuration of one fuzzing campaign.
 #[derive(Clone, Debug)]
 pub struct FuzzConfig {
     /// Simulated ranks.
     pub ranks: usize,
-    /// Fuzzed schedules to run beyond the canonical baseline.
+    /// Fuzzed schedules to run beyond the canonical one.
     pub schedules: usize,
     /// Master seed; schedule `i` runs under `derive_seed(master_seed, i)`.
     pub master_seed: u64,
-    /// Pipeline configuration shared by every run.
-    pub sp: SpConfig,
-    /// Allowed final imbalance (passed to the invariant checker).
-    pub balance_bound: f64,
     /// Self-test hook: corrupt this vertex's partition label after the
     /// pipeline but before the final checks. The campaign must then fail.
     pub corrupt_vertex: Option<u32>,
@@ -36,17 +39,46 @@ impl Default for FuzzConfig {
             ranks: 16,
             schedules: 8,
             master_seed: 0x5CA1_AB1E,
-            sp: SpConfig::default(),
-            balance_bound: 0.15,
             corrupt_vertex: None,
         }
     }
 }
 
-/// Outcome of a single pipeline run under one schedule.
+/// The run every pipeline stage compares against: the default pipeline on
+/// a one-thread pool with one rank batch covering every rank (the
+/// machine's inline serial path), no recorder, no observer, the canonical
+/// schedule.
+#[derive(Clone, Copy, Debug)]
+pub struct Baseline {
+    /// Labels, coordinates, cut statistics and simulated-time bits.
+    pub fingerprint: u64,
+    /// The same without simulated time.
+    pub data_fingerprint: u64,
+    /// Simulated elapsed time.
+    pub elapsed: f64,
+}
+
+impl Baseline {
+    pub fn compute(g: &Graph, ranks: usize) -> Baseline {
+        host_pool(1).install(|| run_pipeline(g, ranks, ranks).0)
+    }
+}
+
+/// How one checked run departs from the canonical run.
+#[derive(Clone, Copy, Debug)]
+pub enum Run {
+    Canonical,
+    /// A fuzzed host schedule; the seed replays it.
+    Schedule(u64),
+    /// Rank compute skew and collective delays on the simulated clock.
+    Perturbed(Perturbation),
+    /// The smoother exchanging halos every `block` sweeps instead of the
+    /// default.
+    Block(usize),
+}
+
+/// Outcome of a single checked pipeline run.
 pub struct RunOutcome {
-    /// Schedule seed, or `None` for the canonical baseline schedule.
-    pub seed: Option<u64>,
     /// Fingerprint over all output data (labels, coords, cut) AND the
     /// simulated clock — the full bit-exactness contract.
     pub fingerprint: u64,
@@ -59,12 +91,6 @@ pub struct RunOutcome {
     pub violations: Vec<Violation>,
     /// Checkpoints the invariant checker inspected.
     pub checkpoints: usize,
-}
-
-impl RunOutcome {
-    pub fn ok(&self) -> bool {
-        self.violations.is_empty()
-    }
 }
 
 /// Fingerprint a pipeline result: partition labels, coordinate bits, cut
@@ -87,18 +113,21 @@ pub fn fingerprint_result(g: &Graph, r: &SpResult, include_time: bool) -> u64 {
     fp.finish()
 }
 
-/// Run the full pipeline once under an optional fuzzed schedule, with the
-/// invariant checker on every checkpoint and the trace crosscheck on the
-/// recorded event stream.
-pub fn run_once(g: &Graph, cfg: &FuzzConfig, seed: Option<u64>) -> RunOutcome {
+/// Run the full pipeline once as `run` says, with the invariant checker on
+/// every checkpoint and the trace crosscheck on the recorded event stream.
+pub fn run_once(g: &Graph, cfg: &FuzzConfig, run: Run) -> RunOutcome {
     let mut machine = Machine::new(cfg.ranks, CostModel::qdr_infiniband());
-    if let Some(s) = seed {
-        machine.set_schedule(Schedule::seeded(s));
+    let mut sp = SpConfig::default();
+    match run {
+        Run::Canonical => {}
+        Run::Schedule(s) => machine.set_schedule(Schedule::seeded(s)),
+        Run::Perturbed(p) => machine.set_perturbation(&p),
+        Run::Block(block) => sp.block = block,
     }
     machine.set_recorder(Box::new(TraceRecorder::new(cfg.ranks)));
 
-    let mut chk = InvariantChecker::new(cfg.balance_bound);
-    let mut r = scalapart_bisect_observed(g, &mut machine, &cfg.sp, &mut chk);
+    let mut chk = InvariantChecker::new(BALANCE_BOUND);
+    let mut r = scalapart_bisect_observed(g, &mut machine, &sp, &mut chk);
 
     if let Some(v) = cfg.corrupt_vertex {
         // Deliberate fault injection: the checker must catch this.
@@ -110,7 +139,6 @@ pub fn run_once(g: &Graph, cfg: &FuzzConfig, seed: Option<u64>) -> RunOutcome {
     chk.check_machine(&machine.stats(), Some(&rec));
 
     RunOutcome {
-        seed,
         fingerprint: fingerprint_result(g, &r, true),
         data_fingerprint: fingerprint_result(g, &r, false),
         elapsed: machine.elapsed(),
@@ -119,73 +147,52 @@ pub fn run_once(g: &Graph, cfg: &FuzzConfig, seed: Option<u64>) -> RunOutcome {
     }
 }
 
-/// One failed run of a campaign.
-pub struct Failure {
-    /// Replay seed (`None` = the baseline schedule failed).
-    pub seed: Option<u64>,
-    pub violations: Vec<Violation>,
-}
-
-/// Result of a whole schedule-fuzzing campaign.
-pub struct CampaignReport {
-    /// Fingerprint of the canonical baseline run.
-    pub baseline_fingerprint: u64,
-    /// Total runs performed (baseline + fuzzed).
-    pub runs: usize,
-    /// Checkpoints inspected by the baseline run.
-    pub checkpoints: usize,
-    pub failures: Vec<Failure>,
-}
-
-impl CampaignReport {
-    pub fn ok(&self) -> bool {
-        self.failures.is_empty()
-    }
-}
-
-/// Run the baseline plus `cfg.schedules` fuzzed schedules, collecting
-/// invariant violations and any schedule-determinism breaks.
-pub fn run_campaign(g: &Graph, cfg: &FuzzConfig) -> CampaignReport {
-    let baseline = run_once(g, cfg, None);
+/// Run the canonical schedule plus `cfg.schedules` fuzzed schedules,
+/// collecting invariant violations and every run that does not reproduce
+/// `base`.
+pub fn run_campaign(g: &Graph, cfg: &FuzzConfig, base: &Baseline) -> Report {
     let mut failures = Vec::new();
-    if !baseline.ok() {
-        failures.push(Failure {
-            seed: None,
-            violations: baseline.violations.clone(),
-        });
-    }
-    assert!(
-        baseline.checkpoints > 0,
-        "invariant checker saw no checkpoints — observer wiring is broken"
-    );
-
-    let mut runs = 1;
-    for i in 0..cfg.schedules {
-        let seed = derive_seed(cfg.master_seed, i as u64);
-        let run = run_once(g, cfg, Some(seed));
-        runs += 1;
-        let mut violations = run.violations;
-        if run.fingerprint != baseline.fingerprint {
-            violations.push(Violation {
+    let mut checkpoints = 0;
+    let schedules = (0..cfg.schedules).map(|i| Some(derive_seed(cfg.master_seed, i as u64)));
+    for seed in std::iter::once(None).chain(schedules) {
+        let run = run_once(g, cfg, seed.map_or(Run::Canonical, Run::Schedule));
+        if seed.is_none() {
+            checkpoints = run.checkpoints;
+            if checkpoints == 0 {
+                failures.push(Failure {
+                    stage: "fuzz",
+                    seed,
+                    invariant: "checker-wired",
+                    detail: "the invariant checker saw no checkpoints".to_string(),
+                });
+            }
+        }
+        failures.extend(run.violations.into_iter().map(|v| Failure {
+            stage: "fuzz",
+            seed,
+            invariant: v.invariant,
+            detail: v.detail,
+        }));
+        if run.fingerprint != base.fingerprint {
+            failures.push(Failure {
+                stage: "fuzz",
+                seed,
                 invariant: "schedule-determinism",
                 detail: format!(
                     "fingerprint {:#018x} != baseline {:#018x} (elapsed {} vs {})",
-                    run.fingerprint, baseline.fingerprint, run.elapsed, baseline.elapsed
+                    run.fingerprint, base.fingerprint, run.elapsed, base.elapsed
                 ),
-            });
-        }
-        if !violations.is_empty() {
-            failures.push(Failure {
-                seed: Some(seed),
-                violations,
             });
         }
     }
 
-    CampaignReport {
-        baseline_fingerprint: baseline.fingerprint,
-        runs,
-        checkpoints: baseline.checkpoints,
+    Report {
+        summary: format!(
+            "{} run(s) (canonical + {} schedule(s)), recorder and checker on, \
+             {checkpoints} checkpoint(s)/run, all bit-identical to the baseline",
+            1 + cfg.schedules,
+            cfg.schedules
+        ),
         failures,
     }
 }
@@ -206,12 +213,13 @@ mod tests {
     #[test]
     fn campaign_is_clean_and_bit_exact_on_grid() {
         let g = grid_2d(24, 24);
-        let report = run_campaign(&g, &small_cfg(4));
-        assert_eq!(report.runs, 5);
+        let cfg = small_cfg(4);
+        let report = run_campaign(&g, &cfg, &Baseline::compute(&g, cfg.ranks));
+        assert!(report
+            .summary
+            .starts_with("5 run(s) (canonical + 4 schedule(s))"));
         for f in &report.failures {
-            for v in &f.violations {
-                eprintln!("seed {:?}: {v}", f.seed);
-            }
+            eprintln!("{f}");
         }
         assert!(report.ok());
     }
@@ -220,16 +228,16 @@ mod tests {
     fn self_test_corruption_is_caught_with_replay_seed() {
         let g = grid_2d(24, 24);
         let mut cfg = small_cfg(2);
+        let base = Baseline::compute(&g, cfg.ranks);
         cfg.corrupt_vertex = Some(11);
-        let report = run_campaign(&g, &cfg);
+        let report = run_campaign(&g, &cfg, &base);
         assert!(!report.ok(), "corrupted run must fail");
-        // The baseline is corrupted too, and every fuzzed schedule carries
-        // its replay seed.
+        // The canonical run is corrupted too, and every fuzzed schedule
+        // carries its replay seed.
         assert!(report
             .failures
             .iter()
-            .any(|f| f.seed.is_some()
-                && f.violations.iter().any(|v| v.invariant == "cut-accounting")));
+            .any(|f| f.seed.is_some() && f.invariant == "cut-accounting"));
     }
 
     #[test]
@@ -237,8 +245,8 @@ mod tests {
         let g = grid_2d(20, 20);
         let cfg = small_cfg(0);
         let seed = derive_seed(cfg.master_seed, 3);
-        let a = run_once(&g, &cfg, Some(seed));
-        let b = run_once(&g, &cfg, Some(seed));
+        let a = run_once(&g, &cfg, Run::Schedule(seed));
+        let b = run_once(&g, &cfg, Run::Schedule(seed));
         assert_eq!(a.fingerprint, b.fingerprint);
         assert_eq!(a.elapsed.to_bits(), b.elapsed.to_bits());
     }

@@ -12,7 +12,7 @@
 //!    time instead of as one batch changes nothing: the repartitioner's
 //!    state is a function of the delta *chain*, not its framing.
 //! 4. **Differential cut bound** — the warm incremental cut stays within
-//!    a configured factor (plus absolute slack) of a from-scratch
+//!    a fixed factor (plus absolute slack) of a from-scratch
 //!    partition of the same mutated graph. Warm-starting trades cut
 //!    quality for migration volume; this bounds how much.
 //! 5. **Rejected batches are invisible** — before every step the main
@@ -30,12 +30,23 @@
 //! Every failure carries the stream seed that reproduces it.
 
 use crate::rng::{derive_seed, splitmix64, Fingerprint};
+use crate::{Failure, Report};
 use scalapart::stream::{
     DeltaOverlay, GraphDelta, IncrementalRepartitioner, StepReport, StreamConfig,
 };
 use sp_geometry::Point2;
 use sp_graph::Graph;
 use std::sync::Arc;
+
+/// Deltas applied between consecutive repartitions (on odd steps).
+const BATCH: usize = 8;
+/// Host pool widths to sweep; every width must reproduce the single-thread
+/// step fingerprints bit-for-bit.
+const THREADS: [usize; 3] = [1, 4, 8];
+/// The incremental cut must satisfy
+/// `cut <= scratch_cut * CUT_FACTOR + CUT_SLACK`.
+const CUT_FACTOR: f64 = 2.0;
+const CUT_SLACK: f64 = 8.0;
 
 /// Configuration of an incremental-repartitioning fuzz campaign.
 #[derive(Clone, Debug)]
@@ -44,19 +55,8 @@ pub struct IncrementalFuzzConfig {
     pub streams: usize,
     /// Repartition steps per stream.
     pub steps: usize,
-    /// Deltas applied between consecutive repartitions.
-    pub batch: usize,
     /// Master seed; stream `i` runs on `derive_seed(seed, i)`.
     pub seed: u64,
-    /// Host pool widths to sweep; every width must reproduce the
-    /// single-thread step fingerprints bit-for-bit.
-    pub threads: Vec<usize>,
-    /// Incremental cut must satisfy
-    /// `cut <= scratch_cut * cut_factor + cut_slack`.
-    pub cut_factor: f64,
-    pub cut_slack: f64,
-    /// Repartitioner settings shared by every session in the campaign.
-    pub stream_cfg: StreamConfig,
 }
 
 impl Default for IncrementalFuzzConfig {
@@ -64,56 +64,16 @@ impl Default for IncrementalFuzzConfig {
         IncrementalFuzzConfig {
             streams: 4,
             steps: 6,
-            batch: 8,
             seed: 0x5EED_D1FF,
-            threads: vec![1, 4, 8],
-            cut_factor: 2.0,
-            cut_slack: 8.0,
-            stream_cfg: StreamConfig::default(),
         }
     }
 }
 
-/// One violated property.
-#[derive(Clone, Debug)]
-pub struct IncrementalFailure {
-    /// Stream index within the campaign.
-    pub stream: usize,
-    /// Derived seed that reproduces the stream.
-    pub seed: u64,
-    /// Step index (0 = bootstrap).
-    pub step: u64,
-    pub detail: String,
-}
-
-impl std::fmt::Display for IncrementalFailure {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "stream {} (seed {:#x}) step {}: {}",
-            self.stream, self.seed, self.step, self.detail
-        )
-    }
-}
-
-/// Result of an incremental fuzz campaign.
-pub struct IncrementalReport {
-    /// Repartition steps executed across all streams and sessions.
-    pub steps_run: usize,
-    /// Steps answered by the incremental (dirty-region) path.
-    pub incremental_steps: usize,
-    /// Steps that fell back to a full re-partition.
-    pub full_steps: usize,
-    /// FNV over every step's partition fingerprint, cut bits and
-    /// simulated-time bits, in stream order: equal on two commits exactly
-    /// when the campaign's results are.
-    pub fingerprint: u64,
-    pub failures: Vec<IncrementalFailure>,
-}
-
-impl IncrementalReport {
-    pub fn ok(&self) -> bool {
-        self.failures.is_empty()
+/// The repartitioner settings of every session of a stream.
+fn stream_cfg(seed: u64) -> StreamConfig {
+    StreamConfig {
+        seed,
+        ..StreamConfig::default()
     }
 }
 
@@ -171,13 +131,8 @@ fn overlay_of(g: &Arc<Graph>, coords: Option<&[Point2]>) -> DeltaOverlay {
 /// odd steps the full configured batch (driving the dirty fraction over
 /// the fallback threshold on small graphs). Both execution paths get
 /// fuzzed regardless of base-graph size.
-fn batch_for(
-    ov: &DeltaOverlay,
-    rng: &mut u64,
-    s: usize,
-    cfg: &IncrementalFuzzConfig,
-) -> Vec<GraphDelta> {
-    let size = if s.is_multiple_of(2) { 1 } else { cfg.batch };
+fn batch_for(ov: &DeltaOverlay, rng: &mut u64, s: usize) -> Vec<GraphDelta> {
+    let size = if s.is_multiple_of(2) { 1 } else { BATCH };
     let mut batch = Vec::with_capacity(size);
     for _ in 0..size {
         if let Some(d) = next_delta(ov, rng) {
@@ -256,20 +211,17 @@ fn run_stream(
     stream: usize,
     seed: u64,
     campaign: &mut Fingerprint,
-    failures: &mut Vec<IncrementalFailure>,
+    failures: &mut Vec<Failure>,
 ) -> (Vec<u64>, usize, usize) {
-    let mut fail = |step: u64, detail: String| {
-        failures.push(IncrementalFailure {
-            stream,
-            seed,
-            step,
-            detail,
+    let mut fail = |step: u64, invariant, detail: String| {
+        failures.push(Failure {
+            stage: "incremental",
+            seed: Some(seed),
+            invariant,
+            detail: format!("stream {stream} step {step}: {detail}"),
         })
     };
-    let scfg = StreamConfig {
-        seed,
-        ..cfg.stream_cfg
-    };
+    let scfg = stream_cfg(seed);
     let (mut main, boot) = IncrementalRepartitioner::new(overlay_of(g, coords), scfg);
     let (mut twin, twin_boot) = IncrementalRepartitioner::new(overlay_of(g, coords), scfg);
     let (mut split, _) = IncrementalRepartitioner::new(overlay_of(g, coords), scfg);
@@ -283,11 +235,15 @@ fn run_stream(
     let mut incremental = 0usize;
     let mut full = 1usize; // the bootstrap
     if boot.partition_fp != twin_boot.partition_fp {
-        fail(0, "bootstrap is not reproducible".to_string());
+        fail(
+            0,
+            "bootstrap-reproducible",
+            "bootstrap is not reproducible".to_string(),
+        );
     }
     let mut rng = seed;
     for s in 0..cfg.steps {
-        let batch = batch_for(main.overlay(), &mut rng, s, cfg);
+        let batch = batch_for(main.overlay(), &mut rng, s);
 
         // 5. Rejected batches are invisible: main refuses the batch with
         // an invalid tail, then takes the batch itself like the others.
@@ -297,6 +253,7 @@ fn run_stream(
         if main.apply(&invalid).is_ok() {
             fail(
                 main.steps(),
+                "rejected-batch-invisible",
                 "a batch with an invalid tail was accepted".to_string(),
             );
             break;
@@ -304,6 +261,7 @@ fn run_stream(
         if before != (main.overlay().input_fingerprint(), main.pending_touched()) {
             fail(
                 main.steps(),
+                "rejected-batch-invisible",
                 "a refused batch changed the overlay".to_string(),
             );
         }
@@ -311,7 +269,11 @@ fn run_stream(
         let report = match main.step(&batch) {
             Ok(r) => r,
             Err(e) => {
-                fail(main.steps(), format!("generated delta rejected: {e}"));
+                fail(
+                    main.steps(),
+                    "generator-valid",
+                    format!("generated delta rejected: {e}"),
+                );
                 break;
             }
         };
@@ -324,7 +286,7 @@ fn run_stream(
 
         // 1. Validity.
         if let Some(detail) = validity_of(&main) {
-            fail(report.step, detail);
+            fail(report.step, "partition-valid", detail);
         }
 
         // 2. Representation invisibility: the twin compacts after every
@@ -337,6 +299,7 @@ fn run_stream(
                 {
                     fail(
                         report.step,
+                        "compaction-invisible",
                         format!(
                             "compacted twin diverged: fp {:#018x} vs {:#018x}, cut {} vs {}",
                             t.partition_fp, report.partition_fp, t.cut_after, report.cut_after
@@ -346,6 +309,7 @@ fn run_stream(
             }
             Err(e) => fail(
                 report.step,
+                "compaction-invisible",
                 format!("twin rejected a batch the main session accepted: {e}"),
             ),
         }
@@ -358,6 +322,7 @@ fn run_stream(
         match split_err {
             Some(e) => fail(
                 report.step,
+                "batch-framing-invisible",
                 format!("singleton delivery rejected a batched delta: {e}"),
             ),
             None => {
@@ -365,6 +330,7 @@ fn run_stream(
                 if sp.partition_fp != report.partition_fp {
                     fail(
                         report.step,
+                        "batch-framing-invisible",
                         format!(
                             "batch framing leaked into the result: split fp {:#018x} vs {:#018x}",
                             sp.partition_fp, report.partition_fp
@@ -379,17 +345,16 @@ fn run_stream(
         let compacted = Arc::new(main.overlay().compact());
         let (_, scratch) =
             IncrementalRepartitioner::new(overlay_of(&compacted, main.overlay().coords()), scfg);
-        let bound = scratch.cut_after * cfg.cut_factor + cfg.cut_slack;
+        let bound = scratch.cut_after * CUT_FACTOR + CUT_SLACK;
         if main.cut() > bound {
             fail(
                 report.step,
+                "cut-bound",
                 format!(
-                    "incremental cut {} exceeds bound {} (scratch {} x {} + {})",
+                    "incremental cut {} exceeds bound {bound} (scratch {} x {CUT_FACTOR} + \
+                     {CUT_SLACK})",
                     main.cut(),
-                    bound,
                     scratch.cut_after,
-                    cfg.cut_factor,
-                    cfg.cut_slack
                 ),
             );
         }
@@ -399,12 +364,12 @@ fn run_stream(
 
 /// Run the full campaign on a base graph: every stream with all per-step
 /// properties on a single-thread pool, then the step-fingerprint
-/// sequences re-derived under each pool width in `threads`.
+/// sequences re-derived under each pool width in [`THREADS`].
 pub fn run_incremental_campaign(
     g: &Graph,
     coords: Option<&[Point2]>,
     cfg: &IncrementalFuzzConfig,
-) -> IncrementalReport {
+) -> Report {
     let g = Arc::new(g.clone());
     let mut failures = Vec::new();
     let mut steps_run = 0usize;
@@ -434,22 +399,19 @@ pub fn run_incremental_campaign(
 
     // Thread-width sweep: a cheap replay (main session only, no twins)
     // per width, compared against the single-thread fingerprints.
-    for &threads in &cfg.threads {
+    for threads in THREADS {
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(threads)
             .build()
             .expect("pool");
         pool.install(|| {
             for (i, (seed, expected)) in baseline.iter().enumerate() {
-                let scfg = StreamConfig {
-                    seed: *seed,
-                    ..cfg.stream_cfg
-                };
-                let (mut rp, boot) = IncrementalRepartitioner::new(overlay_of(&g, coords), scfg);
+                let (mut rp, boot) =
+                    IncrementalRepartitioner::new(overlay_of(&g, coords), stream_cfg(*seed));
                 let mut fps = vec![boot.partition_fp];
                 let mut rng = *seed;
                 for s in 0..cfg.steps {
-                    let batch = batch_for(rp.overlay(), &mut rng, s, cfg);
+                    let batch = batch_for(rp.overlay(), &mut rng, s);
                     match rp.step(&batch) {
                         Ok(r) => fps.push(r.partition_fp),
                         Err(_) => break,
@@ -462,13 +424,13 @@ pub fn run_incremental_campaign(
                         .zip(expected)
                         .position(|(a, b)| a != b)
                         .unwrap_or(expected.len().min(fps.len()));
-                    failures.push(IncrementalFailure {
-                        stream: i,
-                        seed: *seed,
-                        step: step as u64,
+                    failures.push(Failure {
+                        stage: "incremental",
+                        seed: Some(*seed),
+                        invariant: "host-width-invisible",
                         detail: format!(
-                            "step fingerprints diverge on a {threads}-thread pool \
-                             (first divergence at step {step})"
+                            "stream {i} step {step}: step fingerprints diverge on a \
+                             {threads}-thread pool"
                         ),
                     });
                 }
@@ -476,11 +438,15 @@ pub fn run_incremental_campaign(
         });
     }
 
-    IncrementalReport {
-        steps_run,
-        incremental_steps,
-        full_steps,
-        fingerprint: campaign.finish(),
+    Report {
+        summary: format!(
+            "{steps_run} step(s) across {} stream(s) ({incremental_steps} incremental, \
+             {full_steps} full) bit-identical over threads {THREADS:?}, overlay == compacted \
+             CSR, batch framing invisible, rejected batches invisible, cut within \
+             {CUT_FACTOR}x+{CUT_SLACK} of scratch, fingerprint {:#018x}",
+            cfg.streams,
+            campaign.finish()
+        ),
         failures,
     }
 }
@@ -494,8 +460,6 @@ mod tests {
         IncrementalFuzzConfig {
             streams: 2,
             steps: 4,
-            batch: 6,
-            threads: vec![1, 4],
             ..IncrementalFuzzConfig::default()
         }
     }
@@ -509,10 +473,10 @@ mod tests {
             eprintln!("{f}");
         }
         assert!(report.ok());
-        assert!(report.steps_run > 0);
         assert!(
-            report.incremental_steps > 0,
-            "campaign never exercised the incremental path"
+            !report.summary.contains("(0 incremental"),
+            "campaign never exercised the incremental path: {}",
+            report.summary
         );
     }
 

@@ -37,7 +37,8 @@ pub struct InvariantChecker {
     /// Everything that broke, in detection order.
     pub violations: Vec<Violation>,
     /// Checkpoints inspected (a run that checked nothing is itself
-    /// suspicious — the fuzzer asserts this is non-zero).
+    /// suspicious — the fuzz stage reports a `checker-wired` failure when
+    /// its canonical run inspected none).
     pub checkpoints: usize,
 }
 

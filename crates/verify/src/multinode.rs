@@ -21,24 +21,33 @@
 //! recomputed, and must come out as the oracle's exact bytes.
 
 use crate::rng::{derive_seed, splitmix64, Fingerprint};
+use crate::{Failure, Report};
 use sp_serve::net::{Client, Server};
 use sp_serve::proto::extract_raw_field;
 use sp_serve::router::{Router, RouterConfig, RouterServer};
 use sp_serve::service::ServeConfig;
+use std::ops::RangeInclusive;
 use std::sync::Arc;
+
+/// Backend shards a campaign may put behind the router: one must survive
+/// the kill, and more than four adds threads, not coverage.
+pub const SHARDS: RangeInclusive<usize> = 2..=4;
+/// Fewest requests that put at least two before the kill, two between the
+/// kill and the rejoin, and two after.
+pub const MIN_REQUESTS: usize = 6;
+/// Simulated ranks per job — identical on every shard and the oracle (it
+/// participates in the cache key).
+const RANKS: usize = 4;
 
 /// Configuration of a multinode fuzz campaign.
 #[derive(Clone, Debug)]
 pub struct MultinodeFuzzConfig {
-    /// Backend shards behind the router (clamped to 2..=4).
+    /// Backend shards behind the router, in [`SHARDS`].
     pub shards: usize,
-    /// Requests in the seeded stream.
+    /// Requests in the seeded stream, at least [`MIN_REQUESTS`].
     pub requests: usize,
     /// Master seed; request `i` derives from `derive_seed(master, i)`.
     pub master_seed: u64,
-    /// Simulated ranks per job — identical on every shard and the oracle
-    /// (it participates in the cache key).
-    pub ranks: usize,
 }
 
 impl Default for MultinodeFuzzConfig {
@@ -47,75 +56,16 @@ impl Default for MultinodeFuzzConfig {
             shards: 3,
             requests: 24,
             master_seed: 0xD157_2188,
-            ranks: 4,
         }
     }
 }
 
-/// One request whose routed response diverged from the oracle.
-#[derive(Clone, Debug)]
-pub struct MultinodeFailure {
-    /// Index in the request stream.
-    pub index: usize,
-    /// The submit frame that diverged.
-    pub request: String,
-    pub detail: String,
-}
-
-impl std::fmt::Display for MultinodeFailure {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "request {} ({}): {}",
-            self.index, self.request, self.detail
-        )
-    }
-}
-
-/// Result of a multinode fuzz campaign.
-pub struct MultinodeReport {
-    pub shards: usize,
-    pub requests: usize,
-    /// Request index after which the shard was killed.
-    pub killed_after: usize,
-    /// Request index after which the replacement joined.
-    pub rejoined_after: usize,
-    /// Fingerprint over every routed response's identity spans, in stream
-    /// order.
-    pub routed_fingerprint: u64,
-    /// Same, for the single-node oracle.
-    pub oracle_fingerprint: u64,
-    pub failures: Vec<MultinodeFailure>,
-}
-
-impl MultinodeReport {
-    pub fn passed(&self) -> bool {
-        self.failures.is_empty() && self.routed_fingerprint == self.oracle_fingerprint
-    }
-}
-
-impl std::fmt::Display for MultinodeReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{} requests over {} shards (kill after {}, rejoin after {}): fp {:016x} vs oracle {:016x}, {} divergence(s)",
-            self.requests,
-            self.shards,
-            self.killed_after,
-            self.rejoined_after,
-            self.routed_fingerprint,
-            self.oracle_fingerprint,
-            self.failures.len()
-        )
-    }
-}
-
-fn shard_cfg(ranks: usize) -> ServeConfig {
+fn shard_cfg() -> ServeConfig {
     ServeConfig {
         workers: 2,
         queue_capacity: 32,
         cache_capacity: 64,
-        ranks,
+        ranks: RANKS,
         ..Default::default()
     }
 }
@@ -156,18 +106,13 @@ fn identity_spans(resp: &str) -> Result<(String, String, String), String> {
 
 /// Run the campaign. Failures are collected, never panicked, so one
 /// report lists every divergent request with its reproducing seed stream.
-pub fn run_multinode_campaign(cfg: &MultinodeFuzzConfig) -> MultinodeReport {
-    let cfg = MultinodeFuzzConfig {
-        shards: cfg.shards.clamp(2, 4),
-        requests: cfg.requests.max(6),
-        ..cfg.clone()
-    };
-    let requests = gen_requests(&cfg);
+pub fn run_multinode_campaign(cfg: &MultinodeFuzzConfig) -> Report {
+    let requests = gen_requests(cfg);
     let killed_after = cfg.requests / 3;
     let rejoined_after = 2 * cfg.requests / 3;
 
     // Oracle first: one standalone shard answers the whole stream.
-    let oracle = Server::bind("127.0.0.1:0", shard_cfg(cfg.ranks)).expect("bind oracle");
+    let oracle = Server::bind("127.0.0.1:0", shard_cfg()).expect("bind oracle");
     let mut oracle_client = Client::connect(&oracle.local_addr()).expect("connect oracle");
     let mut oracle_spans: Vec<Result<(String, String, String), String>> = Vec::new();
     let mut oracle_fp = Fingerprint::new();
@@ -187,7 +132,7 @@ pub fn run_multinode_campaign(cfg: &MultinodeFuzzConfig) -> MultinodeReport {
     // The fleet: N shards, a router with health probing on (the probe
     // path is part of what we fuzz; response bytes are timing-free).
     let mut shards: Vec<Arc<Server>> = (0..cfg.shards)
-        .map(|_| Server::bind("127.0.0.1:0", shard_cfg(cfg.ranks)).expect("bind shard"))
+        .map(|_| Server::bind("127.0.0.1:0", shard_cfg()).expect("bind shard"))
         .collect();
     let spec: Vec<(String, String)> = shards
         .iter()
@@ -204,7 +149,15 @@ pub fn run_multinode_campaign(cfg: &MultinodeFuzzConfig) -> MultinodeReport {
     .expect("router");
     let rs = RouterServer::bind("127.0.0.1:0", router).expect("bind router");
 
-    let mut failures: Vec<MultinodeFailure> = Vec::new();
+    let mut failures = Vec::new();
+    let mut fail = |invariant, detail| {
+        failures.push(Failure {
+            stage: "multinode",
+            seed: None,
+            invariant,
+            detail,
+        })
+    };
     let mut routed_fp = Fingerprint::new();
     let mut killed: Option<Arc<Server>> = None;
     for (i, req) in requests.iter().enumerate() {
@@ -219,23 +172,16 @@ pub fn run_multinode_campaign(cfg: &MultinodeFuzzConfig) -> MultinodeReport {
             routed_fp.bytes(t.as_bytes());
             routed_fp.bytes(f.as_bytes());
         }
-        match (&routed, &oracle_spans[i]) {
-            (Ok(got), Ok(want)) if got != want => failures.push(MultinodeFailure {
-                index: i,
-                request: req.clone(),
-                detail: format!("bytes diverge: routed {got:?} vs oracle {want:?}"),
-            }),
-            (Err(e), Ok(_)) => failures.push(MultinodeFailure {
-                index: i,
-                request: req.clone(),
-                detail: format!("routed request failed while oracle succeeded: {e}"),
-            }),
-            (Ok(_), Err(e)) => failures.push(MultinodeFailure {
-                index: i,
-                request: req.clone(),
-                detail: format!("oracle failed ({e}) but router answered"),
-            }),
-            _ => {}
+        let divergence = match (&routed, &oracle_spans[i]) {
+            (Ok(got), Ok(want)) if got != want => {
+                Some(format!("bytes diverge: routed {got:?} vs oracle {want:?}"))
+            }
+            (Err(e), Ok(_)) => Some(format!("routed request failed while oracle succeeded: {e}")),
+            (Ok(_), Err(e)) => Some(format!("oracle failed ({e}) but router answered")),
+            _ => None,
+        };
+        if let Some(d) = divergence {
+            fail("oracle-bytes", format!("request {i} ({req}): {d}"));
         }
 
         if i + 1 == killed_after {
@@ -243,8 +189,7 @@ pub fn run_multinode_campaign(cfg: &MultinodeFuzzConfig) -> MultinodeReport {
             killed = Some(shards[0].clone());
         }
         if i + 1 == rejoined_after {
-            let replacement =
-                Server::bind("127.0.0.1:0", shard_cfg(cfg.ranks)).expect("bind replacement");
+            let replacement = Server::bind("127.0.0.1:0", shard_cfg()).expect("bind replacement");
             rs.router()
                 .rejoin("shard-0", &replacement.local_addr().to_string())
                 .expect("rejoin a registered shard");
@@ -266,13 +211,19 @@ pub fn run_multinode_campaign(cfg: &MultinodeFuzzConfig) -> MultinodeReport {
     }
     oracle.shutdown();
 
-    MultinodeReport {
-        shards: cfg.shards,
-        requests: cfg.requests,
-        killed_after,
-        rejoined_after,
-        routed_fingerprint: routed_fp.finish(),
-        oracle_fingerprint: oracle_fp.finish(),
+    let (routed_fp, oracle_fp) = (routed_fp.finish(), oracle_fp.finish());
+    if routed_fp != oracle_fp {
+        fail(
+            "stream-fingerprint",
+            format!("routed stream {routed_fp:016x} vs oracle {oracle_fp:016x}"),
+        );
+    }
+    Report {
+        summary: format!(
+            "{} requests over {} shards (kill after {killed_after}, rejoin after \
+             {rejoined_after}) byte-identical to the single-node oracle, fp {routed_fp:016x}",
+            cfg.requests, cfg.shards
+        ),
         failures,
     }
 }
@@ -298,11 +249,11 @@ mod tests {
             shards: 2,
             requests: 9,
             master_seed: 0xBEEF,
-            ranks: 4,
         });
         assert!(
-            report.passed(),
-            "{report}\n{}",
+            report.ok(),
+            "{}\n{}",
+            report.summary,
             report
                 .failures
                 .iter()
@@ -310,7 +261,6 @@ mod tests {
                 .collect::<Vec<_>>()
                 .join("\n")
         );
-        assert_eq!(report.killed_after, 3);
-        assert_eq!(report.rejoined_after, 6);
+        assert!(report.summary.contains("(kill after 3, rejoin after 6)"));
     }
 }

@@ -2,19 +2,19 @@
 //! ranks into units of any size, deal them over any number of host
 //! threads, and none of it may be observable in the simulation. This
 //! module runs the **full pipeline** (coarsen → embed → partition →
-//! refine) once serially — every superstep inline on the
-//! calling thread — and then across a matrix of rank-batch sizes and
-//! pool widths, demanding the complete fingerprint (partition labels,
-//! coordinate bits, cut statistics, simulated-time bits) be identical on
-//! every run. Beside it runs the k-way recursion
+//! refine) across a matrix of rank-batch sizes and pool widths, demanding
+//! the complete fingerprint (partition labels, coordinate bits, cut
+//! statistics, simulated-time bits) of every run equal the serial
+//! [`Baseline`]. Beside it runs the k-way recursion
 //! ([`recursive_kway_checked_on`], 8 parts): SP-PG7-NL on a Delaunay mesh
 //! that has coordinates and the ParMetis-like comparator on the campaign's
 //! graph, whose labels and root-machine simulated time must not move
-//! across the same matrix either. Last, two pipelines run at the same
+//! across the same matrix either: their reference is the serial cell (one
+//! thread, one rank batch), whose pipeline run is the baseline. Last, two pipelines run at the same
 //! time on two OS threads, each four host threads wide — two shards' jobs
 //! in one `sp-serve` process, and the path on which a dispatch of the host
 //! pool finds the idle workers taken and starts more — and both must
-//! return the serial fingerprint.
+//! return the baseline fingerprint.
 //!
 //! Why this must hold: each rank closure touches only its own rank's
 //! state and writes its op count into its own rank's slot; clock charges
@@ -34,96 +34,32 @@ use sp_machine::{CostModel, Machine};
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
 
-use crate::fuzz::fingerprint_result;
+use crate::fuzz::{fingerprint_result, Baseline};
 use crate::rng::Fingerprint;
+use crate::{Failure, Report};
 
-/// Configuration of a parallel-execution fuzz campaign.
-#[derive(Clone, Debug)]
-pub struct ParallelFuzzConfig {
-    /// Simulated ranks.
-    pub ranks: usize,
-    /// Pipeline configuration shared by every run.
-    pub sp: SpConfig,
-    /// Rank-batch sizes to sweep: 0 is auto (units of one rank), what
-    /// production runs; a size that does not divide `ranks` leaves a short
-    /// last unit; `ranks` itself is the serial inline path.
-    pub batches: Vec<usize>,
-    /// Host pool widths to sweep (installed per run, the in-process
-    /// equivalent of `RAYON_NUM_THREADS`).
-    pub threads: Vec<usize>,
-}
+/// Host pool widths to sweep (installed per run, the in-process
+/// equivalent of `RAYON_NUM_THREADS`).
+const THREADS: [usize; 3] = [1, 4, 8];
 
-impl ParallelFuzzConfig {
-    /// The default sweep on a machine of `ranks` ranks.
-    pub fn with_ranks(ranks: usize) -> Self {
-        ParallelFuzzConfig {
-            ranks,
-            sp: SpConfig::default(),
-            batches: vec![0, 3, 4, ranks],
-            threads: vec![1, 4, 8],
-        }
-    }
-}
-
-impl Default for ParallelFuzzConfig {
-    fn default() -> Self {
-        Self::with_ranks(16)
-    }
-}
-
-/// One diverging run of the campaign.
-#[derive(Clone, Debug)]
-pub struct ParallelFailure {
-    pub batch: usize,
-    pub threads: usize,
-    pub detail: String,
-}
-
-impl std::fmt::Display for ParallelFailure {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "batch {} on {} host threads: {}",
-            self.batch, self.threads, self.detail
-        )
-    }
-}
-
-/// Result of a parallel-execution fuzz campaign.
-pub struct ParallelReport {
-    /// Fingerprint of the serial baseline (labels + coords + cut +
-    /// simulated-time bits).
-    pub baseline_fingerprint: u64,
-    /// Simulated elapsed time of the baseline.
-    pub baseline_elapsed: f64,
-    /// Total pipeline runs performed (baseline + matrix).
-    pub runs: usize,
-    /// Total 8-way k-way runs performed beside them (two per pipeline run).
-    pub kway_runs: usize,
-    /// Pipeline runs performed at the same time as another, after the
-    /// matrix (not counted in `runs`).
-    pub contended_runs: usize,
-    /// Every distinct `(ranks per unit, pool threads)` a superstep of the
-    /// matrix runs reported — what the machine did, not what was asked for.
-    pub shapes: BTreeSet<(usize, usize)>,
-    pub failures: Vec<ParallelFailure>,
-}
-
-impl ParallelReport {
-    pub fn ok(&self) -> bool {
-        self.failures.is_empty()
-    }
+/// Rank-batch sizes to sweep on a machine of `ranks` ranks: `ranks` itself
+/// is the serial inline path (on one thread, the baseline's cell), 0 is
+/// auto (units of one rank), what production runs; a size that does not
+/// divide `ranks` leaves a short last unit.
+fn batches(ranks: usize) -> [usize; 4] {
+    [ranks, 0, 3, 4]
 }
 
 /// The distinct `(ranks per unit, pool threads)` the supersteps of a run
 /// reported.
 type Shapes = BTreeSet<(usize, usize)>;
 
-/// Run the pipeline once with the given rank batch, returning the full
-/// fingerprint, the simulated elapsed time and the host shapes its
-/// supersteps ran in.
-fn run_pipeline(g: &Graph, cfg: &ParallelFuzzConfig, batch: usize) -> (u64, f64, Shapes) {
-    let mut machine = Machine::new(cfg.ranks, CostModel::qdr_infiniband());
+/// Run the plain pipeline (no recorder, no observer, canonical schedule)
+/// once with the given rank batch on the installed pool, returning its
+/// fingerprints and simulated time, and the host shapes its supersteps
+/// ran in.
+pub(crate) fn run_pipeline(g: &Graph, ranks: usize, batch: usize) -> (Baseline, Shapes) {
+    let mut machine = Machine::new(ranks, CostModel::qdr_infiniband());
     machine.set_rank_batch(batch);
     let shapes = Arc::new(Mutex::new(Shapes::new()));
     let seen = shapes.clone();
@@ -132,157 +68,177 @@ fn run_pipeline(g: &Graph, cfg: &ParallelFuzzConfig, batch: usize) -> (u64, f64,
             .expect("no holder of the shapes lock panics")
             .insert((info.batch, info.threads));
     }));
-    let r = scalapart_bisect(g, &mut machine, &cfg.sp);
+    let r = scalapart_bisect(g, &mut machine, &SpConfig::default());
     let shapes = std::mem::take(&mut *shapes.lock().expect("the run is over"));
-    (fingerprint_result(g, &r, true), machine.elapsed(), shapes)
+    let run = Baseline {
+        fingerprint: fingerprint_result(g, &r, true),
+        data_fingerprint: fingerprint_result(g, &r, false),
+        elapsed: machine.elapsed(),
+    };
+    (run, shapes)
 }
 
 /// Parts of the k-way runs: three levels of recursion, so children are cut
 /// out of children.
 const KWAY_PARTS: usize = 8;
 
-/// One k-way case of the campaign.
-struct KwayCase<'a> {
-    method: Method,
+/// The k-way cases run beside the pipeline: SP-PG7-NL on a Delaunay mesh
+/// that has coordinates, and the ParMetis-like comparator on the
+/// campaign's graph.
+struct KwayCases<'a> {
     g: &'a Graph,
-    coords: Option<&'a [Point2]>,
+    mesh: Graph,
+    mesh_coords: Vec<Point2>,
 }
 
-/// Run `case` with the given rank batch on its root machine (the
-/// sub-bisections run on fresh machines of their own), returning the label
-/// fingerprint and the bits of the root machine's simulated time.
-fn run_kway(case: &KwayCase, cfg: &ParallelFuzzConfig, batch: usize) -> (u64, u64) {
-    let mut machine = Machine::new(cfg.ranks, CostModel::qdr_infiniband());
-    machine.set_rank_batch(batch);
-    let kp = recursive_kway_checked_on(
-        case.method,
-        case.g,
-        case.coords,
-        KWAY_PARTS,
-        cfg.sp.seed,
-        &mut machine,
-        &mut NoopObserver,
-    )
-    .expect("NoopObserver never cancels");
-    let mut fp = Fingerprint::new();
-    for &label in &kp.part {
-        fp.u64(label as u64);
+/// (label fingerprint, root elapsed bits) of each case, in
+/// [`KwayCases::METHODS`] order.
+type KwayRun = [(u64, u64); 2];
+
+impl<'a> KwayCases<'a> {
+    const METHODS: [Method; 2] = [Method::SpPg7Nl, Method::ParMetisLike];
+
+    fn new(g: &'a Graph) -> Self {
+        let (mesh, mesh_coords) = delaunay_graph(g.n().max(64), &mut StdRng::seed_from_u64(0xDE1A));
+        KwayCases {
+            g,
+            mesh,
+            mesh_coords,
+        }
     }
-    (fp.finish(), machine.elapsed().to_bits())
+
+    /// Run both cases with the given rank batch on their root machines
+    /// (the sub-bisections run on fresh machines of their own).
+    fn run(&self, ranks: usize, batch: usize) -> KwayRun {
+        Self::METHODS.map(|method| {
+            let (g, coords) = match method {
+                Method::SpPg7Nl => (&self.mesh, Some(&self.mesh_coords[..])),
+                _ => (self.g, None),
+            };
+            let mut machine = Machine::new(ranks, CostModel::qdr_infiniband());
+            machine.set_rank_batch(batch);
+            let kp = recursive_kway_checked_on(
+                method,
+                g,
+                coords,
+                KWAY_PARTS,
+                SpConfig::default().seed,
+                &mut machine,
+                &mut NoopObserver,
+            )
+            .expect("NoopObserver never cancels");
+            let mut fp = Fingerprint::new();
+            for &label in &kp.part {
+                fp.u64(label as u64);
+            }
+            (fp.finish(), machine.elapsed().to_bits())
+        })
+    }
+}
+
+/// Describe every k-way case of `got` that differs from `want`.
+fn kway_mismatches(got: KwayRun, want: KwayRun) -> impl Iterator<Item = String> {
+    KwayCases::METHODS
+        .into_iter()
+        .zip(got.into_iter().zip(want))
+        .filter(|(_, (got, want))| got != want)
+        .map(|(method, (got, want))| {
+            format!(
+                "{KWAY_PARTS}-way {}: (label fingerprint, root elapsed bits) \
+                 {got:#x?} != serial {want:#x?}",
+                method.name()
+            )
+        })
+}
+
+/// A host pool `threads` wide.
+pub(crate) fn host_pool(threads: usize) -> rayon::ThreadPool {
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .build()
+        .expect("pool")
 }
 
 /// Pipelines of the contention check, and the pool width of each.
 const CONTENDERS: usize = 2;
 const CONTENDED_THREADS: usize = 4;
 
-/// Serial baseline, the full `batches × threads` matrix, then the
-/// contention check. Every run must reproduce the baseline fingerprint
-/// bit-for-bit.
-pub fn run_parallel_campaign(g: &Graph, cfg: &ParallelFuzzConfig) -> ParallelReport {
-    let (mesh, mesh_coords) = delaunay_graph(g.n().max(64), &mut StdRng::seed_from_u64(0xDE1A));
-    let kway_cases = [
-        KwayCase {
-            method: Method::SpPg7Nl,
-            g: &mesh,
-            coords: Some(&mesh_coords),
-        },
-        KwayCase {
-            method: Method::ParMetisLike,
-            g,
-            coords: None,
-        },
-    ];
-    // Baseline: one batch covering all ranks on a one-thread pool — the
-    // machine's inline serial path, no task dispatch anywhere.
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(1)
-        .build()
-        .expect("pool");
-    let (baseline_fp, baseline_elapsed, _) = pool.install(|| run_pipeline(g, cfg, cfg.ranks));
-    let kway_baseline = kway_cases
-        .each_ref()
-        .map(|case| pool.install(|| run_kway(case, cfg, cfg.ranks)));
-
-    let mut shapes = Shapes::new();
-    let mut runs = 1;
-    let mut kway_runs = kway_cases.len();
+/// The full `threads × batches` matrix, then the contention check. Every
+/// pipeline run must reproduce `base` bit for bit; the k-way runs must
+/// reproduce theirs on one thread with one rank batch, the baseline's cell,
+/// whose pipeline run `base` already is.
+pub fn run_parallel_campaign(g: &Graph, ranks: usize, base: &Baseline) -> Report {
+    let kway = KwayCases::new(g);
     let mut failures = Vec::new();
-    for &threads in &cfg.threads {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .expect("pool");
-        for &batch in &cfg.batches {
-            let (fp, elapsed, seen) = pool.install(|| run_pipeline(g, cfg, batch));
-            shapes.extend(seen);
-            runs += 1;
-            if fp != baseline_fp {
-                failures.push(ParallelFailure {
-                    batch,
-                    threads,
-                    detail: format!(
-                        "fingerprint {:#018x} != serial baseline {:#018x} \
-                         (simulated {} vs {})",
-                        fp, baseline_fp, elapsed, baseline_elapsed
-                    ),
-                });
+    let mut fail = |threads: usize, batch: usize, detail: String| {
+        failures.push(Failure {
+            stage: "parallel",
+            seed: None,
+            invariant: "host-shape-invisible",
+            detail: format!("batch {batch} on {threads} host thread(s): {detail}"),
+        })
+    };
+    let kway_reference = host_pool(1).install(|| kway.run(ranks, ranks));
+    let mut runs = 0;
+    for threads in THREADS {
+        let pool = host_pool(threads);
+        for batch in batches(ranks) {
+            if threads == 1 && batch == ranks {
+                continue;
             }
-            for (case, &baseline) in kway_cases.iter().zip(&kway_baseline) {
-                let got = pool.install(|| run_kway(case, cfg, batch));
-                kway_runs += 1;
-                if got != baseline {
-                    failures.push(ParallelFailure {
-                        batch,
-                        threads,
-                        detail: format!(
-                            "{KWAY_PARTS}-way {}: (label fingerprint, root elapsed bits) \
-                             {got:#x?} != serial baseline {baseline:#x?}",
-                            case.method.name()
-                        ),
-                    });
-                }
+            let (run, _) = pool.install(|| run_pipeline(g, ranks, batch));
+            runs += 1;
+            if run.fingerprint != base.fingerprint {
+                fail(
+                    threads,
+                    batch,
+                    format!(
+                        "fingerprint {:#018x} != baseline {:#018x} (simulated {} vs {})",
+                        run.fingerprint, base.fingerprint, run.elapsed, base.elapsed
+                    ),
+                );
+            }
+            let got = pool.install(|| kway.run(ranks, batch));
+            for detail in kway_mismatches(got, kway_reference) {
+                fail(threads, batch, detail);
             }
         }
     }
 
     // Contention: two pipelines at once, each on a pool of its own width.
-    let contended: Vec<(u64, f64)> = std::thread::scope(|s| {
+    let contended: Vec<Baseline> = std::thread::scope(|s| {
         let runs: Vec<_> = (0..CONTENDERS)
             .map(|_| {
-                s.spawn(|| {
-                    let pool = rayon::ThreadPoolBuilder::new()
-                        .num_threads(CONTENDED_THREADS)
-                        .build()
-                        .expect("pool");
-                    let (fp, elapsed, _) = pool.install(|| run_pipeline(g, cfg, 0));
-                    (fp, elapsed)
-                })
+                s.spawn(|| host_pool(CONTENDED_THREADS).install(|| run_pipeline(g, ranks, 0).0))
             })
             .collect();
         runs.into_iter()
             .map(|run| run.join().expect("a contended pipeline panicked"))
             .collect()
     });
-    for (fp, elapsed) in &contended {
-        if *fp != baseline_fp {
-            failures.push(ParallelFailure {
-                batch: 0,
-                threads: CONTENDED_THREADS,
-                detail: format!(
-                    "beside another pipeline: fingerprint {fp:#018x} != serial baseline \
-                     {baseline_fp:#018x} (simulated {elapsed} vs {baseline_elapsed})"
+    for run in contended {
+        if run.fingerprint != base.fingerprint {
+            fail(
+                CONTENDED_THREADS,
+                0,
+                format!(
+                    "beside another pipeline: fingerprint {:#018x} != baseline {:#018x} \
+                     (simulated {} vs {})",
+                    run.fingerprint, base.fingerprint, run.elapsed, base.elapsed
                 ),
-            });
+            );
         }
     }
 
-    ParallelReport {
-        baseline_fingerprint: baseline_fp,
-        baseline_elapsed,
-        runs,
-        kway_runs,
-        contended_runs: contended.len(),
-        shapes,
+    Report {
+        summary: format!(
+            "{runs} run(s) (batches {:?} × threads {THREADS:?}, less the baseline's own cell) \
+             and {CONTENDERS} contended run(s) bit-identical to the baseline; {} \
+             {KWAY_PARTS}-way run(s), two per cell (SP-PG7-NL on a Delaunay mesh, \
+             ParMetis-like on this graph), labels and root simulated time bit-identical",
+            batches(ranks),
+            (runs + 1) * KwayCases::METHODS.len()
+        ),
         failures,
     }
 }
@@ -292,22 +248,18 @@ mod tests {
     use super::*;
     use sp_graph::gen::grid_2d;
 
-    fn small_cfg() -> ParallelFuzzConfig {
-        ParallelFuzzConfig {
-            ranks: 8,
-            batches: vec![1, 4, 8],
-            threads: vec![1, 4, 8],
-            ..ParallelFuzzConfig::default()
-        }
-    }
-
     #[test]
     fn pipeline_is_batch_and_thread_invariant_on_grid() {
         let g = grid_2d(24, 24);
-        let report = run_parallel_campaign(&g, &small_cfg());
-        assert_eq!(report.runs, 10, "baseline + 3×3 matrix");
-        assert_eq!(report.kway_runs, 20, "two k-way cases beside each");
-        assert_eq!(report.contended_runs, 2, "two pipelines at once");
+        let report = run_parallel_campaign(&g, 8, &Baseline::compute(&g, 8));
+        assert!(
+            report.summary.starts_with("11 run(s) ")
+                && report.summary.contains(" and 2 contended run(s) ")
+                && report.summary.contains(" 24 8-way run(s), two per cell "),
+            "4×3 matrix less the baseline's cell, two pipelines at once, two \
+             k-way cases in every cell: {}",
+            report.summary
+        );
         for f in &report.failures {
             eprintln!("{f}");
         }
@@ -322,40 +274,34 @@ mod tests {
         // units 4 + 4; batch 1 on 8 threads is one rank a task; batch 3 on
         // 2 threads deals units 0..3, 3..6, 6..8 as 2 + 1; batch 8 is one
         // unit, run inline. The machine must report each shape as asked
-        // for, and all must agree with each other, not just exist.
+        // for, and the pipeline and both k-way cases must agree with the
+        // serial run at every shape, not just exist.
         let g = grid_2d(16, 16);
-        let campaign = |batch: usize, threads: usize| {
-            run_parallel_campaign(
-                &g,
-                &ParallelFuzzConfig {
-                    ranks: 8,
-                    batches: vec![batch],
-                    threads: vec![threads],
-                    ..ParallelFuzzConfig::default()
-                },
-            )
-        };
-        let auto = campaign(0, 2);
-        for (batch, threads, unit) in [(1, 8, 1), (3, 2, 3), (8, 2, 8)] {
-            let other = campaign(batch, threads);
-            assert!(auto.ok() && other.ok());
-            assert_eq!(other.shapes, BTreeSet::from([(unit, threads)]));
-            assert_eq!(auto.baseline_fingerprint, other.baseline_fingerprint);
+        let base = Baseline::compute(&g, 8);
+        let kway = KwayCases::new(&g);
+        let kway_reference = host_pool(1).install(|| kway.run(8, 8));
+        for (batch, threads, unit) in [(0, 2, 1), (1, 8, 1), (3, 2, 3), (8, 2, 8)] {
+            let pool = host_pool(threads);
+            let (run, shapes) = pool.install(|| run_pipeline(&g, 8, batch));
+            assert_eq!(shapes, BTreeSet::from([(unit, threads)]));
+            assert_eq!(run.fingerprint, base.fingerprint);
             assert_eq!(
-                auto.baseline_elapsed.to_bits(),
-                other.baseline_elapsed.to_bits(),
+                run.elapsed.to_bits(),
+                base.elapsed.to_bits(),
                 "simulated time must not depend on host execution shape"
             );
+            let got = pool.install(|| kway.run(8, batch));
+            let mismatches: Vec<String> = kway_mismatches(got, kway_reference).collect();
+            assert!(mismatches.is_empty(), "{mismatches:?}");
         }
-        assert_eq!(auto.shapes, BTreeSet::from([(1, 2)]));
     }
 
     #[test]
     fn default_sweep_includes_the_auto_batch_production_runs() {
         for ranks in [8, 16] {
-            let cfg = ParallelFuzzConfig::with_ranks(ranks);
-            assert!(cfg.batches.contains(&0) && cfg.batches.contains(&ranks));
-            assert!(cfg.batches.iter().any(|&b| b > 0 && ranks % b != 0));
+            let b = batches(ranks);
+            assert!(b.contains(&ranks) && b.contains(&0));
+            assert!(b.iter().any(|&b| b > 0 && ranks % b != 0));
         }
     }
 }

@@ -5,116 +5,81 @@
 //! *passive*: they read clocks and `/proc`, bump atomics, and never touch
 //! the graph, machine, RNG streams, or any observer-visible state. This
 //! module turns that claim into a fuzzed, bit-exact contract: for the
-//! canonical schedule and every fuzzed schedule, the pipeline runs twice —
-//! once under [`NoopObserver`] ("observability off") and once under a
-//! [`ProfilingObserver`] ("observability on") — and both runs must agree
-//! on the **full** fingerprint: partition labels, coordinate bits, cut
-//! statistics, *and the simulated clock*. A profiler that so much as
-//! nudged a simulated timestamp or reordered a reduction would show up as
-//! a fingerprint split with a replay seed attached.
+//! canonical schedule and every fuzzed schedule, the pipeline runs under a
+//! [`ProfilingObserver`] ("observability on") and must reproduce the
+//! observer-free [`Baseline`] on the **full** fingerprint: partition
+//! labels, coordinate bits, cut statistics, *and the simulated clock*. A
+//! profiler that so much as nudged a simulated timestamp or reordered a
+//! reduction would show up as a fingerprint split with a replay seed
+//! attached.
 //!
 //! The serve-level counterpart (`tests/passivity.rs` in sp-serve) runs
 //! the same batch through two services with observation on/off and
 //! compares response bytes and cache fingerprints; this module covers the
 //! pipeline itself, schedule by schedule.
 
-use scalapart::{scalapart_bisect_observed, NoopObserver, ProfilingObserver};
+use scalapart::observe::PROFILED_PHASES;
+use scalapart::{scalapart_bisect_observed, ProfilingObserver, SpConfig};
 use sp_graph::Graph;
 use sp_machine::{CostModel, Machine, Schedule};
 
-use crate::fuzz::{fingerprint_result, FuzzConfig};
+use crate::fuzz::{fingerprint_result, Baseline, FuzzConfig};
 use crate::rng::derive_seed;
+use crate::{Failure, Report};
 
-/// One schedule's on/off comparison.
-pub struct PassivityRun {
-    /// Schedule seed (`None` = canonical baseline schedule).
-    pub seed: Option<u64>,
-    /// Full fingerprint (labels + coords + cut + simulated time) with
-    /// observability off / on.
-    pub fp_off: u64,
-    pub fp_on: u64,
-    /// Data-only fingerprints (what a result cache would key on).
-    pub data_fp_off: u64,
-    pub data_fp_on: u64,
-    /// Simulated elapsed time of each run, as raw bits for exact
-    /// comparison.
-    pub elapsed_bits_off: u64,
-    pub elapsed_bits_on: u64,
-    /// Phases the profiler attributed spans to (sanity: must be nonzero
-    /// for a ScalaPart run, or profiling silently observed nothing).
-    pub profiled_phases: usize,
-}
-
-impl PassivityRun {
-    pub fn ok(&self) -> bool {
-        self.fp_off == self.fp_on
-            && self.data_fp_off == self.data_fp_on
-            && self.elapsed_bits_off == self.elapsed_bits_on
-    }
-}
-
-/// Report of a passivity campaign.
-pub struct PassivityReport {
-    pub runs: Vec<PassivityRun>,
-}
-
-impl PassivityReport {
-    pub fn ok(&self) -> bool {
-        self.runs.iter().all(PassivityRun::ok)
-    }
-
-    pub fn failures(&self) -> impl Iterator<Item = &PassivityRun> {
-        self.runs.iter().filter(|r| !r.ok())
-    }
-}
-
-fn run_pair(g: &Graph, cfg: &FuzzConfig, seed: Option<u64>) -> PassivityRun {
-    let machine = |seed: Option<u64>| {
-        let mut m = Machine::new(cfg.ranks, CostModel::qdr_infiniband());
-        if let Some(s) = seed {
-            m.set_schedule(Schedule::seeded(s));
-        }
-        m
+/// Run the canonical schedule plus `cfg.schedules` fuzzed schedules under
+/// the profiler, comparing each with `base` bit for bit.
+pub fn run_passivity(g: &Graph, cfg: &FuzzConfig, base: &Baseline) -> Report {
+    let mut failures = Vec::new();
+    let mut fail = |seed: Option<u64>, invariant, detail| {
+        failures.push(Failure {
+            stage: "passivity",
+            seed,
+            invariant,
+            detail,
+        })
     };
-
-    // Observability off: the do-nothing observer.
-    let mut m_off = machine(seed);
-    let r_off = scalapart_bisect_observed(g, &mut m_off, &cfg.sp, &mut NoopObserver);
-
-    // Observability on: profiler sampling wall clocks and RSS at every
-    // checkpoint.
-    let mut m_on = machine(seed);
-    let mut prof = ProfilingObserver::new();
-    let r_on = scalapart_bisect_observed(g, &mut m_on, &cfg.sp, &mut prof);
-
-    PassivityRun {
-        seed,
-        fp_off: fingerprint_result(g, &r_off, true),
-        fp_on: fingerprint_result(g, &r_on, true),
-        data_fp_off: fingerprint_result(g, &r_off, false),
-        data_fp_on: fingerprint_result(g, &r_on, false),
-        elapsed_bits_off: m_off.elapsed().to_bits(),
-        elapsed_bits_on: m_on.elapsed().to_bits(),
-        profiled_phases: prof.profiler().samples().len(),
+    let schedules = (0..cfg.schedules).map(|i| Some(derive_seed(cfg.master_seed, i as u64)));
+    for seed in std::iter::once(None).chain(schedules) {
+        let mut machine = Machine::new(cfg.ranks, CostModel::qdr_infiniband());
+        if let Some(s) = seed {
+            machine.set_schedule(Schedule::seeded(s));
+        }
+        let mut prof = ProfilingObserver::new();
+        let r = scalapart_bisect_observed(g, &mut machine, &SpConfig::default(), &mut prof);
+        let fp = fingerprint_result(g, &r, true);
+        if fp != base.fingerprint || machine.elapsed().to_bits() != base.elapsed.to_bits() {
+            fail(
+                seed,
+                "observation-passive",
+                format!(
+                    "profiled fingerprint {fp:#018x} vs baseline {:#018x}, elapsed {} vs {}",
+                    base.fingerprint,
+                    machine.elapsed(),
+                    base.elapsed
+                ),
+            );
+        }
+        // A profiler that attributed nothing proves nothing.
+        let phases = prof.profiler().samples().len();
+        if phases < PROFILED_PHASES.len() {
+            fail(
+                seed,
+                "profiler-wired",
+                format!(
+                    "profiler saw {phases} of the {} phases",
+                    PROFILED_PHASES.len()
+                ),
+            );
+        }
     }
-}
-
-/// Run the baseline schedule plus `cfg.schedules` fuzzed schedules, each
-/// with observability off and on, comparing fingerprints bit for bit.
-pub fn run_passivity(g: &Graph, cfg: &FuzzConfig) -> PassivityReport {
-    let mut runs = vec![run_pair(g, cfg, None)];
-    assert!(
-        runs[0].profiled_phases > 0,
-        "profiler saw no phases — observer wiring is broken, the campaign proves nothing"
-    );
-    for i in 0..cfg.schedules {
-        runs.push(run_pair(
-            g,
-            cfg,
-            Some(derive_seed(cfg.master_seed, i as u64)),
-        ));
+    Report {
+        summary: format!(
+            "{} profiled run(s) bit-identical to the observer-free baseline",
+            1 + cfg.schedules
+        ),
+        failures,
     }
-    PassivityReport { runs }
 }
 
 #[cfg(test)]
@@ -122,25 +87,24 @@ mod tests {
     use super::*;
     use sp_graph::gen::grid_2d;
 
-    #[test]
-    fn observation_is_bit_passive_across_fuzzed_schedules() {
-        let g = grid_2d(24, 24);
+    fn passivity(g: &Graph, ranks: usize, schedules: usize) -> Report {
         let cfg = FuzzConfig {
-            ranks: 8,
-            schedules: 4,
+            ranks,
+            schedules,
             ..FuzzConfig::default()
         };
-        let report = run_passivity(&g, &cfg);
-        assert_eq!(report.runs.len(), 5);
-        for r in report.failures() {
-            eprintln!(
-                "seed {:?}: off {:#018x} != on {:#018x} (elapsed bits {:#x} vs {:#x})",
-                r.seed, r.fp_off, r.fp_on, r.elapsed_bits_off, r.elapsed_bits_on
-            );
+        run_passivity(g, &cfg, &Baseline::compute(g, ranks))
+    }
+
+    #[test]
+    fn observation_is_bit_passive_across_fuzzed_schedules() {
+        let report = passivity(&grid_2d(24, 24), 8, 4);
+        assert!(report.summary.starts_with("5 profiled run(s) "));
+        for f in &report.failures {
+            eprintln!("{f}");
         }
+        // Every run profiled all four phases and matched the baseline.
         assert!(report.ok(), "observability must not change any output bit");
-        // The on-run really profiled the pipeline (all four phases).
-        assert!(report.runs.iter().all(|r| r.profiled_phases >= 4));
     }
 
     #[test]
@@ -153,12 +117,6 @@ mod tests {
         for i in (0..190u32).step_by(7) {
             b.add_edge(i, i + 10, 0.5);
         }
-        let g = b.build();
-        let cfg = FuzzConfig {
-            ranks: 4,
-            schedules: 2,
-            ..FuzzConfig::default()
-        };
-        assert!(run_passivity(&g, &cfg).ok());
+        assert!(passivity(&b.build(), 4, 2).ok());
     }
 }

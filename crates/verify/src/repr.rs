@@ -1,78 +1,35 @@
 //! Representation-blindness verification: the compact CSR
 //! ([`sp_graph::CompactGraph`], u32 offsets + elided unit weights) must be
-//! indistinguishable from the reference [`Graph`] everywhere it can be
-//! observed — structurally (bit-identical round-trip, equal
-//! [`graph_fingerprint`], agreeing induced subgraphs) and behaviourally
-//! (the **full pipeline** run on the compact-round-tripped graph must
-//! reproduce the reference run's complete fingerprint: partition labels,
-//! coordinate bits, cut statistics, and simulated-time bits), across a
-//! host thread-pool matrix. Any divergence means some stage secretly
-//! depends on the in-memory representation rather than the graph.
+//! indistinguishable from the reference [`Graph`]: its round trip is
+//! bit-identical in all four arrays a `Graph` has, both representations
+//! agree on [`graph_fingerprint`], and they cut out the same induced
+//! subgraph. A round trip equal in every field is the same input to the
+//! pipeline, so no pipeline run is needed here; the parallel stage covers
+//! the pipeline's own blindness to host execution.
 
-use scalapart::{scalapart_bisect, SpConfig};
 use sp_graph::{graph_fingerprint, CompactGraph, Graph};
-use sp_machine::{CostModel, Machine};
 
-use crate::fuzz::fingerprint_result;
+use crate::{Failure, Report};
 
-/// Configuration of a representation-blindness campaign.
-#[derive(Clone, Debug)]
-pub struct ReprFuzzConfig {
-    /// Simulated ranks.
-    pub ranks: usize,
-    /// Pipeline configuration shared by every run.
-    pub sp: SpConfig,
-    /// Host pool widths to sweep for the pipeline leg.
-    pub threads: Vec<usize>,
+/// Heap bytes of the reference representation: `f64` vertex weights,
+/// `u64` offsets, and per directed edge a `u32` target and an `f64`
+/// weight.
+fn reference_bytes(g: &Graph) -> usize {
+    g.n() * 8 + g.xadj().len() * 8 + 2 * g.m() * (4 + 8)
 }
 
-impl Default for ReprFuzzConfig {
-    fn default() -> Self {
-        ReprFuzzConfig {
-            ranks: 16,
-            sp: SpConfig::default(),
-            threads: vec![1, 4, 8],
-        }
-    }
-}
-
-/// Result of a representation-blindness campaign.
-pub struct ReprReport {
-    /// Full-pipeline fingerprint of the reference-representation baseline.
-    pub baseline_fingerprint: u64,
-    /// Structural fingerprint shared by both representations.
-    pub graph_fingerprint: u64,
-    /// Heap bytes of the compact vs reference representation.
-    pub compact_bytes: usize,
-    pub reference_bytes: usize,
-    /// Total pipeline runs performed (reference + compact, per width).
-    pub runs: usize,
-    pub failures: Vec<String>,
-}
-
-impl ReprReport {
-    pub fn ok(&self) -> bool {
-        self.failures.is_empty()
-    }
-}
-
-fn run_pipeline(g: &Graph, cfg: &ReprFuzzConfig) -> u64 {
-    let mut machine = Machine::new(cfg.ranks, CostModel::qdr_infiniband());
-    let r = scalapart_bisect(g, &mut machine, &cfg.sp);
-    fingerprint_result(g, &r, true)
-}
-
-/// Run the representation-blindness campaign on `g`.
-///
-/// Structural leg: compact round-trip must be bit-identical and the two
-/// representations must agree on [`graph_fingerprint`] and on an induced
-/// subgraph. Behavioural leg: for every pool width, the pipeline run on
-/// the reference graph and on the compact-round-tripped graph must both
-/// reproduce the single-thread reference baseline's fingerprint.
-pub fn run_repr_campaign(g: &Graph, cfg: &ReprFuzzConfig) -> ReprReport {
+/// Run the structural representation checks on `g`.
+pub fn run_repr_campaign(g: &Graph) -> Report {
     let mut failures = Vec::new();
+    let mut fail = |invariant, detail: String| {
+        failures.push(Failure {
+            stage: "repr",
+            seed: None,
+            invariant,
+            detail,
+        })
+    };
 
-    // --- Structural leg.
     let compact = CompactGraph::from_graph(g);
     let round = compact.to_graph();
     if round.xadj() != g.xadj()
@@ -80,14 +37,18 @@ pub fn run_repr_campaign(g: &Graph, cfg: &ReprFuzzConfig) -> ReprReport {
         || round.ewgts() != g.ewgts()
         || round.vwgts() != g.vwgts()
     {
-        failures.push("compact round-trip is not bit-identical".to_string());
+        fail(
+            "round-trip",
+            "compact round-trip is not bit-identical".to_string(),
+        );
     }
     let fp_ref = graph_fingerprint(g);
     let fp_cmp = graph_fingerprint(&compact);
     if fp_ref != fp_cmp {
-        failures.push(format!(
-            "graph fingerprint diverges: reference {fp_ref:#018x} vs compact {fp_cmp:#018x}"
-        ));
+        fail(
+            "graph-fingerprint",
+            format!("reference {fp_ref:#018x} vs compact {fp_cmp:#018x}"),
+        );
     }
     // Induced subgraph of the even vertices through both representations.
     let verts: Vec<u32> = (0..g.n() as u32).step_by(2).collect();
@@ -95,41 +56,20 @@ pub fn run_repr_campaign(g: &Graph, cfg: &ReprFuzzConfig) -> ReprReport {
         let (sg, _) = g.induced_subgraph(&verts);
         let (sc, _) = compact.induced_subgraph(&verts);
         if graph_fingerprint(&sc) != graph_fingerprint(&sg) {
-            failures.push("induced subgraphs diverge between representations".to_string());
+            fail(
+                "induced-subgraph",
+                "induced subgraphs diverge between representations".to_string(),
+            );
         }
     }
 
-    // --- Behavioural leg: full pipeline across the thread matrix, both
-    // representations, all against one single-thread reference baseline.
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(1)
-        .build()
-        .expect("pool");
-    let baseline_fp = pool.install(|| run_pipeline(g, cfg));
-    let mut runs = 1;
-    for &threads in &cfg.threads {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .expect("pool");
-        for (label, graph) in [("reference", g), ("compact", &round)] {
-            let fp = pool.install(|| run_pipeline(graph, cfg));
-            runs += 1;
-            if fp != baseline_fp {
-                failures.push(format!(
-                    "{label} representation on {threads} host thread(s): pipeline \
-                     fingerprint {fp:#018x} != baseline {baseline_fp:#018x}"
-                ));
-            }
-        }
-    }
-
-    ReprReport {
-        baseline_fingerprint: baseline_fp,
-        graph_fingerprint: fp_ref,
-        compact_bytes: compact.heap_bytes(),
-        reference_bytes: g.n() * 8 + g.xadj().len() * 8 + 2 * g.m() * (4 + 8),
-        runs,
+    Report {
+        summary: format!(
+            "round trip bit-identical, graph fp {fp_ref:#018x}, induced subgraphs agree, \
+             compact {} KiB vs reference {} KiB",
+            compact.heap_bytes() / 1024,
+            reference_bytes(g) / 1024
+        ),
         failures,
     }
 }
@@ -142,37 +82,22 @@ mod tests {
     use sp_graph::gen::{delaunay_graph, grid_2d};
 
     #[test]
-    fn grid_pipeline_is_representation_blind() {
+    fn grid_is_representation_blind() {
         let g = grid_2d(24, 24);
-        let report = run_repr_campaign(
-            &g,
-            &ReprFuzzConfig {
-                ranks: 8,
-                threads: vec![1, 4],
-                ..ReprFuzzConfig::default()
-            },
-        );
+        let report = run_repr_campaign(&g);
         for f in &report.failures {
             eprintln!("{f}");
         }
         assert!(report.ok());
-        assert_eq!(report.runs, 5, "baseline + 2 reprs × 2 widths");
         // Unit-weight grid: the compact representation must actually be
         // smaller, not just equivalent.
-        assert!(report.compact_bytes * 2 < report.reference_bytes);
+        assert!(CompactGraph::from_graph(&g).heap_bytes() * 2 < reference_bytes(&g));
     }
 
     #[test]
-    fn delaunay_pipeline_is_representation_blind() {
+    fn delaunay_is_representation_blind() {
         let (g, _) = delaunay_graph(600, &mut StdRng::seed_from_u64(21));
-        let report = run_repr_campaign(
-            &g,
-            &ReprFuzzConfig {
-                ranks: 4,
-                threads: vec![2],
-                ..ReprFuzzConfig::default()
-            },
-        );
+        let report = run_repr_campaign(&g);
         for f in &report.failures {
             eprintln!("{f}");
         }
