@@ -6,6 +6,36 @@
 //! a required substrate. Points are inserted in Hilbert order so the
 //! walk-based point location starting at the last created triangle is
 //! near-O(1) amortised, giving roughly linear total construction time.
+//!
+//! An insertion allocates and hashes nothing once its buffers are warm:
+//! - **Stamps, not sets.** Each triangle slot has a `u32` stamp. Every
+//!   insertion takes a fresh `epoch`. A slot the cavity flood has seen reads
+//!   `epoch`, and one in the cavity reads `epoch | CAV`, so "seen" and "in
+//!   the cavity" are one load and one compare each.
+//! - **Scratch that lives in the triangulator.** The cavity, flood stack,
+//!   boundary and spoke buffers are fields, cleared by each insertion. The
+//!   spokes of a fan pair up through a linear scan of a handful of entries.
+//! - **Recycled slots.** Retired cavity triangles go on a free list, and the
+//!   next fan pops from it before the store grows. A cavity of `k`
+//!   triangles has `k + 2` boundary edges, so each insertion adds exactly
+//!   two slots: after `n` points the store holds `2n + 1` triangles, all
+//!   live.
+//!
+//! **Why the bytes cannot move.** Slot numbers are the only thing the free
+//! list changes. The flood pushes neighbours in `nbr` order, the boundary is
+//! read in cavity order, each fan triangle is `(p, a, b)` for boundary edge
+//! `a → b`, and the walk restarts from the fan triangle of the first
+//! boundary edge. None of these look at a slot's number, so every
+//! `orient2d`/`in_circle` call gets the same operands in the same order,
+//! and the edge emission sorts each row. The walk's step bound shrinks
+//! with the store, but it stays above the walk's state count (a live
+//! triangle and the neighbour it was entered from), so a walk that reaches
+//! it is cycling under either store.
+//!
+//! The one place where slot order could matter is that cycling walk's
+//! fallback: it returns the first live slot that contains the point. It
+//! does not run on the point sets the generator fingerprints and
+//! `tests/gen_golden.rs` pin.
 
 use crate::csr::Graph;
 use rand::Rng;
@@ -14,6 +44,10 @@ use sp_machine::pool;
 use std::sync::atomic::{AtomicU32, Ordering};
 
 const NONE: u32 = u32::MAX;
+
+/// Stamp bit: the slot is in the current insertion's cavity. The epoch
+/// counts in the bits below it.
+const CAV: u32 = 1 << 31;
 
 #[derive(Clone, Copy, Debug)]
 struct Tri {
@@ -49,39 +83,62 @@ struct Triangulator {
     tris: Vec<Tri>,
     /// Most recently created triangle: the walk starts here.
     last: u32,
+    /// Per-slot stamp: `epoch` once this insertion's flood has seen the
+    /// slot, `epoch | CAV` once it is in the cavity.
+    stamp: Vec<u32>,
+    epoch: u32,
+    /// Retired slots, reused before the store grows.
+    free: Vec<u32>,
+    /// Scratch of one insertion: the cavity is cleared at its start, and
+    /// the flood stack ends every insertion empty.
+    cavity: Vec<u32>,
+    stack: Vec<u32>,
+    /// Boundary edges `(a, b, outside)`.
+    boundary: Vec<(u32, u32, u32)>,
+    /// Fan triangles whose spoke to this vertex is still unpaired.
+    spokes: Vec<(u32, u32)>,
 }
 
 impl Triangulator {
-    /// Start with a super-triangle enclosing `bbox` generously.
+    /// Start with a super-triangle enclosing `bbox` generously, with room
+    /// for `capacity` points and their `2 · capacity + 1` triangles.
     fn new(bbox: Aabb2, capacity: usize) -> Self {
         let c = bbox.center();
         let r = bbox.longest_side().max(1e-9) * 16.0;
-        let pts = vec![
+        let mut pts = Vec::with_capacity(capacity + 3);
+        pts.extend([
             Point2::new(c.x - 1.8 * r, c.y - r),
             Point2::new(c.x + 1.8 * r, c.y - r),
             Point2::new(c.x, c.y + 1.8 * r),
-        ];
-        let tris = vec![Tri {
+        ]);
+        let mut tris = Vec::with_capacity(2 * capacity + 1);
+        tris.push(Tri {
             v: [0, 1, 2],
             nbr: [NONE, NONE, NONE],
             alive: true,
-        }];
-        let mut t = Triangulator { pts, tris, last: 0 };
-        t.pts.reserve(capacity);
-        t
+        });
+        let mut stamp = Vec::with_capacity(tris.capacity());
+        stamp.push(0);
+        Triangulator {
+            pts,
+            tris,
+            last: 0,
+            stamp,
+            epoch: 0,
+            free: Vec::new(),
+            cavity: Vec::new(),
+            stack: Vec::new(),
+            boundary: Vec::new(),
+            spokes: Vec::new(),
+        }
     }
 
     /// Locate a triangle containing `p` by a remembering walk; falls back to
     /// a linear scan on (rare) numerically confusing configurations.
     fn locate(&self, p: Point2) -> u32 {
         let mut cur = self.last;
-        if !self.tris[cur as usize].alive {
-            cur = self
-                .tris
-                .iter()
-                .rposition(|t| t.alive)
-                .expect("no alive triangle") as u32;
-        }
+        // Nothing retires a triangle between two insertions.
+        debug_assert!(self.tris[cur as usize].alive, "walk starts on a dead slot");
         let mut prev = NONE;
         let mut steps = 0usize;
         let max_steps = 4 * self.tris.len() + 64;
@@ -107,7 +164,9 @@ impl Triangulator {
             }
             steps += 1;
             if steps > max_steps {
-                // Degenerate walk; scan for any triangle containing p.
+                // Degenerate walk; scan for any triangle containing p. The
+                // one place where slot order could pick a different
+                // triangle (see the module doc).
                 for (i, t) in self.tris.iter().enumerate() {
                     if t.alive && self.contains(i as u32, p) {
                         return i as u32;
@@ -127,19 +186,30 @@ impl Triangulator {
         })
     }
 
+    /// A fresh epoch for the next flood; on wrap-around every stamp is
+    /// cleared so that no old stamp can read as current.
+    fn next_epoch(&mut self) -> u32 {
+        self.epoch += 1;
+        if self.epoch == CAV {
+            self.stamp.fill(0);
+            self.epoch = 1;
+        }
+        self.epoch
+    }
+
     /// Insert `p`, returning its vertex index.
     fn insert(&mut self, p: Point2) -> u32 {
         let pi = self.pts.len() as u32;
         self.pts.push(p);
         let seed = self.locate(p);
+        let epoch = self.next_epoch();
 
         // Grow the cavity: the connected set of triangles whose circumcircle
         // contains p, flooded outward from the seed.
-        let mut cavity = Vec::with_capacity(8);
-        let mut visited = std::collections::HashSet::with_capacity(16);
-        let mut stack = vec![seed];
-        visited.insert(seed);
-        while let Some(t) = stack.pop() {
+        self.cavity.clear();
+        self.stack.push(seed);
+        self.stamp[seed as usize] = epoch;
+        while let Some(t) = self.stack.pop() {
             let tr = self.tris[t as usize];
             let bad = in_circle(
                 self.pts[tr.v[0] as usize],
@@ -152,47 +222,61 @@ impl Triangulator {
             if !bad && t != seed {
                 continue;
             }
-            cavity.push(t);
-            for i in 0..3 {
-                let nb = tr.nbr[i];
-                if nb != NONE && visited.insert(nb) {
-                    stack.push(nb);
+            self.stamp[t as usize] = epoch | CAV;
+            self.cavity.push(t);
+            for nb in tr.nbr {
+                if nb != NONE && self.stamp[nb as usize] & !CAV != epoch {
+                    self.stamp[nb as usize] = epoch;
+                    self.stack.push(nb);
                 }
             }
         }
-        let cavity_set: std::collections::HashSet<u32> = cavity.iter().copied().collect();
 
         // Boundary edges (a → b CCW as seen from inside the cavity), with
         // the outside neighbour across each.
-        let mut boundary: Vec<(u32, u32, u32)> = Vec::with_capacity(cavity.len() + 2);
-        for &t in &cavity {
+        self.boundary.clear();
+        for &t in &self.cavity {
             let tr = self.tris[t as usize];
             for i in 0..3 {
                 let nb = tr.nbr[i];
-                if nb == NONE || !cavity_set.contains(&nb) {
+                if nb == NONE || self.stamp[nb as usize] != epoch | CAV {
                     let a = tr.v[(i + 1) % 3];
                     let b = tr.v[(i + 2) % 3];
-                    boundary.push((a, b, nb));
+                    self.boundary.push((a, b, nb));
                 }
             }
         }
         // Retire the cavity.
-        for &t in &cavity {
+        for &t in &self.cavity {
             self.tris[t as usize].alive = false;
         }
+        self.free.extend_from_slice(&self.cavity);
 
-        // Fan of new triangles (p, a, b); link neighbours.
-        let first_new = self.tris.len() as u32;
-        let mut edge_owner: std::collections::HashMap<u32, u32> =
-            std::collections::HashMap::with_capacity(boundary.len() * 2);
-        for &(a, b, outside) in &boundary {
-            let nt = self.tris.len() as u32;
+        // Fan of new triangles (p, a, b) in recycled slots first; link
+        // neighbours.
+        self.spokes.clear();
+        let mut first = NONE;
+        for &(a, b, outside) in &self.boundary {
             // CCW: boundary edge a→b is CCW from inside, so (p, a, b) is CCW.
-            self.tris.push(Tri {
+            let tri = Tri {
                 v: [pi, a, b],
                 nbr: [outside, NONE, NONE],
                 alive: true,
-            });
+            };
+            let nt = match self.free.pop() {
+                Some(slot) => {
+                    self.tris[slot as usize] = tri;
+                    slot
+                }
+                None => {
+                    self.tris.push(tri);
+                    self.stamp.push(0);
+                    (self.tris.len() - 1) as u32
+                }
+            };
+            if first == NONE {
+                first = nt;
+            }
             if outside != NONE {
                 let o = &mut self.tris[outside as usize];
                 for i in 0..3 {
@@ -207,19 +291,19 @@ impl Triangulator {
             // the triangle owning spoke endpoint `a` as its v[1] pairs with
             // the one owning `a` as its v[2].
             for (key, slot) in [(a, 2usize), (b, 1usize)] {
-                if let Some(&other) = edge_owner.get(&key) {
+                if let Some(at) = self.spokes.iter().position(|&(v, _)| v == key) {
+                    let (_, other) = self.spokes.swap_remove(at);
                     self.tris[nt as usize].nbr[slot] = other;
                     let ot = &mut self.tris[other as usize];
                     // In `other`, the spoke is on the complementary slot.
                     let oslot = if ot.v[1] == key { 2 } else { 1 };
                     ot.nbr[oslot] = nt;
-                    edge_owner.remove(&key);
                 } else {
-                    edge_owner.insert(key, nt);
+                    self.spokes.push((key, nt));
                 }
             }
         }
-        self.last = first_new;
+        self.last = first;
         pi
     }
 }
@@ -236,6 +320,39 @@ fn mentions<'a>(tris: &'a [Tri], orig: &'a [u32]) -> impl Iterator<Item = (u32, 
     })
 }
 
+/// Triangulate `points` in Hilbert order. Returns the triangulator and the
+/// map from its vertex ids to input ids (`NONE` for the three
+/// super-triangle vertices).
+fn triangulate(points: &[Point2]) -> (Triangulator, Vec<u32>) {
+    let n = points.len();
+    let bbox = Aabb2::from_points(points).unwrap().inflated(0.01 + 1e-9);
+    // Hilbert insertion order, ties by input index. An order-16 key has 32
+    // bits, so key and index pack into one `u64` and one unstable sort of
+    // the packed words gives that order. The keys are computed in parallel
+    // over chunks of the input.
+    let w = bbox.width().max(1e-12);
+    let h = bbox.height().max(1e-12);
+    let mut order = vec![0u64; n];
+    let chunk = n.div_ceil(4 * pool::width()).max(4096);
+    pool::each(order.chunks_mut(chunk), |c, keys| {
+        for (i, key) in (c * chunk..).zip(keys) {
+            let p = points[i];
+            let d = hilbert_key_unit(16, (p.x - bbox.min.x) / w, (p.y - bbox.min.y) / h);
+            *key = d << 32 | i as u64;
+        }
+    });
+    order.sort_unstable();
+
+    let mut t = Triangulator::new(bbox, n);
+    let mut orig = vec![NONE; n + 3];
+    for packed in order {
+        let i = packed as u32;
+        let vi = t.insert(points[i as usize]);
+        orig[vi as usize] = i;
+    }
+    (t, orig)
+}
+
 /// Delaunay-triangulate an explicit point set; returns the edge graph.
 /// Points are inserted in Hilbert order internally but vertex ids in the
 /// output match the input order.
@@ -244,27 +361,9 @@ pub fn delaunay_of_points(points: &[Point2]) -> Graph {
     if n == 0 {
         return Graph::from_csr(vec![0], Vec::new(), Vec::new(), Vec::new());
     }
-    let bbox = Aabb2::from_points(points).unwrap().inflated(0.01 + 1e-9);
-    // Hilbert insertion order.
-    let mut order: Vec<u32> = (0..n as u32).collect();
-    let w = bbox.width().max(1e-12);
-    let h = bbox.height().max(1e-12);
-    order.sort_by_cached_key(|&i| {
-        let p = points[i as usize];
-        hilbert_key_unit(16, (p.x - bbox.min.x) / w, (p.y - bbox.min.y) / h)
-    });
-
-    let mut t = Triangulator::new(bbox, n);
-    // Map triangulator vertex index → original point index.
-    let mut orig = vec![NONE; n + 3];
-    orig[0] = NONE;
-    for &i in &order {
-        let vi = t.insert(points[i as usize]);
-        if (vi as usize) >= orig.len() {
-            orig.resize(vi as usize + 1, NONE);
-        }
-        orig[vi as usize] = i;
-    }
+    // Only the triangles outlive this statement: the points and the
+    // insertion scratch are freed before the CSR arrays are allocated.
+    let (Triangulator { tris, .. }, orig) = triangulate(points);
 
     // Emit the edge graph directly from the triangle soup — builder-free.
     // Every real–real undirected edge is interior to the triangulation of
@@ -275,7 +374,6 @@ pub fn delaunay_of_points(points: &[Point2]) -> Graph {
     // duplicates to merge. Count pass → prefix sum → scatter fill, both
     // passes parallel over triangle chunks (atomic counters commute, and
     // the per-row sort afterwards makes the bytes schedule-independent).
-    let tris = &t.tris;
     let chunk = tris.len().div_ceil(4 * pool::width()).max(4096);
     let cursor: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
     pool::each(tris.chunks(chunk), |_, tchunk| {
@@ -300,6 +398,8 @@ pub fn delaunay_of_points(points: &[Point2]) -> Graph {
             slots[at as usize].store(oc, Ordering::Relaxed);
         }
     });
+    // The triangles are freed before the weight arrays are allocated.
+    drop(tris);
     // Collected in place: `AtomicU32` and `u32` share their layout.
     let mut adjncy: Vec<u32> = slots.into_iter().map(AtomicU32::into_inner).collect();
     // Within-row order depends on the host schedule; sort rows ascending
@@ -323,6 +423,65 @@ mod tests {
     use crate::traversal::is_connected;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Triangulate `points` and check the store: every live triangle is
+    /// counter-clockwise (strictly when `strict`), every neighbour link is
+    /// mutual across the same edge, and `n` insertions leave at most
+    /// `2n + 1` slots.
+    fn assert_store_invariants(points: &[Point2], strict: bool) {
+        let (t, _) = triangulate(points);
+        let n = points.len();
+        assert!(
+            t.tris.len() <= 2 * n + 1,
+            "{} slots for {n} points",
+            t.tris.len()
+        );
+        for (i, tr) in t.tris.iter().enumerate().filter(|(_, tr)| tr.alive) {
+            let [a, b, c] = tr.v.map(|v| t.pts[v as usize]);
+            let area = orient2d(a, b, c);
+            assert!(
+                area > 0.0 || (!strict && area == 0.0),
+                "slot {i}: orient2d {area}"
+            );
+            for k in 0..3 {
+                let nb = tr.nbr[k];
+                if nb == NONE {
+                    continue;
+                }
+                let other = t.tris[nb as usize];
+                assert!(other.alive, "slot {i} links to dead slot {nb}");
+                let back = (0..3)
+                    .find(|&j| other.nbr[j] == i as u32)
+                    .unwrap_or_else(|| panic!("slot {i} -> {nb} is one-way"));
+                assert_eq!(
+                    (other.v[(back + 1) % 3], other.v[(back + 2) % 3]),
+                    (tr.v[(k + 2) % 3], tr.v[(k + 1) % 3]),
+                    "slots {i} and {nb} disagree on their shared edge"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn store_is_ccw_mutual_and_recycled() {
+        let mut rng = StdRng::seed_from_u64(17);
+        let random: Vec<Point2> = (0..3000)
+            .map(|_| Point2::new(rng.random_range(0.0..1.0), rng.random_range(0.0..1.0)))
+            .collect();
+        assert_store_invariants(&random, true);
+        let grid: Vec<Point2> = (0..40 * 40)
+            .map(|i| Point2::new((i % 40) as f64, (i / 40) as f64))
+            .collect();
+        assert_store_invariants(&grid, true);
+        // Every point twice: each second copy lands on a vertex, and its
+        // fan has zero-area triangles.
+        let twice: Vec<Point2> = random[..500]
+            .iter()
+            .chain(&random[..500])
+            .copied()
+            .collect();
+        assert_store_invariants(&twice, false);
+    }
 
     #[test]
     fn triangle_of_three_points() {

@@ -140,25 +140,53 @@ proptest! {
         seed in any::<u64>(),
         work in prop::collection::vec(0.0f64..1e4, 1..6),
     ) {
-        let run = |sched: Option<Schedule>| {
-            let mut m = Machine::new(p, cost);
-            if let Some(s) = sched {
-                m.set_schedule(s);
-            }
-            let mut st = vec![(); p];
-            m.compute(&mut st, |r, _| work[r % work.len()]);
-            let red = m.allreduce_sum(&(0..p).map(|r| vec![r as f64, 1.0]).collect::<Vec<_>>());
-            let gat = m.allgather((0..p).map(|r| vec![r as u64]).collect());
-            let mut out: Vec<Vec<(usize, Vec<u64>)>> = vec![Vec::new(); p];
-            for s in 0..p {
-                out[s].push(((s + 1) % p, vec![s as u64]));
-                out[s].push(((s + 2) % p, vec![(s * 7) as u64]));
-            }
-            let inbox = m.exchange(out);
-            (red, gat, inbox, m.elapsed().to_bits())
-        };
-        let base = run(None);
-        let fuzz = run(Some(Schedule::seeded(seed)));
-        prop_assert_eq!(base, fuzz);
+        assert_fuzzed_schedule_is_invisible(cost, p, seed, &work);
+    }
+}
+
+/// A compute, both collectives and a two-message exchange per rank, run
+/// under the canonical schedule and under `Schedule::seeded(seed)`: the
+/// results and the clock must agree. Each rank sends to the next rank and
+/// to the one after it, unless that is itself (`p = 2`): the machine
+/// rejects self-messages.
+fn assert_fuzzed_schedule_is_invisible(cost: CostModel, p: usize, seed: u64, work: &[f64]) {
+    let run = |sched: Option<Schedule>| {
+        let mut m = Machine::new(p, cost);
+        if let Some(s) = sched {
+            m.set_schedule(s);
+        }
+        let mut st = vec![(); p];
+        m.compute(&mut st, |r, _| work[r % work.len()]);
+        let red = m.allreduce_sum(&(0..p).map(|r| vec![r as f64, 1.0]).collect::<Vec<_>>());
+        let gat = m.allgather((0..p).map(|r| vec![r as u64]).collect());
+        let out: Vec<Vec<(usize, Vec<u64>)>> = (0..p)
+            .map(|s| {
+                let mut msgs = vec![((s + 1) % p, vec![s as u64])];
+                if (s + 2) % p != s {
+                    msgs.push(((s + 2) % p, vec![(s * 7) as u64]));
+                }
+                msgs
+            })
+            .collect();
+        let inbox = m.exchange(out);
+        (red, gat, inbox, m.elapsed().to_bits())
+    };
+    assert_eq!(
+        run(None),
+        run(Some(Schedule::seeded(seed))),
+        "p = {p}, seed {seed:#x}"
+    );
+}
+
+/// The smallest machine the property draws, run without `proptest`.
+#[test]
+fn fuzzed_schedule_is_invisible_at_two_ranks() {
+    let cost = CostModel {
+        t_s: 1e-5,
+        t_w: 1e-8,
+        t_op: 1e-9,
+    };
+    for seed in 0..16 {
+        assert_fuzzed_schedule_is_invisible(cost, 2, seed, &[3.0, 1e3]);
     }
 }
