@@ -503,6 +503,8 @@ mod tests {
     /// The tentpole's core invariant: the optimized smoother and the
     /// pre-optimization reference produce bit-identical simulated time AND
     /// bit-identical coordinates, across lattice sizes and block settings.
+    /// The last two cases hold more than one force block a cell: 1,536
+    /// vertices (three full blocks) and about 778 (a ragged last block).
     #[test]
     fn optimized_smoother_matches_reference_exactly() {
         for &(rows, cols, q, block) in &[
@@ -510,6 +512,8 @@ mod tests {
             (16, 16, 3, 4),
             (16, 20, 4, 2),
             (24, 24, 4, 1),
+            (96, 64, 2, 4),
+            (100, 70, 3, 3),
         ] {
             let cfg = LatticeConfig {
                 iters: 13,
@@ -576,32 +580,42 @@ mod tests {
     /// The rayon-parallel host kernels must not change simulated time or
     /// coordinates with different thread counts: per-rank closures write
     /// disjoint state and the op-cost reduction is index-ordered, so a
-    /// 1-thread pool and an N-thread pool are bit-identical.
+    /// 1-thread pool and an N-thread pool are bit-identical. The 64×48
+    /// grid on a 2×2 lattice puts about 768 vertices, two force blocks, in
+    /// each cell.
     #[test]
     fn thread_count_does_not_change_results() {
         let cfg = LatticeConfig {
             iters: 8,
             ..LatticeConfig::default()
         };
-        let run_with_threads = |threads: usize| -> (f64, Vec<Point2>) {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .expect("pool");
-            pool.install(|| {
-                let (g, mut coords) = demo_grid(16, 16, 99);
-                let mut m = Machine::new(16, CostModel::qdr_infiniband());
-                let mut scratch = SmoothScratch::new();
-                lattice_smooth_with(&g, &mut coords, 4, &mut m, &cfg, &mut scratch);
-                (m.elapsed(), coords)
-            })
-        };
-        let (t1, c1) = run_with_threads(1);
-        let (t4, c4) = run_with_threads(4);
-        assert_eq!(t1.to_bits(), t4.to_bits());
-        for (a, b) in c1.iter().zip(&c4) {
-            assert_eq!(a.x.to_bits(), b.x.to_bits());
-            assert_eq!(a.y.to_bits(), b.y.to_bits());
+        for (rows, cols, q) in [(16usize, 16usize, 4usize), (64, 48, 2)] {
+            let run_with_threads = |threads: usize| -> (f64, Vec<Point2>) {
+                let pool = rayon::ThreadPoolBuilder::new()
+                    .num_threads(threads)
+                    .build()
+                    .expect("pool");
+                pool.install(|| {
+                    let (g, mut coords) = demo_grid(rows, cols, 99);
+                    let mut m = Machine::new(16, CostModel::qdr_infiniband());
+                    let mut scratch = SmoothScratch::new();
+                    lattice_smooth_with(&g, &mut coords, q, &mut m, &cfg, &mut scratch);
+                    (m.elapsed(), coords)
+                })
+            };
+            let (t1, c1) = run_with_threads(1);
+            for threads in [2, 4] {
+                let (t, c) = run_with_threads(threads);
+                assert_eq!(
+                    t1.to_bits(),
+                    t.to_bits(),
+                    "{rows}x{cols}, {threads} threads"
+                );
+                for (a, b) in c1.iter().zip(&c) {
+                    assert_eq!(a.x.to_bits(), b.x.to_bits());
+                    assert_eq!(a.y.to_bits(), b.y.to_bits());
+                }
+            }
         }
     }
 }

@@ -123,7 +123,7 @@ pub fn scalapart_bisect_checked(
     // ---- Phase 2: multilevel fixed-lattice embedding.
     machine.phase(Phase::Embed);
     let coords = multilevel_lattice_embed_with(
-        &hierarchy,
+        hierarchy,
         machine,
         cfg.block,
         cfg.embed_seed ^ cfg.seed,

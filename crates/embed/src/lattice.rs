@@ -336,9 +336,11 @@ fn clamp_far(lattice: &QuantileLattice, my_cell: usize, ghost_cell: usize, pos: 
 const SUB: usize = 4;
 const NSUB: usize = SUB * SUB;
 
-/// Vertices per cache block of the transposed near-field kernel: all seven
-/// per-vertex streams of a block (coordinates, mass, sub index, force
-/// accumulators) stay L1-resident across the 16 lane passes.
+/// Vertices per block of the force superstep: after the whole-cell β pass,
+/// a rank gathers, pushes, attracts and moves one block of its owned
+/// vertices at a time, so every per-vertex force buffer holds one block
+/// (all seven near-field streams of a block stay L1-resident across the 16
+/// lane passes) rather than one cell.
 const NF_BLOCK: usize = 512;
 
 /// The near-field repulsion kernel, transposed: the outer loop walks the
@@ -362,6 +364,8 @@ const NF_BLOCK: usize = 512;
 /// operand select without changing a single bit — and a fully *empty*
 /// lane (zero mass, so every vertex selects `-0.0`) is elided wholesale
 /// by the same identity.
+///
+/// The caller passes one block (at most [`NF_BLOCK`] vertices).
 #[allow(clippy::too_many_arguments)]
 #[inline]
 fn near_field_passes(
@@ -376,40 +380,35 @@ fn near_field_passes(
     fx: &mut [f64],
     fy: &mut [f64],
 ) {
+    // One length for every stream, so the lane loop needs no bounds checks.
     let len = cvx.len();
-    let mut start = 0;
-    while start < len {
-        let end = (start + NF_BLOCK).min(len);
-        for si in 0..NSUB {
-            let sxs = sx[si];
-            let sys = sy[si];
-            let sms = sm[si];
-            // An empty lane contributes `-0.0` to every vertex (own-lane
-            // masses are nonnegative, so `keep` is false throughout) —
-            // the additive identity. Skipping the pass changes no bits.
-            if sms == 0.0 {
-                continue;
-            }
-            let siu = si as u8;
-            let cx = &cvx[start..end];
-            let cy = &cvy[start..end][..cx.len()];
-            let m = &cm[start..end][..cx.len()];
-            let mk = &cmk[start..end][..cx.len()];
-            let sb = &subidx[start..end][..cx.len()];
-            let gx = &mut fx[start..end][..cx.len()];
-            let gy = &mut fy[start..end][..cx.len()];
-            for i in 0..cx.len() {
-                let dx = cx[i] - sxs;
-                let dy = cy[i] - sys;
-                let ds = (dx * dx + dy * dy).max(1e-9 * 1e-9);
-                let mass = if sb[i] == siu { sms - m[i] } else { sms };
-                let fac = mk[i] * mass / ds;
-                let keep = mass > 1e-12;
-                gx[i] += if keep { dx * fac } else { -0.0 };
-                gy[i] += if keep { dy * fac } else { -0.0 };
-            }
+    let (cx, cy) = (&cvx[..len], &cvy[..len]);
+    let m = &cm[..len];
+    let mk = &cmk[..len];
+    let sb = &subidx[..len];
+    let gx = &mut fx[..len];
+    let gy = &mut fy[..len];
+    for si in 0..NSUB {
+        let sxs = sx[si];
+        let sys = sy[si];
+        let sms = sm[si];
+        // An empty lane contributes `-0.0` to every vertex (own-lane
+        // masses are nonnegative, so `keep` is false throughout) — the
+        // additive identity. Skipping the pass changes no bits.
+        if sms == 0.0 {
+            continue;
         }
-        start = end;
+        let siu = si as u8;
+        for i in 0..len {
+            let dx = cx[i] - sxs;
+            let dy = cy[i] - sys;
+            let ds = (dx * dx + dy * dy).max(1e-9 * 1e-9);
+            let mass = if sb[i] == siu { sms - m[i] } else { sms };
+            let fac = mk[i] * mass / ds;
+            let keep = mass > 1e-12;
+            gx[i] += if keep { dx * fac } else { -0.0 };
+            gy[i] += if keep { dy * fac } else { -0.0 };
+        }
     }
 }
 
@@ -425,10 +424,13 @@ struct BetaScan {
     far: usize,
 }
 
-/// Per-rank state of the force superstep: the displacement buffer, the
-/// rank's energy contribution, and the cached sub-lattice index of each
-/// owned vertex (computed once in the β-build pass and reused in the
-/// near-field pass, saving one `cell_of` per vertex).
+/// Per-rank state of the force superstep. The superstep makes one pass
+/// over the whole cell for the sub-lattice indices and the 4×4 β, then
+/// runs every later stage — gather, near field, attraction, displacement
+/// tail, move emission — over one block of at most [`NF_BLOCK`] owned
+/// vertices at a time. So `moves` and `subidx` are cell-sized, and every
+/// buffer after them holds one block: about 45 KB a rank, whatever the
+/// cell size.
 #[derive(Clone, Debug, Default)]
 struct DispState {
     /// Emitted moves `(v, new position, ‖displacement‖, crossed)`: the
@@ -438,20 +440,21 @@ struct DispState {
     /// almost-never-taken branch per move.
     moves: Vec<(u32, Point2, f64, u8)>,
     energy: f64,
+    /// Sub-lattice index of every owned vertex, from the whole-cell pass.
     subidx: Vec<u8>,
-    /// Owned-vertex coordinates and masses, gathered contiguous (struct of
+    /// The block's coordinates and masses, gathered contiguous (struct of
     /// arrays) so the near-field passes stream them with vector loads.
     cvx: Vec<f64>,
     cvy: Vec<f64>,
     cm: Vec<f64>,
-    /// Hoisted near-field products `C·K²·m_v` per owned vertex (lane
-    /// passes reread the product instead of redoing the multiply ×16).
+    /// Hoisted near-field products `C·K²·m_v` (lane passes reread the
+    /// product instead of redoing the multiply ×16).
     cmk: Vec<f64>,
-    /// Per-owned-vertex force accumulators (x and y lanes).
+    /// Force accumulators (x and y lanes).
     fx: Vec<f64>,
     fy: Vec<f64>,
-    /// Displacement-tail scratch: per-vertex force norms, step scales,
-    /// displacement norms, moved positions, and cell-crossing flags.
+    /// Displacement-tail scratch: force norms, step scales, displacement
+    /// norms, moved positions, and cell-crossing flags.
     nrm: Vec<f64>,
     scl: Vec<f64>,
     dn: Vec<f64>,
@@ -465,8 +468,14 @@ struct DispState {
 /// than rebuilt each iteration), the cell-adjacency lookup table, per-rank
 /// β/cross-edge scan states, displacement buffers, and cost-only outboxes.
 /// One scratch serves any number of smoothing runs (the multilevel driver
-/// reuses one across levels); buffers are sized on entry and reused, so
-/// the steady-state smoothing loop performs no per-iteration allocation.
+/// reuses one across levels); its buffers are sized on entry and reused.
+/// What the smoothing loop still allocates is the lattice: every block
+/// refresh builds a new [`QuantileLattice`], whose construction allocates
+/// an x-value copy of the coordinates, the per-column y-value lists and
+/// the cut vectors, and frees the previous lattice's cuts. Between
+/// refreshes the loop allocates only in its owner bookkeeping: the stable
+/// sort of a long owner-change log takes a temporary buffer, and a move,
+/// log or owner list that outgrows its capacity reallocates.
 #[derive(Default)]
 pub struct SmoothScratch {
     /// Current owner cell of each vertex.
@@ -568,6 +577,13 @@ impl SmoothScratch {
             d.moves.clear();
             d.energy = 0.0;
             d.subidx.clear();
+            for buf in [
+                &mut d.cvx, &mut d.cvy, &mut d.cm, &mut d.cmk, &mut d.fx, &mut d.fy, &mut d.nrm,
+                &mut d.scl, &mut d.dn, &mut d.npx, &mut d.npy,
+            ] {
+                buf.resize(NF_BLOCK, 0.0);
+            }
+            d.crx.resize(NF_BLOCK, 0);
         }
         self.outbox.resize_with(p, Vec::new);
         for o in &mut self.outbox {
@@ -963,61 +979,27 @@ pub fn lattice_smooth_with(
                 let my_box = lattice_ref.cell_box(my % q, my / q);
                 let mine = &owned_ref[my];
                 let nmine = mine.len();
-                // Gather the owned vertices' coordinates and masses into
-                // contiguous arrays: every pass below streams them with
-                // vector loads instead of chasing `mine` indirections. One
-                // fused sweep fills all five streams — the split extends it
-                // replaces chased the same indirections three times over,
-                // and the force accumulators seed from the inherited
-                // repulsion scaled by vertex mass exactly like the
-                // original's `f = inherited * mv`.
-                cvx.resize(nmine, 0.0);
-                cvy.resize(nmine, 0.0);
-                cm.resize(nmine, 0.0);
-                fx.resize(nmine, 0.0);
-                fy.resize(nmine, 0.0);
-                {
-                    let cvx = &mut cvx[..nmine];
-                    let cvy = &mut cvy[..nmine];
-                    let cm = &mut cm[..nmine];
-                    let fx = &mut fx[..nmine];
-                    let fy = &mut fy[..nmine];
-                    for (i, &v) in mine.iter().enumerate() {
-                        let c = coords_ref[v as usize];
-                        let m = g.vwgt(v);
-                        cvx[i] = c.x;
-                        cvy[i] = c.y;
-                        cm[i] = m;
-                        fx[i] = inherited.x * m;
-                        fy[i] = inherited.y * m;
-                    }
-                }
-                // Sub-lattice index per vertex, replicating
-                // `my_box.cell_of(SUB, c)` arithmetic exactly (same
-                // width/height guards, same divide-multiply-truncate-clamp
-                // sequence) in a form the compiler vectorizes.
-                subidx.clear();
+                // The one pass over the whole cell: each owned vertex's
+                // sub-lattice index, replicating `my_box.cell_of(SUB, c)`
+                // arithmetic exactly (same width/height guards, same
+                // divide-multiply-truncate-clamp sequence), and the
+                // sub-lattice β folded in owned order.
                 let (bw, bh) = (my_box.width(), my_box.height());
                 let (bx, by) = (my_box.min.x, my_box.min.y);
-                {
-                    let cvx = &cvx[..nmine];
-                    let cvy = &cvy[..nmine];
-                    subidx.extend((0..nmine).map(|i| {
-                        let fxn = if bw > 0.0 { (cvx[i] - bx) / bw } else { 0.0 };
-                        let fyn = if bh > 0.0 { (cvy[i] - by) / bh } else { 0.0 };
-                        let si = ((fxn * SUB as f64) as isize).clamp(0, SUB as isize - 1) as usize;
-                        let sj = ((fyn * SUB as f64) as isize).clamp(0, SUB as isize - 1) as usize;
-                        (sj * SUB + si) as u8
-                    }));
-                }
                 let mut sub = [Beta::default(); NSUB];
-                for i in 0..nmine {
-                    let b = &mut sub[subidx[i] as usize];
-                    let m = cm[i];
-                    b.mu += m;
-                    b.phi += Point2::new(cvx[i], cvy[i]) * m;
-                }
-                ops += nmine as f64;
+                subidx.clear();
+                subidx.extend(mine.iter().map(|&v| {
+                    let c = coords_ref[v as usize];
+                    let fxn = if bw > 0.0 { (c.x - bx) / bw } else { 0.0 };
+                    let fyn = if bh > 0.0 { (c.y - by) / bh } else { 0.0 };
+                    let si = ((fxn * SUB as f64) as isize).clamp(0, SUB as isize - 1) as usize;
+                    let sj = ((fyn * SUB as f64) as isize).clamp(0, SUB as isize - 1) as usize;
+                    let k = sj * SUB + si;
+                    let m = g.vwgt(v);
+                    sub[k].mu += m;
+                    sub[k].phi += c * m;
+                    k as u8
+                }));
                 for b in sub.iter_mut() {
                     if b.mu > 0.0 {
                         b.phi = b.phi / b.mu;
@@ -1032,77 +1014,8 @@ pub fn lattice_smooth_with(
                     sm[i] = b.mu;
                 }
                 let ckk = params.c * params.k * params.k;
-                // Hoist the per-vertex near-field product `C·K²·m_v`: each
-                // of the 16 lane passes rereads it instead of redoing the
-                // multiply (the multiply is identical, so so are the bits).
-                cmk.clear();
-                cmk.extend(cm.iter().map(|&mv| ckk * mv));
-                near_field_passes(cvx, cvy, cm, cmk, subidx, &sx, &sy, &sm, fx, fy);
-                ops += (NSUB * nmine) as f64;
-                ops += (2 * nmine) as f64;
-                // Attraction over edges with the freshness rules, folded
-                // onto the accumulated near-field forces in vertex order.
-                // This loop stays fused and scalar by measurement: the
-                // per-edge owner/coordinate gathers bound it, not the
-                // sqrt/div (out-of-order execution overlaps the next
-                // edge's loads with the current edge's root), and both
-                // split variants tried — whole-edge-list passes and
-                // L1-blocked chunks — lost more to per-edge buffer
-                // traffic and bookkeeping than packed arithmetic saved.
-                // Edge charges are counted in an integer and added to
-                // `ops` once — the same exact sum as `+= 1.0` per edge,
-                // without threading a serial f64 dependency chain through
-                // the hot loop.
                 let far = FarTable::new(lattice_ref, my % q, my / q);
-                let mut nedges = 0usize;
-                for (vi, &v) in mine.iter().enumerate() {
-                    let cv = Point2::new(cvx[vi], cvy[vi]);
-                    let mut f = Point2::new(fx[vi], fy[vi]);
-                    for (u, w) in g.neighbors_w(v) {
-                        let cu = owner_ref[u as usize] as usize;
-                        let pu = if cu == my || adj[my * ncells + cu] {
-                            coords_ref[u as usize]
-                        } else {
-                            far.clamp(cell_ij[cu], snapshot_ref[u as usize])
-                        };
-                        f += params.attractive(cv, pu) * w;
-                        nedges += 1;
-                    }
-                    fx[vi] = f.x;
-                    fy[vi] = f.y;
-                }
-                ops += nedges as f64;
-                // Displacement tail, split so the norms (`(x² + y²).sqrt()`,
-                // exactly `Point2::norm`) and step scales run as long
-                // vectorizable passes with packed sqrt/div; the scalar pass
-                // keeps the energy accumulation and move emission in vertex
-                // order, bit-identical to the fused original. A zero norm
-                // makes `step / norm` infinite, but such entries fail the
-                // `norm > 1e-12` gate and are never read.
-                nrm.clear();
-                {
-                    let fx = &fx[..nmine];
-                    let fy = &fy[..nmine];
-                    nrm.extend((0..nmine).map(|i| (fx[i] * fx[i] + fy[i] * fy[i]).sqrt()));
-                }
-                scl.clear();
-                scl.extend(nrm.iter().map(|&n| step / n));
-                // Displacement norms, moved positions and cell-crossing
-                // flags as one more packed pass. The products are the
-                // same expressions the fused apply loop computed — `d.x`
-                // as `f.x · scale`, `np` as `coords[v] + d` (`cvx` *is*
-                // `coords[v].x`: nothing writes coordinates between the
-                // gather and the apply of the same iteration) — so every
-                // value the serial apply loop folds in is bit-identical
-                // to what it used to compute per move. The crossing test
-                // replays `QuantileLattice::in_cell`'s exact comparisons
-                // against the own cell's cuts (lane constants here).
-                // Gated-out entries (zero force norm → infinite scale)
-                // are computed but never read.
-                dn.resize(nmine, 0.0);
-                npx.resize(nmine, 0.0);
-                npy.resize(nmine, 0.0);
-                crx.resize(nmine, 0);
+                // The own cell's cuts, for the crossing test below.
                 let (ci, cj) = (my % q, my / q);
                 let xlo = if ci > 0 {
                     lattice_ref.xcuts[ci - 1]
@@ -1117,17 +1030,98 @@ pub fn lattice_smooth_with(
                 let yc = &lattice_ref.ycuts[ci];
                 let ylo = if cj > 0 { yc[cj - 1] } else { 0.0 };
                 let yhi = if cj + 1 < q { yc[cj] } else { 0.0 };
-                {
-                    let fx = &fx[..nmine];
-                    let fy = &fy[..nmine];
-                    let scl = &scl[..nmine];
-                    let cvx = &cvx[..nmine];
-                    let cvy = &cvy[..nmine];
-                    let dn = &mut dn[..nmine];
-                    let npx = &mut npx[..nmine];
-                    let npy = &mut npy[..nmine];
-                    let crx = &mut crx[..nmine];
-                    for i in 0..nmine {
+                // Every later stage runs one block at a time, so the
+                // force buffers hold one block, not one cell. Blocking
+                // moves no bit: a vertex's force depends only on its own
+                // terms (inherited·m, then lanes 0..16, then its edges in
+                // row order), and energy and moves fold in owned order,
+                // block after block.
+                let mut nedges = 0usize;
+                for (bi, blk) in mine.chunks(NF_BLOCK).enumerate() {
+                    let len = blk.len();
+                    let sb = &subidx[bi * NF_BLOCK..][..len];
+                    let cvx = &mut cvx[..len];
+                    let cvy = &mut cvy[..len];
+                    let cm = &mut cm[..len];
+                    let cmk = &mut cmk[..len];
+                    let fx = &mut fx[..len];
+                    let fy = &mut fy[..len];
+                    // Gather the block's coordinates and masses into
+                    // contiguous arrays: the passes below stream them with
+                    // vector loads instead of chasing `blk` indirections.
+                    // The force accumulators seed from the inherited
+                    // repulsion scaled by vertex mass, and the near-field
+                    // product `C·K²·m_v` is hoisted so the 16 lane passes
+                    // reread it instead of redoing the multiply.
+                    for (i, &v) in blk.iter().enumerate() {
+                        let c = coords_ref[v as usize];
+                        let m = g.vwgt(v);
+                        cvx[i] = c.x;
+                        cvy[i] = c.y;
+                        cm[i] = m;
+                        cmk[i] = ckk * m;
+                        fx[i] = inherited.x * m;
+                        fy[i] = inherited.y * m;
+                    }
+                    near_field_passes(cvx, cvy, cm, cmk, sb, &sx, &sy, &sm, fx, fy);
+                    // Attraction over edges with the freshness rules,
+                    // folded onto the accumulated near-field forces in
+                    // vertex order. This loop stays fused and scalar by
+                    // measurement: the per-edge owner/coordinate gathers
+                    // bound it, not the sqrt/div (out-of-order execution
+                    // overlaps the next edge's loads with the current
+                    // edge's root), and both split variants tried —
+                    // whole-edge-list passes and L1-blocked chunks — lost
+                    // more to per-edge buffer traffic and bookkeeping than
+                    // packed arithmetic saved. Edge charges are counted in
+                    // an integer and added to `ops` once — the same exact
+                    // sum as `+= 1.0` per edge, without threading a serial
+                    // f64 dependency chain through the hot loop.
+                    for (vi, &v) in blk.iter().enumerate() {
+                        let cv = Point2::new(cvx[vi], cvy[vi]);
+                        let mut f = Point2::new(fx[vi], fy[vi]);
+                        for (u, w) in g.neighbors_w(v) {
+                            let cu = owner_ref[u as usize] as usize;
+                            let pu = if cu == my || adj[my * ncells + cu] {
+                                coords_ref[u as usize]
+                            } else {
+                                far.clamp(cell_ij[cu], snapshot_ref[u as usize])
+                            };
+                            f += params.attractive(cv, pu) * w;
+                            nedges += 1;
+                        }
+                        fx[vi] = f.x;
+                        fy[vi] = f.y;
+                    }
+                    // Displacement tail, split so the norms (`(x² +
+                    // y²).sqrt()`, exactly `Point2::norm`) and step scales
+                    // run as vectorizable passes with packed sqrt/div; the
+                    // scalar pass keeps the energy accumulation and move
+                    // emission in vertex order. A zero norm makes `step /
+                    // norm` infinite, but such entries fail the `norm >
+                    // 1e-12` gate and are never read.
+                    let nrm = &mut nrm[..len];
+                    let scl = &mut scl[..len];
+                    for i in 0..len {
+                        nrm[i] = (fx[i] * fx[i] + fy[i] * fy[i]).sqrt();
+                    }
+                    for i in 0..len {
+                        scl[i] = step / nrm[i];
+                    }
+                    // Displacement norms, moved positions and cell-crossing
+                    // flags as one more packed pass. The products are the
+                    // expressions the serial apply loop once computed per
+                    // move — `d.x` as `f.x · scale`, `np` as `coords[v] +
+                    // d` (`cvx` *is* `coords[v].x`: nothing writes
+                    // coordinates between the gather and the apply of the
+                    // same iteration). The crossing test replays
+                    // `QuantileLattice::in_cell`'s exact comparisons
+                    // against the own cell's cuts (lane constants here).
+                    let dn = &mut dn[..len];
+                    let npx = &mut npx[..len];
+                    let npy = &mut npy[..len];
+                    let crx = &mut crx[..len];
+                    for i in 0..len {
                         let dx = fx[i] * scl[i];
                         let dy = fy[i] * scl[i];
                         dn[i] = (dx * dx + dy * dy).sqrt();
@@ -1143,30 +1137,36 @@ pub fn lattice_smooth_with(
                         let in_y = ((cj == 0) | (ny >= ylo)) & ((cj + 1 >= q) | (ny < yhi));
                         crx[i] = (out_x | !in_y) as u8;
                     }
-                }
-                if refreshed {
-                    // A block refresh rewrites `owner` mid-iteration while
-                    // this rank's owned list stays stale until the
-                    // end-of-iteration `apply_deltas`, so a just-flipped
-                    // vertex is still in `mine` with `owner[v] != my`. Its
-                    // crossing test above used the wrong cell's bounds:
-                    // force the flag on so the apply loop runs the full
-                    // `cell_of` path against the true owner. On every
-                    // other iteration `owner[v] == my` for all of `mine`
-                    // and the packed flags are exact as computed.
-                    let myu = my as u32;
-                    let crx = &mut crx[..nmine];
-                    for (i, &v) in mine.iter().enumerate() {
-                        crx[i] |= (owner_ref[v as usize] != myu) as u8;
+                    if refreshed {
+                        // A block refresh rewrites `owner` mid-iteration
+                        // while this rank's owned list stays stale until
+                        // the end-of-iteration `apply_deltas`, so a
+                        // just-flipped vertex is still in `mine` with
+                        // `owner[v] != my`. Its crossing test above used
+                        // the wrong cell's bounds: force the flag on so the
+                        // apply loop runs the full `cell_of` path against
+                        // the true owner. On every other iteration
+                        // `owner[v] == my` for all of `mine` and the packed
+                        // flags are exact as computed.
+                        let myu = my as u32;
+                        for (i, &v) in blk.iter().enumerate() {
+                            crx[i] |= (owner_ref[v as usize] != myu) as u8;
+                        }
+                    }
+                    for (vi, &v) in blk.iter().enumerate() {
+                        let norm = nrm[vi];
+                        *energy += norm * norm;
+                        if norm > 1e-12 {
+                            moves.push((v, Point2::new(npx[vi], npy[vi]), dn[vi], crx[vi]));
+                        }
                     }
                 }
-                for (vi, &v) in mine.iter().enumerate() {
-                    let norm = nrm[vi];
-                    *energy += norm * norm;
-                    if norm > 1e-12 {
-                        moves.push((v, Point2::new(npx[vi], npy[vi]), dn[vi], crx[vi]));
-                    }
-                }
+                // Charges: one op a vertex for the whole-cell pass, 16 for
+                // the lanes, two for the tail, and one an edge.
+                ops += nmine as f64;
+                ops += (NSUB * nmine) as f64;
+                ops += (2 * nmine) as f64;
+                ops += nedges as f64;
                 ops
             });
         }
@@ -1413,6 +1413,40 @@ mod tests {
         lattice_smooth(&g, &mut b, 2, &mut mb, &LatticeConfig::default());
         assert_eq!(a, b);
         assert_eq!(ma.elapsed(), mb.elapsed());
+    }
+
+    #[test]
+    fn force_buffers_hold_one_block_not_one_cell() {
+        // 72×72 on a 2×2 lattice: about 1,300 vertices a cell, so every
+        // cell spans two full blocks and a ragged third.
+        let (g, mut coords, mut m) = setup(72, 2);
+        let mut scratch = SmoothScratch::new();
+        lattice_smooth_with(
+            &g,
+            &mut coords,
+            2,
+            &mut m,
+            &LatticeConfig::default(),
+            &mut scratch,
+        );
+        assert!(scratch.owned.iter().all(|l| l.len() > NF_BLOCK));
+        for (r, d) in scratch.disp.iter().enumerate() {
+            let caps = [
+                d.cvx.capacity(),
+                d.cvy.capacity(),
+                d.cm.capacity(),
+                d.cmk.capacity(),
+                d.fx.capacity(),
+                d.fy.capacity(),
+                d.nrm.capacity(),
+                d.scl.capacity(),
+                d.dn.capacity(),
+                d.npx.capacity(),
+                d.npy.capacity(),
+                d.crx.capacity(),
+            ];
+            assert!(caps.iter().all(|&c| c <= NF_BLOCK), "rank {r}: {caps:?}");
+        }
     }
 
     #[test]

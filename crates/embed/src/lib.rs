@@ -16,5 +16,5 @@ pub use lattice::{
     lattice_smooth, lattice_smooth_with, LatticeConfig, LatticeStats, SmoothScratch,
 };
 pub use metrics::check_embedding;
-pub use multilevel::{multilevel_lattice_embed, multilevel_lattice_embed_with, Smoother};
+pub use multilevel::{multilevel_lattice_embed_with, Smoother};
 pub use seq::{embed_multilevel_seq, force_layout, random_init};

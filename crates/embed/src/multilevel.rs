@@ -7,7 +7,7 @@
 //! fixed-lattice iterations.
 
 use crate::force::ForceParams;
-use crate::lattice::{lattice_smooth_with, LatticeConfig, LatticeStats, SmoothScratch};
+use crate::lattice::{LatticeConfig, LatticeStats, SmoothScratch};
 use crate::seq::{force_layout, random_init};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -76,10 +76,10 @@ fn replicated_smooth(
 }
 
 /// A pluggable lattice smoother with the signature of
-/// [`lattice_smooth_with`]. The differential tests swap in the
-/// pre-optimization reference smoother here while keeping every other
-/// pipeline stage identical, so any divergence is attributable to the
-/// optimized smoothing kernel alone.
+/// [`lattice_smooth_with`](crate::lattice_smooth_with). The differential
+/// tests swap in the pre-optimization reference smoother here while keeping
+/// every other pipeline stage identical, so any divergence is attributable
+/// to the optimized smoothing kernel alone.
 pub type Smoother<'a> = &'a mut dyn FnMut(
     &sp_graph::Graph,
     &mut [Point2],
@@ -93,20 +93,15 @@ pub type Smoother<'a> = &'a mut dyn FnMut(
 /// `machine`, charging all computation and communication. `block` is the
 /// lattice's iterations per global refresh and `seed` drives the initial
 /// placement and the projection jitter; every other setting is the
-/// lattice's [`LatticeConfig::default`]. Returns finest coordinates.
-pub fn multilevel_lattice_embed(
-    h: &Hierarchy,
-    machine: &mut Machine,
-    block: usize,
-    seed: u64,
-) -> Vec<Point2> {
-    multilevel_lattice_embed_with(h, machine, block, seed, &mut lattice_smooth_with)
-}
-
-/// [`multilevel_lattice_embed`] with a caller-supplied lattice smoother
-/// for the distributed (large-level) smoothing stages.
+/// lattice's [`LatticeConfig::default`]. `smoother` runs the distributed
+/// (large-level) smoothing stages: [`lattice_smooth_with`](crate::lattice_smooth_with),
+/// or a reference kernel under test. Returns finest coordinates.
+///
+/// The hierarchy is consumed level by level: once a level's coordinates
+/// are projected onto the next finer one, that level's graph and map are
+/// freed, so the finest level smooths with no coarse level alive.
 pub fn multilevel_lattice_embed_with(
-    h: &Hierarchy,
+    mut h: Hierarchy,
     machine: &mut Machine,
     block: usize,
     seed: u64,
@@ -155,16 +150,19 @@ pub fn multilevel_lattice_embed_with(
         } else {
             ITERS_SMOOTH
         };
-        let fine = &h.levels[lvl].graph;
-        let map = h.levels[lvl].map_to_coarser.as_ref().unwrap();
         let p_lvl = ranks_at_level(p, lvl);
         let q_lvl = lattice_dim(p_lvl);
 
         // Projection: scale by 2 per dimension, jitter children around the
-        // coarse position (a fraction of the new natural spacing).
+        // coarse position (a fraction of the new natural spacing). The
+        // coarse coordinates, this level's map and every coarser level
+        // are dropped before smoothing.
+        let map = h.levels[lvl].map_to_coarser.take().unwrap();
+        h.levels.truncate(lvl + 1);
+        let fine = &h.levels[lvl].graph;
         let params = ForceParams::for_domain(lattice.c, fine.n() as f64, fine.n());
         let jitter = params.k * 0.3;
-        let mut fc: Vec<Point2> = map
+        coords = map
             .iter()
             .map(|&cv| {
                 coords[cv as usize] * 2.0
@@ -174,6 +172,7 @@ pub fn multilevel_lattice_embed_with(
                     )
             })
             .collect();
+        drop(map);
 
         // Projection communication: the 2×2 cell split redistributes each
         // parent's vertices to its three new sibling ranks by nearest-
@@ -209,11 +208,16 @@ pub fn multilevel_lattice_embed_with(
             ..lattice
         };
         if q_lvl >= 2 && fine.n() > REPLICATION_THRESHOLD {
-            smoother(fine, &mut fc, q_lvl, machine, &level_cfg, &mut scratch);
+            smoother(fine, &mut coords, q_lvl, machine, &level_cfg, &mut scratch);
         } else {
-            replicated_smooth(fine, &mut fc, p_lvl.min(machine.p()), &level_cfg, machine);
+            replicated_smooth(
+                fine,
+                &mut coords,
+                p_lvl.min(machine.p()),
+                &level_cfg,
+                machine,
+            );
         }
-        coords = fc;
     }
     coords
 }
@@ -221,6 +225,7 @@ pub fn multilevel_lattice_embed_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lattice::lattice_smooth_with;
     use sp_coarsen::CoarsenConfig;
     use sp_graph::gen::grid_2d;
     use sp_graph::Bisection;
@@ -234,6 +239,10 @@ mod tests {
                 ..Default::default()
             },
         )
+    }
+
+    fn embed(h: Hierarchy, m: &mut Machine) -> Vec<Point2> {
+        multilevel_lattice_embed_with(h, m, 4, 0x1A771CE, &mut lattice_smooth_with)
     }
 
     #[test]
@@ -259,9 +268,8 @@ mod tests {
     #[test]
     fn multilevel_embedding_supports_good_bisections() {
         let g = grid_2d(24, 24);
-        let h = hierarchy(&g);
         let mut m = Machine::new(16, CostModel::qdr_infiniband());
-        let coords = multilevel_lattice_embed(&h, &mut m, 4, 0x1A771CE);
+        let coords = embed(hierarchy(&g), &mut m);
         assert_eq!(coords.len(), g.n());
         assert!(coords.iter().all(|c| c.is_finite()));
         // A median x-cut on the embedding should beat a random cut by a lot.
@@ -276,11 +284,10 @@ mod tests {
     #[test]
     fn embedding_time_decreases_with_ranks() {
         let g = grid_2d(32, 32);
-        let h = hierarchy(&g);
         let mut times = Vec::new();
         for p in [1usize, 16] {
             let mut m = Machine::new(p, CostModel::qdr_infiniband());
-            let _ = multilevel_lattice_embed(&h, &mut m, 4, 0x1A771CE);
+            let _ = embed(hierarchy(&g), &mut m);
             times.push(m.elapsed());
         }
         assert!(
@@ -294,11 +301,10 @@ mod tests {
     #[test]
     fn deterministic_across_runs() {
         let g = grid_2d(20, 20);
-        let h = hierarchy(&g);
         let mut m1 = Machine::new(4, CostModel::qdr_infiniband());
         let mut m2 = Machine::new(4, CostModel::qdr_infiniband());
-        let a = multilevel_lattice_embed(&h, &mut m1, 4, 0x1A771CE);
-        let b = multilevel_lattice_embed(&h, &mut m2, 4, 0x1A771CE);
+        let a = embed(hierarchy(&g), &mut m1);
+        let b = embed(hierarchy(&g), &mut m2);
         assert_eq!(a, b);
     }
 }
