@@ -22,6 +22,7 @@ use crate::matching::Matching;
 use rand::seq::SliceRandom;
 use rand::Rng;
 use sp_graph::Graph;
+use std::sync::atomic::AtomicBool;
 
 const UNSTAMPED: u32 = u32::MAX;
 
@@ -42,6 +43,10 @@ pub struct CoarsenArena {
     /// Matching scratch: visit order and matched flags.
     order: Vec<u32>,
     matched: Vec<bool>,
+    /// The SPMD matcher's clean-up flags: vertices a rank paired locally.
+    /// Each rank touches only the flags of the vertices it owns, so no two
+    /// ranks share one.
+    paired: Vec<AtomicBool>,
     /// Largest number of scratch bytes held at any point.
     high_water: usize,
 }
@@ -61,6 +66,7 @@ impl CoarsenArena {
             + self.row.capacity() * 16
             + self.order.capacity() * 4
             + self.matched.capacity()
+            + self.paired.capacity()
     }
 
     /// High-water mark of [`CoarsenArena::bytes`] over the arena's life.
@@ -72,13 +78,17 @@ impl CoarsenArena {
         self.high_water = self.high_water.max(self.bytes());
     }
 
-    /// The matched-flags scratch, cleared and sized for `n` vertices.
-    /// Shared by the sequential and SPMD matchers.
-    pub(crate) fn matched_scratch(&mut self, n: usize) -> &mut Vec<bool> {
+    /// The SPMD matcher's scratch for `n` vertices: the matched flags,
+    /// cleared, and the clean-up flags, which each rank clears for its own
+    /// vertices before use.
+    pub(crate) fn spmd_scratch(&mut self, n: usize) -> (&mut Vec<bool>, &[AtomicBool]) {
         self.matched.clear();
         self.matched.resize(n, false);
+        if self.paired.len() < n {
+            self.paired.resize_with(n, AtomicBool::default);
+        }
         self.note_high_water();
-        &mut self.matched
+        (&mut self.matched, &self.paired)
     }
 }
 

@@ -17,7 +17,7 @@
 use crate::force::ForceParams;
 use sp_geometry::{Aabb2, Point2};
 use sp_graph::Graph;
-use sp_machine::{CostOnly, Machine};
+use sp_machine::{pool, CostOnly, Machine};
 
 /// Controls for lattice smoothing.
 #[derive(Clone, Copy, Debug)]
@@ -52,8 +52,6 @@ impl Default for LatticeConfig {
 /// Statistics returned by a smoothing run.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct LatticeStats {
-    /// Mean per-vertex displacement in the final iteration (in units of K).
-    pub final_move: f64,
     /// Vertices that migrated between boxes over the whole run.
     pub migrations: usize,
 }
@@ -98,28 +96,32 @@ impl QuantileLattice {
             .unwrap_or_else(Aabb2::unit)
             .inflated(0.02 + 1e-9);
         let n = coords.len().max(1);
+        let pooled = coords.len() >= MIN_POOLED;
         let mut xs: Vec<f64> = coords.iter().map(|c| c.x).collect();
         if xs.is_empty() {
             xs.push(0.0);
         }
-        let xcuts = quantile_cuts(&mut xs, n, q);
+        let xcuts = quantile_cuts(&mut xs, n, q, pooled);
+        // Freed before the column lists grow: the two never coexist.
+        drop(xs);
         let mut cols: Vec<Vec<f64>> = vec![Vec::new(); q];
         for c in coords {
             let i = xcuts.partition_point(|&cut| c.x >= cut);
             cols[i].push(c.y);
         }
-        let ycuts = cols
-            .into_iter()
-            .map(|mut ys| {
-                if ys.is_empty() {
-                    // Empty column (duplicate-heavy input): uniform rows.
-                    let h = bbox.height() / q as f64;
-                    return (1..q).map(|k| bbox.min.y + h * k as f64).collect();
-                }
+        // One column a piece: the columns are disjoint, and each piece
+        // writes only its own column's cuts.
+        let mut ycuts = vec![Vec::new(); q];
+        pool::each_if(pooled, cols.iter_mut().zip(&mut ycuts), |_, (ys, cuts)| {
+            *cuts = if ys.is_empty() {
+                // Empty column (duplicate-heavy input): uniform rows.
+                let h = bbox.height() / q as f64;
+                (1..q).map(|k| bbox.min.y + h * k as f64).collect()
+            } else {
                 let m = ys.len();
-                quantile_cuts(&mut ys, m, q)
-            })
-            .collect();
+                quantile_cuts(ys, m, q, false)
+            };
+        });
         QuantileLattice {
             q,
             xcuts,
@@ -217,33 +219,41 @@ impl QuantileLattice {
 }
 
 /// Cut values at the order-statistic indices `k·count/q` (k = 1..q),
-/// found with successive `select_nth_unstable_by` on tail slices instead
-/// of a full sort — expected O(n) for the first cut and O(n/q) per
-/// further cut, versus O(n log n) for sorting — and bit-identical to
-/// indexing the fully sorted array (the value at a sorted position does
-/// not depend on how the rest of the array is ordered).
-fn quantile_cuts(vals: &mut [f64], count: usize, q: usize) -> Vec<f64> {
+/// found by selection instead of a full sort — O(n log q) against
+/// O(n log n) — and bit-identical to indexing the fully sorted array (the
+/// value at a sorted position does not depend on how the rest of the array
+/// is ordered). `pooled` selects the two sides of the middle cut on the
+/// pool.
+fn quantile_cuts(vals: &mut [f64], count: usize, q: usize, pooled: bool) -> Vec<f64> {
     let last = vals.len() - 1;
-    let mut cuts = Vec::with_capacity(q.saturating_sub(1));
-    let mut base = 0usize;
-    let mut prev: Option<(usize, f64)> = None;
-    for k in 1..q {
-        let idx = (k * count / q).min(last);
-        if let Some((pi, pv)) = prev {
-            // Cut indices are nondecreasing; a repeat reuses the value.
-            if idx == pi {
-                cuts.push(pv);
-                continue;
-            }
-        }
-        let (_, v, _) =
-            vals[base..].select_nth_unstable_by(idx - base, |a, b| a.partial_cmp(b).unwrap());
-        let v = *v;
-        cuts.push(v);
-        base = idx + 1;
-        prev = Some((idx, v));
-    }
+    let idx: Vec<usize> = (1..q).map(|k| (k * count / q).min(last)).collect();
+    let mut cuts = vec![0.0; idx.len()];
+    select_at(vals, 0, &idx, &mut cuts, pooled);
     cuts
+}
+
+/// Set `cuts[k]` to the value at sorted position `idx[k]` (ascending) of
+/// the array whose positions `base..` `vals` holds: select the middle
+/// index, then the indices below it in the left side and those above it
+/// in the right side, the two sides on the pool when `pooled`.
+fn select_at(vals: &mut [f64], base: usize, idx: &[usize], cuts: &mut [f64], pooled: bool) {
+    let Some(&mid) = idx.get(idx.len() / 2) else {
+        return;
+    };
+    let (left, v, right) =
+        vals.select_nth_unstable_by(mid - base, |a, b| a.partial_cmp(b).unwrap());
+    // Repeated indices (more cuts than distinct positions) share the value.
+    let lo = idx.partition_point(|&i| i < mid);
+    let hi = idx.partition_point(|&i| i <= mid);
+    cuts[lo..hi].fill(*v);
+    let (cuts_left, cuts_right) = cuts.split_at_mut(lo);
+    let sides = [
+        (left, base, &idx[..lo], cuts_left),
+        (right, mid + 1, &idx[hi..], &mut cuts_right[hi - lo..]),
+    ];
+    pool::each_if(pooled, sides, |_, (vals, base, idx, cuts)| {
+        select_at(vals, base, idx, cuts, false)
+    });
 }
 
 /// One target cell of the far-ghost clamp, ready to apply: the cell's box
@@ -343,6 +353,23 @@ const NSUB: usize = SUB * SUB;
 /// lane passes) rather than one cell.
 const NF_BLOCK: usize = 512;
 
+/// Vertices a smoothing run must have before its host bookkeeping between
+/// supersteps — owner assignment and refresh, coordinate stores, list
+/// upkeep, snapshot copies, quantile selects — goes to the pool; smaller
+/// runs do it inline, with no dispatch. Measured on a 2-vCPU host, ten
+/// iterations of a jittered grid on a 4×4 / 8×8 lattice, best of 25, per
+/// iteration with the passes pooled against inline: 8,100 vertices
+/// 0.70 / 0.77 ms on 8×8 but 1.55 / 0.91 ms on 4×4; 16,384 vertices
+/// 1.31 / 1.17 ms and 1.42 / 1.67 ms; 24,336 vertices 1.49 / 1.76 ms and
+/// 2.04 / 2.40 ms. Below about 16 k the dispatches do not pay, so the
+/// floor sits above that, and above the 128×128 grid (16,384 vertices)
+/// that `sp-serve`'s misses partition.
+const MIN_POOLED: usize = 20_000;
+
+/// Vertices a piece of the chunked passes (owner assignment, snapshot
+/// copy, coordinate stores) covers.
+const CHUNK: usize = 1 << 14;
+
 /// The near-field repulsion kernel, transposed: the outer loop walks the
 /// `NSUB` sub-lattice lanes and the inner loop streams a block of
 /// vertices, so every inner iteration is the same straight-line arithmetic
@@ -424,22 +451,91 @@ struct BetaScan {
     far: usize,
 }
 
-/// Per-rank state of the force superstep. The superstep makes one pass
-/// over the whole cell for the sub-lattice indices and the 4×4 β, then
-/// runs every later stage — gather, near field, attraction, displacement
-/// tail, move emission — over one block of at most [`NF_BLOCK`] owned
-/// vertices at a time. So `moves` and `subidx` are cell-sized, and every
-/// buffer after them holds one block: about 45 KB a rank, whatever the
-/// cell size.
+/// Integer deltas to [`SmoothScratch`]'s `cross` matrix from one rank's
+/// bookkeeping, combined per matrix entry in a small direct-mapped table:
+/// a rank's thousands of ±1 updates land on a few dozen entries (its own
+/// cell's and its neighbours' rows and columns), so adding them into
+/// `cross` on the caller costs those entries, not the updates. An entry
+/// that finds its slot taken by another evicts it to `spill`. A slot whose
+/// delta is zero holds nothing, whatever entry it names.
+#[derive(Clone, Debug)]
+struct CrossDelta {
+    slots: [(u32, i32); CROSS_SLOTS],
+    spill: Vec<(u32, i32)>,
+}
+
+const CROSS_SLOTS: usize = 64;
+
+impl Default for CrossDelta {
+    fn default() -> Self {
+        CrossDelta {
+            slots: [(0, 0); CROSS_SLOTS],
+            spill: Vec::new(),
+        }
+    }
+}
+
+impl CrossDelta {
+    #[inline]
+    fn add(&mut self, entry: usize, d: i32) {
+        let entry = entry as u32;
+        // Fibonacci hashing: the top six bits of the product.
+        let slot = &mut self.slots[(entry.wrapping_mul(0x9E37_79B9) >> 26) as usize];
+        if slot.0 != entry {
+            if slot.1 != 0 {
+                self.spill.push(*slot);
+            }
+            *slot = (entry, 0);
+        }
+        slot.1 += d;
+    }
+
+    /// Add every delta into `cross` and start over empty. The counts are
+    /// integers, so the order they are added in changes nothing; an entry
+    /// can dip below zero only between two deltas of one drain, which the
+    /// wrapping add carries through exactly.
+    fn drain_into(&mut self, cross: &mut [u32]) {
+        for (entry, d) in self.spill.drain(..) {
+            cross[entry as usize] = cross[entry as usize].wrapping_add_signed(d);
+        }
+        for slot in &mut self.slots {
+            if slot.1 != 0 {
+                cross[slot.0 as usize] = cross[slot.0 as usize].wrapping_add_signed(slot.1);
+                slot.1 = 0;
+            }
+        }
+    }
+}
+
+/// Per-rank state of the force superstep and of the bookkeeping passes
+/// around it. The superstep makes one pass over the whole cell for the
+/// sub-lattice indices and the 4×4 β, then runs every later stage —
+/// gather, near field, attraction, displacement tail, migration detection
+/// — over one block of at most [`NF_BLOCK`] owned vertices at a time. So
+/// `newpos` and `subidx` are cell-sized, and every force buffer after them
+/// holds one block: about 42 KB a rank, whatever the cell size. Every
+/// pass writes only its own rank's state.
 #[derive(Clone, Debug, Default)]
 struct DispState {
-    /// Emitted moves `(v, new position, ‖displacement‖, crossed)`: the
-    /// norm, the moved position and the did-it-leave-its-cell test are
-    /// all computed here, inside the parallel superstep and from packed
-    /// passes, so the serial apply loop is a store, an add, and an
-    /// almost-never-taken branch per move.
-    moves: Vec<(u32, Point2, f64, u8)>,
+    /// New position of every owned vertex, in owned order (a vertex whose
+    /// force is too small to move it keeps its position): the apply pass
+    /// stores them into the coordinates one chunk of vertices at a time.
+    newpos: Vec<Point2>,
     energy: f64,
+    /// Migrations `(v, from, to)`: moved vertices whose new position left
+    /// their owner's cell, in owned order, with the new cell computed in
+    /// the superstep. `from` is this rank except after a block refresh,
+    /// when a vertex still on this rank's stale list may already belong to
+    /// another cell. Not rare: 3.5–7 % of the moves at the finest level of
+    /// a 1024×512 grid migrate.
+    migs: Vec<(u32, u32, u32)>,
+    /// Block-refresh owner changes `(v, to)` of this rank's owned vertices,
+    /// in owned order.
+    flips: Vec<(u32, u32)>,
+    /// This rank's deltas to `cross`, from its flips and its migrations.
+    delta: CrossDelta,
+    /// Vertices this rank's owned list gave up at the end of the iteration.
+    leave: Vec<u32>,
     /// Sub-lattice index of every owned vertex, from the whole-cell pass.
     subidx: Vec<u8>,
     /// The block's coordinates and masses, gathered contiguous (struct of
@@ -453,29 +549,27 @@ struct DispState {
     /// Force accumulators (x and y lanes).
     fx: Vec<f64>,
     fy: Vec<f64>,
-    /// Displacement-tail scratch: force norms, step scales, displacement
-    /// norms, moved positions, and cell-crossing flags.
+    /// Displacement-tail scratch: force norms, step scales, moved
+    /// positions, and cell-crossing flags.
     nrm: Vec<f64>,
     scl: Vec<f64>,
-    dn: Vec<f64>,
     npx: Vec<f64>,
     npy: Vec<f64>,
     crx: Vec<u8>,
 }
 
 /// Reusable working state for [`lattice_smooth_with`]: per-cell owned
-/// vertex lists (maintained incrementally from owner-change deltas rather
-/// than rebuilt each iteration), the cell-adjacency lookup table, per-rank
-/// β/cross-edge scan states, displacement buffers, and cost-only outboxes.
-/// One scratch serves any number of smoothing runs (the multilevel driver
-/// reuses one across levels); its buffers are sized on entry and reused.
-/// What the smoothing loop still allocates is the lattice: every block
-/// refresh builds a new [`QuantileLattice`], whose construction allocates
-/// an x-value copy of the coordinates, the per-column y-value lists and
-/// the cut vectors, and frees the previous lattice's cuts. Between
-/// refreshes the loop allocates only in its owner bookkeeping: the stable
-/// sort of a long owner-change log takes a temporary buffer, and a move,
-/// log or owner list that outgrows its capacity reallocates.
+/// vertex lists (maintained incrementally from owner changes rather than
+/// rebuilt each iteration), the cell-adjacency lookup table, per-rank
+/// β/cross-edge scan states, force and bookkeeping states, and cost-only
+/// outboxes. One scratch serves any number of smoothing runs (the
+/// multilevel driver reuses one across levels); its buffers are sized on
+/// entry and reused. What the smoothing loop still allocates is the
+/// lattice: every block refresh builds a new [`QuantileLattice`], whose
+/// construction allocates an x-value copy of the coordinates, the
+/// per-column y-value lists and the cut vectors, and frees the previous
+/// lattice's cuts. Between refreshes the loop allocates only when a list
+/// outgrows its capacity.
 #[derive(Default)]
 pub struct SmoothScratch {
     /// Current owner cell of each vertex.
@@ -497,11 +591,11 @@ pub struct SmoothScratch {
     /// ncells × ncells directed cross-count matrix (row-major):
     /// `cross[a·ncells + b]` is the number of directed edges `(v, u)` with
     /// `owner[v] == a` and `owner[u] == b` (the diagonal holds intra-cell
-    /// counts and is simply never read). Maintained incrementally from
-    /// owner flips — counts are integers, so any correct maintenance is
-    /// bit-identical to a recount — and consulted by the β scan (halo
-    /// batch sizes) and the block refresh (far totals) in O(ncells) per
-    /// rank instead of an O(m) edge walk per iteration.
+    /// counts and is simply never read). Maintained from owner changes as
+    /// per-rank integer deltas — counts are integers, so any correct
+    /// maintenance is bit-identical to a recount — and consulted by the β
+    /// scan (halo batch sizes) and the block refresh (far totals) in
+    /// O(ncells) per rank instead of an O(m) edge walk per iteration.
     cross: Vec<u32>,
     /// Per-rank β + cross-edge scan states.
     scan: Vec<BetaScan>,
@@ -513,15 +607,14 @@ pub struct SmoothScratch {
     snapshot: Vec<Point2>,
     /// Per-rank far-edge recounts for block-boundary refreshes.
     far: Vec<usize>,
-    /// Per-rank force-superstep states (displacements, energy, cached
-    /// sub-lattice indices), reused across iterations.
+    /// Per-rank force-superstep and bookkeeping states, reused across
+    /// iterations.
     disp: Vec<DispState>,
+    /// Per-cell vertices joining the cell's owned list at the end of the
+    /// iteration.
+    joining: Vec<Vec<u32>>,
     /// Cost-only outbox, shared by the halo and migration exchanges.
     outbox: Vec<Vec<(usize, CostOnly)>>,
-    /// Owner-change log `(v, from, to)` applied to `owned` at iteration
-    /// end (mid-iteration the lists must stay stale, exactly like the
-    /// per-iteration rebuild they replace).
-    deltas: Vec<(u32, u32, u32)>,
     /// Far-migration `(from, to)` pairs of the current iteration.
     mig_pairs: Vec<(u32, u32)>,
 }
@@ -536,9 +629,10 @@ impl SmoothScratch {
     fn reset(&mut self, n: usize, q: usize, p: usize) {
         let ncells = q * q;
         self.owner.clear();
-        self.owner.reserve(n);
+        self.owner.resize(n, 0);
         self.owned.resize_with(ncells, Vec::new);
-        for l in &mut self.owned {
+        self.joining.resize_with(ncells, Vec::new);
+        for l in self.owned.iter_mut().chain(&mut self.joining) {
             l.clear();
         }
         self.adj.clear();
@@ -569,17 +663,21 @@ impl SmoothScratch {
         self.beta_snapshot.clear();
         self.beta_snapshot.resize(ncells, Beta::default());
         self.snapshot.clear();
-        self.snapshot.reserve(n);
+        self.snapshot.resize(n, Point2::ZERO);
         self.far.clear();
         self.far.resize(p, 0);
         self.disp.resize_with(p, Default::default);
         for d in &mut self.disp {
-            d.moves.clear();
+            d.newpos.clear();
             d.energy = 0.0;
+            d.migs.clear();
+            d.flips.clear();
+            d.delta = CrossDelta::default();
+            d.leave.clear();
             d.subidx.clear();
             for buf in [
                 &mut d.cvx, &mut d.cvy, &mut d.cm, &mut d.cmk, &mut d.fx, &mut d.fy, &mut d.nrm,
-                &mut d.scl, &mut d.dn, &mut d.npx, &mut d.npy,
+                &mut d.scl, &mut d.npx, &mut d.npy,
             ] {
                 buf.resize(NF_BLOCK, 0.0);
             }
@@ -589,123 +687,163 @@ impl SmoothScratch {
         for o in &mut self.outbox {
             o.clear();
         }
-        self.deltas.clear();
         self.mig_pairs.clear();
     }
 
-    /// Recount `cross` from scratch: one pass over every directed edge.
-    fn rebuild_cross(&mut self, g: &Graph) {
-        let ncells = self.betas.len();
-        self.cross.clear();
-        self.cross.resize(ncells * ncells, 0);
-        for (v, &c) in self.owner.iter().enumerate() {
-            let row = c as usize * ncells;
-            for &u in g.neighbors(v as u32) {
-                self.cross[row + self.owner[u as usize] as usize] += 1;
+    /// Initial owners, owned lists and cross counts for `lattice`. The
+    /// owners are computed one chunk of vertices a piece, and each cell's
+    /// row of `cross` is counted from its own list, on the pool; the lists
+    /// are a group-by on the caller.
+    fn assign(&mut self, g: &Graph, coords: &[Point2], lattice: &QuantileLattice) {
+        let q = lattice.q();
+        let ncells = q * q;
+        let pooled = coords.len() >= MIN_POOLED;
+        let chunks = self.owner.chunks_mut(CHUNK).zip(coords.chunks(CHUNK));
+        pool::each_if(pooled, chunks, |_, (owners, points)| {
+            for (o, &p) in owners.iter_mut().zip(points) {
+                let (i, j) = lattice.cell_of_fast(p);
+                *o = (j * q + i) as u32;
             }
-        }
-    }
-
-    /// Rebuild `owned` as a group-by of `owner` (ascending within cells).
-    fn rebuild_owned(&mut self) {
-        for l in &mut self.owned {
-            l.clear();
-        }
+        });
         for (v, &c) in self.owner.iter().enumerate() {
             self.owned[c as usize].push(v as u32);
         }
+        let owner = &self.owner;
+        let rows = self.cross.chunks_mut(ncells).zip(&self.owned);
+        pool::each_if(pooled, rows, |_, (row, mine)| {
+            for &v in mine {
+                for &u in g.neighbors(v) {
+                    row[owner[u as usize] as usize] += 1;
+                }
+            }
+        });
     }
 
-    /// Apply the iteration's owner-change log to `owned`, keeping each
-    /// list sorted. Changes are grouped per cell — one compaction sweep
-    /// per source cell and one backward merge per destination cell — so
-    /// the cost is O(affected lists + k·log k) rather than one O(list)
-    /// splice per delta. Falls back to a full rebuild when the log is
-    /// large (post-refresh churn), which is O(n) — the same as one
-    /// rebuild of the old per-iteration kind.
-    fn apply_deltas(&mut self) {
-        if self.deltas.is_empty() {
-            return;
-        }
-        if self.deltas.len() * 8 > self.owner.len() {
-            self.deltas.clear();
-            self.rebuild_owned();
-            return;
-        }
-        let mut deltas = std::mem::take(&mut self.deltas);
-        // A vertex can move twice in one iteration (block refresh, then
-        // migration); collapse each chain to its net move. The stable
-        // sort keeps a vertex's events in log order.
-        deltas.sort_by_key(|d| d.0);
-        let mut w = 0;
-        let mut i = 0;
-        while i < deltas.len() {
-            let (v, from, mut to) = deltas[i];
-            i += 1;
-            while i < deltas.len() && deltas[i].0 == v {
-                to = deltas[i].2;
-                i += 1;
-            }
-            if from != to {
-                deltas[w] = (v, from, to);
-                w += 1;
-            }
-        }
-        deltas.truncate(w);
-        // Removals: one compaction sweep per source cell.
-        deltas.sort_unstable_by_key(|d| (d.1, d.0));
-        let mut i = 0;
-        while i < deltas.len() {
-            let from = deltas[i].1;
-            let start = i;
-            while i < deltas.len() && deltas[i].1 == from {
-                i += 1;
-            }
-            let rem = &deltas[start..i]; // ascending v
-            let list = &mut self.owned[from as usize];
-            let mut k = 0;
-            let mut w = 0;
-            for r in 0..list.len() {
-                let v = list[r];
-                if k < rem.len() && rem[k].0 == v {
-                    k += 1;
-                } else {
-                    list[w] = v;
-                    w += 1;
+    /// Block refresh of `owner` against a re-derived `lattice`, as two
+    /// passes per cell on the pool with the owner stores between them on
+    /// the caller. First, every owned vertex whose position lies outside
+    /// its cell gets its new cell, and the row side of `cross` moves
+    /// against its neighbours' current owners. Then the column side moves
+    /// against their new owners — the two halves of each flipped edge's
+    /// old-to-new count, so the sum is the recount whatever order the flips
+    /// came in. Every rank's deltas go into `cross` in rank order. The
+    /// owned lists stay as they are until [`SmoothScratch::settle`].
+    fn refresh_owners(&mut self, g: &Graph, coords: &[Point2], lattice: &QuantileLattice) {
+        let q = lattice.q();
+        let ncells = q * q;
+        let pooled = coords.len() >= MIN_POOLED;
+        let owner = &self.owner;
+        let cells = self.disp.iter_mut().zip(&self.owned);
+        pool::each_if(pooled, cells, |c, (d, mine)| {
+            for &v in mine {
+                let p = coords[v as usize];
+                if lattice.in_cell(c % q, c / q, p) {
+                    continue;
+                }
+                let (i, j) = lattice.cell_of_fast(p);
+                let to = j * q + i;
+                if to != c {
+                    d.flips.push((v, to as u32));
+                    for &u in g.neighbors(v) {
+                        let cu = owner[u as usize] as usize;
+                        d.delta.add(c * ncells + cu, -1);
+                        d.delta.add(to * ncells + cu, 1);
+                    }
                 }
             }
-            debug_assert_eq!(k, rem.len(), "vertex missing from owner list");
-            list.truncate(w);
-        }
-        // Insertions: one backward in-place merge per destination cell.
-        deltas.sort_unstable_by_key(|d| (d.2, d.0));
-        let mut i = 0;
-        while i < deltas.len() {
-            let to = deltas[i].2;
-            let start = i;
-            while i < deltas.len() && deltas[i].2 == to {
-                i += 1;
+        });
+        for d in &self.disp[..ncells] {
+            for &(v, to) in &d.flips {
+                self.owner[v as usize] = to;
             }
-            let ins = &deltas[start..i]; // ascending v, distinct
-            let list = &mut self.owned[to as usize];
+        }
+        let owner = &self.owner;
+        pool::each_if(pooled, &mut self.disp[..ncells], |c, d| {
+            for &(v, to) in &d.flips {
+                for &u in g.neighbors(v) {
+                    let row = owner[u as usize] as usize * ncells;
+                    d.delta.add(row + c, -1);
+                    d.delta.add(row + to as usize, 1);
+                }
+            }
+        });
+        for d in &mut self.disp[..ncells] {
+            d.delta.drain_into(&mut self.cross);
+        }
+    }
+
+    /// End-of-iteration bookkeeping, once every owner change of the
+    /// iteration (block refresh, then migrations) is in `owner`. Per rank
+    /// on the pool: the column side of `cross` for its migrations (the row
+    /// side was moved in the force superstep, against the neighbours'
+    /// owners before any migration), and the compaction of its owned list,
+    /// which keeps what left. On the caller, in rank order: every rank's
+    /// deltas into `cross`, and what left each list added to its new
+    /// owner's `joining` list. Per cell on the pool: the newcomers merge
+    /// into the list. The lists come out exactly as a group-by of `owner`
+    /// would build them.
+    fn settle(&mut self, g: &Graph) {
+        let ncells = self.owned.len();
+        let pooled = self.owner.len() >= MIN_POOLED;
+        let owner = &self.owner;
+        let cells = self.disp.iter_mut().zip(&mut self.owned);
+        pool::each_if(pooled, cells, |c, (d, list)| {
+            for &(v, from, to) in &d.migs {
+                for &u in g.neighbors(v) {
+                    let row = owner[u as usize] as usize * ncells;
+                    d.delta.add(row + from as usize, -1);
+                    d.delta.add(row + to as usize, 1);
+                }
+            }
+            d.leave.clear();
+            if !d.migs.is_empty() || !d.flips.is_empty() {
+                list.retain(|&v| {
+                    let stays = owner[v as usize] as usize == c;
+                    if !stays {
+                        d.leave.push(v);
+                    }
+                    stays
+                });
+            }
+            d.flips.clear();
+        });
+        for d in &mut self.disp[..ncells] {
+            d.delta.drain_into(&mut self.cross);
+            for &v in &d.leave {
+                self.joining[self.owner[v as usize] as usize].push(v);
+            }
+        }
+        // Room for the newcomers is made on the caller, so that no list
+        // grows on whichever thread merges it.
+        for (list, new) in self.owned.iter_mut().zip(&self.joining) {
+            list.reserve(new.len());
+        }
+        let cells = self.owned.iter_mut().zip(&mut self.joining);
+        pool::each_if(pooled, cells, |_, (list, new)| {
+            if new.is_empty() {
+                return;
+            }
+            // Newcomers arrive grouped by the list they left; one sort and
+            // one backward in-place merge.
+            new.sort_unstable();
             let old_len = list.len();
-            list.resize(old_len + ins.len(), 0);
-            let mut a = old_len as isize - 1;
-            let mut b = ins.len() as isize - 1;
-            let mut w = list.len() as isize - 1;
-            while b >= 0 {
-                if a >= 0 && list[a as usize] > ins[b as usize].0 {
-                    list[w as usize] = list[a as usize];
+            list.resize(old_len + new.len(), 0);
+            let mut a = old_len;
+            let mut b = new.len();
+            for w in (0..list.len()).rev() {
+                if b == 0 {
+                    break;
+                }
+                if a > 0 && list[a - 1] > new[b - 1] {
+                    list[w] = list[a - 1];
                     a -= 1;
                 } else {
-                    list[w as usize] = ins[b as usize].0;
+                    list[w] = new[b - 1];
                     b -= 1;
                 }
-                w -= 1;
             }
-        }
-        self.deltas = deltas;
-        self.deltas.clear();
+            new.clear();
+        });
     }
 }
 
@@ -770,15 +908,7 @@ pub fn lattice_smooth_with(
         (j * q + i) as u32
     };
     scratch.reset(n, q, p);
-    {
-        let lat = &lattice;
-        scratch
-            .owner
-            .extend(coords.iter().map(|&c| cell_of(c, lat)));
-    }
-    scratch.rebuild_owned();
-    scratch.rebuild_cross(g);
-    scratch.snapshot.extend_from_slice(coords);
+    scratch.assign(g, coords, &lattice);
     let mut stats = LatticeStats::default();
 
     for it in 0..cfg.iters {
@@ -852,32 +982,14 @@ pub fn lattice_smooth_with(
         if it % cfg.block.max(1) == 0 {
             let far_total: usize = if it > 0 {
                 // Re-derive the balanced lattice from the current layout,
-                // refresh owners (maintaining `cross` per flip), and charge
-                // the quantile computation (n/P ops + one collective). The
-                // far total is then a row sum over `cross` — the grouping
-                // of the old per-vertex recount differed (pre-refresh owned
-                // lists), but only the total ever entered the payload, and
-                // integer totals agree regardless of grouping.
+                // refresh owners (maintaining `cross`), and charge the
+                // quantile computation (n/P ops + one collective). The far
+                // total is then a row sum over `cross` — the grouping of the
+                // old per-vertex recount differed (pre-refresh owned lists),
+                // but only the total ever entered the payload, and integer
+                // totals agree regardless of grouping.
                 lattice = QuantileLattice::build(coords, q);
-                for (v, c) in coords.iter().enumerate() {
-                    let oc = scratch.owner[v];
-                    if lattice.in_cell(oc as usize % q, oc as usize / q, *c) {
-                        continue;
-                    }
-                    let nc = cell_of(*c, &lattice);
-                    if nc != oc {
-                        scratch.deltas.push((v as u32, oc, nc));
-                        let (ro, rn) = (oc as usize * ncells, nc as usize * ncells);
-                        for &u in g.neighbors(v as u32) {
-                            let cu = scratch.owner[u as usize] as usize;
-                            scratch.cross[ro + cu] -= 1;
-                            scratch.cross[rn + cu] += 1;
-                            scratch.cross[cu * ncells + oc as usize] -= 1;
-                            scratch.cross[cu * ncells + nc as usize] += 1;
-                        }
-                        scratch.owner[v] = nc;
-                    }
-                }
+                scratch.refresh_owners(g, coords, &lattice);
                 let share = (n / ncells.max(1)) as f64;
                 {
                     let adj = &scratch.adj;
@@ -905,7 +1017,10 @@ pub fn lattice_smooth_with(
             // per far cross-edge coordinate (the paper's ñ).
             machine.group_allgather_costed(ncells, 3 * ncells + 2 * far_total);
             machine.group_allreduce_sum_costed(ncells, 1);
-            scratch.snapshot.copy_from_slice(coords);
+            let chunks = scratch.snapshot.chunks_mut(CHUNK).zip(coords.chunks(CHUNK));
+            pool::each_if(n >= MIN_POOLED, chunks, |_, (stale, fresh)| {
+                stale.copy_from_slice(fresh)
+            });
             let betas = &scratch.betas;
             scratch.beta_snapshot.copy_from_slice(betas);
         }
@@ -923,10 +1038,20 @@ pub fn lattice_smooth_with(
             let beta_snap_ref = &scratch.beta_snapshot;
             let lattice_ref = &lattice;
             let refreshed = it > 0 && it % cfg.block.max(1) == 0;
+            // The cell-sized buffers grow here, on the caller, and not on
+            // whichever thread claims the rank.
+            for (st, mine) in scratch.disp.iter_mut().zip(&scratch.owned) {
+                st.newpos.clear();
+                st.newpos.reserve(mine.len());
+                st.subidx.clear();
+                st.subidx.reserve(mine.len());
+            }
             machine.compute(&mut scratch.disp, |r, state| {
                 let DispState {
-                    moves,
+                    newpos,
                     energy,
+                    migs,
+                    delta,
                     subidx,
                     cvx,
                     cvy,
@@ -936,12 +1061,13 @@ pub fn lattice_smooth_with(
                     fy,
                     nrm,
                     scl,
-                    dn,
                     npx,
                     npy,
                     crx,
+                    ..
                 } = state;
-                moves.clear();
+                newpos.clear();
+                migs.clear();
                 *energy = 0.0;
                 if r >= ncells {
                     return 0.0;
@@ -1108,23 +1234,21 @@ pub fn lattice_smooth_with(
                     for i in 0..len {
                         scl[i] = step / nrm[i];
                     }
-                    // Displacement norms, moved positions and cell-crossing
-                    // flags as one more packed pass. The products are the
-                    // expressions the serial apply loop once computed per
-                    // move — `d.x` as `f.x · scale`, `np` as `coords[v] +
-                    // d` (`cvx` *is* `coords[v].x`: nothing writes
-                    // coordinates between the gather and the apply of the
-                    // same iteration). The crossing test replays
-                    // `QuantileLattice::in_cell`'s exact comparisons
-                    // against the own cell's cuts (lane constants here).
-                    let dn = &mut dn[..len];
+                    // Moved positions and cell-crossing flags as one more
+                    // packed pass. The products are the reference's per-move
+                    // expressions — `d.x` as `f.x · scale`, `np` as
+                    // `coords[v] + d` (`cvx` *is* `coords[v].x`: nothing
+                    // writes coordinates between the gather and the apply
+                    // of the same iteration). The
+                    // crossing test replays `QuantileLattice::in_cell`'s
+                    // exact comparisons against the own cell's cuts (lane
+                    // constants here).
                     let npx = &mut npx[..len];
                     let npy = &mut npy[..len];
                     let crx = &mut crx[..len];
                     for i in 0..len {
                         let dx = fx[i] * scl[i];
                         let dy = fy[i] * scl[i];
-                        dn[i] = (dx * dx + dy * dy).sqrt();
                         let nx = cvx[i] + dx;
                         let ny = cvy[i] + dy;
                         npx[i] = nx;
@@ -1140,12 +1264,12 @@ pub fn lattice_smooth_with(
                     if refreshed {
                         // A block refresh rewrites `owner` mid-iteration
                         // while this rank's owned list stays stale until
-                        // the end-of-iteration `apply_deltas`, so a
+                        // the end-of-iteration `SmoothScratch::settle`, so a
                         // just-flipped vertex is still in `mine` with
                         // `owner[v] != my`. Its crossing test above used
                         // the wrong cell's bounds: force the flag on so the
-                        // apply loop runs the full `cell_of` path against
-                        // the true owner. On every other iteration
+                        // migration test below runs the full `cell_of` path
+                        // against the true owner. On every other iteration
                         // `owner[v] == my` for all of `mine` and the packed
                         // flags are exact as computed.
                         let myu = my as u32;
@@ -1153,11 +1277,40 @@ pub fn lattice_smooth_with(
                             crx[i] |= (owner_ref[v as usize] != myu) as u8;
                         }
                     }
+                    // Energy in owned order, new positions, and migration
+                    // detection: a vertex's cell can only change if it
+                    // moved, and at the top of the iteration `owner[v]`
+                    // matches `cell_of(coords[v])` for every vertex (initial
+                    // assignment, block refreshes and prior migrations all
+                    // enforce it), so the crossing movers are every possible
+                    // migration. A migration moves the row side of `cross`
+                    // here, against the neighbours' owners before this
+                    // iteration's migrations; `SmoothScratch::settle` moves
+                    // the column side once they are all in `owner`.
                     for (vi, &v) in blk.iter().enumerate() {
                         let norm = nrm[vi];
                         *energy += norm * norm;
-                        if norm > 1e-12 {
-                            moves.push((v, Point2::new(npx[vi], npy[vi]), dn[vi], crx[vi]));
+                        // A force too small to move the vertex leaves it
+                        // where it is, and in its cell.
+                        let moves = norm > 1e-12;
+                        let np = if moves {
+                            Point2::new(npx[vi], npy[vi])
+                        } else {
+                            Point2::new(cvx[vi], cvy[vi])
+                        };
+                        newpos.push(np);
+                        if !moves || crx[vi] == 0 {
+                            continue;
+                        }
+                        let from = owner_ref[v as usize];
+                        let to = cell_of(np, lattice_ref);
+                        if to != from {
+                            migs.push((v, from, to));
+                            for &u in g.neighbors(v) {
+                                let cu = owner_ref[u as usize] as usize;
+                                delta.add(from as usize * ncells + cu, -1);
+                                delta.add(to as usize * ncells + cu, 1);
+                            }
                         }
                     }
                 }
@@ -1172,55 +1325,44 @@ pub fn lattice_smooth_with(
         }
 
         // --- Apply moves (owned vertices only — ghosts are by construction
-        // other ranks' owned vertices and move on their own ranks), fused
-        // with migration detection: a vertex's cell can only change if its
-        // coordinates did, and at the top of the iteration `owner[v]`
-        // matches `cell_of(coords[v])` for every vertex (initial
-        // assignment, block refreshes and prior migrations all enforce
-        // it), so scanning the movers covers every possible migration
-        // without re-walking all n vertices. Migration batches are keyed
-        // by sorted (from, to) pairs — not discovery order, which now
-        // follows rank-major move lists — so emission stays deterministic,
-        // and `apply_deltas` sorts the owner log, so it never depended on
-        // scan order either.
-        let mut total_move = 0.0;
-        let mut moved = 0usize;
+        // other ranks' owned vertices and move on their own ranks). Energy
+        // folds in rank order. The coordinate stores run one chunk of
+        // vertices a piece on the pool: every owned list is ascending, so a
+        // chunk's vertices in a list are one run, found by two binary
+        // searches, and every vertex is in exactly one list. The owner
+        // stores follow on the caller in rank order, with the far pairs of
+        // the migration exchange. Migration batches are keyed by sorted
+        // (from, to) pairs, not discovery order, so emission stays
+        // deterministic.
         let mut new_energy = 0.0;
-        scratch.mig_pairs.clear();
         for st in &scratch.disp {
             new_energy += st.energy;
-            for &(v, np, dnorm, crossed) in &st.moves {
-                total_move += dnorm;
-                coords[v as usize] = np;
-                moved += 1;
-                if crossed == 0 {
-                    continue;
+        }
+        {
+            let owned = &scratch.owned;
+            let disp = &scratch.disp;
+            pool::each_if(n >= MIN_POOLED, coords.chunks_mut(CHUNK), |k, chunk| {
+                let lo = (k * CHUNK) as u32;
+                let hi = lo + chunk.len() as u32;
+                for (mine, st) in owned.iter().zip(disp) {
+                    let a = mine.partition_point(|&v| v < lo);
+                    let b = a + mine[a..].partition_point(|&v| v < hi);
+                    for (&v, &np) in mine[a..b].iter().zip(&st.newpos[a..b]) {
+                        chunk[(v - lo) as usize] = np;
+                    }
                 }
-                let oc = scratch.owner[v as usize];
-                let nc = cell_of(np, &lattice);
-                if nc != oc {
-                    if !scratch.adj[oc as usize * ncells + nc as usize] {
-                        scratch.mig_pairs.push((oc, nc));
-                    }
-                    scratch.deltas.push((v, oc, nc));
-                    let (ro, rn) = (oc as usize * ncells, nc as usize * ncells);
-                    for &u in g.neighbors(v) {
-                        let cu = scratch.owner[u as usize] as usize;
-                        scratch.cross[ro + cu] -= 1;
-                        scratch.cross[rn + cu] += 1;
-                        scratch.cross[cu * ncells + oc as usize] -= 1;
-                        scratch.cross[cu * ncells + nc as usize] += 1;
-                    }
-                    scratch.owner[v as usize] = nc;
-                    stats.migrations += 1;
+            });
+        }
+        scratch.mig_pairs.clear();
+        for st in &scratch.disp[..ncells] {
+            for &(v, from, to) in &st.migs {
+                scratch.owner[v as usize] = to;
+                if !scratch.adj[from as usize * ncells + to as usize] {
+                    scratch.mig_pairs.push((from, to));
                 }
             }
+            stats.migrations += st.migs.len();
         }
-        stats.final_move = if moved > 0 {
-            total_move / moved as f64 / params.k
-        } else {
-            0.0
-        };
         scratch.mig_pairs.sort_unstable();
         for o in &mut scratch.outbox {
             o.clear();
@@ -1236,10 +1378,11 @@ pub fn lattice_smooth_with(
             scratch.outbox[from as usize].push((to as usize, CostOnly::new(3 * cnt)));
         }
         machine.exchange_costed(&scratch.outbox);
-        // Owned lists pick up this iteration's owner changes (block
-        // refresh + migrations) only now: mid-iteration they must stay
-        // stale, exactly like the per-iteration rebuild they replace.
-        scratch.apply_deltas();
+        // Owned lists and cross counts pick up this iteration's owner
+        // changes (block refresh + migrations) only now: mid-iteration the
+        // lists must stay stale, exactly like the per-iteration rebuild
+        // they replace.
+        scratch.settle(g);
 
         // Hu's adaptive step control on the global energy (the global
         // reduction this needs is the per-block reduction already charged).
@@ -1440,13 +1583,44 @@ mod tests {
                 d.fy.capacity(),
                 d.nrm.capacity(),
                 d.scl.capacity(),
-                d.dn.capacity(),
                 d.npx.capacity(),
                 d.npy.capacity(),
                 d.crx.capacity(),
             ];
             assert!(caps.iter().all(|&c| c <= NF_BLOCK), "rank {r}: {caps:?}");
         }
+    }
+
+    /// What the bookkeeping passes maintain — owned lists and cross counts —
+    /// must equal a recount from `owner`. 150×140 vertices from a random
+    /// start on a 4×4 lattice: above the work floor, so the passes run on
+    /// the pool; thousands of migrations; and twelve iterations of block 4
+    /// refresh the lattice twice.
+    #[test]
+    fn owned_lists_and_cross_counts_match_a_recount_from_owner() {
+        let g = sp_graph::gen::grid_2d(150, 140);
+        assert!(g.n() >= MIN_POOLED);
+        let mut coords = random_init(g.n(), &mut StdRng::seed_from_u64(8));
+        let mut m = Machine::new(16, CostModel::qdr_infiniband());
+        let mut scratch = SmoothScratch::new();
+        let cfg = LatticeConfig {
+            iters: 12,
+            ..LatticeConfig::default()
+        };
+        let stats = lattice_smooth_with(&g, &mut coords, 4, &mut m, &cfg, &mut scratch);
+        assert!(stats.migrations > 1000, "{} migrations", stats.migrations);
+        let ncells = 16;
+        let owner = &scratch.owner;
+        let mut owned = vec![Vec::new(); ncells];
+        let mut cross = vec![0u32; ncells * ncells];
+        for v in 0..g.n() {
+            owned[owner[v] as usize].push(v as u32);
+            for &u in g.neighbors(v as u32) {
+                cross[owner[v] as usize * ncells + owner[u as usize] as usize] += 1;
+            }
+        }
+        assert_eq!(scratch.owned, owned);
+        assert_eq!(scratch.cross, cross);
     }
 
     #[test]

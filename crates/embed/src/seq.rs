@@ -67,12 +67,12 @@ impl Slot {
     }
 }
 
-/// Vertices a thread claims at a time in a dealt iteration (64 and 128
+/// Vertices a thread claims at a time in a pooled iteration (64 and 128
 /// time the same from 256 vertices to 4 000; a layout of one chunk has
 /// nothing to deal).
 const CHUNK: usize = 128;
 
-/// An iteration is dealt over the pool when it has at least this many
+/// An iteration goes to the pool when it has at least this many
 /// force terms, counting [`BH_TERMS_PER_VERTEX`] tree interactions a
 /// vertex beside its edge terms: the 16×16 grid (17 344 terms) takes 79 µs
 /// an iteration on one thread and 55 µs on two with the worker spinning

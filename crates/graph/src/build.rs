@@ -22,15 +22,15 @@ use crate::csr::Graph;
 use sp_machine::pool;
 use std::ops::Range;
 
-/// Rows per chunk: about four chunks per pool thread, dealt round-robin so
-/// that uneven rows even out, but never so few rows that handing a chunk
-/// out costs more than filling it.
-fn chunk_len(n: usize) -> usize {
+/// Rows per chunk: about four chunks per pool thread, claimed one at a
+/// time so that uneven rows even out, but never so few rows that handing a
+/// chunk out costs more than filling it.
+pub(crate) fn chunk_len(n: usize) -> usize {
     n.div_ceil(4 * pool::width()).max(1024)
 }
 
 /// Rows of chunk `c` of `n` rows.
-fn chunk_rows(c: usize, chunk: usize, n: usize) -> Range<usize> {
+pub(crate) fn chunk_rows(c: usize, chunk: usize, n: usize) -> Range<usize> {
     c * chunk..((c + 1) * chunk).min(n)
 }
 

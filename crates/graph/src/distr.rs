@@ -5,8 +5,17 @@
 //! coordinates exist. Both mappings live here, as does the bookkeeping a
 //! rank needs about its boundary and ghost vertices.
 
+use crate::build::{chunk_len, chunk_rows};
 use crate::csr::Graph;
 use sp_geometry::{Aabb2, Point2};
+use sp_machine::pool;
+
+/// Vertices a graph must have before [`Distribution::cross_edges`] counts
+/// on the pool. Measured on a 2-vCPU host, grids on 8 ranks, best of 30,
+/// pooled against inline: 8,100 vertices 37 / 37 µs, 32,761 vertices
+/// 95 / 134 µs, 65,536 vertices 248 / 329 µs. The floor keeps graphs the
+/// size of `sp-serve`'s misses (a 128×128 grid) inline.
+const MIN_POOLED_CROSS: usize = 20_000;
 
 /// An assignment of every vertex to a rank.
 #[derive(Clone, Debug)]
@@ -69,17 +78,26 @@ impl Distribution {
         max / (self.owner.len() as f64 / self.p as f64)
     }
 
-    /// Total number of edges crossing rank boundaries (each counted once).
+    /// Total number of edges crossing rank boundaries (each counted once),
+    /// one range of vertices a piece on the pool when the graph is large
+    /// enough to pay for it. The integer sum of the ranges' counts is the
+    /// same however they ran.
     pub fn cross_edges(&self, g: &Graph) -> usize {
-        let mut c = 0;
-        for v in 0..g.n() as u32 {
-            for &u in g.neighbors(v) {
-                if u > v && self.owner[u as usize] != self.owner[v as usize] {
-                    c += 1;
-                }
+        let n = g.n();
+        let chunk = chunk_len(n);
+        let mut counts = vec![0usize; n.div_ceil(chunk)];
+        pool::each_if(n >= MIN_POOLED_CROSS, counts.iter_mut(), |c, count| {
+            for v in chunk_rows(c, chunk, n) {
+                let v = v as u32;
+                let own = self.owner[v as usize];
+                *count += g
+                    .neighbors(v)
+                    .iter()
+                    .filter(|&&u| u > v && self.owner[u as usize] != own)
+                    .count();
             }
-        }
-        c
+        });
+        counts.iter().sum()
     }
 }
 

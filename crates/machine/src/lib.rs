@@ -4,12 +4,13 @@
 //! cluster. This crate substitutes that testbed: algorithms are written in
 //! SPMD style against [`Machine`], which executes per-rank compute closures
 //! in parallel on real threads — this crate's own [`pool`] of parked
-//! workers, a static deal with no stealing — while *charging* a LogP-style
+//! workers, which claim the ranks one unit at a time — while *charging* a LogP-style
 //! cost model — latency `t_s`, per-word bandwidth `t_w`, per-operation
 //! compute `t_op` — to per-rank simulated clocks. Simulated elapsed time
 //! (`Machine::elapsed`) is what the scaling figures report. The same pool
-//! runs a forked k-way recursion and `sp-graph`'s set-up passes, all
-//! through one deal ([`pool::each`]). How many host threads it deals over
+//! runs a forked k-way recursion, `sp-graph`'s set-up passes and the host
+//! bookkeeping between supersteps, all through [`pool::each`]. How many
+//! host threads it uses
 //! is [`pool::width`], the installed rayon pool's width:
 //! `ThreadPool::install` and `RAYON_NUM_THREADS` set it, and nothing else
 //! of rayon is used.

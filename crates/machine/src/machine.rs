@@ -34,10 +34,10 @@ pub struct SuperstepInfo {
     pub ranks: usize,
     /// Ranks that charged nonzero ops (the superstep's active set).
     pub active: usize,
-    /// Contiguous ranks per unit this superstep dealt round-robin over its
-    /// host tasks (1 when the machine's rank batch is 0, the default).
+    /// Contiguous ranks per unit this superstep's host tasks claimed (1
+    /// when the machine's rank batch is 0, the default).
     pub batch: usize,
-    /// Host threads the superstep could be dealt over ([`pool::width`]).
+    /// Host threads the superstep could run on ([`pool::width`]).
     pub threads: usize,
     /// Host wall-clock seconds spent in the rank closures.
     pub wall_seconds: f64,
@@ -99,8 +99,8 @@ pub struct Machine {
     skew: Vec<f64>,
     /// Extra simulated seconds added to every collective's completion time.
     collective_delay: f64,
-    /// Contiguous ranks per unit that [`Machine::compute`] deals to its
-    /// host tasks; 0 = auto (one rank). Purely a host execution knob:
+    /// Contiguous ranks per unit that [`Machine::compute`]'s host tasks
+    /// claim; 0 = auto (one rank). Purely a host execution knob:
     /// results and clock charges are keyed by rank, never by task or
     /// thread, so any unit size yields identical simulations.
     rank_batch: usize,
@@ -141,7 +141,7 @@ impl Machine {
     }
 
     /// Set how many contiguous ranks make one unit in [`Machine::compute`],
-    /// which deals units round-robin over the host pool's threads: 0 (the
+    /// whose host tasks claim the units one at a time: 0 (the
     /// default) is auto, one rank a unit; `p` or more is a single unit, so
     /// the whole superstep runs inline on the calling thread. Simulated
     /// clocks and delivered data are identical for every value, and no
@@ -309,13 +309,13 @@ impl Machine {
     /// the rank performed, which is charged to its clock.
     ///
     /// Host execution cuts the ranks into units of
-    /// [`Machine::set_rank_batch`] contiguous ranks (one rank by default)
-    /// and deals the units round-robin over one task per pool thread
-    /// ([`pool::each`]), so whichever ranks are busy this superstep — a
-    /// prefix at the coarse levels, all of them at the finest — every
-    /// thread gets its share.
-    /// The calling thread runs the first task itself, parked workers the
-    /// others: no thread is started per superstep. Each closure touches
+    /// [`Machine::set_rank_batch`] contiguous ranks (one rank by default),
+    /// and one task per pool thread claims the units in rank order from a
+    /// shared cursor until none is left ([`pool::each`]). So whichever ranks
+    /// are busy this superstep — a prefix at the coarse levels, all of them
+    /// at the finest — every thread keeps claiming while there is work, and
+    /// the calling thread starts on rank 0 while a parked worker wakes: no
+    /// thread is started per superstep. Each closure touches
     /// only its own rank's state and writes its ops into its own rank's
     /// slot, and the charging loop below always walks ranks in ascending
     /// order on the simulated clock — so unit size, thread count, and host
@@ -325,9 +325,9 @@ impl Machine {
     /// serial loop with no dispatch at all, and so is any superstep whose
     /// rank state is zero-sized (a pure cost charge).
     ///
-    /// A closure that panics fails the superstep as a whole: the other
-    /// tasks run to their end, no clock is charged, and the panic resumes
-    /// on the caller with the machine and the pool still usable.
+    /// A closure that panics fails the superstep as a whole: every other
+    /// rank still runs, no clock is charged, and the panic resumes on the
+    /// caller with the machine and the pool still usable.
     pub fn compute<S: Send, F>(&mut self, states: &mut [S], f: F)
     where
         F: Fn(usize, &mut S) -> f64 + Sync,
@@ -357,7 +357,7 @@ impl Machine {
                 self.ops_buf[r] = f(r, s);
             }
         } else {
-            // Unit `u` goes to task `u % tasks` (inline when there is one).
+            // Units are claimed in order (inline when there is one task).
             // Each unit is a disjoint slice of states and of the ops buffer,
             // so there is no sharing to synchronise and nothing
             // host-order-dependent to merge — slot `r` is rank `r`'s result
@@ -798,7 +798,7 @@ mod tests {
         }
     }
 
-    /// Dealing units round-robin gives every pool thread a share of any
+    /// Claiming units one at a time gives every pool thread a share of any
     /// active set. Contiguous halves of the ranks would run this one — only
     /// ranks 0..8 of 64 have work, the shape of every coarse level — on one
     /// thread.
@@ -808,8 +808,8 @@ mod tests {
         use std::sync::{Condvar, Mutex};
         use std::thread::{self, ThreadId};
         use std::time::Duration;
-        // Ranks 0 and 1 wait for each other, so a work-stealing pool cannot
-        // finish one hand before its second thread has picked up the other;
+        // Ranks 0 and 1 wait for each other, so one task cannot claim both
+        // before the second thread has picked up the other;
         // the timeout turns a one-thread dispatch into a failure, not a hang.
         let met = (Mutex::new(0), Condvar::new());
         pool(2).install(|| {
@@ -850,6 +850,7 @@ mod tests {
     /// or the hook can see.
     #[test]
     fn zero_sized_state_runs_inline_and_charges_like_a_sized_twin() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
         use std::sync::{Arc, Mutex};
         use std::thread::{self, ThreadId};
         type Seen = (usize, usize, usize, usize);
@@ -867,8 +868,20 @@ mod tests {
             m.phase(Phase::Partition);
             let mut states = vec![state; 16];
             for step in 0..3usize {
+                // The sized twin's ranks 0 and 1 wait for each other (up to a
+                // deadline), so its supersteps cannot finish on one thread.
+                let arrived = AtomicUsize::new(0);
                 m.compute(&mut states, |r, _| {
                     ran_on.lock().unwrap().push(thread::current().id());
+                    if std::mem::size_of::<S>() > 0 && r < 2 {
+                        arrived.fetch_add(1, Ordering::SeqCst);
+                        let t0 = std::time::Instant::now();
+                        while arrived.load(Ordering::SeqCst) < 2
+                            && t0.elapsed() < std::time::Duration::from_secs(10)
+                        {
+                            thread::yield_now();
+                        }
+                    }
                     ((r + step) % 5) as f64 * 1.5
                 });
             }
@@ -888,7 +901,7 @@ mod tests {
             assert_eq!(zst_threads, vec![thread::current().id(); 48]);
             assert!(
                 sized_threads.iter().any(|&t| t != thread::current().id()),
-                "the twin is dealt over the pool"
+                "the twin runs on the pool"
             );
             assert_eq!(zst_hook, sized_hook);
             assert_eq!(zst_hook, [(16, 12, 1, 2), (16, 13, 1, 2), (16, 13, 1, 2)]);
@@ -898,8 +911,8 @@ mod tests {
     }
 
     /// A rank closure that panics fails its superstep, not the machine: the
-    /// panic reaches the caller once the other task has finished, nothing
-    /// is charged, and the next superstep runs and charges as usual.
+    /// panic reaches the caller once every other rank has run, nothing is
+    /// charged, and the next superstep runs and charges as usual.
     #[test]
     fn a_panicking_rank_fails_the_superstep_and_the_machine_lives_on() {
         use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -916,15 +929,14 @@ mod tests {
             let payload = failed.expect_err("the panic reaches the caller");
             let text = payload.downcast_ref::<String>().expect("assert message");
             assert!(text.contains("rank 5 gives up"), "{text}");
-            // Dealt 0, 2, 4, 6 and 1, 3, 5, 7: the first task ran to its
-            // end, the second as far as rank 5.
-            assert_eq!(states, [1, 1, 1, 1, 1, 0, 1, 0]);
+            // Whichever task claimed which rank, every other rank ran.
+            assert_eq!(states, [1, 1, 1, 1, 1, 0, 1, 1]);
             assert_eq!(m.elapsed(), 0.0);
             m.compute(&mut states, |r, s| {
                 *s += 1;
                 (r + 1) as f64
             });
-            assert_eq!(states, [2, 2, 2, 2, 2, 1, 2, 1]);
+            assert_eq!(states, [2, 2, 2, 2, 2, 1, 2, 2]);
             assert_eq!(m.clock, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]);
             assert_eq!(m.elapsed(), 8.0);
         });

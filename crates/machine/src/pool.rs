@@ -2,17 +2,20 @@
 //! recursion and `sp-graph`'s set-up passes: one process-wide set of
 //! workers, started on first use and parked between dispatches.
 //!
-//! [`run`]`(tasks, f)` is a fork-join over a fixed deal: `f(0)` runs on
-//! the caller, every other `f(i)` is handed to a worker that is idle at
-//! that moment and starts at once, and `run` returns when all have
-//! finished. There is no queue and no stealing — what task `i` works on
-//! (which ranks, which chunks) is the caller's static assignment, the one
-//! the determinism argument of DESIGN.md rests on.
-//! [`each`] is that deal for callers holding disjoint pieces of their
-//! data (a superstep's rank batches, a k-way fork's two halves, a CSR
-//! pass's row chunks): piece `i` goes to task `i % tasks`. Only
-//! `force_layout` calls [`run`] itself, because its tasks claim chunks
-//! from a shared counter on purpose.
+//! [`run`]`(tasks, f)` is a fork-join: `f(0)` runs on the caller, every
+//! other `f(i)` is handed to a worker that is idle at that moment and
+//! starts at once, and `run` returns when all have finished. There is no
+//! queue and no stealing between dispatches.
+//! [`each`] is what almost every caller uses: it runs `f(i, piece)` for
+//! disjoint pieces of the caller's data (a superstep's rank units, a k-way
+//! fork's two halves, a CSR pass's row chunks), and its tasks *claim* the
+//! pieces one at a time from a shared cursor, so the caller starts on the
+//! first piece while a parked worker wakes and a heavy piece holds up no
+//! fixed share. Which thread runs which piece is therefore the schedule's
+//! business and changes from call to call; what stays fixed is that piece
+//! `i` is the caller's `i`th piece and writes only its own slot, the one
+//! thing the determinism argument of DESIGN.md rests on. `force_layout`
+//! claims its chunks through [`run`] with a counter of its own.
 //! A worker between dispatches spins for [`SPIN`] and then parks, so
 //! back-to-back supersteps are handed over in a few microseconds and an
 //! idle process burns nothing.
@@ -271,40 +274,73 @@ pub fn run<F: Fn(usize) + Sync>(tasks: usize, f: F) {
     }
 }
 
-/// Run `f(i, piece)` for every piece, dealt round-robin over
-/// `min(width(), pieces)` tasks of one [`run`]: piece `i` goes to task
-/// `i % tasks`, and each task runs its pieces in ascending order. A piece
-/// moves into the task that runs it, so disjoint `&mut` pieces need no
-/// sharing. One task is a plain loop on the caller, with no dispatch.
+/// Run `f(i, piece)` for every piece: `min(width(), pieces)` tasks of one
+/// [`run`] claim the pieces in order from a shared cursor until none is
+/// left, the caller's task starting with the first piece. A piece moves
+/// into the task that claims it, so disjoint `&mut` pieces need no
+/// sharing. One task is a plain loop on the caller, with no dispatch. A
+/// piece that panics does not stop the others: every piece runs, and the
+/// first panic resumes on the caller afterwards.
 pub fn each<I, F>(pieces: I, f: F)
 where
     I: IntoIterator,
-    I::IntoIter: ExactSizeIterator,
+    I::IntoIter: ExactSizeIterator + Send,
     I::Item: Send,
     F: Fn(usize, I::Item) + Sync,
 {
-    let pieces = pieces.into_iter();
-    let tasks = width().min(pieces.len());
+    each_if(true, pieces, f);
+}
+
+/// [`each`] when `dispatch` holds, else the same pieces in order on the
+/// caller. For passes whose size decides whether a dispatch can pay: the
+/// caller compares its work with a measured floor.
+pub fn each_if<I, F>(dispatch: bool, pieces: I, f: F)
+where
+    I: IntoIterator,
+    I::IntoIter: ExactSizeIterator + Send,
+    I::Item: Send,
+    F: Fn(usize, I::Item) + Sync,
+{
+    let mut pieces = pieces.into_iter().enumerate();
+    let tasks = if dispatch {
+        width().min(pieces.len())
+    } else {
+        1
+    };
+    let failed = Mutex::new(None);
+    let run_piece = |(i, piece)| {
+        if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(|| f(i, piece))) {
+            failed
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .get_or_insert(payload);
+        }
+    };
     if tasks <= 1 {
-        pieces.enumerate().for_each(|(i, piece)| f(i, piece));
-        return;
+        pieces.for_each(run_piece);
+    } else {
+        // The caller takes the first piece before any worker is handed a
+        // task, so every dispatched pass runs partly on the caller. The
+        // cursor is held only while it yields the next piece, never while
+        // a piece runs, so a panicking piece cannot poison it.
+        let first = Mutex::new(pieces.next());
+        let cursor = Mutex::new(pieces);
+        run(tasks, |task| {
+            if task == 0 {
+                if let Some(piece) = first.lock().unwrap_or_else(PoisonError::into_inner).take() {
+                    run_piece(piece);
+                }
+            }
+            loop {
+                let next = cursor.lock().unwrap_or_else(PoisonError::into_inner).next();
+                let Some(piece) = next else { break };
+                run_piece(piece);
+            }
+        });
     }
-    let per_task = pieces.len().div_ceil(tasks);
-    let mut hands: Vec<Mutex<Vec<_>>> = (0..tasks)
-        .map(|_| Mutex::new(Vec::with_capacity(per_task)))
-        .collect();
-    for (i, piece) in pieces.enumerate() {
-        hands[i % tasks]
-            .get_mut()
-            .expect("no task has run yet")
-            .push((i, piece));
+    if let Some(payload) = failed.into_inner().unwrap_or_else(PoisonError::into_inner) {
+        panic::resume_unwind(payload);
     }
-    // The mutex is how a hand reaches its task through a shared closure;
-    // nobody else ever asks for it, and nothing panics while it is held.
-    run(tasks, |task| {
-        let hand = std::mem::take(&mut *hands[task].lock().expect("a hand has one taker"));
-        hand.into_iter().for_each(|(i, piece)| f(i, piece));
-    });
 }
 
 /// Give `job` to an idle worker, or to a new one if none is idle.
@@ -403,6 +439,48 @@ mod tests {
         // And the pool lives on.
         for _ in 0..100 {
             dispatch_threads(3);
+        }
+    }
+
+    /// Every piece runs exactly once and lands in its own slot, at every
+    /// width from one task to eight; a piece that panics stops no other
+    /// piece, and its panic reaches the caller after all have run.
+    #[test]
+    fn each_runs_every_piece_once_and_a_panicking_piece_stops_no_other() {
+        for tasks in 1..=8 {
+            let installed = rayon::ThreadPoolBuilder::new()
+                .num_threads(tasks)
+                .build()
+                .expect("pool");
+            installed.install(|| {
+                for pieces in [1usize, tasks, 3 * tasks + 1, 64] {
+                    let mut slots = vec![0usize; pieces];
+                    let runs = AtomicUsize::new(0);
+                    each(slots.iter_mut(), |i, slot| {
+                        *slot += i + 1;
+                        runs.fetch_add(1, Ordering::Relaxed);
+                    });
+                    assert_eq!(runs.into_inner(), pieces, "{tasks} tasks");
+                    assert!(slots.iter().enumerate().all(|(i, &s)| s == i + 1));
+
+                    let ran: Vec<AtomicUsize> = (0..pieces).map(|_| AtomicUsize::new(0)).collect();
+                    let bad = pieces / 2;
+                    let caught = panic::catch_unwind(AssertUnwindSafe(|| {
+                        each(ran.iter(), |i, count| {
+                            count.fetch_add(1, Ordering::Relaxed);
+                            if i == bad {
+                                panic::panic_any("one piece gives up");
+                            }
+                        })
+                    }));
+                    let payload = caught.expect_err("the panic reaches the caller");
+                    assert_eq!(payload.downcast_ref::<&str>(), Some(&"one piece gives up"));
+                    assert!(
+                        ran.iter().all(|c| c.load(Ordering::Relaxed) == 1),
+                        "{tasks} tasks, {pieces} pieces"
+                    );
+                }
+            });
         }
     }
 

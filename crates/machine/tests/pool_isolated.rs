@@ -102,8 +102,13 @@ fn the_pool_starts_threads_for_peak_demand_only_and_outlives_panics() {
             })
         }));
         assert!(failed.is_err());
-        m.compute(&mut ran_on, |_, id| {
+        // Ranks 0 and 1 meet, so both threads claim a rank.
+        let arrived = AtomicUsize::new(0);
+        m.compute(&mut ran_on, |r, id| {
             *id = Some(thread::current().id());
+            if r < 2 {
+                meet(&arrived, 2);
+            }
             1.0
         });
         assert_eq!(m.elapsed(), 1.0);

@@ -39,8 +39,9 @@ use crate::rng::Fingerprint;
 use crate::{Failure, Report};
 
 /// Host pool widths to sweep (installed per run, the in-process
-/// equivalent of `RAYON_NUM_THREADS`).
-const THREADS: [usize; 3] = [1, 4, 8];
+/// equivalent of `RAYON_NUM_THREADS`). Width 2 is where the caller and one
+/// worker share the claims, the benchmark's width.
+const THREADS: [usize; 4] = [1, 2, 4, 8];
 
 /// Rank-batch sizes to sweep on a machine of `ranks` ranks: `ranks` itself
 /// is the serial inline path (on one thread, the baseline's cell), 0 is
@@ -253,10 +254,10 @@ mod tests {
         let g = grid_2d(24, 24);
         let report = run_parallel_campaign(&g, 8, &Baseline::compute(&g, 8));
         assert!(
-            report.summary.starts_with("11 run(s) ")
+            report.summary.starts_with("15 run(s) ")
                 && report.summary.contains(" and 2 contended run(s) ")
-                && report.summary.contains(" 24 8-way run(s), two per cell "),
-            "4×3 matrix less the baseline's cell, two pipelines at once, two \
+                && report.summary.contains(" 32 8-way run(s), two per cell "),
+            "4×4 matrix less the baseline's cell, two pipelines at once, two \
              k-way cases in every cell: {}",
             report.summary
         );
@@ -270,9 +271,9 @@ mod tests {
     fn campaign_actually_exercises_distinct_batch_shapes() {
         // Guard against the sweep silently collapsing to one shape — a
         // batch the pipeline never forwards, a pool that is never
-        // installed. With 8 ranks: auto on 2 threads deals 8 one-rank
-        // units 4 + 4; batch 1 on 8 threads is one rank a task; batch 3 on
-        // 2 threads deals units 0..3, 3..6, 6..8 as 2 + 1; batch 8 is one
+        // installed. With 8 ranks: auto on 2 threads is 8 one-rank units
+        // that two tasks claim; batch 1 on 8 threads is one rank a task;
+        // batch 3 on 2 threads is units 0..3, 3..6, 6..8; batch 8 is one
         // unit, run inline. The machine must report each shape as asked
         // for, and the pipeline and both k-way cases must agree with the
         // serial run at every shape, not just exist.
