@@ -164,21 +164,6 @@ impl QuantileLattice {
         (i, j)
     }
 
-    /// Exact membership test for cell `(i, j)`: cuts are ascending, so
-    /// `cell_of` returns column `i` iff `p.x` clears cut `i-1` (when
-    /// present) and not cut `i` — the same comparisons `cell_of` counts,
-    /// so this agrees with it on every input bit pattern. Lets the
-    /// migration scan skip the full cut count for the common case of a
-    /// move that stays inside its cell.
-    #[inline]
-    fn in_cell(&self, i: usize, j: usize, p: Point2) -> bool {
-        if (i > 0 && p.x < self.xcuts[i - 1]) || (i + 1 < self.q && p.x >= self.xcuts[i]) {
-            return false;
-        }
-        let yc = &self.ycuts[i];
-        (j == 0 || p.y >= yc[j - 1]) && (j + 1 >= self.q || p.y < yc[j])
-    }
-
     /// Bounding box of cell `(i, j)`.
     pub fn cell_box(&self, i: usize, j: usize) -> Aabb2 {
         let x0 = if i == 0 {
@@ -353,10 +338,11 @@ const NSUB: usize = SUB * SUB;
 /// lane passes) rather than one cell.
 const NF_BLOCK: usize = 512;
 
-/// Vertices a smoothing run must have before its host bookkeeping between
-/// supersteps — owner assignment and refresh, coordinate stores, list
-/// upkeep, snapshot copies, quantile selects — goes to the pool; smaller
-/// runs do it inline, with no dispatch. Measured on a 2-vCPU host, ten
+/// Vertices a smoothing run must have before its host passes between
+/// supersteps — owner assignment, the set-up rows of `cross`, coordinate
+/// stores, snapshot copies, quantile selects — go to the pool; smaller
+/// runs do them inline, with no dispatch. (The owned-list group-by and
+/// `sync_cross` always run on the caller.) Measured on a 2-vCPU host, ten
 /// iterations of a jittered grid on a 4×4 / 8×8 lattice, best of 25, per
 /// iteration with the passes pooled against inline: 8,100 vertices
 /// 0.70 / 0.77 ms on 8×8 but 1.55 / 0.91 ms on 4×4; 16,384 vertices
@@ -451,70 +437,13 @@ struct BetaScan {
     far: usize,
 }
 
-/// Integer deltas to [`SmoothScratch`]'s `cross` matrix from one rank's
-/// bookkeeping, combined per matrix entry in a small direct-mapped table:
-/// a rank's thousands of ±1 updates land on a few dozen entries (its own
-/// cell's and its neighbours' rows and columns), so adding them into
-/// `cross` on the caller costs those entries, not the updates. An entry
-/// that finds its slot taken by another evicts it to `spill`. A slot whose
-/// delta is zero holds nothing, whatever entry it names.
-#[derive(Clone, Debug)]
-struct CrossDelta {
-    slots: [(u32, i32); CROSS_SLOTS],
-    spill: Vec<(u32, i32)>,
-}
-
-const CROSS_SLOTS: usize = 64;
-
-impl Default for CrossDelta {
-    fn default() -> Self {
-        CrossDelta {
-            slots: [(0, 0); CROSS_SLOTS],
-            spill: Vec::new(),
-        }
-    }
-}
-
-impl CrossDelta {
-    #[inline]
-    fn add(&mut self, entry: usize, d: i32) {
-        let entry = entry as u32;
-        // Fibonacci hashing: the top six bits of the product.
-        let slot = &mut self.slots[(entry.wrapping_mul(0x9E37_79B9) >> 26) as usize];
-        if slot.0 != entry {
-            if slot.1 != 0 {
-                self.spill.push(*slot);
-            }
-            *slot = (entry, 0);
-        }
-        slot.1 += d;
-    }
-
-    /// Add every delta into `cross` and start over empty. The counts are
-    /// integers, so the order they are added in changes nothing; an entry
-    /// can dip below zero only between two deltas of one drain, which the
-    /// wrapping add carries through exactly.
-    fn drain_into(&mut self, cross: &mut [u32]) {
-        for (entry, d) in self.spill.drain(..) {
-            cross[entry as usize] = cross[entry as usize].wrapping_add_signed(d);
-        }
-        for slot in &mut self.slots {
-            if slot.1 != 0 {
-                cross[slot.0 as usize] = cross[slot.0 as usize].wrapping_add_signed(slot.1);
-                slot.1 = 0;
-            }
-        }
-    }
-}
-
-/// Per-rank state of the force superstep and of the bookkeeping passes
-/// around it. The superstep makes one pass over the whole cell for the
-/// sub-lattice indices and the 4×4 β, then runs every later stage —
-/// gather, near field, attraction, displacement tail, migration detection
-/// — over one block of at most [`NF_BLOCK`] owned vertices at a time. So
-/// `newpos` and `subidx` are cell-sized, and every force buffer after them
-/// holds one block: about 42 KB a rank, whatever the cell size. Every
-/// pass writes only its own rank's state.
+/// Per-rank state of the force superstep. It makes one pass over the
+/// whole cell for the sub-lattice indices and the 4×4 β, then runs every
+/// later stage — gather, near field, attraction, displacement tail,
+/// migration detection — over one block of at most [`NF_BLOCK`] owned
+/// vertices at a time. So `newpos` and `subidx` are cell-sized, and every
+/// force buffer after them holds one block: about 42 KB a rank, whatever
+/// the cell size. Every pass writes only its own rank's state.
 #[derive(Clone, Debug, Default)]
 struct DispState {
     /// New position of every owned vertex, in owned order (a vertex whose
@@ -529,13 +458,6 @@ struct DispState {
     /// another cell. Not rare: 3.5–7 % of the moves at the finest level of
     /// a 1024×512 grid migrate.
     migs: Vec<(u32, u32, u32)>,
-    /// Block-refresh owner changes `(v, to)` of this rank's owned vertices,
-    /// in owned order.
-    flips: Vec<(u32, u32)>,
-    /// This rank's deltas to `cross`, from its flips and its migrations.
-    delta: CrossDelta,
-    /// Vertices this rank's owned list gave up at the end of the iteration.
-    leave: Vec<u32>,
     /// Sub-lattice index of every owned vertex, from the whole-cell pass.
     subidx: Vec<u8>,
     /// The block's coordinates and masses, gathered contiguous (struct of
@@ -558,25 +480,29 @@ struct DispState {
     crx: Vec<u8>,
 }
 
-/// Reusable working state for [`lattice_smooth_with`]: per-cell owned
-/// vertex lists (maintained incrementally from owner changes rather than
-/// rebuilt each iteration), the cell-adjacency lookup table, per-rank
-/// β/cross-edge scan states, force and bookkeeping states, and cost-only
-/// outboxes. One scratch serves any number of smoothing runs (the
-/// multilevel driver reuses one across levels); its buffers are sized on
-/// entry and reused. What the smoothing loop still allocates is the
-/// lattice: every block refresh builds a new [`QuantileLattice`], whose
-/// construction allocates an x-value copy of the coordinates, the
-/// per-column y-value lists and the cut vectors, and frees the previous
-/// lattice's cuts. Between refreshes the loop allocates only when a list
-/// outgrows its capacity.
+/// Reusable working state for [`lattice_smooth_with`]: owners, per-cell
+/// owned vertex lists (regrouped from `owner` at the end of every
+/// iteration), the cross-count matrix, the cell-adjacency lookup table,
+/// per-rank β/cross-edge scan and force states, and cost-only outboxes.
+/// One scratch serves any number of smoothing runs (the multilevel driver
+/// reuses one across levels); its buffers are sized on entry and reused.
+/// What the smoothing loop still allocates is the lattice: every block
+/// refresh builds a new [`QuantileLattice`], whose construction allocates
+/// an x-value copy of the coordinates, the per-column y-value lists and
+/// the cut vectors, and frees the previous lattice's cuts. Between
+/// refreshes the loop allocates only when a list outgrows its capacity.
 #[derive(Default)]
 pub struct SmoothScratch {
     /// Current owner cell of each vertex.
     owner: Vec<u32>,
-    /// Per-cell owned vertices, ascending. Invariant at the top of every
-    /// iteration: `owned[c]` holds exactly the `v` with `owner[v] == c`,
-    /// sorted — indistinguishable from a group-by rebuild (β accumulates
+    /// The owners `cross` counts: `owner` as it stood at the last
+    /// [`SmoothScratch::sync_cross`].
+    counted: Vec<u32>,
+    /// Vertices whose `owner` differs from `counted`, ascending: what the
+    /// next `sync_cross` moves.
+    changed: Vec<u32>,
+    /// Per-cell owned vertices, ascending: at the top of every iteration,
+    /// `owned[c]` holds exactly the `v` with `owner[v] == c` (β accumulates
     /// vertex masses in list order, so the order is load-bearing for
     /// f64-exact reproducibility).
     owned: Vec<Vec<u32>>,
@@ -590,11 +516,11 @@ pub struct SmoothScratch {
     cell_ij: Vec<(u32, u32)>,
     /// ncells × ncells directed cross-count matrix (row-major):
     /// `cross[a·ncells + b]` is the number of directed edges `(v, u)` with
-    /// `owner[v] == a` and `owner[u] == b` (the diagonal holds intra-cell
-    /// counts and is simply never read). Maintained from owner changes as
-    /// per-rank integer deltas — counts are integers, so any correct
-    /// maintenance is bit-identical to a recount — and consulted by the β
-    /// scan (halo batch sizes) and the block refresh (far totals) in
+    /// `counted[v] == a` and `counted[u] == b` (the diagonal holds
+    /// intra-cell counts and is simply never read): right after every
+    /// [`SmoothScratch::sync_cross`], the recount from `owner`. Counted at
+    /// set-up and written after that only by `sync_cross`; consulted by
+    /// the β scan (halo batch sizes) and the block refresh (far totals) in
     /// O(ncells) per rank instead of an O(m) edge walk per iteration.
     cross: Vec<u32>,
     /// Per-rank β + cross-edge scan states.
@@ -607,12 +533,8 @@ pub struct SmoothScratch {
     snapshot: Vec<Point2>,
     /// Per-rank far-edge recounts for block-boundary refreshes.
     far: Vec<usize>,
-    /// Per-rank force-superstep and bookkeeping states, reused across
-    /// iterations.
+    /// Per-rank force-superstep states, reused across iterations.
     disp: Vec<DispState>,
-    /// Per-cell vertices joining the cell's owned list at the end of the
-    /// iteration.
-    joining: Vec<Vec<u32>>,
     /// Cost-only outbox, shared by the halo and migration exchanges.
     outbox: Vec<Vec<(usize, CostOnly)>>,
     /// Far-migration `(from, to)` pairs of the current iteration.
@@ -630,11 +552,8 @@ impl SmoothScratch {
         let ncells = q * q;
         self.owner.clear();
         self.owner.resize(n, 0);
+        self.changed.clear();
         self.owned.resize_with(ncells, Vec::new);
-        self.joining.resize_with(ncells, Vec::new);
-        for l in self.owned.iter_mut().chain(&mut self.joining) {
-            l.clear();
-        }
         self.adj.clear();
         self.adj.resize(ncells * ncells, false);
         self.nbrs.clear();
@@ -671,9 +590,6 @@ impl SmoothScratch {
             d.newpos.clear();
             d.energy = 0.0;
             d.migs.clear();
-            d.flips.clear();
-            d.delta = CrossDelta::default();
-            d.leave.clear();
             d.subidx.clear();
             for buf in [
                 &mut d.cvx, &mut d.cvy, &mut d.cm, &mut d.cmk, &mut d.fx, &mut d.fy, &mut d.nrm,
@@ -690,27 +606,16 @@ impl SmoothScratch {
         self.mig_pairs.clear();
     }
 
-    /// Initial owners, owned lists and cross counts for `lattice`. The
-    /// owners are computed one chunk of vertices a piece, and each cell's
-    /// row of `cross` is counted from its own list, on the pool; the lists
-    /// are a group-by on the caller.
+    /// Set-up: owners, owned lists and `cross` for `lattice`, each cell's
+    /// row of `cross` counted from its own list on the pool.
     fn assign(&mut self, g: &Graph, coords: &[Point2], lattice: &QuantileLattice) {
-        let q = lattice.q();
-        let ncells = q * q;
-        let pooled = coords.len() >= MIN_POOLED;
-        let chunks = self.owner.chunks_mut(CHUNK).zip(coords.chunks(CHUNK));
-        pool::each_if(pooled, chunks, |_, (owners, points)| {
-            for (o, &p) in owners.iter_mut().zip(points) {
-                let (i, j) = lattice.cell_of_fast(p);
-                *o = (j * q + i) as u32;
-            }
-        });
-        for (v, &c) in self.owner.iter().enumerate() {
-            self.owned[c as usize].push(v as u32);
-        }
+        self.assign_owners(coords, lattice);
+        self.counted.clone_from(&self.owner);
+        self.group_owned();
+        let ncells = self.owned.len();
         let owner = &self.owner;
         let rows = self.cross.chunks_mut(ncells).zip(&self.owned);
-        pool::each_if(pooled, rows, |_, (row, mine)| {
+        pool::each_if(g.n() >= MIN_POOLED, rows, |_, (row, mine)| {
             for &v in mine {
                 for &u in g.neighbors(v) {
                     row[owner[u as usize] as usize] += 1;
@@ -719,131 +624,59 @@ impl SmoothScratch {
         });
     }
 
-    /// Block refresh of `owner` against a re-derived `lattice`, as two
-    /// passes per cell on the pool with the owner stores between them on
-    /// the caller. First, every owned vertex whose position lies outside
-    /// its cell gets its new cell, and the row side of `cross` moves
-    /// against its neighbours' current owners. Then the column side moves
-    /// against their new owners — the two halves of each flipped edge's
-    /// old-to-new count, so the sum is the recount whatever order the flips
-    /// came in. Every rank's deltas go into `cross` in rank order. The
-    /// owned lists stay as they are until [`SmoothScratch::settle`].
-    fn refresh_owners(&mut self, g: &Graph, coords: &[Point2], lattice: &QuantileLattice) {
+    /// Every owner from `lattice`, one chunk of vertices a piece: at set-up
+    /// and at every block refresh.
+    fn assign_owners(&mut self, coords: &[Point2], lattice: &QuantileLattice) {
         let q = lattice.q();
-        let ncells = q * q;
-        let pooled = coords.len() >= MIN_POOLED;
-        let owner = &self.owner;
-        let cells = self.disp.iter_mut().zip(&self.owned);
-        pool::each_if(pooled, cells, |c, (d, mine)| {
-            for &v in mine {
-                let p = coords[v as usize];
-                if lattice.in_cell(c % q, c / q, p) {
-                    continue;
-                }
+        let chunks = self.owner.chunks_mut(CHUNK).zip(coords.chunks(CHUNK));
+        pool::each_if(coords.len() >= MIN_POOLED, chunks, |_, (owners, points)| {
+            for (o, &p) in owners.iter_mut().zip(points) {
                 let (i, j) = lattice.cell_of_fast(p);
-                let to = j * q + i;
-                if to != c {
-                    d.flips.push((v, to as u32));
-                    for &u in g.neighbors(v) {
-                        let cu = owner[u as usize] as usize;
-                        d.delta.add(c * ncells + cu, -1);
-                        d.delta.add(to * ncells + cu, 1);
-                    }
-                }
+                *o = (j * q + i) as u32;
             }
         });
-        for d in &self.disp[..ncells] {
-            for &(v, to) in &d.flips {
-                self.owner[v as usize] = to;
-            }
+    }
+
+    /// The owned lists as a group-by of `owner`, each ascending, and, in
+    /// the same scan, every vertex whose owner differs from `counted`.
+    fn group_owned(&mut self) {
+        for list in &mut self.owned {
+            list.clear();
         }
-        let owner = &self.owner;
-        pool::each_if(pooled, &mut self.disp[..ncells], |c, d| {
-            for &(v, to) in &d.flips {
-                for &u in g.neighbors(v) {
-                    let row = owner[u as usize] as usize * ncells;
-                    d.delta.add(row + c, -1);
-                    d.delta.add(row + to as usize, 1);
-                }
+        for (v, (&c, &was)) in self.owner.iter().zip(&self.counted).enumerate() {
+            self.owned[c as usize].push(v as u32);
+            if c != was {
+                self.changed.push(v as u32);
             }
-        });
-        for d in &mut self.disp[..ncells] {
-            d.delta.drain_into(&mut self.cross);
         }
     }
 
-    /// End-of-iteration bookkeeping, once every owner change of the
-    /// iteration (block refresh, then migrations) is in `owner`. Per rank
-    /// on the pool: the column side of `cross` for its migrations (the row
-    /// side was moved in the force superstep, against the neighbours'
-    /// owners before any migration), and the compaction of its owned list,
-    /// which keeps what left. On the caller, in rank order: every rank's
-    /// deltas into `cross`, and what left each list added to its new
-    /// owner's `joining` list. Per cell on the pool: the newcomers merge
-    /// into the list. The lists come out exactly as a group-by of `owner`
-    /// would build them.
-    fn settle(&mut self, g: &Graph) {
+    /// Move `cross` from the owners in `counted` to those in `owner`, for
+    /// the vertices in `changed`. A changed `v`'s edge `v→u` moves from
+    /// `(counted[v], counted[u])` to `(owner[v], owner[u])`, and so does
+    /// `u→v` (with the ends swapped) when `u` did not change; when `u` did,
+    /// `u→v` moves as `u`'s own edge. So every directed edge with a changed
+    /// end moves exactly once, from where it was counted to where a recount
+    /// from `owner` puts it.
+    fn sync_cross(&mut self, g: &Graph) {
         let ncells = self.owned.len();
-        let pooled = self.owner.len() >= MIN_POOLED;
-        let owner = &self.owner;
-        let cells = self.disp.iter_mut().zip(&mut self.owned);
-        pool::each_if(pooled, cells, |c, (d, list)| {
-            for &(v, from, to) in &d.migs {
-                for &u in g.neighbors(v) {
-                    let row = owner[u as usize] as usize * ncells;
-                    d.delta.add(row + from as usize, -1);
-                    d.delta.add(row + to as usize, 1);
+        let (owner, counted, cross) = (&self.owner, &mut self.counted, &mut self.cross);
+        for &v in &self.changed {
+            let (a0, a1) = (counted[v as usize] as usize, owner[v as usize] as usize);
+            for &u in g.neighbors(v) {
+                let (b0, b1) = (counted[u as usize] as usize, owner[u as usize] as usize);
+                cross[a0 * ncells + b0] -= 1;
+                cross[a1 * ncells + b1] += 1;
+                if b0 == b1 {
+                    cross[b0 * ncells + a0] -= 1;
+                    cross[b1 * ncells + a1] += 1;
                 }
-            }
-            d.leave.clear();
-            if !d.migs.is_empty() || !d.flips.is_empty() {
-                list.retain(|&v| {
-                    let stays = owner[v as usize] as usize == c;
-                    if !stays {
-                        d.leave.push(v);
-                    }
-                    stays
-                });
-            }
-            d.flips.clear();
-        });
-        for d in &mut self.disp[..ncells] {
-            d.delta.drain_into(&mut self.cross);
-            for &v in &d.leave {
-                self.joining[self.owner[v as usize] as usize].push(v);
             }
         }
-        // Room for the newcomers is made on the caller, so that no list
-        // grows on whichever thread merges it.
-        for (list, new) in self.owned.iter_mut().zip(&self.joining) {
-            list.reserve(new.len());
+        for &v in &self.changed {
+            counted[v as usize] = owner[v as usize];
         }
-        let cells = self.owned.iter_mut().zip(&mut self.joining);
-        pool::each_if(pooled, cells, |_, (list, new)| {
-            if new.is_empty() {
-                return;
-            }
-            // Newcomers arrive grouped by the list they left; one sort and
-            // one backward in-place merge.
-            new.sort_unstable();
-            let old_len = list.len();
-            list.resize(old_len + new.len(), 0);
-            let mut a = old_len;
-            let mut b = new.len();
-            for w in (0..list.len()).rev() {
-                if b == 0 {
-                    break;
-                }
-                if a > 0 && list[a - 1] > new[b - 1] {
-                    list[w] = list[a - 1];
-                    a -= 1;
-                } else {
-                    list[w] = new[b - 1];
-                    b -= 1;
-                }
-            }
-            new.clear();
-        });
+        self.changed.clear();
     }
 }
 
@@ -982,14 +815,17 @@ pub fn lattice_smooth_with(
         if it % cfg.block.max(1) == 0 {
             let far_total: usize = if it > 0 {
                 // Re-derive the balanced lattice from the current layout,
-                // refresh owners (maintaining `cross`), and charge the
-                // quantile computation (n/P ops + one collective). The far
-                // total is then a row sum over `cross` — the grouping of the
-                // old per-vertex recount differed (pre-refresh owned lists),
-                // but only the total ever entered the payload, and integer
-                // totals agree regardless of grouping.
+                // reassign every owner and move `cross` to match (the owned
+                // lists stay stale until the end of the iteration), and
+                // charge the quantile computation (n/P ops + one
+                // collective). The far total is then a row sum over
+                // `cross` for the refreshed owners.
                 lattice = QuantileLattice::build(coords, q);
-                scratch.refresh_owners(g, coords, &lattice);
+                scratch.assign_owners(coords, &lattice);
+                let (owner, counted) = (&scratch.owner, &scratch.counted);
+                let moved = (0..n as u32).filter(|&v| owner[v as usize] != counted[v as usize]);
+                scratch.changed.extend(moved);
+                scratch.sync_cross(g);
                 let share = (n / ncells.max(1)) as f64;
                 {
                     let adj = &scratch.adj;
@@ -1051,7 +887,6 @@ pub fn lattice_smooth_with(
                     newpos,
                     energy,
                     migs,
-                    delta,
                     subidx,
                     cvx,
                     cvy,
@@ -1239,10 +1074,10 @@ pub fn lattice_smooth_with(
                     // expressions — `d.x` as `f.x · scale`, `np` as
                     // `coords[v] + d` (`cvx` *is* `coords[v].x`: nothing
                     // writes coordinates between the gather and the apply
-                    // of the same iteration). The
-                    // crossing test replays `QuantileLattice::in_cell`'s
-                    // exact comparisons against the own cell's cuts (lane
-                    // constants here).
+                    // of the same iteration). The crossing test makes the
+                    // comparisons that `QuantileLattice::cell_of` counts, with
+                    // the own cell's cuts as lane constants: the point is
+                    // outside the cell exactly when `cell_of` names another.
                     let npx = &mut npx[..len];
                     let npy = &mut npy[..len];
                     let crx = &mut crx[..len];
@@ -1255,8 +1090,8 @@ pub fn lattice_smooth_with(
                         npy[i] = ny;
                         // Non-short-circuit `&`/`|` on the bools: the
                         // comparisons are side-effect-free, so the truth
-                        // table is identical to `in_cell`'s `&&`/`||`
-                        // version but compiles to branchless masks.
+                        // table is that of `&&`/`||`, compiled to
+                        // branchless masks.
                         let out_x = ((ci > 0) & (nx < xlo)) | ((ci + 1 < q) & (nx >= xhi));
                         let in_y = ((cj == 0) | (ny >= ylo)) & ((cj + 1 >= q) | (ny < yhi));
                         crx[i] = (out_x | !in_y) as u8;
@@ -1264,14 +1099,14 @@ pub fn lattice_smooth_with(
                     if refreshed {
                         // A block refresh rewrites `owner` mid-iteration
                         // while this rank's owned list stays stale until
-                        // the end-of-iteration `SmoothScratch::settle`, so a
-                        // just-flipped vertex is still in `mine` with
-                        // `owner[v] != my`. Its crossing test above used
-                        // the wrong cell's bounds: force the flag on so the
-                        // migration test below runs the full `cell_of` path
-                        // against the true owner. On every other iteration
-                        // `owner[v] == my` for all of `mine` and the packed
-                        // flags are exact as computed.
+                        // `SmoothScratch::group_owned` at the end of the
+                        // iteration, so a just-flipped vertex is still in
+                        // `mine` with `owner[v] != my`. Its crossing test
+                        // above used the wrong cell's bounds: force the flag
+                        // on so the migration test below runs the full
+                        // `cell_of` path against the true owner. On every
+                        // other iteration `owner[v] == my` for all of `mine`
+                        // and the packed flags are exact as computed.
                         let myu = my as u32;
                         for (i, &v) in blk.iter().enumerate() {
                             crx[i] |= (owner_ref[v as usize] != myu) as u8;
@@ -1283,10 +1118,7 @@ pub fn lattice_smooth_with(
                     // matches `cell_of(coords[v])` for every vertex (initial
                     // assignment, block refreshes and prior migrations all
                     // enforce it), so the crossing movers are every possible
-                    // migration. A migration moves the row side of `cross`
-                    // here, against the neighbours' owners before this
-                    // iteration's migrations; `SmoothScratch::settle` moves
-                    // the column side once they are all in `owner`.
+                    // migration. `cross` follows at the end of the iteration.
                     for (vi, &v) in blk.iter().enumerate() {
                         let norm = nrm[vi];
                         *energy += norm * norm;
@@ -1306,11 +1138,6 @@ pub fn lattice_smooth_with(
                         let to = cell_of(np, lattice_ref);
                         if to != from {
                             migs.push((v, from, to));
-                            for &u in g.neighbors(v) {
-                                let cu = owner_ref[u as usize] as usize;
-                                delta.add(from as usize * ncells + cu, -1);
-                                delta.add(to as usize * ncells + cu, 1);
-                            }
                         }
                     }
                 }
@@ -1378,11 +1205,11 @@ pub fn lattice_smooth_with(
             scratch.outbox[from as usize].push((to as usize, CostOnly::new(3 * cnt)));
         }
         machine.exchange_costed(&scratch.outbox);
-        // Owned lists and cross counts pick up this iteration's owner
-        // changes (block refresh + migrations) only now: mid-iteration the
-        // lists must stay stale, exactly like the per-iteration rebuild
-        // they replace.
-        scratch.settle(g);
+        // Owned lists and cross counts pick up this iteration's migrations
+        // (and the block refresh's owner changes, for the lists) only now:
+        // mid-iteration the lists stay stale.
+        scratch.group_owned();
+        scratch.sync_cross(g);
 
         // Hu's adaptive step control on the global energy (the global
         // reduction this needs is the per-block reduction already charged).
@@ -1591,36 +1418,75 @@ mod tests {
         }
     }
 
-    /// What the bookkeeping passes maintain — owned lists and cross counts —
-    /// must equal a recount from `owner`. 150×140 vertices from a random
-    /// start on a 4×4 lattice: above the work floor, so the passes run on
-    /// the pool; thousands of migrations; and twelve iterations of block 4
-    /// refresh the lattice twice.
-    #[test]
-    fn owned_lists_and_cross_counts_match_a_recount_from_owner() {
-        let g = sp_graph::gen::grid_2d(150, 140);
-        assert!(g.n() >= MIN_POOLED);
-        let mut coords = random_init(g.n(), &mut StdRng::seed_from_u64(8));
-        let mut m = Machine::new(16, CostModel::qdr_infiniband());
-        let mut scratch = SmoothScratch::new();
-        let cfg = LatticeConfig {
-            iters: 12,
-            ..LatticeConfig::default()
-        };
-        let stats = lattice_smooth_with(&g, &mut coords, 4, &mut m, &cfg, &mut scratch);
-        assert!(stats.migrations > 1000, "{} migrations", stats.migrations);
-        let ncells = 16;
-        let owner = &scratch.owner;
-        let mut owned = vec![Vec::new(); ncells];
+    /// `cross` as a recount from `owner`.
+    fn recount_cross(g: &Graph, owner: &[u32], ncells: usize) -> Vec<u32> {
         let mut cross = vec![0u32; ncells * ncells];
         for v in 0..g.n() {
-            owned[owner[v] as usize].push(v as u32);
             for &u in g.neighbors(v as u32) {
                 cross[owner[v] as usize * ncells + owner[u as usize] as usize] += 1;
             }
         }
+        cross
+    }
+
+    /// The owned lists and `cross` must equal a group-by and a recount from
+    /// `owner`.
+    fn assert_matches_a_recount(g: &Graph, scratch: &SmoothScratch) {
+        let ncells = scratch.owned.len();
+        let mut owned = vec![Vec::new(); ncells];
+        for (v, &c) in scratch.owner.iter().enumerate() {
+            owned[c as usize].push(v as u32);
+        }
         assert_eq!(scratch.owned, owned);
-        assert_eq!(scratch.cross, cross);
+        assert_eq!(scratch.cross, recount_cross(g, &scratch.owner, ncells));
+        assert_eq!(scratch.counted, scratch.owner);
+    }
+
+    /// 150×140 grid vertices, and a KKT graph with hub buses, from a random
+    /// start on a 4×4 lattice: above the work floor, so the pooled passes
+    /// run on the pool; thousands of migrations; and twelve iterations of
+    /// block 4 refresh the lattice twice.
+    #[test]
+    fn owned_lists_and_cross_counts_match_a_recount_from_owner() {
+        let kkt = sp_graph::gen::kkt_graph(14_000, 7_000, 6, &mut StdRng::seed_from_u64(5));
+        for g in [grid_2d(150, 140), kkt] {
+            assert!(g.n() >= MIN_POOLED);
+            let mut coords = random_init(g.n(), &mut StdRng::seed_from_u64(8));
+            let mut m = Machine::new(16, CostModel::qdr_infiniband());
+            let mut scratch = SmoothScratch::new();
+            let cfg = LatticeConfig {
+                iters: 12,
+                ..LatticeConfig::default()
+            };
+            let stats = lattice_smooth_with(&g, &mut coords, 4, &mut m, &cfg, &mut scratch);
+            assert!(stats.migrations > 1000, "{} migrations", stats.migrations);
+            assert_matches_a_recount(&g, &scratch);
+        }
+    }
+
+    /// `sync_cross` when both ends of an edge change owner in one sync: the
+    /// edge and its reverse must each move once, not twice or never.
+    #[test]
+    fn sync_cross_moves_an_edge_whose_both_ends_changed_once() {
+        // A 4-cycle with one chord, one vertex a cell on a 2×2 lattice.
+        let mut b = sp_graph::GraphBuilder::new(4);
+        for (u, v) in [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)] {
+            b.add_edge(u, v, 1.0);
+        }
+        let g = b.build();
+        let mut scratch = SmoothScratch::new();
+        scratch.reset(4, 2, 4);
+        scratch.owner = vec![0, 1, 2, 3];
+        scratch.counted = scratch.owner.clone();
+        scratch.cross = recount_cross(&g, &scratch.owner, 4);
+        // 0 and 1 swap cells and 2 moves to 3's, so the edges 0–1 and 0–2
+        // change at both ends, and 1–2, 2–3 and 3–0 at one.
+        scratch.owner = vec![1, 0, 3, 3];
+        scratch.group_owned();
+        assert_eq!(scratch.changed, [0, 1, 2]);
+        scratch.sync_cross(&g);
+        assert!(scratch.changed.is_empty());
+        assert_matches_a_recount(&g, &scratch);
     }
 
     #[test]
