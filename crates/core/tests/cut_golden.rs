@@ -15,12 +15,11 @@
 //! out first.
 //!
 //! The trace mesh, the great circles and the matchings draw from `rand`'s
-//! `StdRng`, so the rows hold for one `rand` stream: that of
-//! `offline-stubs/rand`, the one every number in this repository is
-//! measured under. Under another stream only repeatability is checked.
+//! `StdRng`, the workspace's own stream, which `sp-verify`'s
+//! `baseline_pins.rs` pins.
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use scalapart::{
     recursive_kway, run_method, scalapart_bisect, sp_pg7nl_bisect, Method, SpConfig, SpResult,
 };
@@ -29,20 +28,9 @@ use sp_graph::gen::{grid_2d, grid_2d_coords, kkt_graph, trace_mesh};
 use sp_graph::Graph;
 use sp_machine::{CostModel, Machine};
 
-/// First word `StdRng::seed_from_u64(0)` yields under the recorded stream.
-const RECORDED_STREAM: u64 = 0x5d89_faf7_885c_0810;
-
 /// `(label FNV-1a, cut, cut before refinement, imbalance bits, simulated
 /// time bits)`; a comparator has no refinement stage and repeats its cut.
 type Row = (u64, usize, usize, u64, u64);
-
-fn recorded() -> bool {
-    let yes = StdRng::seed_from_u64(0).random::<u64>() == RECORDED_STREAM;
-    if !yes {
-        eprintln!("another rand stream than the recorded one: goldens not compared");
-    }
-    yes
-}
 
 fn fnv(labels: impl IntoIterator<Item = u64>) -> u64 {
     labels.into_iter().fold(0xcbf2_9ce4_8422_2325u64, |h, l| {
@@ -96,18 +84,11 @@ fn bisection_rows(g: &Graph, xy: &[Point2]) -> Vec<Row> {
 
 #[test]
 fn bisections_match_the_goldens() {
-    let recorded = recorded();
     let mut golden = BISECTIONS.iter();
     for (name, g, xy) in inputs() {
-        let got = bisection_rows(&g, &xy);
-        for (i, row) in got.iter().enumerate() {
+        for (i, row) in bisection_rows(&g, &xy).iter().enumerate() {
             let want = golden.next().expect("a golden row per case");
-            if recorded {
-                assert_eq!(row, want, "{name} row {i}: got {row:#x?}");
-            }
-        }
-        if !recorded {
-            assert_eq!(got, bisection_rows(&g, &xy), "{name} repeats");
+            assert_eq!(row, want, "{name} row {i}: got {row:#x?}");
         }
     }
     assert!(golden.next().is_none());
@@ -115,49 +96,33 @@ fn bisections_match_the_goldens() {
 
 #[test]
 fn sp_pg7nl_eight_way_labels_match_the_goldens() {
-    let recorded = recorded();
     for ((name, g, xy), want) in inputs().into_iter().zip(KWAY) {
-        let run = || {
-            let kp = recursive_kway(Method::SpPg7Nl, &g, Some(&xy), 8, 16, 7);
-            kp.validate(&g).unwrap();
-            (fnv(kp.part.iter().map(|&l| l as u64)), kp.cut_edges(&g))
-        };
-        let got = run();
-        if recorded {
-            assert_eq!(got, want, "{name}: got {got:#x?}");
-        } else {
-            assert_eq!(got, run(), "{name} repeats");
-        }
+        let kp = recursive_kway(Method::SpPg7Nl, &g, Some(&xy), 8, 16, 7);
+        kp.validate(&g).unwrap();
+        let got = (fnv(kp.part.iter().map(|&l| l as u64)), kp.cut_edges(&g));
+        assert_eq!(got, want, "{name}: got {got:#x?}");
     }
 }
 
 #[test]
 fn hu_embedded_methods_match_the_goldens() {
-    let recorded = recorded();
     let g = kkt_graph(900, 300, 5, &mut StdRng::seed_from_u64(13));
-    let run = || -> Vec<Row> {
-        [Method::G30, Method::G7Nl, Method::Rcb]
-            .into_iter()
-            .map(|method| {
-                let r = run_method(method, &g, None, 16, 11);
-                r.bisection.validate(&g).unwrap();
-                assert_eq!(r.cut, r.bisection.cut_edges(&g));
-                (
-                    fnv(r.bisection.sides().iter().map(|&s| s as u64)),
-                    r.cut,
-                    r.cut,
-                    r.imbalance.to_bits(),
-                    r.time.to_bits(),
-                )
-            })
-            .collect()
-    };
-    let got = run();
-    if recorded {
-        assert_eq!(got, HU_EMBEDDED, "got {got:#x?}");
-    } else {
-        assert_eq!(got, run(), "repeats");
-    }
+    let got: Vec<Row> = [Method::G30, Method::G7Nl, Method::Rcb]
+        .into_iter()
+        .map(|method| {
+            let r = run_method(method, &g, None, 16, 11);
+            r.bisection.validate(&g).unwrap();
+            assert_eq!(r.cut, r.bisection.cut_edges(&g));
+            (
+                fnv(r.bisection.sides().iter().map(|&s| s as u64)),
+                r.cut,
+                r.cut,
+                r.imbalance.to_bits(),
+                r.time.to_bits(),
+            )
+        })
+        .collect();
+    assert_eq!(got, HU_EMBEDDED, "got {got:#x?}");
 }
 
 /// Per input: SP-PG7-NL and ScalaPart on 1 rank, both on 64, then the

@@ -256,22 +256,17 @@ mod tests {
     use super::*;
     use crate::metrics::{edge_length_stats, embedding_spread};
     use sp_graph::gen::{delaunay_graph, grid_2d};
+    use sp_machine::trace::fnv::splitmix64;
 
     const SEED: u64 = 0xE3BED;
 
     /// Rand-free deterministic init (splitmix64) in the box `random_init`
-    /// uses: what the tests below assert must not depend on which rand
-    /// version (or offline stub) provides StdRng's stream.
+    /// uses: what the tests below assert does not depend on StdRng's
+    /// stream.
     fn splitmix_init(n: usize) -> Vec<Point2> {
         let side = (n as f64).sqrt();
         let mut state = 1u64;
-        let mut next_unit = move || {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64
-        };
+        let mut next_unit = move || (splitmix64(&mut state) >> 11) as f64 / (1u64 << 53) as f64;
         (0..n)
             .map(|_| Point2::new(next_unit() * side, next_unit() * side))
             .collect()

@@ -11,6 +11,7 @@
 
 use crate::csr::Graph;
 use crate::partition::Bisection;
+use sp_machine::trace::fnv::Fingerprint;
 
 /// Read-only access to an undirected weighted graph.
 pub trait GraphAccess {
@@ -64,26 +65,18 @@ impl GraphAccess for Graph {
 /// was built from) hash identically; any structural or weight difference
 /// — including elided-versus-materialized unit weights — does not.
 pub fn graph_fingerprint<G: GraphAccess>(g: &G) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut feed = |x: u64| {
-        for b in x.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(PRIME);
-        }
-    };
-    feed(g.n() as u64);
-    feed(g.m() as u64);
+    let mut h = Fingerprint::new();
+    h.u64(g.n() as u64);
+    h.u64(g.m() as u64);
     for v in 0..g.n() as u32 {
-        feed(g.degree(v) as u64);
-        feed(g.vwgt(v).to_bits());
+        h.u64(g.degree(v) as u64);
+        h.f64_bits(g.vwgt(v));
         for (u, w) in g.neighbors_w(v) {
-            feed(u as u64);
-            feed(w.to_bits());
+            h.u64(u as u64);
+            h.f64_bits(w);
         }
     }
-    h
+    h.finish()
 }
 
 /// Weighted cut of a bisection over any graph store (each edge counted

@@ -461,37 +461,43 @@ mod tests {
         assert!(read_chaco("2 1 11\n-3 2 1\n1 1 1\n".as_bytes()).is_err());
     }
 
-    // Property: write → read is the identity on CSR bits, weighted and
-    // unweighted. (Under the offline proptest stub this block is skipped;
-    // the deterministic roundtrip tests above still run.)
-    proptest::proptest! {
-        #[test]
-        fn chaco_roundtrip_property(nv in 2usize..24, edges in proptest::collection::vec((0usize..24, 0usize..24, 1u32..1000u32), 1..60)) {
+    /// Property: write → read is the identity on CSR bits, weighted and
+    /// unweighted, over 256 seeded edge sets.
+    #[test]
+    fn chaco_roundtrip_property() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        for case in 0..256 {
+            let rng = &mut StdRng::seed_from_u64(case);
+            let nv = rng.random_range(2usize..24);
             let mut b = GraphBuilder::new(nv);
             let mut any = false;
-            for (u, v, w) in edges {
-                let (u, v) = (u % nv, v % nv);
+            for _ in 0..rng.random_range(1..60) {
+                let u = rng.random_range(0usize..24) % nv;
+                let v = rng.random_range(0usize..24) % nv;
+                let w = rng.random_range(1u32..1000);
                 if u != v {
                     b.add_edge(u as u32, v as u32, w as f64 / 8.0);
                     any = true;
                 }
             }
-            if any {
-                let g = b.build();
-                for weighted in [false, true] {
-                    let mut buf = Vec::new();
-                    if weighted {
-                        write_chaco_weighted(&g, &mut buf).unwrap();
-                    } else {
-                        write_chaco(&g, &mut buf).unwrap();
-                    }
-                    let g2 = read_chaco(buf.as_slice()).unwrap();
-                    assert_eq!(g.xadj(), g2.xadj());
-                    assert_eq!(g.adjncy(), g2.adjncy());
-                    if weighted {
-                        assert_eq!(g.ewgts(), g2.ewgts());
-                        assert_eq!(g.vwgts(), g2.vwgts());
-                    }
+            if !any {
+                continue;
+            }
+            let g = b.build();
+            for weighted in [false, true] {
+                let mut buf = Vec::new();
+                if weighted {
+                    write_chaco_weighted(&g, &mut buf).unwrap();
+                } else {
+                    write_chaco(&g, &mut buf).unwrap();
+                }
+                let g2 = read_chaco(buf.as_slice()).unwrap();
+                assert_eq!(g.xadj(), g2.xadj(), "case {case}");
+                assert_eq!(g.adjncy(), g2.adjncy(), "case {case}");
+                if weighted {
+                    assert_eq!(g.ewgts(), g2.ewgts(), "case {case}");
+                    assert_eq!(g.vwgts(), g2.vwgts(), "case {case}");
                 }
             }
         }

@@ -1,11 +1,13 @@
 //! Representation blindness (satellite of the compact-CSR work): a
 //! [`CompactGraph`] and the reference [`Graph`] built from the same edges
 //! must agree on the structural fingerprint, metrics computed through
-//! [`GraphAccess`], and induced subgraphs — on arbitrary (proptest-driven)
-//! edge sets, weighted and unweighted. The full-pipeline leg of this
+//! [`GraphAccess`], and induced subgraphs — on 256 seeded random edge
+//! sets, weighted and unweighted. The full-pipeline leg of this
 //! property lives in sp-verify's `repr` stage, which also sweeps the
 //! thread matrix.
 
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use sp_graph::{graph_fingerprint, CompactGraph, Graph, GraphAccess, GraphBuilder};
 
 fn assert_bytes_eq(a: &Graph, b: &Graph) {
@@ -38,34 +40,33 @@ fn check_agreement(g: &Graph) {
     }
 }
 
-// (Under the offline proptest stub this block is skipped; the
-// deterministic checks below still run.)
-proptest::proptest! {
-    #[test]
-    fn compact_and_reference_agree(
-        nv in 2usize..32,
-        edges in proptest::collection::vec((0usize..32, 0usize..32, 1u32..64u32), 1..90),
-        weighted in proptest::bool::ANY,
-    ) {
+#[test]
+fn compact_and_reference_agree() {
+    for case in 0..256 {
+        let rng = &mut StdRng::seed_from_u64(case);
+        let nv = rng.random_range(2usize..32);
+        let weighted = rng.random::<bool>();
         let mut b = GraphBuilder::new(nv);
         let mut any = false;
-        for (u, v, w) in edges {
-            let (u, v) = (u % nv, v % nv);
+        for _ in 0..rng.random_range(1..90) {
+            let u = rng.random_range(0usize..32) % nv;
+            let v = rng.random_range(0usize..32) % nv;
+            let w = rng.random_range(1u32..64) as f64 / 4.0;
             if u != v {
-                b.add_edge(u as u32, v as u32, if weighted { w as f64 / 4.0 } else { 1.0 });
+                b.add_edge(u as u32, v as u32, if weighted { w } else { 1.0 });
                 any = true;
             }
         }
         if any {
-            check_agreement(&b.build());
+            let g = b.build();
+            let agreed = std::panic::catch_unwind(|| check_agreement(&g));
+            assert!(agreed.is_ok(), "case {case}");
         }
     }
 }
 
 #[test]
 fn compact_agrees_on_suite_style_graphs() {
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
     check_agreement(&sp_graph::gen::grid_2d(23, 17));
     check_agreement(&sp_graph::gen::delaunay_graph(900, &mut StdRng::seed_from_u64(3)).0);
     check_agreement(&sp_graph::gen::kkt_graph(

@@ -16,17 +16,7 @@
 //! change *data*: the pipeline's outputs are required to stay bit-identical
 //! under any perturbation, and sp-verify asserts exactly that.
 
-/// splitmix64 — the same tiny deterministic generator the bench harness
-/// uses for seeded graphs. Hand-rolled so this crate stays free of a rand
-/// dependency (and of rand's version-dependent streams).
-#[inline]
-pub(crate) fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+use sp_trace::fnv::splitmix64;
 
 /// A seeded source of schedule decisions. Install with
 /// [`Machine::set_schedule`](crate::Machine::set_schedule); the machine

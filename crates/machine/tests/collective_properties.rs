@@ -3,15 +3,26 @@
 //! variants charge identical simulated time to their data-carrying twins,
 //! and a fuzzed schedule never changes results or clocks.
 
-use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use sp_machine::{CostModel, Machine, Schedule};
 
-fn arb_cost() -> impl Strategy<Value = CostModel> {
-    (1e-7f64..1e-4, 1e-9f64..1e-6, 1e-10f64..1e-7).prop_map(|(t_s, t_w, t_op)| CostModel {
-        t_s,
-        t_w,
-        t_op,
-    })
+/// Cases per property; case `c` draws from `StdRng::seed_from_u64(c)`.
+const CASES: u64 = 48;
+
+fn arb_cost(rng: &mut StdRng) -> CostModel {
+    CostModel {
+        t_s: rng.random_range(1e-7..1e-4),
+        t_w: rng.random_range(1e-9..1e-6),
+        t_op: rng.random_range(1e-10..1e-7),
+    }
+}
+
+/// Between 1 and 5 compute weights in `[0, 1e4)`.
+fn arb_work(rng: &mut StdRng) -> Vec<f64> {
+    (0..rng.random_range(1..6))
+        .map(|_| rng.random_range(0.0..1e4))
+        .collect()
 }
 
 /// A machine with every rank's clock desynchronised by some prior compute,
@@ -23,31 +34,37 @@ fn warmed(p: usize, cost: CostModel, work: &[f64]) -> Machine {
     m
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
-
-    #[test]
-    fn allgather_matches_serial_concatenation(
-        cost in arb_cost(),
-        p in 1usize..12,
-        lens in prop::collection::vec(0usize..5, 1..12),
-    ) {
+#[test]
+fn allgather_matches_serial_concatenation() {
+    for case in 0..CASES {
+        let rng = &mut StdRng::seed_from_u64(case);
+        let cost = arb_cost(rng);
+        let p = rng.random_range(1usize..12);
+        let lens: Vec<usize> = (0..rng.random_range(1..12))
+            .map(|_| rng.random_range(0..5))
+            .collect();
         let mut m = Machine::new(p, cost);
         let contrib: Vec<Vec<u64>> = (0..p)
-            .map(|r| (0..lens[r % lens.len()]).map(|i| (r * 100 + i) as u64).collect())
+            .map(|r| {
+                (0..lens[r % lens.len()])
+                    .map(|i| (r * 100 + i) as u64)
+                    .collect()
+            })
             .collect();
         let expect: Vec<u64> = contrib.iter().flatten().copied().collect();
-        let got = m.allgather(contrib);
-        prop_assert_eq!(got, expect);
+        assert_eq!(m.allgather(contrib), expect, "case {case}");
     }
+}
 
-    #[test]
-    fn allreduce_min_index_matches_serial_argmin(
-        cost in arb_cost(),
-        keys in prop::collection::vec(-1e9f64..1e9, 1..12),
-    ) {
-        let p = keys.len();
-        let mut m = Machine::new(p, cost);
+#[test]
+fn allreduce_min_index_matches_serial_argmin() {
+    for case in 0..CASES {
+        let rng = &mut StdRng::seed_from_u64(case);
+        let cost = arb_cost(rng);
+        let keys: Vec<f64> = (0..rng.random_range(1..12))
+            .map(|_| rng.random_range(-1e9..1e9))
+            .collect();
+        let mut m = Machine::new(keys.len(), cost);
         let got = m.allreduce_min_index(&keys);
         let expect = keys
             .iter()
@@ -55,19 +72,19 @@ proptest! {
             .min_by(|a, b| a.1.partial_cmp(b.1).unwrap())
             .map(|(i, _)| i)
             .unwrap();
-        prop_assert_eq!(got, expect);
+        assert_eq!(got, expect, "case {case}");
     }
+}
 
-    #[test]
-    fn group_collectives_match_serial_oracle_over_active_prefix(
-        cost in arb_cost(),
-        p in 1usize..12,
-        active in 1usize..12,
-        len in 0usize..5,
-        work in prop::collection::vec(0.0f64..1e4, 1..6),
-    ) {
-        let active = active.min(p);
-        let mut m = warmed(p, cost, &work);
+#[test]
+fn group_collectives_match_serial_oracle_over_active_prefix() {
+    for case in 0..CASES {
+        let rng = &mut StdRng::seed_from_u64(case);
+        let cost = arb_cost(rng);
+        let p = rng.random_range(1usize..12);
+        let active = rng.random_range(1usize..12).min(p);
+        let len = rng.random_range(0usize..5);
+        let mut m = warmed(p, cost, &arb_work(rng));
 
         let contrib: Vec<Vec<f64>> = (0..p)
             .map(|r| {
@@ -81,26 +98,35 @@ proptest! {
         let got = m.group_allreduce_sum(active, &contrib);
         for (i, g) in got.iter().enumerate() {
             let expect: f64 = (0..active).map(|r| (r + 1) as f64 * (i + 1) as f64).sum();
-            prop_assert!((g - expect).abs() <= 1e-9 * (1.0 + expect.abs()));
+            assert!(
+                (g - expect).abs() <= 1e-9 * (1.0 + expect.abs()),
+                "case {case}: {g} vs {expect}"
+            );
         }
 
         let gather: Vec<Vec<u64>> = (0..p)
-            .map(|r| if r < active { vec![r as u64; 2] } else { Vec::new() })
+            .map(|r| {
+                if r < active {
+                    vec![r as u64; 2]
+                } else {
+                    Vec::new()
+                }
+            })
             .collect();
         let expect: Vec<u64> = gather.iter().flatten().copied().collect();
-        let got = m.group_allgather(active, gather);
-        prop_assert_eq!(got, expect);
+        assert_eq!(m.group_allgather(active, gather), expect, "case {case}");
     }
+}
 
-    #[test]
-    fn costed_variants_charge_identical_time(
-        cost in arb_cost(),
-        p in 1usize..12,
-        active in 1usize..12,
-        len in 0usize..6,
-        work in prop::collection::vec(0.0f64..1e4, 1..6),
-    ) {
-        let active = active.min(p);
+#[test]
+fn costed_variants_charge_identical_time() {
+    for case in 0..CASES {
+        let rng = &mut StdRng::seed_from_u64(case);
+        let cost = arb_cost(rng);
+        let p = rng.random_range(1usize..12);
+        let active = rng.random_range(1usize..12).min(p);
+        let len = rng.random_range(0usize..6);
+        let work = arb_work(rng);
         // Two machines stepped identically: one through the data-carrying
         // collectives, one through the cost-only twins. Clocks must agree
         // to the bit at every step.
@@ -109,38 +135,58 @@ proptest! {
 
         a.allreduce_sum(&vec![vec![1.0; len]; p]);
         b.allreduce_sum_costed(len);
-        prop_assert_eq!(a.elapsed().to_bits(), b.elapsed().to_bits());
+        assert_eq!(a.elapsed().to_bits(), b.elapsed().to_bits(), "case {case}");
 
         let contrib: Vec<Vec<u64>> = (0..p).map(|r| vec![r as u64; len]).collect();
         a.allgather(contrib);
         b.allgather_costed(p * len);
-        prop_assert_eq!(a.elapsed().to_bits(), b.elapsed().to_bits());
+        assert_eq!(a.elapsed().to_bits(), b.elapsed().to_bits(), "case {case}");
 
         let gather: Vec<Vec<u64>> = (0..p)
-            .map(|r| if r < active { vec![r as u64; len] } else { Vec::new() })
+            .map(|r| {
+                if r < active {
+                    vec![r as u64; len]
+                } else {
+                    Vec::new()
+                }
+            })
             .collect();
         a.group_allgather(active, gather);
         b.group_allgather_costed(active, active * len);
-        prop_assert_eq!(a.elapsed().to_bits(), b.elapsed().to_bits());
+        assert_eq!(a.elapsed().to_bits(), b.elapsed().to_bits(), "case {case}");
 
         let contrib: Vec<Vec<f64>> = (0..p)
-            .map(|r| if r < active { vec![r as f64; len] } else { vec![0.0; len] })
+            .map(|r| {
+                if r < active {
+                    vec![r as f64; len]
+                } else {
+                    vec![0.0; len]
+                }
+            })
             .collect();
         a.group_allreduce_sum(active, &contrib);
         b.group_allreduce_sum_costed(active, len);
-        prop_assert_eq!(a.elapsed().to_bits(), b.elapsed().to_bits());
+        assert_eq!(a.elapsed().to_bits(), b.elapsed().to_bits(), "case {case}");
 
-        prop_assert_eq!(a.comm_time().to_bits(), b.comm_time().to_bits());
+        assert_eq!(
+            a.comm_time().to_bits(),
+            b.comm_time().to_bits(),
+            "case {case}"
+        );
     }
+}
 
-    #[test]
-    fn fuzzed_schedule_never_changes_collective_results_or_clocks(
-        cost in arb_cost(),
-        p in 2usize..10,
-        seed in any::<u64>(),
-        work in prop::collection::vec(0.0f64..1e4, 1..6),
-    ) {
-        assert_fuzzed_schedule_is_invisible(cost, p, seed, &work);
+#[test]
+fn fuzzed_schedule_never_changes_collective_results_or_clocks() {
+    for case in 0..CASES {
+        let rng = &mut StdRng::seed_from_u64(case);
+        let cost = arb_cost(rng);
+        let p = rng.random_range(2usize..10);
+        let seed = rng.random();
+        let work = arb_work(rng);
+        let invisible =
+            std::panic::catch_unwind(|| assert_fuzzed_schedule_is_invisible(cost, p, seed, &work));
+        assert!(invisible.is_ok(), "case {case}");
     }
 }
 
@@ -178,7 +224,7 @@ fn assert_fuzzed_schedule_is_invisible(cost: CostModel, p: usize, seed: u64, wor
     );
 }
 
-/// The smallest machine the property draws, run without `proptest`.
+/// The smallest machine the property draws, over 16 schedules.
 #[test]
 fn fuzzed_schedule_is_invisible_at_two_ranks() {
     let cost = CostModel {

@@ -754,6 +754,7 @@ mod tests {
     use rand::SeedableRng;
     use sp_graph::gen::{delaunay_graph, grid_2d, grid_2d_coords};
     use sp_graph::GraphBuilder;
+    use sp_trace::fnv::splitmix64;
 
     fn overlay_of(g: Graph) -> DeltaOverlay {
         DeltaOverlay::new(Arc::new(g), None).unwrap()
@@ -890,14 +891,6 @@ mod tests {
         assert_eq!(ov.vwgt(1), 5.0);
         assert_eq!(ov.degree(1), 2);
         assert_eq!(GraphAccess::total_vwgt(&ov), 7.0);
-    }
-
-    fn splitmix64(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
     }
 
     /// A delta of any of the four kinds, valid against `ov`, its weights

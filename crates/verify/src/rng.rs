@@ -2,21 +2,12 @@
 //! dependency-free so fingerprints and replay seeds are stable across rand
 //! versions and platforms.
 //!
-//! The FNV-1a accumulator itself lives in `sp_trace::fnv` (the
-//! dependency-free leaf crate) so sp-serve can share it for cache keys
-//! without depending on this crate; it is re-exported here under its
-//! historical name.
+//! The FNV-1a accumulator and the splitmix64 step themselves live in
+//! `sp_trace::fnv` (the dependency-free leaf crate) so sp-serve and
+//! sp-machine can share them without depending on this crate; they are
+//! re-exported here under their historical names.
 
-pub use sp_trace::fnv::Fingerprint;
-
-/// splitmix64 step.
-pub fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+pub use sp_trace::fnv::{splitmix64, Fingerprint};
 
 /// The i-th schedule seed derived from a master seed. Stable: failure
 /// reports print the derived seed, and replaying with it alone reproduces

@@ -1,89 +1,3 @@
-//! Offline shell for `criterion` so dev-dependency resolution and
-//! `cargo clippy --all-targets` succeed without a registry. Benchmarks
-//! type-check and run their closures once; no measurement happens.
-
-pub struct Criterion;
-
-impl Criterion {
-    pub fn benchmark_group(&mut self, _name: &str) -> BenchmarkGroup {
-        BenchmarkGroup
-    }
-
-    pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, _name: &str, mut f: F) -> &mut Self {
-        f(&mut Bencher);
-        self
-    }
-}
-
-impl Default for Criterion {
-    fn default() -> Self {
-        Criterion
-    }
-}
-
-pub struct BenchmarkGroup;
-
-impl BenchmarkGroup {
-    pub fn sample_size(&mut self, _n: usize) -> &mut Self {
-        self
-    }
-
-    pub fn measurement_time(&mut self, _d: std::time::Duration) -> &mut Self {
-        self
-    }
-
-    pub fn bench_with_input<I, F: FnMut(&mut Bencher, &I)>(
-        &mut self,
-        _id: BenchmarkId,
-        input: &I,
-        mut f: F,
-    ) -> &mut Self {
-        f(&mut Bencher, input);
-        self
-    }
-
-    pub fn finish(self) {}
-}
-
-pub struct Bencher;
-
-impl Bencher {
-    pub fn iter<O, F: FnMut() -> O>(&mut self, mut f: F) {
-        let _ = f();
-    }
-}
-
-pub struct BenchmarkId;
-
-impl BenchmarkId {
-    pub fn new<P: std::fmt::Display>(_name: &str, _param: P) -> Self {
-        BenchmarkId
-    }
-
-    pub fn from_parameter<P: std::fmt::Display>(_param: P) -> Self {
-        BenchmarkId
-    }
-}
-
-pub fn black_box<T>(x: T) -> T {
-    std::hint::black_box(x)
-}
-
-#[macro_export]
-macro_rules! criterion_group {
-    ($name:ident, $($target:path),+ $(,)?) => {
-        fn $name() {
-            let mut c = $crate::Criterion;
-            $($target(&mut c);)+
-        }
-    };
-}
-
-#[macro_export]
-macro_rules! criterion_main {
-    ($($group:path),+ $(,)?) => {
-        fn main() {
-            $($group();)+
-        }
-    };
-}
+//! Empty shell: nothing depends on `criterion`. The package exists because
+//! `benchmark/run.sh` patches it in, and cargo refuses a patch whose path
+//! does not exist (see offline-stubs/README.md).

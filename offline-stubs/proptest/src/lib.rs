@@ -1,107 +1,3 @@
-//! Offline stand-in for `proptest`: strategy helper functions type-check,
-//! but the `proptest!` macro expands to nothing, so property tests are
-//! SKIPPED (not run) under this stub.
-
-/// Swallows the whole property-test block.
-#[macro_export]
-macro_rules! proptest {
-    ($($t:tt)*) => {};
-}
-
-pub mod strategy {
-    use std::marker::PhantomData;
-    use std::ops::Range;
-
-    pub trait Strategy: Sized {
-        type Value;
-
-        fn prop_map<U, F: Fn(Self::Value) -> U>(self, f: F) -> Map<Self, F, U> {
-            Map(self, f, PhantomData)
-        }
-
-        fn prop_filter_map<U, F: Fn(Self::Value) -> Option<U>>(
-            self,
-            _reason: &'static str,
-            f: F,
-        ) -> FilterMap<Self, F, U> {
-            FilterMap(self, f, PhantomData)
-        }
-    }
-
-    pub struct Map<S, F, U>(S, F, PhantomData<U>);
-
-    impl<S: Strategy, U, F: Fn(S::Value) -> U> Strategy for Map<S, F, U> {
-        type Value = U;
-    }
-
-    pub struct FilterMap<S, F, U>(S, F, PhantomData<U>);
-
-    impl<S: Strategy, U, F: Fn(S::Value) -> Option<U>> Strategy for FilterMap<S, F, U> {
-        type Value = U;
-    }
-
-    macro_rules! range_strategy {
-        ($($t:ty),*) => {$(
-            impl Strategy for Range<$t> {
-                type Value = $t;
-            }
-        )*};
-    }
-
-    range_strategy!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize, f32, f64);
-
-    impl<A: Strategy, B: Strategy> Strategy for (A, B) {
-        type Value = (A::Value, B::Value);
-    }
-
-    impl<A: Strategy, B: Strategy, C: Strategy> Strategy for (A, B, C) {
-        type Value = (A::Value, B::Value, C::Value);
-    }
-
-    impl<A: Strategy, B: Strategy, C: Strategy, D: Strategy> Strategy for (A, B, C, D) {
-        type Value = (A::Value, B::Value, C::Value, D::Value);
-    }
-
-    /// `Just(value)`.
-    pub struct Just<T>(pub T);
-
-    impl<T> Strategy for Just<T> {
-        type Value = T;
-    }
-}
-
-pub mod collection {
-    use crate::strategy::Strategy;
-    use std::marker::PhantomData;
-    use std::ops::Range;
-
-    pub struct VecStrategy<S>(S, PhantomData<()>);
-
-    impl<S: Strategy> Strategy for VecStrategy<S> {
-        type Value = Vec<S::Value>;
-    }
-
-    pub fn vec<S: Strategy>(element: S, _size: Range<usize>) -> VecStrategy<S> {
-        VecStrategy(element, PhantomData)
-    }
-}
-
-/// Minimal `ProptestConfig` so `ProptestConfig { cases: N, ..default() }`
-/// would type-check if referenced outside the macro.
-#[derive(Clone, Debug, Default)]
-pub struct ProptestConfig {
-    pub cases: u32,
-}
-
-pub mod prelude {
-    pub use crate::collection;
-    pub use crate::proptest;
-    pub use crate::strategy::{Just, Strategy};
-    pub use crate::ProptestConfig;
-
-    /// `prop::collection::vec(...)` paths from the real prelude.
-    pub mod prop {
-        pub use crate::collection;
-        pub use crate::strategy;
-    }
-}
+//! Empty shell: nothing depends on `proptest`. The package exists because
+//! `benchmark/run.sh` patches it in, and cargo refuses a patch whose path
+//! does not exist (see offline-stubs/README.md).

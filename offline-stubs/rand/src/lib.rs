@@ -1,6 +1,7 @@
-//! Offline stand-in for `rand` 0.9 covering only the API surface the
-//! ScalaPart workspace uses. Deterministic (splitmix64), seedable, but a
-//! different stream than the real crate.
+//! The workspace's own `rand`: the `rand` 0.9 API surface the ScalaPart
+//! workspace uses, over one deterministic splitmix64 stream. It is a
+//! different stream from the crates.io crate's, and the one every recorded
+//! number here comes from (see offline-stubs/README.md).
 
 use std::ops::{Range, RangeInclusive};
 
@@ -124,7 +125,9 @@ pub mod rngs {
 
     impl SeedableRng for StdRng {
         fn seed_from_u64(seed: u64) -> Self {
-            let mut r = StdRng { state: seed ^ 0x5DEE_CE66_D1CE_4E5B };
+            let mut r = StdRng {
+                state: seed ^ 0x5DEE_CE66_D1CE_4E5B,
+            };
             // Warm up so small seeds diverge.
             let _ = r.next_u64();
             r
