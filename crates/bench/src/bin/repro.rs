@@ -11,6 +11,7 @@
 //! (default `results/`). Absolute numbers come from the simulated machine
 //! (see DESIGN.md); the *shapes* are the reproduction target.
 
+use scalapart::machine::Phase::{Coarsen, Embed, Partition};
 use scalapart::Method;
 use sp_bench::harness::{geomean, sweep_p, Experiments};
 use sp_bench::report::{write_csv, write_json, Table};
@@ -461,7 +462,7 @@ fn fig_times_one(ex: &mut Experiments, sg: SuiteGraph, figname: &str) -> Table {
 fn fig7(ex: &mut Experiments) -> Table {
     let mut t = Table::new(
         "fig7: ScalaPart component times (fraction of total, all graphs)",
-        &["P", "coarsen", "embed", "partition"],
+        &["P", Coarsen.name(), Embed.name(), Partition.name()],
     );
     for p in sweep_p() {
         let mut c = 0.0;

@@ -24,6 +24,7 @@ use sp_embed::lattice::{LatticeConfig, LatticeStats};
 use sp_embed::ForceParams;
 use sp_geometry::{Aabb2, Point2};
 use sp_graph::Graph;
+use sp_machine::trace::fnv::splitmix64;
 use sp_machine::Machine;
 use std::collections::BTreeMap;
 
@@ -432,18 +433,6 @@ pub fn reference_lattice_smooth(
     stats
 }
 
-/// splitmix64 — a tiny deterministic integer hash, used to jitter the demo
-/// grid without going through `rand` (whose offline stub has a different
-/// stream than the real crate, which would make golden values environment
-/// dependent).
-#[inline]
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// Deterministic, `rand`-free benchmark scenario: a `rows × cols` grid
 /// graph with unit-spaced coordinates jittered by a splitmix64 hash of the
 /// vertex index. Every operation is plain IEEE arithmetic, so the layout —
@@ -453,7 +442,7 @@ pub fn demo_grid(rows: usize, cols: usize, seed: u64) -> (Graph, Vec<Point2>) {
     let g = sp_graph::gen::grid_2d(rows, cols);
     let coords = (0..g.n() as u64)
         .map(|v| {
-            let h = splitmix64(seed ^ v);
+            let h = splitmix64(&mut (seed ^ v));
             // Two 21-bit lanes → jitter in [-0.25, 0.25).
             let jx = ((h & 0x1f_ffff) as f64 / (1u64 << 21) as f64 - 0.5) * 0.5;
             let jy = (((h >> 21) & 0x1f_ffff) as f64 / (1u64 << 21) as f64 - 0.5) * 0.5;

@@ -7,16 +7,13 @@
 use sp_coarsen::{contract_with, CoarsenArena, Matching};
 use sp_geometry::Point2;
 use sp_graph::{csr_from_pairs, Graph};
+use sp_machine::trace::fnv::splitmix64;
 
 struct SplitMix(u64);
 
 impl SplitMix {
     fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        splitmix64(&mut self.0)
     }
 
     fn below(&mut self, n: usize) -> usize {

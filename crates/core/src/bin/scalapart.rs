@@ -19,7 +19,7 @@
 
 use scalapart::machine::{CostModel, Machine, Metrics, TraceRecorder};
 use scalapart::obs::{JsonlLog, Record};
-use scalapart::{recursive_kway_checked_on, recursive_kway_on, Method, ProfilingObserver};
+use scalapart::{recursive_kway_checked_on, Method, ProfilingObserver};
 use sp_geometry::Point2;
 use sp_graph::io::{read_chaco, read_coords, read_matrix_market};
 use sp_graph::{parse_graph_spec, Graph};
@@ -233,34 +233,20 @@ fn main() {
     });
 
     let t0 = std::time::Instant::now();
-    let (kp, profiler, levels_json) = if obs_log.is_some() {
-        // Same algorithm, checked entry point: the profiling observer only
-        // samples clocks/RSS at checkpoints and never cancels, so results
-        // are bit-identical to the plain path (sp-verify fuzzes this).
-        let mut prof = ProfilingObserver::new();
-        let kp = recursive_kway_checked_on(
-            args.method,
-            &graph,
-            coords.as_deref(),
-            args.parts,
-            args.seed,
-            &mut machine,
-            &mut prof,
-        )
-        .expect("profiling observer never cancels");
-        let levels = prof.level_stats_json();
-        (kp, Some(prof.into_profiler()), Some(levels))
-    } else {
-        let kp = recursive_kway_on(
-            args.method,
-            &graph,
-            coords.as_deref(),
-            args.parts,
-            args.seed,
-            &mut machine,
-        );
-        (kp, None, None)
-    };
+    // Every run is profiled: the profiling observer only samples clocks/RSS
+    // at checkpoints, forks as an unwatched run does and never cancels, so
+    // results are those of an unwatched run (sp-verify fuzzes this).
+    let mut prof = ProfilingObserver::new();
+    let kp = recursive_kway_checked_on(
+        args.method,
+        &graph,
+        coords.as_deref(),
+        args.parts,
+        args.seed,
+        &mut machine,
+        &mut prof,
+    )
+    .expect("profiling observer never cancels");
     let wall = t0.elapsed();
     kp.validate(&graph).unwrap_or_else(|e| {
         eprintln!("internal error: invalid partition: {e}");
@@ -290,15 +276,11 @@ fn main() {
     }
 
     if let Some(log) = &obs_log {
-        let prof = profiler.as_ref().expect("profiler exists with obs log");
         let mut rec = Record::new("phase_profile");
         rec.str("input", &args.input)
             .str("method", args.method.name())
-            .json("phases", &prof.to_json())
-            .json(
-                "coarsen_levels",
-                levels_json.as_deref().expect("levels exist with obs log"),
-            )
+            .json("phases", &prof.profiler().to_json())
+            .json("coarsen_levels", &prof.level_stats_json())
             .f64("total_wall_ms", wall.as_secs_f64() * 1e3);
         if let Some(peak) = scalapart::obs::rss::peak_rss_bytes() {
             rec.f64("peak_rss_mb", scalapart::obs::rss::bytes_to_mib(peak));

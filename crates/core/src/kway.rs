@@ -212,38 +212,16 @@ pub fn recursive_kway(
 
 /// Like [`recursive_kway`], but the *root* bisection runs on the supplied
 /// machine, so a recorder installed there traces it (the recursion's
-/// sub-bisections run on fresh machines for their shrunken rank groups).
-/// For `k = 2` this traces the entire run.
-pub fn recursive_kway_on(
-    method: Method,
-    g: &Graph,
-    coords: Option<&[Point2]>,
-    k: usize,
-    seed: u64,
-    machine: &mut Machine,
-) -> KWayPartition {
-    let p = machine.p();
-    recursive_kway_impl(
-        method,
-        g,
-        coords,
-        k,
-        p,
-        seed,
-        Some(machine),
-        &mut NoopObserver,
-    )
-    .expect("NoopObserver never cancels")
-}
-
-/// Cancellable [`recursive_kway_on`]: the observer's
-/// [`poll_cancel`](PipelineObserver::poll_cancel) is checked before every
-/// recursive split and, for the ScalaPart method, at every pipeline
-/// checkpoint inside each bisection. On `Err(Cancelled)` the partial
+/// sub-bisections run on fresh machines for their shrunken rank groups;
+/// for `k = 2` this traces the entire run), and the run is cancellable: the
+/// observer's [`poll_cancel`](PipelineObserver::poll_cancel) is checked
+/// before every recursive split and, for the ScalaPart method, at every
+/// pipeline checkpoint inside each bisection. On `Err(Cancelled)` the partial
 /// labelling is discarded. Where the recursion forks (module doc), the
 /// two sides' checkpoints go to the children [`PipelineObserver::fork`]
-/// returned, not to `obs`. This is sp-serve's per-job entry point: each
-/// job runs on a fresh machine with a deadline-polling observer.
+/// returned, not to `obs`. This is the entry point of the `scalapart` CLI
+/// and of sp-serve, whose jobs each run on a fresh machine under the
+/// profiler wrapped around a deadline-polling observer.
 pub fn recursive_kway_checked_on(
     method: Method,
     g: &Graph,
@@ -477,6 +455,7 @@ fn bisect(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::observe::ProfilingObserver;
     use sp_graph::gen::{grid_2d, grid_2d_coords};
     use std::sync::atomic::AtomicUsize;
     use std::sync::Arc;
@@ -531,7 +510,9 @@ mod tests {
         let coords = grid_2d_coords(24, 24);
         let mut m = Machine::new(8, CostModel::qdr_infiniband());
         m.set_recorder(Box::new(TraceRecorder::new(8)));
-        let kp = recursive_kway_on(Method::Rcb, &g, Some(&coords), 4, 1, &mut m);
+        let mut obs = NoopObserver;
+        let kp = recursive_kway_checked_on(Method::Rcb, &g, Some(&coords), 4, 1, &mut m, &mut obs);
+        let kp = kp.unwrap();
         kp.validate(&g).unwrap();
         let plain = recursive_kway(Method::Rcb, &g, Some(&coords), 4, 8, 1);
         assert_eq!(kp.part, plain.part);
@@ -825,12 +806,13 @@ mod tests {
         }
     }
 
-    fn sp_pg7nl_8way(obs: &mut dyn PipelineObserver) -> Result<Vec<u32>, Cancelled> {
+    /// The labels and root elapsed bits of an 8-way SP-PG7-NL run.
+    fn sp_pg7nl_8way(obs: &mut dyn PipelineObserver) -> Result<(Vec<u32>, u64), Cancelled> {
         let g = grid_2d(24, 24);
         let coords = grid_2d_coords(24, 24);
         let mut m = Machine::new(8, CostModel::qdr_infiniband());
         recursive_kway_checked_on(Method::SpPg7Nl, &g, Some(&coords), 8, 1, &mut m, obs)
-            .map(|kp| kp.part)
+            .map(|kp| (kp.part, m.elapsed().to_bits()))
     }
 
     #[test]
@@ -871,6 +853,28 @@ mod tests {
             );
             assert_eq!(sp_pg7nl_8way(&mut NoopObserver), Ok(want));
         });
+    }
+
+    /// Counts its forks; its children are [`NoopObserver`]s.
+    #[derive(Default)]
+    struct ForkCounter(usize);
+
+    impl PipelineObserver for ForkCounter {
+        fn fork(&mut self) -> Option<[Box<dyn PipelineObserver + Send>; 2]> {
+            self.0 += 1;
+            NoopObserver.fork()
+        }
+    }
+
+    #[test]
+    fn a_profiled_geometric_kway_run_forks_and_keeps_the_unwatched_bits() {
+        let want = install(2, || sp_pg7nl_8way(&mut NoopObserver));
+        let mut forks = ForkCounter::default();
+        let got = install(2, || {
+            sp_pg7nl_8way(&mut ProfilingObserver::wrapping(&mut forks))
+        });
+        assert!(forks.0 >= 1, "the profiled run did not fork");
+        assert_eq!(got, want);
     }
 
     /// Counts the polls and cancels at the `cancel_at`th (0-based).

@@ -42,9 +42,7 @@ pub mod pipeline;
 pub mod svg;
 
 pub use config::SpConfig;
-pub use kway::{
-    recursive_kway, recursive_kway_checked_on, recursive_kway_on, KWayPartition, PartitionSummary,
-};
+pub use kway::{recursive_kway, recursive_kway_checked_on, KWayPartition, PartitionSummary};
 pub use methods::{run_method, run_method_checked, run_method_on, Method, MethodResult};
 pub use observe::{Cancelled, LevelStats, NoopObserver, PipelineObserver, ProfilingObserver};
 pub use pipeline::{

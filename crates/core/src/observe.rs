@@ -17,6 +17,7 @@ use sp_coarsen::{Contraction, Hierarchy, Matching};
 use sp_geometry::Point2;
 use sp_geopart::GeoPartResult;
 use sp_graph::{Bisection, Graph};
+use sp_machine::Phase;
 use sp_refine::FmStats;
 
 /// Returned by the `*_checked` pipeline entry points when the observer
@@ -115,21 +116,23 @@ impl PipelineObserver for NoopObserver {
     }
 }
 
-/// The phases [`ProfilingObserver`] attributes time to, in checkpoint
-/// order: the names of its profiler samples.
-pub const PROFILED_PHASES: [&str; 4] = ["coarsen", "embed", "partition", "refine"];
-
 /// An observer adapter that attributes host wall time and RSS to pipeline
 /// phases using an [`sp_obs::PhaseProfiler`], while forwarding every hook
-/// (including `poll_cancel`) to an optional inner observer.
+/// (including `poll_cancel` and `fork`) to an optional inner observer.
 ///
 /// Phase boundaries fall at the pipeline's own checkpoints: everything up
-/// to `on_hierarchy` is **coarsen**, up to `on_embedding` is **embed**, up
-/// to `on_geo_partition` is **partition**, and up to `on_refined` is
-/// **refine**. Recursive bisections revisit these checkpoints, so samples
-/// accumulate per phase across the whole k-way run (the graph-extraction
-/// overhead between one bisection's refine and the next one's coarsening
-/// lands in the next coarsen span — it is coarsening-side work).
+/// to `on_hierarchy` is [`Phase::Coarsen`], up to `on_embedding` is
+/// [`Phase::Embed`], up to `on_geo_partition` is [`Phase::Partition`], and
+/// up to `on_refined` is [`Phase::Refine`]. Recursive bisections revisit
+/// these checkpoints, so samples accumulate per phase across the whole
+/// k-way run (the graph-extraction overhead between one bisection's refine
+/// and the next one's coarsening lands in the next coarsen span — it is
+/// coarsening-side work).
+///
+/// It forks whenever what it wraps does, so a profiled k-way run keeps the
+/// schedule of an unprofiled one. Only methods that do not coarsen fork
+/// (see [`kway`](crate::kway)), and those reach no phase checkpoint, so
+/// the children need no profiler of their own and no sample is lost.
 ///
 /// Profiling is strictly passive: the profiler reads `Instant::now()` and
 /// `/proc/self/status` at checkpoints and never touches the graph,
@@ -174,12 +177,6 @@ impl<'a> ProfilingObserver<'a> {
         self.profiler
     }
 
-    /// Per-retained-level coarsening records collected so far (across all
-    /// recursive bisections, in call order).
-    pub fn level_stats(&self) -> &[LevelStats] {
-        &self.level_stats
-    }
-
     /// Render the collected level stats as a JSON array for a
     /// `phase_profile` record.
     pub fn level_stats_json(&self) -> String {
@@ -218,28 +215,28 @@ impl PipelineObserver for ProfilingObserver<'_> {
     }
 
     fn on_hierarchy(&mut self, h: &Hierarchy) {
-        self.profiler.mark(PROFILED_PHASES[0]);
+        self.profiler.mark(Phase::Coarsen);
         if let Some(inner) = self.inner.as_deref_mut() {
             inner.on_hierarchy(h);
         }
     }
 
     fn on_embedding(&mut self, g: &Graph, coords: &[Point2]) {
-        self.profiler.mark(PROFILED_PHASES[1]);
+        self.profiler.mark(Phase::Embed);
         if let Some(inner) = self.inner.as_deref_mut() {
             inner.on_embedding(g, coords);
         }
     }
 
     fn on_geo_partition(&mut self, g: &Graph, geo: &GeoPartResult) {
-        self.profiler.mark(PROFILED_PHASES[2]);
+        self.profiler.mark(Phase::Partition);
         if let Some(inner) = self.inner.as_deref_mut() {
             inner.on_geo_partition(g, geo);
         }
     }
 
     fn on_refined(&mut self, g: &Graph, bi: &Bisection, st: &FmStats) {
-        self.profiler.mark(PROFILED_PHASES[3]);
+        self.profiler.mark(Phase::Refine);
         if let Some(inner) = self.inner.as_deref_mut() {
             inner.on_refined(g, bi, st);
         }
@@ -249,6 +246,13 @@ impl PipelineObserver for ProfilingObserver<'_> {
         match self.inner.as_deref_mut() {
             Some(inner) => inner.poll_cancel(),
             None => false,
+        }
+    }
+
+    fn fork(&mut self) -> Option<[Box<dyn PipelineObserver + Send>; 2]> {
+        match self.inner.as_deref_mut() {
+            Some(inner) => inner.fork(),
+            None => NoopObserver.fork(),
         }
     }
 }

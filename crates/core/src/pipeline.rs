@@ -172,11 +172,11 @@ pub fn scalapart_bisect_checked(
     // Phase walls are barrier-delimited; the communication share of a
     // phase is wall time minus the critical-path computation within it
     // (idle waiting counts as communication, as it would in an MPI trace).
-    // Phases are typed: sub-phase labels (e.g. the embedder's per-level
-    // smoothing spans) aggregate into their parent phase by construction,
-    // so no string matching is needed here.
-    let breakdown = machine.phase_breakdown();
-    let comp_of = |ph: Phase| breakdown.get(&ph).map_or(0.0, |b| b.comp);
+    // Phases are typed: the embedder's per-level spans aggregate into
+    // their parent phase by construction, so no string matching is needed
+    // here.
+    let stats = machine.stats();
+    let comp_of = |ph: Phase| stats.phase(ph).map_or(0.0, |(comp, _)| comp);
     let comp = [
         comp_of(Phase::Coarsen),
         comp_of(Phase::Embed),
@@ -238,9 +238,9 @@ pub fn sp_pg7nl_bisect(
     )
     .map_or((cut_before_refine, 0), |r| (r.cut, r.strip_size));
     machine.phase(Phase::Done);
-    let mut breakdown = machine.phase_breakdown();
+    let (comp, comm) = machine.stats().phase(Phase::Partition).unwrap_or_default();
     let times = PhaseTimes {
-        partition: breakdown.remove(&Phase::Partition).unwrap_or_default(),
+        partition: PhaseBreakdown { comp, comm },
         ..Default::default()
     };
     let imbalance = bisection.imbalance(g);
@@ -384,24 +384,26 @@ mod tests {
 
     #[test]
     fn labeled_subphases_aggregate_into_parent_phase() {
-        // The embedder switches through labeled sub-phases ("coarsest",
-        // "smooth-N") of Phase::Embed; all of them must land in the one
-        // Embed bucket, and no stray phase keys may appear.
+        // The embedder switches through one span of Phase::Embed per
+        // hierarchy level; all of them must land in the one Embed bucket,
+        // and no stray phase may appear.
         let g = grid_2d(48, 48);
         let mut m = Machine::new(16, CostModel::qdr_infiniband());
         let r = scalapart_bisect(&g, &mut m, &SpConfig::default());
         assert!(r.times.embed.total() > 0.0);
-        let bd = m.phase_breakdown();
-        assert!(bd[&Phase::Embed].comp > 0.0);
-        for ph in bd.keys() {
-            assert!(
-                matches!(
-                    ph,
-                    Phase::Idle | Phase::Coarsen | Phase::Embed | Phase::Partition | Phase::Done
-                ),
-                "unexpected phase {ph}"
-            );
-        }
+        let st = m.stats();
+        assert!(st.phase(Phase::Embed).unwrap().0 > 0.0);
+        let phases: Vec<Phase> = st.phases.iter().map(|e| e.0).collect();
+        assert_eq!(
+            phases,
+            [
+                Phase::Idle,
+                Phase::Coarsen,
+                Phase::Embed,
+                Phase::Partition,
+                Phase::Done
+            ]
+        );
     }
 
     #[test]

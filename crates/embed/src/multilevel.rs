@@ -121,7 +121,7 @@ pub fn multilevel_lattice_embed_with(
     // replication threshold.
     let coarsest = h.coarsest();
     let mut coords = random_init(coarsest.n(), &mut rng);
-    machine.phase_labeled(Phase::Embed, "coarsest");
+    machine.phase_level(Phase::Embed, k);
     replicated_smooth(
         coarsest,
         &mut coords,
@@ -141,7 +141,7 @@ pub fn multilevel_lattice_embed_with(
     // the paper's "relatively fewer iterations are required ... for
     // smoothing" at scale.
     for lvl in (0..k).rev() {
-        machine.phase_labeled(Phase::Embed, &format!("smooth-{lvl}"));
+        machine.phase_level(Phase::Embed, lvl);
         let n_level = h.levels[lvl].graph.n();
         let level_iters = if n_level <= REPLICATION_THRESHOLD {
             ITERS_SMOOTH * 2 // tiny replicated levels: thorough is free

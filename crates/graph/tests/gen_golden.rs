@@ -7,18 +7,14 @@
 use sp_geometry::Point2;
 use sp_graph::gen::delaunay_of_points;
 use sp_graph::graph_fingerprint;
+use sp_machine::trace::fnv::splitmix64;
 
 /// splitmix64 from state 1; each draw is a uniform `f64` in `[0, 1)`.
 struct SplitMix(u64);
 
 impl SplitMix {
     fn unit(&mut self) -> f64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        (z >> 11) as f64 / (1u64 << 53) as f64
+        (splitmix64(&mut self.0) >> 11) as f64 / (1u64 << 53) as f64
     }
 }
 

@@ -43,6 +43,4 @@ pub use machine::{Machine, PhaseBreakdown, SuperstepHook, SuperstepInfo};
 pub use words::{CostOnly, Words};
 
 pub use sp_trace as trace;
-pub use sp_trace::{
-    CollectiveKind, MachineStats, Metrics, NoopRecorder, Phase, Recorder, TraceRecorder,
-};
+pub use sp_trace::{CollectiveKind, MachineStats, Metrics, Phase, Recorder, TraceRecorder};

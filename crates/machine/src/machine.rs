@@ -6,7 +6,6 @@ use crate::fuzz::{Perturbation, Schedule};
 use crate::pool;
 use crate::words::{CostOnly, Words};
 use sp_trace::{CollectiveKind, MachineStats, Phase, Recorder};
-use std::collections::HashMap;
 
 /// Per-phase time breakdown (simulated seconds, max over ranks).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -69,12 +68,13 @@ pub struct Machine {
     comm: Vec<f64>,
     /// Current phase.
     phase: Phase,
-    /// Optional free-form sub-phase detail, for trace display only —
-    /// accounting is keyed by `phase`.
-    phase_label: Option<String>,
-    /// Accumulated (comp, comm) per phase, tracked as the max-rank share at
-    /// phase switch boundaries.
-    phases: HashMap<Phase, PhaseBreakdown>,
+    /// Hierarchy level the current phase span covers, for trace display
+    /// only — accounting is keyed by `phase`.
+    phase_level: Option<usize>,
+    /// The phase ledger: accumulated (comp, comm) per phase entered,
+    /// indexed by `Phase as usize`, tracked as the max-rank share at phase
+    /// switch boundaries. [`Machine::stats`] is its one reader.
+    phases: [Option<PhaseBreakdown>; Phase::ALL.len()],
     /// comp/comm snapshot at the start of the current phase (per rank).
     phase_start: (Vec<f64>, Vec<f64>),
     /// Elapsed time when the current phase span began.
@@ -123,8 +123,8 @@ impl Machine {
             comp: vec![0.0; p],
             comm: vec![0.0; p],
             phase: Phase::Idle,
-            phase_label: None,
-            phases: HashMap::new(),
+            phase_level: None,
+            phases: [None; Phase::ALL.len()],
             phase_start: (vec![0.0; p], vec![0.0; p]),
             phase_t0: 0.0,
             recorder: None,
@@ -230,17 +230,17 @@ impl Machine {
     pub fn phase(&mut self, ph: Phase) {
         self.close_phase();
         self.phase = ph;
-        self.phase_label = None;
+        self.phase_level = None;
     }
 
-    /// Begin a phase with a free-form sub-phase label (e.g. `"smooth-3"`
-    /// within [`Phase::Embed`]). The label shows up in traces; accounting
-    /// aggregates by `ph` alone, so differently-labelled spans of the same
-    /// phase always land in the same bucket.
-    pub fn phase_labeled(&mut self, ph: Phase, label: &str) {
+    /// Begin a phase span that covers hierarchy level `level` only (0 is
+    /// the finest graph), as the embedder's per-level spans do. The level
+    /// shows up in traces; accounting aggregates by `ph` alone, so the
+    /// spans of every level land in the phase's one bucket.
+    pub fn phase_level(&mut self, ph: Phase, level: usize) {
         self.close_phase();
         self.phase = ph;
-        self.phase_label = Some(label.to_string());
+        self.phase_level = Some(level);
     }
 
     fn close_phase(&mut self) {
@@ -256,33 +256,29 @@ impl Machine {
             .zip(&self.phase_start.1)
             .map(|(a, b)| a - b)
             .fold(0.0, f64::max);
-        let e = self.phases.entry(self.phase).or_default();
+        let e = self.phases[self.phase as usize].get_or_insert_default();
         e.comp += dcomp;
         e.comm += dcomm;
         self.phase_start = (self.comp.clone(), self.comm.clone());
         let t = self.elapsed();
         if t > self.phase_t0 {
             if let Some(rec) = self.recorder.as_deref_mut() {
-                rec.on_phase(self.phase, self.phase_label.as_deref(), self.phase_t0, t);
+                rec.on_phase(self.phase, self.phase_level, self.phase_t0, t);
             }
         }
         self.phase_t0 = t;
     }
 
-    /// Per-phase breakdown (max-rank comp and comm per phase). Idempotent:
-    /// calling it twice without intervening work returns the same map.
-    pub fn phase_breakdown(&mut self) -> HashMap<Phase, PhaseBreakdown> {
-        self.close_phase();
-        self.phases.clone()
-    }
-
-    /// Accounting snapshot for the metrics layer (`sp-trace::Metrics`):
-    /// per-phase breakdown in canonical order plus per-rank totals.
+    /// Accounting snapshot: the phase ledger (max-rank comp and comm of
+    /// every phase entered, in canonical order) plus per-rank totals, for
+    /// the pipeline's phase times and the metrics layer
+    /// (`sp-trace::Metrics`). Idempotent: calling it twice without
+    /// intervening work returns the same snapshot.
     pub fn stats(&mut self) -> MachineStats {
         self.close_phase();
         let phases = Phase::ALL
             .iter()
-            .filter_map(|&ph| self.phases.get(&ph).map(|b| (ph, b.comp, b.comm)))
+            .filter_map(|&ph| self.phases[ph as usize].map(|b| (ph, b.comp, b.comm)))
             .collect();
         MachineStats {
             p: self.p,
@@ -1071,11 +1067,9 @@ mod tests {
         m.compute(&mut s, |_, _| 5.0);
         m.phase(Phase::Embed);
         m.barrier();
-        let bd = m.phase_breakdown();
-        assert_eq!(bd[&Phase::Coarsen].comp, 5.0);
-        assert_eq!(bd[&Phase::Coarsen].comm, 0.0);
-        assert_eq!(bd[&Phase::Embed].comp, 0.0);
-        assert_eq!(bd[&Phase::Embed].comm, 1.0);
+        let st = m.stats();
+        assert_eq!(st.phase(Phase::Coarsen), Some((5.0, 0.0)));
+        assert_eq!(st.phase(Phase::Embed), Some((0.0, 1.0)));
     }
 
     #[test]
@@ -1088,9 +1082,9 @@ mod tests {
         m.compute(&mut s, |_, _| 1.0);
         m.phase(Phase::Coarsen); // re-enter: must accumulate, not overwrite
         m.compute(&mut s, |_, _| 7.0);
-        let bd = m.phase_breakdown();
-        assert_eq!(bd[&Phase::Coarsen].comp, 12.0);
-        assert_eq!(bd[&Phase::Embed].comp, 1.0);
+        let st = m.stats();
+        assert_eq!(st.phase(Phase::Coarsen), Some((12.0, 0.0)));
+        assert_eq!(st.phase(Phase::Embed), Some((1.0, 0.0)));
     }
 
     #[test]
@@ -1098,14 +1092,10 @@ mod tests {
         let mut m = Machine::new(2, free());
         m.phase(Phase::Refine);
         m.phase(Phase::Done);
-        let bd = m.phase_breakdown();
-        assert_eq!(
-            bd[&Phase::Refine],
-            PhaseBreakdown {
-                comp: 0.0,
-                comm: 0.0
-            }
-        );
+        let st = m.stats();
+        assert_eq!(st.phase(Phase::Refine), Some((0.0, 0.0)));
+        // A phase never entered has no row at all.
+        assert_eq!(st.phase(Phase::Embed), None);
     }
 
     #[test]
@@ -1120,15 +1110,11 @@ mod tests {
         m.phase(Phase::Coarsen);
         m.compute(&mut s, |r, _| (r + 1) as f64);
         m.barrier();
-        let a = m.phase_breakdown();
-        let b = m.phase_breakdown();
+        let a = m.stats();
+        let b = m.stats();
         assert_eq!(a, b);
-        // And stats() agrees with the breakdown.
-        let st = m.stats();
-        for (ph, comp, comm) in &st.phases {
-            assert_eq!(a[ph].comp, *comp);
-            assert_eq!(a[ph].comm, *comm);
-        }
+        let phases: Vec<Phase> = a.phases.iter().map(|e| e.0).collect();
+        assert_eq!(phases, [Phase::Idle, Phase::Coarsen]);
     }
 
     #[test]
@@ -1148,11 +1134,11 @@ mod tests {
         m.barrier();
         let _ = m.allgather(vec![vec![0u64; 4]; 4]);
         let e = m.elapsed();
-        let bd = m.phase_breakdown();
-        let total: f64 = bd.values().map(|b| b.comp + b.comm).sum();
+        let phases = m.stats().phases;
+        let total: f64 = phases.iter().map(|&(_, comp, comm)| comp + comm).sum();
         assert!(total <= e * m.p() as f64 + 1e-12, "{total} > {e} * p");
-        for b in bd.values() {
-            assert!(b.comp <= e + 1e-12 && b.comm <= e + 1e-12);
+        for &(_, comp, comm) in &phases {
+            assert!(comp <= e + 1e-12 && comm <= e + 1e-12);
         }
         // comp + comm of any single rank can never exceed its clock.
         assert!(m.comp_time() + m.comm_time() <= e * 2.0 + 1e-12);
@@ -1334,10 +1320,10 @@ mod tests {
 
         // Metrics agree with the machine's own accounting exactly.
         let metrics = Metrics::build(&stats, Some(&rec));
-        let bd = m.phase_breakdown();
+        let ledger = m.stats();
         for ph in &metrics.phases {
-            assert_eq!(ph.comp, bd[&ph.phase].comp, "{}", ph.phase);
-            assert_eq!(ph.comm, bd[&ph.phase].comm, "{}", ph.phase);
+            let want = ledger.phase(ph.phase);
+            assert_eq!(Some((ph.comp, ph.comm)), want, "{}", ph.phase);
         }
         assert_eq!(metrics.elapsed, elapsed);
         // Chrome export spans the same horizon (µs), with per-rank tids.

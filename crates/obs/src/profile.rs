@@ -4,20 +4,22 @@
 //! The profiler is deliberately dumb about *what* the phases are — core's
 //! `ProfilingObserver` adapter decides where phase boundaries fall (the
 //! `PipelineObserver` checkpoints) and calls [`PhaseProfiler::mark`] at
-//! each. Everything between two marks is attributed to the named phase;
-//! recursive bisections re-enter the same phases, so samples accumulate
-//! per name rather than appending a new row each time.
+//! each. Everything between two marks is attributed to the marked
+//! [`Phase`], the one phase vocabulary the simulated machine keys its
+//! clocks by too; recursive bisections re-enter the same phases, so
+//! samples accumulate per phase rather than appending a new row each time.
 //!
 //! RSS is sampled at each mark via [`crate::rss`]; the per-phase figure is
 //! the maximum RSS observed at that phase's closing marks — a boundary
 //! sample, not a continuous peak, which is the honest trade for staying
 //! passive (no sampler thread perturbing the run).
 
+use sp_trace::Phase;
 use std::time::Instant;
 
 #[derive(Clone, Debug)]
 pub struct PhaseSample {
-    pub phase: String,
+    pub phase: Phase,
     pub wall_ms: f64,
     /// Max RSS in bytes observed at this phase's closing boundaries;
     /// `None` where /proc is unavailable.
@@ -50,7 +52,7 @@ impl PhaseProfiler {
     }
 
     /// Close the span since the previous mark and attribute it to `phase`.
-    pub fn mark(&mut self, phase: &str) {
+    pub fn mark(&mut self, phase: Phase) {
         let now = Instant::now();
         let wall_ms = now.duration_since(self.last_mark).as_secs_f64() * 1e3;
         self.last_mark = now;
@@ -65,7 +67,7 @@ impl PhaseProfiler {
                 s.spans += 1;
             }
             None => self.samples.push(PhaseSample {
-                phase: phase.to_string(),
+                phase,
                 wall_ms,
                 rss_bytes: rss,
                 spans: 1,
@@ -92,7 +94,7 @@ impl PhaseProfiler {
             }
             out.push_str(&format!(
                 "{{\"phase\":\"{}\",\"wall_ms\":{},\"rss_mb\":{},\"spans\":{}}}",
-                sp_trace::json::escape(&s.phase),
+                s.phase.name(),
                 sp_trace::json::num(s.wall_ms),
                 s.rss_bytes
                     .map(|b| sp_trace::json::num(crate::rss::bytes_to_mib(b)))
@@ -112,12 +114,12 @@ mod tests {
     #[test]
     fn marks_accumulate_per_phase() {
         let mut p = PhaseProfiler::new();
-        p.mark("coarsen");
-        p.mark("embed");
-        p.mark("coarsen"); // recursion revisits
+        p.mark(Phase::Coarsen);
+        p.mark(Phase::Embed);
+        p.mark(Phase::Coarsen); // recursion revisits
         assert_eq!(p.samples().len(), 2);
         let c = &p.samples()[0];
-        assert_eq!(c.phase, "coarsen");
+        assert_eq!(c.phase, Phase::Coarsen);
         assert_eq!(c.spans, 2);
         assert!(c.wall_ms >= 0.0);
         let e = &p.samples()[1];
@@ -127,7 +129,7 @@ mod tests {
     #[test]
     fn json_is_well_formed() {
         let mut p = PhaseProfiler::new();
-        p.mark("partition");
+        p.mark(Phase::Partition);
         let j = p.to_json();
         assert!(j.starts_with('['), "{j}");
         assert!(j.contains("\"phase\":\"partition\""), "{j}");
@@ -141,7 +143,7 @@ mod tests {
     fn total_wall_dominates_phase_sum() {
         let mut p = PhaseProfiler::new();
         std::thread::sleep(std::time::Duration::from_millis(2));
-        p.mark("a");
+        p.mark(Phase::Refine);
         let sum: f64 = p.samples().iter().map(|s| s.wall_ms).sum();
         assert!(
             p.total_wall_ms() >= sum * 0.99,

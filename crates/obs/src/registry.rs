@@ -290,12 +290,14 @@ mod tests {
         let b = r.counter("sp_test_total", "help");
         a.inc();
         assert_eq!(b.get(), 1, "same series, same atomics");
-        let h1 = r.histogram_with("sp_h", "h", &[1.0, 2.0], &[("phase", "embed")]);
-        let h2 = r.histogram_with("sp_h", "h", &[1.0, 2.0], &[("phase", "embed")]);
+        let embed = [("phase", sp_trace::Phase::Embed.name())];
+        let h1 = r.histogram_with("sp_h", "h", &[1.0, 2.0], &embed);
+        let h2 = r.histogram_with("sp_h", "h", &[1.0, 2.0], &embed);
         h1.observe(1.5);
         assert_eq!(h2.count(), 1);
         // A different label set is a distinct series in the same family.
-        let h3 = r.histogram_with("sp_h", "h", &[1.0, 2.0], &[("phase", "coarsen")]);
+        let coarsen = [("phase", sp_trace::Phase::Coarsen.name())];
+        let h3 = r.histogram_with("sp_h", "h", &[1.0, 2.0], &coarsen);
         assert_eq!(h3.count(), 0);
     }
 

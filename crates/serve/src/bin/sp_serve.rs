@@ -3,7 +3,7 @@
 //! ```text
 //! sp-serve serve   --addr 127.0.0.1:7070 [--workers N] [--queue N]
 //!                  [--cache N] [--ranks N] [--deadline-ms N] [--metrics FILE]
-//!                  [--obs-log FILE] [--no-profile]
+//!                  [--obs-log FILE]
 //! sp-serve submit  --addr 127.0.0.1:7070 --graph gen:grid:32x32
 //!                  --method sp --parts 4 [--seed N] [--deadline-ms N]
 //!                  [--chaco FILE]
@@ -42,8 +42,8 @@ serve options:
   --deadline-ms N      default per-job deadline (default 30000)
   --metrics FILE       write the final Prometheus exposition once drained
   --obs-log FILE       append structured JSONL job records (job_submitted,
-                       job_start, phase_profile, job_done, cache_evict)
-  --no-profile         disable per-phase wall/RSS profiling of jobs
+                       job_start, phase_profile, job_done, cache_evict);
+                       every job runs under the per-phase wall/RSS profiler
 
 submit options:
   --addr HOST:PORT     server address
@@ -87,17 +87,6 @@ impl Args {
                 }
                 self.argv.remove(i);
                 Ok(Some(self.argv.remove(i)))
-            }
-        }
-    }
-
-    /// Pull a boolean `--flag` (present or not, no value).
-    fn take_flag(&mut self, flag: &str) -> bool {
-        match self.argv.iter().position(|a| a == flag) {
-            None => false,
-            Some(i) => {
-                self.argv.remove(i);
-                true
             }
         }
     }
@@ -160,7 +149,6 @@ fn cmd_serve(args: &mut Args) -> Result<ExitCode, String> {
         cfg.default_deadline_ms = v;
     }
     cfg.obs_log = args.take("--obs-log")?;
-    cfg.profile = !args.take_flag("--no-profile");
     args_done(args)?;
     let server = Server::bind(&addr, cfg).map_err(|e| format!("cannot bind {addr:?}: {e}"))?;
     eprintln!("sp-serve: listening on {}", server.local_addr());

@@ -11,8 +11,8 @@
 //! registry itself is only locked at registration (here, once) and at
 //! scrape time.
 
-use scalapart::obs::{Counter, Gauge, Histogram, Registry};
-use scalapart::observe::PROFILED_PHASES;
+use scalapart::machine::Phase;
+use scalapart::obs::{Counter, Gauge, Histogram, PhaseSample, Registry};
 use std::sync::Arc;
 
 #[derive(Clone)]
@@ -45,8 +45,9 @@ pub struct ServiceMetrics {
     pub queue_wait_ms: Arc<Histogram>,
     pub job_latency_ms: Arc<Histogram>,
     pub job_run_ms: Arc<Histogram>,
-    /// Per-phase host wall time; indexed like [`PROFILED_PHASES`].
-    pub phase_wall_ms: Vec<Arc<Histogram>>,
+    /// Host wall time of each phase the profiler marks, one series per
+    /// phase, labelled with [`Phase::name`].
+    pub phase_wall_ms: Vec<(Phase, Arc<Histogram>)>,
 
     /// Host wall time of each simulated superstep's rank closures, fed by
     /// the machine's superstep hook. Microsecond buckets: a superstep is
@@ -104,15 +105,16 @@ impl ServiceMetrics {
                 &[1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 250.0, 500.0, 1000.0, 2500.0, 5000.0, 10000.0, 50000.0],
             ),
             rank_batch_occupancy: r.gauge("sp_rank_batch_occupancy_percent", "Active ranks as a percentage of machine ranks in the last superstep"),
-            phase_wall_ms: PROFILED_PHASES
-                .iter()
+            phase_wall_ms: [Phase::Coarsen, Phase::Embed, Phase::Partition, Phase::Refine]
+                .into_iter()
                 .map(|p| {
-                    r.histogram_with(
+                    let h = r.histogram_with(
                         "sp_phase_wall_milliseconds",
                         "Host wall time per pipeline phase per job",
                         &lat,
-                        &[("phase", p)],
-                    )
+                        &[("phase", p.name())],
+                    );
+                    (p, h)
                 })
                 .collect(),
             sessions_active: r.gauge("sp_sessions_active", "Streaming sessions currently open"),
@@ -132,10 +134,10 @@ impl ServiceMetrics {
 
     /// Record one finished profile: feed each phase's wall time into its
     /// labelled histogram series.
-    pub fn observe_phases(&self, samples: &[scalapart::obs::PhaseSample]) {
+    pub fn observe_phases(&self, samples: &[PhaseSample]) {
         for s in samples {
-            if let Some(i) = PROFILED_PHASES.iter().position(|p| *p == s.phase) {
-                self.phase_wall_ms[i].observe(s.wall_ms);
+            if let Some((_, h)) = self.phase_wall_ms.iter().find(|(p, _)| *p == s.phase) {
+                h.observe(s.wall_ms);
             }
         }
     }
@@ -181,23 +183,19 @@ mod tests {
     #[test]
     fn phase_observation_lands_in_the_right_series() {
         let m = ServiceMetrics::new();
-        m.observe_phases(&[
-            scalapart::obs::PhaseSample {
-                phase: "embed".into(),
-                wall_ms: 5.0,
-                rss_bytes: None,
-                spans: 1,
-            },
-            scalapart::obs::PhaseSample {
-                phase: "not_a_phase".into(),
-                wall_ms: 1.0,
-                rss_bytes: None,
-                spans: 1,
-            },
-        ]);
-        let i = PROFILED_PHASES.iter().position(|p| *p == "embed").unwrap();
-        assert_eq!(m.phase_wall_ms[i].count(), 1);
-        let total: u64 = m.phase_wall_ms.iter().map(|h| h.count()).sum();
-        assert_eq!(total, 1, "unknown phases are dropped, not mislabelled");
+        let sample = |phase| PhaseSample {
+            phase,
+            wall_ms: 5.0,
+            rss_bytes: None,
+            spans: 1,
+        };
+        m.observe_phases(&[sample(Phase::Embed), sample(Phase::Initial)]);
+        let count = |phase| {
+            let (_, h) = m.phase_wall_ms.iter().find(|(p, _)| *p == phase).unwrap();
+            h.count()
+        };
+        assert_eq!(count(Phase::Embed), 1);
+        let total: u64 = m.phase_wall_ms.iter().map(|(_, h)| h.count()).sum();
+        assert_eq!(total, 1, "unprofiled phases are dropped, not mislabelled");
     }
 }

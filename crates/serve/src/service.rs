@@ -62,10 +62,6 @@ pub struct ServeConfig {
     /// disables the log; metrics are always collected (they are passive
     /// atomics) and exported only when scraped.
     pub obs_log: Option<String>,
-    /// Run jobs under the per-phase profiler. On by default; the
-    /// passivity tests run with it both on and off and assert
-    /// bit-identical results.
-    pub profile: bool,
     /// Streaming sessions open at once; `session_open` beyond this is
     /// rejected with a `session_quota` error.
     pub max_sessions: usize,
@@ -85,7 +81,6 @@ impl Default for ServeConfig {
             ranks: 8,
             default_deadline_ms: 30_000,
             obs_log: None,
-            profile: true,
             max_sessions: 8,
             session_max_deltas: 100_000,
             session_idle_ms: 120_000,
@@ -546,22 +541,20 @@ fn worker_loop(inner: Arc<Inner>) {
             );
         }
         let run_started = Instant::now();
-        let (outcome, profile) = run_job(&inner.cfg, &job, m);
+        let (outcome, prof) = run_job(&inner.cfg, &job, m);
         let run_ms = run_started.elapsed().as_secs_f64() * 1e3;
         m.job_run_ms.observe(run_ms);
         m.worker_busy_ms.add(run_ms as u64);
-        if let Some(prof) = &profile {
-            m.observe_phases(prof.samples());
-            if let Some(log) = &inner.obs_log {
-                let mut rec = Record::new("phase_profile");
-                rec.u64("job", job.id)
-                    .json("phases", &prof.to_json())
-                    .f64("total_wall_ms", run_ms);
-                if let Some(peak) = scalapart::obs::rss::peak_rss_bytes() {
-                    rec.f64("peak_rss_mb", scalapart::obs::rss::bytes_to_mib(peak));
-                }
-                log.emit(&rec);
+        m.observe_phases(prof.samples());
+        if let Some(log) = &inner.obs_log {
+            let mut rec = Record::new("phase_profile");
+            rec.u64("job", job.id)
+                .json("phases", &prof.to_json())
+                .f64("total_wall_ms", run_ms);
+            if let Some(peak) = scalapart::obs::rss::peak_rss_bytes() {
+                rec.f64("peak_rss_mb", scalapart::obs::rss::bytes_to_mib(peak));
             }
+            log.emit(&rec);
         }
         let latency_ms;
         let mut evicted = None;
@@ -610,35 +603,35 @@ fn worker_loop(inner: Arc<Inner>) {
     }
 }
 
-fn run_job(
-    cfg: &ServeConfig,
-    job: &Job,
-    m: &ServiceMetrics,
-) -> (JobOutcome, Option<PhaseProfiler>) {
-    let latency = |j: &Job| j.enqueued.elapsed().as_secs_f64() * 1e3;
+/// Run one job under the phase profiler and return the profile of what
+/// ran: empty for a job that expired in the queue, partial for one that
+/// timed out or panicked.
+fn run_job(cfg: &ServeConfig, job: &Job, m: &ServiceMetrics) -> (JobOutcome, PhaseProfiler) {
+    let latency = || job.enqueued.elapsed().as_secs_f64() * 1e3;
+    let mut deadline_obs = DeadlineObserver {
+        deadline: job.deadline,
+    };
+    // The profiler wraps the deadline observer: the same checkpoints, the
+    // same cancellation and the same forks, plus clock/RSS samples at phase
+    // boundaries. The passivity tests assert that watching a job moves no
+    // bit of its result.
+    let mut obs = ProfilingObserver::wrapping(&mut deadline_obs);
     if Instant::now() >= job.deadline {
         // Expired while queued: report timeout without starting.
-        return (
-            JobOutcome::Timeout {
-                job_id: job.id,
-                latency_ms: latency(job),
-            },
-            None,
-        );
+        let outcome = JobOutcome::Timeout {
+            job_id: job.id,
+            latency_ms: latency(),
+        };
+        return (outcome, obs.into_profiler());
     }
     let spec = &job.spec;
-    let graph = spec.graph.clone();
-    let coords = spec.coords.clone();
-    let (method, parts, seed, ranks) = (spec.method, spec.parts, spec.seed, cfg.ranks);
-    let deadline = job.deadline;
-    let profile = cfg.profile;
     let superstep_wall = m.superstep_wall_us.clone();
     let occupancy = m.rank_batch_occupancy.clone();
     // Worker threads must survive any panicking job (graceful
     // degradation): a poisoned input becomes a Failed outcome, not a dead
     // worker.
-    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-        let mut machine = Machine::new(ranks, CostModel::qdr_infiniband());
+    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let mut machine = Machine::new(cfg.ranks, CostModel::qdr_infiniband());
         // Host-execution telemetry from the batched superstep executor.
         // The hook observes only — clocks are charged before it fires, so
         // the passivity tests still hold with it installed.
@@ -648,76 +641,56 @@ fn run_job(
                 occupancy.set(pct as i64);
             }
         }));
-        let coords = coords.as_ref().map(|c| c.as_slice());
-        let mut partition = |obs: &mut dyn PipelineObserver| {
-            recursive_kway_checked_on(method, &graph, coords, parts, seed, &mut machine, obs)
-        };
-        let mut deadline_obs = DeadlineObserver { deadline };
-        // With profiling on, the profiler wraps the deadline observer —
-        // same checkpoints, same cancellation semantics, plus clock/RSS
-        // samples at phase boundaries. The passivity tests assert the
-        // two paths produce bit-identical partitions.
-        let (kp, prof) = if profile {
-            let mut obs = ProfilingObserver::wrapping(&mut deadline_obs);
-            (partition(&mut obs), Some(obs.into_profiler()))
-        } else {
-            (partition(&mut deadline_obs), None)
-        };
-        (kp.map(|kp| (kp, machine.elapsed())), prof)
+        let coords = spec.coords.as_ref().map(|c| c.as_slice());
+        let (method, parts, seed) = (spec.method, spec.parts, spec.seed);
+        recursive_kway_checked_on(
+            method,
+            &spec.graph,
+            coords,
+            parts,
+            seed,
+            &mut machine,
+            &mut obs,
+        )
+        .map(|kp| (kp, machine.elapsed()))
     }));
-    match run {
-        Ok((Ok((kp, sim_time)), prof)) => {
-            if let Err(e) = kp.validate(&spec.graph) {
-                return (
-                    JobOutcome::Failed {
-                        job_id: job.id,
-                        message: format!("invalid partition: {e}"),
-                        latency_ms: latency(job),
-                    },
-                    prof,
-                );
-            }
-            let result = Arc::new(PartitionOutput {
-                summary: kp.summary(&spec.graph),
-                result_json: kp.to_json(&spec.graph),
-                part: kp.part,
-                k: kp.k,
-                sim_time,
-                input_fp: job.key.input,
-            });
-            (
-                JobOutcome::Done {
-                    job_id: job.id,
-                    result,
-                    cache_hit: false,
-                    latency_ms: latency(job),
-                },
-                prof,
-            )
-        }
-        Ok((Err(scalapart::Cancelled), prof)) => (
-            JobOutcome::Timeout {
+    let prof = obs.into_profiler();
+    let outcome = match run {
+        Ok(Ok((kp, sim_time))) => match kp.validate(&spec.graph) {
+            Err(e) => JobOutcome::Failed {
                 job_id: job.id,
-                latency_ms: latency(job),
+                message: format!("invalid partition: {e}"),
+                latency_ms: latency(),
             },
-            prof,
-        ),
-        Err(panic) => {
-            let msg = panic
+            Ok(()) => JobOutcome::Done {
+                job_id: job.id,
+                result: Arc::new(PartitionOutput {
+                    summary: kp.summary(&spec.graph),
+                    result_json: kp.to_json(&spec.graph),
+                    part: kp.part,
+                    k: kp.k,
+                    sim_time,
+                    input_fp: job.key.input,
+                }),
+                cache_hit: false,
+                latency_ms: latency(),
+            },
+        },
+        Ok(Err(scalapart::Cancelled)) => JobOutcome::Timeout {
+            job_id: job.id,
+            latency_ms: latency(),
+        },
+        Err(panic) => JobOutcome::Failed {
+            job_id: job.id,
+            message: panic
                 .downcast_ref::<&str>()
                 .map(|s| s.to_string())
                 .or_else(|| panic.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "job panicked".into());
-            (
-                JobOutcome::Failed {
-                    job_id: job.id,
-                    message: msg,
-                    latency_ms: latency(job),
-                },
-                None,
-            )
-        }
-    }
+                .unwrap_or_else(|| "job panicked".into()),
+            latency_ms: latency(),
+        },
+    };
+    (outcome, prof)
 }
 
 /// In-process counter snapshot: the registry's counters plus the queue

@@ -184,12 +184,9 @@ fn overload_yields_explicit_backpressure_not_hangs() {
 
 #[test]
 fn deadline_expiry_reports_timeout_and_worker_stays_usable() {
-    // Profiling off: the profiler does not fork, so with it on every k-way
-    // recursion runs serially, and this test is the forked path's.
     let server = start(ServeConfig {
         workers: 1,
         ranks: 4,
-        profile: false,
         ..Default::default()
     });
     let addr = server.local_addr();

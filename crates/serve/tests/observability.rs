@@ -64,15 +64,13 @@ fn observation_on_and_off_yields_bit_identical_results() {
         ranks: 4,
         ..Default::default()
     };
-    // "Off": no profiling observer wrapped around jobs, no JSONL log.
+    // Every job runs under the per-phase profiler. "Off" writes no JSONL
+    // log; "on" writes one record per event, the profiles included.
     let off = Service::start(ServeConfig {
-        profile: false,
         obs_log: None,
         ..base.clone()
     });
-    // "On": full observability — per-phase profiling plus the event log.
     let on = Service::start(ServeConfig {
-        profile: true,
         obs_log: Some(log_path.to_string_lossy().into_owned()),
         ..base
     });

@@ -132,12 +132,12 @@ impl TraceRecorder {
                     }
                     Event::Phase {
                         phase,
-                        label,
+                        level,
                         start,
                         end,
                     } => {
-                        let name = match label {
-                            Some(l) => format!("{}:{}", phase.name(), l),
+                        let name = match level {
+                            Some(l) => format!("{} level {l}", phase.name()),
                             None => phase.name().to_string(),
                         };
                         let lane = self.p();
@@ -231,6 +231,14 @@ mod tests {
             json.matches("\"ph\": \"B\"").count(),
             json.matches("\"ph\": \"E\"").count()
         );
+    }
+
+    #[test]
+    fn a_level_span_is_named_by_its_phase_and_level() {
+        let mut t = sample();
+        t.on_phase(Phase::Embed, Some(3), 3.0, 3.5);
+        let json = t.chrome_trace();
+        assert_eq!(json.matches("\"name\": \"embed level 3\"").count(), 2);
     }
 
     #[test]

@@ -13,8 +13,7 @@
 //! * [`Recorder`] — the hook trait the machine emits events into. The
 //!   default is *no recorder at all* (the machine holds an `Option`, and
 //!   every emission site is gated on it), so instrumentation is opt-in and
-//!   free when disabled. [`NoopRecorder`] is the explicit do-nothing
-//!   implementation for APIs that want a value.
+//!   free when disabled.
 //! * [`TraceRecorder`] — captures compute spans, point-to-point
 //!   sends/receives with `{src, dst, words}`, collectives with
 //!   `{kind, active_ranks, words}`, and phase spans, all on the simulated
@@ -40,4 +39,4 @@ pub mod recorder;
 pub use check::{check_accounting, crosscheck};
 pub use metrics::{MachineStats, Metrics, PhaseMetrics, RankMetrics};
 pub use phase::{CollectiveKind, Phase};
-pub use recorder::{Event, NoopRecorder, Recorder, TraceRecorder};
+pub use recorder::{Event, Recorder, TraceRecorder};

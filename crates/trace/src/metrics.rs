@@ -13,9 +13,9 @@ pub struct MachineStats {
     pub p: usize,
     /// Simulated elapsed time (max rank clock).
     pub elapsed: f64,
-    /// Per-phase `(phase, comp, comm)` in canonical order; comp and comm
-    /// are the max-rank shares exactly as `Machine::phase_breakdown`
-    /// reports them.
+    /// Per-phase `(phase, comp, comm)` in canonical order, for every phase
+    /// the machine entered; comp and comm are the max-rank shares its
+    /// phase ledger accumulated.
     pub phases: Vec<(Phase, f64, f64)>,
     /// Per-rank accumulated computation time.
     pub rank_comp: Vec<f64>,
@@ -103,6 +103,16 @@ fn imbalance(v: &[f64]) -> f64 {
         1.0
     } else {
         max_of(v) / mean
+    }
+}
+
+impl MachineStats {
+    /// `(comp, comm)` of `ph`, or `None` when the machine never entered it.
+    pub fn phase(&self, ph: Phase) -> Option<(f64, f64)> {
+        self.phases
+            .iter()
+            .find(|e| e.0 == ph)
+            .map(|&(_, comp, comm)| (comp, comm))
     }
 }
 

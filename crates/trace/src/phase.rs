@@ -3,8 +3,9 @@
 /// A pipeline phase. The machine attributes every charge to the current
 /// phase; keying the breakdown by this enum (instead of by free-form
 /// strings matched with `starts_with`) guarantees that sub-steps of a
-/// phase — however they are labelled for trace display — aggregate into
-/// the same bucket.
+/// phase — whichever hierarchy level they cover — aggregate into the same
+/// bucket. [`Phase::name`] is the one place a phase becomes a string: in
+/// metrics JSON, trace lanes, profiler records and Prometheus labels.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Phase {
     /// Before the first explicit phase switch.

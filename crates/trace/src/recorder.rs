@@ -54,27 +54,16 @@ pub trait Recorder: Send {
     ) {
     }
 
-    /// A completed phase span `[start, end]`. `label` is an optional
-    /// free-form sub-phase detail (e.g. `"smooth-3"` within
-    /// [`Phase::Embed`]) used for display only — accounting is keyed by
-    /// `phase`.
-    fn on_phase(&mut self, _phase: Phase, _label: Option<&str>, _start: f64, _end: f64) {}
+    /// A completed phase span `[start, end]`, at hierarchy `level` (0 is
+    /// the finest graph) when the span covers one level only, as the
+    /// embedder's per-level spans of [`Phase::Embed`] do. Accounting is
+    /// keyed by `phase` alone.
+    fn on_phase(&mut self, _phase: Phase, _level: Option<usize>, _start: f64, _end: f64) {}
 
     /// Type-recovery escape hatch so callers can get their concrete
     /// recorder back out of `Machine::take_recorder`. Implement as
     /// `fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> { self }`.
     fn into_any(self: Box<Self>) -> Box<dyn std::any::Any>;
-}
-
-/// The explicit do-nothing recorder, for APIs that want a value rather
-/// than "no recorder installed".
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NoopRecorder;
-
-impl Recorder for NoopRecorder {
-    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
-        self
-    }
 }
 
 /// One captured machine event. All times are simulated seconds.
@@ -115,10 +104,10 @@ pub enum Event {
         starts: Vec<f64>,
         end: f64,
     },
-    /// A completed phase span.
+    /// A completed phase span, at one hierarchy level or none.
     Phase {
         phase: Phase,
-        label: Option<String>,
+        level: Option<usize>,
         start: f64,
         end: f64,
     },
@@ -233,10 +222,10 @@ impl Recorder for TraceRecorder {
         });
     }
 
-    fn on_phase(&mut self, phase: Phase, label: Option<&str>, start: f64, end: f64) {
+    fn on_phase(&mut self, phase: Phase, level: Option<usize>, start: f64, end: f64) {
         self.events.push(Event::Phase {
             phase,
-            label: label.map(|s| s.to_string()),
+            level,
             start,
             end,
         });
@@ -275,14 +264,12 @@ mod tests {
         let back = TraceRecorder::downcast(boxed).expect("downcast");
         assert_eq!(back.p(), 4);
         assert_eq!(back.len(), 1);
-        let noop: Box<dyn Recorder> = Box::new(NoopRecorder);
-        assert!(TraceRecorder::downcast(noop).is_none());
-    }
-
-    #[test]
-    fn noop_recorder_ignores_everything() {
-        let mut n = NoopRecorder;
-        n.on_compute(0, Phase::Done, 0.0, 1.0, 1.0);
-        n.on_phase(Phase::Done, Some("x"), 0.0, 1.0);
+        struct Other;
+        impl Recorder for Other {
+            fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
+                self
+            }
+        }
+        assert!(TraceRecorder::downcast(Box::new(Other)).is_none());
     }
 }

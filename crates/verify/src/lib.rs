@@ -13,7 +13,8 @@
 //!   replays from a single `u64` seed;
 //! - **passivity** ([`passive`]): the same schedules under sp-obs
 //!   profiling must reproduce it too — instrumentation never perturbs the
-//!   run it watches;
+//!   run it watches — and a profiled 8-way SP-PG7-NL recursion on a
+//!   width-2 pool must fork and keep the bits of an unwatched one;
 //! - **parallel** ([`parallel`]): a matrix of rank batches and host pool
 //!   widths, two pipelines contending for the host, and 8-way k-way
 //!   recursions beside them may not move a bit;

@@ -11,19 +11,27 @@
 //! labels, coordinate bits, cut statistics, *and the simulated clock*. A
 //! profiler that so much as nudged a simulated timestamp or reordered a
 //! reduction would show up as a fingerprint split with a replay seed
-//! attached.
+//! attached. Then a forked leg: an 8-way SP-PG7-NL recursion on a Delaunay
+//! mesh, on its own width-2 host pool, must fork under the profiler as it
+//! does unwatched and keep the unwatched labels and root clock bits.
 //!
-//! The serve-level counterpart (`tests/passivity.rs` in sp-serve) runs
-//! the same batch through two services with observation on/off and
+//! The serve-level counterpart (`tests/observability.rs` in sp-serve) runs
+//! the same batch through two services with the event log on/off and
 //! compares response bytes and cache fingerprints; this module covers the
 //! pipeline itself, schedule by schedule.
 
-use scalapart::observe::PROFILED_PHASES;
-use scalapart::{scalapart_bisect_observed, ProfilingObserver, SpConfig};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use scalapart::{
+    recursive_kway_checked_on, scalapart_bisect_observed, Method, NoopObserver, PipelineObserver,
+    ProfilingObserver, SpConfig,
+};
+use sp_graph::gen::delaunay_graph;
 use sp_graph::Graph;
 use sp_machine::{CostModel, Machine, Schedule};
 
 use crate::fuzz::{fingerprint_result, Baseline, FuzzConfig};
+use crate::parallel::host_pool;
 use crate::rng::derive_seed;
 use crate::{Failure, Report};
 
@@ -60,26 +68,85 @@ pub fn run_passivity(g: &Graph, cfg: &FuzzConfig, base: &Baseline) -> Report {
                 ),
             );
         }
-        // A profiler that attributed nothing proves nothing.
+        // A profiler that attributed nothing proves nothing: the pipeline
+        // passes the checkpoints of all four phases it profiles.
         let phases = prof.profiler().samples().len();
-        if phases < PROFILED_PHASES.len() {
+        if phases < 4 {
             fail(
                 seed,
                 "profiler-wired",
-                format!(
-                    "profiler saw {phases} of the {} phases",
-                    PROFILED_PHASES.len()
-                ),
+                format!("profiler saw {phases} of the 4 phases"),
             );
         }
     }
+    let forks = forked_kway_leg(g.n(), cfg.ranks);
+    match &forks {
+        Err(detail) => fail(None, "observation-passive", detail.clone()),
+        Ok(0) => fail(
+            None,
+            "profiler-forks",
+            "the profiled k-way run never forked".into(),
+        ),
+        Ok(_) => {}
+    }
     Report {
         summary: format!(
-            "{} profiled run(s) bit-identical to the observer-free baseline",
-            1 + cfg.schedules
+            "{} profiled run(s) bit-identical to the observer-free baseline; \
+             a profiled {KWAY_PARTS}-way SP-PG7-NL run forked {} time(s) on 2 threads \
+             and kept its unwatched bits",
+            1 + cfg.schedules,
+            forks.unwrap_or(0),
         ),
         failures,
     }
+}
+
+/// Counts the forks asked of it and forks into [`NoopObserver`]s.
+#[derive(Default)]
+struct ForkCounter(usize);
+
+impl PipelineObserver for ForkCounter {
+    fn fork(&mut self) -> Option<[Box<dyn PipelineObserver + Send>; 2]> {
+        self.0 += 1;
+        NoopObserver.fork()
+    }
+}
+
+/// Parts of the forked leg: both sides of the root bisect again, so a
+/// width-2 pool forks them.
+const KWAY_PARTS: usize = 8;
+
+/// The forked leg: SP-PG7-NL to [`KWAY_PARTS`] parts on a Delaunay mesh of
+/// about `n` vertices that has coordinates, on a host pool of its own 2
+/// threads wide, unwatched and then under a profiler wrapping a
+/// [`ForkCounter`]. Returns the profiled run's forks, or an error when its
+/// labels or root elapsed bits differ from the unwatched run's.
+fn forked_kway_leg(n: usize, ranks: usize) -> Result<usize, String> {
+    let (mesh, coords) = delaunay_graph(n.max(64), &mut StdRng::seed_from_u64(0xDE1A));
+    let run = |obs: &mut dyn PipelineObserver| {
+        let mut machine = Machine::new(ranks, CostModel::qdr_infiniband());
+        let kp = recursive_kway_checked_on(
+            Method::SpPg7Nl,
+            &mesh,
+            Some(&coords),
+            KWAY_PARTS,
+            SpConfig::default().seed,
+            &mut machine,
+            obs,
+        )
+        .expect("neither observer cancels");
+        (kp.part, machine.elapsed().to_bits())
+    };
+    let pool = host_pool(2);
+    let want = pool.install(|| run(&mut NoopObserver));
+    let mut forks = ForkCounter::default();
+    let got = pool.install(|| run(&mut ProfilingObserver::wrapping(&mut forks)));
+    if got != want {
+        return Err(format!(
+            "profiled {KWAY_PARTS}-way SP-PG7-NL labels or root elapsed bits differ from unwatched"
+        ));
+    }
+    Ok(forks.0)
 }
 
 #[cfg(test)]

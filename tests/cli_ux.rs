@@ -3,8 +3,7 @@
 //! panic/backtrace), `--json` emits the shared sp-partition-v1 schema,
 //! and a good run exits 0.
 
-use scalapart::machine::{CostModel, Machine};
-use scalapart::{recursive_kway_on, Method};
+use scalapart::{recursive_kway, Method};
 use sp_graph::gen::{grid_2d, grid_2d_coords};
 use std::process::{Command, Output};
 
@@ -143,8 +142,7 @@ fn grid_spec_is_width_by_height_as_in_a_served_request() {
     let body = std::fs::read_to_string(&json_path).unwrap();
     let g = grid_2d(2, 5);
     let coords = grid_2d_coords(2, 5);
-    let mut machine = Machine::new(64, CostModel::qdr_infiniband());
-    let kp = recursive_kway_on(Method::Rcb, &g, Some(&coords), 2, 42, &mut machine);
+    let kp = recursive_kway(Method::Rcb, &g, Some(&coords), 2, 64, 42);
     assert_eq!(labels_of(&body), kp.part);
     std::fs::remove_dir_all(&dir).ok();
 }
