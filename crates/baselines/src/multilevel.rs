@@ -131,10 +131,12 @@ pub fn multilevel_bisect(
                 rng.random::<u64>(),
                 &mut arena,
             );
-            let c = contract_with(cur, &matching, &mut arena);
-            if c.coarse.n() as f64 > 0.95 * cur.n() as f64 {
+            // A stalled level is known from the matching alone: it is
+            // never contracted.
+            if matching.coarse_n() as f64 > 0.95 * cur.n() as f64 {
                 break;
             }
+            let c = contract_with(cur, &matching, &mut arena);
             cross.push(charge_contraction(cur, &dist, machine));
             maps.push(c.map);
             graphs.push(Cow::Owned(c.coarse));

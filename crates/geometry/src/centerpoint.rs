@@ -40,18 +40,16 @@ impl Default for CenterpointConfig {
 ///
 /// Splits the group by the sign of the Radon coefficients and returns the
 /// common point of the two convex hulls. Returns `None` for degenerate
-/// configurations.
+/// configurations. Allocates nothing.
 pub fn radon_point3(pts: &[Point3; 5]) -> Option<Point3> {
-    let rows: Vec<Vec<f64>> = pts.iter().map(|p| vec![p.x, p.y, p.z]).collect();
-    let refs: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
-    let lam = radon_coefficients(&refs, 3)?;
+    let lam = radon_coefficients(pts)?;
     // Positive side: point = Σ_{λ_i > 0} λ_i p_i / Σ_{λ_i > 0} λ_i.
     let mut num = Point3::ZERO;
     let mut den = 0.0;
-    for (l, p) in lam.iter().zip(pts.iter()) {
-        if *l > 0.0 {
-            num += *p * *l;
-            den += *l;
+    for (&l, &p) in lam.iter().zip(pts) {
+        if l > 0.0 {
+            num += p * l;
+            den += l;
         }
     }
     if den <= 1e-12 {

@@ -72,14 +72,19 @@ impl ConformalMap {
     }
 
     /// Apply the map to a point on the unit sphere.
+    ///
+    /// The stereographic dilation about the north pole is computed for
+    /// every point and then discarded near the pole, which it fixes: a
+    /// select, not a branch, in the per-vertex loops that call this.
+    #[inline]
     pub fn apply(&self, p: Point3) -> Point3 {
         let q = mat_apply(&self.rot, p);
-        // Stereographic dilation about the north pole.
+        let dilated = stereo_lift(stereo_project(q) * self.alpha);
         if q.z > 1.0 - 1e-12 {
-            return q; // the pole is a fixed point of the dilation
+            q
+        } else {
+            dilated
         }
-        let plane = stereo_project(q) * self.alpha;
-        stereo_lift(plane)
     }
 
     /// The dilation factor (1.0 means the map is a pure rotation).

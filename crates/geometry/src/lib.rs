@@ -12,7 +12,7 @@ pub mod centerpoint;
 pub mod conformal;
 pub mod greatcircle;
 pub mod hilbert;
-pub mod linalg;
+mod linalg;
 pub mod point;
 pub mod quadtree;
 pub mod sphere;

@@ -1,19 +1,26 @@
-//! Tiny dense linear algebra: just enough to compute Radon points.
+//! Tiny dense linear algebra on the stack: the 4×4 solve behind every
+//! Radon point.
+//!
+//! A centerpoint takes hundreds of Radon points (each bisection of the
+//! geometric partitioner computes 400 per centerpoint), so the system and
+//! its solution live in fixed-size arrays: nothing here allocates. The
+//! elimination is the textbook one, in a fixed order — partial pivoting on
+//! the first largest magnitude, rows whose factor is exactly zero skipped,
+//! back substitution from the last row — so a Radon point's bits depend
+//! only on its five inputs.
+
+use crate::point::Point3;
 
 /// Solve `A x = b` for a small dense system by Gaussian elimination with
-/// partial pivoting. `a` is row-major `n × n`. Returns `None` if the matrix
-/// is (numerically) singular.
-pub fn solve_dense(a: &[f64], b: &[f64], n: usize) -> Option<Vec<f64>> {
-    assert_eq!(a.len(), n * n);
-    assert_eq!(b.len(), n);
-    let mut m = a.to_vec();
-    let mut rhs = b.to_vec();
-    for col in 0..n {
+/// partial pivoting. Returns `None` if the matrix is (numerically)
+/// singular: a pivot below 1e-12 in magnitude.
+pub(crate) fn solve<const N: usize>(mut m: [[f64; N]; N], mut rhs: [f64; N]) -> Option<[f64; N]> {
+    for col in 0..N {
         // Partial pivot.
         let mut piv = col;
-        let mut best = m[col * n + col].abs();
-        for r in col + 1..n {
-            let v = m[r * n + col].abs();
+        let mut best = m[col][col].abs();
+        for (r, row) in m.iter().enumerate().skip(col + 1) {
+            let v = row[col].abs();
             if v > best {
                 best = v;
                 piv = r;
@@ -22,77 +29,54 @@ pub fn solve_dense(a: &[f64], b: &[f64], n: usize) -> Option<Vec<f64>> {
         if best < 1e-12 {
             return None;
         }
-        if piv != col {
-            for c in 0..n {
-                m.swap(col * n + c, piv * n + c);
-            }
-            rhs.swap(col, piv);
-        }
-        let d = m[col * n + col];
-        for r in col + 1..n {
-            let f = m[r * n + col] / d;
+        m.swap(col, piv);
+        rhs.swap(col, piv);
+        let pivot = m[col];
+        for r in col + 1..N {
+            let f = m[r][col] / pivot[col];
             if f == 0.0 {
                 continue;
             }
-            for c in col..n {
-                m[r * n + c] -= f * m[col * n + c];
+            for c in col..N {
+                m[r][c] -= f * pivot[c];
             }
             rhs[r] -= f * rhs[col];
         }
     }
     // Back substitution.
-    let mut x = vec![0.0; n];
-    for row in (0..n).rev() {
+    let mut x = [0.0; N];
+    for row in (0..N).rev() {
         let mut s = rhs[row];
-        for c in row + 1..n {
-            s -= m[row * n + c] * x[c];
+        for c in row + 1..N {
+            s -= m[row][c] * x[c];
         }
-        x[row] = s / m[row * n + row];
+        x[row] = s / m[row][row];
     }
     Some(x)
 }
 
-/// Find a non-trivial solution of the homogeneous system used by the Radon
-/// partition: given `k` points in `d` dimensions with `k = d + 2`, find
-/// coefficients `λ` with `Σ λ_i p_i = 0` and `Σ λ_i = 0`, `λ ≠ 0`.
+/// A non-trivial solution of the homogeneous system of the Radon
+/// partition of five points in ℝ³: coefficients `λ` with `Σ λ_i p_i = 0`
+/// and `Σ λ_i = 0`, `λ ≠ 0`.
 ///
-/// We fix `λ_{k-1} = 1` and solve the resulting `(d+1) × (d+1)` system; if
-/// that system is singular we fall back to fixing a different coefficient.
-pub fn radon_coefficients(points: &[&[f64]], d: usize) -> Option<Vec<f64>> {
-    let k = points.len();
-    assert_eq!(k, d + 2);
-    for fixed in (0..k).rev() {
-        // Unknowns: λ_i for i != fixed (k-1 = d+1 of them).
-        let n = k - 1;
-        let mut a = vec![0.0; n * n];
-        let mut b = vec![0.0; n];
-        // Rows 0..d: Σ λ_i p_i[r] = -p_fixed[r]
-        for r in 0..d {
-            let mut cj = 0;
-            for (i, p) in points.iter().enumerate() {
-                if i == fixed {
-                    continue;
-                }
-                a[r * n + cj] = p[r];
-                cj += 1;
-            }
-            b[r] = -points[fixed][r];
+/// We fix `λ_4 = 1` and solve the resulting 4×4 system; if that system is
+/// singular we fall back to fixing `λ_3`, then `λ_2`, and so on.
+pub(crate) fn radon_coefficients(pts: &[Point3; 5]) -> Option<[f64; 5]> {
+    for fixed in (0..5).rev() {
+        // Columns: the four other points; rows: Σ λ_i p_i = -p_fixed
+        // coordinate by coordinate, then Σ λ_i = -1.
+        let others = (0..5).filter(|&i| i != fixed);
+        let mut a = [[1.0; 4]; 4];
+        for (cj, i) in others.clone().enumerate() {
+            a[0][cj] = pts[i].x;
+            a[1][cj] = pts[i].y;
+            a[2][cj] = pts[i].z;
         }
-        // Row d: Σ λ_i = -1
-        for c in 0..n {
-            a[d * n + c] = 1.0;
-        }
-        b[d] = -1.0;
-        if let Some(x) = solve_dense(&a, &b, n) {
-            let mut lam = Vec::with_capacity(k);
-            let mut cj = 0;
-            for i in 0..k {
-                if i == fixed {
-                    lam.push(1.0);
-                } else {
-                    lam.push(x[cj]);
-                    cj += 1;
-                }
+        let f = pts[fixed];
+        if let Some(x) = solve(a, [-f.x, -f.y, -f.z, -1.0]) {
+            let mut lam = [1.0; 5];
+            for (i, l) in others.zip(x) {
+                lam[i] = l;
             }
             return Some(lam);
         }
@@ -106,17 +90,15 @@ mod tests {
 
     #[test]
     fn solve_identity() {
-        let a = [1.0, 0.0, 0.0, 1.0];
-        let b = [3.0, -2.0];
-        let x = solve_dense(&a, &b, 2).unwrap();
-        assert_eq!(x, vec![3.0, -2.0]);
+        let a = [[1.0, 0.0], [0.0, 1.0]];
+        let x = solve(a, [3.0, -2.0]).unwrap();
+        assert_eq!(x, [3.0, -2.0]);
     }
 
     #[test]
     fn solve_general_3x3() {
-        let a = [2.0, 1.0, -1.0, -3.0, -1.0, 2.0, -2.0, 1.0, 2.0];
-        let b = [8.0, -11.0, -3.0];
-        let x = solve_dense(&a, &b, 3).unwrap();
+        let a = [[2.0, 1.0, -1.0], [-3.0, -1.0, 2.0], [-2.0, 1.0, 2.0]];
+        let x = solve(a, [8.0, -11.0, -3.0]).unwrap();
         assert!((x[0] - 2.0).abs() < 1e-9);
         assert!((x[1] - 3.0).abs() < 1e-9);
         assert!((x[2] - -1.0).abs() < 1e-9);
@@ -124,27 +106,31 @@ mod tests {
 
     #[test]
     fn solve_singular_returns_none() {
-        let a = [1.0, 2.0, 2.0, 4.0];
-        assert!(solve_dense(&a, &[1.0, 2.0], 2).is_none());
+        let a = [[1.0, 2.0], [2.0, 4.0]];
+        assert!(solve(a, [1.0, 2.0]).is_none());
     }
 
     #[test]
     fn radon_coefficients_sum_to_zero() {
-        // 4 points in 2-D (d + 2 = 4).
-        let pts: Vec<Vec<f64>> = vec![
-            vec![0.0, 0.0],
-            vec![1.0, 0.0],
-            vec![0.0, 1.0],
-            vec![0.6, 0.6],
+        // Five points in 3-D (d + 2 = 5), the first four coplanar so that
+        // fixing λ_4 is singular and λ_3 is fixed instead.
+        let pts = [
+            Point3::new(0.0, 0.0, 0.0),
+            Point3::new(1.0, 0.0, 0.0),
+            Point3::new(0.0, 1.0, 0.0),
+            Point3::new(0.6, 0.6, 0.0),
+            Point3::new(0.2, 0.3, 0.9),
         ];
-        let refs: Vec<&[f64]> = pts.iter().map(|p| p.as_slice()).collect();
-        let lam = radon_coefficients(&refs, 2).unwrap();
-        let s: f64 = lam.iter().sum();
-        assert!(s.abs() < 1e-9);
-        for r in 0..2 {
-            let v: f64 = lam.iter().zip(&pts).map(|(l, p)| l * p[r]).sum();
-            assert!(v.abs() < 1e-9, "weighted point sum nonzero: {v}");
+        for pts in [pts, [pts[4], pts[0], pts[1], pts[2], pts[3]]] {
+            let lam = radon_coefficients(&pts).unwrap();
+            let s: f64 = lam.iter().sum();
+            assert!(s.abs() < 1e-9);
+            let v = lam
+                .iter()
+                .zip(&pts)
+                .fold(Point3::ZERO, |v, (&l, &p)| v + p * l);
+            assert!(v.norm() < 1e-9, "weighted point sum nonzero: {v:?}");
+            assert!(lam.iter().any(|&l| l.abs() > 1e-9));
         }
-        assert!(lam.iter().any(|&l| l.abs() > 1e-9));
     }
 }

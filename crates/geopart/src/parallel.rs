@@ -64,21 +64,27 @@ impl Tries {
     /// Which side of each try every vertex is on: bit `ti % 8` of
     /// `sides[ti / 8 * n + v]` is set when `v` is on side 1 of try `ti`.
     /// One byte a vertex holds the five tries of G7-NL. A centerpoint's
-    /// circles share the mapped point.
+    /// circles share the mapped point, and a vertex's byte of each block
+    /// of eight tries is built in a register and stored once.
     fn sides(&self, coords: &[Point2]) -> Vec<u8> {
         let n = coords.len();
         let mut sides = vec![0u8; self.len().div_ceil(8) * n];
         for (v, &c) in coords.iter().enumerate() {
             let lifted = self.lift(c);
-            let mut ti = 0;
+            let (mut ti, mut byte) = (0, 0u8);
             for (map, circles) in &self.centered {
                 let q = map.apply(lifted);
                 for circle in circles {
-                    if circle.signed(q) > 0.0 {
-                        sides[ti / 8 * n + v] |= 1 << (ti % 8);
-                    }
+                    byte |= u8::from(circle.signed(q) > 0.0) << (ti % 8);
                     ti += 1;
+                    if ti % 8 == 0 {
+                        sides[(ti / 8 - 1) * n + v] = byte;
+                        byte = 0;
+                    }
                 }
+            }
+            if ti % 8 != 0 {
+                sides[ti / 8 * n + v] = byte;
             }
         }
         sides

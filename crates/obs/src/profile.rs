@@ -30,7 +30,6 @@ pub struct PhaseSample {
 }
 
 pub struct PhaseProfiler {
-    started: Instant,
     last_mark: Instant,
     samples: Vec<PhaseSample>,
 }
@@ -43,10 +42,8 @@ impl Default for PhaseProfiler {
 
 impl PhaseProfiler {
     pub fn new() -> PhaseProfiler {
-        let now = Instant::now();
         PhaseProfiler {
-            started: now,
-            last_mark: now,
+            last_mark: Instant::now(),
             samples: Vec::new(),
         }
     }
@@ -73,11 +70,6 @@ impl PhaseProfiler {
                 spans: 1,
             }),
         }
-    }
-
-    /// Total wall time since the profiler was created, in milliseconds.
-    pub fn total_wall_ms(&self) -> f64 {
-        self.started.elapsed().as_secs_f64() * 1e3
     }
 
     pub fn samples(&self) -> &[PhaseSample] {
@@ -137,19 +129,5 @@ mod tests {
         assert!(j.ends_with(']'), "{j}");
         // Empty profiler → empty array, still valid JSON.
         assert_eq!(PhaseProfiler::new().to_json(), "[]");
-    }
-
-    #[test]
-    fn total_wall_dominates_phase_sum() {
-        let mut p = PhaseProfiler::new();
-        std::thread::sleep(std::time::Duration::from_millis(2));
-        p.mark(Phase::Refine);
-        let sum: f64 = p.samples().iter().map(|s| s.wall_ms).sum();
-        assert!(
-            p.total_wall_ms() >= sum * 0.99,
-            "{} < {}",
-            p.total_wall_ms(),
-            sum
-        );
     }
 }

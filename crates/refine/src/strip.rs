@@ -125,14 +125,11 @@ pub fn strip_around_separator(signed: &[f64], target: usize) -> Vec<bool> {
         return mask;
     }
     let target = target.clamp(1, n);
-    let mut order: Vec<u32> = (0..n as u32).collect();
-    order.select_nth_unstable_by(target - 1, |&a, &b| {
-        signed[a as usize]
-            .abs()
-            .partial_cmp(&signed[b as usize].abs())
-            .unwrap()
-    });
-    let width = signed[order[target - 1] as usize].abs();
+    // The `target`-th smallest magnitude is one value whichever vertex
+    // holds it, so selecting among the magnitudes alone gives the width.
+    let mut magnitudes: Vec<f64> = signed.iter().map(|s| s.abs()).collect();
+    let (_, &mut width, _) =
+        magnitudes.select_nth_unstable_by(target - 1, |a, b| a.partial_cmp(b).unwrap());
     for (v, &s) in signed.iter().enumerate() {
         if s.abs() <= width {
             mask[v] = true;
