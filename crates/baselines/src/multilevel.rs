@@ -90,7 +90,6 @@ const MATCHING_ROUNDS: u32 = 4;
 pub struct MlStats {
     pub levels: usize,
     pub coarsest_n: usize,
-    pub initial_cut: f64,
     /// Weighted cut of the result.
     pub final_cut: f64,
     /// Unweighted cut of the result (cut edges).
@@ -151,7 +150,7 @@ pub fn multilevel_bisect(
     let coarsest = graphs.last().unwrap();
     {
         let words = 2 * coarsest.m() + coarsest.n();
-        machine.allgather_costed(p * (words / p.max(1)));
+        machine.allgather(p * (words / p.max(1)));
     }
     let mut bi = greedy_grow(coarsest, &mut rng);
     let fm_cfg = FmConfig {
@@ -159,8 +158,7 @@ pub fn multilevel_bisect(
         balance_tol: cfg.balance_tol,
         move_fraction: 1.0,
     };
-    let s0 = fm_refine(coarsest, &mut bi, None, &fm_cfg);
-    stats.initial_cut = s0.cut_after;
+    fm_refine(coarsest, &mut bi, None, &fm_cfg);
     {
         let ops = (coarsest.m() as f64) * 8.0;
         let mut states: Vec<()> = vec![(); p];
@@ -191,7 +189,7 @@ pub fn multilevel_bisect(
         let mut states: Vec<()> = vec![(); p];
         if cfg.centralize_band {
             let words = (3 * band_size / p.max(1)).max(1);
-            machine.allgather_costed(p * words);
+            machine.allgather(p * words);
             let ops = st.ops + band_size as f64 / p as f64;
             machine.compute(&mut states, |_, _| ops);
         } else {
@@ -204,10 +202,10 @@ pub fn multilevel_bisect(
                 let outbox: Vec<Vec<(usize, CostOnly)>> = (0..p)
                     .map(|r| vec![((r + 1) % p, CostOnly::new(words))])
                     .collect();
-                machine.exchange_costed(&outbox);
+                machine.exchange(&outbox);
             }
             for _ in 0..cfg.collectives_per_pass {
-                machine.allreduce_sum_costed(2);
+                machine.allreduce_sum(2);
             }
         }
         bi = fbi;

@@ -40,7 +40,7 @@ pub fn rcb_bisect(
     {
         let mut states: Vec<()> = vec![(); p];
         machine.compute(&mut states, |r, _| rank_verts[r].len() as f64);
-        machine.allreduce_sum_costed(4);
+        machine.allreduce_sum(4);
     }
     let axis: u8 = u8::from(bbox.height() > bbox.width());
     let coord = |v: u32| -> f64 {
@@ -63,22 +63,20 @@ pub fn rcb_bisect(
     for _ in 0..rounds {
         mid = 0.5 * (lo + hi);
         // Each rank counts its owned vertices below the pivot.
-        let mut states: Vec<f64> = vec![0.0; p];
+        let mut states: Vec<usize> = vec![0; p];
         {
             let rank_verts_ref = &rank_verts;
             machine.compute(&mut states, |r, below| {
-                let mut cnt = 0.0;
-                for &v in &rank_verts_ref[r] {
-                    if coord(v) < mid {
-                        cnt += 1.0;
-                    }
-                }
-                *below = cnt;
+                *below = rank_verts_ref[r]
+                    .iter()
+                    .filter(|&&v| coord(v) < mid)
+                    .count();
                 rank_verts_ref[r].len() as f64
             });
         }
-        let contrib: Vec<Vec<f64>> = states.iter().map(|&b| vec![b]).collect();
-        let below = machine.allreduce_sum(&contrib)[0] as usize;
+        // The counts are exact integers: their sum is the allreduce's.
+        let below: usize = states.iter().sum();
+        machine.allreduce_sum(1);
         if below < n / 2 {
             lo = mid;
         } else {

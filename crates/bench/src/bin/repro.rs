@@ -1,7 +1,7 @@
 //! `repro` — regenerate every table and figure of the paper.
 //!
 //! Usage:
-//!   repro [--scale tiny|bench|paper] [--seed N] [--out DIR] <experiment>...
+//!   `repro [--scale tiny|bench|paper] [--seed N] [--out DIR] <experiment>...`
 //!
 //! Experiments: table1 table2 table3 table4 fig1 fig2 fig3 fig4 fig5 fig6
 //!              fig7 fig8 fig9 ablation-block ablation-strip ablation-tries

@@ -1,11 +1,10 @@
 //! Pre-optimization reference implementation of fixed-lattice smoothing.
 //!
 //! This is the lattice smoother as it stood before the wall-clock fast
-//! path (zero-alloc cost charging, fused counting, scratch reuse): it
-//! rebuilds the owned-vertex lists every iteration, counts halo pairs with
-//! a fresh map per iteration, and sends real `Vec<u64>` dummy payloads
-//! through `Machine::exchange` / the data-carrying collectives so every
-//! charged word is backed by an allocation, exactly like the old code.
+//! path (fused counting, scratch reuse): it rebuilds the owned-vertex
+//! lists every iteration, counts halo pairs with a fresh map per
+//! iteration, and charges each message and collective the word count of
+//! the `Vec<u64>` payload the old code allocated for it.
 //!
 //! It exists as the **invariance oracle**: the optimized
 //! `sp_embed::lattice_smooth` must produce *bit-identical* simulated time
@@ -25,7 +24,7 @@ use sp_embed::ForceParams;
 use sp_geometry::{Aabb2, Point2};
 use sp_graph::Graph;
 use sp_machine::trace::fnv::splitmix64;
-use sp_machine::Machine;
+use sp_machine::{CostOnly, Machine};
 use std::collections::BTreeMap;
 
 /// One cell's special vertex β: total mass and centre of mass.
@@ -188,7 +187,7 @@ pub fn reference_lattice_smooth(
         let share = (n / ncells.max(1)) as f64;
         let mut states: Vec<()> = vec![(); p];
         machine.compute(&mut states, |r, _| if r < ncells { share } else { 0.0 });
-        let _ = machine.group_allreduce_sum(ncells, &vec![vec![0.0; q]; p]);
+        machine.group_allreduce_sum(ncells, q);
     }
     let cell_of = |p: Point2, lattice: &RefLattice| -> u32 {
         let (i, j) = lattice.cell_of(p);
@@ -231,7 +230,7 @@ pub fn reference_lattice_smooth(
             betas[..ncells].copy_from_slice(&states[..ncells]);
         }
 
-        // --- Halo exchange with freshly-allocated dummy payloads.
+        // --- Halo exchange, sized from a fresh per-pair count.
         {
             let mut nbr_words: Vec<Vec<(usize, usize)>> = vec![Vec::new(); ncells];
             let mut pairs: BTreeMap<(usize, usize), usize> = BTreeMap::new();
@@ -247,19 +246,19 @@ pub fn reference_lattice_smooth(
             for ((from, to), cnt) in pairs {
                 nbr_words[from].push((to, 3 + 2 * cnt));
             }
-            let outbox: Vec<Vec<(usize, Vec<u64>)>> = (0..p)
+            let outbox: Vec<Vec<(usize, CostOnly)>> = (0..p)
                 .map(|r| {
                     if r < ncells {
                         nbr_words[r]
                             .iter()
-                            .map(|&(to, words)| (to, vec![0u64; words]))
+                            .map(|&(to, words)| (to, CostOnly::new(words)))
                             .collect()
                     } else {
                         Vec::new()
                     }
                 })
                 .collect();
-            let _ = machine.exchange(outbox);
+            machine.exchange(&outbox);
         }
         if it % cfg.block.max(1) == 0 {
             if it > 0 {
@@ -267,7 +266,7 @@ pub fn reference_lattice_smooth(
                 let share = (n / ncells.max(1)) as f64;
                 let mut states: Vec<()> = vec![(); p];
                 machine.compute(&mut states, |r, _| if r < ncells { share } else { 0.0 });
-                let _ = machine.group_allreduce_sum(ncells, &vec![vec![0.0; q]; p]);
+                machine.group_allreduce_sum(ncells, q);
                 for (v, c) in coords.iter().enumerate() {
                     owner[v] = cell_of(*c, &lattice);
                 }
@@ -282,17 +281,9 @@ pub fn reference_lattice_smooth(
                     }
                 }
             }
-            let beta_payload: Vec<Vec<u64>> = (0..p)
-                .map(|r| {
-                    if r < ncells {
-                        vec![0u64; 3 + 2 * far_counts[r]]
-                    } else {
-                        Vec::new()
-                    }
-                })
-                .collect();
-            let _ = machine.group_allgather(ncells, beta_payload);
-            let _ = machine.group_allreduce_sum(ncells, &vec![vec![0.0f64]; p]);
+            let beta_words: usize = far_counts.iter().map(|&far| 3 + 2 * far).sum();
+            machine.group_allgather(ncells, beta_words);
+            machine.group_allreduce_sum(ncells, 1);
             snapshot.copy_from_slice(coords);
             beta_snapshot.copy_from_slice(&betas);
         }
@@ -395,8 +386,8 @@ pub fn reference_lattice_smooth(
             }
         }
 
-        // --- Migration with freshly-allocated dummy payloads.
-        let mut migration_out: Vec<Vec<(usize, Vec<u64>)>> = vec![Vec::new(); p];
+        // --- Migration, sized from a fresh per-pair count.
+        let mut migration_out: Vec<Vec<(usize, CostOnly)>> = vec![Vec::new(); p];
         let mut mig_counts: BTreeMap<(usize, usize), usize> = BTreeMap::new();
         for v in 0..n {
             let nc = cell_of(coords[v], &lattice);
@@ -411,9 +402,9 @@ pub fn reference_lattice_smooth(
             }
         }
         for ((from, to), cnt) in mig_counts {
-            migration_out[from].push((to, vec![0u64; 3 * cnt]));
+            migration_out[from].push((to, CostOnly::new(3 * cnt)));
         }
-        let _ = machine.exchange(migration_out);
+        machine.exchange(&migration_out);
 
         if new_energy < energy {
             progress += 1;

@@ -6,8 +6,8 @@
 //! heaviest unmatched neighbour and send a proposal to the owner of that
 //! neighbour; responders accept the heaviest proposal they receive. Grants
 //! flow back and matches are committed. Proposals to remote vertices and
-//! ghost match-status refreshes are real messages whose cost is charged to
-//! the machine.
+//! grants back are messages whose size the machine charges; their data is
+//! routed on the host, where every rank's memory lives.
 
 use crate::arena::CoarsenArena;
 use crate::matching::Matching;
@@ -78,7 +78,8 @@ pub fn parallel_hem_in(
     let mut matched_count = 0usize;
     let rank_verts = dist.rank_vertices();
     let mut state: Vec<Round> = vec![Round::default(); p];
-    let mut grant_out: Vec<Vec<(usize, CostOnly)>> = vec![Vec::new(); p];
+    // Each rank's message sizes of one exchange, reused for every one.
+    let mut sizes: Vec<Vec<(usize, CostOnly)>> = vec![Vec::new(); p];
 
     for round in 0..rounds {
         // --- Proposal step (per rank, parallel): each proposer picks its
@@ -144,11 +145,17 @@ pub fn parallel_hem_in(
                 ops
             });
         }
-        let outbox = state
-            .iter_mut()
-            .map(|st| std::mem::take(&mut st.outbox))
-            .collect();
-        let inbox = machine.exchange(outbox);
+        // Route every message to its destination's inbox, in source order,
+        // and charge it one word a proposal.
+        let mut inbox: Vec<Vec<Vec<(u32, u32)>>> = vec![Vec::new(); p];
+        for (st, out) in state.iter_mut().zip(&mut sizes) {
+            out.clear();
+            for (d, msgs) in st.outbox.drain(..) {
+                out.push((d, CostOnly::new(msgs.len())));
+                inbox[d].push(msgs);
+            }
+        }
+        machine.exchange(&sizes);
 
         // --- Grant step (per rank, on the pool when the round is large):
         // each responder accepts the heaviest proposal. A rank reads only
@@ -165,7 +172,7 @@ pub fn parallel_hem_in(
                 let Round {
                     incoming, accepts, ..
                 } = st;
-                for (_, msgs) in received {
+                for msgs in received {
                     incoming.extend_from_slice(msgs);
                 }
                 // Group by responder; accept heaviest edge, tie → lowest id.
@@ -203,7 +210,7 @@ pub fn parallel_hem_in(
         // word a cross-rank grant). A responder is owned by the rank that
         // granted it.
         let mut accepted = 0usize;
-        for (r, (st, out)) in state.iter().zip(&mut grant_out).enumerate() {
+        for (r, (st, out)) in state.iter().zip(&mut sizes).enumerate() {
             machine.charge_ops(r, st.incoming.len() as f64);
             out.clear();
             for &(u, v) in &st.accepts {
@@ -219,7 +226,7 @@ pub fn parallel_hem_in(
             }
             accepted += st.accepts.len();
         }
-        machine.exchange_costed(&grant_out);
+        machine.exchange(&sizes);
         if matched_count * 100 >= n * 92 || accepted == 0 {
             break;
         }
@@ -291,7 +298,7 @@ pub fn charge_contraction(g: &Graph, dist: &Distribution, machine: &mut Machine)
     let outbox: Vec<Vec<(usize, CostOnly)>> = (0..p)
         .map(|r| vec![((r + 1) % p, CostOnly::new(words))])
         .collect();
-    machine.exchange_costed(&outbox);
+    machine.exchange(&outbox);
     cross
 }
 

@@ -734,7 +734,7 @@ pub fn lattice_smooth_with(
         let share = (n / ncells.max(1)) as f64;
         let mut states: Vec<()> = vec![(); p];
         machine.compute(&mut states, |r, _| if r < ncells { share } else { 0.0 });
-        machine.group_allreduce_sum_costed(ncells, q);
+        machine.group_allreduce_sum(ncells, q);
     }
     let cell_of = |p: Point2, lattice: &QuantileLattice| -> u32 {
         let (i, j) = lattice.cell_of_fast(p);
@@ -811,7 +811,7 @@ pub fn lattice_smooth_with(
                 }
             }
         }
-        machine.exchange_costed(&scratch.outbox);
+        machine.exchange(&scratch.outbox);
         if it % cfg.block.max(1) == 0 {
             let far_total: usize = if it > 0 {
                 // Re-derive the balanced lattice from the current layout,
@@ -844,15 +844,15 @@ pub fn lattice_smooth_with(
                         share
                     });
                 }
-                machine.group_allreduce_sum_costed(ncells, q);
+                machine.group_allreduce_sum(ncells, q);
                 scratch.far[..ncells].iter().sum()
             } else {
                 scratch.scan[..ncells].iter().map(|s| s.far).sum()
             };
             // Global refresh payload: per cell, β (3 words) plus 2 words
             // per far cross-edge coordinate (the paper's ñ).
-            machine.group_allgather_costed(ncells, 3 * ncells + 2 * far_total);
-            machine.group_allreduce_sum_costed(ncells, 1);
+            machine.group_allgather(ncells, 3 * ncells + 2 * far_total);
+            machine.group_allreduce_sum(ncells, 1);
             let chunks = scratch.snapshot.chunks_mut(CHUNK).zip(coords.chunks(CHUNK));
             pool::each_if(n >= MIN_POOLED, chunks, |_, (stale, fresh)| {
                 stale.copy_from_slice(fresh)
@@ -1204,7 +1204,7 @@ pub fn lattice_smooth_with(
             }
             scratch.outbox[from as usize].push((to as usize, CostOnly::new(3 * cnt)));
         }
-        machine.exchange_costed(&scratch.outbox);
+        machine.exchange(&scratch.outbox);
         // Owned lists and cross counts pick up this iteration's migrations
         // (and the block refresh's owner changes, for the lists) only now:
         // mid-iteration the lists stay stale.

@@ -70,7 +70,7 @@ fn replicated_smooth(
     if active > 1 {
         let words = 2 * g.n() / active;
         for _ in 0..iters_est {
-            machine.group_allgather_costed(active, active * words);
+            machine.group_allgather(active, active * words);
         }
     }
 }
@@ -197,7 +197,7 @@ pub fn multilevel_lattice_embed_with(
                     }
                 })
                 .collect();
-            machine.exchange_costed(&outbox);
+            machine.exchange(&outbox);
         }
 
         // Smooth: distributed fixed-lattice scheme for big levels,

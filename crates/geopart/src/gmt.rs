@@ -1,7 +1,7 @@
 //! Sequential Gilbert–Miller–Teng geometric mesh partitioning.
 
 use crate::config::{GeoConfig, BALANCE_TOL, SAMPLE_SIZE};
-use crate::separator::{median, Separator, SeparatorKind};
+use crate::separator::{median, Separator};
 use rand::Rng;
 use sp_geometry::{
     centerpoint, lift_normalized, normalize_for_lift, random_unit_vector, CenterpointConfig,
@@ -97,10 +97,7 @@ pub fn geometric_partition<R: Rng>(
             let signed: Vec<f64> = vals.iter().map(|&v| v - offset).collect();
             consider(
                 g,
-                Separator {
-                    kind: SeparatorKind::Circle { normal, offset },
-                    signed,
-                },
+                Separator { signed },
                 BALANCE_TOL,
                 &mut best,
                 &mut try_cuts,
@@ -122,10 +119,7 @@ pub fn geometric_partition<R: Rng>(
         let signed: Vec<f64> = vals.iter().map(|&v| v - threshold).collect();
         consider(
             g,
-            Separator {
-                kind: SeparatorKind::Line { dir, threshold },
-                signed,
-            },
+            Separator { signed },
             BALANCE_TOL,
             &mut best,
             &mut try_cuts,
@@ -138,13 +132,7 @@ pub fn geometric_partition<R: Rng>(
         let signed: Vec<f64> = (0..g.n())
             .map(|v| if v >= half { 1.0 } else { -1.0 })
             .collect();
-        let sep = Separator {
-            kind: SeparatorKind::Line {
-                dir: Point2::new(1.0, 0.0),
-                threshold: 0.0,
-            },
-            signed,
-        };
+        let sep = Separator { signed };
         let bi = Bisection::new(sep.sides());
         let cut = bi.cut_edges(g);
         (cut, sep, bi)

@@ -20,4 +20,4 @@ pub mod separator;
 pub use config::GeoConfig;
 pub use gmt::{geometric_partition, GeoPartResult};
 pub use parallel::parallel_geometric_partition;
-pub use separator::{Separator, SeparatorKind};
+pub use separator::Separator;

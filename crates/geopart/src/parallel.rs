@@ -10,30 +10,16 @@
 
 use crate::config::{GeoConfig, BALANCE_TOL, SAMPLE_SIZE};
 use crate::gmt::GeoPartResult;
-use crate::separator::{median, Separator, SeparatorKind};
+use crate::separator::{median, Separator};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sp_geometry::{
     centerpoint, lift_normalized, normalize_for_lift, random_unit_vector, CenterpointConfig,
-    ConformalMap, Point2, Point3,
+    ConformalMap, GreatCircle, Point2, Point3,
 };
 use sp_graph::distr::Distribution;
 use sp_graph::{Bisection, Graph};
 use sp_machine::Machine;
-
-/// One shifted great circle of a centred sphere.
-struct Circle {
-    normal: Point3,
-    offset: f64,
-}
-
-impl Circle {
-    /// Signed distance of the mapped point `q`; positive is side 1.
-    #[inline]
-    fn signed(&self, q: Point3) -> f64 {
-        self.normal.dot(q) - self.offset
-    }
-}
 
 /// The separators every rank generates redundantly from the shared sample:
 /// per centerpoint, the conformal map that centres it and the circles cut
@@ -41,7 +27,7 @@ impl Circle {
 struct Tries {
     center: Point2,
     scale: f64,
-    centered: Vec<(ConformalMap, Vec<Circle>)>,
+    centered: Vec<(ConformalMap, Vec<GreatCircle>)>,
 }
 
 impl Tries {
@@ -50,7 +36,7 @@ impl Tries {
     }
 
     /// Every try in order, with the map of its centerpoint.
-    fn iter(&self) -> impl Iterator<Item = (&ConformalMap, &Circle)> {
+    fn iter(&self) -> impl Iterator<Item = (&ConformalMap, &GreatCircle)> {
         self.centered
             .iter()
             .flat_map(|(map, circles)| circles.iter().map(move |c| (map, c)))
@@ -110,7 +96,7 @@ fn generate_tries(
         let rank_sizes = dist.rank_sizes();
         let mut states: Vec<()> = vec![(); p];
         machine.compute(&mut states, |r, _| rank_sizes[r] as f64);
-        machine.allreduce_sum_costed(4);
+        machine.allreduce_sum(4);
     }
 
     // --- Sampling across ranks + allgather.
@@ -121,7 +107,7 @@ fn generate_tries(
         .take(total_sample)
         .map(|v| coords[v])
         .collect();
-    machine.allgather_costed(p * (2 * sample.len() / p.max(1)));
+    machine.allgather(p * (2 * sample.len() / p.max(1)));
     let lifted_sample: Vec<Point3> = sample
         .iter()
         .map(|&s| lift_normalized(s, center, scale))
@@ -141,7 +127,9 @@ fn generate_tries(
             .map(|_| {
                 let normal = random_unit_vector(&mut rng);
                 let vals: Vec<f64> = mapped_sample.iter().map(|&s| normal.dot(s)).collect();
-                Circle {
+                // A literal: the sampled normal is unit already, and
+                // `GreatCircle::new` would normalise it again, moving bits.
+                GreatCircle {
                     normal,
                     offset: median(&vals),
                 }
@@ -255,8 +243,8 @@ pub fn parallel_geometric_partition(
 /// * The histogram counts each edge once, at its lower endpoint, which is
 ///   what [`Bisection::cut_edges`] does; a self-loop XORs to 0 and is
 ///   never counted.
-/// * Per-rank counts are integers below 2^53, so their `allreduce_sum` is
-///   exact in any order.
+/// * Per-rank counts are integers below 2^53, so their sum, folded on the
+///   host in rank order, is exact in any order: it is the allreduce's.
 fn select_separator(
     g: &Graph,
     coords: &[Point2],
@@ -265,9 +253,14 @@ fn select_separator(
     contribs: &[Vec<f64>],
 ) -> GeoPartResult {
     let n = g.n();
-    let totals = machine.allreduce_sum(contribs);
-    machine.allreduce_sum_costed(1);
-    let mut keys = vec![f64::INFINITY; machine.p()];
+    let mut totals = vec![0.0; contribs[0].len()];
+    for c in contribs {
+        for (t, x) in totals.iter_mut().zip(c) {
+            *t += x;
+        }
+    }
+    machine.allreduce_sum(totals.len());
+    machine.allreduce_sum(1);
     let mut best_try = None;
     let mut best_cut = usize::MAX;
     for ti in 0..totals.len() / 2 {
@@ -279,15 +272,10 @@ fn select_separator(
             best_try = Some(ti);
         }
     }
-    keys[0] = best_cut as f64;
-    let _ = machine.allreduce_min_index(&keys);
+    machine.allreduce_min_index();
 
     let sep = if let Some((map, winner)) = best_try.and_then(|ti| tries.iter().nth(ti)) {
         Separator {
-            kind: SeparatorKind::Circle {
-                normal: winner.normal,
-                offset: winner.offset,
-            },
             signed: coords
                 .iter()
                 .map(|&c| winner.signed(map.apply(tries.lift(c))))
@@ -304,13 +292,7 @@ fn select_separator(
                 *s = if i >= n / 2 { 1.0 } else { -1.0 };
             }
         }
-        Separator {
-            kind: SeparatorKind::Line {
-                dir: Point2::new(1.0, 0.0),
-                threshold: th,
-            },
-            signed,
-        }
+        Separator { signed }
     };
     let bisection = Bisection::new(sep.sides());
     let cut = if best_try.is_some() {
@@ -382,6 +364,7 @@ mod tests {
         signed: Vec<u64>,
         sides: Vec<u8>,
         cut: usize,
+        /// The separator is one of the tries, not the line fallback.
         circle: bool,
     }
 
@@ -404,6 +387,12 @@ mod tests {
         assert_eq!(r.cut, r.bisection.cut_edges(g));
         let rec = TraceRecorder::downcast(m.take_recorder().unwrap()).unwrap();
         let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
+        let circle = tries.iter().any(|(map, circle)| {
+            let on = |(&c, s): (&Point2, &f64)| {
+                circle.signed(map.apply(tries.lift(c))).to_bits() == s.to_bits()
+            };
+            coords.iter().zip(&r.separator.signed).all(on)
+        });
         Observed {
             contribs: contribs.iter().map(|c| bits(c)).collect(),
             events: rec.events().to_vec(),
@@ -411,7 +400,7 @@ mod tests {
             signed: bits(&r.separator.signed),
             sides: r.bisection.sides().to_vec(),
             cut: r.cut,
-            circle: matches!(r.separator.kind, SeparatorKind::Circle { .. }),
+            circle,
         }
     }
 

@@ -1,23 +1,11 @@
 //! Separator descriptions and evaluation.
 
-use sp_geometry::{Point2, Point3};
-
-/// What kind of geometric separator produced a bisection.
-#[derive(Clone, Debug)]
-pub enum SeparatorKind {
-    /// A circle: the image of a (shifted) great circle of the conformally
-    /// mapped sphere. `normal · mapped(p) > offset` defines side 1.
-    Circle { normal: Point3, offset: f64 },
-    /// A line: `dir · p > threshold` in the original plane defines side 1.
-    Line { dir: Point2, threshold: f64 },
-}
-
-/// A geometric separator together with each vertex's signed distance from
-/// it (in the separator's own metric) — the strip refinement selects
-/// movable vertices by small |signed distance|.
+/// A geometric separator — a circle of the conformally mapped sphere or a
+/// line of the plane — as each vertex's signed distance from it (in the
+/// separator's own metric): the strip refinement selects movable vertices
+/// by small |signed distance|.
 #[derive(Clone, Debug)]
 pub struct Separator {
-    pub kind: SeparatorKind,
     /// Per-vertex signed value; side 1 ⇔ positive.
     pub signed: Vec<f64>,
 }
@@ -59,10 +47,6 @@ mod tests {
     #[test]
     fn sides_follow_sign() {
         let s = Separator {
-            kind: SeparatorKind::Line {
-                dir: Point2::new(1.0, 0.0),
-                threshold: 0.0,
-            },
             signed: vec![-1.0, 0.5, 0.0, 2.0],
         };
         assert_eq!(s.sides(), vec![0, 1, 0, 1]);

@@ -16,7 +16,7 @@
 //! path emits; rows must be duplicate-free (debug-asserted).
 //!
 //! Edge lists ([`csr_from_pairs`], the builder and MatrixMarket input) go
-//! through one serial sort, merge and scatter instead ([`csr_from_edges`]).
+//! through one serial sort, merge and scatter instead (`csr_from_edges`).
 
 use crate::csr::Graph;
 use sp_machine::pool;

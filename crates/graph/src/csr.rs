@@ -268,7 +268,7 @@ impl GraphBuilder {
     }
 
     /// Finish: sort, merge duplicates by summing their weights, emit
-    /// symmetric CSR ([`crate::build::csr_from_edges`]). The transient
+    /// symmetric CSR (`build::csr_from_edges`). The transient
     /// peak is the tuple buffer plus the final CSR.
     pub fn build(self) -> Graph {
         crate::build::csr_from_edges(self.n, self.edges, self.vwgt, |e| e)

@@ -3,12 +3,11 @@
 //!
 //! The SPMD algorithms in this workspace must produce bit-identical results
 //! under *any* rank schedule: the simulated clocks are charged in rank
-//! order regardless of host execution order, and exchange inboxes are
-//! canonically sorted by `(source, send sequence)`. A [`Schedule`]
-//! installed on a machine permutes the host-side execution order of
-//! `compute` closures and shuffles the arrival order of exchanged messages
-//! before the canonical sort — everything a legal MPI runtime could
-//! reorder — from a single `u64` seed, so any failure replays exactly.
+//! order regardless of host execution order. A [`Schedule`] installed on a
+//! machine permutes the host-side execution order of `compute` closures
+//! from a single `u64` seed, so any failure replays exactly. Exchanges
+//! carry no data (see [`CostOnly`](crate::CostOnly)), so there is no
+//! arrival order to shuffle.
 //!
 //! A [`Perturbation`] models the paper's tolerated timing nondeterminism:
 //! per-rank compute skew (some ranks are slower) and extra latency on
@@ -20,7 +19,7 @@ use sp_trace::fnv::splitmix64;
 
 /// A seeded source of schedule decisions. Install with
 /// [`Machine::set_schedule`](crate::Machine::set_schedule); the machine
-/// then draws from it on every superstep and exchange. Two runs with the
+/// then draws from it on every superstep. Two runs with the
 /// same seed make identical decisions.
 #[derive(Clone, Debug)]
 pub struct Schedule {
@@ -42,18 +41,14 @@ impl Schedule {
         splitmix64(&mut self.state)
     }
 
-    /// Fisher–Yates shuffle.
-    pub fn shuffle<T>(&mut self, v: &mut [T]) {
-        for i in (1..v.len()).rev() {
-            let j = (self.next() % (i as u64 + 1)) as usize;
-            v.swap(i, j);
-        }
-    }
-
-    /// A random permutation of `0..n`: `perm[i]` is the i-th item to run.
+    /// A random permutation of `0..n` (Fisher–Yates): `perm[i]` is the
+    /// i-th item to run.
     pub fn permutation(&mut self, n: usize) -> Vec<usize> {
         let mut perm: Vec<usize> = (0..n).collect();
-        self.shuffle(&mut perm);
+        for i in (1..n).rev() {
+            let j = (self.next() % (i as u64 + 1)) as usize;
+            perm.swap(i, j);
+        }
         perm
     }
 }
@@ -67,8 +62,8 @@ impl Schedule {
 /// * `collective_delay` — extra simulated seconds added to the completion
 ///   time of every collective (a congested or late allreduce).
 ///
-/// Neither knob touches data: payloads, reduction results, and delivery
-/// order are exactly those of the unperturbed machine.
+/// Neither knob touches data: what the ranks compute is exactly what the
+/// unperturbed machine's ranks compute.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct Perturbation {
     pub compute_skew: f64,

@@ -40,7 +40,7 @@ pub mod words;
 pub use cost::CostModel;
 pub use fuzz::{Perturbation, Schedule};
 pub use machine::{Machine, PhaseBreakdown, SuperstepHook, SuperstepInfo};
-pub use words::{CostOnly, Words};
+pub use words::CostOnly;
 
 pub use sp_trace as trace;
 pub use sp_trace::{CollectiveKind, MachineStats, Metrics, Phase, Recorder, TraceRecorder};

@@ -16,7 +16,7 @@
 //! `i` is the caller's `i`th piece and writes only its own slot, the one
 //! thing the determinism argument of DESIGN.md rests on. `force_layout`
 //! claims its chunks through [`run`] with a counter of its own.
-//! A worker between dispatches spins for [`SPIN`] and then parks, so
+//! A worker between dispatches spins for `SPIN` and then parks, so
 //! back-to-back supersteps are handed over in a few microseconds and an
 //! idle process burns nothing.
 //!

@@ -1,33 +1,13 @@
-//! Measuring message payloads in 8-byte words for cost charging.
+//! The size of a message, in 8-byte words, for cost charging.
 
-/// Anything that can report its wire size in 8-byte words.
+/// A message's wire size: `words` 8-byte words, carrying no data at all.
 ///
-/// Two families of implementations exist:
-/// * **Scalars** report their own (rounded-up) size; sub-word scalars
-///   round up to one word, matching how an MPI implementation pads tiny
-///   elements into word-aligned buffers.
-/// * **Containers** (`Vec<T>`, `&[T]`) report the *packed byte size* of
-///   their element type — correct for plain-old-data elements, which is
-///   what point-to-point payloads are. Heap-carrying element types (e.g.
-///   `Vec<Vec<u64>>`) must NOT be sized this way: `size_of::<Vec<u64>>()`
-///   is the 24-byte header, not the payload. The machine's collectives
-///   therefore size their payloads per element through this trait (a
-///   `Vec<u64>` element reports its true length), never through
-///   `size_of` on the element type.
-pub trait Words {
-    fn words(&self) -> usize;
-}
-
-/// A zero-allocation cost-only payload: reports a wire size of `words`
-/// 8-byte words while carrying no data at all.
-///
-/// Algorithms that model communication volume without materialising the
-/// bytes (most of the SPMD code in this workspace — the data already lives
-/// in shared memory) should send `CostOnly` through
-/// [`Machine::exchange_costed`](crate::Machine::exchange_costed) and the
-/// `*_costed` collectives rather than allocating `vec![0u64; words]`
-/// dummies: the simulated charge is identical (it depends only on
-/// [`Words::words`]) and the host pays neither allocation nor memset.
+/// The ranks of the simulated machine share host memory, so the data a
+/// message models already lives where its receiver reads it; what the
+/// machine needs is only the size it charges
+/// ([`Machine::exchange`](crate::Machine::exchange)). A sub-word payload
+/// rounds up to one word, as an MPI implementation pads tiny elements into
+/// word-aligned buffers.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CostOnly {
     pub words: usize,
@@ -40,96 +20,13 @@ impl CostOnly {
     }
 }
 
-impl Words for CostOnly {
-    #[inline]
-    fn words(&self) -> usize {
-        self.words
-    }
-}
-
-/// Packed byte-size container sizing: valid for plain-old-data `T`.
-impl<T> Words for Vec<T> {
-    fn words(&self) -> usize {
-        (self.len() * std::mem::size_of::<T>()).div_ceil(8)
-    }
-}
-
-impl<T> Words for &[T] {
-    fn words(&self) -> usize {
-        std::mem::size_of_val(*self).div_ceil(8)
-    }
-}
-
-macro_rules! scalar_words {
-    ($($t:ty),*) => {$(
-        impl Words for $t {
-            fn words(&self) -> usize {
-                std::mem::size_of::<$t>().div_ceil(8)
-            }
-        }
-    )*};
-}
-
-scalar_words!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize, f32, f64, bool);
-
-impl Words for () {
-    fn words(&self) -> usize {
-        0
-    }
-}
-
-impl<A: Words, B: Words> Words for (A, B) {
-    fn words(&self) -> usize {
-        self.0.words() + self.1.words()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn vec_words_round_up() {
-        let v: Vec<u32> = vec![0; 3]; // 12 bytes -> 2 words
-        assert_eq!(v.words(), 2);
-        let v: Vec<f64> = vec![0.0; 5];
-        assert_eq!(v.words(), 5);
-        let v: Vec<u8> = vec![0; 0];
-        assert_eq!(v.words(), 0);
-    }
-
-    #[test]
-    fn tuple_words_sum() {
-        let t = (3.0f64, vec![0u64; 4]);
-        assert_eq!(t.words(), 5);
-    }
-
-    #[test]
-    fn scalars_round_up_to_one_word() {
-        assert_eq!(1u8.words(), 1);
-        assert_eq!(1u32.words(), 1);
-        assert_eq!(1u64.words(), 1);
-        assert_eq!(1.0f32.words(), 1);
-        assert_eq!(true.words(), 1);
-        assert_eq!(().words(), 0);
-    }
-
-    #[test]
     fn cost_only_reports_declared_words() {
-        assert_eq!(CostOnly::new(0).words(), 0);
-        assert_eq!(CostOnly::new(17).words(), 17);
-        // Equal wire size to the dummy vector it replaces.
-        assert_eq!(CostOnly::new(100).words(), vec![0u64; 100].words());
-    }
-
-    #[test]
-    fn nested_vec_reports_payload_not_header() {
-        // The element-wise path: a Vec<u64> element reports its true
-        // length, not size_of::<Vec<u64>>() = 3 words of header.
-        let inner: Vec<u64> = vec![0; 100];
-        assert_eq!(inner.words(), 100);
-        let nested: Vec<Vec<u64>> = vec![vec![0; 100], vec![0; 50]];
-        let element_wise: usize = nested.iter().map(|v| v.words()).sum();
-        assert_eq!(element_wise, 150);
+        assert_eq!(CostOnly::new(0).words, 0);
+        assert_eq!(CostOnly::new(17).words, 17);
     }
 }

@@ -1,11 +1,11 @@
 //! Property tests for the machine's collectives against serial oracles:
-//! data results equal what a sequential reduction computes, `_costed`
-//! variants charge identical simulated time to their data-carrying twins,
-//! and a fuzzed schedule never changes results or clocks.
+//! a group collective charges exactly what the cost model says to exactly
+//! its active prefix, and a fuzzed schedule never changes results or
+//! clocks.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sp_machine::{CostModel, Machine, Schedule};
+use sp_machine::{CostModel, CostOnly, Machine, Schedule};
 
 /// Cases per property; case `c` draws from `StdRng::seed_from_u64(c)`.
 const CASES: u64 = 48;
@@ -34,48 +34,9 @@ fn warmed(p: usize, cost: CostModel, work: &[f64]) -> Machine {
     m
 }
 
-#[test]
-fn allgather_matches_serial_concatenation() {
-    for case in 0..CASES {
-        let rng = &mut StdRng::seed_from_u64(case);
-        let cost = arb_cost(rng);
-        let p = rng.random_range(1usize..12);
-        let lens: Vec<usize> = (0..rng.random_range(1..12))
-            .map(|_| rng.random_range(0..5))
-            .collect();
-        let mut m = Machine::new(p, cost);
-        let contrib: Vec<Vec<u64>> = (0..p)
-            .map(|r| {
-                (0..lens[r % lens.len()])
-                    .map(|i| (r * 100 + i) as u64)
-                    .collect()
-            })
-            .collect();
-        let expect: Vec<u64> = contrib.iter().flatten().copied().collect();
-        assert_eq!(m.allgather(contrib), expect, "case {case}");
-    }
-}
-
-#[test]
-fn allreduce_min_index_matches_serial_argmin() {
-    for case in 0..CASES {
-        let rng = &mut StdRng::seed_from_u64(case);
-        let cost = arb_cost(rng);
-        let keys: Vec<f64> = (0..rng.random_range(1..12))
-            .map(|_| rng.random_range(-1e9..1e9))
-            .collect();
-        let mut m = Machine::new(keys.len(), cost);
-        let got = m.allreduce_min_index(&keys);
-        let expect = keys
-            .iter()
-            .enumerate()
-            .min_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-            .map(|(i, _)| i)
-            .unwrap();
-        assert_eq!(got, expect, "case {case}");
-    }
-}
-
+/// The clocks after each group collective, worked out serially from the
+/// cost model: ranks `0..active` leave together at the latest of their
+/// entry clocks plus the collective's cost, the others do not move.
 #[test]
 fn group_collectives_match_serial_oracle_over_active_prefix() {
     for case in 0..CASES {
@@ -85,94 +46,32 @@ fn group_collectives_match_serial_oracle_over_active_prefix() {
         let active = rng.random_range(1usize..12).min(p);
         let len = rng.random_range(0usize..5);
         let mut m = warmed(p, cost, &arb_work(rng));
+        let stages = (active as f64).log2().ceil();
+        let expect = |before: &[f64], leave: &dyn Fn(f64) -> f64| -> Vec<u64> {
+            let t = leave(before[..active].iter().copied().fold(0.0, f64::max));
+            let mut after = before.to_vec();
+            after[..active].fill(t);
+            after.iter().map(|c| c.to_bits()).collect()
+        };
+        let clocks = |m: &mut Machine| -> Vec<f64> { m.stats().rank_clock };
+        let bits = |c: Vec<f64>| -> Vec<u64> { c.iter().map(|c| c.to_bits()).collect() };
 
-        let contrib: Vec<Vec<f64>> = (0..p)
-            .map(|r| {
-                if r < active {
-                    (0..len).map(|i| (r + 1) as f64 * (i + 1) as f64).collect()
-                } else {
-                    vec![0.0; len]
-                }
-            })
-            .collect();
-        let got = m.group_allreduce_sum(active, &contrib);
-        for (i, g) in got.iter().enumerate() {
-            let expect: f64 = (0..active).map(|r| (r + 1) as f64 * (i + 1) as f64).sum();
-            assert!(
-                (g - expect).abs() <= 1e-9 * (1.0 + expect.abs()),
-                "case {case}: {g} vs {expect}"
-            );
-        }
-
-        let gather: Vec<Vec<u64>> = (0..p)
-            .map(|r| {
-                if r < active {
-                    vec![r as u64; 2]
-                } else {
-                    Vec::new()
-                }
-            })
-            .collect();
-        let expect: Vec<u64> = gather.iter().flatten().copied().collect();
-        assert_eq!(m.group_allgather(active, gather), expect, "case {case}");
-    }
-}
-
-#[test]
-fn costed_variants_charge_identical_time() {
-    for case in 0..CASES {
-        let rng = &mut StdRng::seed_from_u64(case);
-        let cost = arb_cost(rng);
-        let p = rng.random_range(1usize..12);
-        let active = rng.random_range(1usize..12).min(p);
-        let len = rng.random_range(0usize..6);
-        let work = arb_work(rng);
-        // Two machines stepped identically: one through the data-carrying
-        // collectives, one through the cost-only twins. Clocks must agree
-        // to the bit at every step.
-        let mut a = warmed(p, cost, &work);
-        let mut b = warmed(p, cost, &work);
-
-        a.allreduce_sum(&vec![vec![1.0; len]; p]);
-        b.allreduce_sum_costed(len);
-        assert_eq!(a.elapsed().to_bits(), b.elapsed().to_bits(), "case {case}");
-
-        let contrib: Vec<Vec<u64>> = (0..p).map(|r| vec![r as u64; len]).collect();
-        a.allgather(contrib);
-        b.allgather_costed(p * len);
-        assert_eq!(a.elapsed().to_bits(), b.elapsed().to_bits(), "case {case}");
-
-        let gather: Vec<Vec<u64>> = (0..p)
-            .map(|r| {
-                if r < active {
-                    vec![r as u64; len]
-                } else {
-                    Vec::new()
-                }
-            })
-            .collect();
-        a.group_allgather(active, gather);
-        b.group_allgather_costed(active, active * len);
-        assert_eq!(a.elapsed().to_bits(), b.elapsed().to_bits(), "case {case}");
-
-        let contrib: Vec<Vec<f64>> = (0..p)
-            .map(|r| {
-                if r < active {
-                    vec![r as f64; len]
-                } else {
-                    vec![0.0; len]
-                }
-            })
-            .collect();
-        a.group_allreduce_sum(active, &contrib);
-        b.group_allreduce_sum_costed(active, len);
-        assert_eq!(a.elapsed().to_bits(), b.elapsed().to_bits(), "case {case}");
-
+        let before = clocks(&mut m);
+        m.group_allreduce_sum(active, len);
+        let want = expect(&before, &|t0| t0 + stages * cost.msg(len));
         assert_eq!(
-            a.comm_time().to_bits(),
-            b.comm_time().to_bits(),
-            "case {case}"
+            bits(clocks(&mut m)),
+            want,
+            "case {case}: group_allreduce_sum"
         );
+
+        let words = 2 * active;
+        let before = clocks(&mut m);
+        m.group_allgather(active, words);
+        let want = expect(&before, &|t0| {
+            t0 + stages * cost.t_s + cost.t_w * words as f64
+        });
+        assert_eq!(bits(clocks(&mut m)), want, "case {case}: group_allgather");
     }
 }
 
@@ -192,7 +91,7 @@ fn fuzzed_schedule_never_changes_collective_results_or_clocks() {
 
 /// A compute, both collectives and a two-message exchange per rank, run
 /// under the canonical schedule and under `Schedule::seeded(seed)`: the
-/// results and the clock must agree. Each rank sends to the next rank and
+/// states and the clocks must agree. Each rank sends to the next rank and
 /// to the one after it, unless that is itself (`p = 2`): the machine
 /// rejects self-messages.
 fn assert_fuzzed_schedule_is_invisible(cost: CostModel, p: usize, seed: u64, work: &[f64]) {
@@ -201,21 +100,25 @@ fn assert_fuzzed_schedule_is_invisible(cost: CostModel, p: usize, seed: u64, wor
         if let Some(s) = sched {
             m.set_schedule(s);
         }
-        let mut st = vec![(); p];
-        m.compute(&mut st, |r, _| work[r % work.len()]);
-        let red = m.allreduce_sum(&(0..p).map(|r| vec![r as f64, 1.0]).collect::<Vec<_>>());
-        let gat = m.allgather((0..p).map(|r| vec![r as u64]).collect());
-        let out: Vec<Vec<(usize, Vec<u64>)>> = (0..p)
+        let mut st = vec![0.0f64; p];
+        m.compute(&mut st, |r, s| {
+            *s = work[r % work.len()].sqrt();
+            work[r % work.len()]
+        });
+        m.allreduce_sum(2);
+        m.allgather(p);
+        let out: Vec<Vec<(usize, CostOnly)>> = (0..p)
             .map(|s| {
-                let mut msgs = vec![((s + 1) % p, vec![s as u64])];
+                let mut msgs = vec![((s + 1) % p, CostOnly::new(1 + s % 3))];
                 if (s + 2) % p != s {
-                    msgs.push(((s + 2) % p, vec![(s * 7) as u64]));
+                    msgs.push(((s + 2) % p, CostOnly::new(2)));
                 }
                 msgs
             })
             .collect();
-        let inbox = m.exchange(out);
-        (red, gat, inbox, m.elapsed().to_bits())
+        m.exchange(&out);
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
+        (bits(&st), bits(&m.stats().rank_clock))
     };
     assert_eq!(
         run(None),

@@ -153,15 +153,6 @@ impl Histogram {
         }
         *bounds.last().unwrap()
     }
-
-    /// `(p50, p90, p99)` in one pass-friendly call.
-    pub fn summary(&self) -> (f64, f64, f64) {
-        (
-            self.quantile(0.50),
-            self.quantile(0.90),
-            self.quantile(0.99),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -234,8 +225,8 @@ mod tests {
         }
         let p50 = h.quantile(0.5);
         assert!((20.0..=30.0).contains(&p50), "p50 {p50}");
-        let (p50s, p90, p99) = h.summary();
-        assert!(p50s <= p90 && p90 <= p99, "{p50s} {p90} {p99}");
+        let (p90, p99) = (h.quantile(0.9), h.quantile(0.99));
+        assert!(p50 <= p90 && p90 <= p99, "{p50} {p90} {p99}");
     }
 
     #[test]

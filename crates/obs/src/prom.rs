@@ -1,6 +1,6 @@
 //! Prometheus text exposition (format 0.0.4) — render and lint.
 //!
-//! The renderer walks a [`Registry`](crate::registry::Registry) snapshot
+//! The renderer walks a [`Registry`] snapshot
 //! and emits one block per family: `# HELP`, `# TYPE`, then one sample
 //! line per series. Histograms expand to cumulative `_bucket{le=…}`
 //! lines plus `_sum` and `_count`, exactly what `histogram_quantile`

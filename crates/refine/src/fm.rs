@@ -87,7 +87,7 @@ impl FmStats {
         let ops = self.ops / p as f64;
         machine.compute(&mut states, |_, _| ops);
         for _ in 0..self.passes {
-            machine.allreduce_sum_costed(2);
+            machine.allreduce_sum(2);
         }
     }
 }

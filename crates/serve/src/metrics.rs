@@ -1,5 +1,5 @@
 //! The service's metric surface: every instrument sp-serve exports,
-//! registered once at startup against an [`sp_obs::Registry`].
+//! registered once at startup against an [`scalapart::obs::Registry`].
 //!
 //! Naming follows Prometheus conventions: `_total` counters, base-unit
 //! suffixes (`_milliseconds`, `_bytes`), one `phase` label on the
@@ -54,7 +54,7 @@ pub struct ServiceMetrics {
     /// orders of magnitude shorter than a job.
     pub superstep_wall_us: Arc<Histogram>,
     /// Percentage of ranks that charged nonzero ops in the most recent
-    /// superstep — how full the rank batches ran.
+    /// superstep — how full the machine ran.
     pub rank_batch_occupancy: Arc<Gauge>,
 
     /// Streaming sessions currently open (see [`crate::session`]).

@@ -16,7 +16,7 @@
 //!    the next job — cancellation is cooperative, never a thread kill, so
 //!    no simulated-rank closure is ever torn down midway.
 //! 4. Completed results are validated, serialized once through
-//!    [`KWayPartition::to_json`] (the same path the CLI uses), cached, and
+//!    [`scalapart::KWayPartition::to_json`] (the same path the CLI uses), cached, and
 //!    handed to the waiting submitter.
 //!
 //! [`Service::shutdown`] drains gracefully: no new jobs are accepted,

@@ -15,7 +15,7 @@
 //!
 //! FM reads every vertex's weight and neighbours once per call, so a read
 //! must cost what it costs on the CSR. `slot[v]` says where `v`'s
-//! adjacency lives: [`BASE`] for the base row, otherwise an index into
+//! adjacency lives: `BASE` for the base row, otherwise an index into
 //! `patched`. Vertex weights are one dense array, copied from the base by
 //! the first `SetVwgt` after a rebase and dropped at the next one (the new
 //! base then carries them). That is 12 bytes a vertex beside a base CSR of

@@ -1,7 +1,7 @@
 //! The shared baseline and the schedule-fuzzing campaign. The baseline is
 //! the plain serial run every pipeline stage compares against; the
-//! campaign runs the canonical schedule and fuzzed host-execution and
-//! message-delivery orders with the trace recorder and the invariant
+//! campaign runs the canonical schedule and fuzzed host-execution orders
+//! with the trace recorder and the invariant
 //! checker installed, demanding each reproduce the baseline bit for bit.
 //! Every failure carries the derived schedule seed, so `--replay <seed>`
 //! (or `Schedule::seeded(seed)`) reproduces it.
@@ -45,9 +45,8 @@ impl Default for FuzzConfig {
 }
 
 /// The run every pipeline stage compares against: the default pipeline on
-/// a one-thread pool with one rank batch covering every rank (the
-/// machine's inline serial path), no recorder, no observer, the canonical
-/// schedule.
+/// a one-thread pool (the machine's inline serial path), no recorder, no
+/// observer, the canonical schedule.
 #[derive(Clone, Copy, Debug)]
 pub struct Baseline {
     /// Labels, coordinates, cut statistics and simulated-time bits.
@@ -60,7 +59,7 @@ pub struct Baseline {
 
 impl Baseline {
     pub fn compute(g: &Graph, ranks: usize) -> Baseline {
-        host_pool(1).install(|| run_pipeline(g, ranks, ranks).0)
+        host_pool(1).install(|| run_pipeline(g, ranks).0)
     }
 }
 

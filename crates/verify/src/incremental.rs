@@ -1,5 +1,5 @@
 //! Incremental-repartitioning fuzz: seeded delta streams driven through
-//! [`sp_stream`]'s warm-start repartitioner, with five properties
+//! `sp-stream`'s warm-start repartitioner, with five properties
 //! demanded at every step:
 //!
 //! 1. **Validity** — the partition stays a two-sided cover with both
@@ -364,7 +364,7 @@ fn run_stream(
 
 /// Run the full campaign on a base graph: every stream with all per-step
 /// properties on a single-thread pool, then the step-fingerprint
-/// sequences re-derived under each pool width in [`THREADS`].
+/// sequences re-derived under each pool width in `THREADS`.
 pub fn run_incremental_campaign(
     g: &Graph,
     coords: Option<&[Point2]>,

@@ -3,20 +3,20 @@
 //! Seven stages, composed by the `verify` binary (one row each in its
 //! stage table, selected with `--stages`) and the test suite. The four
 //! that run the pipeline compare against one [`Baseline`]: a serial run
-//! (one host thread, one rank batch, no observer, canonical schedule)
+//! (one host thread, no observer, canonical schedule)
 //! computed once per invocation.
 //!
 //! - **fuzz** ([`fuzz`]): the canonical schedule and seeded fuzzed
-//!   schedules (host execution order within supersteps, message-delivery
-//!   order), each with the trace recorder and the [`InvariantChecker`]
+//!   schedules (host execution order within supersteps), each with the
+//!   trace recorder and the [`InvariantChecker`]
 //!   installed, must reproduce the baseline bit for bit — every failure
 //!   replays from a single `u64` seed;
 //! - **passivity** ([`passive`]): the same schedules under sp-obs
 //!   profiling must reproduce it too — instrumentation never perturbs the
 //!   run it watches — and a profiled 8-way SP-PG7-NL recursion on a
 //!   width-2 pool must fork and keep the bits of an unwatched one;
-//! - **parallel** ([`parallel`]): a matrix of rank batches and host pool
-//!   widths, two pipelines contending for the host, and 8-way k-way
+//! - **parallel** ([`parallel`]): a sweep of host pool widths, two
+//!   pipelines contending for the host, and 8-way k-way
 //!   recursions beside them may not move a bit;
 //! - **multinode** ([`multinode`]): a seeded request stream through 2–4
 //!   loopback sp-serve shards behind the consistent-hash router, with a
