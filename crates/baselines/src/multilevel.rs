@@ -147,7 +147,7 @@ pub fn multilevel_bisect(
     // --- Initial partition: allgather the coarsest graph, then greedy
     // graph growing + FM redundantly on every rank.
     machine.phase(Phase::Initial);
-    let coarsest = graphs.last().unwrap();
+    let coarsest: &Graph = graphs.last().unwrap();
     {
         let words = 2 * coarsest.m() + coarsest.n();
         machine.allgather(p * (words / p.max(1)));
@@ -168,7 +168,7 @@ pub fn multilevel_bisect(
     // --- Uncoarsening with band-restricted FM.
     machine.phase(Phase::Refine);
     for lvl in (0..maps.len()).rev() {
-        let fine = &graphs[lvl];
+        let fine: &Graph = &graphs[lvl];
         let map = &maps[lvl];
         // Project.
         let mut fbi = Bisection::new(map.iter().map(|&c| bi.side(c)).collect::<Vec<u8>>());

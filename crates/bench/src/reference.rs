@@ -19,8 +19,8 @@
 //! `HashMap` order was nondeterministic run-to-run, which is exactly the
 //! trace-stability bug this PR fixes.)
 
+use sp_embed::force::{ForceParams, C, COOLING};
 use sp_embed::lattice::{LatticeConfig, LatticeStats};
-use sp_embed::ForceParams;
 use sp_geometry::{Aabb2, Point2};
 use sp_graph::Graph;
 use sp_machine::trace::fnv::splitmix64;
@@ -175,10 +175,9 @@ pub fn reference_lattice_smooth(
     let p = machine.p();
     let ncells = q * q;
     let bbox = Aabb2::from_points(coords).unwrap().inflated(0.02 + 1e-9);
-    let params = ForceParams::for_domain(cfg.c, bbox.width() * bbox.height(), n);
+    let params = ForceParams::for_domain(C, bbox.width() * bbox.height(), n);
     let mut step = cfg.step0 * params.k;
     let max_step = 3.0 * params.k;
-    let t_ratio = cfg.cooling.clamp(0.5, 0.99);
     let mut energy = f64::INFINITY;
     let mut progress = 0u32;
 
@@ -410,11 +409,11 @@ pub fn reference_lattice_smooth(
             progress += 1;
             if progress >= 5 {
                 progress = 0;
-                step = (step / t_ratio).min(max_step);
+                step = (step / COOLING).min(max_step);
             }
         } else {
             progress = 0;
-            step *= t_ratio;
+            step *= COOLING;
         }
         energy = new_energy;
         if step < 0.005 * params.k {

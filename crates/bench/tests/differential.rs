@@ -8,7 +8,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use scalapart::{scalapart_bisect, scalapart_bisect_with, NoopObserver, SpConfig, SpResult};
+use scalapart::{scalapart_bisect, scalapart_bisect_checked, NoopObserver, SpConfig, SpResult};
 use sp_bench::reference::reference_lattice_smooth;
 use sp_graph::gen::{delaunay_graph, grid_2d, kkt_graph};
 use sp_graph::Graph;
@@ -23,13 +23,14 @@ fn run_optimized(g: &Graph, p: usize, cfg: &SpConfig) -> (SpResult, f64) {
 
 fn run_reference(g: &Graph, p: usize, cfg: &SpConfig) -> (SpResult, f64) {
     let mut m = Machine::new(p, CostModel::qdr_infiniband());
-    let r = scalapart_bisect_with(
+    let r = scalapart_bisect_checked(
         g,
         &mut m,
         cfg,
         &mut NoopObserver,
         &mut |g, c, q, mach, lcfg, _scratch| reference_lattice_smooth(g, c, q, mach, lcfg),
-    );
+    )
+    .expect("NoopObserver never cancels");
     let elapsed = m.elapsed();
     (r, elapsed)
 }

@@ -13,10 +13,6 @@ pub struct CoarsenConfig {
     /// Stop once the coarsest graph has at most this many vertices
     /// (the paper keeps it "in the hundreds or few thousands").
     pub target_coarsest: usize,
-    /// Retain every other contraction so retained levels shrink ≈ 4×
-    /// (the paper's adaptation). `false` retains every level (≈ 2×),
-    /// which the ablation benches compare against.
-    pub keep_every_other: bool,
     /// RNG seed for the matchings.
     pub seed: u64,
 }
@@ -25,7 +21,6 @@ impl Default for CoarsenConfig {
     fn default() -> Self {
         CoarsenConfig {
             target_coarsest: 1000,
-            keep_every_other: true,
             seed: 0x5CA1AB1E,
         }
     }
@@ -76,10 +71,12 @@ impl<'g> Hierarchy<'g> {
             if cur.n() <= cfg.target_coarsest || levels.len() > MAX_LEVELS {
                 break;
             }
-            // One or two contractions, composed into one retained step.
+            // One or two contractions, composed into one retained step:
+            // every other contraction is kept, so retained levels shrink
+            // ≈ 4× (the paper's adaptation).
             let m1 = heavy_edge_matching_in(cur, &mut rng, arena);
             let c1 = contract_with(cur, &m1, arena);
-            let (coarse, map) = if cfg.keep_every_other && c1.coarse.n() > cfg.target_coarsest {
+            let (coarse, map) = if c1.coarse.n() > cfg.target_coarsest {
                 let m2 = heavy_edge_matching_in(&c1.coarse, &mut rng, arena);
                 let c2 = contract_with(&c1.coarse, &m2, arena);
                 let composed: Vec<u32> = c1.map.iter().map(|&mid| c2.map[mid as usize]).collect();
@@ -145,19 +142,6 @@ mod tests {
                 "level shrink ratio {ratio}"
             );
         }
-    }
-
-    #[test]
-    fn every_level_mode_shrinks_by_about_two() {
-        let g = grid_2d(60, 60);
-        let cfg = CoarsenConfig {
-            keep_every_other: false,
-            target_coarsest: 500,
-            ..Default::default()
-        };
-        let h = Hierarchy::build(&g, &cfg);
-        let ratio = h.levels[1].graph.n() as f64 / h.levels[0].graph.n() as f64;
-        assert!((0.45..0.65).contains(&ratio), "ratio {ratio}");
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! its first side and the rest to the second; each side is then cut out of
 //! its parent (ids ascending) and bisected on a fresh machine of its own
 //! rank group with seed `seed ^ first_part`, down to sides of one part or
-//! one vertex, which are labelled.
+//! one vertex, which are labelled. [`recursive_kway`] is the plain entry
+//! point; [`recursive_kway_checked_on`] the full one, on the caller's
+//! machine and under an observer.
 //!
 //! **Both sides at once.** In the paper the two sides run at the same time
 //! on their disjoint rank groups. Here they run on the host pool
@@ -197,7 +199,8 @@ impl KWayPartition {
 
 /// Recursively bisect `g` into `k` parts using `method` on `p` simulated
 /// ranks (rank groups are split proportionally to the part sizes at each
-/// level, as the paper's multilevel competitors do).
+/// level, as the paper's multilevel competitors do): the plain entry
+/// point, [`recursive_kway_checked_on`] on a fresh machine of `p` ranks.
 pub fn recursive_kway(
     method: Method,
     g: &Graph,
@@ -206,17 +209,19 @@ pub fn recursive_kway(
     p: usize,
     seed: u64,
 ) -> KWayPartition {
-    recursive_kway_impl(method, g, coords, k, p, seed, None, &mut NoopObserver)
+    let mut machine = Machine::new(p.max(1), CostModel::qdr_infiniband());
+    recursive_kway_checked_on(method, g, coords, k, seed, &mut machine, &mut NoopObserver)
         .expect("NoopObserver never cancels")
 }
 
-/// Like [`recursive_kway`], but the *root* bisection runs on the supplied
-/// machine, so a recorder installed there traces it (the recursion's
-/// sub-bisections run on fresh machines for their shrunken rank groups;
-/// for `k = 2` this traces the entire run), and the run is cancellable: the
-/// observer's [`poll_cancel`](PipelineObserver::poll_cancel) is checked
-/// before every recursive split and, for the ScalaPart method, at every
-/// pipeline checkpoint inside each bisection. On `Err(Cancelled)` the partial
+/// The full entry point: [`recursive_kway`] on `machine.p()` ranks, where
+/// the *root* bisection runs on the supplied machine, so a recorder
+/// installed there traces it (the recursion's sub-bisections run on fresh
+/// machines for their shrunken rank groups; for `k = 2` this traces the
+/// entire run), and the run is cancellable: the observer's
+/// [`poll_cancel`](PipelineObserver::poll_cancel) is checked before every
+/// recursive split and, for the ScalaPart method, at every pipeline
+/// checkpoint inside each bisection. On `Err(Cancelled)` the partial
 /// labelling is discarded. Where the recursion forks (module doc), the
 /// two sides' checkpoints go to the children [`PipelineObserver::fork`]
 /// returned, not to `obs`. This is the entry point of the `scalapart` CLI
@@ -229,21 +234,6 @@ pub fn recursive_kway_checked_on(
     k: usize,
     seed: u64,
     machine: &mut Machine,
-    obs: &mut dyn PipelineObserver,
-) -> Result<KWayPartition, Cancelled> {
-    let p = machine.p();
-    recursive_kway_impl(method, g, coords, k, p, seed, Some(machine), obs)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn recursive_kway_impl(
-    method: Method,
-    g: &Graph,
-    coords: Option<&[Point2]>,
-    k: usize,
-    p: usize,
-    seed: u64,
-    machine: Option<&mut Machine>,
     obs: &mut dyn PipelineObserver,
 ) -> Result<KWayPartition, Cancelled> {
     assert!(k >= 1);
@@ -265,7 +255,7 @@ fn recursive_kway_impl(
             seed,
             out: &part,
         };
-        bisect(&rec, &root, 0, k, p, pool::width(), machine, obs)?;
+        bisect(&rec, &root, 0, k, pool::width(), machine, obs)?;
     }
     // Every fork has joined: each label is in place, and published.
     let part = part.into_iter().map(AtomicU32::into_inner).collect();
@@ -368,38 +358,38 @@ fn split(
         return Ok(());
     }
     let child = cut(parent, verts, obs)?;
-    bisect(rec, &child.node(), first_part, k, p, threads, None, obs)
+    let mut machine = Machine::new(p, CostModel::qdr_infiniband());
+    bisect(
+        rec,
+        &child.node(),
+        first_part,
+        k,
+        threads,
+        &mut machine,
+        obs,
+    )
 }
 
-/// Bisect `node.g` (`k ≥ 2` parts to make, at least two vertices) and
+/// Bisect `node.g` (`k ≥ 2` parts to make, at least two vertices) on
+/// `machine`, whose rank group is then divided between the sides, and
 /// [`split`] each side further: one after the other, or both at once over
 /// `threads` host threads (see the module doc for when).
-#[allow(clippy::too_many_arguments)]
 fn bisect(
     rec: &Recursion,
     node: &Node,
     first_part: u32,
     k: usize,
-    p: usize,
     threads: usize,
-    machine: Option<&mut Machine>,
+    machine: &mut Machine,
     obs: &mut dyn PipelineObserver,
 ) -> Result<(), Cancelled> {
     // Split k into proportional halves (handles non-powers of two).
     let k0 = k / 2;
     let k1 = k - k0;
-    let bisection = {
-        let mut fresh;
-        let machine = match machine {
-            Some(m) => m,
-            None => {
-                fresh = Machine::new(p.max(1), CostModel::qdr_infiniband());
-                &mut fresh
-            }
-        };
-        let seed = rec.seed ^ first_part as u64;
-        run_method_checked(rec.method, node.g, node.coords, machine, seed, obs)?.bisection
-    };
+    let p = machine.p();
+    let seed = rec.seed ^ first_part as u64;
+    let bisection =
+        run_method_checked(rec.method, node.g, node.coords, machine, seed, obs)?.bisection;
     // Assign the lighter side to the smaller k when k is odd so part
     // weights track k0 : k1.
     let (w0, w1) = bisection.weights(node.g);
@@ -441,7 +431,8 @@ fn bisect(
     // share is at most the width, so the two halves get a task each.
     let cancelled = AtomicBool::new(false);
     pool::each(halves, |_, (child, mut obs, first, k, p, t)| {
-        if bisect(rec, &child.node(), first, k, p, t, None, &mut *obs).is_err() {
+        let mut machine = Machine::new(p, CostModel::qdr_infiniband());
+        if bisect(rec, &child.node(), first, k, t, &mut machine, &mut *obs).is_err() {
             cancelled.store(true, Ordering::Relaxed);
         }
     });
@@ -505,19 +496,26 @@ mod tests {
 
     #[test]
     fn kway_on_machine_matches_plain_and_traces_root() {
-        use sp_machine::{CostModel, TraceRecorder};
+        // k = 3 splits the 8 ranks unevenly (2 and 6); ScalaPart coarsens.
+        use sp_machine::TraceRecorder;
         let g = grid_2d(24, 24);
         let coords = grid_2d_coords(24, 24);
-        let mut m = Machine::new(8, CostModel::qdr_infiniband());
-        m.set_recorder(Box::new(TraceRecorder::new(8)));
-        let mut obs = NoopObserver;
-        let kp = recursive_kway_checked_on(Method::Rcb, &g, Some(&coords), 4, 1, &mut m, &mut obs);
-        let kp = kp.unwrap();
-        kp.validate(&g).unwrap();
-        let plain = recursive_kway(Method::Rcb, &g, Some(&coords), 4, 8, 1);
-        assert_eq!(kp.part, plain.part);
-        let rec = TraceRecorder::downcast(m.take_recorder().unwrap()).unwrap();
-        assert!(!rec.is_empty());
+        for method in [Method::Rcb, Method::ScalaPart] {
+            for k in [3usize, 4, 8] {
+                let at = format!("{} k={k}", method.name());
+                let mut m = Machine::new(8, CostModel::qdr_infiniband());
+                m.set_recorder(Box::new(TraceRecorder::new(8)));
+                let mut obs = NoopObserver;
+                let kp =
+                    recursive_kway_checked_on(method, &g, Some(&coords), k, 1, &mut m, &mut obs);
+                let kp = kp.unwrap();
+                kp.validate(&g).unwrap_or_else(|e| panic!("{at}: {e}"));
+                let plain = recursive_kway(method, &g, Some(&coords), k, 8, 1);
+                assert_eq!(kp.part, plain.part, "{at}");
+                let rec = TraceRecorder::downcast(m.take_recorder().unwrap()).unwrap();
+                assert!(!rec.is_empty(), "{at}");
+            }
+        }
     }
 
     #[test]
@@ -644,13 +642,15 @@ mod tests {
         let sub_coords: Option<Vec<Point2>> =
             coords.map(|c| map.iter().map(|&v| c[v as usize]).collect());
         let mut m = Machine::new(p.max(1), CostModel::qdr_infiniband());
-        let r = crate::methods::run_method_on(
+        let r = run_method_checked(
             method,
             &sub,
             sub_coords.as_deref(),
             &mut m,
             seed ^ first_part as u64,
-        );
+            &mut NoopObserver,
+        )
+        .unwrap();
         let (w0, w1) = r.bisection.weights(&sub);
         let zero_gets_k0 = (w0 <= w1) == (k0 <= k1);
         let mut side0 = Vec::new();

@@ -43,11 +43,10 @@ pub mod svg;
 
 pub use config::SpConfig;
 pub use kway::{recursive_kway, recursive_kway_checked_on, KWayPartition, PartitionSummary};
-pub use methods::{run_method, run_method_checked, run_method_on, Method, MethodResult};
+pub use methods::{run_method, run_method_checked, Method, MethodResult};
 pub use observe::{Cancelled, LevelStats, NoopObserver, PipelineObserver, ProfilingObserver};
 pub use pipeline::{
-    scalapart_bisect, scalapart_bisect_checked, scalapart_bisect_observed, scalapart_bisect_with,
-    sp_pg7nl_bisect, PhaseTimes, SpResult,
+    scalapart_bisect, scalapart_bisect_checked, sp_pg7nl_bisect, PhaseTimes, SpResult,
 };
 
 // Re-export the substrate crates so downstream users need only one

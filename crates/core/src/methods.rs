@@ -1,4 +1,6 @@
-//! Unified dispatch over every partitioner in the paper's evaluation.
+//! Unified dispatch over every partitioner in the paper's evaluation:
+//! [`run_method`] is the plain entry point, [`run_method_checked`] the
+//! full one (caller's machine, observer, cancellation).
 
 use crate::config::SpConfig;
 use crate::observe::{Cancelled, NoopObserver, PipelineObserver};
@@ -116,11 +118,11 @@ pub struct MethodResult {
     pub bisection: Bisection,
 }
 
-/// Run `method` on `g` with `p` simulated ranks. `coords` supplies vertex
-/// coordinates for the geometric methods; when absent they are produced by
-/// the sequential Hu-style embedder, matching the paper's protocol (and,
-/// as in the paper, that embedding time is *not* included in the method's
-/// reported time).
+/// Run `method` on `g` with `p` simulated ranks: the plain entry point.
+/// `coords` supplies vertex coordinates for the geometric methods; when
+/// absent they are produced by the sequential Hu-style embedder, matching
+/// the paper's protocol (and, as in the paper, that embedding time is
+/// *not* included in the method's reported time).
 pub fn run_method(
     method: Method,
     g: &Graph,
@@ -129,29 +131,48 @@ pub fn run_method(
     seed: u64,
 ) -> MethodResult {
     let mut machine = Machine::new(p, CostModel::qdr_infiniband());
-    run_method_on(method, g, coords, &mut machine, seed)
-}
-
-/// Like [`run_method`], but on a caller-supplied machine. This is the
-/// observability entry point: install a recorder on `machine` first
-/// (see `sp_machine::Machine::set_recorder`) and the whole run is traced.
-pub fn run_method_on(
-    method: Method,
-    g: &Graph,
-    coords: Option<&[Point2]>,
-    machine: &mut Machine,
-    seed: u64,
-) -> MethodResult {
-    run_method_checked(method, g, coords, machine, seed, &mut NoopObserver)
+    run_method_checked(method, g, coords, &mut machine, seed, &mut NoopObserver)
         .expect("NoopObserver never cancels")
 }
 
-/// Like [`run_method_on`], but cancellable: the observer's
+/// The full entry point: [`run_method`] on a caller-supplied machine, and
+/// cancellable: the observer's
 /// [`poll_cancel`](PipelineObserver::poll_cancel) is honoured at the
 /// pipeline checkpoints (for [`Method::ScalaPart`]) and at the method
 /// entry/exit boundary for the single-shot comparator methods, whose runs
 /// are one indivisible step. sp-serve threads per-job deadlines through
 /// this.
+///
+/// It is also the observability entry point: install a recorder on
+/// `machine` first and the whole run is traced. The trace and the
+/// metrics come back as JSON strings, which the `scalapart` CLI writes to
+/// its `--trace` and `--metrics` files:
+///
+/// ```
+/// use scalapart::graph::gen::grid_2d;
+/// use scalapart::machine::{CostModel, Machine, Metrics, TraceRecorder};
+/// use scalapart::{run_method_checked, Method, NoopObserver};
+///
+/// let graph = grid_2d(16, 16);
+/// let mut machine = Machine::new(4, CostModel::qdr_infiniband());
+/// machine.set_recorder(Box::new(TraceRecorder::new(4)));
+/// let result = run_method_checked(
+///     Method::ScalaPart,
+///     &graph,
+///     None,
+///     &mut machine,
+///     42,
+///     &mut NoopObserver,
+/// )
+/// .expect("NoopObserver never cancels");
+/// let stats = machine.stats();
+/// let rec = machine.take_recorder().and_then(TraceRecorder::downcast).unwrap();
+/// let trace = rec.chrome_trace();
+/// let metrics = Metrics::build(&stats, Some(&rec)).to_json();
+/// assert!(result.cut > 0);
+/// assert!(trace.starts_with('['), "a Chrome trace-event array");
+/// assert!(metrics.contains("\"schema\": \"sp-metrics-v1\""));
+/// ```
 pub fn run_method_checked(
     method: Method,
     g: &Graph,
@@ -295,12 +316,13 @@ mod tests {
     }
 
     #[test]
-    fn run_method_on_supports_tracing_without_perturbing_results() {
+    fn run_method_checked_supports_tracing_without_perturbing_results() {
         use sp_machine::TraceRecorder;
         let g = grid_2d(16, 16);
         let mut m = Machine::new(4, CostModel::qdr_infiniband());
         m.set_recorder(Box::new(TraceRecorder::new(4)));
-        let r = run_method_on(Method::ScalaPart, &g, None, &mut m, 7);
+        let r =
+            run_method_checked(Method::ScalaPart, &g, None, &mut m, 7, &mut NoopObserver).unwrap();
         r.bisection.validate(&g).unwrap();
         let rec = TraceRecorder::downcast(m.take_recorder().unwrap()).unwrap();
         assert!(!rec.is_empty());

@@ -11,7 +11,19 @@
 //! are not visible to observers, so a checker cannot change simulated
 //! time even by accident).
 //!
+//! Every job has two entry points: a plain one with no observer
+//! ([`scalapart_bisect`], [`run_method`], [`recursive_kway`]) and a full
+//! `*_checked` one that takes an observer and every other hook
+//! ([`scalapart_bisect_checked`], [`run_method_checked`],
+//! [`recursive_kway_checked_on`]). A caller that observes without
+//! cancelling unwraps the full one's result.
+//!
 //! [`scalapart_bisect`]: crate::pipeline::scalapart_bisect
+//! [`scalapart_bisect_checked`]: crate::pipeline::scalapart_bisect_checked
+//! [`run_method`]: crate::methods::run_method
+//! [`run_method_checked`]: crate::methods::run_method_checked
+//! [`recursive_kway`]: crate::kway::recursive_kway
+//! [`recursive_kway_checked_on`]: crate::kway::recursive_kway_checked_on
 
 use sp_coarsen::{Contraction, Hierarchy, Matching};
 use sp_geometry::Point2;

@@ -1,4 +1,9 @@
 //! The ScalaPart pipeline: coarsen → embed → partition → strip-refine.
+//!
+//! Two entry points run it: [`scalapart_bisect`], the plain one, and
+//! [`scalapart_bisect_checked`], which also takes an observer and the
+//! lattice smoother. [`sp_pg7nl_bisect`] runs the partition and refine
+//! phases alone on coordinates the caller has.
 
 use crate::config::SpConfig;
 use crate::observe::{Cancelled, LevelStats, NoopObserver, PipelineObserver};
@@ -57,47 +62,22 @@ pub struct SpResult {
     pub strip_size: usize,
 }
 
-/// Run the full ScalaPart pipeline on `machine`.
+/// Run the full ScalaPart pipeline on `machine`: the plain entry point,
+/// with no observer and the production smoother.
 pub fn scalapart_bisect(g: &Graph, machine: &mut Machine, cfg: &SpConfig) -> SpResult {
-    scalapart_bisect_with(g, machine, cfg, &mut NoopObserver, &mut lattice_smooth_with)
+    scalapart_bisect_checked(g, machine, cfg, &mut NoopObserver, &mut lattice_smooth_with)
+        .expect("NoopObserver never cancels")
 }
 
-/// [`scalapart_bisect`] with a checkpoint observer (see
-/// [`PipelineObserver`]).
-pub fn scalapart_bisect_observed(
-    g: &Graph,
-    machine: &mut Machine,
-    cfg: &SpConfig,
-    obs: &mut dyn PipelineObserver,
-) -> SpResult {
-    scalapart_bisect_with(g, machine, cfg, obs, &mut lattice_smooth_with)
-}
-
-/// [`scalapart_bisect`] with a checkpoint observer *and* a pluggable
-/// lattice smoother. sp-bench's differential tests
-/// (`crates/bench/tests/differential.rs`) pass the pre-optimization
-/// reference smoother here: every other stage is the same code, so any
-/// output divergence indicts the optimized smoothing kernel alone.
-///
-/// The observer's [`poll_cancel`](PipelineObserver::poll_cancel) must stay
-/// `false` on this entry point; pass a cancelling observer to
-/// [`scalapart_bisect_checked`] instead.
-pub fn scalapart_bisect_with(
-    g: &Graph,
-    machine: &mut Machine,
-    cfg: &SpConfig,
-    obs: &mut dyn PipelineObserver,
-    smoother: Smoother<'_>,
-) -> SpResult {
-    scalapart_bisect_checked(g, machine, cfg, obs, smoother)
-        .expect("observer cancelled the pipeline; use scalapart_bisect_checked")
-}
-
-/// The cancellable pipeline: identical to [`scalapart_bisect_with`], but
-/// the observer's [`poll_cancel`](PipelineObserver::poll_cancel) is
-/// honoured at every checkpoint and aborts the run with
-/// [`Err(Cancelled)`](Cancelled). This is the hook sp-serve threads
-/// per-job deadlines through.
+/// The full entry point: [`scalapart_bisect`] with a checkpoint observer
+/// and a pluggable lattice smoother. The observer's
+/// [`poll_cancel`](PipelineObserver::poll_cancel) is honoured at every
+/// checkpoint and aborts the run with [`Err(Cancelled)`](Cancelled); this
+/// is the hook sp-serve threads per-job deadlines through. sp-bench's
+/// differential tests (`crates/bench/tests/differential.rs`) pass the
+/// pre-optimization reference smoother as `smoother`: every other stage is
+/// the same code, so any output divergence indicts the optimized smoothing
+/// kernel alone. A caller whose observer never cancels unwraps the result.
 pub fn scalapart_bisect_checked(
     g: &Graph,
     machine: &mut Machine,

@@ -8,6 +8,14 @@
 
 use sp_geometry::Point2;
 
+/// Repulsion constant `C` of every embedder (the paper's twiddle factor;
+/// Hu recommends ≈ 0.2).
+pub const C: f64 = 0.2;
+
+/// Hu's adaptive step ratio `t` of every embedder: the step shrinks ×t on
+/// an energy increase and grows ÷t after five consecutive decreases.
+pub const COOLING: f64 = 0.9;
+
 /// Model constants.
 #[derive(Clone, Copy, Debug)]
 pub struct ForceParams {

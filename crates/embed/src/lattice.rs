@@ -14,7 +14,7 @@
 //! allgather (the paper found block sizes of 2–8 to cost less communication
 //! at no observable quality loss).
 
-use crate::force::ForceParams;
+use crate::force::{ForceParams, C, COOLING};
 use sp_geometry::{Aabb2, Point2};
 use sp_graph::Graph;
 use sp_machine::{pool, CostOnly, Machine};
@@ -22,8 +22,6 @@ use sp_machine::{pool, CostOnly, Machine};
 /// Controls for lattice smoothing.
 #[derive(Clone, Copy, Debug)]
 pub struct LatticeConfig {
-    /// Repulsion constant `C`.
-    pub c: f64,
     /// Maximum smoothing iterations (the run stops earlier once the
     /// adaptive step has cooled below 0.5% of K).
     pub iters: usize,
@@ -32,19 +30,14 @@ pub struct LatticeConfig {
     pub block: usize,
     /// Initial step as a fraction of `K`.
     pub step0: f64,
-    /// Hu's adaptive step ratio `t`: the step shrinks ×t on an energy
-    /// increase and grows ÷t after five consecutive decreases.
-    pub cooling: f64,
 }
 
 impl Default for LatticeConfig {
     fn default() -> Self {
         LatticeConfig {
-            c: 0.2,
             iters: 60,
             block: 4,
             step0: 0.5,
-            cooling: 0.9,
         }
     }
 }
@@ -717,10 +710,9 @@ pub fn lattice_smooth_with(
     let p = machine.p();
     let ncells = q * q;
     let bbox = Aabb2::from_points(coords).unwrap().inflated(0.02 + 1e-9);
-    let params = ForceParams::for_domain(cfg.c, bbox.width() * bbox.height(), n);
+    let params = ForceParams::for_domain(C, bbox.width() * bbox.height(), n);
     let mut step = cfg.step0 * params.k;
     let max_step = 3.0 * params.k;
-    let t_ratio = cfg.cooling.clamp(0.5, 0.99);
     let mut energy = f64::INFINITY;
     let mut progress = 0u32;
 
@@ -1217,11 +1209,11 @@ pub fn lattice_smooth_with(
             progress += 1;
             if progress >= 5 {
                 progress = 0;
-                step = (step / t_ratio).min(max_step);
+                step = (step / COOLING).min(max_step);
             }
         } else {
             progress = 0;
-            step *= t_ratio;
+            step *= COOLING;
         }
         energy = new_energy;
         if step < 0.005 * params.k {
@@ -1261,7 +1253,6 @@ mod tests {
             &LatticeConfig {
                 iters: 60,
                 step0: 0.8,
-                cooling: 0.97,
                 ..Default::default()
             },
         );

@@ -6,7 +6,7 @@
 //! 2×2 while quadrupling the active rank count — and smooth with a few
 //! fixed-lattice iterations.
 
-use crate::force::ForceParams;
+use crate::force::{ForceParams, C, COOLING};
 use crate::lattice::{LatticeConfig, LatticeStats, SmoothScratch};
 use crate::seq::{force_layout, random_init};
 use rand::rngs::StdRng;
@@ -50,8 +50,7 @@ pub fn lattice_dim(p: usize) -> usize {
 /// replica. For levels of a few thousand vertices this costs one small
 /// collective per iteration instead of halo + migration traffic, which is
 /// what any implementation does below the distribution-pays-off threshold.
-/// `cfg` supplies `C`, the iteration cap, the step and the cooling; its
-/// block is not used.
+/// `cfg` supplies the iteration cap and the step; its block is not used.
 fn replicated_smooth(
     g: &sp_graph::Graph,
     coords: &mut [Point2],
@@ -59,8 +58,8 @@ fn replicated_smooth(
     cfg: &LatticeConfig,
     machine: &mut Machine,
 ) {
-    let params = ForceParams::for_domain(cfg.c, g.n() as f64, g.n());
-    let ops = force_layout(g, coords, &params, THETA, cfg.iters, cfg.step0, cfg.cooling);
+    let params = ForceParams::for_domain(C, g.n() as f64, g.n());
+    let ops = force_layout(g, coords, &params, THETA, cfg.iters, cfg.step0, COOLING);
     let iters_est = cfg
         .iters
         .min((ops / (g.n().max(1) as f64 * 20.0)).ceil() as usize + 1);
@@ -160,7 +159,7 @@ pub fn multilevel_lattice_embed_with(
         let map = h.levels[lvl].map_to_coarser.take().unwrap();
         h.levels.truncate(lvl + 1);
         let fine = &h.levels[lvl].graph;
-        let params = ForceParams::for_domain(lattice.c, fine.n() as f64, fine.n());
+        let params = ForceParams::for_domain(C, fine.n() as f64, fine.n());
         let jitter = params.k * 0.3;
         coords = map
             .iter()

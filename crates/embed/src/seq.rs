@@ -5,7 +5,7 @@
 //! implementation there), and it embeds the *coarsest* hierarchy graph
 //! inside ScalaPart before the fixed-lattice scheme takes over.
 
-use crate::force::ForceParams;
+use crate::force::{ForceParams, C, COOLING};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sp_coarsen::{CoarsenConfig, Hierarchy};
@@ -13,9 +13,6 @@ use sp_geometry::{Point2, QuadTree};
 use sp_graph::Graph;
 use sp_machine::pool;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-
-/// Repulsion constant `C` (the paper's twiddle factor; Hu's 0.2).
-const C: f64 = 0.2;
 
 /// Barnes–Hut opening threshold.
 const THETA: f64 = 0.85;
@@ -28,10 +25,6 @@ const ITERS_SMOOTH: usize = 100;
 
 /// Initial step as a fraction of `K` (finer levels start at 0.4 of it).
 const STEP0: f64 = 0.9;
-
-/// Hu's adaptive step ratio `t` (step ×t on energy increase, ÷t after five
-/// consecutive decreases).
-const COOLING: f64 = 0.9;
 
 /// Coarsening target for the internal hierarchy.
 const COARSEST_SIZE: usize = 600;
@@ -197,7 +190,6 @@ pub fn embed_multilevel_seq(g: &Graph, seed: u64) -> Vec<Point2> {
         &CoarsenConfig {
             target_coarsest: COARSEST_SIZE,
             seed,
-            ..Default::default()
         },
     );
     let mut rng = StdRng::seed_from_u64(seed);

@@ -11,6 +11,7 @@
 
 use crate::csr::Graph;
 use crate::partition::Bisection;
+use sp_geometry::Point2;
 use sp_machine::trace::fnv::Fingerprint;
 
 /// Read-only access to an undirected weighted graph.
@@ -77,6 +78,56 @@ pub fn graph_fingerprint<G: GraphAccess>(g: &G) -> u64 {
         }
     }
     h.finish()
+}
+
+/// Fingerprint of the CSR image of any store, array by array: vertex
+/// count, row offsets, neighbour ids, edge-weight bits, vertex-weight bits
+/// (FNV-1a, another byte order than [`graph_fingerprint`]'s). This is
+/// sp-serve's result-cache key of a graph, so a store and the CSR it
+/// compacts to hash alike.
+pub fn csr_fingerprint<G: GraphAccess>(g: &G) -> u64 {
+    let n = g.n() as u32;
+    let mut fp = Fingerprint::new();
+    fp.u64(n as u64);
+    let mut off = 0;
+    fp.u64(off);
+    for v in 0..n {
+        off += g.degree(v) as u64;
+        fp.u64(off);
+    }
+    for v in 0..n {
+        for (u, _) in g.neighbors_w(v) {
+            fp.u64(u as u64);
+        }
+    }
+    for v in 0..n {
+        for (_, w) in g.neighbors_w(v) {
+            fp.f64_bits(w);
+        }
+    }
+    for v in 0..n {
+        fp.f64_bits(g.vwgt(v));
+    }
+    fp.finish()
+}
+
+/// [`csr_fingerprint`] together with optional coordinates: a 0 byte when
+/// there are none, else a 1 byte and every coordinate's bits, so a graph
+/// without coordinates hashes apart from the same graph with them.
+pub fn input_fingerprint<G: GraphAccess>(g: &G, coords: Option<&[Point2]>) -> u64 {
+    let mut fp = Fingerprint::new();
+    fp.u64(csr_fingerprint(g));
+    match coords {
+        None => fp.byte(0),
+        Some(c) => {
+            fp.byte(1);
+            for p in c {
+                fp.f64_bits(p.x);
+                fp.f64_bits(p.y);
+            }
+        }
+    }
+    fp.finish()
 }
 
 /// Weighted cut of a bisection over any graph store (each edge counted

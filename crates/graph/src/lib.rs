@@ -22,6 +22,6 @@ pub use access::{graph_fingerprint, GraphAccess};
 pub use build::{csr_from_pairs, csr_from_rows, csr_unit_from_rows};
 pub use compact::CompactGraph;
 pub use csr::{Graph, GraphBuilder};
-pub use partition::{Bisection, PartitionQuality};
+pub use partition::Bisection;
 pub use spec::parse_graph_spec;
 pub use suite::{SuiteGraph, TestGraph, TestScale};

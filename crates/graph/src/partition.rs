@@ -118,18 +118,6 @@ impl Bisection {
         w0.max(w1) / (total / 2.0) - 1.0
     }
 
-    /// Full quality snapshot.
-    pub fn quality(&self, g: &Graph) -> PartitionQuality {
-        let (n0, n1) = self.counts();
-        PartitionQuality {
-            cut: self.cut(g),
-            cut_edges: self.cut_edges(g),
-            imbalance: self.imbalance(g),
-            n0,
-            n1,
-        }
-    }
-
     /// Check that the bisection covers the graph and neither side is empty
     /// (for non-trivial graphs).
     pub fn validate(&self, g: &Graph) -> Result<(), String> {
@@ -148,21 +136,6 @@ impl Bisection {
         }
         Ok(())
     }
-}
-
-/// Summary metrics for a computed bisection.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct PartitionQuality {
-    /// Weighted cut.
-    pub cut: f64,
-    /// Unweighted separator size |S|.
-    pub cut_edges: usize,
-    /// Weighted imbalance (0 = perfectly balanced).
-    pub imbalance: f64,
-    /// Vertices on side 0.
-    pub n0: usize,
-    /// Vertices on side 1.
-    pub n1: usize,
 }
 
 #[cfg(test)]
@@ -236,9 +209,9 @@ mod tests {
     #[test]
     fn quality_snapshot() {
         let g = cycle(6);
-        let q = Bisection::from_fn(6, |v| v >= 3).quality(&g);
-        assert_eq!(q.cut_edges, 2);
-        assert_eq!((q.n0, q.n1), (3, 3));
-        assert_eq!(q.imbalance, 0.0);
+        let bi = Bisection::from_fn(6, |v| v >= 3);
+        assert_eq!(bi.cut_edges(&g), 2);
+        assert_eq!(bi.counts(), (3, 3));
+        assert_eq!(bi.imbalance(&g), 0.0);
     }
 }

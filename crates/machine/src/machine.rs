@@ -190,10 +190,6 @@ impl Machine {
         self.recorder.take()
     }
 
-    pub fn has_recorder(&self) -> bool {
-        self.recorder.is_some()
-    }
-
     /// Simulated elapsed time: the maximum rank clock. O(1) — the max is
     /// maintained on every clock mutation rather than folded over ranks
     /// here (this accessor sits inside `close_phase` on every phase
@@ -1226,7 +1222,6 @@ mod tests {
         // Tracing must not perturb the simulated clock.
         assert_eq!(run(false), run(true));
         let mut m = Machine::new(2, cost);
-        assert!(!m.has_recorder());
         assert!(m.take_recorder().is_none());
     }
 }

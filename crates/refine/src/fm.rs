@@ -36,7 +36,7 @@
 //!   [`FmStats::charge`] and the simulated time it charges are unchanged.
 
 use sp_graph::access::{self, GraphAccess};
-use sp_graph::{Bisection, Graph};
+use sp_graph::Bisection;
 use sp_machine::Machine;
 use std::cmp::Ordering;
 
@@ -248,24 +248,16 @@ impl GainQueue {
 /// Refine `bi` in place. `movable` restricts which vertices may move
 /// (`None` = all). Guarantees the weighted cut never increases and the
 /// final imbalance is at most `max(initial imbalance, cfg.balance_tol)`.
-pub fn fm_refine(
-    g: &Graph,
-    bi: &mut Bisection,
-    movable: Option<&[bool]>,
-    cfg: &FmConfig,
-) -> FmStats {
-    fm_refine_on(g, bi, movable, cfg)
-}
-
-/// [`fm_refine`] over any [`GraphAccess`] store. Because gains accumulate
-/// in the store's neighbour-iteration order, two stores presenting the
-/// same logical graph in the same order (e.g. a delta overlay and its
+///
+/// `g` is any [`GraphAccess`] store. Because gains accumulate in the
+/// store's neighbour-iteration order, two stores presenting the same
+/// logical graph in the same order (e.g. a delta overlay and its
 /// compacted CSR) refine bit-identically.
 ///
 /// A call costs O(n + m) once (cut, weights, the scratch arrays); a pass
 /// costs what its movable vertices and their edges cost, so a strip of a
 /// few thousand vertices of a large graph is refined in strip-sized time.
-pub fn fm_refine_on<G: GraphAccess>(
+pub fn fm_refine<G: GraphAccess>(
     g: &G,
     bi: &mut Bisection,
     movable: Option<&[bool]>,
@@ -400,6 +392,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use sp_graph::gen::grid_2d;
+    use sp_graph::Graph;
     use std::collections::BinaryHeap;
 
     fn noisy_split(g: &Graph, flip_prob: f64, seed: u64) -> Bisection {
@@ -503,7 +496,7 @@ mod tests {
         found
     }
 
-    /// [`fm_refine_on`] on the stamped lazy heap, with `gain`, `stamp`,
+    /// [`fm_refine`] on the stamped lazy heap, with `gain`, `stamp`,
     /// `locked` and the heap allocated afresh by every pass, which then
     /// scans all n vertices for the movable ones.
     fn fm_refine_allocating_per_pass<G: GraphAccess>(
@@ -678,7 +671,7 @@ mod tests {
         let mask: Vec<bool> = (0..n).map(|_| rng.random_range(0.0..1.0) < keep).collect();
         for movable in [None, Some(mask.as_slice())] {
             let (mut a, mut b) = (start.clone(), start.clone());
-            let sa = fm_refine_on(g, &mut a, movable, cfg);
+            let sa = fm_refine(g, &mut a, movable, cfg);
             let sb = fm_refine_allocating_per_pass(g, &mut b, movable, cfg, ex);
             assert_eq!(a, b, "sides, {at}");
             assert_eq!((sa.moved, sa.passes), (sb.moved, sb.passes), "{at}");

@@ -9,6 +9,6 @@ pub mod naive;
 pub mod strip;
 
 pub use band::band_by_hops;
-pub use fm::{fm_refine, fm_refine_on, FmConfig, FmStats};
+pub use fm::{fm_refine, FmConfig, FmStats};
 pub use naive::naive_fm_refine;
 pub use strip::{strip_around_separator, strip_refine, StripRefinement, STRIP_FACTOR, STRIP_FM};

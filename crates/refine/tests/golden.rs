@@ -1,4 +1,4 @@
-//! Golden FM runs, recorded at the commit before `fm_refine_on` moved
+//! Golden FM runs, recorded at the commit before `fm_refine` moved
 //! from a stamped lazy heap to an addressable one: the final sides, the
 //! bits of `cut_after` and `ops`, `moved` and `passes` of three inputs
 //! under three configurations each.
@@ -16,7 +16,7 @@ use sp_coarsen::{contract_with, CoarsenArena, Matching};
 use sp_graph::access::GraphAccess;
 use sp_graph::gen::grid_2d;
 use sp_graph::{csr_from_pairs, Bisection, Graph};
-use sp_refine::{fm_refine_on, strip_around_separator, FmConfig};
+use sp_refine::{fm_refine, strip_around_separator, FmConfig};
 use sp_stream::{DeltaOverlay, GraphDelta};
 use std::sync::Arc;
 
@@ -60,7 +60,7 @@ fn rows<G: GraphAccess>(g: &G, start: &Bisection, movable: Option<&[bool]>) -> V
         .iter()
         .map(|cfg| {
             let mut bi = start.clone();
-            let st = fm_refine_on(g, &mut bi, movable, cfg);
+            let st = fm_refine(g, &mut bi, movable, cfg);
             let fp = bi.sides().iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &s| {
                 (h ^ s as u64).wrapping_mul(0x0000_0100_0000_01B3)
             });

@@ -19,48 +19,24 @@ use crate::cache::LruCache;
 use crate::proto::GraphSource;
 use scalapart::obs::Counter;
 use sp_geometry::Point2;
-use sp_graph::Graph;
+use sp_graph::{access, Graph};
 use sp_trace::fnv::Fingerprint;
 use std::hash::Hasher;
 use std::sync::{Arc, Mutex};
 
-/// Fingerprint a graph's full CSR content.
+/// Fingerprint a graph's full CSR content
+/// ([`sp_graph::access::csr_fingerprint`]).
 pub fn fingerprint_graph(g: &Graph) -> u64 {
-    let mut fp = Fingerprint::new();
-    fp.u64(g.n() as u64);
-    for &x in g.xadj() {
-        fp.u64(x as u64);
-    }
-    for &u in g.adjncy() {
-        fp.u64(u as u64);
-    }
-    for &w in g.ewgts() {
-        fp.f64_bits(w);
-    }
-    for &w in g.vwgts() {
-        fp.f64_bits(w);
-    }
-    fp.finish()
+    access::csr_fingerprint(g)
 }
 
-/// Fingerprint a graph together with optional request coordinates. A
-/// request without coordinates hashes differently from one with them —
-/// the coordinate-free path embeds the graph itself, which changes the
-/// result for every geometric method.
+/// Fingerprint a graph together with optional request coordinates
+/// ([`sp_graph::access::input_fingerprint`]). A request without
+/// coordinates hashes differently from one with them — the
+/// coordinate-free path embeds the graph itself, which changes the result
+/// for every geometric method.
 pub fn fingerprint_input(g: &Graph, coords: Option<&[Point2]>) -> u64 {
-    let mut fp = Fingerprint::new();
-    fp.u64(fingerprint_graph(g));
-    match coords {
-        None => fp.byte(0),
-        Some(c) => {
-            fp.byte(1);
-            for p in c {
-                fp.f64_bits(p.x);
-                fp.f64_bits(p.y);
-            }
-        }
-    }
-    fp.finish()
+    access::input_fingerprint(g, coords)
 }
 
 /// What a graph source resolves to, short of the graph: all that routing,

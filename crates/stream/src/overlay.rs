@@ -40,13 +40,13 @@
 //! refining on its compacted CSR are bit-identical, and
 //! [`DeltaOverlay::graph_fingerprint`] (which hashes the *logical* CSR
 //! image: n, offsets, adjacency, edge-weight bits, vertex-weight bits —
-//! the same scheme as sp-serve's cache fingerprint) is invariant under
+//! sp-graph's `access::csr_fingerprint`, which sp-serve's cache key
+//! uses too) is invariant under
 //! [`DeltaOverlay::rebase`] at any point in the chain.
 
 use crate::delta::{DeltaError, GraphDelta};
 use sp_geometry::Point2;
-use sp_graph::{Graph, GraphAccess};
-use sp_trace::fnv::Fingerprint;
+use sp_graph::{access, Graph, GraphAccess};
 use std::sync::Arc;
 
 /// `slot` value of a vertex whose adjacency is the base row.
@@ -375,51 +375,17 @@ impl DeltaOverlay {
         self.m = self.base.m();
     }
 
-    /// Fingerprint of the logical CSR image — identical to sp-serve's
-    /// graph fingerprint of [`DeltaOverlay::compact`], and invariant under
+    /// Fingerprint of the logical CSR image — sp-serve's graph
+    /// fingerprint of [`DeltaOverlay::compact`], and invariant under
     /// [`DeltaOverlay::rebase`].
     pub fn graph_fingerprint(&self) -> u64 {
-        let n = self.n();
-        let mut fp = Fingerprint::new();
-        fp.u64(n as u64);
-        let mut off = 0usize;
-        fp.u64(0);
-        for v in 0..n as u32 {
-            off += self.degree(v);
-            fp.u64(off as u64);
-        }
-        for v in 0..n as u32 {
-            for (u, _) in self.neighbors_w(v) {
-                fp.u64(u as u64);
-            }
-        }
-        for v in 0..n as u32 {
-            for (_, w) in self.neighbors_w(v) {
-                fp.f64_bits(w);
-            }
-        }
-        for v in 0..n as u32 {
-            fp.f64_bits(self.vwgt(v));
-        }
-        fp.finish()
+        access::csr_fingerprint(self)
     }
 
-    /// Fingerprint of graph + coordinates — identical to sp-serve's input
-    /// fingerprint of the compacted graph with these coordinates.
+    /// Fingerprint of graph + coordinates — sp-serve's input fingerprint
+    /// of the compacted graph with these coordinates.
     pub fn input_fingerprint(&self) -> u64 {
-        let mut fp = Fingerprint::new();
-        fp.u64(self.graph_fingerprint());
-        match &self.coords {
-            None => fp.byte(0),
-            Some(c) => {
-                fp.byte(1);
-                for p in c {
-                    fp.f64_bits(p.x);
-                    fp.f64_bits(p.y);
-                }
-            }
-        }
-        fp.finish()
+        access::input_fingerprint(self, self.coords.as_deref())
     }
 }
 
@@ -475,6 +441,7 @@ impl Iterator for NeighborIter<'_> {
 #[cfg(test)]
 pub(crate) mod reference {
     use super::*;
+    use sp_trace::fnv::Fingerprint;
     use std::collections::BTreeMap;
 
     /// One body for both stores: their accessors share names, not a trait.

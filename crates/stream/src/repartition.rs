@@ -37,7 +37,7 @@ use sp_graph::access;
 use sp_graph::distr::Distribution;
 use sp_graph::Bisection;
 use sp_machine::{CostModel, Machine};
-use sp_refine::{fm_refine, fm_refine_on, strip_refine, STRIP_FACTOR, STRIP_FM};
+use sp_refine::{fm_refine, strip_refine, STRIP_FACTOR, STRIP_FM};
 use sp_trace::fnv::Fingerprint;
 use std::collections::BTreeSet;
 use std::time::Instant;
@@ -257,7 +257,7 @@ impl IncrementalRepartitioner {
     fn run_incremental(&mut self, step: u64, touched: usize, dirty: usize) -> StepReport {
         let t0 = Instant::now();
         let mut machine = Machine::new(self.cfg.ranks, CostModel::qdr_infiniband());
-        let st = fm_refine_on(&self.overlay, &mut self.side, Some(&self.mask), &STRIP_FM);
+        let st = fm_refine(&self.overlay, &mut self.side, Some(&self.mask), &STRIP_FM);
         st.charge(&mut machine);
         StepReport {
             step,
@@ -328,7 +328,7 @@ impl IncrementalRepartitioner {
                         bi.set(v, u8::from(acc > total / 2.0));
                     }
                 }
-                let st = fm_refine(&g, &mut bi, None, &STRIP_FM);
+                let st = fm_refine(&*g, &mut bi, None, &STRIP_FM);
                 st.charge(&mut machine);
                 passes = st.passes;
                 bi

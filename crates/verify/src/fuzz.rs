@@ -6,7 +6,8 @@
 //! Every failure carries the derived schedule seed, so `--replay <seed>`
 //! (or `Schedule::seeded(seed)`) reproduces it.
 
-use scalapart::{scalapart_bisect_observed, SpConfig, SpResult};
+use scalapart::{scalapart_bisect_checked, SpConfig, SpResult};
+use sp_embed::lattice_smooth_with;
 use sp_graph::Graph;
 use sp_machine::{CostModel, Machine, Perturbation, Schedule};
 use sp_trace::TraceRecorder;
@@ -126,7 +127,8 @@ pub fn run_once(g: &Graph, cfg: &FuzzConfig, run: Run) -> RunOutcome {
     machine.set_recorder(Box::new(TraceRecorder::new(cfg.ranks)));
 
     let mut chk = InvariantChecker::new(BALANCE_BOUND);
-    let mut r = scalapart_bisect_observed(g, &mut machine, &sp, &mut chk);
+    let mut r = scalapart_bisect_checked(g, &mut machine, &sp, &mut chk, &mut lattice_smooth_with)
+        .expect("the invariant checker never cancels");
 
     if let Some(v) = cfg.corrupt_vertex {
         // Deliberate fault injection: the checker must catch this.

@@ -223,7 +223,8 @@ impl PipelineObserver for InvariantChecker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scalapart::{scalapart_bisect_observed, SpConfig};
+    use scalapart::{scalapart_bisect_checked, SpConfig};
+    use sp_embed::lattice_smooth_with;
     use sp_graph::gen::grid_2d;
     use sp_machine::{CostModel, Machine};
 
@@ -232,7 +233,9 @@ mod tests {
         let g = grid_2d(32, 32);
         let mut m = Machine::new(16, CostModel::qdr_infiniband());
         let mut chk = InvariantChecker::new(0.15);
-        let r = scalapart_bisect_observed(&g, &mut m, &SpConfig::default(), &mut chk);
+        let sp = SpConfig::default();
+        let r = scalapart_bisect_checked(&g, &mut m, &sp, &mut chk, &mut lattice_smooth_with)
+            .expect("the invariant checker never cancels");
         chk.check_result(&g, &r);
         chk.check_machine(&m.stats(), None);
         assert!(chk.ok(), "violations: {:?}", chk.violations);
@@ -244,7 +247,9 @@ mod tests {
         let g = grid_2d(24, 24);
         let mut m = Machine::new(4, CostModel::qdr_infiniband());
         let mut chk = InvariantChecker::new(0.15);
-        let mut r = scalapart_bisect_observed(&g, &mut m, &SpConfig::default(), &mut chk);
+        let sp = SpConfig::default();
+        let mut r = scalapart_bisect_checked(&g, &mut m, &sp, &mut chk, &mut lattice_smooth_with)
+            .expect("the invariant checker never cancels");
         r.bisection.flip(7);
         chk.check_result(&g, &r);
         assert!(!chk.ok());

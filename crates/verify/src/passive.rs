@@ -23,9 +23,10 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use scalapart::{
-    recursive_kway_checked_on, scalapart_bisect_observed, Method, NoopObserver, PipelineObserver,
+    recursive_kway_checked_on, scalapart_bisect_checked, Method, NoopObserver, PipelineObserver,
     ProfilingObserver, SpConfig,
 };
+use sp_embed::lattice_smooth_with;
 use sp_graph::gen::delaunay_graph;
 use sp_graph::Graph;
 use sp_machine::{CostModel, Machine, Schedule};
@@ -54,7 +55,9 @@ pub fn run_passivity(g: &Graph, cfg: &FuzzConfig, base: &Baseline) -> Report {
             machine.set_schedule(Schedule::seeded(s));
         }
         let mut prof = ProfilingObserver::new();
-        let r = scalapart_bisect_observed(g, &mut machine, &SpConfig::default(), &mut prof);
+        let sp = SpConfig::default();
+        let r = scalapart_bisect_checked(g, &mut machine, &sp, &mut prof, &mut lattice_smooth_with)
+            .expect("the profiler never cancels");
         let fp = fingerprint_result(g, &r, true);
         if fp != base.fingerprint || machine.elapsed().to_bits() != base.elapsed.to_bits() {
             fail(
