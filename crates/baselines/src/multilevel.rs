@@ -17,6 +17,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sp_coarsen::{charge_contraction, contract_with, parallel_hem_in, CoarsenArena};
+use sp_graph::access;
 use sp_graph::distr::Distribution;
 use sp_graph::{Bisection, Graph};
 use sp_machine::{CostOnly, Machine, Phase};
@@ -158,7 +159,8 @@ pub fn multilevel_bisect(
         balance_tol: cfg.balance_tol,
         move_fraction: 1.0,
     };
-    fm_refine(coarsest, &mut bi, None, &fm_cfg);
+    let cut = access::cut_of(coarsest, &bi);
+    fm_refine(coarsest, &mut bi, None, cut, &fm_cfg);
     {
         let ops = (coarsest.m() as f64) * 8.0;
         let mut states: Vec<()> = vec![(); p];
@@ -173,14 +175,14 @@ pub fn multilevel_bisect(
         // Project.
         let mut fbi = Bisection::new(map.iter().map(|&c| bi.side(c)).collect::<Vec<u8>>());
         // Band + FM (executed once; work charged as distributed over P).
-        let band = band_by_hops(fine, &fbi, cfg.band_hops);
+        let (band, cut) = band_by_hops(fine, &fbi, cfg.band_hops);
         let band_size = band.iter().filter(|&&b| b).count();
         let refine_cfg = FmConfig {
             max_passes: cfg.fm_passes,
             balance_tol: cfg.balance_tol,
             move_fraction: cfg.move_fraction,
         };
-        let st = fm_refine(fine, &mut fbi, Some(&band), &refine_cfg);
+        let st = fm_refine(fine, &mut fbi, Some(&band), cut, &refine_cfg);
         // Cost: band extraction (BFS ∝ band edges) is distributed. The FM
         // itself is either distributed (ParMetis) or multi-sequential on a
         // gathered band graph (Pt-Scotch): the band is allgathered and the

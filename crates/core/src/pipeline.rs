@@ -137,7 +137,7 @@ pub fn scalapart_bisect_checked(
         g,
         &mut bisection,
         &geo.separator.signed,
-        geo.cut,
+        (geo.cut, geo.weighted_cut),
         cfg.strip_factor,
         &STRIP_FM,
         machine,
@@ -211,7 +211,7 @@ pub fn sp_pg7nl_bisect(
         g,
         &mut bisection,
         &geo.separator.signed,
-        geo.cut,
+        (geo.cut, geo.weighted_cut),
         cfg.strip_factor,
         &STRIP_FM,
         machine,

@@ -151,10 +151,13 @@ mod tests {
     fn centerpoint_of_uniform_sphere_is_deep() {
         let mut rng = StdRng::seed_from_u64(7);
         let pts = sphere_cloud(4000, &mut rng);
-        // The default iteration budget leaves the final Radon point shallow
-        // on unlucky streams (observed min fractions of 0.18–0.35 across
-        // generators); 1500 iterations converges to ≥ 0.37 regardless of
-        // the underlying RNG, so the depth bar holds for any stream.
+        // Depth is not monotone in the iteration budget. On this cloud
+        // (point seed 7, probe seed 11) the shallowest probe halfspace holds
+        // 0.246 of the points at 400 iterations, 0.141 at the default 600
+        // and 0.375 at 1500, so the test runs 1500. The bar is this cloud's,
+        // not every cloud's: over point seeds 0–49 at 1500 iterations, 2 of
+        // 50 clouds had a shallowest fraction at or below 0.20 (minimum
+        // 0.171).
         let cfg = CenterpointConfig {
             iterations: 1500,
             ..CenterpointConfig::default()

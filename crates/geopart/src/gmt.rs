@@ -15,6 +15,9 @@ pub struct GeoPartResult {
     pub bisection: Bisection,
     /// Its unweighted cut size |S|.
     pub cut: usize,
+    /// Its weighted cut, with the bits of
+    /// [`cut_of`](sp_graph::access::cut_of): the cut FM starts from.
+    pub weighted_cut: f64,
     /// The winning separator (with per-vertex signed distances, for strip
     /// refinement).
     pub separator: Separator,
@@ -25,8 +28,9 @@ pub struct GeoPartResult {
 impl GeoPartResult {
     /// Structural validity against the graph the result partitions: the
     /// bisection is a valid two-way partition, its sides agree with the
-    /// separator's signed distances, and the reported cut is exactly the
-    /// bisection's recomputed edge cut. Used by sp-verify's partition
+    /// separator's signed distances, the reported cut is exactly the
+    /// bisection's recomputed edge cut, and the reported weighted cut has
+    /// the recomputed weighted cut's bits. Used by sp-verify's partition
     /// checkpoint.
     pub fn validate(&self, g: &Graph) -> Result<(), String> {
         self.bisection
@@ -53,6 +57,13 @@ impl GeoPartResult {
             return Err(format!(
                 "reported cut {} != recomputed edge cut {recomputed}",
                 self.cut
+            ));
+        }
+        let weighted = self.bisection.cut(g);
+        if weighted.to_bits() != self.weighted_cut.to_bits() {
+            return Err(format!(
+                "reported weighted cut {} != recomputed weighted cut {weighted}",
+                self.weighted_cut
             ));
         }
         Ok(())
@@ -138,6 +149,7 @@ pub fn geometric_partition<R: Rng>(
         (cut, sep, bi)
     });
     GeoPartResult {
+        weighted_cut: bisection.cut(g),
         bisection,
         cut,
         separator,
@@ -196,6 +208,12 @@ mod tests {
         r.cut += 1;
         assert!(r.validate(&g).unwrap_err().contains("recomputed"));
         r.cut -= 1;
+        // One ulp off is off.
+        let exact = r.weighted_cut;
+        r.weighted_cut = f64::from_bits(exact.to_bits() + 1);
+        assert!(r.validate(&g).unwrap_err().contains("weighted cut"));
+        r.weighted_cut = exact;
+        r.validate(&g).unwrap();
         let v = 0u32;
         r.bisection.flip(v);
         let err = r.validate(&g).unwrap_err();

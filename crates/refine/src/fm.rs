@@ -249,23 +249,32 @@ impl GainQueue {
 /// (`None` = all). Guarantees the weighted cut never increases and the
 /// final imbalance is at most `max(initial imbalance, cfg.balance_tol)`.
 ///
+/// `cut` is `bi`'s weighted cut on entry, summed exactly as
+/// [`access::cut_of`] sums it: from 0.0, in ascending `v`, each row in
+/// its order, an edge counted at its end `v` with `u > v`. FM does not
+/// count it again; a caller that walks the boundary anyway sums it there
+/// in that order, which gives the same bits. Debug builds assert them.
+///
 /// `g` is any [`GraphAccess`] store. Because gains accumulate in the
 /// store's neighbour-iteration order, two stores presenting the same
 /// logical graph in the same order (e.g. a delta overlay and its
 /// compacted CSR) refine bit-identically.
 ///
-/// A call costs O(n + m) once (cut, weights, the scratch arrays); a pass
-/// costs what its movable vertices and their edges cost, so a strip of a
-/// few thousand vertices of a large graph is refined in strip-sized time.
+/// A call costs O(n) once (side weights, the movable list, the scratch
+/// arrays) and reads no edge outside its passes; a pass costs what its
+/// movable vertices and their edges cost, so a strip of a few thousand
+/// vertices of a large graph is refined in strip-sized time.
 pub fn fm_refine<G: GraphAccess>(
     g: &G,
     bi: &mut Bisection,
     movable: Option<&[bool]>,
+    cut: f64,
     cfg: &FmConfig,
 ) -> FmStats {
+    debug_assert_eq!(cut.to_bits(), access::cut_of(g, bi).to_bits());
     let n = g.n();
     let mut stats = FmStats {
-        cut_before: access::cut_of(g, bi),
+        cut_before: cut,
         cut_after: 0.0,
         ..Default::default()
     };
@@ -671,7 +680,7 @@ mod tests {
         let mask: Vec<bool> = (0..n).map(|_| rng.random_range(0.0..1.0) < keep).collect();
         for movable in [None, Some(mask.as_slice())] {
             let (mut a, mut b) = (start.clone(), start.clone());
-            let sa = fm_refine(g, &mut a, movable, cfg);
+            let sa = fm_refine(g, &mut a, movable, access::cut_of(g, start), cfg);
             let sb = fm_refine_allocating_per_pass(g, &mut b, movable, cfg, ex);
             assert_eq!(a, b, "sides, {at}");
             assert_eq!((sa.moved, sa.passes), (sb.moved, sb.passes), "{at}");
@@ -839,7 +848,7 @@ mod tests {
             balance_tol: 0.01,
             ..Default::default()
         };
-        let s = fm_refine(&g, &mut bi, None, &cfg);
+        let s = fm_refine(&g, &mut bi, None, 56.0, &cfg);
         assert!(s.cut_after <= 56.0, "FM cut {s:?}");
         assert_eq!((s.moved, bi.counts()), (0, (32, 32)));
     }
@@ -850,7 +859,7 @@ mod tests {
         for seed in 0..5 {
             let mut bi = noisy_split(&g, 0.15, seed);
             let before = bi.cut(&g);
-            let s = fm_refine(&g, &mut bi, None, &FmConfig::default());
+            let s = fm_refine(&g, &mut bi, None, before, &FmConfig::default());
             assert!(s.cut_after <= before + 1e-9);
             assert!(
                 (bi.cut(&g) - s.cut_after).abs() < 1e-9,
@@ -868,6 +877,7 @@ mod tests {
             &g,
             &mut bi,
             None,
+            before,
             &FmConfig {
                 max_passes: 8,
                 ..Default::default()
@@ -889,7 +899,8 @@ mod tests {
             balance_tol: 0.05,
             ..Default::default()
         };
-        fm_refine(&g, &mut bi, None, &cfg);
+        let cut = bi.cut(&g);
+        fm_refine(&g, &mut bi, None, cut, &cfg);
         assert!(
             bi.imbalance(&g) <= 0.05 + 1e-9,
             "imbalance {}",
@@ -904,7 +915,8 @@ mod tests {
         let frozen = bi.clone();
         // Only the first quarter of vertices may move.
         let movable: Vec<bool> = (0..g.n()).map(|v| v < g.n() / 4).collect();
-        fm_refine(&g, &mut bi, Some(&movable), &FmConfig::default());
+        let cut = bi.cut(&g);
+        fm_refine(&g, &mut bi, Some(&movable), cut, &FmConfig::default());
         for v in g.n() / 4..g.n() {
             assert_eq!(
                 bi.side(v as u32),
@@ -919,7 +931,7 @@ mod tests {
         let g = grid_2d(10, 10);
         let mut bi = Bisection::from_fn(g.n(), |v| (v as usize % 10) >= 5);
         let before = bi.cut(&g);
-        let s = fm_refine(&g, &mut bi, None, &FmConfig::default());
+        let s = fm_refine(&g, &mut bi, None, before, &FmConfig::default());
         assert_eq!(s.cut_after, before);
         assert_eq!(s.moved, 0);
     }
@@ -928,7 +940,7 @@ mod tests {
     fn tiny_graph_is_handled() {
         let g = grid_2d(1, 2);
         let mut bi = Bisection::new(vec![0, 1]);
-        let s = fm_refine(&g, &mut bi, None, &FmConfig::default());
+        let s = fm_refine(&g, &mut bi, None, 1.0, &FmConfig::default());
         assert!(s.cut_after <= s.cut_before);
         bi.validate(&g).unwrap();
     }
@@ -937,7 +949,8 @@ mod tests {
     fn ops_are_reported() {
         let g = grid_2d(10, 10);
         let mut bi = noisy_split(&g, 0.2, 1);
-        let s = fm_refine(&g, &mut bi, None, &FmConfig::default());
+        let cut = bi.cut(&g);
+        let s = fm_refine(&g, &mut bi, None, cut, &FmConfig::default());
         assert!(s.ops > g.n() as f64);
     }
 }

@@ -183,7 +183,8 @@ mod tests {
                 let cfg = FmConfig::default();
                 let mut a = noisy_split(&g, flip, seed);
                 let mut b = a.clone();
-                let sa = fm_refine(&g, &mut a, None, &cfg);
+                let cut = a.cut(&g);
+                let sa = fm_refine(&g, &mut a, None, cut, &cfg);
                 let sb = naive_fm_refine(&g, &mut b, None, &cfg);
                 assert_eq!(
                     a.sides(),
@@ -209,7 +210,8 @@ mod tests {
             let mut a = noisy_split(&g, 0.25, seed);
             let mut b = a.clone();
             let movable: Vec<bool> = (0..g.n()).map(|v| v % 3 != 0).collect();
-            let sa = fm_refine(&g, &mut a, Some(&movable), &cfg);
+            let cut = a.cut(&g);
+            let sa = fm_refine(&g, &mut a, Some(&movable), cut, &cfg);
             let sb = naive_fm_refine(&g, &mut b, Some(&movable), &cfg);
             assert_eq!(a.sides(), b.sides(), "divergent sides (seed {seed})");
             assert_eq!(sa.cut_after, sb.cut_after);

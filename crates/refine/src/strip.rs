@@ -43,15 +43,17 @@ pub struct StripRefinement {
 /// charged, when the stage is off (`strip_factor` ≤ 0) or there is no
 /// separator to refine (`cut` = 0).
 ///
-/// `cut` must be the unweighted cut of `bi` on entry, exactly — every
-/// caller passes the geometric partitioner's, which is. The refined cut
-/// is then worked out from the strip vertices FM left on the other side
-/// (`moved_cut`), not by a scan of the graph.
+/// `cut` is `bi`'s cut on entry as `(edges, weight)`, both exact: the
+/// unweighted count, and the weighted sum with the bits of
+/// [`cut_of`](sp_graph::access::cut_of), which FM starts from. Every
+/// caller passes the geometric partitioner's `cut` and `weighted_cut`,
+/// which are. The refined cut is then worked out from the strip vertices
+/// FM left on the other side (`moved_cut`), not by a scan of the graph.
 pub fn strip_refine(
     g: &Graph,
     bi: &mut Bisection,
     signed: &[f64],
-    cut: usize,
+    (cut, weighted_cut): (usize, f64),
     strip_factor: f64,
     fm: &FmConfig,
     machine: &mut Machine,
@@ -64,7 +66,7 @@ pub fn strip_refine(
     // The strip in ascending id, and its sides before FM.
     let strip: Vec<u32> = (0..g.n() as u32).filter(|&v| movable[v as usize]).collect();
     let before: Vec<u8> = strip.iter().map(|&v| bi.side(v)).collect();
-    let stats = fm_refine(g, bi, Some(&movable), fm);
+    let stats = fm_refine(g, bi, Some(&movable), weighted_cut, fm);
     stats.charge(machine);
     let cut = moved_cut(g, bi, &strip, &before, &mut movable, cut);
     debug_assert_eq!(cut, bi.cut_edges(g));
@@ -185,7 +187,7 @@ mod tests {
                         .collect();
                     let start = Bisection::new(signed.iter().map(|&s| u8::from(s > 0.0)).collect());
                     let mut bi = start.clone();
-                    let cut = bi.cut_edges(g);
+                    let cut = (bi.cut_edges(g), bi.cut(g));
                     let mut m = Machine::new(4, CostModel::qdr_infiniband());
                     let r = strip_refine(g, &mut bi, &signed, cut, 6.0, fm, &mut m).unwrap();
                     assert_eq!(r.cut, bi.cut_edges(g), "n={} {fm:?}", g.n());

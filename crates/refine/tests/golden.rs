@@ -13,7 +13,7 @@
 //! Every input is drawn from splitmix64, so the rows hold under any `rand`.
 
 use sp_coarsen::{contract_with, CoarsenArena, Matching};
-use sp_graph::access::GraphAccess;
+use sp_graph::access::{self, GraphAccess};
 use sp_graph::gen::grid_2d;
 use sp_graph::{csr_from_pairs, Bisection, Graph};
 use sp_refine::{fm_refine, strip_around_separator, FmConfig};
@@ -60,7 +60,7 @@ fn rows<G: GraphAccess>(g: &G, start: &Bisection, movable: Option<&[bool]>) -> V
         .iter()
         .map(|cfg| {
             let mut bi = start.clone();
-            let st = fm_refine(g, &mut bi, movable, cfg);
+            let st = fm_refine(g, &mut bi, movable, access::cut_of(g, start), cfg);
             let fp = bi.sides().iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &s| {
                 (h ^ s as u64).wrapping_mul(0x0000_0100_0000_01B3)
             });

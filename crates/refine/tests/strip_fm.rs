@@ -25,7 +25,8 @@ fn strip_fm_straightens_a_wobbly_cut() {
     let (g, signed, mut bi) = wobbly_setup(24);
     let before = bi.cut_edges(&g);
     let strip = strip_around_separator(&signed, 6 * before);
-    let st = fm_refine(&g, &mut bi, Some(&strip), &FmConfig::default());
+    let cut = bi.cut(&g);
+    let st = fm_refine(&g, &mut bi, Some(&strip), cut, &FmConfig::default());
     assert!(st.cut_after <= before as f64 + 1e-9);
     // The wobbly cut is longer than a straight one (24); FM inside the
     // strip should recover most of the slack.
@@ -54,7 +55,7 @@ fn strip_and_band_select_similar_regions_near_the_cut() {
     let (g, signed, bi) = wobbly_setup(20);
     let cut = bi.cut_edges(&g);
     let strip = strip_around_separator(&signed, 4 * cut);
-    let band = band_by_hops(&g, &bi, 1);
+    let (band, _) = band_by_hops(&g, &bi, 1);
     let overlap = strip.iter().zip(&band).filter(|&(&s, &b)| s && b).count();
     let band_size = band.iter().filter(|&&b| b).count();
     assert!(
@@ -76,10 +77,12 @@ fn larger_strips_refine_at_least_as_well() {
         );
         let before = bi.cut_edges(&g);
         let strip = strip_around_separator(&signed, factor * before);
+        let cut = bi.cut(&g);
         fm_refine(
             &g,
             &mut bi,
             Some(&strip),
+            cut,
             &FmConfig {
                 max_passes: 6,
                 ..Default::default()

@@ -24,11 +24,12 @@
 //! rank-count-invariant routine the batch pipeline uses. The sp-verify
 //! `incremental` stage fuzzes this end to end across thread counts.
 //!
-//! A step costs what its dirty region costs, plus FM's one pass over the
-//! graph per call (cut, weights, its scratch): the overlay is read at
-//! array speed, a batch is made atomic by an undo log of its own length
-//! ([`DeltaOverlay::apply_batch`]), and the region's mask is kept between
-//! steps and cleared from the region's own list.
+//! A step costs what its dirty region costs, plus one scan of the
+//! graph's edges for the starting cut it reports and hands to FM, and
+//! FM's one pass over the vertices per call (weights, its scratch): the
+//! overlay is read at array speed, a batch is made atomic by an undo log
+//! of its own length ([`DeltaOverlay::apply_batch`]), and the region's
+//! mask is kept between steps and cleared from the region's own list.
 
 use crate::delta::{DeltaError, GraphDelta};
 use crate::overlay::DeltaOverlay;
@@ -257,7 +258,14 @@ impl IncrementalRepartitioner {
     fn run_incremental(&mut self, step: u64, touched: usize, dirty: usize) -> StepReport {
         let t0 = Instant::now();
         let mut machine = Machine::new(self.cfg.ranks, CostModel::qdr_infiniband());
-        let st = fm_refine(&self.overlay, &mut self.side, Some(&self.mask), &STRIP_FM);
+        let cut = access::cut_of(&self.overlay, &self.side);
+        let st = fm_refine(
+            &self.overlay,
+            &mut self.side,
+            Some(&self.mask),
+            cut,
+            &STRIP_FM,
+        );
         st.charge(&mut machine);
         StepReport {
             step,
@@ -303,7 +311,7 @@ impl IncrementalRepartitioner {
                     &g,
                     &mut bi,
                     &geo.separator.signed,
-                    geo.cut,
+                    (geo.cut, geo.weighted_cut),
                     STRIP_FACTOR,
                     &STRIP_FM,
                     &mut machine,
@@ -328,7 +336,8 @@ impl IncrementalRepartitioner {
                         bi.set(v, u8::from(acc > total / 2.0));
                     }
                 }
-                let st = fm_refine(&*g, &mut bi, None, &STRIP_FM);
+                let cut = access::cut_of(&*g, &bi);
+                let st = fm_refine(&*g, &mut bi, None, cut, &STRIP_FM);
                 st.charge(&mut machine);
                 passes = st.passes;
                 bi

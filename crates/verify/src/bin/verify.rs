@@ -4,7 +4,7 @@
 //! usage error.
 //!
 //! ```text
-//! verify [--ranks N] [--schedules N] [--seed HEX] [--graph grid:RxC|delaunay:N]
+//! verify [--ranks N] [--schedules N] [--seed HEX] [--graph grid:RxC|delaunay:N|trace:N]
 //!        [--replay HEX] [--stages fuzz,passivity,...] [--self-test]
 //!        [--multinode-requests N] [--multinode-shards N]
 //!        [--incremental-streams N] [--incremental-steps N]
@@ -16,7 +16,7 @@ use std::process::ExitCode;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sp_geometry::Point2;
-use sp_graph::gen::{delaunay_graph, grid_2d, grid_2d_coords};
+use sp_graph::gen::{delaunay_graph, grid_2d, grid_2d_coords, trace_mesh};
 use sp_graph::Graph;
 use sp_verify::multinode::{MIN_REQUESTS, SHARDS};
 use sp_verify::{
@@ -81,7 +81,7 @@ struct Cli {
 fn usage() -> ! {
     eprintln!(
         "usage: verify [--ranks N] [--schedules N] [--seed HEX] \
-         [--graph grid:RxC|delaunay:N] [--replay HEX] [--stages fuzz,passivity,...] \
+         [--graph grid:RxC|delaunay:N|trace:N] [--replay HEX] [--stages fuzz,passivity,...] \
          [--self-test] [--multinode-requests N] [--multinode-shards N] \
          [--incremental-streams N] [--incremental-steps N]"
     );
@@ -192,6 +192,11 @@ fn build_graph(spec: &str) -> (Graph, Vec<Point2>) {
     if let Some(n) = spec.strip_prefix("delaunay:") {
         let mut rng = StdRng::seed_from_u64(0xDE1A);
         return delaunay_graph(parse_u64(n) as usize, &mut rng);
+    }
+    if let Some(n) = spec.strip_prefix("trace:") {
+        // The meshed ribbon of the `geo-mesh` benchmark's family.
+        let mut rng = StdRng::seed_from_u64(0x7ACE);
+        return trace_mesh(parse_u64(n) as usize, &mut rng);
     }
     reject(format!("unknown graph spec {spec:?}"))
 }

@@ -87,7 +87,7 @@ fn fm_never_increases_cut_on_random_geometric_graphs() {
         let mut bi = Bisection::new(side);
         let before = bi.cut(&g);
         let imb_before = bi.imbalance(&g);
-        let st = fm_refine(&g, &mut bi, None, &FmConfig::default());
+        let st = fm_refine(&g, &mut bi, None, before, &FmConfig::default());
         assert!(st.cut_after <= before + 1e-9, "case {case}");
         assert!((bi.cut(&g) - st.cut_after).abs() < 1e-9, "case {case}");
         // Balance never degrades beyond max(initial, tolerance).
