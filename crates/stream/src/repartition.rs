@@ -24,12 +24,27 @@
 //! rank-count-invariant routine the batch pipeline uses. The sp-verify
 //! `incremental` stage fuzzes this end to end across thread counts.
 //!
-//! A step costs what its dirty region costs, plus one scan of the
-//! graph's edges for the starting cut it reports and hands to FM, and
-//! FM's one pass over the vertices per call (weights, its scratch): the
-//! overlay is read at array speed, a batch is made atomic by an undo log
-//! of its own length ([`DeltaOverlay::apply_batch`]), and the region's
-//! mask is kept between steps and cleared from the region's own list.
+//! An incremental step costs what its dirty region costs, plus O(n)
+//! work that reads no edge: FM's side weights, its movable scan and its
+//! scratch; `imbalance_of`; `partition_fp`; and one word per 64 vertices
+//! to find the cut's low ends. The overlay is read at array speed, a
+//! batch is made atomic by an undo log of its own length
+//! ([`DeltaOverlay::apply_batch`]), and the region's mask is kept between
+//! steps and cleared from the region's own list.
+//!
+//! The starting cut a step reports and hands to FM is summed over the
+//! cut's *low ends*, a kept bitset: bit `v` is set iff `v` has a
+//! neighbour `u > v` on the other side. Those are the only rows
+//! [`access::cut_of`] adds a term from, so summing their cut edges in
+//! ascending `v` and row order adds `cut_of`'s terms in `cut_of`'s order,
+//! and the sum has its bits. Only the set is kept, never the cut's value:
+//! that is summed again every step. A bit changes only when `v`'s row,
+//! its side or a higher neighbour's side changes, so
+//! [`IncrementalRepartitioner::apply`] re-derives the bits of the
+//! vertices a batch touched (every changed edge has both ends touched),
+//! an incremental step those of the vertices FM left on a new side and of
+//! their lower neighbours, and a full step all of them in the one pass
+//! that sums its final cut. The set is exact at every call boundary.
 
 use crate::delta::{DeltaError, GraphDelta};
 use crate::overlay::DeltaOverlay;
@@ -40,7 +55,6 @@ use sp_graph::Bisection;
 use sp_machine::{CostModel, Machine};
 use sp_refine::{fm_refine, strip_refine, STRIP_FACTOR, STRIP_FM};
 use sp_trace::fnv::Fingerprint;
-use std::collections::BTreeSet;
 use std::time::Instant;
 
 /// Controls for the incremental repartitioner. The refinement and try
@@ -125,13 +139,19 @@ pub struct IncrementalRepartitioner {
     overlay: DeltaOverlay,
     side: Bisection,
     cfg: StreamConfig,
-    /// Vertices touched by deltas since the last repartition (sorted).
-    pending: BTreeSet<u32>,
-    /// The dirty region of the step under way, as a mask over the vertices
-    /// and as the list the mask is cleared from: all false and empty
-    /// between steps, so a step pays for its region and not for `n`.
+    /// The cut's low ends, exact for `(overlay, side)` at every call
+    /// boundary.
+    low: LowEnds,
+    /// A mask over the vertices and the list it is cleared from. Between
+    /// steps they hold the vertices touched since the last step, each once;
+    /// a step grows them to its dirty region and clears them after, so a
+    /// step pays for its region and not for `n`.
     mask: Vec<bool>,
     dirty: Vec<u32>,
+    /// The sides of `dirty` before FM, in `dirty`'s order: what tells the
+    /// step which vertices FM moved. Kept, so a step allocates nothing once
+    /// the stream's regions have been seen.
+    sides_before: Vec<u8>,
     steps: u64,
 }
 
@@ -144,9 +164,10 @@ impl IncrementalRepartitioner {
             overlay,
             side: Bisection::new(vec![0; n]),
             cfg,
-            pending: BTreeSet::new(),
+            low: LowEnds::new(n),
             mask: vec![false; n],
             dirty: Vec::new(),
+            sides_before: Vec::new(),
             steps: 0,
         };
         let report = rp.run_full(0, 0, n, true);
@@ -164,9 +185,10 @@ impl IncrementalRepartitioner {
         &self.side
     }
 
-    /// Current weighted cut.
+    /// Current weighted cut, summed over the cut's low ends with the bits
+    /// of [`access::cut_of`].
     pub fn cut(&self) -> f64 {
-        access::cut_of(&self.overlay, &self.side)
+        self.low.cut(&self.overlay, &self.side)
     }
 
     /// Current weighted imbalance.
@@ -176,7 +198,7 @@ impl IncrementalRepartitioner {
 
     /// Deltas applied but not yet repartitioned over.
     pub fn pending_touched(&self) -> usize {
-        self.pending.len()
+        self.dirty.len()
     }
 
     /// Repartition steps executed (including the bootstrap).
@@ -192,14 +214,18 @@ impl IncrementalRepartitioner {
 
     /// Apply a batch of deltas atomically: either every delta applies (in
     /// order) or the overlay is left untouched and the first error is
-    /// returned. Touched vertices accumulate until the next repartition.
+    /// returned. Touched vertices accumulate until the next repartition,
+    /// and their low-end bits are re-derived.
     pub fn apply(&mut self, batch: &[GraphDelta]) -> Result<(), DeltaError> {
         self.overlay.apply_batch(batch)?;
         for d in batch {
             let (a, b) = d.touches();
-            self.pending.insert(a);
-            if let Some(b) = b {
-                self.pending.insert(b);
+            for v in std::iter::once(a).chain(b) {
+                self.low.refresh(&self.overlay, &self.side, v);
+                if !self.mask[v as usize] {
+                    self.mask[v as usize] = true;
+                    self.dirty.push(v);
+                }
             }
         }
         Ok(())
@@ -208,7 +234,7 @@ impl IncrementalRepartitioner {
     /// Repartition over everything applied since the last step.
     pub fn repartition(&mut self) -> StepReport {
         let n = self.overlay.n();
-        let touched = self.pending.len();
+        let touched = self.dirty.len();
         self.mark_dirty();
         let dirty = self.dirty.len();
         let dirty_frac = if n == 0 { 0.0 } else { dirty as f64 / n as f64 };
@@ -234,13 +260,9 @@ impl IncrementalRepartitioner {
         Ok(self.repartition())
     }
 
-    /// Move the pending set into `dirty` and grow it to its closure within
+    /// Grow the touched vertices in `dirty` to their closure within
     /// [`HOP_RADIUS`] hops, one BFS level per hop; the list is the queue.
     fn mark_dirty(&mut self) {
-        self.dirty.extend(std::mem::take(&mut self.pending));
-        for &v in &self.dirty {
-            self.mask[v as usize] = true;
-        }
         let mut level = 0..self.dirty.len();
         for _ in 0..HOP_RADIUS {
             for i in level.clone() {
@@ -258,7 +280,10 @@ impl IncrementalRepartitioner {
     fn run_incremental(&mut self, step: u64, touched: usize, dirty: usize) -> StepReport {
         let t0 = Instant::now();
         let mut machine = Machine::new(self.cfg.ranks, CostModel::qdr_infiniband());
-        let cut = access::cut_of(&self.overlay, &self.side);
+        let cut = self.cut();
+        self.sides_before.clear();
+        self.sides_before
+            .extend(self.dirty.iter().map(|&v| self.side.side(v)));
         let st = fm_refine(
             &self.overlay,
             &mut self.side,
@@ -267,6 +292,18 @@ impl IncrementalRepartitioner {
             &STRIP_FM,
         );
         st.charge(&mut machine);
+        // FM moves only dirty vertices. A move changes the mover's bit and
+        // those of its lower neighbours, whose rows reach up to it.
+        for (&v, &was) in self.dirty.iter().zip(&self.sides_before) {
+            if self.side.side(v) != was {
+                self.low.refresh(&self.overlay, &self.side, v);
+                for (u, _) in self.overlay.neighbors_w(v) {
+                    if u < v {
+                        self.low.refresh(&self.overlay, &self.side, u);
+                    }
+                }
+            }
+        }
         StepReport {
             step,
             mode: StepMode::Incremental,
@@ -292,7 +329,7 @@ impl IncrementalRepartitioner {
         let t0 = Instant::now();
         self.overlay.rebase();
         let g = self.overlay.base().clone();
-        let cut_before = access::cut_of(&self.overlay, &self.side);
+        let cut_before = self.cut();
         let mut machine = Machine::new(self.cfg.ranks, CostModel::qdr_infiniband());
         let passes;
         let mut new_side = match self.overlay.coords() {
@@ -328,6 +365,7 @@ impl IncrementalRepartitioner {
                 // split in index order first.
                 let mut bi = self.side.clone();
                 let (c0, c1) = bi.counts();
+                let mut cut = cut_before;
                 if c0 == 0 || c1 == 0 {
                     let total: f64 = (0..g.n() as u32).map(|v| g.vwgt(v)).sum();
                     let mut acc = 0.0;
@@ -335,8 +373,8 @@ impl IncrementalRepartitioner {
                         acc += g.vwgt(v);
                         bi.set(v, u8::from(acc > total / 2.0));
                     }
+                    cut = access::cut_of(&*g, &bi);
                 }
-                let cut = access::cut_of(&*g, &bi);
                 let st = fm_refine(&*g, &mut bi, None, cut, &STRIP_FM);
                 st.charge(&mut machine);
                 passes = st.passes;
@@ -358,6 +396,7 @@ impl IncrementalRepartitioner {
             }
         };
         self.side = new_side;
+        let cut_after = self.low.rebuild(&self.overlay, &self.side);
         StepReport {
             step,
             mode: StepMode::Full,
@@ -365,7 +404,7 @@ impl IncrementalRepartitioner {
             dirty,
             dirty_frac: dirty as f64 / self.overlay.n().max(1) as f64,
             cut_before,
-            cut_after: access::cut_of(&self.overlay, &self.side),
+            cut_after,
             migration_volume,
             imbalance: access::imbalance_of(&self.overlay, &self.side),
             fm_passes: passes,
@@ -374,6 +413,68 @@ impl IncrementalRepartitioner {
             partition_fp: partition_fp(&self.side),
         }
     }
+}
+
+/// The cut's low ends: bit `v` is set iff `v` has a neighbour `u > v` on
+/// the other side. Flags, not weights: the cut is summed from them anew.
+struct LowEnds(Vec<u64>);
+
+impl LowEnds {
+    /// The empty set, exact for a one-sided partition.
+    fn new(n: usize) -> Self {
+        LowEnds(vec![0; n.div_ceil(64)])
+    }
+
+    /// Re-derive `v`'s bit from its row.
+    fn refresh(&mut self, g: &DeltaOverlay, side: &Bisection, v: u32) {
+        let (word, bit) = (v as usize / 64, 1u64 << (v % 64));
+        if add_row(g, side, v, &mut 0.0) {
+            self.0[word] |= bit;
+        } else {
+            self.0[word] &= !bit;
+        }
+    }
+
+    /// Re-derive every bit, returning the cut summed on the way.
+    fn rebuild(&mut self, g: &DeltaOverlay, side: &Bisection) -> f64 {
+        self.0.fill(0);
+        let mut c = 0.0;
+        for v in 0..g.n() as u32 {
+            if add_row(g, side, v, &mut c) {
+                self.0[v as usize / 64] |= 1u64 << (v % 64);
+            }
+        }
+        c
+    }
+
+    /// The weighted cut, summed over the set in ascending `v`.
+    fn cut(&self, g: &DeltaOverlay, side: &Bisection) -> f64 {
+        let mut c = 0.0;
+        for (i, &word) in self.0.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let v = (i * 64) as u32 + bits.trailing_zeros();
+                bits &= bits - 1;
+                add_row(g, side, v, &mut c);
+            }
+        }
+        c
+    }
+}
+
+/// Add `v`'s terms of the cut to `c` — its cut edges to higher
+/// neighbours, in row order, as [`access::cut_of`] adds them — and say
+/// whether it had any.
+fn add_row(g: &DeltaOverlay, side: &Bisection, v: u32, c: &mut f64) -> bool {
+    let sv = side.side(v);
+    let mut any = false;
+    for (u, w) in g.neighbors_w(v) {
+        if u > v && side.side(u) != sv {
+            *c += w;
+            any = true;
+        }
+    }
+    any
 }
 
 fn hamming(a: &Bisection, b: &Bisection) -> usize {
@@ -400,6 +501,7 @@ mod tests {
     use rand::{Rng, SeedableRng};
     use sp_geometry::Point2;
     use sp_graph::gen::grid_2d;
+    use sp_graph::GraphBuilder;
     use std::sync::Arc;
 
     fn grid_overlay(rows: usize, cols: usize) -> DeltaOverlay {
@@ -415,6 +517,132 @@ mod tests {
             ranks: 4,
             ..StreamConfig::default()
         }
+    }
+
+    /// The low-end set and the cut summed over it against a recount from
+    /// `(overlay, side)`: every bit, the padding clear, the cut's bits.
+    fn assert_low_exact(rp: &IncrementalRepartitioner, case: &str) {
+        let (ov, side) = (&rp.overlay, &rp.side);
+        for v in 0..rp.low.0.len() as u32 * 64 {
+            let want = (v as usize) < ov.n()
+                && ov
+                    .neighbors_w(v)
+                    .any(|(u, _)| u > v && side.side(u) != side.side(v));
+            let got = rp.low.0[v as usize / 64] >> (v % 64) & 1 == 1;
+            assert_eq!(got, want, "{case}: bit of vertex {v}");
+        }
+        let recount = access::cut_of(ov, side);
+        assert_eq!(rp.cut().to_bits(), recount.to_bits(), "{case}: cut");
+    }
+
+    /// A valid delta of any kind but a shift (so streams without
+    /// coordinates draw the same mix), with fractional weights.
+    fn random_delta(ov: &DeltaOverlay, rng: &mut StdRng) -> GraphDelta {
+        let n = ov.n() as u32;
+        loop {
+            let (a, b) = (rng.random_range(0..n), rng.random_range(0..n));
+            let adjacent = ov.neighbors_w(a).any(|(x, _)| x == b);
+            match rng.random_range(0..3) {
+                0 if a != b && !adjacent => {
+                    let w = rng.random_range(0.25..2.0);
+                    return GraphDelta::AddEdge { u: a, v: b, w };
+                }
+                1 if adjacent && ov.degree(a) > 1 && ov.degree(b) > 1 => {
+                    return GraphDelta::RemoveEdge { u: a, v: b }
+                }
+                2 => {
+                    let w = rng.random_range(0.5..2.0);
+                    return GraphDelta::SetVwgt { v: a, w };
+                }
+                _ => {}
+            }
+        }
+    }
+
+    #[test]
+    fn low_ends_match_a_recount_after_every_call() {
+        let (mut incremental, mut full, mut moved) = (0, 0, 0);
+        for seed in 0..12u64 {
+            let coords = seed % 2 == 0;
+            let ov = if coords {
+                grid_overlay(14, 14)
+            } else {
+                DeltaOverlay::new(Arc::new(grid_2d(14, 14)), None).unwrap()
+            };
+            let (mut rp, _) = IncrementalRepartitioner::new(ov, small_cfg());
+            assert_low_exact(&rp, &format!("seed {seed} bootstrap"));
+            let mut rng = StdRng::seed_from_u64(seed);
+            for step in 0..16 {
+                let case = format!("seed {seed} step {step}");
+                // Mostly a few deltas; one batch in five dirties more
+                // than the fallback threshold.
+                let size = if rng.random_range(0..5) == 0 {
+                    40
+                } else {
+                    rng.random_range(1..4)
+                };
+                // Drawn against a scratch copy, so the batch is valid as a
+                // whole, in order.
+                let mut probe = DeltaOverlay::new(Arc::new(rp.overlay.compact()), None).unwrap();
+                let batch: Vec<GraphDelta> = (0..size)
+                    .map(|_| {
+                        let d = random_delta(&probe, &mut rng);
+                        probe.apply(&d).unwrap();
+                        d
+                    })
+                    .collect();
+                if rng.random_range(0..3) == 0 {
+                    let mut refused = batch.clone();
+                    refused.push(GraphDelta::SetVwgt { v: 196, w: 1.0 });
+                    assert!(rp.apply(&refused).is_err(), "{case}");
+                    assert_low_exact(&rp, &format!("{case} after a refused batch"));
+                }
+                rp.apply(&batch).unwrap();
+                assert_low_exact(&rp, &format!("{case} after apply"));
+                if rng.random_range(0..4) == 0 {
+                    rp.force_rebase();
+                }
+                let r = rp.repartition();
+                assert_low_exact(&rp, &case);
+                match r.mode {
+                    StepMode::Incremental => {
+                        incremental += 1;
+                        moved += r.migration_volume;
+                    }
+                    StepMode::Full => full += 1,
+                }
+            }
+        }
+        assert!(
+            incremental > 0 && full > 0,
+            "{incremental} incremental, {full} full"
+        );
+        assert!(moved > 0, "no incremental step moved a vertex");
+    }
+
+    #[test]
+    fn a_move_refreshes_a_lower_neighbour_outside_the_dirty_region() {
+        // A path 0 - 1 - ... - 39, sides 0..=20 | 21..=39, and a light edge
+        // (19, 20): moving 20 across trades the cut edge (20, 21) for
+        // (19, 20) and evens the sides, so FM makes that move. Touching 22
+        // dirties 20..=24 only, so 19 lies outside the region, and its bit
+        // goes from clear to set.
+        let n = 40;
+        let mut b = GraphBuilder::new(n);
+        for v in 1..n as u32 {
+            b.add_edge(v - 1, v, if v == 20 { 0.5 } else { 1.0 });
+        }
+        let ov = DeltaOverlay::new(Arc::new(b.build()), None).unwrap();
+        let (mut rp, _) = IncrementalRepartitioner::new(ov, small_cfg());
+        rp.side = Bisection::from_fn(n, |v| v > 20);
+        rp.low.rebuild(&rp.overlay, &rp.side);
+        assert_low_exact(&rp, "before");
+        let r = rp.step(&[GraphDelta::SetVwgt { v: 22, w: 1.0 }]).unwrap();
+        assert_eq!((r.mode, r.dirty), (StepMode::Incremental, 5));
+        assert_eq!(rp.side.side(20), 1, "FM moved vertex 20");
+        assert_eq!(rp.side.side(19), 0);
+        assert_eq!(r.cut_after, 0.5);
+        assert_low_exact(&rp, "after");
     }
 
     #[test]

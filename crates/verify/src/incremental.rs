@@ -1,5 +1,5 @@
 //! Incremental-repartitioning fuzz: seeded delta streams driven through
-//! `sp-stream`'s warm-start repartitioner, with five properties
+//! `sp-stream`'s warm-start repartitioner, with six properties
 //! demanded at every step:
 //!
 //! 1. **Validity** — the partition stays a two-sided cover with both
@@ -21,6 +21,12 @@
 //!    past the largest coordinate, in turn) and must refuse it. The twin
 //!    and split sessions never see that batch, so whatever a rollback
 //!    left behind would surface as a failure of 2 or 3.
+//! 6. **Cut accounting** — a step sums its starting cut over the cut's
+//!    low ends, a set the repartitioner keeps across steps. Its
+//!    `cut_before` must have the bits of an `access::cut_of` recount taken
+//!    just before the step, and `cut()` after the step those of a recount
+//!    then. Release builds drop the debug assertion FM makes on its
+//!    starting cut, so a stale bit is caught here.
 //!
 //! The whole campaign then re-runs under a matrix of host pool widths
 //! (the in-process `RAYON_NUM_THREADS`), demanding every step fingerprint
@@ -35,7 +41,7 @@ use scalapart::stream::{
     DeltaOverlay, GraphDelta, IncrementalRepartitioner, StepReport, StreamConfig,
 };
 use sp_geometry::Point2;
-use sp_graph::Graph;
+use sp_graph::{access, Graph};
 use std::sync::Arc;
 
 /// Deltas applied between consecutive repartitions (on odd steps).
@@ -266,17 +272,16 @@ fn run_stream(
             );
         }
 
-        let report = match main.step(&batch) {
-            Ok(r) => r,
-            Err(e) => {
-                fail(
-                    main.steps(),
-                    "generator-valid",
-                    format!("generated delta rejected: {e}"),
-                );
-                break;
-            }
-        };
+        if let Err(e) = main.apply(&batch) {
+            fail(
+                main.steps(),
+                "generator-valid",
+                format!("generated delta rejected: {e}"),
+            );
+            break;
+        }
+        let recount = access::cut_of(main.overlay(), main.partition());
+        let report = main.repartition();
         fps.push(report.partition_fp);
         fold(&report);
         match report.mode {
@@ -287,6 +292,23 @@ fn run_stream(
         // 1. Validity.
         if let Some(detail) = validity_of(&main) {
             fail(report.step, "partition-valid", detail);
+        }
+
+        // 6. Cut accounting: the kept low ends sum the cuts `cut_of`
+        // counts, to the bit, on both sides of the step.
+        let after = access::cut_of(main.overlay(), main.partition());
+        if report.cut_before.to_bits() != recount.to_bits()
+            || main.cut().to_bits() != after.to_bits()
+        {
+            fail(
+                report.step,
+                "cut-accounted",
+                format!(
+                    "cut before {} vs recount {recount}, cut after {} vs recount {after}",
+                    report.cut_before,
+                    main.cut()
+                ),
+            );
         }
 
         // 2. Representation invisibility: the twin compacts after every
@@ -443,7 +465,8 @@ pub fn run_incremental_campaign(
             "{steps_run} step(s) across {} stream(s) ({incremental_steps} incremental, \
              {full_steps} full) bit-identical over threads {THREADS:?}, overlay == compacted \
              CSR, batch framing invisible, rejected batches invisible, cut within \
-             {CUT_FACTOR}x+{CUT_SLACK} of scratch, fingerprint {:#018x}",
+             {CUT_FACTOR}x+{CUT_SLACK} of scratch, cuts accounted to the bit, fingerprint \
+             {:#018x}",
             cfg.streams,
             campaign.finish()
         ),
