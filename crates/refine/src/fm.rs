@@ -32,8 +32,30 @@
 //!   smaller id first. Ids are distinct, so for gains that are not NaN the
 //!   key is a strict total order, and any max-heap holding a set of keys
 //!   pops them in one sequence, however it was built.
-//! * **`ops` counts edges scanned, not heap work,** so `FmStats`,
-//!   [`FmStats::charge`] and the simulated time it charges are unchanged.
+//! * **`ops` counts edges scanned, not heap work,** so the choice of queue
+//!   shows in neither `FmStats`, [`FmStats::charge`] nor the simulated
+//!   time.
+//!
+//! # Why a pass may stop early
+//!
+//! A pass keeps one more running sum, `fixed`: the weight of the cut edges
+//! with no endpoint still queued. Once `fixed` exceeds the pass's best cut
+//! by more than the rounding slack, the pass stops and rolls back to its
+//! best prefix, which is the prefix a whole pass would have kept:
+//!
+//! 1. A move flips only the vertex it pops, so an edge with no queued end
+//!    keeps its side pair for the rest of the pass: counted in `fixed`, it
+//!    stays cut.
+//! 2. So every later prefix cuts at least `fixed`, and its trial cut is
+//!    above the best cut: no later prefix passes `trial < best − 1e-12`.
+//! 3. The best prefix and the best cut are then final, and so are the
+//!    sides, `moved`, `passes` and `cut_after`, bit for bit.
+//!
+//! Only `ops` falls: it counts the edges the pass did scan. The rollback
+//! restores the side weights saved at the best prefix instead of undoing
+//! each later move, so they do not depend on where the pass stopped; for
+//! vertex weights whose sums are exact (integers, the streams' quarter
+//! steps) that is the undo's result to the bit.
 
 use sp_graph::access::{self, GraphAccess};
 use sp_graph::Bisection;
@@ -73,7 +95,9 @@ pub struct FmStats {
     pub moved: usize,
     /// Passes executed.
     pub passes: usize,
-    /// Abstract ops (edge scans) performed, for machine cost charging.
+    /// Abstract ops for machine cost charging: the edges FM scanned, to
+    /// seed each pass's gains and to update them after each move. A pass
+    /// that stops early scans no edge of the moves it did not make.
     pub ops: f64,
 }
 
@@ -140,12 +164,17 @@ impl GainQueue {
         self.gain[v as usize]
     }
 
+    fn queued(&self, v: u32) -> bool {
+        self.pos[v as usize] != NONE
+    }
+
     /// Add `delta` to the gain of `v` if it is queued, and restore the
     /// heap: a gain that rose can only climb, one that fell only sink.
-    fn add(&mut self, v: u32, delta: f64) {
+    /// Returns whether `v` was queued.
+    fn add(&mut self, v: u32, delta: f64) -> bool {
         let i = self.pos[v as usize];
         if i == NONE {
-            return;
+            return false;
         }
         self.gain[v as usize] += delta;
         if delta > 0.0 {
@@ -153,6 +182,7 @@ impl GainQueue {
         } else {
             self.sift_down(i as usize);
         }
+        true
     }
 
     /// Pop the best vertex `feasible` accepts. The infeasible vertices
@@ -245,6 +275,29 @@ impl GainQueue {
     }
 }
 
+/// The rounding slack of a pass's stop test, `fixed > best + slack`, for
+/// a pass whose seed scanned `edges` edges of total weight `reach` from a
+/// cut of `cur`.
+///
+/// `trial` and `fixed` both start from `cur`, and their exact values are
+/// `cur` plus the pass's change in cut and `cur` plus the fixed weight
+/// less the starting cut: `cur`'s own rounding cancels in the stop test.
+/// Each is a float sum of at most `2E + 1` terms whose magnitudes add up
+/// to at most `|cur| + 2D` (`E` = `edges`, `D` = `reach`). `trial` sums
+/// `cur`, the seeded gain terms of the moved vertices and the `±2w` gain
+/// updates (one per edge at most); `fixed` sums `cur`, the cut edges with
+/// a movable end and the edges each move fixes (each edge once). A float
+/// sum of `k` terms, in any order or nesting, is off by at most
+/// `γ(k) · Σ|terms|`, `γ(k) ≤ k·ε` for `k·ε ≤ 1` (Higham, *Accuracy and
+/// Stability of Numerical Algorithms*, §4.2), so the two errors add up to
+/// at most `(4E + 2)·ε·(|cur| + 2D) ≤ 8(E + 1)·ε·(|cur| + D)`. Twice that
+/// covers the rounding of `reach` and of `best + slack` too. When every
+/// partial sum is exact (integer or dyadic weights) the errors are zero,
+/// and a slack below one weight step stops where `fixed > best` would.
+fn stop_slack(edges: f64, cur: f64, reach: f64) -> f64 {
+    16.0 * (edges + 1.0) * f64::EPSILON * (cur.abs() + reach)
+}
+
 /// Refine `bi` in place. `movable` restricts which vertices may move
 /// (`None` = all). Guarantees the weighted cut never increases and the
 /// final imbalance is at most `max(initial imbalance, cfg.balance_tol)`.
@@ -261,9 +314,12 @@ impl GainQueue {
 /// compacted CSR) refine bit-identically.
 ///
 /// A call costs O(n) once (side weights, the movable list, the scratch
-/// arrays) and reads no edge outside its passes; a pass costs what its
-/// movable vertices and their edges cost, so a strip of a few thousand
-/// vertices of a large graph is refined in strip-sized time.
+/// arrays) and reads no edge outside its passes. A pass scans the edges of
+/// its movable vertices once to seed their gains, then the edges of each
+/// vertex it moves, and stops as soon as the cut edges it can no longer
+/// touch outweigh its best prefix (see the module doc): a pass that keeps
+/// a few moves in a strip of a few thousand vertices scans the strip once
+/// and little beyond it.
 pub fn fm_refine<G: GraphAccess>(
     g: &G,
     bi: &mut Bisection,
@@ -297,13 +353,16 @@ pub fn fm_refine<G: GraphAccess>(
     // Scratch for every pass, sized once. Only movable vertices are ever
     // given a gain or a heap position.
     let mut queue = GainQueue::new(n, movable_list.len());
-    // Move log for rollback: (vertex, cut after the move, imbalance ok).
-    let mut log: Vec<(u32, f64, bool)> = Vec::new();
+    // Moves in order, for the rollback.
+    let mut log: Vec<u32> = Vec::new();
 
     for pass in 0..cfg.max_passes {
         stats.passes = pass + 1;
         log.clear();
-        // Gains.
+        // Gains, the weight of the cut edges with a movable end (each
+        // counted at its first movable end) and of the edges scanned.
+        let seeded_from = stats.ops;
+        let (mut touching, mut reach) = (0.0, 0.0);
         queue.seed(&movable_list, |v| {
             let sv = bi.side(v);
             let mut gv = 0.0;
@@ -312,15 +371,23 @@ pub fn fm_refine<G: GraphAccess>(
                     gv -= w;
                 } else {
                     gv += w;
+                    if u > v || !is_movable(u) {
+                        touching += w;
+                    }
                 }
+                reach += w;
                 stats.ops += 1.0;
             }
             gv
         });
+        // Cut edges with no queued end: they stay cut all pass.
+        let mut fixed = cur_cut - touching;
+        let slack = stop_slack(stats.ops - seeded_from, cur_cut, reach);
         let mut best_prefix = 0usize;
         let mut best_cut = cur_cut;
         let mut trial_cut = cur_cut;
         let (mut tw0, mut tw1) = (w0, w1);
+        let (mut best_w0, mut best_w1) = (w0, w1);
 
         while log.len() < move_cap {
             // Pop the best unmoved, balance-feasible vertex.
@@ -351,48 +418,76 @@ pub fn fm_refine<G: GraphAccess>(
                 tw0 += wv;
             }
             bi.flip(v);
+            log.push(v);
             let imb_ok = tw0.max(tw1) / half - 1.0 <= allowed_imb + 1e-12;
-            log.push((v, trial_cut, imb_ok));
             if imb_ok && trial_cut < best_cut - 1e-12 {
                 best_cut = trial_cut;
                 best_prefix = log.len();
+                (best_w0, best_w1) = (tw0, tw1);
             }
-            // Update neighbour gains.
+            // Update neighbour gains; an edge v leaves cut to an unqueued
+            // end is fixed.
             let new_side = bi.side(v);
             for (u, w) in g.neighbors_w(v) {
                 stats.ops += 1.0;
                 // v changed sides: edges to u flip their contribution.
-                let delta = if bi.side(u) == new_side {
-                    -2.0 * w
-                } else {
-                    2.0 * w
-                };
-                queue.add(u, delta);
+                let cut_now = bi.side(u) != new_side;
+                let delta = if cut_now { 2.0 * w } else { -2.0 * w };
+                if !queue.add(u, delta) && cut_now {
+                    fixed += w;
+                }
+            }
+            if fixed > best_cut + slack {
+                debug_assert_fixed(g, bi, &queue, fixed - trial_cut, slack);
+                break;
             }
         }
         // Roll back to the best prefix.
-        for &(v, _, _) in log.iter().skip(best_prefix).rev() {
-            let wv = g.vwgt(v);
-            if bi.side(v) == 0 {
-                tw0 -= wv;
-                tw1 += wv;
-            } else {
-                tw1 -= wv;
-                tw0 += wv;
-            }
+        for &v in &log[best_prefix..] {
             bi.flip(v);
         }
         stats.moved += best_prefix;
         let improved = best_cut < cur_cut - 1e-12;
         cur_cut = best_cut;
-        w0 = tw0;
-        w1 = tw1;
+        (w0, w1) = (best_w0, best_w1);
         if !improved {
             break;
         }
     }
     stats.cut_after = cur_cut;
     stats
+}
+
+/// Debug builds: recount, at a pass's stop, the weight of the cut edges
+/// with no queued end, less the whole cut, and hold `fixed − trial` to it.
+/// Both differences leave out the pass's starting cut and its rounding.
+fn debug_assert_fixed<G: GraphAccess>(
+    g: &G,
+    bi: &Bisection,
+    queue: &GainQueue,
+    fixed_less_trial: f64,
+    slack: f64,
+) {
+    if !cfg!(debug_assertions) {
+        return;
+    }
+    let (mut fixed, mut cut, mut edges) = (0.0, 0.0, 0.0);
+    for v in 0..g.n() as u32 {
+        for (u, w) in g.neighbors_w(v) {
+            if u > v && bi.side(u) != bi.side(v) {
+                cut += w;
+                if !queue.queued(u) && !queue.queued(v) {
+                    fixed += w;
+                }
+                edges += 1.0;
+            }
+        }
+    }
+    let tol = slack + 4.0 * edges * f64::EPSILON * cut;
+    assert!(
+        (fixed_less_trial - (fixed - cut)).abs() <= tol,
+        "fixed less trial {fixed_less_trial}, recounted {fixed} - {cut}"
+    );
 }
 
 #[cfg(test)]
@@ -457,6 +552,12 @@ mod tests {
         ties: usize,
         /// Runs without a mask that stopped after one pass.
         one_pass_unmasked: usize,
+        /// The highest climb of a trial cut above the pass's best cut
+        /// before a later prefix beat that best.
+        ridge: f64,
+        /// Runs in which [`fm_refine`] scanned fewer edges: a pass stopped
+        /// before the oracle's.
+        stopped_early: usize,
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -507,7 +608,8 @@ mod tests {
 
     /// [`fm_refine`] on the stamped lazy heap, with `gain`, `stamp`,
     /// `locked` and the heap allocated afresh by every pass, which then
-    /// scans all n vertices for the movable ones.
+    /// scans all n vertices for the movable ones. Every pass runs whole:
+    /// until its move cap, an empty heap or a pop that gives up.
     fn fm_refine_allocating_per_pass<G: GraphAccess>(
         g: &G,
         bi: &mut Bisection,
@@ -564,12 +666,15 @@ mod tests {
                 });
             }
             let mut locked = vec![false; n];
-            // Move log for rollback: (vertex, cut after the move, imbalance ok).
-            let mut log: Vec<(u32, f64, bool)> = Vec::new();
+            // Moves in order, for the rollback.
+            let mut log: Vec<u32> = Vec::new();
             let mut best_prefix = 0usize;
             let mut best_cut = cur_cut;
             let mut trial_cut = cur_cut;
             let (mut tw0, mut tw1) = (w0, w1);
+            let (mut best_w0, mut best_w1) = (w0, w1);
+            // The highest trial cut since the best prefix.
+            let mut peak = cur_cut;
 
             while log.len() < move_cap {
                 // Pop the best fresh, unlocked, balance-feasible vertex.
@@ -609,11 +714,15 @@ mod tests {
                 bi.flip(v);
                 locked[v as usize] = true;
                 let imb_ok = tw0.max(tw1) / half - 1.0 <= allowed_imb + 1e-12;
-                log.push((v, trial_cut, imb_ok));
+                log.push(v);
                 if imb_ok && trial_cut < best_cut - 1e-12 {
+                    ex.ridge = ex.ridge.max(peak - best_cut);
                     best_cut = trial_cut;
                     best_prefix = log.len();
+                    (best_w0, best_w1) = (tw0, tw1);
+                    peak = trial_cut;
                 }
+                peak = peak.max(trial_cut);
                 // Update neighbour gains.
                 let new_side = bi.side(v);
                 for (u, w) in g.neighbors_w(v) {
@@ -639,23 +748,14 @@ mod tests {
             if log.len() == move_cap {
                 ex.capped += 1;
             }
-            // Roll back to the best prefix.
-            for &(v, _, _) in log.iter().skip(best_prefix).rev() {
-                let wv = g.vwgt(v);
-                if bi.side(v) == 0 {
-                    tw0 -= wv;
-                    tw1 += wv;
-                } else {
-                    tw1 -= wv;
-                    tw0 += wv;
-                }
+            // Roll back to the best prefix and its side weights.
+            for &v in log.iter().skip(best_prefix).rev() {
                 bi.flip(v);
             }
             stats.moved += best_prefix;
             let improved = best_cut < cur_cut - 1e-12;
             cur_cut = best_cut;
-            w0 = tw0;
-            w1 = tw1;
+            (w0, w1) = (best_w0, best_w1);
             if !improved {
                 break;
             }
@@ -665,8 +765,9 @@ mod tests {
     }
 
     /// Both versions on copies of `start` under `cfg`, without a mask and
-    /// under one random mask: same sides, same stats to the bit. What the
-    /// oracle went through is added to `ex`.
+    /// under one random mask: same sides, same stats to the bit, except
+    /// that [`fm_refine`] may scan fewer edges. What the oracle went
+    /// through is added to `ex`.
     fn assert_same_refinement<G: GraphAccess>(
         g: &G,
         start: &Bisection,
@@ -684,7 +785,8 @@ mod tests {
             let sb = fm_refine_allocating_per_pass(g, &mut b, movable, cfg, ex);
             assert_eq!(a, b, "sides, {at}");
             assert_eq!((sa.moved, sa.passes), (sb.moved, sb.passes), "{at}");
-            assert_eq!(sa.ops.to_bits(), sb.ops.to_bits(), "ops, {at}");
+            assert!(sa.ops <= sb.ops, "ops {} > {}, {at}", sa.ops, sb.ops);
+            ex.stopped_early += usize::from(sa.ops < sb.ops);
             assert_eq!(sa.cut_before.to_bits(), sb.cut_before.to_bits(), "{at}");
             assert_eq!(sa.cut_after.to_bits(), sb.cut_after.to_bits(), "{at}");
             if movable.is_none() && sa.passes == 1 {
@@ -714,17 +816,25 @@ mod tests {
         Bisection::new(side)
     }
 
-    /// A `rows`×`cols` grid with real-valued edge weights, so gain ties are
-    /// rare and the accumulation order shows in the bits, and integer
-    /// vertex weights drawn from `1..vwgt_end`.
+    /// A `rows`×`cols` grid with edge weights drawn from `[0.1, 3.0)`, so
+    /// gain ties are rare, the accumulation order shows in the bits and
+    /// only the stop test's slack keeps its sums honest, and integer vertex
+    /// weights drawn from `1..vwgt_end`.
     fn weighted_grid(rows: usize, cols: usize, vwgt_end: i32, rng: &mut StdRng) -> Graph {
         let base = grid_2d(rows, cols);
         let n = base.n();
-        // Symmetric: the weight of an edge is a function of its ends.
-        let w = |u: u32, v: u32| 0.5 + ((u.min(v) * 31 + u.max(v) * 17) % 13) as f64 / 7.0;
-        let ewgt: Vec<f64> = (0..n as u32)
-            .flat_map(|v| base.neighbors(v).iter().map(move |&u| w(u, v)))
-            .collect();
+        // Symmetric: drawn at an edge's lower end, looked up at its higher.
+        let mut drawn = std::collections::HashMap::new();
+        let mut ewgt = Vec::with_capacity(base.adjncy().len());
+        for v in 0..n as u32 {
+            for &u in base.neighbors(v) {
+                let w = match drawn.get(&(u, v)) {
+                    Some(&w) => w,
+                    None => *drawn.entry((v, u)).or_insert(rng.random_range(0.1..3.0)),
+                };
+                ewgt.push(w);
+            }
+        }
         let vwgt: Vec<f64> = (0..n)
             .map(|_| rng.random_range(1..vwgt_end) as f64)
             .collect();
@@ -819,6 +929,90 @@ mod tests {
             assert_same_refinement(&g, &start, &mut rng, &cfg, &at, &mut ex);
         }
         assert!(ex.capped > 0, "no pass reached its cap");
+    }
+
+    #[test]
+    fn passes_stop_early_without_changing_a_bit_on_real_and_unit_weights() {
+        let mut rng = StdRng::seed_from_u64(0x5709);
+        let mut ex = Exercised::default();
+        for round in 0..6 {
+            let g = weighted_grid(12 + round, 17, 2, &mut rng);
+            assert!(g.ewgts().iter().any(|&w| w.fract() != 0.0));
+            let at = format!("weights in [0.1, 3), round {round}");
+            let start = random_split(g.n(), &mut rng);
+            assert_same_refinement(&g, &start, &mut rng, &six_passes(), &at, &mut ex);
+            let start = noisy_split(&g, 0.1, round as u64);
+            assert_same_refinement(&g, &start, &mut rng, &six_passes(), &at, &mut ex);
+
+            let g = grid_2d(12 + round, 17);
+            let at = format!("unit weights, round {round}");
+            let start = noisy_split(&g, 0.1, round as u64);
+            assert_same_refinement(&g, &start, &mut rng, &six_passes(), &at, &mut ex);
+        }
+        assert!(ex.stopped_early >= 18, "{} early stops", ex.stopped_early);
+        assert!(ex.ridge > 0.0, "no pass climbed a ridge");
+    }
+
+    #[test]
+    fn the_stop_waits_out_a_ridge_before_the_best_prefix() {
+        // x = 0 and y = 1 on side 0 share an edge of weight 3; each has
+        // two unit edges to side 1. Moving either alone raises the cut
+        // from 6 to 7; moving both then lowers it to 2. Only x and y may
+        // move, so a stop on `trial − best` would end the first pass at 7.
+        // `fixed` is 2 there (the edges 6–2 and 7–4), below the best 6.
+        let mut pairs = vec![(0, 1); 3]; // x–y weighs 3
+        pairs.extend([(0, 2), (0, 3), (1, 4), (1, 5)]);
+        pairs.extend([(2, 3), (4, 5), (6, 7), (6, 2), (7, 4)]);
+        let g = sp_graph::csr_from_pairs(8, pairs, vec![1.0; 8]);
+        let start = Bisection::new(vec![0, 0, 1, 1, 1, 1, 0, 0]);
+        let movable: Vec<bool> = (0..8).map(|v| v < 2).collect();
+        let cfg = FmConfig {
+            balance_tol: 1.0,
+            ..six_passes()
+        };
+        let (mut a, mut b) = (start.clone(), start.clone());
+        let mut ex = Exercised::default();
+        let sa = fm_refine(&g, &mut a, Some(&movable), 6.0, &cfg);
+        let sb = fm_refine_allocating_per_pass(&g, &mut b, Some(&movable), &cfg, &mut ex);
+        assert_eq!(ex.ridge, 1.0, "the oracle climbed from 6 to 7");
+        assert_eq!(a, b);
+        assert_eq!((sa.cut_after, sa.moved, sa.passes), (2.0, 2, 2));
+        assert_eq!((sb.cut_after, sb.moved, sb.passes), (2.0, 2, 2));
+        // x and y have three edges each. The second pass stops after its
+        // first move, which fixes the cut edges x–2 and x–3 (4 > 2); the
+        // oracle goes on to move y.
+        assert_eq!(
+            (sa.ops, sb.ops),
+            (6.0 + 6.0 + 6.0 + 3.0, 6.0 + 6.0 + 6.0 + 6.0)
+        );
+    }
+
+    #[test]
+    fn the_stop_fires_on_a_strip_around_a_straight_separator() {
+        // A 32×32 grid split between columns 15 and 16, the minimum cut
+        // of 32, refined in the strip of columns 12..20: 256 movable
+        // vertices with 1008 edge ends. No prefix beats 32, so the pass
+        // keeps nothing. Its moves cut edges between moved vertices and
+        // from moved vertices to the fixed columns; once those outweigh 32
+        // the pass stops, 604 edge scans into the 1008 of a whole pass.
+        let g = grid_2d(32, 32);
+        let start = Bisection::from_fn(g.n(), |v| v % 32 >= 16);
+        let strip: Vec<bool> = (0..g.n()).map(|v| (12..20).contains(&(v % 32))).collect();
+        let (mut a, mut b) = (start.clone(), start.clone());
+        let cfg = FmConfig::default();
+        let sa = fm_refine(&g, &mut a, Some(&strip), 32.0, &cfg);
+        let sb = fm_refine_allocating_per_pass(
+            &g,
+            &mut b,
+            Some(&strip),
+            &cfg,
+            &mut Exercised::default(),
+        );
+        assert_eq!(a, start);
+        assert_eq!(b, start);
+        assert_eq!((sa.cut_after, sa.moved, sa.passes), (32.0, 0, 1));
+        assert_eq!((sb.cut_after, sb.moved, sb.passes), (32.0, 0, 1));
+        assert_eq!((sa.ops, sb.ops), (1008.0 + 604.0, 1008.0 + 1008.0));
     }
 
     #[test]

@@ -24,10 +24,14 @@
 //! rank-count-invariant routine the batch pipeline uses. The sp-verify
 //! `incremental` stage fuzzes this end to end across thread counts.
 //!
-//! An incremental step costs what its dirty region costs, plus O(n)
-//! work that reads no edge: FM's side weights, its movable scan and its
-//! scratch; `imbalance_of`; `partition_fp`; and one word per 64 vertices
-//! to find the cut's low ends. The overlay is read at array speed, a
+//! An incremental step costs what its dirty region costs: FM scans the
+//! region's edges once a pass to seed its gains, then only the edges of
+//! the moves it makes before no later prefix can beat its best one (a
+//! pass that keeps a few moves stops long before it has moved the whole
+//! region). On top of that it pays O(n) work that reads no edge: FM's
+//! side weights, its movable scan and its scratch; `imbalance_of`;
+//! `partition_fp`; and one word per 64 vertices to find the cut's low
+//! ends. The overlay is read at array speed, a
 //! batch is made atomic by an undo log of its own length
 //! ([`DeltaOverlay::apply_batch`]), and the region's mask is kept between
 //! steps and cleared from the region's own list.

@@ -2,7 +2,9 @@
 //! statistics and simulated-time bits of the whole pipeline — pinned for
 //! three graphs, so that a change which moves any output bit fails here.
 //! `grid:160x140` has 22,400 vertices, above the lattice smoother's work
-//! floor, so its finest level runs the pooled passes.
+//! floor, so its finest level runs the pooled passes. The incremental
+//! stage's campaign fingerprint — each stream step's partition, cut and
+//! simulated-time bits — is pinned for one small campaign too.
 //!
 //! The embedding's start, the matchings and the Delaunay points draw from
 //! `rand`'s `StdRng`, the workspace's own splitmix64 stream in
@@ -12,9 +14,9 @@
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, RngCore, SeedableRng};
-use sp_graph::gen::{delaunay_graph, grid_2d};
+use sp_graph::gen::{delaunay_graph, grid_2d, grid_2d_coords};
 use sp_graph::Graph;
-use sp_verify::Baseline;
+use sp_verify::{run_incremental_campaign, Baseline, FuzzConfig, IncrementalFuzzConfig};
 
 #[test]
 fn std_rng_stream_is_the_recorded_one() {
@@ -44,16 +46,30 @@ fn assert_pinned(g: &Graph, ranks: usize, want: u64) {
 
 #[test]
 fn grid_48x48_on_16_ranks() {
-    assert_pinned(&grid_2d(48, 48), 16, 0x1a82_64c4_fbd6_c135);
+    assert_pinned(&grid_2d(48, 48), 16, 0x7ad8_3c12_8ed7_e06b);
 }
 
 #[test]
 fn delaunay_2000_on_9_ranks() {
     let (g, _) = delaunay_graph(2000, &mut StdRng::seed_from_u64(0xDE1A));
-    assert_pinned(&g, 9, 0x3542_fd4f_5530_e21e);
+    assert_pinned(&g, 9, 0x1b2e_81d1_815c_e850);
 }
 
 #[test]
 fn grid_160x140_on_64_ranks() {
-    assert_pinned(&grid_2d(160, 140), 64, 0x4611_df2a_f8d7_c5d2);
+    assert_pinned(&grid_2d(160, 140), 64, 0xf0bd_0f83_87c3_06f3);
+}
+
+/// `verify --self-test`'s incremental stage: `grid:48x48` with its
+/// coordinates, the default streams and steps, the fuzz master seed.
+#[test]
+fn incremental_campaign_of_the_self_test() {
+    let cfg = IncrementalFuzzConfig {
+        seed: FuzzConfig::default().master_seed,
+        ..IncrementalFuzzConfig::default()
+    };
+    let report = run_incremental_campaign(&grid_2d(48, 48), Some(&grid_2d_coords(48, 48)), &cfg);
+    assert!(report.ok(), "{}", report.summary);
+    let got = report.summary.rsplit_once("fingerprint ").map(|(_, fp)| fp);
+    assert_eq!(got, Some("0x2345bc1a3e87bfe1"), "{}", report.summary);
 }
